@@ -1,0 +1,67 @@
+"""Golden CLI traces: every (experiment, optimizer) path, compared byte for byte.
+
+Each case runs ``adgd-bench run`` in-process and checks its exit status and
+the CSV it writes against ``tests/golden/<case>.csv``.  The goldens pin the
+descent loops' arithmetic, stopping rules, abort handling and work
+counters, so a refactor of the loops must leave every byte in place.  Only
+a change that deliberately moves the numbers (new problem instances or new
+linear-algebra kernels) re-records them, with::
+
+    PYTHONPATH=src python tests/test_golden_traces.py --record
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from adgd.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# case -> (exit status, ``run`` flags without --out).  Center-of-mass runs
+# pay for a reference solve, so there is one per optimizer.
+CASES = {
+    "adgd-center-of-mass": (0, "--experiment center-of-mass --n 5 --seed 3 --max-iters 200 --tol 1e-8 --alpha0 0.05"),
+    "adgd-rayleigh": (0, "--experiment rayleigh --n 6 --seed 2 --max-iters 200 --tol 1e-8 --alpha0 0.05"),
+    "adgd-lyapunov": (0, "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 0.1"),
+    "adgd-wls-dense-max-iters": (0, "--experiment wls-dense --n 5 --seed 1 --max-iters 40 --tol 1e-8 --alpha0 0.1"),
+    "adgd-wls-sparse": (0, "--experiment wls-sparse --n 6 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 0.1"),
+    "adgd-orthant-equivalence": (0, "--experiment orthant-equivalence --n 6 --seed 2 --max-iters 200 --tol 1e-8 --alpha0 0.5"),
+    "adgd-lyapunov-clamped": (0, "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 50"),
+    "adgd-lyapunov-max-iters-0": (0, "--experiment lyapunov --n 5 --seed 1 --max-iters 0 --alpha0 50"),
+    "adgd-first-ls-rayleigh": (0, "--experiment rayleigh --n 6 --seed 2 --max-iters 200 --tol 1e-8 --alpha0 0.05 --first-ls"),
+    "adgd-first-ls-lyapunov": (0, "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 0.001 --first-ls"),
+    "adgd-orthant-abort": (3, "--experiment orthant-equivalence --n 4 --seed 0 --alpha0 1e9 --max-iters 50"),
+    "armijo-center-of-mass": (0, "--experiment center-of-mass --n 5 --seed 3 --max-iters 200 --tol 1e-8 --alpha0 0.05 --optimizer armijo --armijo-lambda 2"),
+    "armijo-rayleigh": (0, "--experiment rayleigh --n 6 --seed 2 --max-iters 80 --tol 1e-8 --alpha0 0.05 --optimizer armijo --armijo-lambda 2"),
+    "armijo-lyapunov": (0, "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 0.1 --optimizer armijo --armijo-lambda 2"),
+    "armijo-wls-dense": (0, "--experiment wls-dense --n 5 --seed 1 --max-iters 40 --tol 1e-8 --alpha0 0.1 --optimizer armijo --armijo-lambda 2"),
+    "armijo-wls-sparse": (0, "--experiment wls-sparse --n 6 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 0.1 --optimizer armijo --armijo-lambda 2"),
+    "fixed-center-of-mass": (0, "--experiment center-of-mass --n 5 --seed 3 --max-iters 200 --tol 1e-8 --optimizer fixed --fixed-alpha 0.05"),
+    "fixed-rayleigh": (0, "--experiment rayleigh --n 6 --seed 2 --max-iters 200 --tol 1e-8 --optimizer fixed --fixed-alpha 0.05"),
+    "fixed-lyapunov": (0, "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --optimizer fixed --fixed-alpha 0.05"),
+    "fixed-wls-dense": (0, "--experiment wls-dense --n 5 --seed 1 --max-iters 40 --tol 1e-8 --optimizer fixed --fixed-alpha 0.05"),
+    "fixed-wls-sparse": (0, "--experiment wls-sparse --n 6 --seed 1 --max-iters 60 --tol 1e-8 --optimizer fixed --fixed-alpha 0.05"),
+    "fixed-lyapunov-domain-abort": (3, "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --optimizer fixed --fixed-alpha 5"),
+}
+
+
+def run_case(name, out):
+    return main(["run", *CASES[name][1].split(), "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert run_case(name, out) == CASES[name][0]
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: {sys.argv[0]} --record")
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        status = run_case(case, GOLDEN / f"{case}.csv")
+        print(f"{case}: exit {status}")
