@@ -1,22 +1,38 @@
-"""Descent loops over the manifold contract.
+"""Riemannian gradient descent with an adaptive step size, and baselines.
 
-Four entry points:
+Every method runs through one driver, :func:`_drive`.  At each iterate
+``x_k`` it
 
-* :func:`adgd_run` -- gradient descent whose step size combines a growth
-  cap ``sqrt(1 + theta) * alpha_prev`` with a local inverse-smoothness
-  estimate built from the parallel-transported previous gradient.  No
-  line search, one gradient and one exponential per iteration.
-* :func:`armijo_run` -- backtracking line search baseline whose initial
-  trial step grows as ``lambda * eta_prev``.
-* :func:`fixed_run` -- constant step size baseline.
-* :func:`euclidean_adgd_run` -- the same adaptive loop specialized to
-  flat R^n (identity transport, dot-product metric), used as the oracle
-  for the positive-orthant equivalence.
+1. evaluates the objective ``phi(x_k)`` and the Riemannian gradient
+   ``g_k``, unless the previous step already did, and aborts the run if
+   either is not finite;
+2. notes whether the run stops here: ``converged`` once
+   ``||g_k|| <= tol``, else ``max-iters`` at ``k = max_iters``;
+3. asks a step rule for the step size and the next iterate
+   ``x_{k+1} = exp(x_k, -alpha_k g_k)``;
+4. records one :class:`TraceRow` and stops, or moves to ``x_{k+1}``.
 
-Every run produces a :class:`Trace`: one :class:`TraceRow` per iterate
-with objective value, gradient norm, step size, step ratio, the local
-inverse-smoothness estimate, cumulative work counters, optional distance
-to the optimum, and a flag recording whether any numerical guard fired.
+The step rules:
+
+* :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`): one
+  gradient, one exponential map and one comparison of ``g_k`` with the
+  previous gradient parallel-transported along the last step.  The step
+  combines a growth cap ``sqrt(1 + theta) * alpha_prev`` with a local
+  inverse-smoothness estimate; there is no line search.  It is the
+  Riemannian form of the rule of Malitsky & Mishchenko, *Adaptive Gradient
+  Descent without Descent* (arXiv:1910.09529).  With the step pinned it
+  is the constant-step baseline (:func:`fixed_run`); on flat R^n it is
+  :func:`euclidean_adgd_run`, the oracle for the positive-orthant
+  equivalence.
+* :func:`_first_ls`, an optional warm start of the adaptive rule at
+  ``k = 0`` that doubles ``alpha0`` up to the local smoothness scale.
+* :func:`_armijo_rule`, the backtracking line-search baseline
+  (:func:`armijo_run`) whose first trial grows as ``lambda * eta_prev``.
+
+Each row holds the objective value, gradient norm, step size, step ratio,
+the local inverse-smoothness estimate, cumulative work counters, optional
+distance to the optimum, and a flag recording whether any numerical guard
+fired.
 
 Work counters: ``fn_evals`` and ``exp_evals`` count objective and
 exponential-map evaluations directly (line-search trials included);
@@ -24,20 +40,22 @@ exponential-map evaluations directly (line-search trials included);
 manifold (matrix-vector products on the sphere, matrix-matrix products
 on SPD matrices) per gradient evaluation, per objective evaluation, per
 exponential call, and per adaptive step-size evaluation, so that all
-optimizers are metered identically.
+optimizers are metered identically.  A row's counters include the work
+of its own step.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .manifolds import STEP_SAFETY, Manifold
-from .manifolds.base import CURVATURE_FLAT
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -161,41 +179,28 @@ class _Meter:
         self.expensive += self.manifold.adapt_extra_ops
 
 
-@dataclass
-class AdaptiveState:
-    """Loop state on arrival at ``x_curr`` (iteration index ``k``)."""
-
-    k: int
-    x_prev: Any
-    x_curr: Any
-    grad_prev: Any
-    step_prev: Any  # tangent at x_prev actually used to reach x_curr
-    alpha_prev: float
-    theta_prev: float
-    grad_prev_norm: float
-    phi_prev: float
-    meter: _Meter
-    # Filled when the first-iteration line search already evaluated the
-    # gradient and transport at x_curr; consumed by the next step.
-    pending_grad: Any = None
-    pending_transported: Any = None
-
-
 class _AbortRun(Exception):
     """Internal control flow: numerical abort with a diagnostic message."""
 
 
-def _dist_to_opt(meter, x):
-    if meter.dist_fn is None:
-        return None
-    return meter.dist_fn(x)
+class _Step(NamedTuple):
+    """A step rule's answer at ``x_k``.
 
+    ``alpha, theta, ell, clamped`` fill the row.  ``x_next`` is the next
+    iterate, dropped when the driver stops at ``x_k``; ``phi_next`` and
+    ``grad_next`` are the objective and gradient at ``x_next`` when the
+    rule has already evaluated them.  A non-empty ``abort`` ends the run
+    once the row is recorded.
+    """
 
-def _require_finite(phi, grad_norm, k):
-    if not (np.isfinite(phi) and np.isfinite(grad_norm)):
-        raise _AbortRun(
-            f"non-finite objective ({phi}) or gradient norm ({grad_norm}) at iteration {k}"
-        )
+    alpha: float
+    theta: float = 0.0
+    ell: float = 0.0
+    clamped: bool = False
+    x_next: Any = None
+    phi_next: Optional[float] = None
+    grad_next: Any = None
+    abort: str = ""
 
 
 def _clamp_alpha(alpha, manifold, x, neg_grad, enabled):
@@ -217,307 +222,240 @@ def _clamp_alpha(alpha, manifold, x, neg_grad, enabled):
     return alpha, False
 
 
-def adgd_step(state, manifold, problem, config, step_override=None):
-    """One iteration of the adaptive loop: evaluate at ``x_curr``, choose
-    the step size, and (unless stopping) move to the next iterate.
+def _drive(config, manifold, problem, make_rule):
+    """Run ``make_rule(config, manifold, meter)`` from ``problem.x0``.
 
-    Returns ``(next_state, row)``; ``next_state`` is None when the
-    gradient-norm tolerance is met.  Raises ``_AbortRun`` on non-finite
-    values and propagates DomainError when clamping is disabled.
+    The rule is called once per iterate as
+    ``rule(k, x, phi, grad, grad_norm, stop)`` and returns a
+    :class:`_Step`; ``stop`` is the status the run ends with at this row,
+    or None.  The driver owns the work meter, the evaluations at each
+    iterate, the finiteness check, the distance column, the rows, the
+    stopping rules and the mapping of numerical failures (non-finite
+    values, domain errors, rule aborts) to status ``aborted``, which keeps
+    the rows recorded so far.
     """
-    m = state.meter
-    phi = m.value(state.x_curr)
-    if state.pending_grad is not None:
-        grad = state.pending_grad
-        transported = state.pending_transported
-    else:
-        grad = m.grad(state.x_curr)
-        transported = manifold.transport_along_step(
-            state.x_prev, state.step_prev, state.grad_prev
-        )
-    grad_norm = m.norm(state.x_curr, grad)
-    _require_finite(phi, grad_norm, state.k)
-
-    m.adapt()
-    denom_sq = manifold.grad_diff_norm_sq(
-        state.x_curr, grad, transported, state.grad_prev_norm**2
-    )
-    denom = math.sqrt(denom_sq)
-    numer = state.alpha_prev * state.grad_prev_norm
-    ell = numer / denom if denom > 0.0 else 0.0
-
-    if step_override is not None:
-        alpha = step_override
-    else:
-        growth_cap = math.sqrt(1.0 + state.theta_prev) * state.alpha_prev
-        local = numer / (_SQRT2 * denom) if denom > 0.0 else math.inf
-        alpha = min(growth_cap, local)
-
-    neg_grad = -1.0 * grad
-    alpha, clamped = _clamp_alpha(alpha, manifold, state.x_curr, neg_grad, config.clamp_steps)
-    # alpha_prev is zero only under a pinned zero step; the ratio is moot then.
-    theta = alpha / state.alpha_prev if state.alpha_prev > 0.0 else 0.0
-
-    row = TraceRow(
-        k=state.k,
-        phi=phi,
-        grad_norm=grad_norm,
-        alpha=alpha,
-        theta=theta,
-        ell=ell,
-        fn_evals=m.fn_evals,
-        exp_evals=m.exp_evals,
-        expensive_ops=m.expensive,
-        dist_to_opt=_dist_to_opt(m, state.x_curr),
-        clamped=clamped,
-    )
-    if grad_norm <= config.tol:
-        return None, row
-
-    step = alpha * neg_grad
-    x_next, exp_clamped = m.exp(state.x_curr, step)
-    row.clamped = row.clamped or exp_clamped
-    row.exp_evals = m.exp_evals
-    row.expensive_ops = m.expensive
-    next_state = AdaptiveState(
-        k=state.k + 1,
-        x_prev=state.x_curr,
-        x_curr=x_next,
-        grad_prev=grad,
-        step_prev=step,
-        alpha_prev=alpha,
-        theta_prev=theta,
-        grad_prev_norm=grad_norm,
-        phi_prev=phi,
-        meter=m,
-    )
-    return next_state, row
-
-
-def _first_iteration(config, manifold, problem, meter, step_override, take_step=True):
-    """Evaluate at x0 and take the very first step ``exp(x0, -alpha0 g0)``.
-
-    With ``config.first_ls`` set (adaptive runs only), alpha0 is doubled
-    until the transported-gradient ratio drops to 1, so that the step
-    sequence starts at the local inverse-smoothness scale.
-
-    Returns ``(state, row0)``; ``state`` is None when x0 is stationary or
-    ``take_step`` is False.
-    """
-    x0 = problem.x0
-    phi0 = meter.value(x0)
-    grad0 = meter.grad(x0)
-    grad0_norm = meter.norm(x0, grad0)
-    _require_finite(phi0, grad0_norm, 0)
-
-    def row0(alpha, clamped):
-        return TraceRow(
-            k=0,
-            phi=phi0,
-            grad_norm=grad0_norm,
-            alpha=alpha,
-            theta=0.0,
-            ell=0.0,
-            fn_evals=meter.fn_evals,
-            exp_evals=meter.exp_evals,
-            expensive_ops=meter.expensive,
-            dist_to_opt=_dist_to_opt(meter, x0),
-            clamped=clamped,
-        )
-
-    base_alpha = config.alpha0 if step_override is None else step_override
-    if grad0_norm <= config.tol or not take_step:
-        return None, row0(base_alpha, False)
-
-    neg_grad0 = -1.0 * grad0
-    alpha0, clamped = _clamp_alpha(base_alpha, manifold, x0, neg_grad0, config.clamp_steps)
-
-    pending_grad = None
-    pending_transported = None
-    if config.first_ls and step_override is None:
-        for _ in range(_MAX_FIRST_LS_DOUBLINGS):
-            step = alpha0 * neg_grad0
-            x1, exp_clamped = meter.exp(x0, step)
-            pending_grad = meter.grad(x1)
-            pending_transported = manifold.transport_along_step(x0, step, grad0)
-            meter.adapt()
-            denom_sq = manifold.grad_diff_norm_sq(
-                x1, pending_grad, pending_transported, grad0_norm**2
-            )
-            denom = math.sqrt(denom_sq)
-            ratio = grad0_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
-            if ratio <= 1.0 or clamped:
-                break
-            alpha0, clamped = _clamp_alpha(
-                2.0 * alpha0, manifold, x0, neg_grad0, config.clamp_steps
-            )
-            pending_grad = None
-            pending_transported = None
-        else:
-            # Ratio never dropped; proceed with the last (largest) trial.
-            step = alpha0 * neg_grad0
-            x1, exp_clamped = meter.exp(x0, step)
-            pending_grad = meter.grad(x1)
-            pending_transported = manifold.transport_along_step(x0, step, grad0)
-    else:
-        step = alpha0 * neg_grad0
-        x1, exp_clamped = meter.exp(x0, step)
-
-    state = AdaptiveState(
-        k=1,
-        x_prev=x0,
-        x_curr=x1,
-        grad_prev=grad0,
-        step_prev=step,
-        alpha_prev=alpha0,
-        theta_prev=0.0,
-        grad_prev_norm=grad0_norm,
-        phi_prev=phi0,
-        meter=meter,
-        pending_grad=pending_grad,
-        pending_transported=pending_transported,
-    )
-    return state, row0(alpha0, clamped or exp_clamped)
-
-
-def _adaptive_loop(config, manifold, problem, step_override=None, divergence_abort=False):
     meter = _Meter(manifold, problem, config.track_distance)
+    rule = make_rule(config, manifold, meter)
     rows = []
     points = [problem.x0]
+    x, phi, grad = problem.x0, None, None
     try:
-        state, row0 = _first_iteration(
-            config, manifold, problem, meter, step_override, take_step=config.max_iters > 0
+        for k in itertools.count():
+            if phi is None:
+                phi = meter.value(x)
+            if grad is None:
+                grad = meter.grad(x)
+            grad_norm = meter.norm(x, grad)
+            if not (np.isfinite(phi) and np.isfinite(grad_norm)):
+                raise _AbortRun(
+                    f"non-finite objective ({phi}) or gradient norm ({grad_norm}) at iteration {k}"
+                )
+            if grad_norm <= config.tol:
+                stop = STATUS_CONVERGED
+            elif k >= config.max_iters:
+                stop = STATUS_MAX_ITERS
+            else:
+                stop = None
+            step = rule(k, x, phi, grad, grad_norm, stop)
+            rows.append(
+                TraceRow(
+                    k=k,
+                    phi=phi,
+                    grad_norm=grad_norm,
+                    alpha=step.alpha,
+                    theta=step.theta,
+                    ell=step.ell,
+                    fn_evals=meter.fn_evals,
+                    exp_evals=meter.exp_evals,
+                    expensive_ops=meter.expensive,
+                    dist_to_opt=None if meter.dist_fn is None else meter.dist_fn(x),
+                    clamped=step.clamped,
+                )
+            )
+            if step.abort:
+                raise _AbortRun(step.abort)
+            if stop is not None:
+                return Trace(rows, points, stop)
+            x, phi, grad = step.x_next, step.phi_next, step.grad_next
+            points.append(x)
+    except (_AbortRun, DomainError, FloatingPointError) as exc:
+        return Trace(rows, points, STATUS_ABORTED, str(exc))
+
+
+def _adaptive_rule(config, manifold, meter, pinned=None):
+    """The adaptive step size, or the constant ``pinned`` in its place.
+
+    At ``x_k``, ``k >= 1``, with ``T g_{k-1}`` the previous gradient
+    transported along the last step (one ``adapt_extra_ops`` charge)::
+
+        ell_k   = alpha_{k-1} ||g_{k-1}|| / ||g_k - T g_{k-1}||
+        alpha_k = min(sqrt(1 + theta_{k-1}) alpha_{k-1}, ell_k / sqrt(2))
+        theta_k = alpha_k / alpha_{k-1}
+
+    ``ell_k`` is 0 in the row when the denominator vanishes, and
+    ``alpha_k`` is then the growth cap.  ``alpha_0 = config.alpha0``,
+    warmed up by :func:`_first_ls` when ``config.first_ls`` is set, and
+    ``theta_0 = 0``.  Every step is clamped to the step domain.
+
+    A converged row reports the step it would take and takes no
+    exponential.  The row at ``k = max_iters >= 1`` still takes it, and
+    the driver drops the point.  A run that stops at ``x_0`` reports
+    ``alpha0`` before clamping.
+
+    With ``pinned`` every step is ``pinned`` (first-LS off; the row's
+    ``ell`` is still the estimate), and the run aborts once the objective
+    has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
+    """
+    prev = None  # at x_{k-1}: (x, g, step, alpha, theta, ||g||, phi, T g or None)
+    streak = 0
+
+    def rule(k, x, phi, grad, grad_norm, stop):
+        nonlocal prev, streak
+        carried = grad_next = None
+        if prev is None:
+            alpha = config.alpha0 if pinned is None else pinned
+            if stop is not None:
+                return _Step(alpha)
+            theta = ell = 0.0
+            neg_grad = -1.0 * grad
+            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad, config.clamp_steps)
+        else:
+            (x_prev, grad_prev, step_prev, alpha_prev, theta_prev, norm_prev, phi_prev,
+             transported) = prev
+            if transported is None:
+                transported = manifold.transport_along_step(x_prev, step_prev, grad_prev)
+            meter.adapt()
+            denom = math.sqrt(manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
+            numer = alpha_prev * norm_prev
+            ell = numer / denom if denom > 0.0 else 0.0
+            if pinned is None:
+                local = numer / (_SQRT2 * denom) if denom > 0.0 else math.inf
+                alpha = min(math.sqrt(1.0 + theta_prev) * alpha_prev, local)
+            else:
+                alpha = pinned
+            neg_grad = -1.0 * grad
+            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad, config.clamp_steps)
+            # alpha_prev is zero only under a pinned zero step; the ratio is moot then.
+            theta = alpha / alpha_prev if alpha_prev > 0.0 else 0.0
+            if stop == STATUS_CONVERGED:
+                return _Step(alpha, theta, ell, clamped)
+
+        if prev is None and config.first_ls and pinned is None:
+            alpha, clamped, step, x_next, exp_clamped, grad_next, carried = _first_ls(
+                config, manifold, meter, x, grad, grad_norm, neg_grad, alpha, clamped
+            )
+        else:
+            step = alpha * neg_grad
+            x_next, exp_clamped = meter.exp(x, step)
+
+        abort = ""
+        if pinned is not None and prev is not None:
+            streak = streak + 1 if phi > phi_prev else 0
+            if streak >= _DIVERGENCE_STREAK:
+                abort = (
+                    f"objective increased for {_DIVERGENCE_STREAK} consecutive "
+                    f"iterations (diverging fixed step)"
+                )
+        prev = (x, grad, step, alpha, theta, grad_norm, phi, carried)
+        return _Step(alpha, theta, ell, clamped or exp_clamped, x_next, None, grad_next, abort)
+
+    return rule
+
+
+def _first_ls(config, manifold, meter, x0, grad0, grad0_norm, neg_grad0, alpha, clamped):
+    """Warm start of the adaptive rule at ``k = 0``.
+
+    Doubles ``alpha`` until the first step's ratio
+    ``||g_0|| / (sqrt(2) ||g_1 - T g_0||)`` drops to 1 or the step is
+    clamped, so that the step sequence starts at the local
+    inverse-smoothness scale.  Each trial costs an exponential, a gradient
+    and a transport, and, while doublings remain, one adaptive charge.
+    After ``_MAX_FIRST_LS_DOUBLINGS`` doublings the last trial is taken
+    as it stands.
+
+    Returns ``(alpha, clamped, step, x1, exp_clamped, g_1, T g_0)`` of the
+    trial taken; ``g_1`` and ``T g_0`` serve the next iteration.
+    """
+    for doubling in range(_MAX_FIRST_LS_DOUBLINGS + 1):
+        step = alpha * neg_grad0
+        x1, exp_clamped = meter.exp(x0, step)
+        grad1 = meter.grad(x1)
+        transported = manifold.transport_along_step(x0, step, grad0)
+        if doubling == _MAX_FIRST_LS_DOUBLINGS:
+            break
+        meter.adapt()
+        denom = math.sqrt(manifold.grad_diff_norm_sq(x1, grad1, transported, grad0_norm**2))
+        ratio = grad0_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
+        if ratio <= 1.0 or clamped:
+            break
+        alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x0, neg_grad0, config.clamp_steps)
+    return alpha, clamped, step, x1, exp_clamped, grad1, transported
+
+
+def _armijo_rule(config, manifold, meter):
+    """Backtracking line search with per-iteration growth.
+
+    At ``x_k`` the first trial is ``eta = alpha0`` for ``k = 0`` and
+    ``armijo_lambda * eta_{k-1}`` after, clamped to the step domain.
+    Trials shrink by ``armijo_beta`` until
+    ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
+    trial's objective and exponential evaluation is metered, and the
+    accepted trial's objective is carried to the next iterate.  More than
+    60 rejections abort the run before the row is recorded.  Rows where
+    the run stops report ``alpha = theta = 0``.
+    """
+    eta_prev = None
+
+    def rule(k, x, phi, grad, grad_norm, stop):
+        nonlocal eta_prev
+        if stop is not None:
+            return _Step(0.0)
+        neg_grad = -1.0 * grad
+        eta = config.alpha0 if eta_prev is None else config.armijo_lambda * eta_prev
+        eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad, config.clamp_steps)
+        target_slope = config.armijo_c * grad_norm**2
+        for _ in range(_MAX_BACKTRACKS + 1):
+            x_trial, exp_clamped = meter.exp(x, eta * neg_grad)
+            phi_trial = meter.value(x_trial)
+            if phi_trial <= phi - eta * target_slope:
+                theta = 0.0 if not eta_prev else eta / eta_prev
+                eta_prev = eta
+                return _Step(eta, theta, 0.0, clamped or exp_clamped, x_trial, phi_trial)
+            eta *= config.armijo_beta
+        raise _AbortRun(
+            f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}"
         )
-        rows.append(row0)
-        if state is None:
-            status = STATUS_CONVERGED if row0.grad_norm <= config.tol else STATUS_MAX_ITERS
-            return Trace(rows, points, status)
-        points.append(state.x_curr)
-        increase_streak = 0
-        while True:
-            phi_before = state.phi_prev
-            state_next, row = adgd_step(state, manifold, problem, config, step_override)
-            rows.append(row)
-            if state_next is None:
-                return Trace(rows, points, STATUS_CONVERGED)
-            if divergence_abort:
-                increase_streak = increase_streak + 1 if row.phi > phi_before else 0
-                if increase_streak >= _DIVERGENCE_STREAK:
-                    raise _AbortRun(
-                        f"objective increased for {_DIVERGENCE_STREAK} consecutive "
-                        f"iterations (diverging fixed step)"
-                    )
-            if row.k >= config.max_iters:
-                return Trace(rows, points, STATUS_MAX_ITERS)
-            state = state_next
-            points.append(state.x_curr)
-    except _AbortRun as exc:
-        return Trace(rows, points, STATUS_ABORTED, str(exc))
-    except (DomainError, FloatingPointError) as exc:
-        return Trace(rows, points, STATUS_ABORTED, str(exc))
+
+    return rule
 
 
 def adgd_run(config, manifold, problem):
     """Run the adaptive method until the gradient-norm tolerance or
     ``config.max_iters`` iterations."""
-    return _adaptive_loop(config, manifold, problem)
+    return _drive(config, manifold, problem, _adaptive_rule)
 
 
 def fixed_run(config, manifold, problem, alpha):
     """Constant step size baseline.
 
-    Shares the adaptive loop's bookkeeping (the trace carries the same
-    diagnostics) with the step choice pinned to ``alpha``; aborts when the
-    objective increases for 50 consecutive iterations.
+    The adaptive rule with its step pinned to ``alpha`` (the trace carries
+    the same diagnostics); aborts when the objective increases for 50
+    consecutive iterations.
     """
     if alpha < 0.0:
         raise ValueError("fixed step size must be nonnegative")
-    return _adaptive_loop(config, manifold, problem, step_override=alpha, divergence_abort=True)
+    return _drive(config, manifold, problem, functools.partial(_adaptive_rule, pinned=alpha))
 
 
 def armijo_run(config, manifold, problem):
-    """Backtracking line search with per-iteration growth.
-
-    At iterate x, trials start from ``eta = lambda * eta_prev`` and halve
-    (factor ``armijo_beta``) until
-    ``phi(exp(x, -eta g)) <= phi(x) - c * eta * ||g||^2``; every trial's
-    objective and exponential evaluation is metered.  More than 60
-    rejections abort the run.
-    """
-    meter = _Meter(manifold, problem, config.track_distance)
-    rows = []
-    points = [problem.x0]
-    eta_prev = None
-    x = problem.x0
-    carried_phi = None
-    try:
-        for k in range(config.max_iters + 1):
-            # The accepted trial already evaluated the objective at x.
-            phi = meter.value(x) if carried_phi is None else carried_phi
-            grad = meter.grad(x)
-            grad_norm = meter.norm(x, grad)
-            _require_finite(phi, grad_norm, k)
-            dist = _dist_to_opt(meter, x)
-
-            def make_row(alpha, theta, clamped):
-                return TraceRow(
-                    k=k,
-                    phi=phi,
-                    grad_norm=grad_norm,
-                    alpha=alpha,
-                    theta=theta,
-                    ell=0.0,
-                    fn_evals=meter.fn_evals,
-                    exp_evals=meter.exp_evals,
-                    expensive_ops=meter.expensive,
-                    dist_to_opt=dist,
-                    clamped=clamped,
-                )
-
-            if grad_norm <= config.tol:
-                rows.append(make_row(0.0, 0.0, False))
-                return Trace(rows, points, STATUS_CONVERGED)
-            if k >= config.max_iters:
-                rows.append(make_row(0.0, 0.0, False))
-                return Trace(rows, points, STATUS_MAX_ITERS)
-
-            neg_grad = -1.0 * grad
-            eta = config.alpha0 if eta_prev is None else config.armijo_lambda * eta_prev
-            eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad, config.clamp_steps)
-            target_slope = config.armijo_c * grad_norm**2
-            accepted = None
-            for _ in range(_MAX_BACKTRACKS + 1):
-                x_trial, exp_clamped = meter.exp(x, eta * neg_grad)
-                phi_trial = meter.value(x_trial)
-                if phi_trial <= phi - eta * target_slope:
-                    accepted = x_trial
-                    carried_phi = phi_trial
-                    clamped = clamped or exp_clamped
-                    break
-                eta *= config.armijo_beta
-            if accepted is None:
-                raise _AbortRun(
-                    f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions "
-                    f"at iteration {k}"
-                )
-
-            theta = 0.0 if not eta_prev else eta / eta_prev
-            rows.append(make_row(eta, theta, clamped))
-            eta_prev = eta
-            x = accepted
-            points.append(x)
-        raise AssertionError("unreachable: loop exits via tol or max_iters")
-    except _AbortRun as exc:
-        return Trace(rows, points, STATUS_ABORTED, str(exc))
-    except (DomainError, FloatingPointError) as exc:
-        return Trace(rows, points, STATUS_ABORTED, str(exc))
+    """Backtracking line search baseline; see :func:`_armijo_rule`."""
+    return _drive(config, manifold, problem, _armijo_rule)
 
 
 class _FlatSpace(Manifold):
     """R^n with the dot product: identity transport, exp(x, v) = x + v."""
 
     name = "euclidean"
-    curvature_class = CURVATURE_FLAT
 
     def egrad_to_rgrad(self, x, g):
         return g
@@ -552,4 +490,4 @@ def euclidean_adgd_run(config, f, grad_f, y0, optimum_point=None, optimum_value=
         optimum_point=optimum_point,
         optimum_value=optimum_value,
     )
-    return _adaptive_loop(config, _FlatSpace(), prob)
+    return _drive(config, _FlatSpace(), prob, _adaptive_rule)

@@ -10,7 +10,6 @@ from adgd.optimizers import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     RunConfig,
-    _adaptive_loop,
     adgd_run,
     armijo_run,
     euclidean_adgd_run,
@@ -235,15 +234,6 @@ class TestFixed:
         tr = fixed_run(RunConfig(max_iters=200, tol=1e-10), Sphere(), prob, alpha)
         phis = tr.column("phi")
         assert np.all(np.diff(phis) <= 1e-12)
-
-    def test_matches_adaptive_loop_with_pinned_step(self):
-        prob = problems.rayleigh(8, 13)
-        config = RunConfig(max_iters=40, tol=1e-12, alpha0=0.05)
-        pinned = _adaptive_loop(config, Sphere(), prob, step_override=0.04)
-        fixed = fixed_run(config, Sphere(), prob, 0.04)
-        assert len(pinned.rows) == len(fixed.rows)
-        for a, b in zip(pinned.rows, fixed.rows):
-            assert a == b
 
     def test_divergence_abort(self):
         f, g = quadratic()
