@@ -23,10 +23,7 @@ __all__ = [
     "sym_eig",
     "solve_lyapunov",
     "spd_sqrt",
-    "matmul",
     "frobenius_norm",
-    "trace",
-    "add_scaled",
     "spd_min_eig_threshold",
     "is_spd_spectrum",
     "cholesky",
@@ -229,34 +226,8 @@ def spd_sqrt(x):
     return 0.5 * (s + s.T)
 
 
-def matmul(a, b):
-    """Matrix product. Note: the product of two symmetric matrices is not
-    symmetrized; triple products like G X G regain symmetry on their own."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def frobenius_norm(a):
     return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
-
-
-def trace(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {a.shape}")
-    return float(np.trace(a))
-
-
-def add_scaled(m, n_mat, s):
-    """M + s * N with matching shapes."""
-    m = np.asarray(m, dtype=float)
-    n_mat = np.asarray(n_mat, dtype=float)
-    if m.shape != n_mat.shape:
-        raise ValueError(f"add_scaled shape mismatch: {m.shape} vs {n_mat.shape}")
-    return m + s * n_mat
 
 
 def cholesky(x):
