@@ -1,9 +1,4 @@
-from .base import (
-    CURVATURE_FLAT,
-    CURVATURE_NONNEGATIVE_COMPLETE,
-    CURVATURE_NONNEGATIVE_INCOMPLETE,
-    Manifold,
-)
+from .base import Manifold
 from .bures_wasserstein import BuresWasserstein, BWTangent, STEP_SAFETY
 from .positive_orthant import PositiveOrthant
 from .sphere import Sphere
@@ -15,7 +10,4 @@ __all__ = [
     "BWTangent",
     "PositiveOrthant",
     "STEP_SAFETY",
-    "CURVATURE_FLAT",
-    "CURVATURE_NONNEGATIVE_COMPLETE",
-    "CURVATURE_NONNEGATIVE_INCOMPLETE",
 ]

@@ -17,12 +17,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-# Curvature classes, in the sense of the lower sectional-curvature bound
-# and geodesic completeness that the convergence analysis relies on.
-CURVATURE_NONNEGATIVE_COMPLETE = "nonnegative-complete"
-CURVATURE_NONNEGATIVE_INCOMPLETE = "nonnegative-incomplete"
-CURVATURE_FLAT = "flat"
-
 
 class Manifold(ABC):
     """Geometric operations shared by all manifolds in this package.
@@ -31,8 +25,6 @@ class Manifold(ABC):
     ----------------
     name : str
         Short identifier used in traces and error messages.
-    curvature_class : str
-        One of the CURVATURE_* tags above.
     rgrad_ops, exp_ops, adapt_extra_ops : int
         Expensive-operation price tags (matrix-vector products on the
         sphere, matrix-matrix products on SPD matrices) charged per
@@ -41,7 +33,6 @@ class Manifold(ABC):
     """
 
     name = "manifold"
-    curvature_class = CURVATURE_FLAT
     rgrad_ops = 0
     exp_ops = 0
     adapt_extra_ops = 0

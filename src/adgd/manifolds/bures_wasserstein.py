@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import DomainError
-from .base import CURVATURE_NONNEGATIVE_INCOMPLETE, Manifold
+from .base import Manifold
 
 # Safety margin keeping clamped steps strictly inside the SPD cone.
 STEP_SAFETY = 0.99
@@ -110,7 +110,6 @@ class BWTangent:
 
 class BuresWasserstein(Manifold):
     name = "bures-wasserstein"
-    curvature_class = CURVATURE_NONNEGATIVE_INCOMPLETE
     # Expensive-op accounting in matrix-matrix products: one for the
     # gradient conversion, two per exponential (L X and (L X) L), one for
     # the cross term of the adaptive step-size denominator.

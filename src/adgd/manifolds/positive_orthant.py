@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .base import CURVATURE_FLAT, Manifold
+from .base import Manifold
 
 # Exponent guard: e^|700| is still finite in float64, anything bigger is not.
 _EXP_CLAMP = 700.0
@@ -18,7 +18,6 @@ _EXP_CLAMP = 700.0
 
 class PositiveOrthant(Manifold):
     name = "positive-orthant"
-    curvature_class = CURVATURE_FLAT
     rgrad_ops = 1
 
     def egrad_to_rgrad(self, x, g):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .base import CURVATURE_NONNEGATIVE_COMPLETE, Manifold
+from .base import Manifold
 
 # Below this, ||v|| is treated as zero: the closed forms for exp and
 # transport are 0/0 at v = 0 only in their written form.
@@ -21,7 +21,6 @@ _TINY = 1e-12
 
 class Sphere(Manifold):
     name = "sphere"
-    curvature_class = CURVATURE_NONNEGATIVE_COMPLETE
     rgrad_ops = 1  # tangent projection, one matrix-vector product
 
     def egrad_to_rgrad(self, x, g):

@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from adgd import linalg
-from adgd.manifolds import (
-    CURVATURE_FLAT,
-    CURVATURE_NONNEGATIVE_COMPLETE,
-    CURVATURE_NONNEGATIVE_INCOMPLETE,
-    BuresWasserstein,
-    PositiveOrthant,
-    Sphere,
-)
+from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
 
 from conftest import random_sphere_tangent, random_spd, random_sym, random_unit
 
@@ -164,11 +157,6 @@ class TestDistanceAxioms:
 
 
 class TestCurvatureClasses:
-    def test_tags(self):
-        assert Sphere().curvature_class == CURVATURE_NONNEGATIVE_COMPLETE
-        assert BuresWasserstein().curvature_class == CURVATURE_NONNEGATIVE_INCOMPLETE
-        assert PositiveOrthant().curvature_class == CURVATURE_FLAT
-
     def test_max_step_finite_only_on_incomplete(self):
         rng = np.random.default_rng(107)
         sphere = Sphere()
