@@ -95,27 +95,31 @@ def _parse_config_file(path):
     return values
 
 
-def _apply_config_file(args, values):
-    casts = {
-        "experiment": str,
-        "n": int,
-        "seed": int,
-        "max_iters": int,
-        "tol": float,
-        "alpha0": float,
-        "first_ls": lambda s: s.lower() in ("1", "true", "yes"),
-        "optimizer": str,
-        "armijo_c": float,
-        "armijo_beta": float,
-        "armijo_lambda": float,
-        "fixed_alpha": float,
-        "out": str,
+def _config_cast(action, key, raw):
+    """Convert a config-file value the way the ``run`` flag would."""
+    if action.nargs == 0:  # store_true
+        return raw.lower() in ("1", "true", "yes")
+    value = raw if action.type is None else action.type(raw)
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {key!r}: invalid choice {value!r} "
+            f"(choose from {', '.join(map(str, action.choices))})"
+        )
+    return value
+
+
+def _apply_config_file(parser, args, values):
+    """Fill every ``run`` flag left unset on the command line from the
+    config file; explicit flags win."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {
+        a.dest: a for a in sub.choices["run"]._actions if a.dest not in ("help", "config")
     }
     for key, raw in values.items():
-        if key not in casts:
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key, None) in (None, False):
-            setattr(args, key, casts[key](raw))
+            setattr(args, key, _config_cast(actions[key], key, raw))
 
 
 def _orthant_equivalence_deviations(config, manifold, problem, trace):
@@ -294,7 +298,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             if args.config is not None:
-                _apply_config_file(args, _parse_config_file(args.config))
+                _apply_config_file(parser, args, _parse_config_file(args.config))
             for key, default in _RUN_DEFAULTS.items():
                 if getattr(args, key) is None:
                     setattr(args, key, default)

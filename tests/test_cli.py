@@ -106,6 +106,24 @@ class TestRun:
                        "--max-iters", "15", "--alpha0", "0.05", "--out", str(b)) == 0
         assert read_bytes(a) == read_bytes(b)
 
+    def test_config_file_store_true_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\nfirst-ls = yes\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
+        assert run_cli("run", "--experiment", "rayleigh", "--n", "5", "--seed", "9",
+                       "--max-iters", "15", "--first-ls", "--out", str(b)) == 0
+        assert read_bytes(a) == read_bytes(b)
+
+    def test_explicit_flag_beats_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("run", "--config", str(cfg), "--seed", "4", "--out", str(a)) == 0
+        assert run_cli("run", "--experiment", "rayleigh", "--n", "5", "--seed", "4",
+                       "--max-iters", "15", "--out", str(b)) == 0
+        assert read_bytes(a) == read_bytes(b)
+
 
 class TestUsageErrors:
     def test_fixed_requires_alpha(self, tmp_path):
@@ -122,6 +140,16 @@ class TestUsageErrors:
         code = run_cli("run", "--experiment", "orthant-equivalence",
                        "--optimizer", "armijo", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_config_file_invalid_choice(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = rayleigh\noptimizer = bogus\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_config_file_unknown_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = rayleigh\nconfig = other.cfg\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
 
     def test_missing_out(self):
         assert run_cli("run", "--experiment", "rayleigh") == 2
