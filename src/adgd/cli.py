@@ -95,14 +95,14 @@ def _parse_config_file(path):
     return values
 
 
-def _config_cast(action, key, raw):
+def _config_cast(action, raw):
     """Convert a config-file value the way the ``run`` flag would."""
     if action.nargs == 0:  # store_true
         return raw.lower() in ("1", "true", "yes")
     value = raw if action.type is None else action.type(raw)
     if action.choices is not None and value not in action.choices:
         raise UsageError(
-            f"config key {key!r}: invalid choice {value!r} "
+            f"config key {action.dest!r}: invalid choice {value!r} "
             f"(choose from {', '.join(map(str, action.choices))})"
         )
     return value
@@ -119,7 +119,7 @@ def _apply_config_file(parser, args, values):
         if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key, None) in (None, False):
-            setattr(args, key, _config_cast(actions[key], key, raw))
+            setattr(args, key, _config_cast(actions[key], raw))
 
 
 def _orthant_equivalence_deviations(config, manifold, problem, trace):

@@ -306,7 +306,9 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     ``ell`` is still the estimate), and the run aborts once the objective
     has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
     """
-    prev = None  # at x_{k-1}: (x, g, step, alpha, theta, ||g||, phi, T g or None)
+    # At x_{k-1}: x, g, step, alpha, theta, ||g||, phi, and T g when first-LS
+    # has already transported it.
+    prev = None
     streak = 0
 
     def rule(k, x, phi, grad, grad_norm, stop):
@@ -357,7 +359,9 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                     f"iterations (diverging fixed step)"
                 )
         prev = (x, grad, step, alpha, theta, grad_norm, phi, carried)
-        return _Step(alpha, theta, ell, clamped or exp_clamped, x_next, None, grad_next, abort)
+        return _Step(
+            alpha, theta, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort
+        )
 
     return rule
 
