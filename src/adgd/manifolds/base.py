@@ -8,8 +8,10 @@ manifolds.  Implementations are stateless and all operations are pure,
 so one instance can serve any number of concurrent runs.
 
 Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein,
-where they carry a cached Lyapunov factor; either way they support
-``-``, ``+`` and scalar ``*``, which is all the optimizers use.
+where a gradient also carries its Lyapunov factor and the base point it
+was computed at, and using that factor at another point raises; either
+way they support ``-``, ``+`` and scalar ``*``, which is all the
+optimizers use.
 """
 
 from __future__ import annotations

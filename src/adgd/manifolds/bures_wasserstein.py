@@ -20,11 +20,11 @@ Closed forms used throughout (L below is the Lyapunov factor of V at X):
 * transport of W along its own step direction V = c W:
   ``P(W) = W + (2 / c) L X L``
 
-Tangents carry their Lyapunov factor (and the product ``L X L`` once an
-exponential has been evaluated) so the descent loops never trigger a
-Lyapunov solve; generic tangents fall back to one solve inside ``inner``.
-A tangent is bound to the base point its caches were computed at; do not
-reuse one tangent object across base points.
+Riemannian gradients carry their Lyapunov factor together with ``base``,
+the point it was computed at, and scaling, negation and sums keep both,
+so the descent loops never trigger a Lyapunov solve.  Asking for that
+factor at any other point raises ``ValueError``.  A tangent without a
+factor has it solved, and stored nowhere, by each operation that needs it.
 """
 
 from __future__ import annotations
@@ -46,66 +46,61 @@ _COLLINEAR_TOL = 1e-8
 
 
 class BWTangent:
-    """Symmetric tangent matrix with lazily cached Lyapunov data.
+    """Symmetric tangent matrix, optionally with its Lyapunov factor.
 
     Attributes
     ----------
     mat : ndarray
         The tangent matrix V itself.
     factor : ndarray or None
-        L_X(V), the solution of X L + L X = V at the base point the
-        tangent was created at.  Gradients get it for free; otherwise it
-        is filled by the first ``inner`` that needs it (write-once).
+        L_X(V), the solution of X L + L X = V at ``base``.  Gradients get
+        it for free; other tangents have None.
+    base : ndarray or None
+        The point X at which ``factor`` solves the Lyapunov equation.
     """
 
-    __slots__ = ("mat", "factor", "_lxl", "_factor_eigvals")
+    __slots__ = ("mat", "factor", "base")
 
-    def __init__(self, mat, factor=None, _lxl=None, _factor_eigvals=None):
+    def __init__(self, mat, factor=None, base=None):
         self.mat = mat
         self.factor = factor
-        self._lxl = _lxl
-        self._factor_eigvals = _factor_eigvals
+        self.base = base
 
     def __neg__(self):
         return self * -1.0
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, BWTangent):
             return NotImplemented
-        factor = None
-        if self.factor is not None and other.factor is not None:
-            factor = self.factor + other.factor
-        return BWTangent(self.mat + other.mat, factor)
+        if self.factor is None or other.factor is None:
+            return BWTangent(op(self.mat, other.mat))
+        other.factor_at(self.base)  # both factors must solve at one point
+        return BWTangent(op(self.mat, other.mat), op(self.factor, other.factor), self.base)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, BWTangent):
-            return NotImplemented
-        factor = None
-        if self.factor is not None and other.factor is not None:
-            factor = self.factor - other.factor
-        return BWTangent(self.mat - other.mat, factor)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, s):
         if not isinstance(s, Real):
             return NotImplemented
         s = float(s)
         factor = None if self.factor is None else s * self.factor
-        lxl = None if self._lxl is None else s * s * self._lxl
-        eigvals = None if self._factor_eigvals is None else s * self._factor_eigvals
-        return BWTangent(s * self.mat, factor, lxl, eigvals)
+        return BWTangent(s * self.mat, factor, self.base)
 
     __rmul__ = __mul__
 
     def factor_at(self, x):
-        """Lyapunov factor at base point x, solving and caching if absent."""
+        """L_X(V) at base point x: the carried factor when it was computed
+        at x, else a fresh Lyapunov solve.  Raises ValueError for a carried
+        factor asked for at another point."""
         if self.factor is None:
-            self.factor = linalg.solve_lyapunov(x, self.mat)
-        return self.factor
-
-    def factor_eigvals_at(self, x):
-        if self._factor_eigvals is None:
-            self._factor_eigvals = linalg.sym_eig(self.factor_at(x)).eigenvalues
-        return self._factor_eigvals
+            return linalg.solve_lyapunov(x, self.mat)
+        if x is self.base or np.array_equal(x, self.base):
+            return self.factor
+        raise ValueError("tangent's Lyapunov factor belongs to a different base point")
 
 
 class BuresWasserstein(Manifold):
@@ -117,15 +112,14 @@ class BuresWasserstein(Manifold):
     exp_ops = 2
     adapt_extra_ops = 1
 
-    def tangent(self, v, factor=None):
+    def tangent(self, v):
         """Wrap a symmetric matrix as a tangent, symmetrizing defensively."""
-        v = linalg.symmetrize(v)
-        return BWTangent(v, None if factor is None else linalg.symmetrize(factor))
+        return BWTangent(linalg.symmetrize(v))
 
     def egrad_to_rgrad(self, x, g):
         g = linalg.symmetrize(g)
         xg = x @ g
-        return BWTangent(2.0 * (xg + xg.T), factor=2.0 * g)
+        return BWTangent(2.0 * (xg + xg.T), 2.0 * g, x)
 
     def exp(self, x, v):
         """(I + L) X (I + L) for L = L_X(v); raises outside the step domain.
@@ -136,25 +130,18 @@ class BuresWasserstein(Manifold):
         DomainError raised outside the domain carries ``max_step``.
         """
         fac = v.factor_at(x)
-        eigvals = v._factor_eigvals
-        if eigvals is not None:
-            inside = 1.0 + float(np.min(eigvals)) > 0.0
-        else:
-            try:
-                linalg.cholesky(np.eye(x.shape[0]) + fac)
-                inside = True
-            except DomainError:
-                inside = False
-        if not inside:
+        try:
+            linalg.cholesky(np.eye(x.shape[0]) + fac)
+        except DomainError:
             raise DomainError(
                 "step leaves the SPD cone", max_step=self.max_step(x, v)
-            )
-        if v._lxl is None:
-            lx = fac @ x
-            v._lxl = lx @ fac
-        y = x + v.mat + v._lxl
+            ) from None
+        y = x + v.mat + fac @ x @ fac
         y = 0.5 * (y + y.T)
-        linalg.cholesky(y)  # positivity certificate; guaranteed by congruence
+        # Positivity certificate.  The congruence keeps y SPD only in exact
+        # arithmetic; in floating point X + V + L X L can fail it after the
+        # domain check passed (golden fixed-lyapunov-domain-abort stops here).
+        linalg.cholesky(y)
         return y
 
     def transport_along_step(self, x, v, w):
@@ -170,24 +157,20 @@ class BuresWasserstein(Manifold):
                 "Bures-Wasserstein transport is only available along the step "
                 "direction (w must be collinear with v)"
             )
-        if v._lxl is None:
-            fac = v.factor_at(x)
-            lx = fac @ x
-            v._lxl = lx @ fac
-        return BWTangent(w.mat + (2.0 / c) * v._lxl)
+        fac = v.factor_at(x)
+        return BWTangent(w.mat + (2.0 / c) * (fac @ x @ fac))
 
     def inner(self, x, u, v):
-        if u.factor is not None:
-            return 0.5 * float(np.sum(u.factor * v.mat))
-        if v.factor is not None:
-            return 0.5 * float(np.sum(v.factor * u.mat))
+        # Solve for a factor only when neither tangent carries one.
+        if u.factor is None and v.factor is not None:
+            u, v = v, u
         return 0.5 * float(np.sum(u.factor_at(x) * v.mat))
 
     def max_step(self, x, v):
         """sup{t > 0 : I + t L_X(v) positive definite} per the step domain."""
         if linalg.frobenius_norm(v.mat) == 0.0:
             return math.inf
-        lam_min = float(np.min(v.factor_eigvals_at(x)))
+        lam_min = float(np.min(linalg.sym_eig(v.factor_at(x)).eigenvalues))
         if lam_min >= 0.0:
             return math.inf
         return -1.0 / lam_min
@@ -196,8 +179,6 @@ class BuresWasserstein(Manifold):
         # Gershgorin bound on the factor's smallest eigenvalue: lets the
         # descent loops skip the eigensolve whenever the proposed step is
         # nowhere near the domain boundary.
-        if v._factor_eigvals is not None:
-            return self.max_step(x, v)
         fac = v.factor_at(x)
         diag = np.diag(fac)
         radii = np.sum(np.abs(fac), axis=1) - np.abs(diag)
@@ -242,7 +223,7 @@ class BuresWasserstein(Manifold):
 
     def grad_diff_norm_sq(self, x, g_new, transported, prev_norm_sq):
         # Isometry-based expansion: ||g - P||^2 = ||g||^2 - 2 <g, P> + ||g_prev||^2.
-        # Both inner products use the cached factor of g_new, so the cost is a
+        # Both inner products use the factor g_new carries, so the cost is a
         # single extra matrix product worth of work per iteration.
         nn = self.inner(x, g_new, g_new)
         cross = self.inner(x, g_new, transported)

@@ -9,12 +9,6 @@ from adgd.errors import DomainError
 from conftest import random_spd, random_sym
 
 
-def tangent_from_sym(bw, x, v):
-    t = bw.tangent(v)
-    t.factor_at(x)
-    return t
-
-
 class TestRiemannianGradient:
     def test_trace_objective(self, bw):
         # phi(X) = Tr X has Euclidean gradient I; the Riemannian gradient is
@@ -74,7 +68,7 @@ class TestExp:
             local = np.random.default_rng(seed)
             n = int(local.integers(2, 11))
             x = random_spd(local, n)
-            v = tangent_from_sym(bw, x, random_sym(local, n))
+            v = bw.tangent(random_sym(local, n))
             cap = bw.max_step(x, v)
             horizon = min(0.99 * cap, 3.0)
             for t in (0.25, 0.5, 0.75, 1.0):
@@ -85,7 +79,7 @@ class TestExp:
     def test_outside_domain_raises_with_max_step(self, bw):
         rng = np.random.default_rng(5)
         x = random_spd(rng, 4)
-        v = tangent_from_sym(bw, x, random_sym(rng, 4))
+        v = bw.tangent(random_sym(rng, 4))
         cap = bw.max_step(x, v)
         if math.isinf(cap):
             v = -1.0 * v
@@ -139,8 +133,8 @@ class TestTransport:
     def test_rejects_non_collinear(self, bw):
         rng = np.random.default_rng(8)
         x = random_spd(rng, 4)
-        v = tangent_from_sym(bw, x, random_sym(rng, 4, scale=0.1))
-        w = tangent_from_sym(bw, x, random_sym(rng, 4, scale=0.1))
+        v = bw.tangent(random_sym(rng, 4, scale=0.1))
+        w = bw.tangent(random_sym(rng, 4, scale=0.1))
         with pytest.raises(DomainError):
             bw.transport_along_step(x, v, w)
 
@@ -166,8 +160,8 @@ class TestInner:
         u_mat = random_sym(rng, 4)
         v_mat = random_sym(rng, 4)
         x = np.eye(4)
-        u = tangent_from_sym(bw, x, u_mat)
-        v = tangent_from_sym(bw, x, v_mat)
+        u = bw.tangent(u_mat)
+        v = bw.tangent(v_mat)
         assert abs(bw.inner(x, u, v) - 0.25 * np.trace(u_mat @ v_mat)) <= 1e-12
 
     def test_gradient_norm_via_cached_factor(self, bw):
@@ -286,11 +280,11 @@ class TestTangentArithmetic:
         rng = np.random.default_rng(17)
         x = random_spd(rng, 4)
         g = bw.egrad_to_rgrad(x, random_sym(rng, 4))
-        g.factor_eigvals_at(x)
         scaled = -0.5 * g
         assert np.allclose(scaled.mat, -0.5 * g.mat)
         assert np.allclose(scaled.factor, -0.5 * g.factor)
-        assert np.allclose(np.sort(scaled._factor_eigvals), np.sort(-0.5 * g._factor_eigvals))
+        assert scaled.base is x
+        assert (-g).base is x
 
     def test_subtraction_combines_factors(self, bw):
         rng = np.random.default_rng(18)
@@ -300,6 +294,49 @@ class TestTangentArithmetic:
         d = g1 - g2
         assert np.allclose(d.mat, g1.mat - g2.mat)
         assert np.allclose(d.factor, g1.factor - g2.factor)
+        assert d.base is x and (g1 + g2).base is x
+
+    def test_factors_from_different_base_points_do_not_combine(self, bw):
+        rng = np.random.default_rng(18)
+        g1 = bw.egrad_to_rgrad(random_spd(rng, 4), random_sym(rng, 4))
+        g2 = bw.egrad_to_rgrad(random_spd(rng, 4), random_sym(rng, 4))
+        with pytest.raises(ValueError):
+            g1 - g2
+
+
+class TestBasePoint:
+    def test_factor_used_at_another_point_raises(self, bw):
+        # A gradient's factor solves the Lyapunov equation at its own base
+        # point only; elsewhere it would give a wrong metric and exponential.
+        rng = np.random.default_rng(20)
+        x = random_spd(rng, 4)
+        y = random_spd(rng, 4)
+        g = bw.egrad_to_rgrad(x, random_sym(rng, 4, scale=0.1))
+        step = -0.1 * g
+        with pytest.raises(ValueError):
+            bw.inner(y, g, g)
+        with pytest.raises(ValueError):
+            bw.exp(y, step)
+        with pytest.raises(ValueError):
+            bw.max_step(y, step)
+        with pytest.raises(ValueError):
+            bw.max_step_lower_bound(y, step)
+
+    def test_equal_copy_of_base_point_accepted(self, bw):
+        rng = np.random.default_rng(21)
+        x = random_spd(rng, 4)
+        g = bw.egrad_to_rgrad(x, random_sym(rng, 4))
+        assert g.factor_at(x.copy()) is g.factor
+        assert bw.inner(x.copy(), g, g) == bw.inner(x, g, g)
+
+    def test_tangent_without_factor_stores_nothing(self, bw):
+        rng = np.random.default_rng(22)
+        x = random_spd(rng, 4)
+        y = random_spd(rng, 4)
+        v = bw.tangent(random_sym(rng, 4))
+        assert np.allclose(v.factor_at(x), linalg.solve_lyapunov(x, v.mat))
+        assert v.factor is None and v.base is None
+        assert np.allclose(v.factor_at(y), linalg.solve_lyapunov(y, v.mat))
 
 
 class TestProject:
