@@ -244,12 +244,16 @@ def fixed_step_reference(problem, manifold, step, tol=1e-13, max_iters=100_000):
 
     Deliberately independent of the adaptive optimizer: a small constant
     step is iterated until the Riemannian gradient norm falls below
-    ``tol`` (capped at ``max_iters`` steps).
+    ``tol``, until a step returns its own starting point (every later
+    iterate would then be that point), or for ``max_iters`` steps.
     """
     x = problem.x0
     for _ in range(max_iters):
         g = manifold.egrad_to_rgrad(x, problem.euclidean_grad(x))
         if manifold.norm(x, g) <= tol:
             break
-        x = manifold.exp(x, (-step) * g)
+        x_next = manifold.exp(x, (-step) * g)
+        if np.array_equal(x_next, x):
+            break
+        x = x_next
     return x

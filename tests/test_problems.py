@@ -46,6 +46,25 @@ class TestCenterOfMass:
         rgrad = sphere.egrad_to_rgrad(xstar, prob.euclidean_grad(xstar))
         assert np.linalg.norm(rgrad) <= 1e-10
 
+    def test_reference_stops_at_its_fixed_point(self, sphere, monkeypatch):
+        # The gradient floor sits above tol; the solve stops once a step
+        # returns its own start point instead of spinning to max_iters.
+        calls = []
+        exp = Sphere.exp
+
+        def counting_exp(self, x, v):
+            calls.append(x)
+            return exp(self, x, v)
+
+        monkeypatch.setattr(Sphere, "exp", counting_exp)
+        for seed in range(3):
+            del calls[:]
+            prob = problems.center_of_mass(10, n_points=50, seed=seed)
+            assert len(calls) <= 100
+            xstar = prob.optimum_point
+            g = sphere.egrad_to_rgrad(xstar, prob.euclidean_grad(xstar))
+            assert np.array_equal(exp(sphere, xstar, (-1.0 / 50) * g), xstar)
+
     def test_points_on_open_hemisphere(self):
         prob = problems.center_of_mass(6, n_points=40, seed=3, reference=False)
         assert np.all(prob.extras["points"][:, -1] > 0.0)
@@ -171,7 +190,6 @@ def _unit_tangent(manifold, rng, x):
         v = rng.standard_normal(x.size)
     else:
         v = manifold.tangent(random_sym(rng, x.shape[0]))
-        v.factor_at(x)
     n = manifold.norm(x, v)
     return (1.0 / n) * v
 
