@@ -22,6 +22,8 @@ Riemannian iterates and the exponential of the Euclidean twin's iterates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import statistics
 import sys
 
 import numpy as np
@@ -37,48 +39,32 @@ from .optimizers import (
     fixed_run,
 )
 
-EXPERIMENTS = (
-    "center-of-mass",
-    "rayleigh",
-    "lyapunov",
-    "wls-dense",
-    "wls-sparse",
-    "orthant-equivalence",
-)
-
-_DEFAULT_N = {
-    "center-of-mass": 10,
-    "rayleigh": 100,
-    "lyapunov": 20,
-    "wls-dense": 20,
-    "wls-sparse": 20,
-    "orthant-equivalence": 10,
-}
-
 _CENTER_OF_MASS_POINTS = 50
 _WLS_SPARSE_DENSITY = 0.1
+
+# experiment -> (default n, manifold class, instance builder taking (n, seed))
+EXPERIMENTS = {
+    "center-of-mass": (
+        10, Sphere, lambda n, seed: problems.center_of_mass(n, _CENTER_OF_MASS_POINTS, seed)
+    ),
+    "rayleigh": (100, Sphere, lambda n, seed: problems.rayleigh(n, seed)),
+    "lyapunov": (20, BuresWasserstein, lambda n, seed: problems.lyapunov_objective(n, seed)),
+    "wls-dense": (
+        20, BuresWasserstein, lambda n, seed: problems.weighted_least_squares(n, seed)
+    ),
+    "wls-sparse": (
+        20,
+        BuresWasserstein,
+        lambda n, seed: problems.weighted_least_squares(n, seed, density=_WLS_SPARSE_DENSITY),
+    ),
+    "orthant-equivalence": (
+        10, PositiveOrthant, lambda n, seed: problems.linear_minus_log(n, seed)
+    ),
+}
 
 
 class UsageError(Exception):
     pass
-
-
-def _build_instance(experiment, n, seed):
-    if experiment == "center-of-mass":
-        return Sphere(), problems.center_of_mass(n, _CENTER_OF_MASS_POINTS, seed)
-    if experiment == "rayleigh":
-        return Sphere(), problems.rayleigh(n, seed)
-    if experiment == "lyapunov":
-        return BuresWasserstein(), problems.lyapunov_objective(n, seed)
-    if experiment == "wls-dense":
-        return BuresWasserstein(), problems.weighted_least_squares(n, seed)
-    if experiment == "wls-sparse":
-        return BuresWasserstein(), problems.weighted_least_squares(
-            n, seed, density=_WLS_SPARSE_DENSITY
-        )
-    if experiment == "orthant-equivalence":
-        return PositiveOrthant(), problems.linear_minus_log(n, seed)
-    raise UsageError(f"unknown experiment {experiment!r}")
 
 
 def _parse_config_file(path):
@@ -147,25 +133,22 @@ def _orthant_equivalence_deviations(config, manifold, problem, trace):
 
 
 def _cmd_run(args):
-    if args.experiment not in EXPERIMENTS:
-        raise UsageError(f"--experiment must be one of {', '.join(EXPERIMENTS)}")
     if args.optimizer == "fixed" and args.fixed_alpha is None:
         raise UsageError("--fixed-alpha is required with --optimizer fixed")
     if args.optimizer != "fixed" and args.fixed_alpha is not None:
         raise UsageError("--fixed-alpha only applies to --optimizer fixed")
     if args.experiment == "orthant-equivalence" and args.optimizer != "adgd":
         raise UsageError("orthant-equivalence supports only --optimizer adgd")
-    n = args.n if args.n is not None else _DEFAULT_N[args.experiment]
+    default_n, manifold_cls, build = EXPERIMENTS[args.experiment]
+    n = default_n if args.n is None else args.n
 
-    manifold, problem = _build_instance(args.experiment, n, args.seed)
+    manifold, problem = manifold_cls(), build(n, args.seed)
     config = RunConfig(
-        max_iters=args.max_iters,
-        tol=args.tol,
-        alpha0=args.alpha0,
-        first_ls=args.first_ls,
-        armijo_c=args.armijo_c,
-        armijo_beta=args.armijo_beta,
-        armijo_lambda=args.armijo_lambda,
+        **{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(RunConfig)
+            if getattr(args, f.name, None) is not None
+        }
     )
     if args.optimizer == "adgd":
         trace = adgd_run(config, manifold, problem)
@@ -178,35 +161,13 @@ def _cmd_run(args):
     if args.experiment == "orthant-equivalence":
         deviations = _orthant_equivalence_deviations(config, manifold, problem, trace)
 
-    meta = {
-        "experiment": args.experiment,
-        "optimizer": args.optimizer,
-        "n": n,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "alpha0": args.alpha0,
-        "first_ls": args.first_ls,
-        "armijo_c": args.armijo_c,
-        "armijo_beta": args.armijo_beta,
-        "armijo_lambda": args.armijo_lambda,
-        "fixed_alpha": args.fixed_alpha,
-        "phi_star": problem.optimum_value,
-        "status": trace.status,
-    }
+    meta = vars(args) | vars(config)
+    meta.update(n=n, phi_star=problem.optimum_value, status=trace.status)
     trace_io.write_trace(args.out, trace, meta, deviations)
     if trace.status == STATUS_ABORTED:
         print(f"run aborted: {trace.message}", file=sys.stderr)
         return 3
     return 0
-
-
-def _median(values):
-    vals = sorted(values)
-    mid = len(vals) // 2
-    if len(vals) % 2:
-        return vals[mid]
-    return 0.5 * (vals[mid - 1] + vals[mid])
 
 
 def _cmd_compare(args):
@@ -244,7 +205,7 @@ def _cmd_compare(args):
         status = meta["status"] if error is None else "aborted"
         print(
             f"{label:<10} {rows[-1]['k']:>6} {rows[-1]['expensive_ops']:>10} "
-            f"{gap:>13.6e} {min(alphas):>13.6e} {_median(alphas):>13.6e} "
+            f"{gap:>13.6e} {min(alphas):>13.6e} {statistics.median(alphas):>13.6e} "
             f"{max(alphas):>13.6e} {status:>9}"
         )
     return 0
@@ -280,16 +241,8 @@ def build_parser():
     return parser
 
 
-_RUN_DEFAULTS = {
-    "seed": 0,
-    "max_iters": 1000,
-    "tol": 1e-10,
-    "alpha0": 1.0,
-    "optimizer": "adgd",
-    "armijo_c": 1e-4,
-    "armijo_beta": 0.5,
-    "armijo_lambda": 1.0,
-}
+# Run flags whose defaults RunConfig does not own.
+_RUN_DEFAULTS = {"seed": 0, "optimizer": "adgd"}
 
 
 def main(argv=None):
