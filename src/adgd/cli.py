@@ -47,19 +47,15 @@ EXPERIMENTS = {
     "center-of-mass": (
         10, Sphere, lambda n, seed: problems.center_of_mass(n, _CENTER_OF_MASS_POINTS, seed)
     ),
-    "rayleigh": (100, Sphere, lambda n, seed: problems.rayleigh(n, seed)),
-    "lyapunov": (20, BuresWasserstein, lambda n, seed: problems.lyapunov_objective(n, seed)),
-    "wls-dense": (
-        20, BuresWasserstein, lambda n, seed: problems.weighted_least_squares(n, seed)
-    ),
+    "rayleigh": (100, Sphere, problems.rayleigh),
+    "lyapunov": (20, BuresWasserstein, problems.lyapunov_objective),
+    "wls-dense": (20, BuresWasserstein, problems.weighted_least_squares),
     "wls-sparse": (
         20,
         BuresWasserstein,
         lambda n, seed: problems.weighted_least_squares(n, seed, density=_WLS_SPARSE_DENSITY),
     ),
-    "orthant-equivalence": (
-        10, PositiveOrthant, lambda n, seed: problems.linear_minus_log(n, seed)
-    ),
+    "orthant-equivalence": (10, PositiveOrthant, problems.linear_minus_log),
 }
 
 
