@@ -14,7 +14,8 @@ rng = np.random.default_rng(0)
 
 print("=== Sphere ===")
 sphere = Sphere()
-x = sphere.project(rng.standard_normal(5))
+x = rng.standard_normal(5)
+x /= np.linalg.norm(x)
 v = rng.standard_normal(5)
 v -= np.dot(x, v) * x
 w = rng.standard_normal(5)

@@ -2,15 +2,7 @@
 
 
 class DomainError(ValueError):
-    """An input lies outside the mathematical domain of an operation.
-
-    For step-domain violations on geodesically incomplete manifolds the
-    attribute `max_step` carries the supremum of admissible step lengths.
-    """
-
-    def __init__(self, message, max_step=None):
-        super().__init__(message)
-        self.max_step = max_step
+    """An input lies outside the mathematical domain of an operation."""
 
 
 class ConvergenceError(RuntimeError):

@@ -24,7 +24,6 @@ __all__ = [
     "solve_lyapunov",
     "spd_sqrt",
     "frobenius_norm",
-    "spd_min_eig_threshold",
     "is_spd_spectrum",
     "cholesky",
 ]
@@ -69,12 +68,14 @@ def symmetrize(m):
 def check_symmetric(m, name="matrix"):
     """Validate near-symmetry of a square matrix, return it as float64.
 
-    Raises ValueError when the matrix is not square or its asymmetry
-    exceeds 1e-12 relative to the entry magnitude.
+    Raises ValueError when the matrix is not square, has a NaN or infinite
+    entry, or its asymmetry exceeds 1e-12 relative to the entry magnitude.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
     gap = np.abs(m - m.T)
     scale = np.maximum(1.0, np.abs(m))
     if np.any(gap > _SYM_TOL * scale):
@@ -178,15 +179,11 @@ def sym_eig(m, max_sweeps=_JACOBI_MAX_SWEEPS):
     return EigenDecomposition(w[order], q[:, order])
 
 
-def spd_min_eig_threshold(eigenvalues):
-    """Positive-definiteness threshold: 1e-12 * max(1, max eigenvalue)."""
-    return 1e-12 * max(1.0, float(np.max(eigenvalues)))
-
-
 def is_spd_spectrum(eigenvalues):
-    """Whether a spectrum passes the SPD tolerance test."""
+    """Whether a spectrum passes the SPD tolerance test: its smallest
+    eigenvalue exceeds 1e-12 * max(1, largest eigenvalue)."""
     ev = np.asarray(eigenvalues, dtype=float)
-    return float(np.min(ev)) > spd_min_eig_threshold(ev)
+    return float(np.min(ev)) > 1e-12 * max(1.0, float(np.max(ev)))
 
 
 def _spd_eig(x, name):

@@ -1,5 +1,5 @@
 from .base import Manifold
-from .bures_wasserstein import BuresWasserstein, BWTangent, STEP_SAFETY
+from .bures_wasserstein import BuresWasserstein, BWTangent
 from .positive_orthant import PositiveOrthant
 from .sphere import Sphere
 
@@ -9,5 +9,4 @@ __all__ = [
     "BuresWasserstein",
     "BWTangent",
     "PositiveOrthant",
-    "STEP_SAFETY",
 ]

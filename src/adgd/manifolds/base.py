@@ -1,11 +1,12 @@
 """Uniform geometric interface consumed by the descent loops.
 
-A manifold object bundles exactly the operations the optimizers need:
-converting Euclidean gradients to Riemannian ones, the exponential map,
-parallel transport along the step geodesic, the metric, distances for
-diagnostics, and the supremum of admissible step lengths on incomplete
-manifolds.  Implementations are stateless and all operations are pure,
-so one instance can serve any number of concurrent runs.
+A manifold object holds what one iteration of the methods asks for and
+nothing else: the Riemannian gradient from the Euclidean one, the
+exponential map, transport along the step (the derivative of the
+exponential), and the metric; plus the supremum of admissible step
+lengths on incomplete manifolds, and distances for diagnostics.
+Implementations are stateless and all operations are pure, so one
+instance can serve any number of concurrent runs.
 
 Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein,
 where a gradient also carries its Lyapunov factor and the base point it
@@ -83,10 +84,6 @@ class Manifold(ABC):
         whose max_step is expensive override it.
         """
         return self.max_step(x, v)
-
-    @abstractmethod
-    def project(self, raw):
-        """Re-validate / normalize a raw ambient value into a manifold point."""
 
     def grad_diff_norm_sq(self, x, g_new, transported, prev_norm_sq):
         """Squared norm at x of ``g_new - transported``.

@@ -38,9 +38,6 @@ from .. import linalg
 from ..errors import DomainError
 from .base import Manifold
 
-# Safety margin keeping clamped steps strictly inside the SPD cone.
-STEP_SAFETY = 0.99
-
 # Relative tolerance for the collinearity check in transport_along_step.
 _COLLINEAR_TOL = 1e-8
 
@@ -126,16 +123,13 @@ class BuresWasserstein(Manifold):
 
         The domain check certifies positive definiteness of I + L itself:
         the congruence (I + L) X (I + L) stays SPD even for indefinite
-        I + L, where the formula no longer describes a geodesic.  The
-        DomainError raised outside the domain carries ``max_step``.
+        I + L, where the formula no longer describes a geodesic.
         """
         fac = v.factor_at(x)
         try:
             linalg.cholesky(np.eye(x.shape[0]) + fac)
         except DomainError:
-            raise DomainError(
-                "step leaves the SPD cone", max_step=self.max_step(x, v)
-            ) from None
+            raise DomainError("step leaves the SPD cone") from None
         y = x + v.mat + fac @ x @ fac
         y = 0.5 * (y + y.T)
         # Positivity certificate.  The congruence keeps y SPD only in exact
@@ -190,36 +184,24 @@ class BuresWasserstein(Manifold):
     def distance(self, x, y):
         """Bures distance sqrt(Tr X + Tr Y - 2 Tr (X^1/2 Y X^1/2)^1/2)."""
         linalg.cholesky(y)  # cheap positivity certificate for the second argument
-        if x is y or np.array_equal(x, y):
-            return 0.0  # the closed form cancels to sqrt(eps) noise here
-        return self._distance_via_sqrt(linalg.spd_sqrt(x), float(np.trace(x)), y)
-
-    @staticmethod
-    def _distance_via_sqrt(sqrt_x, trace_x, y):
-        inner_mat = linalg.symmetrize(sqrt_x @ y @ sqrt_x)
-        lam = linalg.sym_eig(inner_mat).eigenvalues
-        d2 = trace_x + float(np.trace(y)) - 2.0 * float(
-            np.sum(np.sqrt(np.maximum(lam, 0.0)))
-        )
-        return math.sqrt(max(d2, 0.0))
+        return self.distance_from(x)(y)
 
     def distance_from(self, y):
         # Precomputing the fixed point's square root halves the cost of
         # repeated distance evaluations (one eigensolve per call, not two).
         sqrt_y = linalg.spd_sqrt(y)
         trace_y = float(np.trace(y))
-        return lambda x: self._distance_via_sqrt(sqrt_y, trace_y, x)
 
-    def project(self, raw):
-        """Symmetrize and validate positive definiteness (tolerance-based)."""
-        m = linalg.symmetrize(raw)
-        eig = linalg.sym_eig(m)
-        if not linalg.is_spd_spectrum(eig.eigenvalues):
-            raise DomainError(
-                "matrix is not positive definite within tolerance "
-                f"(min eigenvalue {float(np.min(eig.eigenvalues)):.3e})"
+        def dist(x):
+            if x is y or np.array_equal(x, y):
+                return 0.0  # the closed form cancels to sqrt(eps) noise here
+            lam = linalg.sym_eig(linalg.symmetrize(sqrt_y @ x @ sqrt_y)).eigenvalues
+            d2 = trace_y + float(np.trace(x)) - 2.0 * float(
+                np.sum(np.sqrt(np.maximum(lam, 0.0)))
             )
-        return m
+            return math.sqrt(max(d2, 0.0))
+
+        return dist
 
     def grad_diff_norm_sq(self, x, g_new, transported, prev_norm_sq):
         # Isometry-based expansion: ||g - P||^2 = ||g||^2 - 2 <g, P> + ||g_prev||^2.

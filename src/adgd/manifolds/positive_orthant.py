@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
 from .base import Manifold
 
 # Exponent guard: e^|700| is still finite in float64, anything bigger is not.
@@ -48,9 +47,3 @@ class PositiveOrthant(Manifold):
 
     def distance(self, x, y):
         return float(np.linalg.norm(np.log(x) - np.log(y)))
-
-    def project(self, raw):
-        raw = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(raw)) or np.any(raw <= 0.0):
-            raise DomainError("positive orthant points must be finite and strictly positive")
-        return raw

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
 from .base import Manifold
 
 # Below this, ||v|| is treated as zero: the closed forms for exp and
@@ -59,25 +58,3 @@ class Sphere(Manifold):
             return 0.0
         c = float(np.dot(x, y))
         return math.acos(min(1.0, max(-1.0, c)))
-
-    def project(self, raw):
-        raw = np.asarray(raw, dtype=float)
-        nr = float(np.linalg.norm(raw))
-        if nr == 0.0 or not np.isfinite(nr):
-            raise DomainError("cannot project a zero or non-finite vector onto the sphere")
-        return raw / nr
-
-    def log(self, x, y):
-        """Inverse of exp: tangent v at x with exp(x, v) = y.
-
-        Undefined at the antipode; raises DomainError when <x, y> <= -1 + 1e-12.
-        """
-        c = float(np.dot(x, y))
-        if c <= -1.0 + 1e-12:
-            raise DomainError("logarithm undefined for antipodal points")
-        c = min(1.0, c)
-        w = y - c * x
-        nw = float(np.linalg.norm(w))
-        if nw < _TINY:
-            return np.zeros_like(x)
-        return (math.acos(c) / nw) * w

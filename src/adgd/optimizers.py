@@ -55,7 +55,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .manifolds import STEP_SAFETY, Manifold
+from .manifolds import Manifold
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -201,6 +201,10 @@ class _Step(NamedTuple):
     phi_next: Optional[float] = None
     grad_next: Any = None
     abort: str = ""
+
+
+# Safety margin keeping clamped steps strictly inside the step domain.
+STEP_SAFETY = 0.99
 
 
 def _clamp_alpha(alpha, manifold, x, neg_grad, enabled):
@@ -475,9 +479,6 @@ class _FlatSpace(Manifold):
 
     def distance(self, x, y):
         return float(np.linalg.norm(x - y))
-
-    def project(self, raw):
-        return np.asarray(raw, dtype=float)
 
 
 def euclidean_adgd_run(config, f, grad_f, y0, optimum_point=None, optimum_value=None):

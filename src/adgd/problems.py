@@ -17,6 +17,10 @@ import numpy as np
 from . import linalg
 from .errors import DomainError
 
+# Reference-solve stops; its floating-point fixed point comes long before the cap.
+_REFERENCE_TOL = 1e-13
+_REFERENCE_MAX_ITERS = 100_000
+
 
 @dataclass
 class Problem:
@@ -239,18 +243,19 @@ def linear_minus_log(n, seed=0):
     )
 
 
-def fixed_step_reference(problem, manifold, step, tol=1e-13, max_iters=100_000):
+def fixed_step_reference(problem, manifold, step):
     """High-accuracy reference optimum via plain fixed-step descent.
 
     Deliberately independent of the adaptive optimizer: a small constant
     step is iterated until the Riemannian gradient norm falls below
-    ``tol``, until a step returns its own starting point (every later
-    iterate would then be that point), or for ``max_iters`` steps.
+    ``_REFERENCE_TOL``, until a step returns its own starting point (every
+    later iterate would then be that point), or for ``_REFERENCE_MAX_ITERS``
+    steps.
     """
     x = problem.x0
-    for _ in range(max_iters):
+    for _ in range(_REFERENCE_MAX_ITERS):
         g = manifold.egrad_to_rgrad(x, problem.euclidean_grad(x))
-        if manifold.norm(x, g) <= tol:
+        if manifold.norm(x, g) <= _REFERENCE_TOL:
             break
         x_next = manifold.exp(x, (-step) * g)
         if np.array_equal(x_next, x):

@@ -1,19 +1,24 @@
 """The fast demo scripts must keep running cleanly (the slow ones are
 exercised by the verify recipe instead)."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script", ["00_geometry_tour.py", "05_orthant_equivalence.py"])
 def test_demo_runs_clean(script):
+    # The subprocess imports adgd from this checkout's src/, installed or not.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, str(DEMOS / script)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True,
         text=True,
         timeout=120,

@@ -58,6 +58,11 @@ def test_trace_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_golden_directory_holds_exactly_the_cases():
+    # A stale or unrecorded golden would otherwise go unchecked.
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(f"{c}.csv" for c in CASES)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: {sys.argv[0]} --record")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ class TestSymEig:
         m = np.array([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(ValueError):
             linalg.sym_eig(m)
+
+
+class TestNonFiniteInput:
+    # Without the check, Jacobi returns wrong eigenvalues for inf entries
+    # and spins through every sweep on NaN ones.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            linalg.sym_eig,
+            lambda m: linalg.solve_lyapunov(m, np.eye(3)),
+            lambda m: linalg.solve_lyapunov(np.eye(3), m),
+            linalg.spd_sqrt,
+        ],
+        ids=["sym_eig", "solve_lyapunov-pencil", "solve_lyapunov-rhs", "spd_sqrt"],
+    )
+    def test_rejected(self, kernel, bad):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kernel(m)
 
 
 class TestSolveLyapunov:

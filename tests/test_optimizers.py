@@ -195,7 +195,8 @@ class TestArmijo:
         p = prob.extras["points"][0]
         off = np.zeros(5)
         off[np.argmin(np.abs(p))] = 0.4
-        prob.x0 = sphere.project(p + off - np.dot(p, off) * p)
+        x0 = p + off - np.dot(p, off) * p
+        prob.x0 = x0 / np.linalg.norm(x0)
         config = RunConfig(max_iters=10, tol=1e-12, alpha0=0.01)
         tr = armijo_run(config, sphere, prob)
         assert tr.rows[0].alpha == config.alpha0

@@ -1,9 +1,6 @@
 import math
 
 import numpy as np
-import pytest
-
-from adgd.errors import DomainError
 
 
 class TestRiemannianGradient:
@@ -134,14 +131,3 @@ class TestChangeOfVariables:
             diff_riem = orthant.norm(x_next, grad_next - transported)
             assert abs(diff_riem - diff_flat) <= 1e-10 * (1.0 + diff_flat)
 
-
-class TestProject:
-    def test_accepts_positive(self, orthant):
-        x = np.array([0.1, 2.0])
-        assert np.allclose(orthant.project(x), x)
-
-    def test_rejects_nonpositive(self, orthant):
-        with pytest.raises(DomainError):
-            orthant.project(np.array([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            orthant.project(np.array([1.0, -2.0]))

@@ -1,9 +1,6 @@
 import math
 
 import numpy as np
-import pytest
-
-from adgd.errors import DomainError
 
 from conftest import random_sphere_tangent, random_unit
 
@@ -106,37 +103,3 @@ class TestDistance:
         x = random_unit(np.random.default_rng(5), 3)
         assert sphere.distance(x, 1.0000000000000002 * x) == 0.0
 
-
-class TestLog:
-    def test_self(self, sphere):
-        x = e(0)
-        assert np.allclose(sphere.log(x, x), 0.0)
-
-    def test_quarter_circle_inverse(self, sphere):
-        out = sphere.log(e(0), e(1))
-        assert np.allclose(out, (math.pi / 2) * e(1), atol=1e-15)
-
-    def test_round_trip(self, sphere):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            x = random_unit(rng, 5)
-            y = random_unit(rng, 5)
-            if np.dot(x, y) <= -1.0 + 1e-6:
-                continue
-            v = sphere.log(x, y)
-            assert np.linalg.norm(sphere.exp(x, v) - y) <= 1e-9
-            assert abs(np.linalg.norm(v) - sphere.distance(x, y)) <= 1e-12
-
-    def test_antipodal_rejected(self, sphere):
-        with pytest.raises(DomainError):
-            sphere.log(e(0), -e(0))
-
-
-class TestProject:
-    def test_normalizes(self, sphere):
-        out = sphere.project(np.array([3.0, 4.0]))
-        assert np.allclose(out, [0.6, 0.8])
-
-    def test_rejects_zero(self, sphere):
-        with pytest.raises(DomainError):
-            sphere.project(np.zeros(3))
