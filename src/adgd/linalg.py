@@ -1,11 +1,14 @@
 """Dense symmetric linear algebra kernels.
 
-Everything here is built from scratch on top of plain ``numpy`` arrays:
-a cyclic Jacobi eigensolver, a Lyapunov solver working in the eigenbasis,
-and an SPD matrix square root.  These kernels are the workhorses of the
-Bures-Wasserstein geometry and double as test oracles, so they favour
-robustness and explicit failure over raw speed.  All functions are pure;
-inputs are never mutated.
+Every value these kernels return is computed from scratch on top of plain
+``numpy`` arrays: a cyclic Jacobi eigensolver, a Lyapunov solver working
+in the eigenbasis, an SPD matrix square root and a Cholesky factorization.
+They are the workhorses of the Bures-Wasserstein geometry and double as
+test oracles, so they favour robustness and explicit failure over raw
+speed.  LAPACK (through ``numpy.linalg``) only decides yes/no questions
+with a certified rounding margin, as in :func:`require_spd`; its output
+never reaches a value that gets written.  All functions are pure; inputs
+are never mutated.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "frobenius_norm",
     "is_spd_spectrum",
     "cholesky",
+    "require_spd",
 ]
 
 # Relative asymmetry tolerated at construction / validation time.
@@ -34,6 +38,12 @@ _SYM_TOL = 1e-12
 # Off-diagonal mass threshold for Jacobi convergence, relative to ||M||_F.
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
+
+_EPS = float(np.finfo(float).eps)
+# Smallest shift require_spd trusts LAPACK with: far enough above the
+# underflow threshold that flushed or subnormal products cannot eat the
+# certified margin.
+_MIN_SPD_SHIFT = float(np.finfo(float).tiny) / _EPS
 
 
 class EigenDecomposition:
@@ -230,9 +240,10 @@ def frobenius_norm(a):
 def cholesky(x):
     """Lower-triangular Cholesky factor of a strictly positive definite matrix.
 
-    Used as a cheap positivity certificate in hot paths; raises DomainError
-    on a non-positive pivot.  Tolerance-based SPD validation goes through
-    ``sym_eig`` instead.
+    Raises DomainError on the first non-positive or non-finite pivot.  It
+    decides the cases :func:`require_spd`'s LAPACK screen cannot certify,
+    and is the oracle its tests compare against.  Tolerance-based SPD
+    validation goes through ``sym_eig`` instead.
     """
     a = np.asarray(x, dtype=float)
     n = a.shape[0]
@@ -245,3 +256,28 @@ def cholesky(x):
         if j + 1 < n:
             low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
     return low
+
+
+def require_spd(x):
+    """Raise DomainError exactly when ``cholesky(x)`` would; return None.
+
+    LAPACK factors ``x - s I`` with ``s = 4 n^2 eps max_i x_ii``.  Its
+    success puts ``lambda_min(x)`` above ``3 n^2 eps max_i x_ii`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3),
+    and :func:`cholesky` can meet a non-positive pivot only below the
+    relative level ``n (n + 1) eps / 2`` (Thm 10.7).  Anything else (a
+    LAPACK failure, a NaN or infinite entry, a tiny or non-positive shift)
+    goes to ``cholesky``, which decides and raises its own message.  Like
+    ``cholesky``, it reads the lower triangle only.
+    """
+    a = np.asarray(x, dtype=float)
+    n = a.shape[0]
+    if n and np.isfinite(a).all():
+        shift = 4.0 * n * n * _EPS * float(np.max(np.diagonal(a)))
+        if shift >= _MIN_SPD_SHIFT:
+            try:
+                np.linalg.cholesky(a - shift * np.eye(n))
+                return
+            except np.linalg.LinAlgError:
+                pass
+    cholesky(a)

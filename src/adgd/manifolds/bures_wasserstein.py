@@ -41,6 +41,9 @@ from .base import Manifold
 # Relative tolerance for the collinearity check in transport_along_step.
 _COLLINEAR_TOL = 1e-8
 
+# Rounding margin of the max_step screen, relative to ||L||_F.
+_SCREEN_MARGIN = 1e-10
+
 
 class BWTangent:
     """Symmetric tangent matrix, optionally with its Lyapunov factor.
@@ -127,7 +130,7 @@ class BuresWasserstein(Manifold):
         """
         fac = v.factor_at(x)
         try:
-            linalg.cholesky(np.eye(x.shape[0]) + fac)
+            linalg.require_spd(np.eye(x.shape[0]) + fac)
         except DomainError:
             raise DomainError("step leaves the SPD cone") from None
         y = x + v.mat + fac @ x @ fac
@@ -135,7 +138,7 @@ class BuresWasserstein(Manifold):
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).
-        linalg.cholesky(y)
+        linalg.require_spd(y)
         return y
 
     def transport_along_step(self, x, v, w):
@@ -170,20 +173,21 @@ class BuresWasserstein(Manifold):
         return -1.0 / lam_min
 
     def max_step_lower_bound(self, x, v):
-        # Gershgorin bound on the factor's smallest eigenvalue: lets the
-        # descent loops skip the eigensolve whenever the proposed step is
-        # nowhere near the domain boundary.
+        # LAPACK's smallest eigenvalue of the factor, lowered by a margin:
+        # by Weyl's inequality the floor stays below the Jacobi eigenvalue
+        # max_step uses, because both solvers' errors (LAPACK's backward
+        # error, Jacobi's 1e-14 ||L||_F stopping residual plus rounding)
+        # are far inside 1e-10 ||L||_F.  The descent loops then pay for the
+        # exact eigensolve only for a step near the domain boundary.
         fac = v.factor_at(x)
-        diag = np.diag(fac)
-        radii = np.sum(np.abs(fac), axis=1) - np.abs(diag)
-        floor = float(np.min(diag - radii))
+        floor = float(np.linalg.eigvalsh(fac)[0]) - _SCREEN_MARGIN * linalg.frobenius_norm(fac)
         if floor >= 0.0:
             return math.inf
         return -1.0 / floor
 
     def distance(self, x, y):
         """Bures distance sqrt(Tr X + Tr Y - 2 Tr (X^1/2 Y X^1/2)^1/2)."""
-        linalg.cholesky(y)  # cheap positivity certificate for the second argument
+        linalg.require_spd(y)  # cheap positivity certificate for the second argument
         return self.distance_from(x)(y)
 
     def distance_from(self, y):

@@ -5,6 +5,7 @@ import pytest
 
 from adgd import linalg
 from adgd.errors import DomainError
+from adgd.optimizers import STEP_SAFETY, _clamp_alpha
 
 from conftest import random_spd, random_sym
 
@@ -223,6 +224,64 @@ class TestMaxStep:
 
     def test_zero_tangent(self, bw):
         assert bw.max_step(np.eye(3), bw.tangent(np.zeros((3, 3)))) == math.inf
+
+
+def _tangent_with_factor(bw, x, fac):
+    # egrad_to_rgrad carries the factor 2 * sym(g), here exactly fac.
+    return bw.egrad_to_rgrad(x, 0.5 * fac)
+
+
+def _exact_clamp(alpha, bw, x, v):
+    """_clamp_alpha without the screen: always the Jacobi max_step."""
+    cap = bw.max_step(x, v)
+    if math.isinf(cap) or alpha <= STEP_SAFETY * cap:
+        return alpha, False
+    return STEP_SAFETY * cap, True
+
+
+class TestMaxStepScreen:
+    """Differential tests: the LAPACK screen against the Jacobi max_step."""
+
+    def test_never_exceeds_max_step(self, bw):
+        rng = np.random.default_rng(41)
+        finite = 0
+        for n in (1, 2, 3, 5, 8, 13, 20):
+            x = random_spd(rng, n)
+            u = rng.standard_normal((n, 1))
+            for scale in (1e-4, 1.0, 1e4):
+                # (factor, whether the screen must already pass every step)
+                factors = [
+                    (np.zeros((n, n)), True),
+                    (scale * random_spd(rng, n), True),
+                    (scale * (u @ u.T), False),
+                    (-scale * (u @ u.T), False),
+                    (random_sym(rng, n, scale), False),
+                    (scale * (random_spd(rng, n) - np.eye(n)), False),
+                ]
+                for fac, unbounded in factors:
+                    v = _tangent_with_factor(bw, x, fac)
+                    exact = bw.max_step(x, v)
+                    screen = bw.max_step_lower_bound(x, v)
+                    assert screen <= exact
+                    assert screen == math.inf or not unbounded
+                    finite += math.isfinite(exact)
+        assert finite > 0
+
+    def test_clamp_at_the_boundary_matches_exact_path(self, bw):
+        rng = np.random.default_rng(43)
+        flags = set()
+        for n in (1, 2, 4, 7, 12):
+            for _ in range(4):
+                x = random_spd(rng, n)
+                fac = random_sym(rng, n) - 0.5 * np.eye(n)
+                v = _tangent_with_factor(bw, x, fac)
+                cap = bw.max_step(x, v)
+                for rel in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+                    alpha = STEP_SAFETY * cap * rel
+                    got = _clamp_alpha(alpha, bw, x, v, True)
+                    assert got == _exact_clamp(alpha, bw, x, v)
+                    flags.add(got[1])
+        assert flags == {False, True}
 
 
 class TestDistance:

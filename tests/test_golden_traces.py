@@ -10,6 +10,8 @@ linear-algebra kernels) re-records them, with::
     PYTHONPATH=src python tests/test_golden_traces.py --record
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 from adgd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # case -> (exit status, ``run`` flags without --out).  Center-of-mass runs
 # pay for a reference solve, so there is one per optimizer.
@@ -55,6 +58,22 @@ def run_case(name, out):
 def test_trace_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert run_case(name, out) == CASES[name][0]
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# Bures-Wasserstein cases, where LAPACK decides the clamp and SPD checks.
+BW_CASES = ["adgd-lyapunov", "adgd-lyapunov-clamped", "fixed-lyapunov-domain-abort", "armijo-wls-dense"]
+
+
+@pytest.mark.parametrize("name", BW_CASES)
+def test_trace_independent_of_blas_threads(name, tmp_path):
+    # A fresh process, because OpenBLAS reads its thread count at import.
+    out = tmp_path / f"{name}.csv"
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    cmd = [sys.executable, "-m", "adgd.cli", "run", *CASES[name][1].split(), "--out", str(out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == CASES[name][0], proc.stderr
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 

@@ -182,3 +182,85 @@ class TestPlumbing:
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(DomainError):
             linalg.cholesky(np.diag([1.0, -2.0]))
+
+
+def _with_spectrum(rng, w):
+    """Symmetric matrix with eigenvalues w in a random orthonormal basis."""
+    q = np.linalg.qr(rng.standard_normal((w.size, w.size)))[0]
+    return linalg.symmetrize((q * w) @ q.T)
+
+
+def _spd_outcome(check, x):
+    """None when ``check(x)`` accepts x, else its DomainError message."""
+    try:
+        check(x)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestRequireSpd:
+    """Differential tests: the LAPACK certificate against the Python oracle."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_agrees_with_cholesky_near_singular(self, scale, monkeypatch):
+        # lambda_min at k eps ||x||_2 straddles the level where the Python
+        # factorization starts to fail, for every n from 1 to 30.
+        oracle = linalg.cholesky
+        fallbacks = []
+        monkeypatch.setattr(linalg, "cholesky", lambda a: fallbacks.append(1) or oracle(a))
+        rng = np.random.default_rng(int(np.log10(scale)) + 100)
+        eps = np.finfo(float).eps
+        seen = {"accepted": 0, "rejected": 0, "certified": 0, "oracle accepted": 0}
+        for n in range(1, 31):
+            for k in (-100, -10, -1, 0, 1, 10, 100, 1e3, 1e4):
+                w = scale * rng.uniform(1.0, 2.0, size=n)
+                w[-1] = 2.0 * scale
+                w[0] = k * eps * 2.0 * scale
+                x = _with_spectrum(rng, w)
+                expected = _spd_outcome(oracle, x)
+                before = len(fallbacks)
+                assert _spd_outcome(linalg.require_spd, x) == expected, (n, k)
+                seen["rejected" if expected else "accepted"] += 1
+                if len(fallbacks) == before:
+                    seen["certified"] += 1
+                elif expected is None:
+                    seen["oracle accepted"] += 1
+        # Every branch ran: LAPACK certified, and the oracle both accepted
+        # and rejected inside the margin.
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [[np.nan]],
+            [[np.inf]],
+            [[-np.inf]],
+            [[0.0]],
+            [[-1.0]],
+            [[2.0, 1.0], [np.nan, 2.0]],
+            [[2.0, np.nan], [1.0, 2.0]],  # upper triangle is not read
+            [[2.0, 1.0], [np.inf, 2.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e-300]],
+            [[-1.0, 0.0], [0.0, -1.0]],
+            np.zeros((3, 3)),
+            1e-300 * np.eye(3),  # shift too small to trust: the oracle decides
+            1e300 * np.eye(3),
+            [[1.0, 2.0], [2.0, 1.0]],
+        ],
+    )
+    def test_agrees_with_cholesky_on_edge_inputs(self, x):
+        x = np.asarray(x, dtype=float)
+        assert _spd_outcome(linalg.require_spd, x) == _spd_outcome(linalg.cholesky, x)
+
+    def test_certifies_well_conditioned_matrices_without_fallback(self, monkeypatch):
+        def fail(a):
+            raise AssertionError("fell back to the Python Cholesky")
+
+        monkeypatch.setattr(linalg, "cholesky", fail)
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 20, 100):
+            for scale in (1e-6, 1.0, 1e6):
+                linalg.require_spd(_with_spectrum(rng, scale * rng.uniform(0.5, 2.0, size=n)))
