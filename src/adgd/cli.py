@@ -80,7 +80,14 @@ def _parse_config_file(path):
 def _config_cast(action, raw):
     """Convert a config-file value the way the ``run`` flag would."""
     if action.nargs == 0:  # store_true
-        return raw.lower() in ("1", "true", "yes")
+        flag = raw.lower()
+        if flag in ("1", "true", "yes"):
+            return True
+        if flag in ("0", "false", "no"):
+            return False
+        raise UsageError(
+            f"config key {action.dest!r}: expected 1/true/yes or 0/false/no, got {raw!r}"
+        )
     value = raw if action.type is None else action.type(raw)
     if action.choices is not None and value not in action.choices:
         raise UsageError(
@@ -196,7 +203,8 @@ def _cmd_compare(args):
         label = meta["optimizer"]
         if label == "armijo":
             label = f"armijo({meta['armijo_lambda']})"
-        alphas = [r["alpha"] for r in rows if r["alpha"] > 0.0]
+        # A run that stops at row 0 takes no step: its step statistics are nan.
+        alphas = [r["alpha"] for r in rows if r["alpha"] > 0.0] or [float("nan")]
         gap = rows[-1]["phi"] - phi_star
         status = meta["status"] if error is None else "aborted"
         print(

@@ -1,8 +1,10 @@
 """Dense symmetric linear algebra kernels.
 
 Every value these kernels return is computed from scratch on top of plain
-``numpy`` arrays: a cyclic Jacobi eigensolver, a Lyapunov solver working
-in the eigenbasis, an SPD matrix square root and a Cholesky factorization.
+``numpy`` arrays: a cyclic Jacobi eigensolver with one-sided rotation
+updates (``tests/test_linalg.py`` holds the two-sided loop as its bitwise
+oracle), a Lyapunov solver working in the eigenbasis, an SPD matrix square
+root and a Cholesky factorization.
 They are the workhorses of the Bures-Wasserstein geometry and double as
 test oracles, so they favour robustness and explicit failure over raw
 speed.  LAPACK (through ``numpy.linalg``) only decides yes/no questions
@@ -94,47 +96,51 @@ def check_symmetric(m, name="matrix"):
     return m
 
 
-def sym_eig(m, max_sweeps=_JACOBI_MAX_SWEEPS):
+def sym_eig(m):
     """Eigendecomposition of a dense symmetric matrix by cyclic Jacobi.
 
     Sweeps Givens rotations over all off-diagonal positions until the
-    off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.
+    off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.  The input
+    is symmetrized exactly and every rotation keeps the working matrix
+    bitwise symmetric, so a rotation's column update equals its row update
+    transposed.  Each rotation therefore computes the new rows p and q once,
+    writes each into its row and its column, and sets the four pivot
+    entries analytically.  ``tests/test_linalg.py`` keeps the two-sided
+    loop as the oracle this kernel matches byte for byte.  More than
+    ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call time) raise
+    ConvergenceError rather than return a silently inaccurate factorization.
 
     Parameters
     ----------
     m : array_like, shape (n, n)
         Symmetric matrix (validated to 1e-12 relative asymmetry).
-    max_sweeps : int
-        Iteration cap; exceeding it raises ConvergenceError rather than
-        returning a silently inaccurate factorization.
 
     Returns
     -------
     EigenDecomposition
         Eigenvalues ascending, orthonormal basis columns.
     """
-    a = check_symmetric(m, "sym_eig input").copy()
+    a = check_symmetric(m, "sym_eig input")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
     q = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(a[0].copy(), q)
-
     target = _JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
-
-    def off_mass(mat):
-        # Sum of squared off-diagonal entries, computed directly: the
-        # ||A||^2 - ||diag||^2 form cancels catastrophically near convergence.
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        return math.sqrt(float(np.sum(off * off)))
-
-    converged = False
-    for sweep in range(max_sweeps):
-        off = off_mass(a)
+    max_sweeps = _JACOBI_MAX_SWEEPS
+    for sweep in range(max_sweeps + 1):
+        # Off-diagonal mass, summed directly: the ||A||^2 - ||diag||^2
+        # form cancels catastrophically near convergence.
+        sq = a * a
+        np.fill_diagonal(sq, 0.0)
+        off = math.sqrt(float(np.sum(sq)))
         if off <= target:
-            converged = True
-            break
+            w = np.diag(a)
+            order = np.argsort(w, kind="stable")
+            return EigenDecomposition(w[order], q[:, order])
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal mass {off:.3e}, target {target:.3e})"
+            )
         # Classic thresholding: early sweeps skip pivots far below the
         # remaining off-diagonal mass, late sweeps rotate everything.
         thresh = 0.2 * off / n if sweep < 3 else 0.0
@@ -159,12 +165,8 @@ def sym_eig(m, max_sweeps=_JACOBI_MAX_SWEEPS):
 
                 row_p = c * a[p, :] - s * a[qq, :]
                 row_q = s * a[p, :] + c * a[qq, :]
-                a[p, :] = row_p
-                a[qq, :] = row_q
-                col_p = c * a[:, p] - s * a[:, qq]
-                col_q = s * a[:, p] + c * a[:, qq]
-                a[:, p] = col_p
-                a[:, qq] = col_q
+                a[p, :] = a[:, p] = row_p
+                a[qq, :] = a[:, qq] = row_q
                 # Analytic updates keep the pivot entries exactly consistent.
                 a[p, p] = app - t * apq
                 a[qq, qq] = aqq_d + t * apq
@@ -175,18 +177,6 @@ def sym_eig(m, max_sweeps=_JACOBI_MAX_SWEEPS):
                 qcol_q = s * q[:, p] + c * q[:, qq]
                 q[:, p] = qcol_p
                 q[:, qq] = qcol_q
-    if not converged:
-        # The final sweep may have converged without a fresh check.
-        off = off_mass(a)
-        if off > target:
-            raise ConvergenceError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal mass {off:.3e}, target {target:.3e})"
-            )
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], q[:, order])
 
 
 def is_spd_spectrum(eigenvalues):

@@ -87,14 +87,14 @@ class RunConfig:
     track_distance: bool = True
 
     def __post_init__(self):
-        if not self.alpha0 > 0.0:
-            raise ValueError("alpha0 must be positive")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not 0.0 < self.armijo_beta < 1.0:
             raise ValueError("armijo_beta must lie in (0, 1)")
-        if not self.armijo_lambda >= 1.0:
-            raise ValueError("armijo_lambda must be >= 1")
+        if not 1.0 <= self.armijo_lambda < math.inf:
+            raise ValueError("armijo_lambda must be finite and >= 1")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not self.tol >= 0.0:
@@ -450,8 +450,8 @@ def fixed_run(config, manifold, problem, alpha):
     the same diagnostics); aborts when the objective increases for 50
     consecutive iterations.
     """
-    if alpha < 0.0:
-        raise ValueError("fixed step size must be nonnegative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("fixed step size must be finite and nonnegative")
     return _drive(config, manifold, problem, functools.partial(_adaptive_rule, pinned=alpha))
 
 

@@ -160,6 +160,31 @@ class TestUsageErrors:
                 "--max-iters", "5", "--out", str(out))
         assert run_cli("compare", str(out)) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--optimizer", "fixed", "--fixed-alpha", "nan"),
+            ("--optimizer", "fixed", "--fixed-alpha", "inf"),
+            ("--alpha0", "inf"),
+            ("--optimizer", "armijo", "--armijo-lambda", "inf"),
+        ],
+        ids=["fixed-alpha-nan", "fixed-alpha-inf", "alpha0-inf", "armijo-lambda-inf"],
+    )
+    def test_non_finite_step_size(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code = run_cli("run", "--experiment", "center-of-mass", *flags, "--out", str(out))
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_rejects_misspelt_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = rayleigh\nfirst-ls = ture\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert "'ture'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -220,6 +245,16 @@ class TestCompare:
         assert meta_b["status"] == "converged"
         assert run_cli("compare", str(a), str(b)) == 0
         assert "fixed" in capsys.readouterr().out
+
+    def test_trace_without_a_step_prints_nan_step_statistics(self, tmp_path, capsys):
+        a, b = tmp_path / "adgd.csv", tmp_path / "armijo.csv"
+        base = ("--experiment", "rayleigh", "--n", "4", "--seed", "0", "--max-iters", "0")
+        assert run_cli("run", *base, "--out", str(a)) == 0
+        assert run_cli("run", *base, "--optimizer", "armijo", "--out", str(b)) == 0
+        assert run_cli("compare", str(a), str(b)) == 0
+        armijo_line = capsys.readouterr().out.splitlines()[-1]
+        assert armijo_line.startswith("armijo(1)")
+        assert armijo_line.split()[4:7] == ["nan", "nan", "nan"]
 
 
 class TestTraceIO:

@@ -63,16 +63,164 @@ class TestSymEig:
         e = linalg.sym_eig(np.zeros((4, 4)))
         assert np.allclose(e.eigenvalues, 0.0)
 
-    def test_sweep_cap_raises_explicitly(self):
+    def test_sweep_cap_raises_explicitly(self, monkeypatch):
         rng = np.random.default_rng(0)
         m = random_sym(rng, 6)
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
-            linalg.sym_eig(m, max_sweeps=1)
+            linalg.sym_eig(m)
 
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(ValueError):
             linalg.sym_eig(m)
+
+
+def two_sided_jacobi(m, max_sweeps=100):
+    """The two-sided cyclic Jacobi loop ``sym_eig`` replaced, kept as its
+    bitwise oracle: each rotation updates rows p and q, then recomputes
+    columns p and q from the updated matrix.
+
+    Returns ``(eigenvalues, basis, info)``; ``info`` holds the number of
+    sweeps run before the convergence check passed and how often each
+    ``tau`` overflow branch was taken.
+    """
+    info = {"sweeps": 0, "nonfinite_tau": 0, "huge_tau": 0}
+    a = linalg.check_symmetric(m, "oracle input").copy()
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    q = np.eye(n)
+    if n == 1:
+        return a[0].copy(), q, info
+
+    target = 1e-14 * math.sqrt(float(np.sum(a * a)))
+
+    def off_mass(mat):
+        off = mat.copy()
+        np.fill_diagonal(off, 0.0)
+        return math.sqrt(float(np.sum(off * off)))
+
+    converged = False
+    for sweep in range(max_sweeps):
+        off = off_mass(a)
+        if off <= target:
+            converged = True
+            break
+        info["sweeps"] += 1
+        thresh = 0.2 * off / n if sweep < 3 else 0.0
+        for p in range(n - 1):
+            for qq in range(p + 1, n):
+                apq = float(a[p, qq])
+                if apq == 0.0 or abs(apq) <= thresh:
+                    continue
+                app = float(a[p, p])
+                aqq_d = float(a[qq, qq])
+                tau = (aqq_d - app) / (2.0 * apq)
+                if not math.isfinite(tau):
+                    info["nonfinite_tau"] += 1
+                    t = 0.0
+                elif abs(tau) > 1e150:
+                    info["huge_tau"] += 1
+                    t = 1.0 / (2.0 * tau)
+                elif tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+
+                row_p = c * a[p, :] - s * a[qq, :]
+                row_q = s * a[p, :] + c * a[qq, :]
+                a[p, :] = row_p
+                a[qq, :] = row_q
+                col_p = c * a[:, p] - s * a[:, qq]
+                col_q = s * a[:, p] + c * a[:, qq]
+                a[:, p] = col_p
+                a[:, qq] = col_q
+                a[p, p] = app - t * apq
+                a[qq, qq] = aqq_d + t * apq
+                a[p, qq] = 0.0
+                a[qq, p] = 0.0
+
+                qcol_p = c * q[:, p] - s * q[:, qq]
+                qcol_q = s * q[:, p] + c * q[:, qq]
+                q[:, p] = qcol_p
+                q[:, qq] = qcol_q
+    if not converged and off_mass(a) > target:
+        raise ConvergenceError(f"oracle did not converge in {max_sweeps} sweeps")
+
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], q[:, order], info
+
+
+def _with_spectrum(rng, w):
+    q = np.linalg.qr(rng.standard_normal((len(w), len(w))))[0]
+    return (q * w) @ q.T
+
+
+_ORACLE_KINDS = {
+    "random": lambda rng, n: random_sym(rng, n),
+    "scale1e+150": lambda rng, n: random_sym(rng, n, 1e150),
+    "scale1e-150": lambda rng, n: random_sym(rng, n, 1e-150),
+    "cond1e10": lambda rng, n: _with_spectrum(rng, np.logspace(-5.0, 5.0, n)),
+    "repeated": lambda rng, n: _with_spectrum(rng, (np.arange(n) // 3).astype(float) - 1.0),
+    "zero": lambda rng, n: np.zeros((n, n)),
+    "diagonal": lambda rng, n: np.diag(rng.standard_normal(n)),
+}
+
+
+def _decoupled_pair(coupling):
+    """A random 20x20 block beside a pair with diagonal 0 and 5 coupled by
+    ``coupling``: by the time late sweeps reach the pair, ``tau`` is
+    5 / (2 * coupling)."""
+    m = np.zeros((22, 22))
+    m[:20, :20] = random_sym(np.random.default_rng(20), 20)
+    m[21, 21] = 5.0
+    m[20, 21] = m[21, 20] = coupling
+    return m
+
+
+def assert_matches_oracle(m):
+    w, q, info = two_sided_jacobi(m)
+    e = linalg.sym_eig(m)
+    assert e.eigenvalues.tobytes() == w.tobytes()
+    assert e.basis.tobytes() == q.tobytes()
+    return info
+
+
+class TestOneSidedMatchesOracle:
+    @pytest.mark.parametrize("kind", list(_ORACLE_KINDS))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 20])
+    def test_byte_equal(self, n, kind):
+        rng = np.random.default_rng([n, list(_ORACLE_KINDS).index(kind)])
+        assert_matches_oracle(_ORACLE_KINDS[kind](rng, n))
+
+    def test_byte_equal_n100(self):
+        info = assert_matches_oracle(random_sym(np.random.default_rng(100), 100))
+        assert info["sweeps"] > 3
+
+    @pytest.mark.parametrize(
+        "coupling, branch", [(1e-200, "huge_tau"), (1e-310, "nonfinite_tau")]
+    )
+    def test_tau_overflow_branches(self, coupling, branch):
+        info = assert_matches_oracle(_decoupled_pair(coupling))
+        assert info[branch] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 12])
+    def test_sweep_cap_boundary(self, monkeypatch, n):
+        m = random_sym(np.random.default_rng(n), n)
+        w, q, info = two_sided_jacobi(m)
+        sweeps = info["sweeps"]
+        assert (sweeps == 0) == (n == 1)
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps)
+        e = linalg.sym_eig(m)
+        assert e.eigenvalues.tobytes() == w.tobytes()
+        assert e.basis.tobytes() == q.tobytes()
+        if sweeps:
+            monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps - 1)
+            with pytest.raises(ConvergenceError, match=f"in {sweeps - 1} sweeps"):
+                linalg.sym_eig(m)
 
 
 class TestNonFiniteInput:

@@ -308,3 +308,14 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["alpha0", "armijo_lambda"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_step_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_fixed_run_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fixed_run(RunConfig(max_iters=5), Sphere(), problems.rayleigh(4, 0), alpha)
