@@ -77,38 +77,35 @@ def _parse_config_file(path):
     return values
 
 
-def _config_cast(action, raw):
-    """Convert a config-file value the way the ``run`` flag would."""
-    if action.nargs == 0:  # store_true
-        flag = raw.lower()
-        if flag in ("1", "true", "yes"):
-            return True
-        if flag in ("0", "false", "no"):
-            return False
-        raise UsageError(
-            f"config key {action.dest!r}: expected 1/true/yes or 0/false/no, got {raw!r}"
-        )
-    value = raw if action.type is None else action.type(raw)
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(
-            f"config key {action.dest!r}: invalid choice {value!r} "
-            f"(choose from {', '.join(map(str, action.choices))})"
-        )
-    return value
-
-
-def _apply_config_file(parser, args, values):
-    """Fill every ``run`` flag left unset on the command line from the
-    config file; explicit flags win."""
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {
-        a.dest: a for a in sub.choices["run"]._actions if a.dest not in ("help", "config")
-    }
+def _config_flags(parser, values):
+    """The config-file ``values`` as ``run`` flags, for argparse to convert
+    and check like the command line's own."""
+    defaults = vars(parser.parse_args(["run"]))
+    flags = []
     for key, raw in values.items():
-        if key not in actions:
+        if key in ("command", "config") or key not in defaults:
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key, None) in (None, False):
-            setattr(args, key, _config_cast(actions[key], raw))
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(defaults[key], bool):
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+        elif raw.lower() not in ("0", "false", "no"):
+            raise UsageError(f"config key {key!r}: expected 1/true/yes or 0/false/no, got {raw!r}")
+    return flags
+
+
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 def _orthant_equivalence_deviations(config, manifold, problem, trace):
@@ -224,14 +221,14 @@ def build_parser():
 
     run = sub.add_parser("run", help="run one experiment and write a CSV trace")
     run.add_argument("--experiment", choices=EXPERIMENTS)
-    run.add_argument("--n", type=int, default=None, help="problem dimension")
-    run.add_argument("--seed", type=int, default=None, help="instance seed (64-bit)")
+    run.add_argument("--n", type=_int_at_least(1), default=None, help="problem dimension")
+    run.add_argument("--seed", type=_int_at_least(0), default=0, help="instance seed (64-bit)")
     run.add_argument("--max-iters", type=int, default=None, dest="max_iters")
     run.add_argument("--tol", type=float, default=None, help="gradient-norm stopping tolerance")
     run.add_argument("--alpha0", type=float, default=None, help="initial step size")
     run.add_argument("--first-ls", action="store_true", dest="first_ls",
                      help="double alpha0 until the first-step ratio reaches 1")
-    run.add_argument("--optimizer", choices=("adgd", "armijo", "fixed"), default=None)
+    run.add_argument("--optimizer", choices=("adgd", "armijo", "fixed"), default="adgd")
     run.add_argument("--armijo-c", type=float, default=None, dest="armijo_c")
     run.add_argument("--armijo-beta", type=float, default=None, dest="armijo_beta")
     run.add_argument("--armijo-lambda", type=float, default=None, dest="armijo_lambda")
@@ -245,34 +242,27 @@ def build_parser():
     return parser
 
 
-# Run flags whose defaults RunConfig does not own.
-_RUN_DEFAULTS = {"seed": 0, "optimizer": "adgd"}
-
-
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            if args.config is not None:
-                _apply_config_file(parser, args, _parse_config_file(args.config))
-            for key, default in _RUN_DEFAULTS.items():
-                if getattr(args, key) is None:
-                    setattr(args, key, default)
-            if args.experiment is None:
-                raise UsageError("--experiment is required (flag or config file)")
-            if args.out is None:
-                raise UsageError("--out is required (flag or config file)")
-            return _cmd_run(args)
         if args.command == "compare":
             if len(args.traces) < 2:
                 raise UsageError("compare needs at least two trace files")
             return _cmd_compare(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        if args.config is not None:
+            # Config flags go before the explicit ones: argparse keeps the
+            # last value, so an explicit flag wins.
+            flags = _config_flags(parser, _parse_config_file(args.config))
+            at = argv.index("run") + 1
+            args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+        if args.experiment is None:
+            raise UsageError("--experiment is required (flag or config file)")
+        if args.out is None:
+            raise UsageError("--out is required (flag or config file)")
+        return _cmd_run(args)
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

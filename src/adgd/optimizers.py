@@ -70,7 +70,10 @@ _DIVERGENCE_STREAK = 50
 
 @dataclass
 class RunConfig:
-    """Knobs shared by all runs; Armijo fields are ignored elsewhere."""
+    """Knobs shared by all runs; Armijo fields are ignored elsewhere.
+
+    The step-domain clamp is not a knob: every run clamps.
+    """
 
     max_iters: int = 1000
     tol: float = 1e-10
@@ -79,9 +82,6 @@ class RunConfig:
     armijo_c: float = 1e-4
     armijo_beta: float = 0.5
     armijo_lambda: float = 1.0
-    # Testing hook: disable the max_step clamp on incomplete manifolds to
-    # demonstrate that it is load-bearing.  Leave True everywhere else.
-    clamp_steps: bool = True
     # Record distance-to-optimum per iterate when the optimum is known;
     # turn off to skip the per-row distance computation on large runs.
     track_distance: bool = True
@@ -135,7 +135,8 @@ class Trace:
 
 
 class _Meter:
-    """Cumulative work counters plus per-run context for one run."""
+    """Cumulative work counters plus per-run context for one run; its
+    evaluations run under :func:`_drive`'s ``np.errstate``."""
 
     __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "dist_fn")
 
@@ -150,30 +151,19 @@ class _Meter:
         else:
             self.dist_fn = None
 
-    # Overflow and invalid-value warnings are silenced in the evaluation
-    # paths: non-finite results flow to the explicit finiteness check,
-    # which aborts the run with a diagnostic.
-
     def value(self, x):
         self.fn_evals += 1
         self.expensive += self.problem.value_ops
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return float(self.problem.value(x))
+        return float(self.problem.value(x))
 
     def grad(self, x):
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.manifold.egrad_to_rgrad(x, self.problem.euclidean_grad(x))
-
-    def norm(self, x, v):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.manifold.norm(x, v)
+        return self.manifold.egrad_to_rgrad(x, self.problem.euclidean_grad(x))
 
     def exp(self, x, v):
         self.exp_evals += 1
         self.expensive += self.manifold.exp_ops
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.manifold.exp_flagged(x, v)
+        return self.manifold.exp_flagged(x, v)
 
     def adapt(self):
         self.expensive += self.manifold.adapt_extra_ops
@@ -207,20 +197,15 @@ class _Step(NamedTuple):
 STEP_SAFETY = 0.99
 
 
-def _clamp_alpha(alpha, manifold, x, neg_grad, enabled):
+def _clamp_alpha(alpha, manifold, x, neg_grad):
     """Apply the step-domain safety clamp; returns (alpha, clamped?).
 
     A cheap lower bound on max_step screens out the common case (step far
     from the boundary) before paying for the exact supremum.
     """
-    if not enabled:
-        return alpha, False
     if alpha <= STEP_SAFETY * manifold.max_step_lower_bound(x, neg_grad):
         return alpha, False
-    cap = manifold.max_step(x, neg_grad)
-    if math.isinf(cap):
-        return alpha, False
-    limit = STEP_SAFETY * cap
+    limit = STEP_SAFETY * manifold.max_step(x, neg_grad)
     if alpha > limit:
         return limit, True
     return alpha, False
@@ -236,54 +221,59 @@ def _drive(config, manifold, problem, make_rule):
     iterate, the finiteness check, the distance column, the rows, the
     stopping rules and the mapping of numerical failures (non-finite
     values, domain errors, rule aborts) to status ``aborted``, which keeps
-    the rows recorded so far.
+    the rows recorded so far.  The whole run ignores floating-point
+    overflow, invalid and divide warnings: a non-finite value reaches the
+    finiteness check, which aborts the run with a diagnostic.
     """
-    meter = _Meter(manifold, problem, config.track_distance)
-    rule = make_rule(config, manifold, meter)
-    rows = []
-    points = [problem.x0]
-    x, phi, grad = problem.x0, None, None
-    try:
-        for k in itertools.count():
-            if phi is None:
-                phi = meter.value(x)
-            if grad is None:
-                grad = meter.grad(x)
-            grad_norm = meter.norm(x, grad)
-            if not (np.isfinite(phi) and np.isfinite(grad_norm)):
-                raise _AbortRun(
-                    f"non-finite objective ({phi}) or gradient norm ({grad_norm}) at iteration {k}"
+    # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        meter = _Meter(manifold, problem, config.track_distance)
+        rule = make_rule(config, manifold, meter)
+        rows = []
+        points = [problem.x0]
+        x, phi, grad = problem.x0, None, None
+        try:
+            for k in itertools.count():
+                if phi is None:
+                    phi = meter.value(x)
+                if grad is None:
+                    grad = meter.grad(x)
+                grad_norm = manifold.norm(x, grad)
+                if not (np.isfinite(phi) and np.isfinite(grad_norm)):
+                    raise _AbortRun(
+                        f"non-finite objective ({phi}) or gradient norm ({grad_norm}) "
+                        f"at iteration {k}"
+                    )
+                if grad_norm <= config.tol:
+                    stop = STATUS_CONVERGED
+                elif k >= config.max_iters:
+                    stop = STATUS_MAX_ITERS
+                else:
+                    stop = None
+                step = rule(k, x, phi, grad, grad_norm, stop)
+                rows.append(
+                    TraceRow(
+                        k=k,
+                        phi=phi,
+                        grad_norm=grad_norm,
+                        alpha=step.alpha,
+                        theta=step.theta,
+                        ell=step.ell,
+                        fn_evals=meter.fn_evals,
+                        exp_evals=meter.exp_evals,
+                        expensive_ops=meter.expensive,
+                        dist_to_opt=None if meter.dist_fn is None else meter.dist_fn(x),
+                        clamped=step.clamped,
+                    )
                 )
-            if grad_norm <= config.tol:
-                stop = STATUS_CONVERGED
-            elif k >= config.max_iters:
-                stop = STATUS_MAX_ITERS
-            else:
-                stop = None
-            step = rule(k, x, phi, grad, grad_norm, stop)
-            rows.append(
-                TraceRow(
-                    k=k,
-                    phi=phi,
-                    grad_norm=grad_norm,
-                    alpha=step.alpha,
-                    theta=step.theta,
-                    ell=step.ell,
-                    fn_evals=meter.fn_evals,
-                    exp_evals=meter.exp_evals,
-                    expensive_ops=meter.expensive,
-                    dist_to_opt=None if meter.dist_fn is None else meter.dist_fn(x),
-                    clamped=step.clamped,
-                )
-            )
-            if step.abort:
-                raise _AbortRun(step.abort)
-            if stop is not None:
-                return Trace(rows, points, stop)
-            x, phi, grad = step.x_next, step.phi_next, step.grad_next
-            points.append(x)
-    except (_AbortRun, DomainError, FloatingPointError) as exc:
-        return Trace(rows, points, STATUS_ABORTED, str(exc))
+                if step.abort:
+                    raise _AbortRun(step.abort)
+                if stop is not None:
+                    return Trace(rows, points, stop)
+                x, phi, grad = step.x_next, step.phi_next, step.grad_next
+                points.append(x)
+        except (_AbortRun, DomainError, FloatingPointError) as exc:
+            return Trace(rows, points, STATUS_ABORTED, str(exc))
 
 
 def _adaptive_rule(config, manifold, meter, pinned=None):
@@ -310,26 +300,23 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     ``ell`` is still the estimate), and the run aborts once the objective
     has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
     """
-    # At x_{k-1}: x, g, step, alpha, theta, ||g||, phi, and T g when first-LS
-    # has already transported it.
+    # At x_{k-1}: x, g, step, alpha, theta, ||g||, phi.
     prev = None
     streak = 0
 
     def rule(k, x, phi, grad, grad_norm, stop):
         nonlocal prev, streak
-        carried = grad_next = None
+        grad_next = None
         if prev is None:
             alpha = config.alpha0 if pinned is None else pinned
             if stop is not None:
                 return _Step(alpha)
             theta = ell = 0.0
             neg_grad = -1.0 * grad
-            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad, config.clamp_steps)
+            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
         else:
-            (x_prev, grad_prev, step_prev, alpha_prev, theta_prev, norm_prev, phi_prev,
-             transported) = prev
-            if transported is None:
-                transported = manifold.transport_along_step(x_prev, step_prev, grad_prev)
+            x_prev, grad_prev, step_prev, alpha_prev, theta_prev, norm_prev, phi_prev = prev
+            transported = manifold.transport_along_step(x_prev, step_prev, grad_prev)
             meter.adapt()
             denom = math.sqrt(manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
             numer = alpha_prev * norm_prev
@@ -340,14 +327,14 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
             else:
                 alpha = pinned
             neg_grad = -1.0 * grad
-            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad, config.clamp_steps)
+            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
             # alpha_prev is zero only under a pinned zero step; the ratio is moot then.
             theta = alpha / alpha_prev if alpha_prev > 0.0 else 0.0
             if stop == STATUS_CONVERGED:
                 return _Step(alpha, theta, ell, clamped)
 
         if prev is None and config.first_ls and pinned is None:
-            alpha, clamped, step, x_next, exp_clamped, grad_next, carried = _first_ls(
+            alpha, clamped, step, x_next, exp_clamped, grad_next = _first_ls(
                 config, manifold, meter, x, grad, grad_norm, neg_grad, alpha, clamped
             )
         else:
@@ -362,7 +349,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                     f"objective increased for {_DIVERGENCE_STREAK} consecutive "
                     f"iterations (diverging fixed step)"
                 )
-        prev = (x, grad, step, alpha, theta, grad_norm, phi, carried)
+        prev = (x, grad, step, alpha, theta, grad_norm, phi)
         return _Step(
             alpha, theta, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort
         )
@@ -376,28 +363,28 @@ def _first_ls(config, manifold, meter, x0, grad0, grad0_norm, neg_grad0, alpha, 
     Doubles ``alpha`` until the first step's ratio
     ``||g_0|| / (sqrt(2) ||g_1 - T g_0||)`` drops to 1 or the step is
     clamped, so that the step sequence starts at the local
-    inverse-smoothness scale.  Each trial costs an exponential, a gradient
-    and a transport, and, while doublings remain, one adaptive charge.
-    After ``_MAX_FIRST_LS_DOUBLINGS`` doublings the last trial is taken
-    as it stands.
+    inverse-smoothness scale.  Each trial costs an exponential and a
+    gradient and, while doublings remain, a transport and one adaptive
+    charge.  After ``_MAX_FIRST_LS_DOUBLINGS`` doublings the last trial is
+    taken as it stands.
 
-    Returns ``(alpha, clamped, step, x1, exp_clamped, g_1, T g_0)`` of the
-    trial taken; ``g_1`` and ``T g_0`` serve the next iteration.
+    Returns ``(alpha, clamped, step, x1, exp_clamped, g_1)`` of the trial
+    taken; ``g_1`` serves the next iteration.
     """
     for doubling in range(_MAX_FIRST_LS_DOUBLINGS + 1):
         step = alpha * neg_grad0
         x1, exp_clamped = meter.exp(x0, step)
         grad1 = meter.grad(x1)
-        transported = manifold.transport_along_step(x0, step, grad0)
         if doubling == _MAX_FIRST_LS_DOUBLINGS:
             break
+        transported = manifold.transport_along_step(x0, step, grad0)
         meter.adapt()
         denom = math.sqrt(manifold.grad_diff_norm_sq(x1, grad1, transported, grad0_norm**2))
         ratio = grad0_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
         if ratio <= 1.0 or clamped:
             break
-        alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x0, neg_grad0, config.clamp_steps)
-    return alpha, clamped, step, x1, exp_clamped, grad1, transported
+        alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x0, neg_grad0)
+    return alpha, clamped, step, x1, exp_clamped, grad1
 
 
 def _armijo_rule(config, manifold, meter):
@@ -420,7 +407,7 @@ def _armijo_rule(config, manifold, meter):
             return _Step(0.0)
         neg_grad = -1.0 * grad
         eta = config.alpha0 if eta_prev is None else config.armijo_lambda * eta_prev
-        eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad, config.clamp_steps)
+        eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad)
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
             x_trial, exp_clamped = meter.exp(x, eta * neg_grad)

@@ -119,6 +119,8 @@ def read_trace(path):
     """Parse a trace file into (meta dict, row dicts, error message or None).
 
     Numeric fields come back as float/int; empty dist_to_opt becomes None.
+    A file that breaks the format contract raises ``ValueError`` naming
+    ``path``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -128,19 +130,30 @@ def read_trace(path):
     for part in lines[0][2:].split(" "):
         key, _, value = part.partition("=")
         meta[key] = None if value == "-" else value
+    missing = [key for key in META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: metadata line lacks {', '.join(missing)}")
     reader = csv.reader(lines[1:])
-    header = next(reader)
+    header = next(reader, None)
+    if header is None or header[: len(HEADER)] != HEADER:
+        raise ValueError(f"{path}: missing or malformed header row")
     rows = []
     error = None
     for rec in reader:
-        if len(rec) > 1 and rec[1] == "error":
+        where = f"{path}:{reader.line_num + 1}"
+        if len(rec) != len(header):
+            raise ValueError(f"{where}: {len(rec)} fields where the header has {len(header)}")
+        if rec[1] == "error":
             error = rec[2]
             continue
-        row = {"k": int(rec[0])}
-        for name, value in zip(header[1:], rec[1:]):
-            if name in ("fn_evals", "exp_evals", "expensive_ops", "clamped"):
-                row[name] = int(value)
-            else:
-                row[name] = None if value == "" else float(value)
+        try:
+            row = {"k": int(rec[0])}
+            for name, value in zip(header[1:], rec[1:]):
+                if name in ("fn_evals", "exp_evals", "expensive_ops", "clamped"):
+                    row[name] = int(value)
+                else:
+                    row[name] = None if value == "" else float(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         rows.append(row)
     return meta, rows, error

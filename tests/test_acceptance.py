@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from adgd import diagnostics, linalg, problems
+from adgd import diagnostics, linalg, optimizers, problems
 from adgd.cli import main as cli_main
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
 from adgd.optimizers import (
@@ -287,7 +287,7 @@ def test_criterion_7_gradient_consistency():
     print("PASS criterion 7: directional-derivative checks, 4 problems x 10 seeds x 20 directions")
 
 
-def test_criterion_8_domain_safety(lyapunov_traces):
+def test_criterion_8_domain_safety(lyapunov_traces, monkeypatch):
     # With the step clamp active no Bures-Wasserstein run ever leaves the
     # SPD cone; with the clamp disabled an aggressive instance does.
     bw = BuresWasserstein()
@@ -307,10 +307,11 @@ def test_criterion_8_domain_safety(lyapunov_traces):
         checked += 1
 
     aborted = 0
+    monkeypatch.setattr(optimizers, "_clamp_alpha", lambda alpha, *_: (alpha, False))
     for seed in GCONVEX_SEEDS:
         prob = problems.lyapunov_objective(6, seed)
         unclamped = adgd_run(
-            RunConfig(max_iters=60, alpha0=50.0, clamp_steps=False, track_distance=False),
+            RunConfig(max_iters=60, alpha0=50.0, track_distance=False),
             bw,
             prob,
         )

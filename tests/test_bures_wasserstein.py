@@ -278,7 +278,7 @@ class TestMaxStepScreen:
                 cap = bw.max_step(x, v)
                 for rel in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
                     alpha = STEP_SAFETY * cap * rel
-                    got = _clamp_alpha(alpha, bw, x, v, True)
+                    got = _clamp_alpha(alpha, bw, x, v)
                     assert got == _exact_clamp(alpha, bw, x, v)
                     flags.add(got[1])
         assert flags == {False, True}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adgd import trace_io
-from adgd.cli import main
+from adgd.cli import EXPERIMENTS, main
 
 HEADER = "k,phi,grad_norm,alpha,theta,ell,fn_evals,exp_evals,expensive_ops,dist_to_opt,clamped"
 
@@ -144,7 +144,9 @@ class TestUsageErrors:
     def test_config_file_invalid_choice(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("experiment = rayleigh\noptimizer = bogus\n")
-        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert err.value.code == 2
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -183,6 +185,43 @@ class TestUsageErrors:
         out = tmp_path / "x.csv"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
         assert "'ture'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_n_below_one(self, tmp_path, capsys, experiment, n):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--experiment", experiment, "--n", n, "--max-iters", "3",
+                    "--out", str(out))
+        assert err.value.code == 2
+        assert f"argument --n: must be at least 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--experiment", "rayleigh", "--seed", "-1", "--out", str(out))
+        assert err.value.code == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,flag,value",
+        [("optimizer", "--optimizer", "bogus"), ("n", "--n", "abc"), ("n", "--n", "0")],
+    )
+    def test_config_file_error_is_the_flag_error(self, tmp_path, capsys, key, flag, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = rayleigh\n{key} = {value}\n")
+        out = tmp_path / "x.csv"
+        errors = []
+        for argv in (("--config", str(cfg)), ("--experiment", "rayleigh", flag, value)):
+            with pytest.raises(SystemExit) as err:
+                run_cli("run", *argv, "--out", str(out))
+            assert err.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"adgd-bench run: error: argument {flag}: ")
         assert not out.exists()
 
     def test_bad_subcommand_exits_two(self):
@@ -255,6 +294,34 @@ class TestCompare:
         armijo_line = capsys.readouterr().out.splitlines()[-1]
         assert armijo_line.startswith("armijo(1)")
         assert armijo_line.split()[4:7] == ["nan", "nan", "nan"]
+
+
+class TestMalformedTrace:
+    """``read_trace`` rejects a file that breaks the format contract with a
+    ``ValueError`` naming it, and ``compare`` exits 2."""
+
+    def _check(self, tmp_path, capsys, text):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        assert run_cli("run", "--experiment", "rayleigh", "--n", "4", "--seed", "0",
+                       "--max-iters", "5", "--out", str(good)) == 0
+        bad.write_text(text(good.read_text()))
+        with pytest.raises(ValueError, match=str(bad)):
+            trace_io.read_trace(bad)
+        capsys.readouterr()
+        assert run_cli("compare", str(good), str(bad)) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_metadata_line_only(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: text.splitlines(keepends=True)[0])
+
+    def test_metadata_key_missing(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: text.replace("# experiment=rayleigh ", "# "))
+
+    def test_truncated_last_row(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: text.rstrip("\n").rsplit(",", 3)[0] + "\n")
+
+    def test_non_numeric_field(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: text.replace("\n2,", "\n2,abc,", 1))
 
 
 class TestTraceIO:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adgd import diagnostics, problems
+from adgd import diagnostics, optimizers, problems
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
 from adgd.optimizers import (
     STATUS_ABORTED,
@@ -281,11 +282,10 @@ class TestDomainSafety:
         for point in tr.points:
             assert linalg.is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
 
-    def test_without_clamp_the_domain_error_surfaces(self, bw):
+    def test_without_clamp_the_domain_error_surfaces(self, bw, monkeypatch):
+        monkeypatch.setattr(optimizers, "_clamp_alpha", lambda alpha, *_: (alpha, False))
         prob = problems.lyapunov_objective(6, 21)
-        tr = adgd_run(
-            RunConfig(max_iters=60, tol=1e-10, alpha0=50.0, clamp_steps=False), bw, prob
-        )
+        tr = adgd_run(RunConfig(max_iters=60, tol=1e-10, alpha0=50.0), bw, prob)
         assert tr.status == STATUS_ABORTED
         assert "SPD cone" in tr.message
 
@@ -319,3 +319,57 @@ class TestConfigValidation:
     def test_fixed_run_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fixed_run(RunConfig(max_iters=5), Sphere(), problems.rayleigh(4, 0), alpha)
+
+
+_EDGE_PROBLEMS = {
+    "lyapunov": (BuresWasserstein, lambda: problems.lyapunov_objective(4, 0)),
+    "center-of-mass": (Sphere, lambda: problems.center_of_mass(6, 20, 0)),
+}
+_EDGE_METHODS = {
+    "adgd": adgd_run,
+    "armijo": armijo_run,
+    "fixed": lambda config, manifold, problem: fixed_run(config, manifold, problem, 0.01),
+}
+
+
+def _overflow_at_fourth_grad(problem):
+    """``problem`` whose fourth Euclidean gradient is rescaled to 1e308."""
+    calls = 0
+
+    def euclidean_grad(x):
+        nonlocal calls
+        calls += 1
+        g = problem.euclidean_grad(x)
+        return g * (1e308 / np.max(np.abs(g))) if calls == 4 else g
+
+    return dataclasses.replace(problem, euclidean_grad=euclidean_grad)
+
+
+@pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+@pytest.mark.parametrize("name", sorted(_EDGE_PROBLEMS))
+class TestDriverEdges:
+    def _run(self, name, method, problem=None, **config):
+        manifold_cls, build = _EDGE_PROBLEMS[name]
+        problem = build() if problem is None else problem
+        return _EDGE_METHODS[method](RunConfig(**config), manifold_cls(), problem)
+
+    def test_max_iters_zero_takes_no_step(self, name, method):
+        tr = self._run(name, method, max_iters=0)
+        assert tr.status == STATUS_MAX_ITERS
+        assert [(r.k, r.exp_evals) for r in tr.rows] == [(0, 0)]
+
+    def test_max_iters_one(self, name, method):
+        tr = self._run(name, method, max_iters=1, tol=0.0, alpha0=0.01)
+        assert tr.status == STATUS_MAX_ITERS
+        assert [r.k for r in tr.rows] == [0, 1]
+        # The adaptive rule still takes and charges the last row's exponential.
+        extra = 0 if method == "armijo" else 1
+        assert tr.rows[1].exp_evals == tr.rows[0].exp_evals + extra
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradient_aborts_without_warnings(self, name, method):
+        problem = _overflow_at_fourth_grad(_EDGE_PROBLEMS[name][1]())
+        tr = self._run(name, method, problem, max_iters=10, tol=0.0, alpha0=0.01)
+        assert tr.status == STATUS_ABORTED
+        assert "non-finite" in tr.message
+        assert [r.k for r in tr.rows] == [0, 1, 2]
