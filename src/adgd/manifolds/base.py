@@ -10,9 +10,10 @@ instance can serve any number of concurrent runs.
 
 Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein,
 where a gradient also carries its Lyapunov factor and the base point it
-was computed at, and using that factor at another point raises; either
-way they support ``-``, ``+`` and scalar ``*``, which is all the
-optimizers use.
+was computed at, and using that factor at another point raises.  Either
+way they support ``-``, ``+`` and scalar ``*``; the optimizers use scalar
+``*`` only, and only the default :meth:`Manifold.grad_diff_norm_sq`
+subtracts tangents.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ class Manifold(ABC):
 
     Class attributes
     ----------------
-    name : str
-        Short identifier used in traces and error messages.
     rgrad_ops, exp_ops, adapt_extra_ops : int
         Expensive-operation price tags (matrix-vector products on the
         sphere, matrix-matrix products on SPD matrices) charged per
@@ -35,7 +34,6 @@ class Manifold(ABC):
         step-size evaluation.  Used only for benchmark accounting.
     """
 
-    name = "manifold"
     rgrad_ops = 0
     exp_ops = 0
     adapt_extra_ops = 0

@@ -21,10 +21,11 @@ Closed forms used throughout (L below is the Lyapunov factor of V at X):
   ``P(W) = W + (2 / c) L X L``
 
 Riemannian gradients carry their Lyapunov factor together with ``base``,
-the point it was computed at, and scaling, negation and sums keep both,
-so the descent loops never trigger a Lyapunov solve.  Asking for that
-factor at any other point raises ``ValueError``.  A tangent without a
-factor has it solved, and stored nowhere, by each operation that needs it.
+the point it was computed at, and scaling and negation keep both, so the
+descent loops never trigger a Lyapunov solve.  Asking for that factor at
+any other point raises ``ValueError``.  A sum or difference of tangents
+carries no factor; a tangent without one has it solved, and stored
+nowhere, by each operation that needs it.
 """
 
 from __future__ import annotations
@@ -72,10 +73,7 @@ class BWTangent:
     def _combine(self, other, op):
         if not isinstance(other, BWTangent):
             return NotImplemented
-        if self.factor is None or other.factor is None:
-            return BWTangent(op(self.mat, other.mat))
-        other.factor_at(self.base)  # both factors must solve at one point
-        return BWTangent(op(self.mat, other.mat), op(self.factor, other.factor), self.base)
+        return BWTangent(op(self.mat, other.mat))
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -104,7 +102,6 @@ class BWTangent:
 
 
 class BuresWasserstein(Manifold):
-    name = "bures-wasserstein"
     # Expensive-op accounting in matrix-matrix products: one for the
     # gradient conversion, two per exponential (L X and (L X) L), one for
     # the cross term of the adaptive step-size denominator.

@@ -16,7 +16,6 @@ _EXP_CLAMP = 700.0
 
 
 class PositiveOrthant(Manifold):
-    name = "positive-orthant"
     rgrad_ops = 1
 
     def egrad_to_rgrad(self, x, g):

@@ -19,7 +19,6 @@ _TINY = 1e-12
 
 
 class Sphere(Manifold):
-    name = "sphere"
     rgrad_ops = 1  # tangent projection, one matrix-vector product
 
     def egrad_to_rgrad(self, x, g):

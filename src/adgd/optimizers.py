@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
@@ -72,6 +73,10 @@ _DIVERGENCE_STREAK = 50
 class RunConfig:
     """Knobs shared by all runs; Armijo fields are ignored elsewhere.
 
+    ``max_iters`` is an integer (a numpy integer will do, a bool will not),
+    ``first_ls`` and ``track_distance`` are bools, and the other fields
+    are real numbers.  A wrong-typed ``max_iters``, ``first_ls`` or
+    ``track_distance``, or a value out of range, raises ``ValueError``.
     The step-domain clamp is not a knob: every run clamps.
     """
 
@@ -87,6 +92,11 @@ class RunConfig:
     track_distance: bool = True
 
     def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        for name in ("first_ls", "track_distance"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not 0.0 < self.alpha0 < math.inf:
             raise ValueError("alpha0 must be positive and finite")
         if self.max_iters < 0:
@@ -140,7 +150,7 @@ class _Meter:
 
     __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "dist_fn")
 
-    def __init__(self, manifold, problem, track_distance=True):
+    def __init__(self, manifold, problem, track_distance):
         self.fn_evals = 0
         self.exp_evals = 0
         self.expensive = 0
@@ -165,8 +175,10 @@ class _Meter:
         self.expensive += self.manifold.exp_ops
         return self.manifold.exp_flagged(x, v)
 
-    def adapt(self):
+    def transport(self, x, v, w):
+        """``w`` transported along ``exp(x, t v)``, with its adaptive charge."""
         self.expensive += self.manifold.adapt_extra_ops
+        return self.manifold.transport_along_step(x, v, w)
 
 
 class _AbortRun(Exception):
@@ -316,8 +328,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
             alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
         else:
             x_prev, grad_prev, step_prev, alpha_prev, theta_prev, norm_prev, phi_prev = prev
-            transported = manifold.transport_along_step(x_prev, step_prev, grad_prev)
-            meter.adapt()
+            transported = meter.transport(x_prev, step_prev, grad_prev)
             denom = math.sqrt(manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
             numer = alpha_prev * norm_prev
             ell = numer / denom if denom > 0.0 else 0.0
@@ -335,7 +346,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
 
         if prev is None and config.first_ls and pinned is None:
             alpha, clamped, step, x_next, exp_clamped, grad_next = _first_ls(
-                config, manifold, meter, x, grad, grad_norm, neg_grad, alpha, clamped
+                manifold, meter, x, grad, grad_norm, neg_grad, alpha, clamped
             )
         else:
             step = alpha * neg_grad
@@ -357,7 +368,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     return rule
 
 
-def _first_ls(config, manifold, meter, x0, grad0, grad0_norm, neg_grad0, alpha, clamped):
+def _first_ls(manifold, meter, x0, grad0, grad0_norm, neg_grad0, alpha, clamped):
     """Warm start of the adaptive rule at ``k = 0``.
 
     Doubles ``alpha`` until the first step's ratio
@@ -377,8 +388,7 @@ def _first_ls(config, manifold, meter, x0, grad0, grad0_norm, neg_grad0, alpha, 
         grad1 = meter.grad(x1)
         if doubling == _MAX_FIRST_LS_DOUBLINGS:
             break
-        transported = manifold.transport_along_step(x0, step, grad0)
-        meter.adapt()
+        transported = meter.transport(x0, step, grad0)
         denom = math.sqrt(manifold.grad_diff_norm_sq(x1, grad1, transported, grad0_norm**2))
         ratio = grad0_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
         if ratio <= 1.0 or clamped:
@@ -396,8 +406,9 @@ def _armijo_rule(config, manifold, meter):
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial's objective and exponential evaluation is metered, and the
     accepted trial's objective is carried to the next iterate.  More than
-    60 rejections abort the run before the row is recorded.  Rows where
-    the run stops report ``alpha = theta = 0``.
+    60 rejections abort the run before the row is recorded, with the last
+    trial's objective in the message.  Rows where the run stops report
+    ``alpha = theta = 0``.
     """
     eta_prev = None
 
@@ -418,7 +429,8 @@ def _armijo_rule(config, manifold, meter):
                 return _Step(eta, theta, 0.0, clamped or exp_clamped, x_trial, phi_trial)
             eta *= config.armijo_beta
         raise _AbortRun(
-            f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}"
+            f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}; "
+            f"last trial objective {phi_trial}"
         )
 
     return rule
@@ -450,8 +462,6 @@ def armijo_run(config, manifold, problem):
 class _FlatSpace(Manifold):
     """R^n with the dot product: identity transport, exp(x, v) = x + v."""
 
-    name = "euclidean"
-
     def egrad_to_rgrad(self, x, g):
         return g
 
@@ -468,18 +478,10 @@ class _FlatSpace(Manifold):
         return float(np.linalg.norm(x - y))
 
 
-def euclidean_adgd_run(config, f, grad_f, y0, optimum_point=None, optimum_value=None):
+def euclidean_adgd_run(config, f, grad_f, y0):
     """The adaptive method on flat R^n: ``y_{k+1} = y_k - alpha_k grad f(y_k)``
     with the identical step-size rule (identity transport, dot metric)."""
     from .problems import Problem
 
-    prob = Problem(
-        name="euclidean",
-        n=int(np.asarray(y0).size),
-        value=f,
-        euclidean_grad=grad_f,
-        x0=np.asarray(y0, dtype=float),
-        optimum_point=optimum_point,
-        optimum_value=optimum_value,
-    )
+    prob = Problem(value=f, euclidean_grad=grad_f, x0=np.asarray(y0, dtype=float))
     return _drive(config, _FlatSpace(), prob, _adaptive_rule)

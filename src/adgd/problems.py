@@ -26,8 +26,6 @@ _REFERENCE_MAX_ITERS = 100_000
 class Problem:
     """Objective + gradient evaluators over one manifold's points."""
 
-    name: str
-    n: int
     value: Callable[[Any], float]
     euclidean_grad: Callable[[Any], Any]
     x0: Any
@@ -82,8 +80,6 @@ def center_of_mass(n, n_points=50, seed=0, reference=True):
     x0 = pts.mean(axis=0)
     x0 /= np.linalg.norm(x0)
     prob = Problem(
-        name="center-of-mass",
-        n=n,
         value=value,
         euclidean_grad=euclidean_grad,
         x0=x0,
@@ -94,9 +90,10 @@ def center_of_mass(n, n_points=50, seed=0, reference=True):
     if reference:
         from .manifolds import Sphere
 
-        xstar = fixed_step_reference(prob, Sphere(), step=1.0 / n_points)
+        xstar, stop, steps, grad_norm = fixed_step_reference(prob, Sphere(), step=1.0 / n_points)
         prob.optimum_point = xstar
         prob.optimum_value = value(xstar)
+        prob.extras["reference"] = {"stop": stop, "steps": steps, "grad_norm": grad_norm}
     return prob
 
 
@@ -117,8 +114,6 @@ def rayleigh(n, seed=0):
     x0 = rng.standard_normal(n)
     x0 /= np.linalg.norm(x0)
     return Problem(
-        name="rayleigh",
-        n=n,
         value=value,
         euclidean_grad=euclidean_grad,
         x0=x0,
@@ -157,8 +152,6 @@ def lyapunov_objective(n, seed=0):
         return xa + xa.T - c
 
     return Problem(
-        name="lyapunov",
-        n=n,
         value=value,
         euclidean_grad=euclidean_grad,
         x0=np.eye(n),
@@ -201,8 +194,6 @@ def weighted_least_squares(n, seed=0, density=None):
         return 2.0 * (a * x - b) * a
 
     return Problem(
-        name="wls-sparse" if density is not None else "wls-dense",
-        n=n,
         value=value,
         euclidean_grad=euclidean_grad,
         x0=np.eye(n),
@@ -232,8 +223,6 @@ def linear_minus_log(n, seed=0):
         return 1.0 - c / x
 
     return Problem(
-        name="linear-minus-log",
-        n=n,
         value=value,
         euclidean_grad=euclidean_grad,
         x0=x0,
@@ -251,14 +240,21 @@ def fixed_step_reference(problem, manifold, step):
     ``_REFERENCE_TOL``, until a step returns its own starting point (every
     later iterate would then be that point), or for ``_REFERENCE_MAX_ITERS``
     steps.
+
+    Returns ``(x, stop, steps, grad_norm)``: the reference point, the stop
+    (``"tol"``, ``"fixed-point"`` or ``"cap"``), the number of exponential
+    steps taken (a fixed-point stop counts the step that returned its own
+    starting point) and the Riemannian gradient norm at ``x``.
     """
     x = problem.x0
-    for _ in range(_REFERENCE_MAX_ITERS):
+    for steps in range(_REFERENCE_MAX_ITERS + 1):
         g = manifold.egrad_to_rgrad(x, problem.euclidean_grad(x))
-        if manifold.norm(x, g) <= _REFERENCE_TOL:
-            break
+        grad_norm = manifold.norm(x, g)
+        if grad_norm <= _REFERENCE_TOL:
+            return x, "tol", steps, grad_norm
+        if steps == _REFERENCE_MAX_ITERS:
+            return x, "cap", steps, grad_norm
         x_next = manifold.exp(x, (-step) * g)
         if np.array_equal(x_next, x):
-            break
+            return x, "fixed-point", steps + 1, grad_norm
         x = x_next
-    return x

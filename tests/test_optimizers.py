@@ -208,8 +208,6 @@ class TestArmijo:
         from adgd.optimizers import _FlatSpace
 
         prob = problems.Problem(
-            name="kink",
-            n=1,
             value=lambda y: abs(float(y[0])),
             euclidean_grad=lambda y: np.array([1.0]),
             x0=np.array([0.0]),
@@ -239,9 +237,7 @@ class TestFixed:
 
     def test_divergence_abort(self):
         f, g = quadratic()
-        prob = problems.Problem(
-            name="quad", n=1, value=f, euclidean_grad=g, x0=np.array([1.0])
-        )
+        prob = problems.Problem(value=f, euclidean_grad=g, x0=np.array([1.0]))
         from adgd.optimizers import _FlatSpace
 
         tr = fixed_run(RunConfig(max_iters=400, tol=0.0), _FlatSpace(), prob, 2.5)
@@ -303,11 +299,21 @@ class TestConfigValidation:
             {"armijo_c": 1.0},
             {"tol": -1e-3},
             {"max_iters": -1},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"max_iters": "5"},
+            {"first_ls": "no"},
+            {"first_ls": 1},
+            {"track_distance": "false"},
+            {"track_distance": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        assert RunConfig(max_iters=np.int64(5)).max_iters == 5
 
     @pytest.mark.parametrize("field", ["alpha0", "armijo_lambda"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -345,6 +351,18 @@ def _overflow_at_fourth_grad(problem):
     return dataclasses.replace(problem, euclidean_grad=euclidean_grad)
 
 
+def _nan_from_fifth_value(problem):
+    """``problem`` whose objective is NaN from its fifth evaluation on."""
+    calls = 0
+
+    def value(x):
+        nonlocal calls
+        calls += 1
+        return math.nan if calls >= 5 else problem.value(x)
+
+    return dataclasses.replace(problem, value=value)
+
+
 @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
 @pytest.mark.parametrize("name", sorted(_EDGE_PROBLEMS))
 class TestDriverEdges:
@@ -373,3 +391,30 @@ class TestDriverEdges:
         assert tr.status == STATUS_ABORTED
         assert "non-finite" in tr.message
         assert [r.k for r in tr.rows] == [0, 1, 2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_objective_aborts_keeping_earlier_rows(self, name, method):
+        clean = self._run(name, method, max_iters=10, tol=0.0, alpha0=0.01)
+        problem = _nan_from_fifth_value(_EDGE_PROBLEMS[name][1]())
+        tr = self._run(name, method, problem, max_iters=10, tol=0.0, alpha0=0.01)
+        assert tr.status == STATUS_ABORTED
+        assert "nan" in tr.message
+        # Armijo's NaN trials fail at iteration 3; the others stop at x_4.
+        assert len(tr.rows) == (3 if method == "armijo" else 4)
+        assert tr.rows == clean.rows[: len(tr.rows)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+def test_near_antipodal_start_aborts_before_the_first_row(method):
+    # A one-point center of mass started 1e-7 from the antipode of its point.
+    prob = problems.center_of_mass(5, 1, 3, reference=False)
+    antipode = -prob.extras["points"][0]
+    off = np.zeros(5)
+    off[np.argmin(np.abs(antipode))] = 1e-7
+    x0 = antipode + off - np.dot(antipode, off) * antipode
+    prob.x0 = x0 / np.linalg.norm(x0)
+    tr = _EDGE_METHODS[method](RunConfig(max_iters=10, alpha0=0.01), Sphere(), prob)
+    assert tr.status == STATUS_ABORTED
+    assert tr.rows == []
+    assert "antipodal" in tr.message

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 
 class TestRiemannianGradient:
@@ -51,6 +52,20 @@ class TestExp:
         assert np.isfinite(y).all()
         _, unclamped = orthant.exp_flagged(x, np.array([1.0]))
         assert not unclamped
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exponent_guard_boundary(self, orthant):
+        # |v / x| = 700 exactly is left alone; just above it is clamped.
+        x = np.array([1.0, 3.0, 1.0, 3.0])
+        at = np.array([700.0, 2100.0, -700.0, -2100.0])
+        y, clamped = orthant.exp_flagged(x, at)
+        assert not clamped
+        assert np.array_equal(y, x * np.exp([700.0, 700.0, -700.0, -700.0]))
+        for sign in (1.0, -1.0):
+            above = sign * np.nextafter(700.0, np.inf) * np.ones(1)
+            y, clamped = orthant.exp_flagged(np.ones(1), above)
+            assert clamped and np.isfinite(y).all()
+            assert y[0] == np.exp(sign * 700.0)
 
 
 class TestTransport:

@@ -65,6 +65,40 @@ class TestCenterOfMass:
             g = sphere.egrad_to_rgrad(xstar, prob.euclidean_grad(xstar))
             assert np.array_equal(exp(sphere, xstar, (-1.0 / 50) * g), xstar)
 
+    def test_reference_reports_its_stop(self, sphere, monkeypatch):
+        # Every solve ends at its floating-point fixed point; tol never fires.
+        calls = []
+        exp = Sphere.exp
+
+        def counting_exp(self, x, v):
+            calls.append(x)
+            return exp(self, x, v)
+
+        monkeypatch.setattr(Sphere, "exp", counting_exp)
+        for seed in range(12):
+            del calls[:]
+            prob = problems.center_of_mass(10, n_points=50, seed=seed)
+            ref = prob.extras["reference"]
+            assert ref["stop"] == "fixed-point"
+            assert ref["steps"] == len(calls) and 38 <= ref["steps"] <= 55
+            xstar = prob.optimum_point
+            g = sphere.egrad_to_rgrad(xstar, prob.euclidean_grad(xstar))
+            assert ref["grad_norm"] == sphere.norm(xstar, g)
+            assert 2e-11 <= ref["grad_norm"] <= 5e-11
+
+    def test_reference_tol_and_cap_stops(self, sphere, monkeypatch):
+        prob = problems.center_of_mass(10, n_points=50, seed=0, reference=False)
+        monkeypatch.setattr(problems, "_REFERENCE_MAX_ITERS", 3)
+        x, stop, steps, grad_norm = problems.fixed_step_reference(prob, sphere, 0.02)
+        x3 = prob.x0
+        for _ in range(3):
+            x3 = sphere.exp(x3, -0.02 * sphere.egrad_to_rgrad(x3, prob.euclidean_grad(x3)))
+        assert (stop, steps) == ("cap", 3) and np.array_equal(x, x3)
+        assert grad_norm == sphere.norm(x, sphere.egrad_to_rgrad(x, prob.euclidean_grad(x)))
+
+        flat = problems.Problem(value=lambda x: 0.0, euclidean_grad=np.zeros_like, x0=prob.x0)
+        assert problems.fixed_step_reference(flat, sphere, 0.02)[1:] == ("tol", 0, 0.0)
+
     def test_points_on_open_hemisphere(self):
         prob = problems.center_of_mass(6, n_points=40, seed=3, reference=False)
         assert np.all(prob.extras["points"][:, -1] > 0.0)
@@ -150,7 +184,6 @@ class TestWeightedLeastSquares:
         assert np.allclose(a, a.T)
         frac = np.count_nonzero(a) / a.size
         assert frac < 0.35
-        assert prob.name == "wls-sparse"
 
     def test_interior_optimum_with_zero_value(self):
         from adgd import linalg
