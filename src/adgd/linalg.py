@@ -4,7 +4,10 @@ Every value these kernels return is computed from scratch on top of plain
 ``numpy`` arrays: a cyclic Jacobi eigensolver with one-sided rotation
 updates (``tests/test_linalg.py`` holds the two-sided loop as its bitwise
 oracle), a Lyapunov solver working in the eigenbasis, an SPD matrix square
-root and a Cholesky factorization.
+root and a Cholesky factorization.  One kernel per job: :func:`sym_eig`
+decomposes one matrix, and :func:`eigvals` gives the eigenvalues of a
+stack of matrices (the Bures-Wasserstein distance column) by running
+``sym_eig``'s exact arithmetic on all of them in lockstep, byte for byte.
 They are the workhorses of the Bures-Wasserstein geometry and double as
 test oracles, so they favour robustness and explicit failure over raw
 speed.  LAPACK (through ``numpy.linalg``) only decides yes/no questions
@@ -26,6 +29,7 @@ __all__ = [
     "symmetrize",
     "check_symmetric",
     "sym_eig",
+    "eigvals",
     "solve_lyapunov",
     "spd_sqrt",
     "frobenius_norm",
@@ -127,11 +131,7 @@ def sym_eig(m):
     target = _JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
     max_sweeps = _JACOBI_MAX_SWEEPS
     for sweep in range(max_sweeps + 1):
-        # Off-diagonal mass, summed directly: the ||A||^2 - ||diag||^2
-        # form cancels catastrophically near convergence.
-        sq = a * a
-        np.fill_diagonal(sq, 0.0)
-        off = math.sqrt(float(np.sum(sq)))
+        off = _off_mass(a)
         if off <= target:
             w = np.diag(a)
             order = np.argsort(w, kind="stable")
@@ -177,6 +177,125 @@ def sym_eig(m):
                 qcol_q = s * q[:, p] + c * q[:, qq]
                 q[:, p] = qcol_p
                 q[:, qq] = qcol_q
+
+
+def _off_mass(a):
+    """Off-diagonal Frobenius mass of one matrix, summed directly: the
+    ||A||^2 - ||diag||^2 form cancels catastrophically near convergence."""
+    sq = a * a
+    np.fill_diagonal(sq, 0.0)
+    return math.sqrt(float(np.sum(sq)))
+
+
+def eigvals(stack):
+    """Eigenvalues of every matrix in a stack, by cyclic Jacobi in lockstep.
+
+    Each matrix receives exactly the arithmetic :func:`sym_eig` applies to
+    it, in the same order, so ``eigvals(stack)[i]`` equals
+    ``sym_eig(stack[i]).eigenvalues`` byte for byte: the same exact
+    symmetrization, per-matrix convergence target, off-diagonal mass and
+    threshold, the same pivots skipped, the same ``tau`` branch and the
+    same row, column and analytic pivot writes.  No basis is kept.  A
+    matrix retires once it converges; the sweeps go on for the rest.
+    Python overhead is paid per pivot rather than per matrix, so a stack
+    is much faster than a loop of ``sym_eig`` calls, while a single
+    matrix is 2.5-3.5x slower.  If any matrix still exceeds its target
+    after ``_JACOBI_MAX_SWEEPS`` sweeps the whole call raises
+    ConvergenceError.
+
+    Parameters
+    ----------
+    stack : array_like, shape (m, n, n)
+        Symmetric matrices (each validated to 1e-12 relative asymmetry).
+
+    Returns
+    -------
+    ndarray, shape (m, n)
+        Row ``i`` holds the eigenvalues of ``stack[i]``, ascending.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"eigvals input must be a stack of square matrices, got shape {a.shape}")
+    for mat in a:
+        check_symmetric(mat, "eigvals input")
+    a = a + np.swapaxes(a, 1, 2)
+    a *= 0.5
+    m, n = a.shape[:2]
+    out = np.empty((m, n))
+    live = np.arange(m)  # stack index of each row of ``a``
+    target = np.array([_JACOBI_TOL * math.sqrt(float(np.sum(mat * mat))) for mat in a])
+    max_sweeps = _JACOBI_MAX_SWEEPS
+    for sweep in range(max_sweeps + 1):
+        off = np.array([_off_mass(mat) for mat in a])
+        done = off <= target
+        if done.any():
+            w = np.diagonal(a[done], axis1=1, axis2=2)
+            order = np.argsort(w, axis=1, kind="stable")
+            out[live[done]] = np.take_along_axis(w, order, axis=1)
+            keep = ~done
+            a, live, off, target = a[keep], live[keep], off[keep], target[keep]
+        if not len(live):
+            return out
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal mass {off[0]:.3e}, target {target[0]:.3e}, "
+                f"matrix {live[0]} of the stack)"
+            )
+        thresh = 0.2 * off / n if sweep < 3 else 0.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            _eigvals_sweep(a, n, thresh)
+
+
+def _eigvals_sweep(a, n, thresh):
+    """One cyclic sweep of :func:`eigvals` over the live stack ``a``, in place.
+
+    Per pivot the same scalar steps as :func:`sym_eig`, elementwise over
+    the matrices whose pivot passes its skip test.  ``tau >= 0`` and
+    ``tau < 0`` share ``1 / (|tau| + sqrt(1 + tau^2))``, negated for the
+    second: IEEE division is sign-symmetric, so that is the scalar
+    branch's value exactly.
+    """
+    for p in range(n - 1):
+        for qq in range(p + 1, n):
+            apq = a[:, p, qq]
+            rotate = (apq != 0.0) & ~(np.abs(apq) <= thresh)
+            if rotate.all():
+                sel = slice(None)  # a view: the pivot values are read before any write
+            else:
+                sel = np.flatnonzero(rotate)
+                if not len(sel):
+                    continue
+                apq = apq[sel]
+            app = a[sel, p, p]
+            aqq_d = a[sel, qq, qq]
+            tau = (aqq_d - app) / (2.0 * apq)
+            abs_tau = np.abs(tau)
+            t = 1.0 / (abs_tau + np.sqrt(1.0 + tau * tau))
+            t = np.where(tau >= 0.0, t, -t)
+            if not (abs_tau <= 1e150).all():
+                t = np.where(
+                    np.isfinite(tau),
+                    np.where(abs_tau > 1e150, 1.0 / (2.0 * tau), t),
+                    0.0,  # negligible pivot; the explicit zeroing removes it
+                )
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            new_pp = app - t * apq
+            new_qq = aqq_d + t * apq
+            c, s = c[:, None], s[:, None]
+            a_p = a[sel, p, :]
+            a_q = a[sel, qq, :]
+            row_p = c * a_p - s * a_q
+            row_q = s * a_p + c * a_q
+            a[sel, p, :] = row_p
+            a[sel, :, p] = row_p
+            a[sel, qq, :] = row_q
+            a[sel, :, qq] = row_q
+            a[sel, p, p] = new_pp
+            a[sel, qq, qq] = new_qq
+            a[sel, p, qq] = 0.0
+            a[sel, qq, p] = 0.0
 
 
 def is_spd_spectrum(eigenvalues):

@@ -66,9 +66,9 @@ class Manifold(ABC):
         """Geodesic distance (diagnostics only)."""
 
     def distance_from(self, y):
-        """Callable ``x -> distance(x, y)`` for many distances to a fixed
-        point; metrics with per-point precomputation override this."""
-        return lambda x: self.distance(x, y)
+        """Callable mapping a sequence of points ``xs`` to the list of
+        ``distance(x, y)``; metrics that batch the work override this."""
+        return lambda xs: [self.distance(x, y) for x in xs]
 
     def max_step(self, x, v):
         """Supremum of t such that exp(x, t v) is defined; inf when complete."""

@@ -45,6 +45,9 @@ _COLLINEAR_TOL = 1e-8
 # Rounding margin of the max_step screen, relative to ||L||_F.
 _SCREEN_MARGIN = 1e-10
 
+# Points per stacked eigensolve in distance_from's callable.
+_DISTANCE_CHUNK = 128
+
 
 class BWTangent:
     """Symmetric tangent matrix, optionally with its Lyapunov factor.
@@ -185,24 +188,30 @@ class BuresWasserstein(Manifold):
     def distance(self, x, y):
         """Bures distance sqrt(Tr X + Tr Y - 2 Tr (X^1/2 Y X^1/2)^1/2)."""
         linalg.require_spd(y)  # cheap positivity certificate for the second argument
-        return self.distance_from(x)(y)
+        return self.distance_from(x)([y])[0]
 
     def distance_from(self, y):
-        # Precomputing the fixed point's square root halves the cost of
-        # repeated distance evaluations (one eigensolve per call, not two).
+        # The fixed point's square root is computed once; the points'
+        # products go to the stacked eigensolver _DISTANCE_CHUNK at a time,
+        # which bounds the extra memory and moves no bit.
         sqrt_y = linalg.spd_sqrt(y)
         trace_y = float(np.trace(y))
 
-        def dist(x):
-            if x is y or np.array_equal(x, y):
-                return 0.0  # the closed form cancels to sqrt(eps) noise here
-            lam = linalg.sym_eig(linalg.symmetrize(sqrt_y @ x @ sqrt_y)).eigenvalues
-            d2 = trace_y + float(np.trace(x)) - 2.0 * float(
-                np.sum(np.sqrt(np.maximum(lam, 0.0)))
-            )
-            return math.sqrt(max(d2, 0.0))
+        def distances(xs):
+            out = [0.0] * len(xs)  # the closed form cancels to sqrt(eps) noise at y itself
+            todo = [i for i, x in enumerate(xs) if not (x is y or np.array_equal(x, y))]
+            for start in range(0, len(todo), _DISTANCE_CHUNK):
+                chunk = todo[start : start + _DISTANCE_CHUNK]
+                stack = np.empty((len(chunk),) + sqrt_y.shape)
+                for row, i in zip(stack, chunk):
+                    row[...] = linalg.symmetrize(sqrt_y @ xs[i] @ sqrt_y)
+                for i, lam in zip(chunk, linalg.eigvals(stack)):
+                    root_sum = float(np.sum(np.sqrt(np.maximum(lam, 0.0))))
+                    d2 = trace_y + float(np.trace(xs[i])) - 2.0 * root_sum
+                    out[i] = math.sqrt(max(d2, 0.0))
+            return out
 
-        return dist
+        return distances
 
     def grad_diff_norm_sq(self, x, g_new, transported, prev_norm_sq):
         # Isometry-based expansion: ||g - P||^2 = ||g||^2 - 2 <g, P> + ||g_prev||^2.

@@ -12,6 +12,11 @@ Every method runs through one driver, :func:`_drive`.  At each iterate
    ``x_{k+1} = exp(x_k, -alpha_k g_k)``;
 4. records one :class:`TraceRow` and stops, or moves to ``x_{k+1}``.
 
+After the loop, however the run ended, :func:`_drive` fills the rows'
+distance to the optimum (when known and tracked) with one
+``manifold.distance_from`` call over the recorded iterates; the column is
+a diagnostic and never feeds a step.
+
 The step rules:
 
 * :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`): one
@@ -73,10 +78,10 @@ _DIVERGENCE_STREAK = 50
 class RunConfig:
     """Knobs shared by all runs; Armijo fields are ignored elsewhere.
 
-    ``max_iters`` is an integer (a numpy integer will do, a bool will not),
-    ``first_ls`` and ``track_distance`` are bools, and the other fields
-    are real numbers.  A wrong-typed ``max_iters``, ``first_ls`` or
-    ``track_distance``, or a value out of range, raises ``ValueError``.
+    ``max_iters`` is an integer and the float fields are real numbers
+    (numpy scalars will do, a bool will not); ``first_ls`` and
+    ``track_distance`` are bools.  A wrong-typed field or a value out of
+    range raises ``ValueError``.
     The step-domain clamp is not a knob: every run clamps.
     """
 
@@ -88,12 +93,16 @@ class RunConfig:
     armijo_beta: float = 0.5
     armijo_lambda: float = 1.0
     # Record distance-to-optimum per iterate when the optimum is known;
-    # turn off to skip the per-row distance computation on large runs.
+    # turn off to skip the distance column on large runs.
     track_distance: bool = True
 
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        for name in ("tol", "alpha0", "armijo_c", "armijo_beta", "armijo_lambda"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("first_ls", "track_distance"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -148,18 +157,14 @@ class _Meter:
     """Cumulative work counters plus per-run context for one run; its
     evaluations run under :func:`_drive`'s ``np.errstate``."""
 
-    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "dist_fn")
+    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem")
 
-    def __init__(self, manifold, problem, track_distance):
+    def __init__(self, manifold, problem):
         self.fn_evals = 0
         self.exp_evals = 0
         self.expensive = 0
         self.manifold = manifold
         self.problem = problem
-        if track_distance and problem.optimum_point is not None:
-            self.dist_fn = manifold.distance_from(problem.optimum_point)
-        else:
-            self.dist_fn = None
 
     def value(self, x):
         self.fn_evals += 1
@@ -230,20 +235,24 @@ def _drive(config, manifold, problem, make_rule):
     ``rule(k, x, phi, grad, grad_norm, stop)`` and returns a
     :class:`_Step`; ``stop`` is the status the run ends with at this row,
     or None.  The driver owns the work meter, the evaluations at each
-    iterate, the finiteness check, the distance column, the rows, the
-    stopping rules and the mapping of numerical failures (non-finite
-    values, domain errors, rule aborts) to status ``aborted``, which keeps
-    the rows recorded so far.  The whole run ignores floating-point
-    overflow, invalid and divide warnings: a non-finite value reaches the
+    iterate, the finiteness check, the rows, the stopping rules and the
+    mapping of numerical failures (non-finite values, domain errors, rule
+    aborts) to status ``aborted``, which keeps the rows recorded so far.
+    Once the run has stopped, however it stopped, it fills the rows'
+    ``dist_to_opt`` in one ``manifold.distance_from`` call when the
+    optimum is known and ``config.track_distance`` is set; the column
+    never feeds a step.  The whole run ignores floating-point overflow,
+    invalid and divide warnings: a non-finite value reaches the
     finiteness check, which aborts the run with a diagnostic.
     """
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        meter = _Meter(manifold, problem, config.track_distance)
+        meter = _Meter(manifold, problem)
         rule = make_rule(config, manifold, meter)
         rows = []
         points = [problem.x0]
         x, phi, grad = problem.x0, None, None
+        message = ""
         try:
             for k in itertools.count():
                 if phi is None:
@@ -274,18 +283,23 @@ def _drive(config, manifold, problem, make_rule):
                         fn_evals=meter.fn_evals,
                         exp_evals=meter.exp_evals,
                         expensive_ops=meter.expensive,
-                        dist_to_opt=None if meter.dist_fn is None else meter.dist_fn(x),
+                        dist_to_opt=None,
                         clamped=step.clamped,
                     )
                 )
                 if step.abort:
                     raise _AbortRun(step.abort)
                 if stop is not None:
-                    return Trace(rows, points, stop)
+                    break
                 x, phi, grad = step.x_next, step.phi_next, step.grad_next
                 points.append(x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
-            return Trace(rows, points, STATUS_ABORTED, str(exc))
+            stop, message = STATUS_ABORTED, str(exc)
+        if config.track_distance and problem.optimum_point is not None:
+            dists = manifold.distance_from(problem.optimum_point)(points[: len(rows)])
+            for row, dist in zip(rows, dists):
+                row.dist_to_opt = dist
+    return Trace(rows, points, stop, message)
 
 
 def _adaptive_rule(config, manifold, meter, pinned=None):
@@ -405,10 +419,10 @@ def _armijo_rule(config, manifold, meter):
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial's objective and exponential evaluation is metered, and the
-    accepted trial's objective is carried to the next iterate.  More than
-    60 rejections abort the run before the row is recorded, with the last
-    trial's objective in the message.  Rows where the run stops report
-    ``alpha = theta = 0``.
+    accepted trial's objective is carried to the next iterate.  A
+    non-finite trial objective, or more than 60 rejections, aborts the run
+    before the row is recorded, with that trial's objective in the
+    message.  Rows where the run stops report ``alpha = theta = 0``.
     """
     eta_prev = None
 
@@ -423,6 +437,11 @@ def _armijo_rule(config, manifold, meter):
         for _ in range(_MAX_BACKTRACKS + 1):
             x_trial, exp_clamped = meter.exp(x, eta * neg_grad)
             phi_trial = meter.value(x_trial)
+            if not math.isfinite(phi_trial):
+                raise _AbortRun(
+                    f"non-finite trial objective ({phi_trial}) in Armijo backtracking "
+                    f"at iteration {k}"
+                )
             if phi_trial <= phi - eta * target_slope:
                 theta = 0.0 if not eta_prev else eta / eta_prev
                 eta_prev = eta

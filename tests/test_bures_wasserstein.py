@@ -329,9 +329,10 @@ class TestDistance:
 
     def test_distance_from_matches(self, bw):
         rng = np.random.default_rng(16)
-        x = random_spd(rng, 5)
         y = random_spd(rng, 5)
-        assert bw.distance_from(y)(x) == bw.distance(y, x)
+        xs = [random_spd(rng, 5), y.copy(), random_spd(rng, 5)]
+        assert bw.distance_from(y)(xs) == [bw.distance(y, x) for x in xs]
+        assert bw.distance_from(y)([]) == []
 
 
 class TestTangentArithmetic:

@@ -223,6 +223,64 @@ class TestOneSidedMatchesOracle:
                 linalg.sym_eig(m)
 
 
+def assert_stack_matches_sym_eig(mats):
+    w = linalg.eigvals(np.array(mats))
+    assert w.shape == np.shape(mats)[:2]
+    for row, m in zip(w, mats):
+        assert row.tobytes() == linalg.sym_eig(m).eigenvalues.tobytes()
+
+
+class TestStackedEigvals:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 20])
+    def test_oracle_inputs_stacked(self, n):
+        mats = [
+            _ORACLE_KINDS[kind](np.random.default_rng([n, i]), n)
+            for i, kind in enumerate(_ORACLE_KINDS)
+        ]
+        if n >= 2:  # the matrices retire in different sweeps
+            assert len({two_sided_jacobi(m)[2]["sweeps"] for m in mats}) > 1
+        assert_stack_matches_sym_eig(mats)
+
+    def test_tau_overflow_branches_in_one_stack(self):
+        mats = [_decoupled_pair(1e-155), random_sym(np.random.default_rng(22), 22),
+                _decoupled_pair(1e-310)]
+        w, _, info = two_sided_jacobi(mats[0])
+        # The huge-tau rotation leaves -t * apq = -2e-311 on the diagonal,
+        # so that branch shows in the eigenvalues.
+        assert info["huge_tau"] > 0 and -2e-311 in w
+        assert two_sided_jacobi(mats[2])[2]["nonfinite_tau"] > 0
+        assert_stack_matches_sym_eig(mats)
+
+    def test_sweep_cap_one_matrix_fails_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        mats = [np.diag(np.arange(6.0)), random_sym(np.random.default_rng(3), 6),
+                np.diag(np.arange(6.0)) + 1e-3 * random_sym(rng, 6),
+                random_sym(np.random.default_rng(0), 6)]
+        assert [two_sided_jacobi(m)[2]["sweeps"] for m in mats] == [0, 5, 4, 6]
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 6)
+        assert_stack_matches_sym_eig(mats)
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 5)
+        with pytest.raises(ConvergenceError, match="in 5 sweeps .* matrix 3 of the stack"):
+            linalg.eigvals(np.array(mats))
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 4), (1, 0), (1, 1), (1, 5), (3, 0), (3, 1)])
+    def test_small_shapes(self, m, n):
+        rng = np.random.default_rng([m, n])
+        mats = [random_sym(rng, n) for _ in range(m)]
+        if m:
+            assert_stack_matches_sym_eig(mats)
+        else:
+            assert linalg.eigvals(np.zeros((0, n, n))).shape == (0, n)
+
+    @pytest.mark.parametrize(
+        "stack", [np.eye(3), np.zeros((2, 3, 4)), np.array([[[1.0, 2.0], [0.5, 1.0]]])],
+        ids=["2d", "not-square", "asymmetric"],
+    )
+    def test_rejects_bad_stacks(self, stack):
+        with pytest.raises(ValueError):
+            linalg.eigvals(stack)
+
+
 class TestNonFiniteInput:
     # Without the check, Jacobi returns wrong eigenvalues for inf entries
     # and spins through every sweep on NaN ones.
@@ -234,8 +292,9 @@ class TestNonFiniteInput:
             lambda m: linalg.solve_lyapunov(m, np.eye(3)),
             lambda m: linalg.solve_lyapunov(np.eye(3), m),
             linalg.spd_sqrt,
+            lambda m: linalg.eigvals([np.eye(3), m]),
         ],
-        ids=["sym_eig", "solve_lyapunov-pencil", "solve_lyapunov-rhs", "spd_sqrt"],
+        ids=["sym_eig", "solve_lyapunov-pencil", "solve_lyapunov-rhs", "spd_sqrt", "eigvals"],
     )
     def test_rejected(self, kernel, bad):
         m = np.eye(3)

@@ -147,8 +147,7 @@ class TestDistanceAxioms:
         for p in pts:
             assert m.distance(p, p) == 0.0
             assert m.distance(p, p.copy()) == 0.0
-            assert m.distance_from(p)(p) == 0.0
-            assert m.distance_from(p)(p.copy()) == 0.0
+            assert m.distance_from(p)([p, p.copy()]) == [0.0, 0.0]
         for p, q in zip(pts[::2], pts[1::2]):
             assert abs(m.distance(p, q) - m.distance(q, p)) <= 1e-10
             assert m.distance(p, q) >= 0.0

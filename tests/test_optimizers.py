@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adgd import diagnostics, optimizers, problems
-from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere, bures_wasserstein
 from adgd.optimizers import (
     STATUS_ABORTED,
     STATUS_CONVERGED,
@@ -306,6 +306,14 @@ class TestConfigValidation:
             {"first_ls": 1},
             {"track_distance": "false"},
             {"track_distance": 0},
+            {"tol": True},
+            {"tol": None},
+            {"alpha0": "1"},
+            {"alpha0": True},
+            {"armijo_c": None},
+            {"armijo_beta": "0.5"},
+            {"armijo_lambda": False},
+            {"armijo_lambda": [2.0]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -314,6 +322,17 @@ class TestConfigValidation:
 
     def test_accepts_numpy_integer_max_iters(self):
         assert RunConfig(max_iters=np.int64(5)).max_iters == 5
+
+    def test_accepts_numpy_floats(self):
+        fields = {
+            "tol": np.float64(1e-8),
+            "alpha0": np.float32(0.5),
+            "armijo_c": np.float64(1e-3),
+            "armijo_beta": np.float64(0.25),
+            "armijo_lambda": np.int64(2),
+        }
+        config = RunConfig(**fields)
+        assert {name: getattr(config, name) for name in fields} == fields
 
     @pytest.mark.parametrize("field", ["alpha0", "armijo_lambda"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -352,15 +371,15 @@ def _overflow_at_fourth_grad(problem):
 
 
 def _nan_from_fifth_value(problem):
-    """``problem`` whose objective is NaN from its fifth evaluation on."""
-    calls = 0
+    """``problem`` whose objective is NaN from its fifth evaluation on, and
+    a one-item list that counts its evaluations."""
+    calls = [0]
 
     def value(x):
-        nonlocal calls
-        calls += 1
-        return math.nan if calls >= 5 else problem.value(x)
+        calls[0] += 1
+        return math.nan if calls[0] >= 5 else problem.value(x)
 
-    return dataclasses.replace(problem, value=value)
+    return dataclasses.replace(problem, value=value), calls
 
 
 @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
@@ -395,13 +414,57 @@ class TestDriverEdges:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_objective_aborts_keeping_earlier_rows(self, name, method):
         clean = self._run(name, method, max_iters=10, tol=0.0, alpha0=0.01)
-        problem = _nan_from_fifth_value(_EDGE_PROBLEMS[name][1]())
+        problem, calls = _nan_from_fifth_value(_EDGE_PROBLEMS[name][1]())
         tr = self._run(name, method, problem, max_iters=10, tol=0.0, alpha0=0.01)
         assert tr.status == STATUS_ABORTED
         assert "nan" in tr.message
-        # Armijo's NaN trials fail at iteration 3; the others stop at x_4.
+        # Armijo's first NaN trial ends iteration 3; the others stop at x_4.
+        # Either way the fifth evaluation, the first NaN, is the last.
         assert len(tr.rows) == (3 if method == "armijo" else 4)
+        assert calls == [5]
         assert tr.rows == clean.rows[: len(tr.rows)]
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_PROBLEMS))
+class TestDistanceColumn:
+    """``_drive`` fills ``dist_to_opt`` after the loop, on every exit path."""
+
+    @pytest.mark.parametrize(
+        "max_iters, tol, nan, status",
+        [
+            (1000, 1e-6, False, STATUS_CONVERGED),
+            (7, 0.0, False, STATUS_MAX_ITERS),
+            (10, 0.0, True, STATUS_ABORTED),
+        ],
+        ids=["converged", "max-iters", "aborted"],
+    )
+    def test_filled_row_by_row(self, name, max_iters, tol, nan, status):
+        manifold_cls, build = _EDGE_PROBLEMS[name]
+        problem = _nan_from_fifth_value(build())[0] if nan else build()
+        manifold = manifold_cls()
+        tr = adgd_run(RunConfig(max_iters=max_iters, tol=tol, alpha0=0.01), manifold, problem)
+        assert tr.status == status
+        assert len(tr.rows) > 1
+        expected = [manifold.distance(problem.optimum_point, x) for x in tr.points[: len(tr.rows)]]
+        assert tr.column("dist_to_opt").tolist() == expected
+
+    def test_none_without_optimum_or_tracking(self, name):
+        manifold_cls, build = _EDGE_PROBLEMS[name]
+        unknown = dataclasses.replace(build(), optimum_point=None)
+        for problem, track in [(unknown, True), (build(), False)]:
+            config = RunConfig(max_iters=5, tol=0.0, alpha0=0.01, track_distance=track)
+            tr = adgd_run(config, manifold_cls(), problem)
+            assert [r.dist_to_opt for r in tr.rows] == [None] * 6
+
+
+def test_distance_chunk_size_moves_no_bit(monkeypatch):
+    problem = problems.lyapunov_objective(5, 3)
+    config = RunConfig(max_iters=10, tol=0.0, alpha0=0.1)
+    columns = []
+    for chunk in (1, 3, bures_wasserstein._DISTANCE_CHUNK):
+        monkeypatch.setattr(bures_wasserstein, "_DISTANCE_CHUNK", chunk)
+        columns.append(adgd_run(config, BuresWasserstein(), problem).column("dist_to_opt").tobytes())
+    assert columns[0] == columns[1] == columns[2]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
