@@ -9,6 +9,15 @@ Lyapunov solve, SPD square root); four benchmark objectives; and a CSV
 benchmark harness (``adgd-bench``).
 """
 
+import os
+
+# BLAS at one thread, set before numpy loads: threaded matrix products move
+# low bits (at n >= 81 with OpenBLAS), and identical invocations should
+# write identical bytes.  A thread count already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from . import diagnostics, linalg, problems, trace_io
 from .errors import ConvergenceError, DomainError
 from .manifolds import BuresWasserstein, BWTangent, Manifold, PositiveOrthant, Sphere

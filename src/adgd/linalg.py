@@ -19,6 +19,7 @@ are never mutated.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,27 +53,13 @@ _EPS = float(np.finfo(float).eps)
 _MIN_SPD_SHIFT = float(np.finfo(float).tiny) / _EPS
 
 
-class EigenDecomposition:
-    """Spectral factorization M = Q diag(w) Q^T of a symmetric matrix.
+class EigenDecomposition(NamedTuple):
+    """Spectral factorization M = Q diag(w) Q^T of a symmetric matrix:
+    ``eigenvalues`` ascending, and column ``i`` of the orthogonal ``basis``
+    the eigenvector for ``eigenvalues[i]``."""
 
-    Attributes
-    ----------
-    eigenvalues : ndarray, shape (n,)
-        Eigenvalues sorted ascending.
-    basis : ndarray, shape (n, n)
-        Orthogonal matrix; column ``i`` is the eigenvector for
-        ``eigenvalues[i]``.
-    """
-
-    __slots__ = ("eigenvalues", "basis")
-
-    def __init__(self, eigenvalues, basis):
-        self.eigenvalues = eigenvalues
-        self.basis = basis
-
-    def reconstruct(self):
-        """Return Q diag(w) Q^T."""
-        return (self.basis * self.eigenvalues) @ self.basis.T
+    eigenvalues: np.ndarray
+    basis: np.ndarray
 
 
 def symmetrize(m):

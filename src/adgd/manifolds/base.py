@@ -10,10 +10,9 @@ instance can serve any number of concurrent runs.
 
 Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein,
 where a gradient also carries its Lyapunov factor and the base point it
-was computed at, and using that factor at another point raises.  Either
-way they support ``-``, ``+`` and scalar ``*``; the optimizers use scalar
-``*`` only, and only the default :meth:`Manifold.grad_diff_norm_sq`
-subtracts tangents.
+was computed at, and using that factor at another point raises.  The
+optimizers only scale tangents by a scalar, and only the default
+:meth:`Manifold.grad_diff_norm_sq` subtracts them.
 """
 
 from __future__ import annotations

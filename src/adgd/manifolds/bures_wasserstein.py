@@ -21,11 +21,11 @@ Closed forms used throughout (L below is the Lyapunov factor of V at X):
   ``P(W) = W + (2 / c) L X L``
 
 Riemannian gradients carry their Lyapunov factor together with ``base``,
-the point it was computed at, and scaling and negation keep both, so the
-descent loops never trigger a Lyapunov solve.  Asking for that factor at
-any other point raises ``ValueError``.  A sum or difference of tangents
-carries no factor; a tangent without one has it solved, and stored
-nowhere, by each operation that needs it.
+the point it was computed at, and scaling keeps both, so the descent
+loops never trigger a Lyapunov solve.  Asking for that factor at any
+other point raises ``ValueError``.  A difference of tangents carries no
+factor; a tangent without one has it solved, and stored nowhere, by each
+operation that needs it.
 """
 
 from __future__ import annotations
@@ -70,19 +70,10 @@ class BWTangent:
         self.factor = factor
         self.base = base
 
-    def __neg__(self):
-        return self * -1.0
-
-    def _combine(self, other, op):
+    def __sub__(self, other):
         if not isinstance(other, BWTangent):
             return NotImplemented
-        return BWTangent(op(self.mat, other.mat))
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
+        return BWTangent(self.mat - other.mat)
 
     def __mul__(self, s):
         if not isinstance(s, Real):
@@ -158,9 +149,7 @@ class BuresWasserstein(Manifold):
         return BWTangent(w.mat + (2.0 / c) * (fac @ x @ fac))
 
     def inner(self, x, u, v):
-        # Solve for a factor only when neither tangent carries one.
-        if u.factor is None and v.factor is not None:
-            u, v = v, u
+        # Callers pass a factor-carrying tangent (a gradient) first.
         return 0.5 * float(np.sum(u.factor_at(x) * v.mat))
 
     def max_step(self, x, v):

@@ -344,16 +344,15 @@ class TestTangentArithmetic:
         assert np.allclose(scaled.mat, -0.5 * g.mat)
         assert np.allclose(scaled.factor, -0.5 * g.factor)
         assert scaled.base is x
-        assert (-g).base is x
 
-    def test_sum_and_difference_carry_no_factor(self, bw):
+    def test_difference_carries_no_factor(self, bw):
         rng = np.random.default_rng(18)
         x = random_spd(rng, 4)
         g1 = bw.egrad_to_rgrad(x, random_sym(rng, 4))
         g2 = bw.egrad_to_rgrad(x, random_sym(rng, 4))
-        for combined, mat in ((g1 + g2, g1.mat + g2.mat), (g1 - g2, g1.mat - g2.mat)):
-            assert np.array_equal(combined.mat, mat)
-            assert combined.factor is None and combined.base is None
+        diff = g1 - g2
+        assert np.array_equal(diff.mat, g1.mat - g2.mat)
+        assert diff.factor is None and diff.base is None
 
 
 class TestBasePoint:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from adgd import trace_io
 from adgd.cli import EXPERIMENTS, main
+from adgd.optimizers import Trace
 
 HEADER = "k,phi,grad_norm,alpha,theta,ell,fn_evals,exp_evals,expensive_ops,dist_to_opt,clamped"
 
@@ -115,6 +118,15 @@ class TestRun:
                        "--max-iters", "15", "--first-ls", "--out", str(b)) == 0
         assert read_bytes(a) == read_bytes(b)
 
+    def test_config_file_skips_blank_and_comment_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\nexperiment = rayleigh\n   \nn = 4\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("run", "--config", str(cfg), "--max-iters", "5", "--out", str(a)) == 0
+        assert run_cli("run", "--experiment", "rayleigh", "--n", "4", "--max-iters", "5",
+                       "--out", str(b)) == 0
+        assert read_bytes(a) == read_bytes(b)
+
     def test_explicit_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\n")
@@ -155,6 +167,20 @@ class TestUsageErrors:
 
     def test_missing_out(self):
         assert run_cli("run", "--experiment", "rayleigh") == 2
+
+    def test_missing_experiment(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("run", "--out", str(out)) == 2
+        assert "--experiment is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = rayleigh\nfirst-ls\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}:2: expected key=value, got 'first-ls'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_needs_two_traces(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -285,6 +311,29 @@ class TestCompare:
         assert run_cli("compare", str(a), str(b)) == 0
         assert "fixed" in capsys.readouterr().out
 
+    def test_empty_trace_rejected(self, tmp_path, capsys):
+        a, b = self._two_traces(tmp_path)
+        b.write_text("".join(b.read_text().splitlines(keepends=True)[:2]))
+        assert run_cli("compare", str(a), str(b)) == 2
+        assert f"{b}: empty trace" in capsys.readouterr().err
+
+    def test_unknown_optimum_measures_gap_from_best_phi(self, tmp_path, capsys):
+        # Without phi_star in the metadata the gap is taken from the lowest
+        # phi over all traces, so the better trace's final gap is zero.
+        a, b = self._two_traces(tmp_path)
+        finals = []
+        for path in (a, b):
+            text = path.read_text()
+            path.write_text(re.sub(r" phi_star=\S+ ", " phi_star=- ", text, count=1))
+            meta, rows, _ = trace_io.read_trace(path)
+            assert meta["phi_star"] is None
+            finals.append(rows[-1]["phi"])
+        assert run_cli("compare", str(a), str(b)) == 0
+        gaps = [float(line.split()[3]) for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(gaps) == 2
+        assert min(gaps) == 0.0
+        assert max(gaps) == pytest.approx(abs(finals[0] - finals[1]), rel=1e-6)
+
     def test_trace_without_a_step_prints_nan_step_statistics(self, tmp_path, capsys):
         a, b = tmp_path / "adgd.csv", tmp_path / "armijo.csv"
         base = ("--experiment", "rayleigh", "--n", "4", "--seed", "0", "--max-iters", "0")
@@ -300,16 +349,19 @@ class TestMalformedTrace:
     """``read_trace`` rejects a file that breaks the format contract with a
     ``ValueError`` naming it, and ``compare`` exits 2."""
 
-    def _check(self, tmp_path, capsys, text):
+    def _check(self, tmp_path, capsys, text, fragment=""):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         assert run_cli("run", "--experiment", "rayleigh", "--n", "4", "--seed", "0",
                        "--max-iters", "5", "--out", str(good)) == 0
         bad.write_text(text(good.read_text()))
-        with pytest.raises(ValueError, match=str(bad)):
+        with pytest.raises(ValueError, match=re.escape(f"{bad}{fragment}")):
             trace_io.read_trace(bad)
         capsys.readouterr()
         assert run_cli("compare", str(good), str(bad)) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_missing_metadata_line(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: text.split("\n", 1)[1], ": missing metadata line")
 
     def test_metadata_line_only(self, tmp_path, capsys):
         self._check(tmp_path, capsys, lambda text: text.splitlines(keepends=True)[0])
@@ -320,8 +372,14 @@ class TestMalformedTrace:
     def test_truncated_last_row(self, tmp_path, capsys):
         self._check(tmp_path, capsys, lambda text: text.rstrip("\n").rsplit(",", 3)[0] + "\n")
 
+    def test_wrong_field_count(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: text.replace("\n2,", "\n2,abc,", 1),
+                    ":5: 12 fields where the header has 11")
+
     def test_non_numeric_field(self, tmp_path, capsys):
-        self._check(tmp_path, capsys, lambda text: text.replace("\n2,", "\n2,abc,", 1))
+        # Row k = 2 is line 5; its phi field becomes a word.
+        self._check(tmp_path, capsys, lambda text: re.sub(r"\n2,[^,]*,", "\n2,abc,", text, count=1),
+                    ":5: could not convert string to float: 'abc'")
 
 
 class TestTraceIO:
@@ -337,6 +395,11 @@ class TestTraceIO:
         assert rows[0]["dist_to_opt"] is not None
         k_values = [r["k"] for r in rows]
         assert k_values == list(range(len(rows)))
+
+    def test_deviation_count_must_match_rows(self):
+        trace = Trace(rows=[], points=[], status="converged")
+        with pytest.raises(ValueError, match="one deviation value per trace row"):
+            trace_io.render_trace(trace, {}, deviations=[0.0])
 
     def test_float_rendering_is_lossless(self):
         values = [0.1, 1.0 / 3.0, 1e-300, 123456.789e12, np.pi]

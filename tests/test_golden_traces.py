@@ -77,6 +77,37 @@ def test_trace_independent_of_blas_threads(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+
+# Seeded 100x100 product: with OpenBLAS threaded, its low bits depend on
+# the thread count, so its hash shows whether BLAS ran at one thread.
+PRODUCT = (
+    "import hashlib, numpy as np; rng = np.random.default_rng(0); "
+    "a = rng.standard_normal((100, 100)); b = rng.standard_normal((100, 100)); "
+    "print(hashlib.sha256((a @ b.T).tobytes()).hexdigest())"
+)
+
+
+def fresh_python(code, **blas):
+    """Run code in a new interpreter with only the given BLAS variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.update(blas)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_pins_blas_to_one_thread():
+    pinned = fresh_python(PRODUCT, OPENBLAS_NUM_THREADS="1")
+    assert fresh_python("import adgd; " + PRODUCT) == pinned
+
+
+def test_explicit_blas_thread_count_wins():
+    code = "import os, adgd; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2 1"
+
+
 def test_golden_directory_holds_exactly_the_cases():
     # A stale or unrecorded golden would otherwise go unchecked.
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(f"{c}.csv" for c in CASES)

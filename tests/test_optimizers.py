@@ -150,6 +150,19 @@ class TestFirstIterationLineSearch:
         assert tr.rows[0].alpha == pytest.approx(0.001 * 2**10)
         assert tr.rows[0].exp_evals == 11
 
+    def test_doubling_stops_at_the_cap(self):
+        # A linear objective's gradient never changes, so the ratio stays
+        # infinite and the search takes the trial after 60 doublings.
+        c = np.array([1.0, -2.0])
+        tr = euclidean_adgd_run(
+            RunConfig(max_iters=1, tol=0.0, alpha0=0.001, first_ls=True),
+            lambda y: float(c @ y),
+            lambda y: c.copy(),
+            np.zeros(2),
+        )
+        assert tr.rows[0].alpha == 0.001 * 2**60
+        assert tr.rows[0].exp_evals == 61
+
     def test_disabled_by_default(self):
         f, g = quadratic()
         tr = euclidean_adgd_run(RunConfig(max_iters=3, tol=0.0, alpha0=0.001), f, g, np.array([1.0]))
