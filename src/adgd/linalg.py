@@ -2,7 +2,8 @@
 
 Every value these kernels return is computed from scratch on top of plain
 ``numpy`` arrays: a cyclic Jacobi eigensolver with one-sided rotation
-updates (``tests/test_linalg.py`` holds the two-sided loop as its bitwise
+updates on one ``[A | Q^T]`` row buffer and a Python mirror of the
+diagonal (``tests/test_linalg.py`` holds the two-sided loop as its bitwise
 oracle), a Lyapunov solver working in the eigenbasis, an SPD matrix square
 root and a Cholesky factorization.  One kernel per job: :func:`sym_eig`
 decomposes one matrix, and :func:`eigvals` gives the eigenvalues of a
@@ -94,10 +95,15 @@ def sym_eig(m):
     off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.  The input
     is symmetrized exactly and every rotation keeps the working matrix
     bitwise symmetric, so a rotation's column update equals its row update
-    transposed.  Each rotation therefore computes the new rows p and q once,
-    writes each into its row and its column, and sets the four pivot
-    entries analytically.  ``tests/test_linalg.py`` keeps the two-sided
-    loop as the oracle this kernel matches byte for byte.  More than
+    transposed.  The working matrix A and the transposed basis Q^T share
+    one ``(n, 2n)`` buffer ``[A | Q^T]``: row p holds row p of A followed
+    by column p of Q.  Each rotation therefore computes the new rows p and
+    q once over the full width, writes them back, copies their first n
+    entries into A's columns p and q, and sets the four pivot entries
+    analytically.  A Python list mirrors A's diagonal, which only those
+    pivot writes change, so ``app`` and ``aqq`` are read from it without a
+    numpy call.  ``tests/test_linalg.py`` keeps the two-sided loop as the
+    oracle this kernel matches byte for byte.  More than
     ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call time) raise
     ConvergenceError rather than return a silently inaccurate factorization.
 
@@ -114,15 +120,20 @@ def sym_eig(m):
     a = check_symmetric(m, "sym_eig input")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-    q = np.eye(n)
     target = _JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
+    w = np.empty((n, 2 * n))
+    w[:, :n] = a
+    w[:, n:] = np.eye(n)
+    a = w[:, :n]
+    rows = list(w)
+    diag = a.diagonal().tolist()
     max_sweeps = _JACOBI_MAX_SWEEPS
     for sweep in range(max_sweeps + 1):
         off = _off_mass(a)
         if off <= target:
-            w = np.diag(a)
-            order = np.argsort(w, kind="stable")
-            return EigenDecomposition(w[order], q[:, order])
+            ev = np.diag(a)
+            order = np.argsort(ev, kind="stable")
+            return EigenDecomposition(ev[order], w[:, n:].T[:, order])
         if sweep == max_sweeps:
             raise ConvergenceError(
                 f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
@@ -132,12 +143,13 @@ def sym_eig(m):
         # remaining off-diagonal mass, late sweeps rotate everything.
         thresh = 0.2 * off / n if sweep < 3 else 0.0
         for p in range(n - 1):
+            w_p = rows[p]
             for qq in range(p + 1, n):
-                apq = float(a[p, qq])
+                apq = w_p.item(qq)
                 if apq == 0.0 or abs(apq) <= thresh:
                     continue
-                app = float(a[p, p])
-                aqq_d = float(a[qq, qq])
+                app = diag[p]
+                aqq_d = diag[qq]
                 tau = (aqq_d - app) / (2.0 * apq)
                 if not math.isfinite(tau):
                     t = 0.0  # negligible pivot; the explicit zeroing removes it
@@ -150,20 +162,18 @@ def sym_eig(m):
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
 
-                row_p = c * a[p, :] - s * a[qq, :]
-                row_q = s * a[p, :] + c * a[qq, :]
-                a[p, :] = a[:, p] = row_p
-                a[qq, :] = a[:, qq] = row_q
+                w_q = rows[qq]
+                row_p = c * w_p - s * w_q
+                row_q = s * w_p + c * w_q
+                w_p[:] = row_p
+                w_q[:] = row_q
+                a[:, p] = row_p[:n]
+                a[:, qq] = row_q[:n]
                 # Analytic updates keep the pivot entries exactly consistent.
-                a[p, p] = app - t * apq
-                a[qq, qq] = aqq_d + t * apq
-                a[p, qq] = 0.0
-                a[qq, p] = 0.0
-
-                qcol_p = c * q[:, p] - s * q[:, qq]
-                qcol_q = s * q[:, p] + c * q[:, qq]
-                q[:, p] = qcol_p
-                q[:, qq] = qcol_q
+                diag[p] = w_p[p] = app - t * apq
+                diag[qq] = w_q[qq] = aqq_d + t * apq
+                w_p[qq] = 0.0
+                w_q[p] = 0.0
 
 
 def _off_mass(a):
@@ -186,7 +196,7 @@ def eigvals(stack):
     matrix retires once it converges; the sweeps go on for the rest.
     Python overhead is paid per pivot rather than per matrix, so a stack
     is much faster than a loop of ``sym_eig`` calls, while a single
-    matrix is 2.5-3.5x slower.  If any matrix still exceeds its target
+    matrix is 4-5x slower.  If any matrix still exceeds its target
     after ``_JACOBI_MAX_SWEEPS`` sweeps the whole call raises
     ConvergenceError.
 

@@ -88,10 +88,10 @@ def two_sided_jacobi(m, max_sweeps=100):
     columns p and q from the updated matrix.
 
     Returns ``(eigenvalues, basis, info)``; ``info`` holds the number of
-    sweeps run before the convergence check passed and how often each
-    ``tau`` overflow branch was taken.
+    sweeps run before the convergence check passed, how often each
+    ``tau`` overflow branch was taken and how often ``tau`` was ``-0.0``.
     """
-    info = {"sweeps": 0, "nonfinite_tau": 0, "huge_tau": 0}
+    info = {"sweeps": 0, "nonfinite_tau": 0, "huge_tau": 0, "negzero_tau": 0}
     a = linalg.check_symmetric(m, "oracle input").copy()
     a = 0.5 * (a + a.T)
     n = a.shape[0]
@@ -129,6 +129,7 @@ def two_sided_jacobi(m, max_sweeps=100):
                     info["huge_tau"] += 1
                     t = 1.0 / (2.0 * tau)
                 elif tau >= 0.0:
+                    info["negzero_tau"] += math.copysign(1.0, tau) < 0.0
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
@@ -165,6 +166,26 @@ def _with_spectrum(rng, w):
     return (q * w) @ q.T
 
 
+def _signed_zero_diagonal(rng, n):
+    """A random coupled matrix with every third row and column zeroed but
+    for its diagonal entry, which is -0.0 (+0.0 at every sixth index):
+    the rotations run beside entries that must keep their sign."""
+    m = random_sym(rng, n)
+    free = np.flatnonzero(np.arange(n) % 3 == 2)
+    m[free, :] = 0.0
+    m[:, free] = 0.0
+    m[free, free] = np.where(free % 6 == 5, 0.0, -0.0)
+    return m
+
+
+def _equal_diagonal(rng, n):
+    """Equal diagonal entries and negative couplings: the first rotation
+    of the first sweep has ``tau = 0.0 / (2 apq) = -0.0``."""
+    m = -np.abs(random_sym(rng, n))
+    np.fill_diagonal(m, 1.5)
+    return m
+
+
 _ORACLE_KINDS = {
     "random": lambda rng, n: random_sym(rng, n),
     "scale1e+150": lambda rng, n: random_sym(rng, n, 1e150),
@@ -173,6 +194,8 @@ _ORACLE_KINDS = {
     "repeated": lambda rng, n: _with_spectrum(rng, (np.arange(n) // 3).astype(float) - 1.0),
     "zero": lambda rng, n: np.zeros((n, n)),
     "diagonal": lambda rng, n: np.diag(rng.standard_normal(n)),
+    "negzero": _signed_zero_diagonal,
+    "equal-diag": _equal_diagonal,
 }
 
 
@@ -212,6 +235,30 @@ class TestOneSidedMatchesOracle:
     def test_tau_overflow_branches(self, coupling, branch):
         info = assert_matches_oracle(_decoupled_pair(coupling))
         assert info[branch] > 0
+
+    @pytest.mark.parametrize("n", [3, 10, 20])
+    def test_signed_zero_diagonal_keeps_its_signs(self, n):
+        m = _ORACLE_KINDS["negzero"](np.random.default_rng(n), n)
+        zeros = np.diag(m)[np.diag(m) == 0.0]
+        assert np.signbit(zeros).any()
+        assert assert_matches_oracle(m)["sweeps"] > 0
+        w = linalg.sym_eig(m).eigenvalues
+        assert np.signbit(w[w == 0.0]).tolist() == np.signbit(zeros).tolist()
+
+    def test_negligible_rotation_keeps_negzero_pivot(self):
+        # A rotation with t = 0 writes app - 0.0 * apq back as the new
+        # diagonal entry: -0.0 only if app was read as -0.0.
+        m = _decoupled_pair(1e-310)
+        m[20, 20] = -0.0
+        w, _, info = two_sided_jacobi(m)
+        assert info["nonfinite_tau"] > 0
+        assert np.signbit(w[w == 0.0]).tolist() == [True]
+        assert_matches_oracle(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 20])
+    def test_equal_diagonal_takes_negzero_tau(self, n):
+        info = assert_matches_oracle(_ORACLE_KINDS["equal-diag"](np.random.default_rng(n), n))
+        assert info["negzero_tau"] > 0
 
     @pytest.mark.parametrize("n", [1, 2, 6, 12])
     def test_sweep_cap_boundary(self, monkeypatch, n):
@@ -285,6 +332,36 @@ class TestStackedEigvals:
     def test_rejects_bad_stacks(self, stack):
         with pytest.raises(ValueError):
             linalg.eigvals(stack)
+
+
+_PURE_KERNELS = {
+    "sym_eig": (linalg.sym_eig, lambda rng: [random_spd(rng, 6)]),
+    "eigvals": (linalg.eigvals, lambda rng: [np.array([random_spd(rng, 6) for _ in range(3)])]),
+    "solve_lyapunov": (linalg.solve_lyapunov, lambda rng: [random_spd(rng, 6), random_sym(rng, 6)]),
+    "spd_sqrt": (linalg.spd_sqrt, lambda rng: [random_spd(rng, 6)]),
+    "cholesky": (linalg.cholesky, lambda rng: [random_spd(rng, 6)]),
+    "require_spd": (linalg.require_spd, lambda rng: [random_spd(rng, 6)]),
+}
+
+
+class TestKernelsArePure:
+    @pytest.mark.parametrize("name", list(_PURE_KERNELS))
+    def test_inputs_untouched_and_outputs_owned(self, name):
+        kernel, make_inputs = _PURE_KERNELS[name]
+        inputs = make_inputs(np.random.default_rng(9))
+        for x in inputs:
+            assert x.dtype == np.float64 and x.flags.c_contiguous
+            # Validation hands the kernel the caller's own array, not a copy.
+            for mat in x if x.ndim == 3 else [x]:
+                assert linalg.check_symmetric(mat) is mat
+        before = [x.tobytes() for x in inputs]
+        result = kernel(*inputs)
+        outputs = [] if result is None else list(result) if isinstance(result, tuple) else [result]
+        assert [x.tobytes() for x in inputs] == before
+        for i, out in enumerate(outputs):
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, x) for x in inputs)
+            assert not any(np.shares_memory(out, other) for other in outputs[i + 1 :])
 
 
 class TestNonFiniteInput:
