@@ -48,10 +48,11 @@ _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Smallest shift require_spd trusts LAPACK with: far enough above the
 # underflow threshold that flushed or subnormal products cannot eat the
 # certified margin.
-_MIN_SPD_SHIFT = float(np.finfo(float).tiny) / _EPS
+_MIN_SPD_SHIFT = _TINY / _EPS
 
 
 class EigenDecomposition(NamedTuple):
@@ -105,7 +106,10 @@ def sym_eig(m):
     numpy call.  ``tests/test_linalg.py`` keeps the two-sided loop as the
     oracle this kernel matches byte for byte.  More than
     ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call time) raise
-    ConvergenceError rather than return a silently inaccurate factorization.
+    ConvergenceError rather than return a silently inaccurate factorization,
+    and a matrix whose squared Frobenius norm overflows or underflows (the
+    convergence test squares the entries) raises DomainError naming its
+    largest entry.
 
     Parameters
     ----------
@@ -120,7 +124,7 @@ def sym_eig(m):
     a = check_symmetric(m, "sym_eig input")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-    target = _JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
+    target = _jacobi_target(a, "sym_eig input")
     w = np.empty((n, 2 * n))
     w[:, :n] = a
     w[:, n:] = np.eye(n)
@@ -176,6 +180,26 @@ def sym_eig(m):
                 w_q[p] = 0.0
 
 
+def _jacobi_target(a, name):
+    """Convergence target ``1e-14 ||A||_F`` of one matrix.
+
+    The convergence test squares the entries, so it only means something
+    while ``||A||_F^2`` is a finite normal number.  Beyond that the target
+    and the off-diagonal mass both read ``inf`` (or both ``0``) and the
+    solver would return the diagonal after no sweep; DomainError names
+    the largest entry instead.  The zero matrix keeps its 0 target.
+    """
+    with np.errstate(over="ignore"):
+        sq = float(np.sum(a * a))
+    if sq == math.inf or (sq < _TINY and a.any()):
+        raise DomainError(
+            f"{name} is out of the Jacobi solver's range: its squared Frobenius "
+            f"norm {'overflows' if sq == math.inf else 'underflows'} "
+            f"(largest entry magnitude {float(np.max(np.abs(a))):.3e})"
+        )
+    return _JACOBI_TOL * math.sqrt(sq)
+
+
 def _off_mass(a):
     """Off-diagonal Frobenius mass of one matrix, summed directly: the
     ||A||^2 - ||diag||^2 form cancels catastrophically near convergence."""
@@ -194,9 +218,14 @@ def eigvals(stack):
     threshold, the same pivots skipped, the same ``tau`` branch and the
     same row, column and analytic pivot writes.  No basis is kept.  A
     matrix retires once it converges; the sweeps go on for the rest.
-    Python overhead is paid per pivot rather than per matrix, so a stack
-    is much faster than a loop of ``sym_eig`` calls, while a single
-    matrix is 4-5x slower.  If any matrix still exceeds its target
+    Between sweeps the live stack is a contiguous ``(m, n, n)`` array
+    (convergence test, retirement, sorted diagonal); each sweep runs on a
+    stack-last ``(n, n, m)`` copy of it, where every pivot entry is a
+    contiguous vector over the matrices.  Python overhead is paid per
+    pivot rather than per matrix, so a stack is much faster than a loop
+    of ``sym_eig`` calls, while a single matrix is 3-4.5x slower.  A
+    matrix whose squared Frobenius norm overflows or underflows raises
+    DomainError, as in ``sym_eig``.  If any matrix still exceeds its target
     after ``_JACOBI_MAX_SWEEPS`` sweeps the whole call raises
     ConvergenceError.
 
@@ -220,7 +249,8 @@ def eigvals(stack):
     m, n = a.shape[:2]
     out = np.empty((m, n))
     live = np.arange(m)  # stack index of each row of ``a``
-    target = np.array([_JACOBI_TOL * math.sqrt(float(np.sum(mat * mat))) for mat in a])
+    target = np.array([_jacobi_target(mat, f"eigvals input (matrix {i} of the stack)")
+                       for i, mat in enumerate(a)])
     max_sweeps = _JACOBI_MAX_SWEEPS
     for sweep in range(max_sweeps + 1):
         off = np.array([_off_mass(mat) for mat in a])
@@ -239,38 +269,53 @@ def eigvals(stack):
                 f"(off-diagonal mass {off[0]:.3e}, target {target[0]:.3e}, "
                 f"matrix {live[0]} of the stack)"
             )
-        thresh = 0.2 * off / n if sweep < 3 else 0.0
+        thresh = 0.2 * off / n if sweep < 3 else None
+        b = np.ascontiguousarray(a.transpose(1, 2, 0))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _eigvals_sweep(a, n, thresh)
+            _eigvals_sweep(b, n, thresh)
+        a = np.ascontiguousarray(b.transpose(2, 0, 1))
 
 
-def _eigvals_sweep(a, n, thresh):
-    """One cyclic sweep of :func:`eigvals` over the live stack ``a``, in place.
+def _eigvals_sweep(b, n, thresh):
+    """One cyclic sweep of :func:`eigvals` over the live stack, in place.
 
-    Per pivot the same scalar steps as :func:`sym_eig`, elementwise over
-    the matrices whose pivot passes its skip test.  ``tau >= 0`` and
-    ``tau < 0`` share ``1 / (|tau| + sqrt(1 + tau^2))``, negated for the
-    second: IEEE division is sign-symmetric, so that is the scalar
-    branch's value exactly.
+    ``b`` is the stack in stack-last layout, shape ``(n, n, m)``: row
+    ``b[p]`` is a contiguous ``(n, m)`` block and each pivot entry a
+    contiguous ``(m,)`` vector over the matrices, so a pivot that rotates
+    in every matrix needs no gather and the per-matrix ``c`` and ``s``
+    broadcast along the last axis.  Per pivot the same scalar steps as
+    :func:`sym_eig`, elementwise over the matrices whose pivot passes its
+    skip test (``thresh`` holds the per-matrix thresholds of an early
+    sweep, None for a late one, where the test is ``apq != 0``).
+    ``tau >= 0`` and ``tau < 0`` share ``1 / (|tau| + sqrt(1 + tau^2))``,
+    negated for the second: IEEE division is sign-symmetric, so that is
+    the scalar branch's value exactly.  The four analytic pivot values go
+    into the two new rows before each is written to its row and column.
     """
+    m = b.shape[2]
     for p in range(n - 1):
+        b_p = b[p]
         for qq in range(p + 1, n):
-            apq = a[:, p, qq]
-            rotate = (apq != 0.0) & ~(np.abs(apq) <= thresh)
-            if rotate.all():
-                sel = slice(None)  # a view: the pivot values are read before any write
-            else:
+            apq = b_p[qq]
+            rotate = apq != 0.0
+            if thresh is not None:
+                rotate &= ~(np.abs(apq) <= thresh)
+            count = np.count_nonzero(rotate)
+            if count == m:
+                sel = slice(None)  # views: the pivot values are read before any write
+            elif count:
                 sel = np.flatnonzero(rotate)
-                if not len(sel):
-                    continue
                 apq = apq[sel]
-            app = a[sel, p, p]
-            aqq_d = a[sel, qq, qq]
+            else:
+                continue
+            b_q = b[qq]
+            app = b_p[p, sel]
+            aqq_d = b_q[qq, sel]
             tau = (aqq_d - app) / (2.0 * apq)
             abs_tau = np.abs(tau)
             t = 1.0 / (abs_tau + np.sqrt(1.0 + tau * tau))
             t = np.where(tau >= 0.0, t, -t)
-            if not (abs_tau <= 1e150).all():
+            if np.count_nonzero(abs_tau <= 1e150) != len(tau):
                 t = np.where(
                     np.isfinite(tau),
                     np.where(abs_tau > 1e150, 1.0 / (2.0 * tau), t),
@@ -278,21 +323,20 @@ def _eigvals_sweep(a, n, thresh):
                 )
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            new_pp = app - t * apq
-            new_qq = aqq_d + t * apq
-            c, s = c[:, None], s[:, None]
-            a_p = a[sel, p, :]
-            a_q = a[sel, qq, :]
+            t_apq = t * apq
+            a_p = b_p[:, sel]
+            a_q = b_q[:, sel]
             row_p = c * a_p - s * a_q
             row_q = s * a_p + c * a_q
-            a[sel, p, :] = row_p
-            a[sel, :, p] = row_p
-            a[sel, qq, :] = row_q
-            a[sel, :, qq] = row_q
-            a[sel, p, p] = new_pp
-            a[sel, qq, qq] = new_qq
-            a[sel, p, qq] = 0.0
-            a[sel, qq, p] = 0.0
+            # Analytic updates keep the pivot entries exactly consistent.
+            row_p[p] = app - t_apq
+            row_p[qq] = 0.0
+            row_q[qq] = aqq_d + t_apq
+            row_q[p] = 0.0
+            b_p[:, sel] = row_p
+            b[:, p, sel] = row_p
+            b_q[:, sel] = row_q
+            b[:, qq, sel] = row_q
 
 
 def is_spd_spectrum(eigenvalues):

@@ -1,11 +1,14 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from adgd import linalg
+from adgd import linalg, problems
 from adgd.errors import ConvergenceError, DomainError
+from adgd.manifolds import BuresWasserstein
+from adgd.optimizers import RunConfig, adgd_run
 
 from conftest import cofactor_det, random_spd, random_sym
 
@@ -332,6 +335,83 @@ class TestStackedEigvals:
     def test_rejects_bad_stacks(self, stack):
         with pytest.raises(ValueError):
             linalg.eigvals(stack)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distance_column_stacks(self, monkeypatch, seed):
+        # The stacks the Bures-Wasserstein distance column hands the kernel.
+        stacks = []
+        solve = linalg.eigvals
+
+        def recording(stack):
+            stacks.append(np.array(stack))
+            return solve(stack)
+
+        monkeypatch.setattr(linalg, "eigvals", recording)
+        trace = adgd_run(RunConfig(), BuresWasserstein(), problems.lyapunov_objective(20, seed))
+        monkeypatch.undo()
+        assert len(stacks) == 1 and len(stacks[0]) == len(trace.rows) > 20
+        assert_stack_matches_sym_eig(stacks[0])
+
+    def test_subset_and_skip_paths(self, monkeypatch):
+        # Two block-diagonal 4x4 matrices.  In the first sweep the (0, 1)
+        # coupling passes its threshold 0.2 * off / n in the first matrix
+        # only and (2, 3) in the second only, so both pivots rotate a subset
+        # of the stack; (0, 2) stays zero in both and is skipped by all.
+        first = np.diag([1.0, 2.0, 3.0, 4.0])
+        second = first.copy()
+        first[0, 1] = first[1, 0] = second[2, 3] = second[3, 2] = 1.0
+        first[2, 3] = first[3, 2] = second[0, 1] = second[1, 0] = 1e-3
+        calls = {"subset": 0, "skip": 0}
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def flatnonzero(self, mask):  # only the subset path gathers
+                calls["subset"] += 1
+                return np.flatnonzero(mask)
+
+            def count_nonzero(self, mask):
+                count = np.count_nonzero(mask)
+                calls["skip"] += count == 0
+                return count
+
+        monkeypatch.setattr(linalg, "np", CountingNumpy())
+        w = linalg.eigvals(np.array([first, second]))
+        monkeypatch.undo()
+        assert calls["subset"] > 0 and calls["skip"] > 0
+        for row, m in zip(w, [first, second]):
+            assert row.tobytes() == linalg.sym_eig(m).eigenvalues.tobytes()
+
+
+class TestJacobiRange:
+    # The convergence test squares the entries: at 1e160 ||M||_F^2 overflows
+    # and at 1e-200 every square flushes to 0, so target and off-diagonal
+    # mass compare inf <= inf or 0 <= 0 and the diagonal [1, 2] * scale came
+    # back for the eigenvalues (1.5 -+ sqrt(9.25)) * scale.
+    @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
+    @pytest.mark.parametrize(
+        "kernel",
+        [linalg.sym_eig, lambda m: linalg.eigvals([np.eye(2), m]), linalg.spd_sqrt],
+        ids=["sym_eig", "eigvals", "spd_sqrt"],
+    )
+    def test_raises_naming_the_scale(self, kernel, scale, word):
+        m = scale * np.array([[1.0, 3.0], [3.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes either
+            with pytest.raises(DomainError, match=re.escape(f"norm {word} (largest entry magnitude {3.0 * scale:.3e})")):
+                kernel(m)
+
+    def test_eigvals_names_the_matrix(self):
+        with pytest.raises(DomainError, match=r"eigvals input \(matrix 1 of the stack\)"):
+            linalg.eigvals([np.eye(2), np.diag([1e-170, 0.0])])
+
+    @pytest.mark.parametrize("scale", [1e-154, 1e153])
+    def test_edges_of_the_range_still_solve(self, scale):
+        m = scale * np.array([[1.0, 3.0], [3.0, 2.0]])
+        exact = scale * np.array([1.5 - math.sqrt(9.25), 1.5 + math.sqrt(9.25)])
+        assert np.allclose(linalg.sym_eig(m).eigenvalues, exact, rtol=1e-14, atol=0.0)
+        assert linalg.eigvals([m]).tobytes() == linalg.sym_eig(m).eigenvalues.tobytes()
 
 
 _PURE_KERNELS = {
