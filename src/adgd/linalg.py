@@ -107,9 +107,9 @@ def sym_eig(m):
     oracle this kernel matches byte for byte.  More than
     ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call time) raise
     ConvergenceError rather than return a silently inaccurate factorization,
-    and a matrix whose squared Frobenius norm overflows or underflows (the
-    convergence test squares the entries) raises DomainError naming its
-    largest entry.
+    and a non-diagonal matrix whose squared Frobenius norm overflows or
+    underflows (the convergence test squares the entries) raises
+    DomainError naming its largest entry.
 
     Parameters
     ----------
@@ -186,12 +186,14 @@ def _jacobi_target(a, name):
     The convergence test squares the entries, so it only means something
     while ``||A||_F^2`` is a finite normal number.  Beyond that the target
     and the off-diagonal mass both read ``inf`` (or both ``0``) and the
-    solver would return the diagonal after no sweep; DomainError names
-    the largest entry instead.  The zero matrix keeps its 0 target.
+    solver would return the diagonal after no sweep.  That answer is exact
+    for a diagonal matrix (the zero matrix included), which therefore
+    solves at any scale; any other matrix raises DomainError naming its
+    largest entry.
     """
     with np.errstate(over="ignore"):
         sq = float(np.sum(a * a))
-    if sq == math.inf or (sq < _TINY and a.any()):
+    if (sq == math.inf or sq < _TINY) and np.count_nonzero(a) > np.count_nonzero(a.diagonal()):
         raise DomainError(
             f"{name} is out of the Jacobi solver's range: its squared Frobenius "
             f"norm {'overflows' if sq == math.inf else 'underflows'} "
@@ -202,9 +204,12 @@ def _jacobi_target(a, name):
 
 def _off_mass(a):
     """Off-diagonal Frobenius mass of one matrix, summed directly: the
-    ||A||^2 - ||diag||^2 form cancels catastrophically near convergence."""
-    sq = a * a
+    ||A||^2 - ||diag||^2 form cancels catastrophically near convergence.
+    The diagonal is zeroed before squaring, so a huge diagonal entry
+    cannot overflow (and warn) in a sum that leaves it out."""
+    sq = a.copy()
     np.fill_diagonal(sq, 0.0)
+    sq *= sq
     return math.sqrt(float(np.sum(sq)))
 
 
@@ -223,11 +228,11 @@ def eigvals(stack):
     stack-last ``(n, n, m)`` copy of it, where every pivot entry is a
     contiguous vector over the matrices.  Python overhead is paid per
     pivot rather than per matrix, so a stack is much faster than a loop
-    of ``sym_eig`` calls, while a single matrix is 3-4.5x slower.  A
-    matrix whose squared Frobenius norm overflows or underflows raises
-    DomainError, as in ``sym_eig``.  If any matrix still exceeds its target
-    after ``_JACOBI_MAX_SWEEPS`` sweeps the whole call raises
-    ConvergenceError.
+    of ``sym_eig`` calls, while a single matrix is 3-4x slower.  A
+    non-diagonal matrix whose squared Frobenius norm overflows or
+    underflows raises DomainError, as in ``sym_eig``.  If any matrix
+    still exceeds its target after ``_JACOBI_MAX_SWEEPS`` sweeps the
+    whole call raises ConvergenceError.
 
     Parameters
     ----------
@@ -297,24 +302,30 @@ def _eigvals_sweep(b, n, thresh):
         b_p = b[p]
         for qq in range(p + 1, n):
             apq = b_p[qq]
-            rotate = apq != 0.0
-            if thresh is not None:
-                rotate &= ~(np.abs(apq) <= thresh)
+            if thresh is None:
+                rotate = apq != 0.0
+            else:
+                # A live matrix has thresh >= 0.2 * target / n > 0, so this
+                # also skips apq == 0.
+                rotate = ~(np.abs(apq) <= thresh)
             count = np.count_nonzero(rotate)
+            b_q = b[qq]
             if count == m:
-                sel = slice(None)  # views: the pivot values are read before any write
+                # Views: the pivot values are read before any write.
+                sel = slice(None)
+                app, aqq_d, a_p, a_q = b_p[p], b_q[qq], b_p, b_q
             elif count:
-                sel = np.flatnonzero(rotate)
-                apq = apq[sel]
+                sel = rotate.nonzero()[0]
+                apq, app, aqq_d = apq[sel], b_p[p, sel], b_q[qq, sel]
+                a_p, a_q = b_p.take(sel, axis=1), b_q.take(sel, axis=1)
             else:
                 continue
-            b_q = b[qq]
-            app = b_p[p, sel]
-            aqq_d = b_q[qq, sel]
             tau = (aqq_d - app) / (2.0 * apq)
             abs_tau = np.abs(tau)
             t = 1.0 / (abs_tau + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau >= 0.0, t, -t)
+            # For finite tau, t > 0 takes tau's sign; + 0.0 turns a -0.0
+            # tau into +0.0, which the scalar branch counts as tau >= 0.
+            t = np.copysign(t, tau + 0.0)
             if np.count_nonzero(abs_tau <= 1e150) != len(tau):
                 t = np.where(
                     np.isfinite(tau),
@@ -324,8 +335,6 @@ def _eigvals_sweep(b, n, thresh):
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             t_apq = t * apq
-            a_p = b_p[:, sel]
-            a_q = b_q[:, sel]
             row_p = c * a_p - s * a_q
             row_q = s * a_p + c * a_q
             # Analytic updates keep the pivot entries exactly consistent.

@@ -6,11 +6,7 @@ exponential map, transport along the step (the derivative of the
 exponential), and the metric; plus the supremum of admissible step
 lengths on incomplete manifolds, and distances for diagnostics.
 Implementations are stateless and all operations are pure, so one
-instance can serve any number of concurrent runs.  The one exception is
-``BuresWasserstein.distance_from``, which keeps a one-entry memo of its
-last base point (a private copy) and that point's square root.  It is
-checked by value on every call and replaced as a whole, so sharing an
-instance costs at most a recomputed root and never a wrong value.
+instance can serve any number of concurrent runs.
 
 Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein,
 where a gradient also carries its Lyapunov factor and the base point it

@@ -103,11 +103,6 @@ class BuresWasserstein(Manifold):
     exp_ops = 2
     adapt_extra_ops = 1
 
-    def __init__(self):
-        # distance_from's one-entry memo: a private copy of its last base
-        # point and that point's square root, replaced as one tuple.
-        self._root_memo = None
-
     def tangent(self, v):
         """Wrap a symmetric matrix as a tangent, symmetrizing defensively."""
         return BWTangent(linalg.symmetrize(v))
@@ -185,16 +180,10 @@ class BuresWasserstein(Manifold):
         return self.distance_from(x)([y])[0]
 
     def distance_from(self, y):
-        # The fixed point's square root is computed once per instance and
-        # base point: a call whose y equals the memo's copy (np.array_equal,
-        # so -0.0 == 0.0; an SPD root does not depend on the sign of a zero
-        # entry) reuses it, any other y replaces it.  The points' products
-        # go to the stacked eigensolver _DISTANCE_CHUNK at a time, which
-        # bounds the extra memory and moves no bit.
-        memo = self._root_memo
-        if memo is None or not np.array_equal(memo[0], y):
-            memo = self._root_memo = (np.array(y, dtype=float), linalg.spd_sqrt(y))
-        sqrt_y = memo[1]
+        # The fixed point's square root is computed once; the points'
+        # products go to the stacked eigensolver _DISTANCE_CHUNK at a time,
+        # which bounds the extra memory and moves no bit.
+        sqrt_y = linalg.spd_sqrt(y)
         trace_y = float(np.trace(y))
 
         def distances(xs):

@@ -5,7 +5,6 @@ import pytest
 
 from adgd import linalg
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein
 from adgd.optimizers import STEP_SAFETY, _clamp_alpha
 
 from conftest import random_spd, random_sym
@@ -334,84 +333,6 @@ class TestDistance:
         xs = [random_spd(rng, 5), y.copy(), random_spd(rng, 5)]
         assert bw.distance_from(y)(xs) == [bw.distance(y, x) for x in xs]
         assert bw.distance_from(y)([]) == []
-
-
-class TestDistanceRootMemo:
-    """``distance_from`` keeps the last base point's square root per instance."""
-
-    @pytest.fixture
-    def roots(self, monkeypatch):
-        calls = []
-        spd_sqrt = linalg.spd_sqrt
-
-        def counting(x):
-            calls.append(x)
-            return spd_sqrt(x)
-
-        monkeypatch.setattr(linalg, "spd_sqrt", counting)
-        return calls
-
-    @staticmethod
-    def points(seed):
-        rng = np.random.default_rng(seed)
-        return random_spd(rng, 5), random_spd(rng, 5), [random_spd(rng, 5) for _ in range(3)]
-
-    def test_equal_copy_reuses_the_root(self, bw, roots):
-        y, _, xs = self.points(30)
-        first = bw.distance_from(y)(xs)
-        assert bw.distance_from(y.copy())(xs) == first
-        assert len(roots) == 1
-
-    def test_other_point_recomputes(self, bw, roots):
-        y, z, xs = self.points(31)
-        bw.distance_from(y)(xs)
-        assert bw.distance_from(z)(xs) == BuresWasserstein().distance_from(z)(xs)
-        assert bw.distance_from(y)(xs) == BuresWasserstein().distance_from(y)(xs)
-        assert len(roots) == 5
-
-    def test_mutated_point_recomputes(self, bw, roots):
-        y, z, xs = self.points(32)
-        bw.distance_from(y)(xs)
-        y[...] = z
-        assert bw.distance_from(y)(xs) == BuresWasserstein().distance_from(z)(xs)
-        assert len(roots) == 3
-
-    def test_failed_root_keeps_the_memo(self, bw, roots):
-        y, _, xs = self.points(33)
-        bw.distance_from(y)(xs)
-        with pytest.raises(DomainError):
-            bw.distance_from(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]))
-        bw.distance_from(y)(xs)
-        assert len(roots) == 2
-
-    def test_kept_copy_is_private(self, bw):
-        y, _, _ = self.points(34)
-        bw.distance_from(y)
-        kept, root = bw._root_memo
-        assert kept.tobytes() == y.tobytes()
-        assert not np.shares_memory(kept, y) and not np.shares_memory(root, y)
-
-    def test_instances_do_not_share_a_memo(self, roots):
-        y, z, xs = self.points(35)
-        first, second = BuresWasserstein(), BuresWasserstein()
-        first.distance_from(y)(xs)
-        second.distance_from(y)(xs)
-        second.distance_from(z)(xs)
-        first.distance_from(y)(xs)
-        assert len(roots) == 3
-
-    def test_sign_of_zero_entries_moves_no_root_bit(self, bw):
-        # np.array_equal treats -0.0 as 0.0, so a base point that differs
-        # from the kept one only in signed zeros reuses its root.
-        rng = np.random.default_rng(36)
-        y = np.zeros((6, 6))
-        y[:3, :3], y[3:, 3:] = random_spd(rng, 3), random_spd(rng, 3)
-        negzero = y.copy()
-        negzero[:3, 3:] = negzero[3:, :3] = -0.0
-        assert linalg.spd_sqrt(negzero).tobytes() == linalg.spd_sqrt(y).tobytes()
-        xs = [random_spd(rng, 6) for _ in range(3)]
-        bw.distance_from(y)
-        assert bw.distance_from(negzero)(xs) == BuresWasserstein().distance_from(negzero)(xs)
 
 
 class TestTangentArithmetic:

@@ -364,15 +364,15 @@ class TestStackedEigvals:
         calls = {"subset": 0, "skip": 0}
 
         class CountingNumpy:
+            # Each pivot counts the matrices it rotates in: some of them
+            # take the subset path, none the skip path.  (The other count,
+            # of |tau| <= 1e150, covers every rotating matrix here.)
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def flatnonzero(self, mask):  # only the subset path gathers
-                calls["subset"] += 1
-                return np.flatnonzero(mask)
-
             def count_nonzero(self, mask):
                 count = np.count_nonzero(mask)
+                calls["subset"] += 0 < count < mask.size
                 calls["skip"] += count == 0
                 return count
 
@@ -404,7 +404,26 @@ class TestJacobiRange:
 
     def test_eigvals_names_the_matrix(self):
         with pytest.raises(DomainError, match=r"eigvals input \(matrix 1 of the stack\)"):
-            linalg.eigvals([np.eye(2), np.diag([1e-170, 0.0])])
+            linalg.eigvals([np.eye(2), np.full((2, 2), 1e-170)])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
+    def test_diagonal_matrix_solves_at_any_scale(self, scale):
+        # With no off-diagonal entry the diagonal is the exact answer, so
+        # a square that overflows or underflows must not reject it.
+        m = scale * np.diag([2.0, 0.0, -1.0])
+        exact = scale * np.array([-1.0, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.sym_eig(m).eigenvalues.tobytes() == exact.tobytes()
+            assert linalg.eigvals([np.eye(3), m])[1].tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_diagonal_spd_matrix_has_a_root(self, scale):
+        # (A tiny one fails spd_sqrt's absolute 1e-12 eigenvalue floor.)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = linalg.spd_sqrt(scale * np.eye(3))
+        assert np.array_equal(root, math.sqrt(scale) * np.eye(3))
 
     @pytest.mark.parametrize("scale", [1e-154, 1e153])
     def test_edges_of_the_range_still_solve(self, scale):
