@@ -12,9 +12,10 @@ stack of matrices (the Bures-Wasserstein distance column) by running
 They are the workhorses of the Bures-Wasserstein geometry and double as
 test oracles, so they favour robustness and explicit failure over raw
 speed.  LAPACK (through ``numpy.linalg``) only decides yes/no questions
-with a certified rounding margin, as in :func:`require_spd`; its output
-never reaches a value that gets written.  All functions are pure; inputs
-are never mutated.
+with a certified rounding margin: one shifted Cholesky, shared by
+:func:`require_spd` and the Bures-Wasserstein step-domain screen; its
+output never reaches a value that gets written.  All functions are pure;
+inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -350,9 +351,10 @@ def _eigvals_sweep(b, n, thresh):
 
 def is_spd_spectrum(eigenvalues):
     """Whether a spectrum passes the SPD tolerance test: its smallest
-    eigenvalue exceeds 1e-12 * max(1, largest eigenvalue)."""
+    eigenvalue exceeds 1e-12 times its largest.  The test is relative at
+    every scale, and rejects a zero or negative spectrum."""
     ev = np.asarray(eigenvalues, dtype=float)
-    return float(np.min(ev)) > 1e-12 * max(1.0, float(np.max(ev)))
+    return float(np.min(ev)) > 1e-12 * float(np.max(ev))
 
 
 def _spd_eig(x, name):
@@ -417,6 +419,28 @@ def cholesky(x):
     return low
 
 
+def _lapack_certifies_spd(a, shift):
+    """Whether LAPACK's Cholesky factors ``a - shift I``: a yes/no
+    certificate, read from the lower triangle, for finite ``a`` and
+    ``shift`` (callers check; LAPACK can factor an infinite pivot).
+
+    The shift goes onto the diagonal of a C-ordered copy in place, so no
+    identity matrix is built; the entries equal those of
+    ``a - shift * np.eye(n)``.  Success makes ``a - shift I + E`` positive
+    definite with ``||E||_2 <~ n (n + 1) eps (||a||_2 + |shift|)`` (Higham,
+    Thms 10.3/10.7, plus the rounding of the shifted diagonal); each caller
+    chooses its shift to cover that.  Shared by :func:`require_spd` and the
+    Bures-Wasserstein step-domain screen.
+    """
+    b = np.array(a, dtype=float, order="C")
+    b.reshape(-1)[:: b.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def require_spd(x):
     """Raise DomainError exactly when ``cholesky(x)`` would; return None.
 
@@ -433,10 +457,6 @@ def require_spd(x):
     n = a.shape[0]
     if n and np.isfinite(a).all():
         shift = 4.0 * n * n * _EPS * float(np.max(np.diagonal(a)))
-        if shift >= _MIN_SPD_SHIFT:
-            try:
-                np.linalg.cholesky(a - shift * np.eye(n))
-                return
-            except np.linalg.LinAlgError:
-                pass
+        if shift >= _MIN_SPD_SHIFT and _lapack_certifies_spd(a, shift):
+            return
     cholesky(a)

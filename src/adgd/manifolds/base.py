@@ -4,7 +4,8 @@ A manifold object holds what one iteration of the methods asks for and
 nothing else: the Riemannian gradient from the Euclidean one, the
 exponential map, transport along the step (the derivative of the
 exponential), and the metric; plus the supremum of admissible step
-lengths on incomplete manifolds, and distances for diagnostics.
+lengths on incomplete manifolds with a cheap yes/no certificate that a
+step lies below it, and distances for diagnostics.
 Implementations are stateless and all operations are pure, so one
 instance can serve any number of concurrent runs.
 
@@ -73,14 +74,16 @@ class Manifold(ABC):
         """Supremum of t such that exp(x, t v) is defined; inf when complete."""
         return math.inf
 
-    def max_step_lower_bound(self, x, v):
-        """Cheap, never-overestimating stand-in for max_step.
+    def max_step_lower_bound(self, x, v, t):
+        """Whether t is a certified lower bound of ``max_step(x, v)``.
 
-        Step clamping screens with this first and computes the exact
-        supremum only when a step might actually come close; manifolds
-        whose max_step is expensive override it.
+        A cheap yes/no screen: True only when ``t <= max_step(x, v)``.
+        Step clamping asks it first and computes the exact supremum only
+        when it answers False; manifolds whose max_step is expensive
+        override it with a certificate that may also answer False near
+        the boundary.
         """
-        return self.max_step(x, v)
+        return t <= self.max_step(x, v)
 
     def grad_diff_norm_sq(self, x, g_new, transported, prev_norm_sq):
         """Squared norm at x of ``g_new - transported``.

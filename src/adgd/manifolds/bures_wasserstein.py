@@ -5,7 +5,10 @@ metric is ``<U, V>_X = Tr(L_X(U) V) / 2`` where ``L_X(U)`` solves the
 Lyapunov equation ``X L + L X = U``.  The manifold has nonnegative
 sectional curvature but is **not** geodesically complete: the geodesic
 ``t -> Exp_X(t V)`` leaves the SPD cone once ``I + t L_X(V)`` loses
-positive definiteness, so step sizes must respect ``max_step``.
+positive definiteness, so step sizes must respect ``max_step``.  Each
+step is screened by ``max_step_lower_bound``, one shifted LAPACK Cholesky
+of the factor, and the exact ``max_step`` eigensolve runs only for a step
+it cannot certify.
 
 Closed forms used throughout (L below is the Lyapunov factor of V at X):
 
@@ -42,7 +45,7 @@ from .base import Manifold
 # Relative tolerance for the collinearity check in transport_along_step.
 _COLLINEAR_TOL = 1e-8
 
-# Rounding margin of the max_step screen, relative to ||L||_F.
+# Margin of the max_step_lower_bound certificate, relative to ||L||_F.
 _SCREEN_MARGIN = 1e-10
 
 # Points per stacked eigensolve in distance_from's callable.
@@ -161,18 +164,49 @@ class BuresWasserstein(Manifold):
             return math.inf
         return -1.0 / lam_min
 
-    def max_step_lower_bound(self, x, v):
-        # LAPACK's smallest eigenvalue of the factor, lowered by a margin:
-        # by Weyl's inequality the floor stays below the Jacobi eigenvalue
-        # max_step uses, because both solvers' errors (LAPACK's backward
-        # error, Jacobi's 1e-14 ||L||_F stopping residual plus rounding)
-        # are far inside 1e-10 ||L||_F.  The descent loops then pay for the
-        # exact eigensolve only for a step near the domain boundary.
+    def max_step_lower_bound(self, x, v, t):
+        """Whether ``t <= max_step(x, v)`` is certified, by one shifted
+        LAPACK Cholesky of the factor.
+
+        For ``L = L_X(v)`` and ``m = 1e-10 ||L||_F`` the answer is True when
+        LAPACK factors ``L + (1/t - m) I``.  In floating point that success
+        means ``lambda_min(L) > -1/t + m - e`` with, to first order,
+        ``e = n (n + 1) eps (||L||_2 + 1/t + m)`` (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, Thms 10.3/10.7; the rounding of
+        the shift and of the shifted diagonal adds a few ``eps`` to that).
+        Soundness against the Jacobi max_step, ``-1 / lambda`` with Jacobi's
+        smallest eigenvalue ``lambda``:
+
+        * if ``1/t > 2 ||L||_F``, then ``t < 1 / (2 ||L||_F)``, half of the
+          smallest max_step any eigenvalue can give, whatever LAPACK says;
+        * otherwise ``e <= 3.1 n (n + 1) eps ||L||_F``, at most ``m / 2`` for
+          n < 270 (the problems here have n <= 100), so
+          ``lambda_min(L) > -1/t + m / 2``.  Jacobi's eigenvalue is within
+          its ``1e-14 ||L||_F`` stopping residual plus rounding of the true
+          one, so ``lambda > -1/t + m / 4``: either ``lambda >= 0`` and
+          max_step is infinite, or ``max_step > t (1 + t m / 4)`` with
+          ``t m / 4 >= 1.25e-11``.  That relative gap is many orders above
+          the rounding of ``alpha / 0.99``, ``1/t``, ``-1 / lambda`` and
+          ``0.99 * max_step``, so a passed screen implies
+          ``alpha <= 0.99 * max_step`` as ``_clamp_alpha`` computes it.
+
+        Edge cases: ``t <= 0`` is True without a factorization, a NaN ``t``
+        or a non-finite factor or shift is False (the exact path decides),
+        ``t = inf`` certifies ``L`` positive definite with the margin, and a
+        zero factor passes, its max_step being infinite.
+        """
+        if t <= 0.0:
+            return True
+        if math.isnan(t):
+            return False
         fac = v.factor_at(x)
-        floor = float(np.linalg.eigvalsh(fac)[0]) - _SCREEN_MARGIN * linalg.frobenius_norm(fac)
-        if floor >= 0.0:
-            return math.inf
-        return -1.0 / floor
+        norm = linalg.frobenius_norm(fac)
+        if norm == 0.0:
+            return True
+        shift = _SCREEN_MARGIN * norm - 1.0 / float(t)
+        # A finite norm means finite entries, so this checks the whole
+        # shifted matrix.
+        return math.isfinite(shift) and linalg._lapack_certifies_spd(fac, shift)
 
     def distance(self, x, y):
         """Bures distance sqrt(Tr X + Tr Y - 2 Tr (X^1/2 Y X^1/2)^1/2)."""

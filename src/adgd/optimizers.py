@@ -217,10 +217,11 @@ STEP_SAFETY = 0.99
 def _clamp_alpha(alpha, manifold, x, neg_grad):
     """Apply the step-domain safety clamp; returns (alpha, clamped?).
 
-    A cheap lower bound on max_step screens out the common case (step far
-    from the boundary) before paying for the exact supremum.
+    A cheap certificate that ``alpha / STEP_SAFETY <= max_step`` screens
+    out the common case (step far from the boundary) before paying for the
+    exact supremum; it passes only where the exact path keeps ``alpha``.
     """
-    if alpha <= STEP_SAFETY * manifold.max_step_lower_bound(x, neg_grad):
+    if manifold.max_step_lower_bound(x, neg_grad, alpha / STEP_SAFETY):
         return alpha, False
     limit = STEP_SAFETY * manifold.max_step(x, neg_grad)
     if alpha > limit:

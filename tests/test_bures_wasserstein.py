@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from adgd import linalg
+from adgd.cli import main
 from adgd.errors import DomainError
+from adgd.manifolds import BuresWasserstein
 from adgd.optimizers import STEP_SAFETY, _clamp_alpha
 
 from conftest import random_spd, random_sym
@@ -240,11 +242,12 @@ def _exact_clamp(alpha, bw, x, v):
 
 
 class TestMaxStepScreen:
-    """Differential tests: the LAPACK screen against the Jacobi max_step."""
+    """Differential tests: the LAPACK certificate against the Jacobi max_step."""
 
     def test_never_exceeds_max_step(self, bw):
         rng = np.random.default_rng(41)
-        finite = 0
+        eps = np.finfo(float).eps
+        finite = useful = 0
         for n in (1, 2, 3, 5, 8, 13, 20):
             x = random_spd(rng, n)
             u = rng.standard_normal((n, 1))
@@ -261,11 +264,69 @@ class TestMaxStepScreen:
                 for fac, unbounded in factors:
                     v = _tangent_with_factor(bw, x, fac)
                     exact = bw.max_step(x, v)
-                    screen = bw.max_step_lower_bound(x, v)
-                    assert screen <= exact
-                    assert screen == math.inf or not unbounded
-                    finite += math.isfinite(exact)
-        assert finite > 0
+                    if unbounded:
+                        assert exact == math.inf
+                        assert all(bw.max_step_lower_bound(x, v, t) for t in (1.0, 1e8, math.inf))
+                        continue
+                    if math.isinf(exact):
+                        continue
+                    finite += 1
+                    # Around the boundary down to a few ulps, where only
+                    # the margin keeps rounding from certifying too much.
+                    rels = (0.5, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 4 * eps, 1 + 16 * eps, 1 + 1e-12, 2.0)
+                    for t in [rel * exact for rel in rels] + [np.nextafter(exact, math.inf)]:
+                        assert not bw.max_step_lower_bound(x, v, t) or t <= exact, (n, scale, t / exact)
+                    # Sound but not uselessly conservative, wherever the
+                    # boundary lies outside the margin: a PSD factor can get
+                    # a rounding-level negative Jacobi eigenvalue instead.
+                    if exact * linalg.frobenius_norm(fac) < 1e9:
+                        useful += 1
+                        assert bw.max_step_lower_bound(x, v, 0.5 * exact), (n, scale)
+        # Only the 21 rank-one PSD factors may skip the usefulness check.
+        assert finite > 0 and useful >= finite - 21, (finite, useful)
+
+    def test_edge_cases(self, bw, monkeypatch):
+        x = np.eye(3)
+        v = _tangent_with_factor(bw, x, np.diag([-2.0, 1.0, 1.0]))
+        assert bw.max_step(x, v) == 0.5
+        assert not bw.max_step_lower_bound(x, v, math.nan)
+        assert not bw.max_step_lower_bound(x, v, math.inf)
+        assert not bw.max_step_lower_bound(x, v, 5e-324)  # 1/t overflows
+        nan_factor = _tangent_with_factor(bw, x, np.diag([np.nan, 1.0, 1.0]))
+        assert not bw.max_step_lower_bound(x, nan_factor, 0.25)
+        # t = inf certifies exactly a positive definite factor.
+        assert bw.max_step_lower_bound(x, _tangent_with_factor(bw, x, np.diag([1e-3, 1.0, 2.0])), math.inf)
+        assert not bw.max_step_lower_bound(x, _tangent_with_factor(bw, x, np.diag([0.0, 1.0, 2.0])), math.inf)
+        zero = _tangent_with_factor(bw, x, np.zeros((3, 3)))
+        for t in (1e-300, 1.0, 1e300, math.inf):
+            assert bw.max_step_lower_bound(x, zero, t)
+
+        def fail(*_):
+            raise AssertionError("a step of length <= 0 ran a factorization")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        monkeypatch.setattr(bw, "max_step", fail)
+        for t in (0.0, -0.0, -1.0, -math.inf):
+            assert bw.max_step_lower_bound(x, v, t)
+        assert _clamp_alpha(0.0, bw, x, v) == (0.0, False)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --alpha0 50",
+            "--experiment lyapunov --seed 0",
+            "--experiment wls-dense --seed 0",
+        ],
+        ids=["golden-clamped", "lyapunov", "wls-dense"],
+    )
+    def test_exact_fallbacks_stay_rare(self, flags, monkeypatch, tmp_path):
+        # A sound but conservative screen keeps every byte and pays for an
+        # exact eigensolve each iteration; each of these runs needs one.
+        calls = []
+        exact = BuresWasserstein.max_step
+        monkeypatch.setattr(BuresWasserstein, "max_step", lambda self, x, v: calls.append(1) or exact(self, x, v))
+        assert main(["run", *flags.split(), "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 1
 
     def test_clamp_at_the_boundary_matches_exact_path(self, bw):
         rng = np.random.default_rng(43)
@@ -371,7 +432,7 @@ class TestBasePoint:
         with pytest.raises(ValueError):
             bw.max_step(y, step)
         with pytest.raises(ValueError):
-            bw.max_step_lower_bound(y, step)
+            bw.max_step_lower_bound(y, step, 1.0)
 
     def test_equal_copy_of_base_point_accepted(self, bw):
         rng = np.random.default_rng(21)

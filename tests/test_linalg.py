@@ -419,7 +419,7 @@ class TestJacobiRange:
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_huge_diagonal_spd_matrix_has_a_root(self, scale):
-        # (A tiny one fails spd_sqrt's absolute 1e-12 eigenvalue floor.)
+        # (TestSpdSqrt has the tiny ones.)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             root = linalg.spd_sqrt(scale * np.eye(3))
@@ -525,6 +525,13 @@ class TestSolveLyapunov:
         with pytest.raises(DomainError):
             linalg.solve_lyapunov(x, np.eye(2))
 
+    def test_tiny_scaled_identity_pencil_solves(self):
+        # The SPD tolerance is relative: scale alone never rejects a pencil.
+        rng = np.random.default_rng(12)
+        u = random_sym(rng, 3)
+        sol = linalg.solve_lyapunov(1e-13 * np.eye(3), u)
+        assert np.allclose(sol, u / 2e-13, rtol=1e-14, atol=0.0)
+
 
 class TestSpdSqrt:
     def test_identity(self):
@@ -552,6 +559,23 @@ class TestSpdSqrt:
     def test_rejects_non_spd(self):
         with pytest.raises(DomainError):
             linalg.spd_sqrt(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-160])
+    def test_tiny_scaled_identity_has_a_root(self, scale):
+        # The SPD tolerance is relative: scale alone never rejects.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = linalg.spd_sqrt(scale * np.eye(3))
+        assert np.array_equal(root, math.sqrt(scale) * np.eye(3))
+
+    @pytest.mark.parametrize("diag", [[1.0, 1e-13], [1e-20, 1e-33]])
+    @pytest.mark.parametrize("kernel", ["spd_sqrt", "solve_lyapunov"])
+    def test_rejects_condition_beyond_the_tolerance(self, kernel, diag):
+        # Smallest over largest eigenvalue below 1e-12, at any scale.
+        x = np.diag(diag)
+        call = linalg.spd_sqrt if kernel == "spd_sqrt" else lambda m: linalg.solve_lyapunov(m, np.eye(2))
+        with pytest.raises(DomainError, match="requires a positive definite matrix"):
+            call(x)
 
 
 class TestPlumbing:

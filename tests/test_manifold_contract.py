@@ -153,6 +153,32 @@ class TestDistanceAxioms:
             assert m.distance(p, q) >= 0.0
 
 
+class TestMaxStepLowerBound:
+    @pytest.mark.parametrize("case", ["sphere", "orthant", "bw"])
+    def test_certifies_only_admissible_steps(self, case):
+        rng = np.random.default_rng(108)
+        if case == "sphere":
+            m = Sphere()
+            samples = (sphere_sample(rng)[:2] for _ in range(50))
+        elif case == "orthant":
+            m = PositiveOrthant()
+            samples = (orthant_sample(rng)[:2] for _ in range(50))
+        else:
+            m = BuresWasserstein()
+            samples = (bw_sample(m, rng, scale=3.0)[:2] for _ in range(50))
+        passed = 0
+        for x, v in samples:
+            cap = m.max_step(x, v)
+            steps = [0.0, 0.1, 1.0, 10.0, math.inf]
+            if math.isfinite(cap):
+                steps += [rel * cap for rel in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0)]
+            for t in steps:
+                if m.max_step_lower_bound(x, v, t):
+                    passed += 1
+                    assert t <= cap, (t, cap)
+        assert passed > 0
+
+
 class TestCurvatureClasses:
     def test_max_step_finite_only_on_incomplete(self):
         rng = np.random.default_rng(107)
