@@ -45,7 +45,8 @@ from .base import Manifold
 # Relative tolerance for the collinearity check in transport_along_step.
 _COLLINEAR_TOL = 1e-8
 
-# Margin of the max_step_lower_bound certificate, relative to ||L||_F.
+# Margin of the max_step_lower_bound certificate, relative to ||L||_F;
+# from n = 270 on, 6.2 n (n + 1) eps is larger and takes its place.
 _SCREEN_MARGIN = 1e-10
 
 # Points per stacked eigensolve in distance_from's callable.
@@ -168,9 +169,11 @@ class BuresWasserstein(Manifold):
         """Whether ``t <= max_step(x, v)`` is certified, by one shifted
         LAPACK Cholesky of the factor.
 
-        For ``L = L_X(v)`` and ``m = 1e-10 ||L||_F`` the answer is True when
-        LAPACK factors ``L + (1/t - m) I``.  In floating point that success
-        means ``lambda_min(L) > -1/t + m - e`` with, to first order,
+        For ``L = L_X(v)`` of size n and the margin
+        ``m = max(1e-10, 6.2 n (n + 1) eps) ||L||_F`` the answer is True when
+        LAPACK factors ``L + (1/t - m) I``.  The n-term is below ``1e-10``
+        for n <= 269, so there ``m = 1e-10 ||L||_F``.  In floating point
+        success means ``lambda_min(L) > -1/t + m - e`` with, to first order,
         ``e = n (n + 1) eps (||L||_2 + 1/t + m)`` (Higham, *Accuracy and
         Stability of Numerical Algorithms*, Thms 10.3/10.7; the rounding of
         the shift and of the shifted diagonal adds a few ``eps`` to that).
@@ -179,12 +182,19 @@ class BuresWasserstein(Manifold):
 
         * if ``1/t > 2 ||L||_F``, then ``t < 1 / (2 ||L||_F)``, half of the
           smallest max_step any eigenvalue can give, whatever LAPACK says;
-        * otherwise ``e <= 3.1 n (n + 1) eps ||L||_F``, at most ``m / 2`` for
-          n < 270 (the problems here have n <= 100), so
+        * otherwise ``e <= n (n + 1) eps (3 ||L||_F + m)``, and that is at
+          most ``m / 2`` for every n with ``6.2 n (n + 1) eps <= 0.1``
+          (n up to 8.5 million, a dense factor of 580 TB), because
+          ``m >= 6.2 n (n + 1) eps ||L||_F``.  So
           ``lambda_min(L) > -1/t + m / 2``.  Jacobi's eigenvalue is within
-          its ``1e-14 ||L||_F`` stopping residual plus rounding of the true
-          one, so ``lambda > -1/t + m / 4``: either ``lambda >= 0`` and
-          max_step is infinite, or ``max_step > t (1 + t m / 4)`` with
+          its ``1e-14 ||L||_F`` stopping residual plus its rounding, a few
+          ``eps ||L||_F`` per sweep for each of the n - 1 rotations that
+          touch a row: about ``S n eps ||L||_F`` over ``S <= 100`` sweeps
+          (10 or so in practice).  That is below ``m / 4``: under
+          ``2.5e-11 ||L||_F`` for n <= 269 and under
+          ``1.55 n (n + 1) eps ||L||_F`` beyond.  Hence
+          ``lambda > -1/t + m / 4``: either ``lambda >= 0`` and max_step is
+          infinite, or ``max_step > t (1 + t m / 4)`` with
           ``t m / 4 >= 1.25e-11``.  That relative gap is many orders above
           the rounding of ``alpha / 0.99``, ``1/t``, ``-1 / lambda`` and
           ``0.99 * max_step``, so a passed screen implies
@@ -203,7 +213,8 @@ class BuresWasserstein(Manifold):
         norm = linalg.frobenius_norm(fac)
         if norm == 0.0:
             return True
-        shift = _SCREEN_MARGIN * norm - 1.0 / float(t)
+        n = fac.shape[0]
+        shift = max(_SCREEN_MARGIN, 6.2 * n * (n + 1) * linalg._EPS) * norm - 1.0 / float(t)
         # A finite norm means finite entries, so this checks the whole
         # shifted matrix.
         return math.isfinite(shift) and linalg._lapack_certifies_spd(fac, shift)

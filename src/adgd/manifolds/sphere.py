@@ -2,7 +2,9 @@
 
 Points are unit-norm vectors, tangents at x are vectors orthogonal to x,
 and the metric is the ambient Euclidean inner product.  The manifold is
-geodesically complete with constant positive curvature.
+geodesically complete with constant positive curvature.  Norms are
+written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
+``np.linalg.norm`` computes, without its dispatch overhead.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ class Sphere(Manifold):
 
     def egrad_to_rgrad(self, x, g):
         """Project g onto the tangent space: g - <x, g> x."""
-        return g - np.dot(x, g) * x
+        return g - x.dot(g) * x
 
     def exp(self, x, v):
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(v.dot(v))
         if nv < _TINY:
             return x
         y = math.cos(nv) * x + (math.sin(nv) / nv) * v
-        return y / np.linalg.norm(y)
+        return y / math.sqrt(y.dot(y))
 
     def transport_along_step(self, x, v, w):
         """Transport w along the great circle t -> exp(x, t v).
@@ -39,21 +41,21 @@ class Sphere(Manifold):
         with the circle (u -> -sin(||v||) x + cos(||v||) u); the component
         orthogonal to the plane span(x, u) is unchanged.
         """
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(v.dot(v))
         if nv < _TINY:
             return w
         u = v / nv
-        a = float(np.dot(w, u))
+        a = float(w.dot(u))
         w_perp = w - a * u
         return a * (-math.sin(nv) * x + math.cos(nv) * u) + w_perp
 
     def inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return float(u.dot(v))
 
     def distance(self, x, y):
         # acos loses sqrt(eps) accuracy at coincident points; equal inputs
         # short-circuit so d(x, x) is exactly zero.
         if x is y or np.array_equal(x, y):
             return 0.0
-        c = float(np.dot(x, y))
+        c = float(x.dot(y))
         return math.acos(min(1.0, max(-1.0, c)))

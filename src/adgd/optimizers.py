@@ -261,7 +261,7 @@ def _drive(config, manifold, problem, make_rule):
                 if grad is None:
                     grad = meter.grad(x)
                 grad_norm = manifold.norm(x, grad)
-                if not (np.isfinite(phi) and np.isfinite(grad_norm)):
+                if not (math.isfinite(phi) and math.isfinite(grad_norm)):
                     raise _AbortRun(
                         f"non-finite objective ({phi}) or gradient norm ({grad_norm}) "
                         f"at iteration {k}"

@@ -57,24 +57,26 @@ def center_of_mass(n, n_points=50, seed=0, reference=True):
     rng = np.random.default_rng(seed)
     pts = _hemisphere_points(rng, n, n_points)
 
+    # Plain ufuncs on the 50-element angle vector: np.clip, np.sum and
+    # boolean-mask assignment compute the same values with more overhead.
     def _angles(x):
         c = pts @ x
-        if np.any(c <= -1.0 + 1e-12):
+        # Counted, not np.minimum.reduce: a NaN must not hide an antipodal term.
+        if np.count_nonzero(c <= -1.0 + 1e-12):
             raise DomainError("center-of-mass term evaluated at an antipodal point")
-        return np.clip(c, -1.0, 1.0)
+        return np.minimum(np.maximum(c, -1.0), 1.0)
 
     def value(x):
         theta = np.arccos(_angles(x))
-        return 0.5 * float(np.sum(theta * theta))
+        return 0.5 * float(np.add.reduce(theta * theta))
 
     def euclidean_grad(x):
         c = _angles(x)
-        theta = np.arccos(c)
-        sin2 = 1.0 - c * c
-        near = 1.0 - c < 1e-12
-        coef = np.empty_like(c)
-        coef[near] = 1.0
-        coef[~near] = theta[~near] / np.sqrt(sin2[~near])
+        # Coefficient 1 where 1 - c < 1e-12; written as ~(... < ...) so a
+        # NaN angle gets a NaN coefficient.  1 - c * c >= 0 after the clip.
+        coef = np.divide(
+            np.arccos(c), np.sqrt(1.0 - c * c), out=np.ones_like(c), where=~(1.0 - c < 1e-12)
+        )
         return -(pts.T @ coef)
 
     x0 = pts.mean(axis=0)

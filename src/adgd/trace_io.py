@@ -66,25 +66,6 @@ def _meta_line(meta):
     return "# " + " ".join(parts)
 
 
-def _row_fields(row, deviation=None):
-    fields = [
-        str(row.k),
-        fmt(row.phi),
-        fmt(row.grad_norm),
-        fmt(row.alpha),
-        fmt(row.theta),
-        fmt(row.ell),
-        str(row.fn_evals),
-        str(row.exp_evals),
-        str(row.expensive_ops),
-        "" if row.dist_to_opt is None else fmt(row.dist_to_opt),
-        str(int(row.clamped)),
-    ]
-    if deviation is not None:
-        fields.append(fmt(deviation))
-    return fields
-
-
 def render_trace(trace, meta, deviations=None):
     """Serialize a trace to the CSV text (string) described above.
 
@@ -98,14 +79,22 @@ def render_trace(trace, meta, deviations=None):
             raise ValueError("one deviation value per trace row required")
     buf = io.StringIO()
     buf.write(_meta_line(meta) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    buf.write(",".join(header) + "\n")
+    # Numeric fields need no CSV quoting, so each row is one f-string;
+    # f"{x:.17g}" renders exactly as fmt(x).
     for i, row in enumerate(trace.rows):
-        writer.writerow(_row_fields(row, None if deviations is None else deviations[i]))
+        dist = "" if row.dist_to_opt is None else f"{row.dist_to_opt:.17g}"
+        tail = "" if deviations is None else f",{deviations[i]:.17g}"
+        buf.write(
+            f"{row.k},{row.phi:.17g},{row.grad_norm:.17g},{row.alpha:.17g},"
+            f"{row.theta:.17g},{row.ell:.17g},{row.fn_evals},{row.exp_evals},"
+            f"{row.expensive_ops},{dist},{int(row.clamped)}{tail}\n"
+        )
     if trace.status == "aborted":
+        # The message is free text, so the marker keeps csv's quoting.
         marker = [str(len(trace.rows)), "error", trace.message.replace(",", ";")]
         marker += [""] * (len(header) - len(marker))
-        writer.writerow(marker)
+        csv.writer(buf, lineterminator="\n").writerow(marker)
     return buf.getvalue()
 
 

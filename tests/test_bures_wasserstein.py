@@ -310,6 +310,30 @@ class TestMaxStepScreen:
             assert bw.max_step_lower_bound(x, v, t)
         assert _clamp_alpha(0.0, bw, x, v) == (0.0, False)
 
+    @pytest.mark.parametrize("n", [1, 2, 269, 270, 300])
+    def test_margin_at_every_size(self, bw, n):
+        # A diagonal factor with one eigenvalue -1: max_step is exactly 1,
+        # LAPACK's answer is the sign of each shifted diagonal entry, and
+        # no Jacobi sweep runs at any n.
+        x = np.eye(n)
+        d = np.full(n, 0.5)
+        d[n // 2] = -1.0
+        fac = np.diag(d)
+        v = _tangent_with_factor(bw, x, fac)
+        assert bw.max_step(x, v) == 1.0
+        norm = linalg.frobenius_norm(fac)
+        margin = max(1e-10, 6.2 * n * (n + 1) * np.finfo(float).eps) * norm
+        # Up to n = 269 the margin is the fixed 1e-10 ||L||_F.
+        assert (margin == 1e-10 * norm) == (n <= 269)
+        for rel, certified in ((0.0, False), (1 - 5e-5, False), (1 + 5e-5, True), (2.0, True)):
+            t = 1.0 / (1.0 + rel * margin)
+            assert bw.max_step_lower_bound(x, v, t) == certified, (n, rel)
+        # Steps at 0.99 max_step, give or take an ulp, clamp as the exact path does.
+        for alpha in (STEP_SAFETY * (1 - 1e-12), np.nextafter(STEP_SAFETY, 0.0), STEP_SAFETY,
+                      np.nextafter(STEP_SAFETY, 1.0)):
+            assert _clamp_alpha(alpha, bw, x, v) == _exact_clamp(alpha, bw, x, v)
+        assert _clamp_alpha(np.nextafter(STEP_SAFETY, 1.0), bw, x, v) == (STEP_SAFETY, True)
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from adgd import trace_io
 from adgd.cli import EXPERIMENTS, main
-from adgd.optimizers import Trace
+from adgd.optimizers import Trace, TraceRow
 
 HEADER = "k,phi,grad_norm,alpha,theta,ell,fn_evals,exp_evals,expensive_ops,dist_to_opt,clamped"
 
@@ -414,3 +416,62 @@ class TestTraceIO:
         assert error is None
         assert all(isinstance(r["deviation"], float) for r in rows)
         assert max(r["deviation"] for r in rows) <= 1e-8
+
+
+def _csv_writer_reference(trace, meta, deviations=None):
+    """The csv.writer rendering that ``render_trace`` replaced; its byte oracle."""
+    fmt = trace_io.fmt
+    buf = io.StringIO()
+    buf.write(trace_io._meta_line(meta) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    header = trace_io.HEADER + ([] if deviations is None else ["deviation"])
+    writer.writerow(header)
+    for i, r in enumerate(trace.rows):
+        fields = [
+            str(r.k), fmt(r.phi), fmt(r.grad_norm), fmt(r.alpha), fmt(r.theta), fmt(r.ell),
+            str(r.fn_evals), str(r.exp_evals), str(r.expensive_ops),
+            "" if r.dist_to_opt is None else fmt(r.dist_to_opt), str(int(r.clamped)),
+        ]
+        if deviations is not None:
+            fields.append(fmt(deviations[i]))
+        writer.writerow(fields)
+    if trace.status == "aborted":
+        marker = [str(len(trace.rows)), "error", trace.message.replace(",", ";")]
+        writer.writerow(marker + [""] * (len(header) - len(marker)))
+    return buf.getvalue()
+
+
+class TestRenderAgainstCsvWriter:
+    EDGE = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456.789e12)
+
+    def rows(self):
+        out = []
+        for k, x in enumerate(self.EDGE):
+            out.append(TraceRow(
+                k=k, phi=x, grad_norm=np.float64(abs(x)), alpha=-x, theta=x * 0.5, ell=x,
+                fn_evals=k + 1, exp_evals=k, expensive_ops=3 * k,
+                dist_to_opt=None if k % 3 == 0 else x, clamped=k % 2 == 1,
+            ))
+        return out
+
+    @pytest.mark.parametrize("with_deviation", [False, True])
+    @pytest.mark.parametrize("status, message", [
+        ("converged", ""),
+        ("aborted", 'domain error, "pivot 4" at x, y'),
+        ("aborted", 'say "hi"'),
+    ])
+    def test_byte_equal(self, with_deviation, status, message):
+        rows = self.rows()
+        trace = Trace(rows=rows, points=[], status=status, message=message)
+        meta = {"experiment": "rayleigh", "n": 3, "tol": 1e-8, "phi_star": -0.0, "status": status}
+        deviations = [np.float64(x) for x in self.EDGE[::-1]] if with_deviation else None
+        text = trace_io.render_trace(trace, meta, deviations)
+        assert text == _csv_writer_reference(trace, meta, deviations)
+        assert ",-0," in text and "4.9406564584124654e-324" in text
+        assert "1.7976931348623157e+308" in text
+        if status == "aborted":
+            assert text.splitlines()[-1].startswith(f'{len(rows)},error,"')
+
+    def test_empty_aborted_trace(self):
+        trace = Trace(rows=[], points=[], status="aborted", message="a, b")
+        assert trace_io.render_trace(trace, {}) == _csv_writer_reference(trace, {})

@@ -279,6 +279,40 @@ class TestOneSidedMatchesOracle:
                 linalg.sym_eig(m)
 
 
+def _coupling_at_threshold(x):
+    """Blocks {0, 1} (coupling x) and {2, 3} (coupling 1).  At
+    x = sqrt(199) the first sweep's threshold 0.2 * off / n is exactly 1."""
+    m = np.diag([1.0, 2.0, 3.0, 5.0])
+    m[0, 1] = m[1, 0] = x
+    m[2, 3] = m[3, 2] = 1.0
+    return m
+
+
+class TestFirstSweepThreshold:
+    """A coupling exactly at the first-sweep threshold is skipped (the test
+    is |apq| <= thresh), so the blocks need two sweeps; one ulp above it,
+    one sweep."""
+
+    @pytest.mark.parametrize("x, sweeps", [
+        (math.sqrt(199.0), 2),
+        (np.nextafter(np.nextafter(math.sqrt(199.0), 0.0), 0.0), 1),
+    ])
+    def test_skip_at_threshold(self, monkeypatch, x, sweeps):
+        m = _coupling_at_threshold(float(x))
+        thresh = 0.2 * linalg._off_mass(m) / 4
+        assert thresh == 1.0 if sweeps == 2 else thresh < 1.0
+        assert two_sided_jacobi(m)[2]["sweeps"] == sweeps
+        assert_matches_oracle(m)
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps)
+        assert_stack_matches_sym_eig([m, m])
+        if sweeps == 2:
+            monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+            with pytest.raises(ConvergenceError, match="in 1 sweeps"):
+                linalg.sym_eig(m)
+            with pytest.raises(ConvergenceError, match="in 1 sweeps"):
+                linalg.eigvals(np.array([m]))
+
+
 def assert_stack_matches_sym_eig(mats):
     w = linalg.eigvals(np.array(mats))
     assert w.shape == np.shape(mats)[:2]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from adgd import linalg, problems
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
 
-from conftest import random_sym
+from conftest import random_sym, random_unit
 
 
 class TestCenterOfMass:
@@ -102,6 +103,104 @@ class TestCenterOfMass:
     def test_points_on_open_hemisphere(self):
         prob = problems.center_of_mass(6, n_points=40, seed=3, reference=False)
         assert np.all(prob.extras["points"][:, -1] > 0.0)
+
+
+def _com_oracle(pts):
+    """The center-of-mass value and gradient in their np.clip / np.sum /
+    boolean-mask form, kept as the byte oracle for the ufunc form."""
+
+    def angles(x):
+        c = pts @ x
+        if np.any(c <= -1.0 + 1e-12):
+            raise DomainError("center-of-mass term evaluated at an antipodal point")
+        return np.clip(c, -1.0, 1.0)
+
+    def value(x):
+        theta = np.arccos(angles(x))
+        return 0.5 * float(np.sum(theta * theta))
+
+    def euclidean_grad(x):
+        c = angles(x)
+        theta = np.arccos(c)
+        sin2 = 1.0 - c * c
+        near = 1.0 - c < 1e-12
+        coef = np.empty_like(c)
+        coef[near] = 1.0
+        coef[~near] = theta[~near] / np.sqrt(sin2[~near])
+        return -(pts.T @ coef)
+
+    return value, euclidean_grad
+
+
+class TestCenterOfMassOracle:
+    """Value and gradient are byte-equal to the oracle, NaNs and edge
+    coefficients included."""
+
+    @staticmethod
+    def assert_same_bytes(prob, x):
+        value, grad = _com_oracle(prob.extras["points"])
+        assert np.float64(prob.value(x)).tobytes() == np.float64(value(x)).tobytes()
+        assert prob.euclidean_grad(x).tobytes() == grad(x).tobytes()
+
+    @staticmethod
+    def crafted(cs):
+        # With x = e_0, row i = (c_i, sqrt(1 - c_i^2), 0) gives pts @ x == cs exactly.
+        prob = problems.center_of_mass(3, n_points=len(cs), seed=0, reference=False)
+        pts = prob.extras["points"]
+        pts[:] = 0.0
+        pts[:, 0] = cs
+        pts[:, 1] = np.sqrt(np.maximum(1.0 - np.square(cs), 0.0))
+        x = np.array([1.0, 0.0, 0.0])
+        assert np.array_equal(pts @ x, np.asarray(cs), equal_nan=True)
+        return prob, x
+
+    def test_random_points(self):
+        rng = np.random.default_rng(16)
+        for n in (3, 10):
+            prob = problems.center_of_mass(n, n_points=50, seed=n, reference=False)
+            for _ in range(20):
+                self.assert_same_bytes(prob, random_unit(rng, n))
+
+    def test_data_points_take_coefficient_one_without_warnings(self):
+        prob = problems.center_of_mass(10, n_points=50, seed=4, reference=False)
+        pts = prob.extras["points"]
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            for p in pts[:10]:
+                self.assert_same_bytes(prob, p)
+        # The coefficient path: exactly at a lone data point the gradient is -p.
+        single = problems.center_of_mass(10, n_points=1, seed=4, reference=False)
+        p = single.extras["points"][0]
+        assert np.array_equal(single.euclidean_grad(p), -p)
+
+    def test_threshold_straddle(self):
+        c0 = 1.0 - 1e-12
+        cs = [c0]
+        for _ in range(4):
+            cs = [np.nextafter(cs[0], 0.0)] + cs + [np.nextafter(cs[-1], 2.0)]
+        cs = np.array(cs)
+        near = 1.0 - cs < 1e-12
+        assert near.any() and not near.all()
+        prob, x = self.crafted(cs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_same_bytes(prob, x)
+
+    def test_all_nan_angles(self):
+        prob = problems.center_of_mass(5, n_points=50, seed=1, reference=False)
+        x = np.full(5, np.nan)
+        assert math.isnan(prob.value(x))
+        assert np.isnan(prob.euclidean_grad(x)).all()
+        self.assert_same_bytes(prob, x)
+
+    def test_nan_beside_an_antipodal_term_raises(self):
+        # np.minimum.reduce would return NaN here and lose the antipodal term.
+        for cs in ([np.nan, -1.0], [-1.0 + 1e-12, np.nan]):
+            prob, x = self.crafted(np.array(cs))
+            value, grad = _com_oracle(prob.extras["points"])
+            for fn in (prob.value, prob.euclidean_grad, value, grad):
+                with pytest.raises(DomainError, match="antipodal"):
+                    fn(x)
 
 
 class TestRayleigh:

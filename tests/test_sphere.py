@@ -103,3 +103,32 @@ class TestDistance:
         x = random_unit(np.random.default_rng(5), 3)
         assert sphere.distance(x, 1.0000000000000002 * x) == 0.0
 
+
+
+class TestSqrtDotOracle:
+    """The kernels are byte-equal to their np.linalg.norm / np.dot form."""
+
+    def test_kernels_match_norm_and_dot_forms(self, sphere):
+        rng = np.random.default_rng(16)
+        for n in (2, 10, 50):
+            for scale in (1e-13, 1e-3, 1.0, 3.0):
+                x = random_unit(rng, n)
+                v = random_sphere_tangent(rng, x, scale)
+                w = random_sphere_tangent(rng, x)
+                g = rng.standard_normal(n)
+                nv = float(np.linalg.norm(v))
+                if nv < 1e-12:
+                    y, out = x, w
+                else:
+                    y = math.cos(nv) * x + (math.sin(nv) / nv) * v
+                    y = y / np.linalg.norm(y)
+                    u = v / nv
+                    a = float(np.dot(w, u))
+                    out = a * (-math.sin(nv) * x + math.cos(nv) * u) + (w - a * u)
+                assert sphere.exp(x, v).tobytes() == y.tobytes()
+                assert sphere.transport_along_step(x, v, w).tobytes() == out.tobytes()
+                assert sphere.egrad_to_rgrad(x, g).tobytes() == (g - np.dot(x, g) * x).tobytes()
+                assert sphere.inner(x, v, w) == float(np.dot(v, w))
+                assert sphere.norm(x, v) == math.sqrt(max(float(np.dot(v, v)), 0.0))
+                c = float(np.dot(x, y))
+                assert sphere.distance(x, y) == (0.0 if np.array_equal(x, y) else math.acos(min(1.0, max(-1.0, c))))
