@@ -173,12 +173,12 @@ def _cmd_run(args):
 def _cmd_compare(args):
     loaded = []
     for path in args.traces:
-        meta, rows, error = trace_io.read_trace(path)
-        if not rows:
+        meta, trace, _ = trace_io.read_trace(path)
+        if not trace.rows:
             raise UsageError(f"{path}: empty trace")
-        loaded.append((path, meta, rows, error))
+        loaded.append((meta, trace))
 
-    instance = {(m["experiment"], m["n"], m["seed"]) for _, m, _, _ in loaded}
+    instance = {(m["experiment"], m["n"], m["seed"]) for m, _ in loaded}
     if len(instance) != 1:
         raise UsageError(
             "traces describe different problem instances: "
@@ -187,27 +187,26 @@ def _cmd_compare(args):
     experiment, n, seed = next(iter(instance))
     print(f"experiment={experiment} n={n} seed={seed}")
 
-    phi_stars = [float(m["phi_star"]) for _, m, _, _ in loaded if m["phi_star"] is not None]
+    phi_stars = [float(m["phi_star"]) for m, _ in loaded if m["phi_star"] is not None]
     phi_star = phi_stars[0] if phi_stars else min(
-        min(r["phi"] for r in rows) for _, _, rows, _ in loaded
+        min(r.phi for r in trace.rows) for _, trace in loaded
     )
 
     print(
         f"{'optimizer':<10} {'iters':>6} {'expensive':>10} {'final_gap':>13} "
         f"{'alpha_min':>13} {'alpha_med':>13} {'alpha_max':>13} {'status':>9}"
     )
-    for path, meta, rows, error in loaded:
+    for meta, trace in loaded:
         label = meta["optimizer"]
         if label == "armijo":
             label = f"armijo({meta['armijo_lambda']})"
         # A run that stops at row 0 takes no step: its step statistics are nan.
-        alphas = [r["alpha"] for r in rows if r["alpha"] > 0.0] or [float("nan")]
-        gap = rows[-1]["phi"] - phi_star
-        status = meta["status"] if error is None else "aborted"
+        alphas = [r.alpha for r in trace.rows if r.alpha > 0.0] or [float("nan")]
+        last = trace.rows[-1]
         print(
-            f"{label:<10} {rows[-1]['k']:>6} {rows[-1]['expensive_ops']:>10} "
-            f"{gap:>13.6e} {min(alphas):>13.6e} {statistics.median(alphas):>13.6e} "
-            f"{max(alphas):>13.6e} {status:>9}"
+            f"{label:<10} {last.k:>6} {last.expensive_ops:>10} "
+            f"{last.phi - phi_star:>13.6e} {min(alphas):>13.6e} "
+            f"{statistics.median(alphas):>13.6e} {max(alphas):>13.6e} {trace.status:>9}"
         )
     return 0
 

@@ -107,10 +107,6 @@ class BuresWasserstein(Manifold):
     exp_ops = 2
     adapt_extra_ops = 1
 
-    def tangent(self, v):
-        """Wrap a symmetric matrix as a tangent, symmetrizing defensively."""
-        return BWTangent(linalg.symmetrize(v))
-
     def egrad_to_rgrad(self, x, g):
         g = linalg.symmetrize(g)
         xg = x @ g

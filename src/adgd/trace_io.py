@@ -13,21 +13,23 @@ with an empty ``dist_to_opt`` field when no optimum is known.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import typing
 
-HEADER = [
-    "k",
-    "phi",
-    "grad_norm",
-    "alpha",
-    "theta",
-    "ell",
-    "fn_evals",
-    "exp_evals",
-    "expensive_ops",
-    "dist_to_opt",
-    "clamped",
-]
+from .optimizers import STATUS_ABORTED, Trace, TraceRow
+
+HEADER = [f.name for f in dataclasses.fields(TraceRow)]
+
+# One parser per TraceRow annotation, so the columns' types are declared
+# only on TraceRow.
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: lambda text: bool(int(text)),
+    typing.Optional[float]: lambda text: None if text == "" else float(text),
+}
+_COLUMN_PARSERS = [_PARSERS[hint] for hint in typing.get_type_hints(TraceRow).values()]
 
 META_KEYS = [
     "experiment",
@@ -47,11 +49,6 @@ META_KEYS = [
 ]
 
 
-def fmt(x):
-    """17-significant-digit decimal rendering of a float."""
-    return format(float(x), ".17g")
-
-
 def _meta_line(meta):
     parts = []
     for key in META_KEYS:
@@ -61,7 +58,7 @@ def _meta_line(meta):
         elif isinstance(value, bool):
             value = int(value)
         elif isinstance(value, float):
-            value = fmt(value)
+            value = f"{value:.17g}"
         parts.append(f"{key}={value}")
     return "# " + " ".join(parts)
 
@@ -80,8 +77,7 @@ def render_trace(trace, meta, deviations=None):
     buf = io.StringIO()
     buf.write(_meta_line(meta) + "\n")
     buf.write(",".join(header) + "\n")
-    # Numeric fields need no CSV quoting, so each row is one f-string;
-    # f"{x:.17g}" renders exactly as fmt(x).
+    # Numeric fields need no CSV quoting, so each row is one f-string.
     for i, row in enumerate(trace.rows):
         dist = "" if row.dist_to_opt is None else f"{row.dist_to_opt:.17g}"
         tail = "" if deviations is None else f",{deviations[i]:.17g}"
@@ -90,7 +86,7 @@ def render_trace(trace, meta, deviations=None):
             f"{row.theta:.17g},{row.ell:.17g},{row.fn_evals},{row.exp_evals},"
             f"{row.expensive_ops},{dist},{int(row.clamped)}{tail}\n"
         )
-    if trace.status == "aborted":
+    if trace.status == STATUS_ABORTED:
         # The message is free text, so the marker keeps csv's quoting.
         marker = [str(len(trace.rows)), "error", trace.message.replace(",", ";")]
         marker += [""] * (len(header) - len(marker))
@@ -105,11 +101,15 @@ def write_trace(path, trace, meta, deviations=None):
 
 
 def read_trace(path):
-    """Parse a trace file into (meta dict, row dicts, error message or None).
+    """Parse a trace file into ``(meta, trace, deviations)``.
 
-    Numeric fields come back as float/int; empty dist_to_opt becomes None.
-    A file that breaks the format contract raises ``ValueError`` naming
-    ``path``.
+    ``meta`` maps each metadata key to its text, or ``None`` for ``-``.
+    ``trace`` is a ``Trace`` of ``TraceRow``s typed as the run built them.
+    Its status is ``aborted`` with the marker's text as message when the
+    file has an error marker, else the metadata's ``status``.  The file
+    holds no iterates, so ``trace.points`` is empty.  ``deviations`` is the
+    ``deviation`` column, or ``None`` without one.  A file that breaks the
+    format contract raises ``ValueError`` naming ``path``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -124,25 +124,22 @@ def read_trace(path):
         raise ValueError(f"{path}: metadata line lacks {', '.join(missing)}")
     reader = csv.reader(lines[1:])
     header = next(reader, None)
-    if header is None or header[: len(HEADER)] != HEADER:
+    if header not in (HEADER, HEADER + ["deviation"]):
         raise ValueError(f"{path}: missing or malformed header row")
     rows = []
-    error = None
+    deviations = [] if len(header) > len(HEADER) else None
+    status, message = meta["status"], ""
     for rec in reader:
         where = f"{path}:{reader.line_num + 1}"
         if len(rec) != len(header):
             raise ValueError(f"{where}: {len(rec)} fields where the header has {len(header)}")
         if rec[1] == "error":
-            error = rec[2]
+            status, message = STATUS_ABORTED, rec[2]
             continue
         try:
-            row = {"k": int(rec[0])}
-            for name, value in zip(header[1:], rec[1:]):
-                if name in ("fn_evals", "exp_evals", "expensive_ops", "clamped"):
-                    row[name] = int(value)
-                else:
-                    row[name] = None if value == "" else float(value)
+            rows.append(TraceRow(*(parse(text) for parse, text in zip(_COLUMN_PARSERS, rec))))
+            if deviations is not None:
+                deviations.append(float(rec[-1]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        rows.append(row)
-    return meta, rows, error
+    return meta, Trace(rows, [], status, message), deviations

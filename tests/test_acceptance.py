@@ -6,14 +6,16 @@ none is calibrated at runtime.  Seeds are fixed here and documented in
 the README.
 """
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from adgd import diagnostics, linalg, optimizers, problems
+from adgd import diagnostics, linalg, optimizers, problems, trace_io
 from adgd.cli import main as cli_main
-from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 from adgd.optimizers import (
     STATUS_ABORTED,
     RunConfig,
@@ -113,6 +115,40 @@ def test_criterion_3_certified_rate(com_traces, lyapunov_traces):
     print(f"PASS criterion 3: rate bound slack {worst:.3e} <= 1e-7 at k in {checkpoints}")
 
 
+def _bits(value):
+    """A float's bytes, or a container of values with each float replaced by its bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def test_written_traces_read_back_bit_for_bit(com_traces, lyapunov_traces, tmp_path):
+    # Criteria 2 and 3 evaluated on the CSV traces give the in-memory
+    # numbers bit for bit: every row, phi_star and each diagnostic.
+    for i, (prob, trace) in enumerate(com_traces + lyapunov_traces):
+        path = tmp_path / f"run{i}.csv"
+        trace_io.write_trace(path, trace, {"phi_star": prob.optimum_value, "status": trace.status})
+        meta, read, deviations = trace_io.read_trace(path)
+        assert (read.status, read.message, read.points, deviations) == (trace.status, "", [], None)
+        assert read.rows == trace.rows
+        for r, t in zip(read.rows, trace.rows):
+            assert _bits(dataclasses.astuple(r)) == _bits(dataclasses.astuple(t))
+            assert type(r.clamped) is bool
+        phi_star = float(meta["phi_star"])
+        assert _bits(phi_star) == _bits(prob.optimum_value)
+        for got, want in (
+            (diagnostics.energy_sequence(read, phi_star),
+             diagnostics.energy_sequence(trace, prob.optimum_value)),
+            (diagnostics.radius(read), diagnostics.radius(trace)),
+            (diagnostics.rate_gap_bounds(read, phi_star, (10, 100, 1000)),
+             diagnostics.rate_gap_bounds(trace, prob.optimum_value, (10, 100, 1000))),
+            (diagnostics.step_floor_bound(read), diagnostics.step_floor_bound(trace)),
+        ):
+            assert _bits(np.asarray(got).tolist()) == _bits(np.asarray(want).tolist())
+
+
 def test_criterion_4_geometry_suites():
     sphere = Sphere()
     orthant = PositiveOrthant()
@@ -138,7 +174,7 @@ def test_criterion_4_geometry_suites():
         local = np.random.default_rng(i)
         n = int(local.integers(2, 6))
         x = random_spd(local, n)
-        v = bw.tangent(random_sym(local, n, scale=0.3))
+        v = BWTangent(random_sym(local, n, scale=0.3))
         cap = bw.max_step(x, v)
         if cap <= 1.2:
             v = (0.5 * cap) * v
@@ -164,7 +200,7 @@ def test_criterion_4_geometry_suites():
     for i in range(100):
         local = np.random.default_rng(1000 + i)
         x = random_spd(local, 4)
-        v = bw.tangent(random_sym(local, 4, scale=0.2))
+        v = BWTangent(random_sym(local, 4, scale=0.2))
         if bw.max_step(x, v) <= 1.2:
             v = (0.5 * bw.max_step(x, v)) * v
         fd = (bw.exp(x, (1 + h) * v) - bw.exp(x, (1 - h) * v)) / (2 * h)
@@ -185,8 +221,8 @@ def test_criterion_4_geometry_suites():
         i += 1
         n = int(local.integers(2, 5))
         x = random_spd(local, n)
-        v1 = bw.tangent(random_sym(local, n, scale=0.2))
-        v2 = bw.tangent(random_sym(local, n, scale=0.2))
+        v1 = BWTangent(random_sym(local, n, scale=0.2))
+        v2 = BWTangent(random_sym(local, n, scale=0.2))
         if min(bw.max_step(x, v1), bw.max_step(x, v2)) <= 1.05:
             continue
         lhs = bw.distance(bw.exp(x, v1), bw.exp(x, v2))
@@ -277,7 +313,7 @@ def test_criterion_7_gradient_consistency():
                 elif isinstance(manifold, PositiveOrthant):
                     v = rng.standard_normal(x.size)
                 else:
-                    v = manifold.tangent(random_sym(rng, x.shape[0]))
+                    v = BWTangent(random_sym(rng, x.shape[0]))
                 v = (1.0 / manifold.norm(x, v)) * v
                 fd = (
                     prob.value(manifold.exp(x, h * v))

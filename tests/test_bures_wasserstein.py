@@ -6,7 +6,7 @@ import pytest
 from adgd import linalg
 from adgd.cli import main
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein
+from adgd.manifolds import BuresWasserstein, BWTangent
 from adgd.optimizers import STEP_SAFETY, _clamp_alpha
 
 from conftest import random_spd, random_sym
@@ -21,7 +21,7 @@ class TestRiemannianGradient:
         g = bw.egrad_to_rgrad(x, np.eye(4))
         assert np.allclose(g.mat, 4.0 * x)
         assert np.allclose(g.factor, 2.0 * np.eye(4))
-        v = bw.tangent(random_sym(rng, 4))
+        v = BWTangent(random_sym(rng, 4))
         assert bw.inner(x, g, v) == pytest.approx(float(np.trace(v.mat)), rel=1e-12)
 
     def test_zero_gradient(self, bw):
@@ -41,13 +41,13 @@ class TestExp:
     def test_zero_tangent(self, bw):
         rng = np.random.default_rng(2)
         x = random_spd(rng, 4)
-        out = bw.exp(x, bw.tangent(np.zeros((4, 4))))
+        out = bw.exp(x, BWTangent(np.zeros((4, 4))))
         assert np.allclose(out, x, atol=1e-14)
 
     def test_identity_base_diagonal(self, bw):
         # At X = I with V = 2 diag(d): L = diag(d), result diag((1+d)^2).
         d = np.array([0.1, -0.2, 0.3])
-        v = bw.tangent(2.0 * np.diag(d))
+        v = BWTangent(2.0 * np.diag(d))
         out = bw.exp(np.eye(3), v)
         assert np.allclose(out, np.diag((1.0 + d) ** 2), atol=1e-13)
 
@@ -71,7 +71,7 @@ class TestExp:
             local = np.random.default_rng(seed)
             n = int(local.integers(2, 11))
             x = random_spd(local, n)
-            v = bw.tangent(random_sym(local, n))
+            v = BWTangent(random_sym(local, n))
             cap = bw.max_step(x, v)
             horizon = min(0.99 * cap, 3.0)
             for t in (0.25, 0.5, 0.75, 1.0):
@@ -82,7 +82,7 @@ class TestExp:
     def test_outside_domain_raises_with_max_step(self, bw):
         rng = np.random.default_rng(5)
         x = random_spd(rng, 4)
-        v = bw.tangent(random_sym(rng, 4))
+        v = BWTangent(random_sym(rng, 4))
         cap = bw.max_step(x, v)
         if math.isinf(cap):
             v = -1.0 * v
@@ -100,7 +100,7 @@ class TestTransport:
         rng = np.random.default_rng(6)
         x = random_spd(rng, 4)
         g = bw.egrad_to_rgrad(x, random_sym(rng, 4))
-        out = bw.transport_along_step(x, bw.tangent(np.zeros((4, 4))), g)
+        out = bw.transport_along_step(x, BWTangent(np.zeros((4, 4))), g)
         assert np.allclose(out.mat, g.mat)
 
     def test_diagonal_closed_form(self, bw):
@@ -137,8 +137,8 @@ class TestTransport:
     def test_rejects_non_collinear(self, bw):
         rng = np.random.default_rng(8)
         x = random_spd(rng, 4)
-        v = bw.tangent(random_sym(rng, 4, scale=0.1))
-        w = bw.tangent(random_sym(rng, 4, scale=0.1))
+        v = BWTangent(random_sym(rng, 4, scale=0.1))
+        w = BWTangent(random_sym(rng, 4, scale=0.1))
         with pytest.raises(DomainError):
             bw.transport_along_step(x, v, w)
 
@@ -164,8 +164,8 @@ class TestInner:
         u_mat = random_sym(rng, 4)
         v_mat = random_sym(rng, 4)
         x = np.eye(4)
-        u = bw.tangent(u_mat)
-        v = bw.tangent(v_mat)
+        u = BWTangent(u_mat)
+        v = BWTangent(v_mat)
         assert abs(bw.inner(x, u, v) - 0.25 * np.trace(u_mat @ v_mat)) <= 1e-12
 
     def test_gradient_norm_via_cached_factor(self, bw):
@@ -215,17 +215,17 @@ class TestInner:
 class TestMaxStep:
     def test_positive_semidefinite_factor_unbounded(self, bw):
         x = np.eye(3)
-        v = bw.tangent(2.0 * np.diag([1.0, 2.0, 0.5]))
+        v = BWTangent(2.0 * np.diag([1.0, 2.0, 0.5]))
         assert bw.max_step(x, v) == math.inf
 
     def test_mixed_factor_bound(self, bw):
         # Factor diag(1, -2): I + t L stays SPD iff t < 1/2.
         x = np.eye(2)
-        v = bw.tangent(2.0 * np.diag([1.0, -2.0]))
+        v = BWTangent(2.0 * np.diag([1.0, -2.0]))
         assert bw.max_step(x, v) == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_tangent(self, bw):
-        assert bw.max_step(np.eye(3), bw.tangent(np.zeros((3, 3)))) == math.inf
+        assert bw.max_step(np.eye(3), BWTangent(np.zeros((3, 3)))) == math.inf
 
 
 def _tangent_with_factor(bw, x, fac):
@@ -239,6 +239,17 @@ def _exact_clamp(alpha, bw, x, v):
     if math.isinf(cap) or alpha <= STEP_SAFETY * cap:
         return alpha, False
     return STEP_SAFETY * cap, True
+
+
+def _ulps_around(value, k):
+    """``value`` and its ``k`` nearest floats on each side."""
+    out = [value]
+    for direction in (math.inf, -math.inf):
+        y = value
+        for _ in range(k):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
 
 
 class TestMaxStepScreen:
@@ -368,6 +379,26 @@ class TestMaxStepScreen:
                     flags.add(got[1])
         assert flags == {False, True}
 
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_clamp_with_the_smallest_eigenvalue_ulps_from_the_step(self, bw, n):
+        # A diagonal factor whose smallest eigenvalue sits within 4 ulps of
+        # -1/t for the screen's t = alpha / 0.99, so max_step is within a
+        # few ulps of t.  Inside the margin the screen must refuse, and on
+        # either side the step stays within 0.99 max_step.
+        x = np.eye(n)
+        for alpha in (1e-3, 0.7, 1.0, 123.456, 1e4):
+            t = alpha / STEP_SAFETY
+            for position, lam in enumerate(_ulps_around(-1.0 / t, 4)):
+                d = np.linspace(0.5, 2.0, n) / t
+                d[position % n] = lam
+                v = _tangent_with_factor(bw, x, np.diag(d))
+                cap = bw.max_step(x, v)
+                assert abs(cap / t - 1.0) <= 8 * np.finfo(float).eps
+                assert not bw.max_step_lower_bound(x, v, t), (n, alpha, lam)
+                got = _clamp_alpha(alpha, bw, x, v)
+                assert got[0] <= STEP_SAFETY * cap, (n, alpha, lam)
+                assert got == _exact_clamp(alpha, bw, x, v)
+
 
 class TestDistance:
     def test_self(self, bw):
@@ -469,7 +500,7 @@ class TestBasePoint:
         rng = np.random.default_rng(22)
         x = random_spd(rng, 4)
         y = random_spd(rng, 4)
-        v = bw.tangent(random_sym(rng, 4))
+        v = BWTangent(random_sym(rng, 4))
         assert np.allclose(v.factor_at(x), linalg.solve_lyapunov(x, v.mat))
         assert v.factor is None and v.base is None
         assert np.allclose(v.factor_at(y), linalg.solve_lyapunov(y, v.mat))

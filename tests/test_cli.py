@@ -1,13 +1,17 @@
 import csv
 import io
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adgd import trace_io
 from adgd.cli import EXPERIMENTS, main
-from adgd.optimizers import Trace, TraceRow
+from adgd.optimizers import STATUS_ABORTED, Trace, TraceRow
+
+GOLDEN = Path(__file__).parent / "golden"
 
 HEADER = "k,phi,grad_norm,alpha,theta,ell,fn_evals,exp_evals,expensive_ops,dist_to_opt,clamped"
 
@@ -81,9 +85,9 @@ class TestRun:
         assert run_cli("run", "--experiment", "rayleigh", "--n", "6", "--seed", "2",
                        "--optimizer", "armijo", "--armijo-lambda", "2",
                        "--max-iters", "30", "--alpha0", "0.05", "--out", str(out)) == 0
-        meta, rows, error = trace_io.read_trace(out)
+        meta, trace, _ = trace_io.read_trace(out)
         assert meta["optimizer"] == "armijo"
-        assert error is None
+        assert trace.status != STATUS_ABORTED and trace.message == ""
         assert run_cli("run", "--experiment", "rayleigh", "--n", "6", "--seed", "2",
                        "--optimizer", "fixed", "--fixed-alpha", "0.05",
                        "--max-iters", "30", "--out", str(out)) == 0
@@ -94,9 +98,9 @@ class TestRun:
                        "--seed", "0", "--alpha0", "1e9", "--max-iters", "50",
                        "--out", str(out))
         assert code == 3
-        meta, rows, error = trace_io.read_trace(out)
+        meta, trace, _ = trace_io.read_trace(out)
         assert meta["status"] == "aborted"
-        assert error is not None
+        assert trace.status == STATUS_ABORTED and trace.message
         lines = out.read_text().splitlines()
         assert len(lines[-1].split(",")) == len(lines[1].split(","))
 
@@ -327,9 +331,9 @@ class TestCompare:
         for path in (a, b):
             text = path.read_text()
             path.write_text(re.sub(r" phi_star=\S+ ", " phi_star=- ", text, count=1))
-            meta, rows, _ = trace_io.read_trace(path)
+            meta, trace, _ = trace_io.read_trace(path)
             assert meta["phi_star"] is None
-            finals.append(rows[-1]["phi"])
+            finals.append(trace.rows[-1].phi)
         assert run_cli("compare", str(a), str(b)) == 0
         gaps = [float(line.split()[3]) for line in capsys.readouterr().out.splitlines()[2:]]
         assert len(gaps) == 2
@@ -345,6 +349,36 @@ class TestCompare:
         armijo_line = capsys.readouterr().out.splitlines()[-1]
         assert armijo_line.startswith("armijo(1)")
         assert armijo_line.split()[4:7] == ["nan", "nan", "nan"]
+
+
+# ``compare``'s stdout on golden traces, recorded before it read through
+# ``Trace``; the lyapunov set holds an aborted run and a max-iters 0 run.
+COMPARE_GOLDEN_STDOUT = {
+    ("adgd-lyapunov", "armijo-lyapunov", "fixed-lyapunov", "fixed-lyapunov-domain-abort",
+     "adgd-lyapunov-clamped", "adgd-lyapunov-max-iters-0"): """\
+experiment=lyapunov n=5 seed=1
+optimizer   iters  expensive     final_gap     alpha_min     alpha_med     alpha_max    status
+adgd           22        135  8.881784e-16  6.261451e-02  1.210652e-01  1.727234e-01 converged
+armijo(2)      18        141  4.440892e-16  1.000000e-01  1.000000e-01  2.000000e-01 converged
+fixed          64        387  8.881784e-16  5.000000e-02  5.000000e-02  5.000000e-02 converged
+fixed          14         89  4.740134e+01  1.703665e-03  1.249253e-01  5.000000e+00   aborted
+adgd           26        159  2.220446e-15  8.718889e-02  1.394303e-01  3.397406e-01 converged
+adgd            0          3  2.723422e+00  5.000000e+01  5.000000e+01  5.000000e+01 max-iters
+""",
+    ("adgd-rayleigh", "armijo-rayleigh", "fixed-rayleigh"): """\
+experiment=rayleigh n=6 seed=2
+optimizer   iters  expensive     final_gap     alpha_min     alpha_med     alpha_max    status
+adgd           31         96 -8.881784e-16  5.000000e-02  1.583290e-01  2.755397e-01 converged
+armijo(2)      80        320  5.636495e-08  5.000000e-02  2.000000e-01  2.000000e-01 max-iters
+fixed         140        423 -4.440892e-16  5.000000e-02  5.000000e-02  5.000000e-02 converged
+""",
+}
+
+
+@pytest.mark.parametrize("names", COMPARE_GOLDEN_STDOUT, ids=lambda names: names[0])
+def test_compare_stdout_on_goldens(names, capsys):
+    assert run_cli("compare", *(str(GOLDEN / f"{name}.csv") for name in names)) == 0
+    assert capsys.readouterr().out == COMPARE_GOLDEN_STDOUT[names]
 
 
 class TestMalformedTrace:
@@ -383,19 +417,32 @@ class TestMalformedTrace:
         self._check(tmp_path, capsys, lambda text: re.sub(r"\n2,[^,]*,", "\n2,abc,", text, count=1),
                     ":5: could not convert string to float: 'abc'")
 
+    def test_empty_phi(self, tmp_path, capsys):
+        # Only dist_to_opt may be empty: the other floats are never None.
+        self._check(tmp_path, capsys, lambda text: re.sub(r"\n2,[^,]*,", "\n2,,", text, count=1),
+                    ":5: could not convert string to float: ''")
+
+    def test_unknown_extra_column(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, lambda text: re.sub(r"\n(\S*)", r"\n\1,0", text),
+                    ": missing or malformed header row")
+
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "t.csv"
         run_cli("run", "--experiment", "lyapunov", "--n", "5", "--seed", "2",
                 "--max-iters", "20", "--out", str(out))
-        meta, rows, error = trace_io.read_trace(out)
-        assert error is None
+        meta, trace, deviations = trace_io.read_trace(out)
+        rows = trace.rows
+        assert trace.status != STATUS_ABORTED and trace.message == ""
+        assert trace.status == meta["status"] and trace.points == []
+        assert deviations is None
         assert meta["experiment"] == "lyapunov"
-        assert rows[0]["k"] == 0
-        assert isinstance(rows[0]["phi"], float)
-        assert rows[0]["dist_to_opt"] is not None
-        k_values = [r["k"] for r in rows]
+        assert rows[0].k == 0
+        assert isinstance(rows[0].phi, float)
+        assert isinstance(rows[0].fn_evals, int) and isinstance(rows[0].clamped, bool)
+        assert rows[0].dist_to_opt is not None
+        k_values = [r.k for r in rows]
         assert k_values == list(range(len(rows)))
 
     def test_deviation_count_must_match_rows(self):
@@ -403,24 +450,65 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="one deviation value per trace row"):
             trace_io.render_trace(trace, {}, deviations=[0.0])
 
-    def test_float_rendering_is_lossless(self):
-        values = [0.1, 1.0 / 3.0, 1e-300, 123456.789e12, np.pi]
+    def test_float_rendering_is_lossless(self, tmp_path):
+        # Every float field, the deviation column and the metadata's
+        # phi_star read back bit for bit, signed zero included.
+        values = [0.1, 1.0 / 3.0, 1e-300, 123456.789e12, np.pi, *TestRenderAgainstCsvWriter.EDGE]
+        rows = [
+            TraceRow(k=k, phi=v, grad_norm=v, alpha=v, theta=v, ell=v, fn_evals=k, exp_evals=k,
+                     expensive_ops=k, dist_to_opt=v, clamped=False)
+            for k, v in enumerate(values)
+        ]
+        out = tmp_path / "t.csv"
         for v in values:
-            assert float(trace_io.fmt(v)) == v
+            trace_io.write_trace(out, Trace(rows, [], "converged"), {"phi_star": v}, values)
+            meta, trace, deviations = trace_io.read_trace(out)
+            assert _bits(float(meta["phi_star"])) == _bits(v)
+        assert deviations == values and list(map(_bits, deviations)) == list(map(_bits, values))
+        assert trace.rows == rows
+        for r, v in zip(trace.rows, values):
+            floats = (r.phi, r.grad_norm, r.alpha, r.theta, r.ell, r.dist_to_opt)
+            assert all(type(x) is float and _bits(x) == _bits(v) for x in floats)
+
+    def test_aborted_trace_reads_back_aborted(self, tmp_path):
+        row = TraceRow(k=0, phi=1.0, grad_norm=2.0, alpha=0.5, theta=0.0, ell=0.0, fn_evals=1,
+                       exp_evals=1, expensive_ops=3, dist_to_opt=None, clamped=True)
+        out = tmp_path / "t.csv"
+        message = 'domain error, "pivot 4" at x, y'
+        # No status in the metadata: the error marker alone says aborted.
+        trace_io.write_trace(out, Trace([row], [], STATUS_ABORTED, message), {})
+        meta, trace, deviations = trace_io.read_trace(out)
+        assert meta["status"] is None
+        assert trace == Trace([row], [], STATUS_ABORTED, message.replace(",", ";"))
+        assert deviations is None
+
+    def test_golden_abort_reads_back_aborted(self):
+        meta, trace, _ = trace_io.read_trace(GOLDEN / "fixed-lyapunov-domain-abort.csv")
+        assert meta["status"] == trace.status == STATUS_ABORTED
+        assert trace.message == "matrix is not positive definite (pivot 4)"
+        assert len(trace.rows) == 15
 
     def test_round_trip_with_deviation_column(self, tmp_path):
         out = tmp_path / "eq.csv"
         run_cli("run", "--experiment", "orthant-equivalence", "--n", "6", "--seed", "2",
                 "--max-iters", "40", "--alpha0", "0.5", "--out", str(out))
-        meta, rows, error = trace_io.read_trace(out)
-        assert error is None
-        assert all(isinstance(r["deviation"], float) for r in rows)
-        assert max(r["deviation"] for r in rows) <= 1e-8
+        meta, trace, deviations = trace_io.read_trace(out)
+        assert trace.status != STATUS_ABORTED and trace.message == ""
+        assert len(deviations) == len(trace.rows)
+        assert all(isinstance(d, float) for d in deviations)
+        assert max(deviations) <= 1e-8
+
+
+def _bits(x):
+    return struct.pack("<d", x)
 
 
 def _csv_writer_reference(trace, meta, deviations=None):
     """The csv.writer rendering that ``render_trace`` replaced; its byte oracle."""
-    fmt = trace_io.fmt
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
     buf = io.StringIO()
     buf.write(trace_io._meta_line(meta) + "\n")
     writer = csv.writer(buf, lineterminator="\n")

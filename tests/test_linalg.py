@@ -612,6 +612,28 @@ class TestSpdSqrt:
             call(x)
 
 
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-200, 1e200])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_condition_one_ulp_either_side_of_the_tolerance(self, n, scale):
+        # Diagonal X, so the spectrum is exact and no sweep runs: the
+        # smallest entry one ulp above 1e-12 * max passes, at or one ulp
+        # below it fails, in both kernels.
+        level = 1e-12 * scale
+        for low, passes in ((np.nextafter(level, 0.0), False), (level, False),
+                            (np.nextafter(level, np.inf), True)):
+            d = np.linspace(0.5, 1.0, n) * scale
+            d[n // 2 - 1] = low
+            x = np.diag(d)
+            u = np.ones((n, n))
+            if not passes:
+                for call in (lambda: linalg.spd_sqrt(x), lambda: linalg.solve_lyapunov(x, u)):
+                    with pytest.raises(DomainError, match="requires a positive definite matrix"):
+                        call()
+                continue
+            assert np.array_equal(linalg.spd_sqrt(x), np.diag(np.sqrt(d)))
+            assert np.array_equal(linalg.solve_lyapunov(x, u), u / (d[:, None] + d[None, :]))
+
+
 class TestPlumbing:
     def test_frobenius_zero(self):
         assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
@@ -701,6 +723,25 @@ class TestRequireSpd:
     def test_agrees_with_cholesky_on_edge_inputs(self, x):
         x = np.asarray(x, dtype=float)
         assert _spd_outcome(linalg.require_spd, x) == _spd_outcome(linalg.cholesky, x)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_agrees_with_cholesky_one_rounding_from_its_decision(self, n, scale):
+        # The last diagonal entry at the oracle's last pivot p, where its
+        # remainder a_nn - p is exactly 0, and one ulp either side, where it
+        # is +-ulp(p): the oracle rejects, rejects, accepts.
+        rng = np.random.default_rng(n)
+        x = scale * random_spd(rng, n)
+        # The factor's last row left of the diagonal does not depend on
+        # x[-1, -1], and p is the oracle's own dot product of it.
+        row = linalg.cholesky(x)[-1, :-1]
+        p = np.dot(row, row)
+        for value, accepted in ((np.nextafter(p, -np.inf), False), (p, False),
+                                (np.nextafter(p, np.inf), True)):
+            x[-1, -1] = value
+            expected = _spd_outcome(linalg.cholesky, x)
+            assert (expected is None) == accepted, (n, scale, value)
+            assert _spd_outcome(linalg.require_spd, x) == expected, (n, scale, value)
 
     def test_certifies_well_conditioned_matrices_without_fallback(self, monkeypatch):
         def fail(a):

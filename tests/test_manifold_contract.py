@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adgd import linalg
-from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 
 from conftest import random_sphere_tangent, random_spd, random_sym, random_unit
 
@@ -31,7 +31,7 @@ def bw_sample(bw, rng, scale=0.3):
     # and the only one with a closed form here.
     n = int(rng.integers(2, 6))
     x = random_spd(rng, n)
-    v = bw.tangent(random_sym(rng, n, scale))
+    v = BWTangent(random_sym(rng, n, scale))
     cap = bw.max_step(x, v)
     if cap <= 1.2:
         v = (0.5 * cap) * v
@@ -94,7 +94,7 @@ class TestTransportEqualsExpVelocity:
         rng = np.random.default_rng(103)
         for _ in range(50):
             x = random_spd(rng, 4)
-            v = m.tangent(random_sym(rng, 4, scale=0.2))
+            v = BWTangent(random_sym(rng, 4, scale=0.2))
             if m.max_step(x, v) <= 1.2:
                 v = (0.5 * m.max_step(x, v)) * v
             self._check(m, x, v, to_array=lambda t: t.mat)
@@ -121,8 +121,8 @@ class TestHingeInequality:
         while done < 200:
             n = int(rng.integers(2, 5))
             x = random_spd(rng, n)
-            v1 = m.tangent(random_sym(rng, n, scale=0.2))
-            v2 = m.tangent(random_sym(rng, n, scale=0.2))
+            v1 = BWTangent(random_sym(rng, n, scale=0.2))
+            v2 = BWTangent(random_sym(rng, n, scale=0.2))
             if min(m.max_step(x, v1), m.max_step(x, v2)) <= 1.05:
                 continue
             lhs = m.distance(m.exp(x, v1), m.exp(x, v2))

@@ -6,7 +6,7 @@ import pytest
 
 from adgd import linalg, problems
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 
 from conftest import random_sym, random_unit
 
@@ -321,7 +321,7 @@ def _unit_tangent(manifold, rng, x):
     elif isinstance(manifold, PositiveOrthant):
         v = rng.standard_normal(x.size)
     else:
-        v = manifold.tangent(random_sym(rng, x.shape[0]))
+        v = BWTangent(random_sym(rng, x.shape[0]))
     n = manifold.norm(x, v)
     return (1.0 / n) * v
 
