@@ -176,6 +176,14 @@ def _cmd_compare(args):
         meta, trace, _ = trace_io.read_trace(path)
         if not trace.rows:
             raise UsageError(f"{path}: empty trace")
+        # The summary prints these; an error marker supplies the status.
+        needed = {key: meta[key] for key in ("experiment", "n", "seed", "optimizer")}
+        needed["status"] = trace.status
+        if meta["optimizer"] == "armijo":
+            needed["armijo_lambda"] = meta["armijo_lambda"]
+        for key, value in needed.items():
+            if value is None:
+                raise UsageError(f"{path}: metadata has no {key} value")
         loaded.append((meta, trace))
 
     instance = {(m["experiment"], m["n"], m["seed"]) for m, _ in loaded}

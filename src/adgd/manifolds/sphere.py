@@ -53,9 +53,26 @@ class Sphere(Manifold):
         return float(u.dot(v))
 
     def distance(self, x, y):
-        # acos loses sqrt(eps) accuracy at coincident points; equal inputs
-        # short-circuit so d(x, x) is exactly zero.
-        if x is y or np.array_equal(x, y):
-            return 0.0
-        c = float(x.dot(y))
-        return math.acos(min(1.0, max(-1.0, c)))
+        return self.distance_from(y)([x])[0]
+
+    def distance_from(self, y):
+        def distances(xs):
+            if len(xs) == 0:
+                return []
+            # acos loses sqrt(eps) accuracy at coincident points; equal inputs
+            # short-circuit so d(x, x) is exactly zero.  One comparison of the
+            # stacked points, with np.array_equal's semantics (NaN is unequal,
+            # -0.0 equals 0.0).
+            equal = (np.asarray(xs) == y).all(axis=1).tolist()
+            out = []
+            for x, same in zip(xs, equal):
+                if x is y or same:
+                    out.append(0.0)
+                    continue
+                # One ddot per point: a stacked ``xs @ y`` is a dgemv, which
+                # sums in another order.  The clip lets a NaN through.
+                c = float(x.dot(y))
+                out.append(math.acos(max(min(c, 1.0), -1.0)))
+            return out
+
+        return distances

@@ -4,8 +4,9 @@ Every method runs through one driver, :func:`_drive`.  At each iterate
 ``x_k`` it
 
 1. evaluates the objective ``phi(x_k)`` and the Riemannian gradient
-   ``g_k``, unless the previous step already did, and aborts the run if
-   either is not finite;
+   ``g_k``, unless the previous step already did (both at once, through
+   ``Problem.value_and_grad``, when it did neither), and aborts the run
+   if either is not finite;
 2. notes whether the run stops here: ``converged`` once
    ``||g_k|| <= tol``, else ``max-iters`` at ``k = max_iters``;
 3. asks a step rule for the step size and the next iterate
@@ -175,6 +176,13 @@ class _Meter:
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
         return self.manifold.egrad_to_rgrad(x, self.problem.euclidean_grad(x))
 
+    def value_and_grad(self, x):
+        """``(value(x), grad(x))`` from one joint evaluation, charged as both."""
+        self.fn_evals += 1
+        self.expensive += self.problem.value_ops + self.problem.grad_ops + self.manifold.rgrad_ops
+        phi, egrad = self.problem.value_and_grad(x)
+        return float(phi), self.manifold.egrad_to_rgrad(x, egrad)
+
     def exp(self, x, v):
         self.exp_evals += 1
         self.expensive += self.manifold.exp_ops
@@ -256,9 +264,11 @@ def _drive(config, manifold, problem, make_rule):
         message = ""
         try:
             for k in itertools.count():
-                if phi is None:
+                if phi is None and grad is None:
+                    phi, grad = meter.value_and_grad(x)
+                elif phi is None:
                     phi = meter.value(x)
-                if grad is None:
+                elif grad is None:
                     grad = meter.grad(x)
                 grad_norm = manifold.norm(x, grad)
                 if not (math.isfinite(phi) and math.isfinite(grad_norm)):

@@ -1,16 +1,17 @@
 """Benchmark objectives with Euclidean gradients and seeded generators.
 
 Each generator returns a :class:`Problem`: callables for the objective
-value and its Euclidean (ambient) gradient, a deterministic starting
-point, the known optimum when one is available, and expensive-operation
-price tags used by the benchmark accounting (matrix-vector products for
-sphere objectives, matrix-matrix products for SPD objectives).
+value and its Euclidean (ambient) gradient, a joint evaluator of both
+where they share work, a deterministic starting point, the known optimum
+when one is available, and expensive-operation price tags used by the
+benchmark accounting (matrix-vector products for sphere objectives,
+matrix-matrix products for SPD objectives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,9 +23,25 @@ _REFERENCE_TOL = 1e-13
 _REFERENCE_MAX_ITERS = 100_000
 
 
+class JointEvaluator(NamedTuple):
+    """``evaluate(x)`` returns ``(value(x), euclidean_grad(x))`` bit for bit,
+    computing their shared work once; it stands for exactly the ``value``
+    and ``euclidean_grad`` callables named here."""
+
+    value: Callable[[Any], float]
+    euclidean_grad: Callable[[Any], Any]
+    evaluate: Callable[[Any], tuple]
+
+
 @dataclass
 class Problem:
-    """Objective + gradient evaluators over one manifold's points."""
+    """Objective + gradient evaluators over one manifold's points.
+
+    ``joint`` is optional: without it, or once ``value`` or
+    ``euclidean_grad`` is no longer the very object ``joint`` was built
+    from (``dataclasses.replace``, a wrapper), :meth:`value_and_grad`
+    calls the two callables instead.
+    """
 
     value: Callable[[Any], float]
     euclidean_grad: Callable[[Any], Any]
@@ -34,6 +51,19 @@ class Problem:
     value_ops: int = 0
     grad_ops: int = 0
     extras: dict = field(default_factory=dict)
+    joint: Optional[JointEvaluator] = None
+
+    def value_and_grad(self, x):
+        """``(value(x), euclidean_grad(x))``, through ``joint`` when it still
+        stands for both callables, else through them, value first."""
+        joint = self.joint
+        if (
+            joint is not None
+            and joint.value is self.value
+            and joint.euclidean_grad is self.euclidean_grad
+        ):
+            return joint.evaluate(x)
+        return self.value(x), self.euclidean_grad(x)
 
 
 def _hemisphere_points(rng, n, count):
@@ -66,18 +96,26 @@ def center_of_mass(n, n_points=50, seed=0, reference=True):
             raise DomainError("center-of-mass term evaluated at an antipodal point")
         return np.minimum(np.maximum(c, -1.0), 1.0)
 
-    def value(x):
-        theta = np.arccos(_angles(x))
+    def _value(theta):
         return 0.5 * float(np.add.reduce(theta * theta))
+
+    def _grad(c, theta):
+        # Coefficient 1 where 1 - c < 1e-12; written as ~(... < ...) so a
+        # NaN angle gets a NaN coefficient.  1 - c * c >= 0 after the clip.
+        coef = np.divide(theta, np.sqrt(1.0 - c * c), out=np.ones_like(c), where=~(1.0 - c < 1e-12))
+        return -(pts.T @ coef)
+
+    def value(x):
+        return _value(np.arccos(_angles(x)))
 
     def euclidean_grad(x):
         c = _angles(x)
-        # Coefficient 1 where 1 - c < 1e-12; written as ~(... < ...) so a
-        # NaN angle gets a NaN coefficient.  1 - c * c >= 0 after the clip.
-        coef = np.divide(
-            np.arccos(c), np.sqrt(1.0 - c * c), out=np.ones_like(c), where=~(1.0 - c < 1e-12)
-        )
-        return -(pts.T @ coef)
+        return _grad(c, np.arccos(c))
+
+    def value_and_grad(x):
+        c = _angles(x)
+        theta = np.arccos(c)
+        return _value(theta), _grad(c, theta)
 
     x0 = pts.mean(axis=0)
     x0 /= np.linalg.norm(x0)
@@ -88,6 +126,7 @@ def center_of_mass(n, n_points=50, seed=0, reference=True):
         value_ops=1,
         grad_ops=1,
         extras={"points": pts},
+        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
     if reference:
         from .manifolds import Sphere
@@ -113,6 +152,10 @@ def rayleigh(n, seed=0):
     def euclidean_grad(x):
         return 2.0 * (a @ x)
 
+    def value_and_grad(x):
+        ax = a @ x
+        return float(x @ ax), 2.0 * ax
+
     x0 = rng.standard_normal(n)
     x0 /= np.linalg.norm(x0)
     return Problem(
@@ -123,6 +166,7 @@ def rayleigh(n, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"A": a},
+        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
 
 
@@ -153,6 +197,10 @@ def lyapunov_objective(n, seed=0):
         xa = x @ a
         return xa + xa.T - c
 
+    def value_and_grad(x):
+        xa = x @ a
+        return float(np.sum(xa * x) - np.sum(x * c)), xa + xa.T - c
+
     return Problem(
         value=value,
         euclidean_grad=euclidean_grad,
@@ -162,6 +210,7 @@ def lyapunov_objective(n, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"A": a, "C": c},
+        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
 
 
@@ -195,6 +244,10 @@ def weighted_least_squares(n, seed=0, density=None):
     def euclidean_grad(x):
         return 2.0 * (a * x - b) * a
 
+    def value_and_grad(x):
+        r = a * x - b
+        return float(np.sum(r * r)), 2.0 * r * a
+
     return Problem(
         value=value,
         euclidean_grad=euclidean_grad,
@@ -205,6 +258,7 @@ def weighted_least_squares(n, seed=0, density=None):
         value_ops=0,
         grad_ops=0,
         extras={"A": a, "B": b, "S": target},
+        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
 
 

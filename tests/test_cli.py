@@ -563,3 +563,35 @@ class TestRenderAgainstCsvWriter:
     def test_empty_aborted_trace(self):
         trace = Trace(rows=[], points=[], status="aborted", message="a, b")
         assert trace_io.render_trace(trace, {}) == _csv_writer_reference(trace, {})
+
+
+class TestCompareMissingMetadata:
+    """A metadata value that ``compare`` prints, written as ``-``, is a
+    usage error naming the file."""
+
+    @pytest.mark.parametrize(
+        "optimizer, key",
+        [("adgd", key) for key in ("experiment", "n", "seed", "optimizer", "status")]
+        + [("armijo", "armijo_lambda")],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, optimizer, key):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        base = ("run", "--experiment", "rayleigh", "--n", "4", "--seed", "0", "--max-iters", "5")
+        assert run_cli(*base, "--out", str(good)) == 0
+        assert run_cli(*base, "--optimizer", optimizer, "--out", str(bad)) == 0
+        text = bad.read_text()
+        bad.write_text(re.sub(rf" {key}=\S+", f" {key}=-", text, count=1))
+        capsys.readouterr()
+        assert run_cli("compare", str(good), str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: metadata has no {key} value\n"
+
+    def test_error_marker_supplies_a_missing_status(self, tmp_path, capsys):
+        names = ("fixed-lyapunov", "fixed-lyapunov-domain-abort")
+        paths = [tmp_path / f"{name}.csv" for name in names]
+        for name, path in zip(names, paths):
+            path.write_text((GOLDEN / f"{name}.csv").read_text())
+        paths[1].write_text(re.sub(r" status=\S+", " status=-", paths[1].read_text(), count=1))
+        assert run_cli("compare", *map(str, paths)) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" aborted")

@@ -494,3 +494,46 @@ def test_near_antipodal_start_aborts_before_the_first_row(method):
     assert tr.status == STATUS_ABORTED
     assert tr.rows == []
     assert "antipodal" in tr.message
+
+
+class TestJointEvaluation:
+    """``_drive`` evaluates phi and the gradient of an iterate through one
+    ``Problem.value_and_grad`` call, charged as both, and a replaced
+    callable still sees every evaluation."""
+
+    @staticmethod
+    def _counting(fn, calls):
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+
+        return counted
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_PROBLEMS))
+    def test_one_joint_call_per_adaptive_iterate(self, name):
+        manifold_cls, build = _EDGE_PROBLEMS[name]
+        problem = build()
+        joint_calls = []
+        spied = dataclasses.replace(
+            problem,
+            joint=problem.joint._replace(evaluate=self._counting(problem.joint.evaluate, joint_calls)),
+        )
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=0.01)
+        tr = adgd_run(config, manifold_cls(), spied)
+        assert len(joint_calls) == len(tr.rows) == 11
+        assert [r.fn_evals for r in tr.rows] == list(range(1, 12))
+        assert tr.rows == adgd_run(config, manifold_cls(), dataclasses.replace(problem, joint=None)).rows
+
+    @pytest.mark.parametrize("replaced", ["value", "euclidean_grad"])
+    @pytest.mark.parametrize("name", sorted(_EDGE_PROBLEMS))
+    def test_replaced_callable_sees_every_evaluation(self, name, replaced):
+        manifold_cls, build = _EDGE_PROBLEMS[name]
+        problem = build()
+        calls = []
+        counted = dataclasses.replace(
+            problem, **{replaced: self._counting(getattr(problem, replaced), calls)}
+        )
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=0.01)
+        tr = adgd_run(config, manifold_cls(), counted)
+        assert len(calls) == len(tr.rows) == 11
+        assert tr.rows == adgd_run(config, manifold_cls(), problem).rows

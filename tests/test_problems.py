@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from adgd import linalg, problems
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 
-from conftest import random_sym, random_unit
+from conftest import random_spd, random_sym, random_unit
 
 
 class TestCenterOfMass:
@@ -415,3 +416,88 @@ def random_sphere_tangent_small(rng, x, scale):
     v = rng.standard_normal(x.size)
     v -= np.dot(x, v) * x
     return scale * v / np.linalg.norm(v)
+
+
+# Generators with a joint evaluator, each with a sampler of feasible points.
+_JOINT_GENERATORS = {
+    "center-of-mass": (
+        lambda seed: problems.center_of_mass(6, 20, seed, reference=False),
+        lambda rng: random_unit(rng, 6),
+    ),
+    "rayleigh": (lambda seed: problems.rayleigh(7, seed), lambda rng: random_unit(rng, 7)),
+    "lyapunov": (lambda seed: problems.lyapunov_objective(5, seed), lambda rng: random_spd(rng, 5)),
+    "wls-dense": (
+        lambda seed: problems.weighted_least_squares(5, seed),
+        lambda rng: random_spd(rng, 5),
+    ),
+    "wls-sparse": (
+        lambda seed: problems.weighted_least_squares(5, seed, density=0.3),
+        lambda rng: random_spd(rng, 5),
+    ),
+}
+
+
+def _bits(value):
+    """A float's or an array's bit pattern, with its dtype and shape."""
+    arr = np.asarray(value, dtype=float)
+    return arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_JOINT_GENERATORS))
+class TestJointEvaluator:
+    def test_equals_separate_evaluations_bit_for_bit(self, name):
+        build, sample = _JOINT_GENERATORS[name]
+        prob = build(3)
+        assert prob.joint is not None
+        assert prob.joint.value is prob.value and prob.joint.euclidean_grad is prob.euclidean_grad
+        rng = np.random.default_rng(11)
+        for x in [prob.x0] + [sample(rng) for _ in range(20)]:
+            phi, grad = prob.joint.evaluate(x)
+            assert isinstance(phi, float)
+            assert _bits(phi) == _bits(prob.value(x))
+            assert _bits(grad) == _bits(prob.euclidean_grad(x))
+            assert [_bits(v) for v in prob.value_and_grad(x)] == [_bits(phi), _bits(grad)]
+
+    def test_used_only_while_both_callables_are_its_own(self, name):
+        build, _ = _JOINT_GENERATORS[name]
+        prob = build(3)
+        joint_calls, value_calls = [], []
+
+        def evaluate(x):
+            joint_calls.append(1)
+            return prob.joint.evaluate(x)
+
+        def value(x):
+            value_calls.append(1)
+            return prob.value(x)
+
+        spied = dataclasses.replace(prob, joint=prob.joint._replace(evaluate=evaluate))
+        spied.value_and_grad(prob.x0)
+        assert (len(joint_calls), len(value_calls)) == (1, 0)
+        for replaced in (
+            dataclasses.replace(spied, value=value),
+            dataclasses.replace(spied, euclidean_grad=lambda x: prob.euclidean_grad(x)),
+        ):
+            phi, grad = replaced.value_and_grad(prob.x0)
+            assert _bits(phi) == _bits(prob.value(prob.x0))
+            assert _bits(grad) == _bits(prob.euclidean_grad(prob.x0))
+        assert (len(joint_calls), len(value_calls)) == (1, 1)
+
+
+def test_linear_minus_log_has_no_joint_evaluator():
+    prob = problems.linear_minus_log(4, 0)
+    assert prob.joint is None
+    phi, grad = prob.value_and_grad(prob.x0)
+    assert _bits(phi) == _bits(prob.value(prob.x0))
+    assert _bits(grad) == _bits(prob.euclidean_grad(prob.x0))
+
+
+def test_joint_antipodal_point_raises_the_same_domain_error():
+    prob = problems.center_of_mass(3, n_points=4, seed=2, reference=False)
+    antipode = -prob.extras["points"][1]
+    messages = []
+    for evaluate in (prob.value, prob.euclidean_grad, prob.joint.evaluate, prob.value_and_grad):
+        with pytest.raises(DomainError) as err:
+            evaluate(antipode)
+        messages.append(str(err.value))
+    assert messages == ["center-of-mass term evaluated at an antipodal point"] * 4

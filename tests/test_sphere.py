@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import random_sphere_tangent, random_unit
 
@@ -132,3 +133,40 @@ class TestSqrtDotOracle:
                 assert sphere.norm(x, v) == math.sqrt(max(float(np.dot(v, v)), 0.0))
                 c = float(np.dot(x, y))
                 assert sphere.distance(x, y) == (0.0 if np.array_equal(x, y) else math.acos(min(1.0, max(-1.0, c))))
+
+
+class TestDistanceFrom:
+    """The distance column: one stacked equality test, then a ddot and
+    ``math.acos`` per unequal point, bit for bit the single distance."""
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    def test_column_equals_single_distances(self, sphere):
+        rng = np.random.default_rng(5)
+        y = random_unit(rng, 10)
+        y[3] = 0.0
+        y /= math.sqrt(y.dot(y))
+        signed_zero = y.copy()
+        signed_zero[3] = -0.0
+        nan_point = y.copy()
+        nan_point[0] = math.nan
+        xs = [y, y.copy(), signed_zero, -y, nan_point] + [random_unit(rng, 10) for _ in range(20)]
+        column = sphere.distance_from(y)(xs)
+        assert self.bits(column) == self.bits([sphere.distance(x, y) for x in xs])
+        # The per-point form the column replaced, away from NaN.
+        for x, dist in zip(xs, column):
+            if not np.isnan(x).any():
+                c = float(x.dot(y))
+                assert dist == (0.0 if np.array_equal(x, y) else math.acos(min(1.0, max(-1.0, c))))
+        assert column[:3] == [0.0, 0.0, 0.0]
+        assert column[3] == pytest.approx(math.pi, abs=1e-7)
+        assert math.isnan(column[4])
+        assert sphere.distance_from(y)([]) == []
+
+    def test_nan_point_is_nan_not_pi(self, sphere):
+        x = e(0)
+        assert math.isnan(sphere.distance(x, np.array([math.nan, 0.0, 0.0])))
+        assert math.isnan(sphere.distance(np.array([math.nan, 0.0, 0.0]), x))
+        assert sphere.distance(x, -x) == math.pi
