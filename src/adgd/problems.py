@@ -1,11 +1,12 @@
 """Benchmark objectives with Euclidean gradients and seeded generators.
 
 Each generator returns a :class:`Problem`: callables for the objective
-value and its Euclidean (ambient) gradient, a joint evaluator of both
-where they share work, a deterministic starting point, the known optimum
-when one is available, and expensive-operation price tags used by the
-benchmark accounting (matrix-vector products for sphere objectives,
-matrix-matrix products for SPD objectives).
+value and its Euclidean (ambient) gradient (with a joint evaluator of
+both for the sphere center of mass, whose two share their costly work), a
+deterministic starting point, the known optimum when one is available, and
+expensive-operation price tags used by the benchmark accounting
+(matrix-vector products for sphere objectives, matrix-matrix products for
+SPD objectives).
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ def rayleigh(n, seed=0):
     def euclidean_grad(x):
         return 2.0 * (a @ x)
 
-    def value_and_grad(x):
-        ax = a @ x
-        return float(x @ ax), 2.0 * ax
-
     x0 = rng.standard_normal(n)
     x0 /= np.linalg.norm(x0)
     return Problem(
@@ -166,7 +163,6 @@ def rayleigh(n, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"A": a},
-        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
 
 
@@ -197,10 +193,6 @@ def lyapunov_objective(n, seed=0):
         xa = x @ a
         return xa + xa.T - c
 
-    def value_and_grad(x):
-        xa = x @ a
-        return float(np.sum(xa * x) - np.sum(x * c)), xa + xa.T - c
-
     return Problem(
         value=value,
         euclidean_grad=euclidean_grad,
@@ -210,7 +202,6 @@ def lyapunov_objective(n, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"A": a, "C": c},
-        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
 
 
@@ -244,10 +235,6 @@ def weighted_least_squares(n, seed=0, density=None):
     def euclidean_grad(x):
         return 2.0 * (a * x - b) * a
 
-    def value_and_grad(x):
-        r = a * x - b
-        return float(np.sum(r * r)), 2.0 * r * a
-
     return Problem(
         value=value,
         euclidean_grad=euclidean_grad,
@@ -258,7 +245,6 @@ def weighted_least_squares(n, seed=0, density=None):
         value_ops=0,
         grad_ops=0,
         extras={"A": a, "B": b, "S": target},
-        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
 
 

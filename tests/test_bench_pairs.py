@@ -1,6 +1,6 @@
 """The pure helpers of ``tools/bench_pairs.py``: pair order, quartiles,
-wins, the IQR flag and the claim verdict.  No subprocess runs and no
-commit is exported."""
+wins, the position against the parent's IQR and the claim verdict.  No
+subprocess runs and no commit is exported."""
 
 import importlib.util
 import json
@@ -52,11 +52,15 @@ def test_metric_summary_schema():
     json.dumps(m)
 
 
-def test_beyond_parent_iqr_is_strict_and_two_sided():
-    parent = [10.0, 11.0, 12.0, 13.0, 14.0]  # q3 - q1 = 2
-    flags = [bp.summarize_metric(LOWER, parent, [x] * 5)["beyond_parent_iqr"]
-             for x in (10.0, 9.99, 14.0, 14.01)]
-    assert flags == [False, True, False, True]
+def test_vs_parent_iqr_is_strict_and_follows_the_better_direction():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]  # median 12, q3 - q1 = 2
+    changes = (10.0, 9.99, 14.0, 14.01)
+    assert [bp.summarize_metric(LOWER, parent, [x] * 5)["vs_parent_iqr"] for x in changes] == [
+        "inside", "better", "inside", "worse",
+    ]
+    assert [bp.summarize_metric(HIGHER, parent, [x] * 5)["vs_parent_iqr"] for x in changes] == [
+        "inside", "worse", "inside", "better",
+    ]
 
 
 def test_unpaired_runs_rejected():
@@ -75,17 +79,42 @@ def test_workload_summary_counts_failed_ops():
     assert s["metrics"]["iters_per_s"]["change_wins"] == "2/2"
 
 
-@pytest.mark.parametrize("wins, met", [(10, True), (8, True), (7, False), (0, False)])
-def test_claim_needs_eight_of_ten_wins(wins, met):
-    parent = [1.0] * 10
-    change = [0.5] * wins + [2.0] * (10 - wins)
+def claim(wins, change_value=0.5, failed=(0, 0)):
+    """The verdict on ``wall_s`` when the change runs ``change_value`` in
+    ``wins`` of 10 pairs and 2.0 in the rest, against a parent at 0.9 and
+    1.1 (median 1.0, q3 - q1 = 0.2), and the first pair's runs fail
+    ``failed`` ops (parent, change)."""
+    parent = [0.9, 1.1] * 5
+    change = [change_value] * wins + [2.0] * (10 - wins)
     summary = {"w": bp.summarize_workload([LOWER], list(range(10)), {
-        "parent": [result(p, 1.0) for p in parent],
-        "change": [result(c, 1.0) for c in change],
+        "parent": [result(v, 1.0, failed=failed[0] * (i == 0)) for i, v in enumerate(parent)],
+        "change": [result(v, 1.0, failed=failed[1] * (i == 0)) for i, v in enumerate(change)],
     })}
-    assert bp.claim_verdict(summary, "w", "wall_s") == {
-        "workload": "w", "metric": "wall_s", "wins": wins, "pairs": 10, "met": met,
+    return bp.claim_verdict(summary, "w", "wall_s")
+
+
+def test_claim_met_with_nine_wins_beyond_the_parent_iqr():
+    assert claim(9) == {
+        "workload": "w", "metric": "wall_s", "wins": 9, "pairs": 10,
+        "vs_parent_iqr": "better", "failed_ops": {"parent": 0, "change": 0}, "met": True,
     }
+    assert claim(10)["met"]
+
+
+def test_claim_not_met_with_eight_wins():
+    verdict = claim(8)
+    assert (verdict["wins"], verdict["vs_parent_iqr"], verdict["met"]) == (8, "better", False)
+
+
+def test_claim_not_met_inside_the_parent_iqr():
+    # Ten wins, but the change median 0.85 is only 0.15 below the parent's.
+    verdict = claim(10, change_value=0.85)
+    assert (verdict["wins"], verdict["vs_parent_iqr"], verdict["met"]) == (10, "inside", False)
+
+
+def test_claim_not_met_with_more_failed_ops():
+    assert claim(10, failed=(1, 2))["met"] is False
+    assert claim(10, failed=(2, 2))["met"] is True
 
 
 def test_output_parsing_takes_env_line_and_last_line():

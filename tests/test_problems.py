@@ -9,7 +9,7 @@ from adgd import linalg, problems
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 
-from conftest import random_spd, random_sym, random_unit
+from conftest import random_sym, random_unit
 
 
 class TestCenterOfMass:
@@ -418,49 +418,29 @@ def random_sphere_tangent_small(rng, x, scale):
     return scale * v / np.linalg.norm(v)
 
 
-# Generators with a joint evaluator, each with a sampler of feasible points.
-_JOINT_GENERATORS = {
-    "center-of-mass": (
-        lambda seed: problems.center_of_mass(6, 20, seed, reference=False),
-        lambda rng: random_unit(rng, 6),
-    ),
-    "rayleigh": (lambda seed: problems.rayleigh(7, seed), lambda rng: random_unit(rng, 7)),
-    "lyapunov": (lambda seed: problems.lyapunov_objective(5, seed), lambda rng: random_spd(rng, 5)),
-    "wls-dense": (
-        lambda seed: problems.weighted_least_squares(5, seed),
-        lambda rng: random_spd(rng, 5),
-    ),
-    "wls-sparse": (
-        lambda seed: problems.weighted_least_squares(5, seed, density=0.3),
-        lambda rng: random_spd(rng, 5),
-    ),
-}
-
-
 def _bits(value):
     """A float's or an array's bit pattern, with its dtype and shape."""
     arr = np.asarray(value, dtype=float)
     return arr.shape, arr.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(_JOINT_GENERATORS))
 class TestJointEvaluator:
-    def test_equals_separate_evaluations_bit_for_bit(self, name):
-        build, sample = _JOINT_GENERATORS[name]
-        prob = build(3)
+    """``center_of_mass``'s joint evaluator, the only one a generator gives."""
+
+    def test_equals_separate_evaluations_bit_for_bit(self):
+        prob = problems.center_of_mass(6, 20, 3, reference=False)
         assert prob.joint is not None
         assert prob.joint.value is prob.value and prob.joint.euclidean_grad is prob.euclidean_grad
         rng = np.random.default_rng(11)
-        for x in [prob.x0] + [sample(rng) for _ in range(20)]:
+        for x in [prob.x0] + [random_unit(rng, 6) for _ in range(20)]:
             phi, grad = prob.joint.evaluate(x)
             assert isinstance(phi, float)
             assert _bits(phi) == _bits(prob.value(x))
             assert _bits(grad) == _bits(prob.euclidean_grad(x))
             assert [_bits(v) for v in prob.value_and_grad(x)] == [_bits(phi), _bits(grad)]
 
-    def test_used_only_while_both_callables_are_its_own(self, name):
-        build, _ = _JOINT_GENERATORS[name]
-        prob = build(3)
+    def test_used_only_while_both_callables_are_its_own(self):
+        prob = problems.center_of_mass(6, 20, 3, reference=False)
         joint_calls, value_calls = [], []
 
         def evaluate(x):
@@ -484,8 +464,18 @@ class TestJointEvaluator:
         assert (len(joint_calls), len(value_calls)) == (1, 1)
 
 
-def test_linear_minus_log_has_no_joint_evaluator():
-    prob = problems.linear_minus_log(4, 0)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: problems.rayleigh(7, 0),
+        lambda: problems.lyapunov_objective(5, 0),
+        lambda: problems.weighted_least_squares(5, 0),
+        lambda: problems.linear_minus_log(4, 0),
+    ],
+    ids=["rayleigh", "lyapunov", "wls", "linear-minus-log"],
+)
+def test_without_joint_evaluator_value_and_grad_calls_both(build):
+    prob = build()
     assert prob.joint is None
     phi, grad = prob.value_and_grad(prob.x0)
     assert _bits(phi) == _bits(prob.value(prob.x0))

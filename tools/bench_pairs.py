@@ -3,13 +3,14 @@
 
 Usage (from any directory)::
 
-    python3 tools/bench_pairs.py PARENT --claim sphere-com adgd.op_s.p50 --out BENCH.json
+    python3 tools/bench_pairs.py PARENT --first-seed 1811 \
+        --claim sphere-com adgd.op_s.p50 --out BENCH.json
 
 exports the commit PARENT (``git archive``) into a temporary directory,
 which is removed however the tool exits, and runs the command of
 ``BENCHMARK.json`` with ``--trace 0`` and its ``run_seconds`` in both
-trees: ``--pairs`` pairs (default 10), each on a fresh workload seed, and
-per pair one run of every workload on each side.  The parent goes first in
+trees: 10 pairs, pair ``i`` on workload seed ``FIRST_SEED + i``, and per
+pair one run of every workload on each side.  The parent goes first in
 even pairs, this checkout in odd ones.  This checkout runs as its working
 tree stands, uncommitted edits included.
 
@@ -17,10 +18,13 @@ The JSON written to ``--out`` (or printed) holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, both sides' runs, medians and
 quartiles (``statistics.quantiles(n=4, method="inclusive")``), the change's
 wins (better than the parent in the same pair, in the metric's ``better``
-direction), ``beyond_parent_iqr`` (``|change median - parent median| >
-parent q3 - q1``) and the failed and attempted op counts.  With
-``--claim WORKLOAD METRIC`` it also reports whether that metric won at
-least 8 of every 10 pairs, and exits 1 when it did not.
+direction), ``vs_parent_iqr`` (``"better"`` or ``"worse"`` when the change
+median differs from the parent's by more than the parent's ``q3 - q1`` in
+that direction, else ``"inside"``) and the failed and attempted op counts.
+With ``--claim WORKLOAD METRIC`` it also reports whether that metric's
+gain is resolved: at least 9 of the 10 pairs won, ``vs_parent_iqr``
+``"better"``, and no more failed ops than the parent's on that workload;
+it exits 1 when it is not.
 
 Byte identity (``tools/fingerprint.py``) and the test suite's timings are
 separate commands.
@@ -31,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import signal
 import statistics
 import subprocess
@@ -41,7 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-WIN_SHARE = 0.8  # the "8 of 10 pairs" rule
+PAIRS = 10
+WINS_NEEDED = 9  # of the PAIRS pairs, for a claimed gain
 
 
 def pair_order(index):
@@ -59,9 +63,11 @@ def summarize_metric(spec, parent, change):
     ``BENCHMARK.json`` entry, ``parent[i]`` and ``change[i]`` pair ``i``."""
     if len(parent) != len(change):
         raise ValueError("one parent run per change run required")
-    lower = spec["better"] == "lower"
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    wins = sum(sign * (pv - cv) > 0 for pv, cv in zip(parent, change))
     p, c = quartiles(parent), quartiles(change)
+    gain = sign * (p["median"] - c["median"])  # > 0 when the change is better
+    iqr = p["q3"] - p["q1"]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -71,7 +77,7 @@ def summarize_metric(spec, parent, change):
         "runs": {"parent": list(parent), "change": list(change)},
         "change_over_parent_median": c["median"] / p["median"] if p["median"] else None,
         "change_wins": f"{wins}/{len(parent)}",
-        "beyond_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+        "vs_parent_iqr": "better" if gain > iqr else "worse" if -gain > iqr else "inside",
     }
 
 
@@ -93,11 +99,18 @@ def summarize_workload(specs, seeds, results):
 
 
 def claim_verdict(summary, workload, metric):
-    """``{workload, metric, wins, pairs, met}``: ``met`` when the change won
-    at least ``WIN_SHARE`` of the pairs."""
-    wins, pairs = map(int, summary[workload]["metrics"][metric]["change_wins"].split("/"))
+    """``{workload, metric, wins, pairs, vs_parent_iqr, failed_ops, met}``:
+    ``met`` when the change won at least ``WINS_NEEDED`` of ``PAIRS`` pairs,
+    its median is better than the parent's by more than the parent's
+    interquartile range, and it failed no more ops than the parent."""
+    data = summary[workload]
+    m = data["metrics"][metric]
+    wins, pairs = map(int, m["change_wins"].split("/"))
+    failed = data["failed_ops"]
     return {"workload": workload, "metric": metric, "wins": wins, "pairs": pairs,
-            "met": wins >= WIN_SHARE * pairs}
+            "vs_parent_iqr": m["vs_parent_iqr"], "failed_ops": failed,
+            "met": (wins >= WINS_NEEDED and m["vs_parent_iqr"] == "better"
+                    and failed["change"] <= failed["parent"])}
 
 
 def parse_output(stdout):
@@ -136,15 +149,11 @@ def _raise_exit(signum, frame):
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the parent commit (any git revision)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=None,
-                        help="pair i runs seed FIRST_SEED + i (default: a random seed)")
+    parser.add_argument("--first-seed", type=int, required=True,
+                        help="pair i runs workload seed FIRST_SEED + i")
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"), default=None)
     parser.add_argument("--out", default=None, help="JSON path (default: standard output)")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
@@ -156,8 +165,7 @@ def main(argv=None):
                        or args.claim[1] not in [s["name"] for s in specs]):
         sys.exit(f"error: --claim {' '.join(args.claim)} names no workload or no metric")
     seconds = bench["run_seconds"]
-    first = secrets.randbelow(1 << 30) if args.first_seed is None else args.first_seed
-    seeds = [first + i for i in range(args.pairs)]
+    seeds = [args.first_seed + i for i in range(PAIRS)]
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
 
     # SIGTERM unwinds like an exception, so the export is removed then too.
@@ -193,7 +201,10 @@ def main(argv=None):
                     "pair each side runs the workloads one after another. Quartiles: "
                     "statistics.quantiles(n=4, method=\"inclusive\") over each side's runs. "
                     "A win is the change being better than the parent in the same pair; "
-                    "beyond_parent_iqr is |change median - parent median| > parent q3 - q1.",
+                    "vs_parent_iqr is better (worse) when the change median is better "
+                    "(worse) than the parent median by more than parent q3 - q1, else "
+                    "inside. A claim is met with at least 9 wins of 10, vs_parent_iqr "
+                    "better and no more failed ops than the parent.",
         "parent": parent_sha,
         "change": {"head": _git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(_git("status", "--porcelain"))},
@@ -212,13 +223,15 @@ def main(argv=None):
             ratio = m["change_over_parent_median"]
             print(f"{workload} {name}: parent {m['parent']['median']:.6g}, change "
                   f"{m['change']['median']:.6g} ({'-' if ratio is None else f'{ratio:.3f}'}x), "
-                  f"wins {m['change_wins']}, beyond parent IQR {m['beyond_parent_iqr']}",
+                  f"wins {m['change_wins']}, {m['vs_parent_iqr']} vs the parent's IQR",
                   file=sys.stderr)
     claim = report["claimed"]
     if claim:
         verdict = "met" if claim["met"] else "NOT met"
         print(f"claim {claim['workload']} {claim['metric']}: {claim['wins']}/{claim['pairs']} "
-              f"wins, the 8-of-10 rule is {verdict}", file=sys.stderr)
+              f"wins, {claim['vs_parent_iqr']} vs the parent's IQR, failed ops "
+              f"{claim['failed_ops']['change']} (parent {claim['failed_ops']['parent']}): "
+              f"{verdict}", file=sys.stderr)
         return 0 if claim["met"] else 1
     return 0
 
