@@ -123,3 +123,21 @@ def test_output_parsing_takes_env_line_and_last_line():
     env, res = bp.parse_output(stdout)
     assert env == {"numpy": "2.0", "workload_seed": 3}
     assert res == result(1.0, 2.0)
+
+
+def test_regressions_list_every_metric_worse_beyond_the_parent_iqr():
+    parent = [result(1.0, 5.0), result(1.1, 5.0), result(1.2, 5.0)]  # wall_s IQR 0.1
+    slower = [result(1.4, 5.0)] * 3  # wall_s worse by 0.3, iters_per_s equal
+    faster = [result(0.5, 9.0)] * 3
+    summary = {
+        "a": bp.summarize_workload([LOWER, HIGHER], [1, 2, 3], {"parent": parent, "change": slower}),
+        "b": bp.summarize_workload([LOWER, HIGHER], [1, 2, 3], {"parent": parent, "change": faster}),
+        "c": bp.summarize_workload([HIGHER, LOWER], [1, 2, 3], {
+            "parent": parent, "change": [result(1.5, 1.0)] * 3}),
+    }
+    assert bp.regressions(summary) == [
+        {"workload": "a", "metric": "wall_s"},
+        {"workload": "c", "metric": "iters_per_s"},
+        {"workload": "c", "metric": "wall_s"},
+    ]
+    assert bp.regressions({"b": summary["b"]}) == []

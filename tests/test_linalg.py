@@ -232,6 +232,14 @@ class TestOneSidedMatchesOracle:
         info = assert_matches_oracle(random_sym(np.random.default_rng(100), 100))
         assert info["sweeps"] > 3
 
+    @pytest.mark.parametrize("kind", ["negzero", "equal-diag"])
+    def test_byte_equal_n60(self, kind):
+        rng = np.random.default_rng([60, list(_ORACLE_KINDS).index(kind)])
+        info = assert_matches_oracle(_ORACLE_KINDS[kind](rng, 60))
+        assert info["sweeps"] > 3
+        if kind == "equal-diag":
+            assert info["negzero_tau"] > 0
+
     @pytest.mark.parametrize(
         "coupling, branch", [(1e-200, "huge_tau"), (1e-310, "nonfinite_tau")]
     )
@@ -465,6 +473,23 @@ class TestJacobiRange:
         exact = scale * np.array([1.5 - math.sqrt(9.25), 1.5 + math.sqrt(9.25)])
         assert np.allclose(linalg.sym_eig(m).eigenvalues, exact, rtol=1e-14, atol=0.0)
         assert linalg.eigvals([m]).tobytes() == linalg.sym_eig(m).eigenvalues.tobytes()
+
+
+class TestSymEigKeepsNoState:
+    def test_same_input_after_another_size_gives_the_same_bytes(self):
+        rng = np.random.default_rng(19)
+        a, b = random_sym(rng, 7), random_sym(rng, 12)
+        first = linalg.sym_eig(a)
+        linalg.sym_eig(b)
+        again = linalg.sym_eig(a)
+        assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+        assert again.basis.tobytes() == first.basis.tobytes()
+
+    def test_two_calls_share_no_memory(self):
+        rng = np.random.default_rng(20)
+        first = linalg.sym_eig(random_sym(rng, 7))
+        second = linalg.sym_eig(random_sym(rng, 7))
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
 
 
 _PURE_KERNELS = {

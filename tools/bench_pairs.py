@@ -24,7 +24,9 @@ that direction, else ``"inside"``) and the failed and attempted op counts.
 With ``--claim WORKLOAD METRIC`` it also reports whether that metric's
 gain is resolved: at least 9 of the 10 pairs won, ``vs_parent_iqr``
 ``"better"``, and no more failed ops than the parent's on that workload;
-it exits 1 when it is not.
+it exits 1 when it is not.  ``regressions`` lists every workload and
+metric whose ``vs_parent_iqr`` is ``"worse"``; the exit code does not
+depend on it.
 
 Byte identity (``tools/fingerprint.py``) and the test suite's timings are
 separate commands.
@@ -111,6 +113,15 @@ def claim_verdict(summary, workload, metric):
             "vs_parent_iqr": m["vs_parent_iqr"], "failed_ops": failed,
             "met": (wins >= WINS_NEEDED and m["vs_parent_iqr"] == "better"
                     and failed["change"] <= failed["parent"])}
+
+
+def regressions(summary):
+    """``[{workload, metric}, ...]`` for every end-to-end metric whose
+    change median is worse than the parent's by more than the parent's
+    interquartile range, in the summary's order."""
+    return [{"workload": workload, "metric": name}
+            for workload, data in summary.items()
+            for name, m in data["metrics"].items() if m["vs_parent_iqr"] == "worse"]
 
 
 def parse_output(stdout):
@@ -204,12 +215,14 @@ def main(argv=None):
                     "vs_parent_iqr is better (worse) when the change median is better "
                     "(worse) than the parent median by more than parent q3 - q1, else "
                     "inside. A claim is met with at least 9 wins of 10, vs_parent_iqr "
-                    "better and no more failed ops than the parent.",
+                    "better and no more failed ops than the parent. regressions lists every "
+                    "workload and metric whose vs_parent_iqr is worse.",
         "parent": parent_sha,
         "change": {"head": _git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(_git("status", "--porcelain"))},
         "machine": machine,
         "claimed": claim_verdict(summary, *args.claim) if args.claim else None,
+        "regressions": regressions(summary),
         "workloads": summary,
     }
     text = json.dumps(report, indent=1) + "\n"
@@ -225,6 +238,8 @@ def main(argv=None):
                   f"{m['change']['median']:.6g} ({'-' if ratio is None else f'{ratio:.3f}'}x), "
                   f"wins {m['change_wins']}, {m['vs_parent_iqr']} vs the parent's IQR",
                   file=sys.stderr)
+    worse = ", ".join(f"{r['workload']} {r['metric']}" for r in report["regressions"])
+    print(f"regressions: {worse or 'none'}", file=sys.stderr)
     claim = report["claimed"]
     if claim:
         verdict = "met" if claim["met"] else "NOT met"
