@@ -6,7 +6,8 @@ Subcommands
     Configure one (experiment, optimizer) pair, run it, and write the
     per-iteration CSV trace.  Exit status 0 on success, 2 on a usage
     error, 3 when the run aborted numerically (the partial trace plus an
-    error-marker row is still written).
+    error-marker row is still written), 4 when a Jacobi eigensolver gave
+    up (``ConvergenceError``; no trace is written).
 ``compare``
     Read two or more completed trace files for the same problem instance
     and print a per-optimizer summary table.
@@ -29,6 +30,7 @@ import sys
 import numpy as np
 
 from . import problems, trace_io
+from .errors import ConvergenceError
 from .manifolds import BuresWasserstein, PositiveOrthant, Sphere
 from .optimizers import (
     STATUS_ABORTED,
@@ -272,6 +274,9 @@ def main(argv=None):
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

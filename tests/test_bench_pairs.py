@@ -125,6 +125,66 @@ def test_output_parsing_takes_env_line_and_last_line():
     assert res == result(1.0, 2.0)
 
 
+# The standard output of ``benchmarks/run.py --workload bw-lyapunov-diag
+# --seed 7 --seconds 2`` on a 2-vCPU x86-64 VM.
+RUN_STDOUT = (
+    'env {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "affinity_cpus": 2, '
+    '"blas": "scipy-openblas 0.3.31.188.0", '
+    '"git_sha": "a60f59d488095821a103d399468832a31de6a4b7", "nproc": 2, '
+    '"numpy": "2.4.6", "python": "3.11.7", "workload_seed": 7}\n'
+    'workload bw-lyapunov-diag: lyapunov n=20, instance seeds [345173755, 670603789, '
+    '1555471436, 4098716173, 1965169259, 1108769539, 3790368678, 107580793, '
+    '477429597, 3721865186, 4291023257, 733472087, 3856286163, 4218492452]\n'
+    'passes 2, instances 14, ops per pass 28\n'
+    'metric setup_s 0.0150973470748129 s  (n=14)\n'
+    'metric wall_s 0.809867706668287 s  (n=2)\n'
+    'metric adgd.op_s.p50 0.04206818609968126 s  (n=14)\n'
+    'metric armijo.op_s.p50 0.016183992192819564 s  (n=14)\n'
+    'metric iters_per_s 2248.5153871505854 1/s\n'
+    'metric peak_rss_mb 39.14453125 MB\n'
+    'raw setup_s 0.034323849500651704 s\n'
+    'raw wall_s 1.815430243499577 s\n'
+    'raw adgd.op_s.p50 0.09393176199773734 s\n'
+    'raw armijo.op_s.p50 0.036176108000290697 s\n'
+    'raw iters_per_s 1003.0680090961172 1/s\n'
+    'raw peak_rss_mb 39.14453125 MB\n'
+    'fail_ratio 0.0 (0 of 56 ops)\n'
+    '{"correct": true, "attempted": 56, "failed": 0, '
+    '"metrics": {"setup_s": {"value": 0.0150973470748129, "unit": "s"}, '
+    '"wall_s": {"value": 0.809867706668287, "unit": "s"}, '
+    '"adgd.op_s.p50": {"value": 0.04206818609968126, "unit": "s"}, '
+    '"armijo.op_s.p50": {"value": 0.016183992192819564, "unit": "s"}, '
+    '"iters_per_s": {"value": 2248.5153871505854, "unit": "1/s"}, '
+    '"peak_rss_mb": {"value": 39.14453125, "unit": "MB"}}}\n'
+)
+
+
+def test_output_parsing_of_a_benchmark_run_takes_its_raw_times():
+    env, res = bp.parse_output(RUN_STDOUT)
+    assert env["workload_seed"] == 7
+    assert res["attempted"] == 56 and res["failed"] == 0
+    assert res["metrics"]["adgd.op_s.p50"] == {"value": 0.04206818609968126, "unit": "s"}
+    assert res["raw"] == {
+        "setup_s": 0.034323849500651704, "wall_s": 1.815430243499577,
+        "adgd.op_s.p50": 0.09393176199773734, "armijo.op_s.p50": 0.036176108000290697,
+        "iters_per_s": 1003.0680090961172, "peak_rss_mb": 39.14453125,
+    }
+
+
+def test_workload_summary_reports_raw_medians_when_every_run_has_them():
+    def timed(wall_s, raw_wall_s):
+        return {**result(wall_s, 1.0), "raw": {"wall_s": raw_wall_s}}
+
+    results = {"parent": [timed(1.0, 2.0), timed(1.2, 2.6), timed(1.1, 2.2)],
+               "change": [timed(0.9, 1.8), timed(0.8, 1.7), timed(0.7, 1.4)]}
+    s = bp.summarize_workload([LOWER, HIGHER], [1, 2, 3], results)
+    assert s["metrics"]["wall_s"]["raw_median"] == {"parent": 2.2, "change": 1.7}
+    assert s["metrics"]["iters_per_s"]["raw_median"] is None
+    results["change"][1] = result(0.8, 1.0)
+    s = bp.summarize_workload([LOWER], [1, 2, 3], results)
+    assert s["metrics"]["wall_s"]["raw_median"] is None
+
+
 def test_regressions_list_every_metric_worse_beyond_the_parent_iqr():
     parent = [result(1.0, 5.0), result(1.1, 5.0), result(1.2, 5.0)]  # wall_s IQR 0.1
     slower = [result(1.4, 5.0)] * 3  # wall_s worse by 0.3, iters_per_s equal

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgd import trace_io
+from adgd import linalg, trace_io
 from adgd.cli import EXPERIMENTS, main
 from adgd.optimizers import STATUS_ABORTED, Trace, TraceRow
 
@@ -103,6 +103,16 @@ class TestRun:
         assert trace.status == STATUS_ABORTED and trace.message
         lines = out.read_text().splitlines()
         assert len(lines[-1].split(",")) == len(lines[1].split(","))
+
+    def test_eigensolver_cap_exits_4_without_a_trace(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+        out = tmp_path / "cap.csv"
+        code = run_cli("run", "--experiment", "lyapunov", "--n", "3", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: Jacobi eigensolver did not converge in 0 sweeps")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_file_equivalent_to_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"

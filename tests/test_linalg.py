@@ -307,7 +307,7 @@ class TestFirstSweepThreshold:
     ])
     def test_skip_at_threshold(self, monkeypatch, x, sweeps):
         m = _coupling_at_threshold(float(x))
-        thresh = 0.2 * linalg._off_mass(m) / 4
+        thresh = 0.2 * float(linalg._off_mass(m[None])[0]) / 4
         assert thresh == 1.0 if sweeps == 2 else thresh < 1.0
         assert two_sided_jacobi(m)[2]["sweeps"] == sweeps
         assert_matches_oracle(m)
@@ -408,7 +408,7 @@ class TestStackedEigvals:
         class CountingNumpy:
             # Each pivot counts the matrices it rotates in: some of them
             # take the subset path, none the skip path.  (The other count,
-            # of |tau| <= 1e150, covers every rotating matrix here.)
+            # of |tau| <= 1e150, covers the whole stack here.)
             def __getattr__(self, name):
                 return getattr(np, name)
 
@@ -490,6 +490,76 @@ class TestSymEigKeepsNoState:
         first = linalg.sym_eig(random_sym(rng, 7))
         second = linalg.sym_eig(random_sym(rng, 7))
         assert not any(np.shares_memory(x, y) for x in first for y in second)
+
+    def test_eigvals_same_stack_after_another_shape_gives_the_same_bytes(self):
+        rng = np.random.default_rng(21)
+        a = np.array([random_sym(rng, 7) for _ in range(4)])
+        b = np.array([random_sym(rng, 12) for _ in range(9)])
+        first = linalg.eigvals(a)
+        linalg.eigvals(b)
+        assert linalg.eigvals(a).tobytes() == first.tobytes()
+
+    def test_eigvals_calls_share_no_memory(self):
+        rng = np.random.default_rng(22)
+        stack = np.array([random_sym(rng, 7) for _ in range(4)])
+        assert not np.shares_memory(linalg.eigvals(stack), linalg.eigvals(stack))
+
+    def test_module_constants_are_read_only(self):
+        constants = [v for v in vars(linalg).values() if isinstance(v, np.ndarray)]
+        assert len(constants) >= 4
+        for c in constants:
+            assert c.shape == ()
+            with pytest.raises(ValueError, match="read-only"):
+                c[()] = 3.0
+
+
+def _off_mass_one(a):
+    """The per-matrix off-diagonal mass the stacked ``linalg._off_mass``
+    replaced, kept as its oracle."""
+    sq = a.copy()
+    np.fill_diagonal(sq, 0.0)
+    sq *= sq
+    return math.sqrt(float(np.sum(sq)))
+
+
+class TestStackedOffMass:
+    # n * n = 1 and 4 entries fall below numpy's 8-element unrolled sum, 9
+    # inside its 128-element block, 144 and 400 above it, where the
+    # pairwise sum recurses.
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 20])
+    @pytest.mark.parametrize("m", [1, 5, 33])
+    def test_byte_equal_to_the_per_matrix_sum(self, m, n):
+        rng = np.random.default_rng([m, n])
+        stack = np.array([random_sym(rng, n, scale=10.0 ** rng.integers(-5, 6))
+                          for _ in range(m)])
+        off = linalg._off_mass(stack)
+        assert off.shape == (m,)
+        expected = np.array([_off_mass_one(mat) for mat in stack])
+        assert off.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 12, 20])
+    def test_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.array([_ORACLE_KINDS["negzero"](rng, n) for _ in range(5)])
+        stack[1] = -0.0
+        stack[2] = 0.0
+        off = linalg._off_mass(stack)
+        assert off.tobytes() == np.array([_off_mass_one(mat) for mat in stack]).tobytes()
+        assert not np.signbit(off).any()
+
+    def test_huge_diagonal_does_not_overflow(self):
+        stack = np.array([np.diag([1e300, -1e300, 2.0]), np.eye(3)])
+        stack[0, 0, 2] = stack[0, 2, 0] = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            off = linalg._off_mass(stack)
+        assert off.tolist() == [math.sqrt(18.0), 0.0]
+        assert off.tobytes() == np.array([_off_mass_one(mat) for mat in stack]).tobytes()
+
+    def test_input_is_not_mutated(self):
+        stack = np.array([np.full((3, 3), 2.0)])
+        linalg._off_mass(stack)
+        assert (stack == 2.0).all()
 
 
 _PURE_KERNELS = {

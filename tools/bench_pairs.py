@@ -20,7 +20,11 @@ quartiles (``statistics.quantiles(n=4, method="inclusive")``), the change's
 wins (better than the parent in the same pair, in the metric's ``better``
 direction), ``vs_parent_iqr`` (``"better"`` or ``"worse"`` when the change
 median differs from the parent's by more than the parent's ``q3 - q1`` in
-that direction, else ``"inside"``) and the failed and attempted op counts.
+that direction, else ``"inside"``), each side's median of the
+uncalibrated value the run prints on its ``raw NAME VALUE UNIT`` line
+(``raw_median``; the calibrated times are scaled by the benchmark's
+calibration kernel, so this checks a gain against wall-clock time) and
+the failed and attempted op counts.
 With ``--claim WORKLOAD METRIC`` it also reports whether that metric's
 gain is resolved: at least 9 of the 10 pairs won, ``vs_parent_iqr``
 ``"better"``, and no more failed ops than the parent's on that workload;
@@ -83,18 +87,29 @@ def summarize_metric(spec, parent, change):
     }
 
 
+def raw_medians(results, name):
+    """``{side: median}`` of metric ``name``'s uncalibrated values, or None
+    when a run printed none."""
+    try:
+        return {side: statistics.median(r["raw"][name] for r in results[side]) for side in SIDES}
+    except KeyError:
+        return None
+
+
 def summarize_workload(specs, seeds, results):
-    """``results[side]`` is the list of ``benchmarks/run.py`` result objects
-    (its last output line), one per pair, in pair order."""
+    """``results[side]`` is the list of parsed ``benchmarks/run.py`` results
+    (:func:`parse_output`), one per pair, in pair order."""
     return {
         "pairs": len(seeds),
         "seeds": list(seeds),
         "failed_ops": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "attempted_ops": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "metrics": {
-            spec["name"]: summarize_metric(
-                spec, *([r["metrics"][spec["name"]]["value"] for r in results[side]] for side in SIDES)
-            )
+            spec["name"]: {
+                **summarize_metric(spec, *([r["metrics"][spec["name"]]["value"]
+                                            for r in results[side]] for side in SIDES)),
+                "raw_median": raw_medians(results, spec["name"]),
+            }
             for spec in specs
         },
     }
@@ -126,10 +141,16 @@ def regressions(summary):
 
 def parse_output(stdout):
     """``(environment, result)`` from ``benchmarks/run.py``'s output: its
-    ``env {...}`` line and its last line."""
+    ``env {...}`` line and its last line, plus, when it printed any, its
+    ``raw NAME VALUE UNIT`` lines as ``result["raw"] = {NAME: VALUE}``."""
     lines = stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return env, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    raw = {name: float(value) for _, name, value, _ in
+           (line.split() for line in lines if line.startswith("raw "))}
+    if raw:
+        result["raw"] = raw
+    return env, result
 
 
 def _git(*args):
@@ -234,9 +255,11 @@ def main(argv=None):
     for workload, data in summary.items():
         for name, m in data["metrics"].items():
             ratio = m["change_over_parent_median"]
+            raw = m["raw_median"]
+            raw = "" if raw is None else f" (raw {raw['parent']:.6g} -> {raw['change']:.6g})"
             print(f"{workload} {name}: parent {m['parent']['median']:.6g}, change "
-                  f"{m['change']['median']:.6g} ({'-' if ratio is None else f'{ratio:.3f}'}x), "
-                  f"wins {m['change_wins']}, {m['vs_parent_iqr']} vs the parent's IQR",
+                  f"{m['change']['median']:.6g} ({'-' if ratio is None else f'{ratio:.3f}'}x)"
+                  f"{raw}, wins {m['change_wins']}, {m['vs_parent_iqr']} vs the parent's IQR",
                   file=sys.stderr)
     worse = ", ".join(f"{r['workload']} {r['metric']}" for r in report["regressions"])
     print(f"regressions: {worse or 'none'}", file=sys.stderr)
