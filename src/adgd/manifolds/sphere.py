@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ..errors import DomainError
 from .base import Manifold
 
 # Below this, ||v|| is treated as zero: the closed forms for exp and
@@ -28,9 +29,13 @@ class Sphere(Manifold):
         return g - x.dot(g) * x
 
     def exp(self, x, v):
+        """Raises ``DomainError`` when ``||v||`` overflows; a NaN norm gives a
+        NaN point, which the descent loop's finiteness check reports."""
         nv = math.sqrt(v.dot(v))
         if nv < _TINY:
             return x
+        if nv == math.inf:
+            raise DomainError(f"sphere step norm overflowed (||v|| = {nv})")
         y = math.cos(nv) * x + (math.sin(nv) / nv) * v
         return y / math.sqrt(y.dot(y))
 

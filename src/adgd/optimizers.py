@@ -20,18 +20,20 @@ a diagnostic and never feeds a step.
 
 The step rules:
 
-* :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`): one
-  gradient, one exponential map and one comparison of ``g_k`` with the
-  previous gradient parallel-transported along the last step.  The step
-  combines a growth cap ``sqrt(1 + theta) * alpha_prev`` with a local
-  inverse-smoothness estimate; there is no line search.  It is the
-  Riemannian form of the rule of Malitsky & Mishchenko, *Adaptive Gradient
-  Descent without Descent* (arXiv:1910.09529).  With the step pinned it
-  is the constant-step baseline (:func:`fixed_run`); on flat R^n it is
-  :func:`euclidean_adgd_run`, the oracle for the positive-orthant
-  equivalence.
-* :func:`_first_ls`, an optional warm start of the adaptive rule at
-  ``k = 0`` that doubles ``alpha0`` up to the local smoothness scale.
+* :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`).  Each of
+  the paper's three operations per iteration is one metered call: the
+  gradient (:meth:`_Meter.value_and_grad` or :meth:`_Meter.grad`, in
+  :func:`_drive`), the exponential map (:meth:`_Meter.exp`) and, from ``k = 1``,
+  the comparison of ``g_k`` with the previous gradient
+  parallel-transported along the last step (:meth:`_Meter.grad_change`).
+  The step combines a growth cap ``sqrt(1 + theta) * alpha_prev`` with a
+  local inverse-smoothness estimate; there is no line search, except the
+  optional first-LS warm start that doubles ``alpha0`` at ``k = 0``.  It
+  is the Riemannian form of the rule of Malitsky & Mishchenko, *Adaptive
+  Gradient Descent without Descent* (arXiv:1910.09529).  With the step
+  pinned it is the constant-step baseline (:func:`fixed_run`); on flat
+  R^n it is :func:`euclidean_adgd_run`, the oracle for the
+  positive-orthant equivalence.
 * :func:`_armijo_rule`, the backtracking line-search baseline
   (:func:`armijo_run`) whose first trial grows as ``lambda * eta_prev``.
 
@@ -188,10 +190,13 @@ class _Meter:
         self.expensive += self.manifold.exp_ops
         return self.manifold.exp_flagged(x, v)
 
-    def transport(self, x, v, w):
-        """``w`` transported along ``exp(x, t v)``, with its adaptive charge."""
+    def grad_change(self, x_prev, step, grad_prev, norm_prev, x, grad):
+        """``||grad - T grad_prev||`` at ``x = exp(x_prev, step)``, with ``T``
+        the transport along the step and ``norm_prev = ||grad_prev||``; one
+        adaptive charge."""
         self.expensive += self.manifold.adapt_extra_ops
-        return self.manifold.transport_along_step(x, v, w)
+        transported = self.manifold.transport_along_step(x_prev, step, grad_prev)
+        return math.sqrt(self.manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
 
 
 class _AbortRun(Exception):
@@ -317,16 +322,25 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     """The adaptive step size, or the constant ``pinned`` in its place.
 
     At ``x_k``, ``k >= 1``, with ``T g_{k-1}`` the previous gradient
-    transported along the last step (one ``adapt_extra_ops`` charge)::
+    transported along the last step (:meth:`_Meter.grad_change`, one
+    ``adapt_extra_ops`` charge)::
 
         ell_k   = alpha_{k-1} ||g_{k-1}|| / ||g_k - T g_{k-1}||
         alpha_k = min(sqrt(1 + theta_{k-1}) alpha_{k-1}, ell_k / sqrt(2))
         theta_k = alpha_k / alpha_{k-1}
 
     ``ell_k`` is 0 in the row when the denominator vanishes, and
-    ``alpha_k`` is then the growth cap.  ``alpha_0 = config.alpha0``,
-    warmed up by :func:`_first_ls` when ``config.first_ls`` is set, and
+    ``alpha_k`` is then the growth cap.  ``alpha_0 = config.alpha0`` and
     ``theta_0 = 0``.  Every step is clamped to the step domain.
+
+    With ``config.first_ls`` the first step is a warm start: while the
+    trial's ratio ``||g_0|| / (sqrt(2) ||g_1 - T g_0||)`` exceeds 1 and
+    the step is not clamped, ``alpha_0`` doubles (and is clamped again),
+    at most ``_MAX_FIRST_LS_DOUBLINGS`` times, so that the step sequence
+    starts at the local inverse-smoothness scale.  Each trial charges an
+    exponential and a gradient, and a comparison unless it follows the
+    last allowed doubling: that trial is taken as it stands.  The taken
+    trial's gradient serves ``k = 1``.
 
     A converged row reports the step it would take and takes no
     exponential.  The row at ``k = max_iters >= 1`` still takes it, and
@@ -343,18 +357,14 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
 
     def rule(k, x, phi, grad, grad_norm, stop):
         nonlocal prev, streak
-        grad_next = None
         if prev is None:
             alpha = config.alpha0 if pinned is None else pinned
             if stop is not None:
                 return _Step(alpha)
-            theta = ell = 0.0
-            neg_grad = -1.0 * grad
-            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
+            ell = 0.0
         else:
             x_prev, grad_prev, step_prev, alpha_prev, theta_prev, norm_prev, phi_prev = prev
-            transported = meter.transport(x_prev, step_prev, grad_prev)
-            denom = math.sqrt(manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
+            denom = meter.grad_change(x_prev, step_prev, grad_prev, norm_prev, x, grad)
             numer = alpha_prev * norm_prev
             ell = numer / denom if denom > 0.0 else 0.0
             if pinned is None:
@@ -362,20 +372,28 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                 alpha = min(math.sqrt(1.0 + theta_prev) * alpha_prev, local)
             else:
                 alpha = pinned
-            neg_grad = -1.0 * grad
-            alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
-            # alpha_prev is zero only under a pinned zero step; the ratio is moot then.
-            theta = alpha / alpha_prev if alpha_prev > 0.0 else 0.0
-            if stop == STATUS_CONVERGED:
-                return _Step(alpha, theta, ell, clamped)
+        neg_grad = -1.0 * grad
+        alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
+        # alpha_prev is zero only under a pinned zero step; the ratio is moot then.
+        theta = alpha / alpha_prev if prev is not None and alpha_prev > 0.0 else 0.0
+        if stop == STATUS_CONVERGED:
+            return _Step(alpha, theta, ell, clamped)
 
+        step = alpha * neg_grad
+        x_next, exp_clamped = meter.exp(x, step)
+        grad_next = None
         if prev is None and config.first_ls and pinned is None:
-            alpha, clamped, step, x_next, exp_clamped, grad_next = _first_ls(
-                manifold, meter, x, grad, grad_norm, neg_grad, alpha, clamped
-            )
-        else:
-            step = alpha * neg_grad
-            x_next, exp_clamped = meter.exp(x, step)
+            # First-LS: each pass compares the last trial, then doubles.
+            grad_next = meter.grad(x_next)
+            for _ in range(_MAX_FIRST_LS_DOUBLINGS):
+                denom = meter.grad_change(x, step, grad, grad_norm, x_next, grad_next)
+                ratio = grad_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
+                if ratio <= 1.0 or clamped:
+                    break
+                alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x, neg_grad)
+                step = alpha * neg_grad
+                x_next, exp_clamped = meter.exp(x, step)
+                grad_next = meter.grad(x_next)
 
         abort = ""
         if pinned is not None and prev is not None:
@@ -391,35 +409,6 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
         )
 
     return rule
-
-
-def _first_ls(manifold, meter, x0, grad0, grad0_norm, neg_grad0, alpha, clamped):
-    """Warm start of the adaptive rule at ``k = 0``.
-
-    Doubles ``alpha`` until the first step's ratio
-    ``||g_0|| / (sqrt(2) ||g_1 - T g_0||)`` drops to 1 or the step is
-    clamped, so that the step sequence starts at the local
-    inverse-smoothness scale.  Each trial costs an exponential and a
-    gradient and, while doublings remain, a transport and one adaptive
-    charge.  After ``_MAX_FIRST_LS_DOUBLINGS`` doublings the last trial is
-    taken as it stands.
-
-    Returns ``(alpha, clamped, step, x1, exp_clamped, g_1)`` of the trial
-    taken; ``g_1`` serves the next iteration.
-    """
-    for doubling in range(_MAX_FIRST_LS_DOUBLINGS + 1):
-        step = alpha * neg_grad0
-        x1, exp_clamped = meter.exp(x0, step)
-        grad1 = meter.grad(x1)
-        if doubling == _MAX_FIRST_LS_DOUBLINGS:
-            break
-        transported = meter.transport(x0, step, grad0)
-        denom = math.sqrt(manifold.grad_diff_norm_sq(x1, grad1, transported, grad0_norm**2))
-        ratio = grad0_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
-        if ratio <= 1.0 or clamped:
-            break
-        alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x0, neg_grad0)
-    return alpha, clamped, step, x1, exp_clamped, grad1
 
 
 def _armijo_rule(config, manifold, meter):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError
+from .manifolds import Sphere
 
 # Reference-solve stops; its floating-point fixed point comes long before the cap.
 _REFERENCE_TOL = 1e-13
@@ -77,13 +78,13 @@ def _hemisphere_points(rng, n, count):
     return pts
 
 
-def center_of_mass(n, n_points=50, seed=0, reference=True):
+def center_of_mass(n, n_points=50, seed=0):
     """Sum of squared geodesic distances to fixed hemisphere points.
 
     phi(x) = sum_i arccos(<p_i, x>)^2 / 2 on the unit sphere; its Euclidean
     gradient is -sum_i (theta_i / sin theta_i) p_i with theta_i the angle to
-    p_i (the coefficient tends to 1 as theta_i -> 0).  With ``reference``
-    set, a high-accuracy fixed-step descent provides the optimum.
+    p_i (the coefficient tends to 1 as theta_i -> 0).  A high-accuracy
+    fixed-step descent (:func:`fixed_step_reference`) provides the optimum.
     """
     rng = np.random.default_rng(seed)
     pts = _hemisphere_points(rng, n, n_points)
@@ -129,13 +130,10 @@ def center_of_mass(n, n_points=50, seed=0, reference=True):
         extras={"points": pts},
         joint=JointEvaluator(value, euclidean_grad, value_and_grad),
     )
-    if reference:
-        from .manifolds import Sphere
-
-        xstar, stop, steps, grad_norm = fixed_step_reference(prob, Sphere(), step=1.0 / n_points)
-        prob.optimum_point = xstar
-        prob.optimum_value = value(xstar)
-        prob.extras["reference"] = {"stop": stop, "steps": steps, "grad_norm": grad_norm}
+    xstar, stop, steps, grad_norm = fixed_step_reference(prob, Sphere(), step=1.0 / n_points)
+    prob.optimum_point = xstar
+    prob.optimum_value = value(xstar)
+    prob.extras["reference"] = {"stop": stop, "steps": steps, "grad_norm": grad_norm}
     return prob
 
 
@@ -198,7 +196,7 @@ def lyapunov_objective(n, seed=0):
         euclidean_grad=euclidean_grad,
         x0=np.eye(n),
         optimum_point=xstar,
-        optimum_value=float(np.sum((xstar @ a) * xstar) - np.sum(xstar * c)),
+        optimum_value=value(xstar),
         value_ops=1,
         grad_ops=1,
         extras={"A": a, "C": c},

@@ -292,7 +292,7 @@ def test_criterion_6_end_to_end_convergence():
 def test_criterion_7_gradient_consistency():
     h = 1e-6
     cases = [
-        (Sphere(), lambda s: problems.center_of_mass(8, 30, s, reference=False)),
+        (Sphere(), lambda s: problems.center_of_mass(8, 30, s)),
         (Sphere(), lambda s: problems.rayleigh(8, s)),
         (BuresWasserstein(), lambda s: problems.lyapunov_objective(6, s)),
         (BuresWasserstein(), lambda s: problems.weighted_least_squares(6, s)),

@@ -104,6 +104,24 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert len(lines[-1].split(",")) == len(lines[1].split(","))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--experiment", "rayleigh", "--n", "5", "--alpha0", "1e300"),
+            ("--experiment", "center-of-mass", "--optimizer", "fixed", "--fixed-alpha", "1e300"),
+            ("--experiment", "center-of-mass", "--alpha0", "1e300", "--first-ls"),
+            ("--experiment", "rayleigh", "--n", "5", "--optimizer", "armijo", "--alpha0", "1e300"),
+        ],
+        ids=["adgd", "fixed", "first-ls", "armijo"],
+    )
+    def test_overflowing_sphere_step_exits_3_with_a_trace(self, tmp_path, capsys, argv):
+        out = tmp_path / "overflow.csv"
+        assert run_cli("run", *argv, "--out", str(out)) == 3
+        assert "run aborted: sphere step norm overflowed" in capsys.readouterr().err
+        meta, trace, _ = trace_io.read_trace(out)
+        assert meta["status"] == trace.status == STATUS_ABORTED
+        assert trace.message and trace.rows == []
+
     def test_eigensolver_cap_exits_4_without_a_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
         out = tmp_path / "cap.csv"

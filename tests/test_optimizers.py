@@ -163,6 +163,35 @@ class TestFirstIterationLineSearch:
         assert tr.rows[0].alpha == 0.001 * 2**60
         assert tr.rows[0].exp_evals == 61
 
+    @pytest.mark.parametrize(
+        "objective,y0,max_iters,exp_evals,expensive_ops",
+        [
+            # 60 doublings: 61 trials, and the 61st is not compared.
+            ("linear", [0.0, 0.0], 1, 61, 3 + 61 * 4 + 60),
+            # Ten doublings: 11 trials, each compared.
+            ("quadratic", [1.0, 2.0], 3, 11, 3 + 11 * 4 + 11),
+        ],
+    )
+    def test_metering_with_price_tags(self, objective, y0, max_iters, exp_evals, expensive_ops):
+        # Each trial charges an exponential (2) and a gradient (1 + 1); each
+        # comparison charges 1; x_0's value and gradient charge 3.
+        class PricedFlat(optimizers._FlatSpace):
+            rgrad_ops = 1
+            exp_ops = 2
+            adapt_extra_ops = 1
+
+        c = np.array([1.0, -2.0])
+        if objective == "quadratic":
+            f, g = quadratic()
+        else:
+            f, g = (lambda y: float(c @ y)), (lambda y: c.copy())
+        prob = problems.Problem(
+            value=f, euclidean_grad=g, x0=np.array(y0), value_ops=1, grad_ops=1
+        )
+        config = RunConfig(max_iters=max_iters, tol=0.0, alpha0=0.001, first_ls=True)
+        row = adgd_run(config, PricedFlat(), prob).rows[0]
+        assert (row.fn_evals, row.exp_evals, row.expensive_ops) == (1, exp_evals, expensive_ops)
+
     def test_disabled_by_default(self):
         f, g = quadratic()
         tr = euclidean_adgd_run(RunConfig(max_iters=3, tol=0.0, alpha0=0.001), f, g, np.array([1.0]))
@@ -204,7 +233,7 @@ class TestArmijo:
 
     def test_first_trial_accepted_on_gentle_objective(self):
         sphere = Sphere()
-        prob = problems.center_of_mass(5, 1, 11, reference=False)
+        prob = problems.center_of_mass(5, 1, 11)
         # Start away from the single data point so a genuine step is needed.
         p = prob.extras["points"][0]
         off = np.zeros(5)
@@ -290,6 +319,23 @@ class TestDomainSafety:
         assert any(r.clamped for r in tr.rows)
         for point in tr.points:
             assert linalg.is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda prob: adgd_run(RunConfig(alpha0=1e300), Sphere(), prob),
+            lambda prob: adgd_run(RunConfig(alpha0=1e300, first_ls=True), Sphere(), prob),
+            lambda prob: fixed_run(RunConfig(), Sphere(), prob, 1e300),
+            lambda prob: armijo_run(RunConfig(alpha0=1e300), Sphere(), prob),
+        ],
+        ids=["adgd", "first-ls", "fixed", "armijo"],
+    )
+    def test_overflowing_sphere_step_aborts(self, run):
+        # ||alpha0 g_0||^2 overflows, so the first exponential cannot be taken.
+        tr = run(problems.rayleigh(5, 0))
+        assert tr.status == STATUS_ABORTED
+        assert tr.message == "sphere step norm overflowed (||v|| = inf)"
+        assert tr.rows == []
 
     def test_without_clamp_the_domain_error_surfaces(self, bw, monkeypatch):
         monkeypatch.setattr(optimizers, "_clamp_alpha", lambda alpha, *_: (alpha, False))
@@ -484,7 +530,7 @@ def test_distance_chunk_size_moves_no_bit(monkeypatch):
 @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
 def test_near_antipodal_start_aborts_before_the_first_row(method):
     # A one-point center of mass started 1e-7 from the antipode of its point.
-    prob = problems.center_of_mass(5, 1, 3, reference=False)
+    prob = problems.center_of_mass(5, 1, 3)
     antipode = -prob.extras["points"][0]
     off = np.zeros(5)
     off[np.argmin(np.abs(antipode))] = 1e-7

@@ -14,14 +14,14 @@ from conftest import random_sym, random_unit
 
 class TestCenterOfMass:
     def test_single_point_minimum(self, sphere):
-        prob = problems.center_of_mass(4, n_points=1, seed=0, reference=False)
+        prob = problems.center_of_mass(4, n_points=1, seed=0)
         p = prob.extras["points"][0]
         assert prob.value(p) == 0.0
         rgrad = sphere.egrad_to_rgrad(p, prob.euclidean_grad(p))
         assert np.linalg.norm(rgrad) <= 1e-12
 
     def test_two_point_symmetry(self, sphere):
-        prob = problems.center_of_mass(3, n_points=2, seed=0, reference=False)
+        prob = problems.center_of_mass(3, n_points=2, seed=0)
         prob.extras["points"][0] = np.array([1.0, 0.0, 0.0])
         prob.extras["points"][1] = np.array([0.0, 1.0, 0.0])
         mid = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -29,14 +29,14 @@ class TestCenterOfMass:
         assert np.linalg.norm(rgrad) <= 1e-12
 
     def test_near_coincident_coefficient_limit(self):
-        prob = problems.center_of_mass(3, n_points=1, seed=1, reference=False)
+        prob = problems.center_of_mass(3, n_points=1, seed=1)
         p = prob.extras["points"][0]
         g = prob.euclidean_grad(p)
         # Exactly at the data point the angle is zero and the coefficient is 1.
         assert np.allclose(g, -p)
 
     def test_antipodal_rejected(self):
-        prob = problems.center_of_mass(3, n_points=1, seed=2, reference=False)
+        prob = problems.center_of_mass(3, n_points=1, seed=2)
         p = prob.extras["points"][0]
         with pytest.raises(DomainError):
             prob.value(-p)
@@ -89,7 +89,7 @@ class TestCenterOfMass:
             assert 2e-11 <= ref["grad_norm"] <= 5e-11
 
     def test_reference_tol_and_cap_stops(self, sphere, monkeypatch):
-        prob = problems.center_of_mass(10, n_points=50, seed=0, reference=False)
+        prob = problems.center_of_mass(10, n_points=50, seed=0)
         monkeypatch.setattr(problems, "_REFERENCE_MAX_ITERS", 3)
         x, stop, steps, grad_norm = problems.fixed_step_reference(prob, sphere, 0.02)
         x3 = prob.x0
@@ -102,7 +102,7 @@ class TestCenterOfMass:
         assert problems.fixed_step_reference(flat, sphere, 0.02)[1:] == ("tol", 0, 0.0)
 
     def test_points_on_open_hemisphere(self):
-        prob = problems.center_of_mass(6, n_points=40, seed=3, reference=False)
+        prob = problems.center_of_mass(6, n_points=40, seed=3)
         assert np.all(prob.extras["points"][:, -1] > 0.0)
 
 
@@ -146,7 +146,7 @@ class TestCenterOfMassOracle:
     @staticmethod
     def crafted(cs):
         # With x = e_0, row i = (c_i, sqrt(1 - c_i^2), 0) gives pts @ x == cs exactly.
-        prob = problems.center_of_mass(3, n_points=len(cs), seed=0, reference=False)
+        prob = problems.center_of_mass(3, n_points=len(cs), seed=0)
         pts = prob.extras["points"]
         pts[:] = 0.0
         pts[:, 0] = cs
@@ -158,19 +158,19 @@ class TestCenterOfMassOracle:
     def test_random_points(self):
         rng = np.random.default_rng(16)
         for n in (3, 10):
-            prob = problems.center_of_mass(n, n_points=50, seed=n, reference=False)
+            prob = problems.center_of_mass(n, n_points=50, seed=n)
             for _ in range(20):
                 self.assert_same_bytes(prob, random_unit(rng, n))
 
     def test_data_points_take_coefficient_one_without_warnings(self):
-        prob = problems.center_of_mass(10, n_points=50, seed=4, reference=False)
+        prob = problems.center_of_mass(10, n_points=50, seed=4)
         pts = prob.extras["points"]
         with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
             warnings.simplefilter("error")
             for p in pts[:10]:
                 self.assert_same_bytes(prob, p)
         # The coefficient path: exactly at a lone data point the gradient is -p.
-        single = problems.center_of_mass(10, n_points=1, seed=4, reference=False)
+        single = problems.center_of_mass(10, n_points=1, seed=4)
         p = single.extras["points"][0]
         assert np.array_equal(single.euclidean_grad(p), -p)
 
@@ -188,7 +188,7 @@ class TestCenterOfMassOracle:
             self.assert_same_bytes(prob, x)
 
     def test_all_nan_angles(self):
-        prob = problems.center_of_mass(5, n_points=50, seed=1, reference=False)
+        prob = problems.center_of_mass(5, n_points=50, seed=1)
         x = np.full(5, np.nan)
         assert math.isnan(prob.value(x))
         assert np.isnan(prob.euclidean_grad(x)).all()
@@ -329,7 +329,7 @@ def _unit_tangent(manifold, rng, x):
 
 def _problem_grid():
     return [
-        ("center-of-mass", Sphere(), lambda s: problems.center_of_mass(8, 30, s, reference=False)),
+        ("center-of-mass", Sphere(), lambda s: problems.center_of_mass(8, 30, s)),
         ("rayleigh", Sphere(), lambda s: problems.rayleigh(8, s)),
         ("lyapunov", BuresWasserstein(), lambda s: problems.lyapunov_objective(5, s)),
         ("wls-dense", BuresWasserstein(), lambda s: problems.weighted_least_squares(5, s)),
@@ -370,7 +370,7 @@ def test_smooth_convexity_gap_inequality(case):
     rng = np.random.default_rng(2024)
     if case == "center-of-mass":
         manifold = Sphere()
-        prob = problems.center_of_mass(6, 25, 0, reference=False)
+        prob = problems.center_of_mass(6, 25, 0)
         center = prob.x0
     elif case == "lyapunov":
         manifold = BuresWasserstein()
@@ -428,7 +428,7 @@ class TestJointEvaluator:
     """``center_of_mass``'s joint evaluator, the only one a generator gives."""
 
     def test_equals_separate_evaluations_bit_for_bit(self):
-        prob = problems.center_of_mass(6, 20, 3, reference=False)
+        prob = problems.center_of_mass(6, 20, 3)
         assert prob.joint is not None
         assert prob.joint.value is prob.value and prob.joint.euclidean_grad is prob.euclidean_grad
         rng = np.random.default_rng(11)
@@ -440,7 +440,7 @@ class TestJointEvaluator:
             assert [_bits(v) for v in prob.value_and_grad(x)] == [_bits(phi), _bits(grad)]
 
     def test_used_only_while_both_callables_are_its_own(self):
-        prob = problems.center_of_mass(6, 20, 3, reference=False)
+        prob = problems.center_of_mass(6, 20, 3)
         joint_calls, value_calls = [], []
 
         def evaluate(x):
@@ -483,7 +483,7 @@ def test_without_joint_evaluator_value_and_grad_calls_both(build):
 
 
 def test_joint_antipodal_point_raises_the_same_domain_error():
-    prob = problems.center_of_mass(3, n_points=4, seed=2, reference=False)
+    prob = problems.center_of_mass(3, n_points=4, seed=2)
     antipode = -prob.extras["points"][1]
     messages = []
     for evaluate in (prob.value, prob.euclidean_grad, prob.joint.evaluate, prob.value_and_grad):

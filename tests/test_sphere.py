@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from adgd import problems
+from adgd.errors import DomainError
+from adgd.optimizers import RunConfig, adgd_run
+
 from conftest import random_sphere_tangent, random_unit
 
 
@@ -62,6 +66,12 @@ class TestExp:
             v /= np.linalg.norm(v)
             t = rng.uniform(0.0, math.pi)
             assert abs(sphere.distance(x, sphere.exp(x, t * v)) - t) <= 1e-9
+
+    def test_overflowing_step_norm_raises(self, sphere):
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflowed"):
+            sphere.exp(e(0), 1e200 * e(1))
+        # A NaN norm is not an overflow: the NaN point reaches the caller.
+        assert np.isnan(sphere.exp(e(0), np.array([0.0, math.nan, 0.0]))).all()
 
 
 class TestTransport:
@@ -170,3 +180,29 @@ class TestDistanceFrom:
         assert math.isnan(sphere.distance(x, np.array([math.nan, 0.0, 0.0])))
         assert math.isnan(sphere.distance(np.array([math.nan, 0.0, 0.0]), x))
         assert sphere.distance(x, -x) == math.pi
+
+
+class TestDistanceColumnFloor:
+    """Where the ``acos`` column stops resolving, on the CLI-default
+    center-of-mass run, against the cancellation-free chord form
+    ``2 asin(||x - y|| / 2)``."""
+
+    def test_cli_default_center_of_mass(self, sphere):
+        prob = problems.center_of_mass(10, 50, 0)
+        config = RunConfig()
+        tr = adgd_run(config, sphere, prob)
+        assert len(tr.rows) == 24
+        y = prob.optimum_point
+        oracle = [2.0 * math.asin(math.sqrt((x - y).dot(x - y)) / 2.0) for x in tr.points]
+        column = tr.column("dist_to_opt")
+        # Down to 1e-6 (k <= 12) the column agrees within 1e-5 relative
+        # (3.4e-6 measured, at k = 11).
+        resolved = [k for k, d in enumerate(oracle) if d >= 1e-6]
+        assert resolved == list(range(13))
+        assert max(abs(column[k] - oracle[k]) / oracle[k] for k in resolved) <= 1e-5
+        # Below about 1.05e-8 the dot product rounds to 1: from k = 16 on
+        # the column reads 0, although the iterate has not reached the optimum.
+        zeros = [k for k, d in enumerate(column) if d == 0.0]
+        assert zeros == list(range(16, 24))
+        assert all(oracle[k] > 0.0 for k in zeros)
+        assert all(tr.rows[k].grad_norm > config.tol for k in range(16, 23))
