@@ -351,10 +351,13 @@ def _eigvals_sweep(b, n, thresh):
     values (computed before) are written over them, and the rows are
     copied into columns p and q.  When only some do, the pivot is
     computed at full width with ``apq = 1`` where a matrix skips, the
-    sums go into the last two blocks, and ``np.copyto(..., where=rotate)``
-    writes the rows and columns of the rotating matrices only: the
-    skipping ones keep their bytes, and no gather or fancy-index write
-    is made.
+    sums go into the last two blocks, and each row becomes
+    ``np.where(rotate, block, row)`` before the same plain column
+    copies: no gather, fancy-index write or masked ``np.copyto`` (four
+    of those cost more than two ``np.where`` and two copies).  A skipping
+    matrix keeps its bytes because every live matrix stays bitwise
+    symmetric (symmetrized exactly, then each rotation's columns copied
+    from its rows), so its column p already equals its row p.
     """
     m = b.shape[2]
     rows = list(b)
@@ -375,7 +378,7 @@ def _eigvals_sweep(b, n, thresh):
                 continue
             if count < m:
                 # Full width; a skipping matrix gets a harmless apq = 1 and
-                # its rows and columns are not written.
+                # keeps its rows, which its columns equal.
                 apq = np.where(rotate, apq, _ONE)
             b_q = rows[qq]
             app, aqq_d = b_p[p], b_q[qq]
@@ -405,7 +408,7 @@ def _eigvals_sweep(b, n, thresh):
             np.multiply(b_q, c_block, out=t4)
             # c * row_p - s * row_q and s * row_p + c * row_q: straight
             # into rows p and q when every matrix rotates, else into
-            # scratch rows copied where the matrix rotates.
+            # scratch rows taken where the matrix rotates.
             row_p, row_q = (b_p, b_q) if count == m else (r_p, r_q)
             np.subtract(t1, t2, out=row_p)
             np.add(t3, t4, out=row_q)
@@ -413,14 +416,11 @@ def _eigvals_sweep(b, n, thresh):
             row_p[qq] = 0.0
             row_q[qq] = new_qq
             row_q[p] = 0.0
-            if count == m:
-                cols[p][...] = b_p
-                cols[qq][...] = b_q
-            else:
-                np.copyto(b_p, r_p, where=rotate)
-                np.copyto(cols[p], r_p, where=rotate)
-                np.copyto(b_q, r_q, where=rotate)
-                np.copyto(cols[qq], r_q, where=rotate)
+            if count < m:
+                b_p[...] = np.where(rotate, r_p, b_p)
+                b_q[...] = np.where(rotate, r_q, b_q)
+            cols[p][...] = b_p
+            cols[qq][...] = b_q
 
 
 def is_spd_spectrum(eigenvalues):
@@ -469,7 +469,10 @@ def spd_sqrt(x):
 
 
 def frobenius_norm(a):
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
+    """sqrt of the pairwise sum of squares, ``np.sum``'s own reduction;
+    ``math.sqrt`` is the IEEE square root ``np.sqrt`` takes."""
+    a = np.asarray(a, dtype=float)
+    return math.sqrt(np.add.reduce(a * a, axis=None))
 
 
 def cholesky(x):
@@ -530,7 +533,7 @@ def require_spd(x):
     a = np.asarray(x, dtype=float)
     n = a.shape[0]
     if n and np.isfinite(a).all():
-        shift = 4.0 * n * n * _EPS * float(np.max(np.diagonal(a)))
+        shift = 4.0 * n * n * _EPS * float(np.maximum.reduce(np.diagonal(a)))
         if shift >= _MIN_SPD_SHIFT and _lapack_certifies_spd(a, shift):
             return
     cholesky(a)

@@ -38,6 +38,11 @@ class Manifold(ABC):
     exp_ops = 0
     adapt_extra_ops = 0
 
+    def check_point(self, x):
+        """Raise ValueError unless x is a point of the manifold; the
+        descent loop (``optimizers._drive``) asks it once, of the starting
+        point.  The base class accepts anything."""
+
     @abstractmethod
     def egrad_to_rgrad(self, x, g):
         """Riemannian gradient at x from the ambient (Euclidean) gradient g."""

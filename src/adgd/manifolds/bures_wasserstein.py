@@ -107,6 +107,15 @@ class BuresWasserstein(Manifold):
     exp_ops = 2
     adapt_extra_ops = 1
 
+    def check_point(self, x):
+        """Symmetric within ``linalg.check_symmetric``'s 1e-12 relative
+        tolerance, finite, and positive definite by ``linalg.require_spd``."""
+        x = linalg.check_symmetric(x, "a point of the SPD cone")
+        try:
+            linalg.require_spd(x)
+        except DomainError:
+            raise ValueError("a point of the SPD cone must be positive definite") from None
+
     def egrad_to_rgrad(self, x, g):
         g = linalg.symmetrize(g)
         xg = x @ g
@@ -139,7 +148,8 @@ class BuresWasserstein(Manifold):
         nv = linalg.frobenius_norm(v.mat)
         if nw == 0.0 or nv == 0.0:
             return BWTangent(w.mat.copy())
-        c = float(np.sum(v.mat * w.mat)) / float(np.sum(w.mat * w.mat))
+        c = (float(np.add.reduce(v.mat * w.mat, axis=None))
+             / float(np.add.reduce(w.mat * w.mat, axis=None)))
         if linalg.frobenius_norm(v.mat - c * w.mat) > _COLLINEAR_TOL * nv or c == 0.0:
             raise DomainError(
                 "Bures-Wasserstein transport is only available along the step "
@@ -150,7 +160,7 @@ class BuresWasserstein(Manifold):
 
     def inner(self, x, u, v):
         # Callers pass a factor-carrying tangent (a gradient) first.
-        return 0.5 * float(np.sum(u.factor_at(x) * v.mat))
+        return 0.5 * float(np.add.reduce(u.factor_at(x) * v.mat, axis=None))
 
     def max_step(self, x, v):
         """sup{t > 0 : I + t L_X(v) positive definite} per the step domain."""

@@ -18,6 +18,12 @@ _EXP_CLAMP = 700.0
 class PositiveOrthant(Manifold):
     rgrad_ops = 1
 
+    def check_point(self, x):
+        """Finite, strictly positive entries."""
+        x = np.asarray(x, dtype=float)
+        if not (np.isfinite(x).all() and (x > 0.0).all()):
+            raise ValueError("a point of the positive orthant must have finite positive entries")
+
     def egrad_to_rgrad(self, x, g):
         return x * x * g
 
@@ -42,7 +48,7 @@ class PositiveOrthant(Manifold):
         return w * y / x
 
     def inner(self, x, u, v):
-        return float(np.sum(u * v / (x * x)))
+        return float(np.add.reduce(u * v / (x * x)))
 
     def distance(self, x, y):
         return float(np.linalg.norm(np.log(x) - np.log(y)))

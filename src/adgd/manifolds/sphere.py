@@ -20,9 +20,25 @@ from .base import Manifold
 # transport are 0/0 at v = 0 only in their written form.
 _TINY = 1e-12
 
+# Largest |1 - ||x0||| a starting point may have; a vector divided by its
+# norm is within a few eps of unit norm.
+_UNIT_TOL = 1e-10
+
 
 class Sphere(Manifold):
     rgrad_ops = 1  # tangent projection, one matrix-vector product
+
+    def check_point(self, x):
+        """A finite vector with unit norm within ``_UNIT_TOL`` (1e-10)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or not np.isfinite(x).all():
+            raise ValueError("a point of the sphere must be a finite vector")
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = math.sqrt(x.dot(x))
+        if not abs(norm - 1.0) <= _UNIT_TOL:
+            raise ValueError(
+                f"a point of the sphere must have unit norm within {_UNIT_TOL:g} (norm {norm!r})"
+            )
 
     def egrad_to_rgrad(self, x, g):
         """Project g onto the tangent space: g - <x, g> x."""

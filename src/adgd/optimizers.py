@@ -257,8 +257,11 @@ def _drive(config, manifold, problem, make_rule):
     optimum is known and ``config.track_distance`` is set; the column
     never feeds a step.  The whole run ignores floating-point overflow,
     invalid and divide warnings: a non-finite value reaches the
-    finiteness check, which aborts the run with a diagnostic.
+    finiteness check, which aborts the run with a diagnostic.  A
+    ``problem.x0`` off the manifold (``manifold.check_point``) raises
+    ValueError before row 0.
     """
+    manifold.check_point(problem.x0)
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         meter = _Meter(manifold, problem)

@@ -89,22 +89,33 @@ def center_of_mass(n, n_points=50, seed=0):
     rng = np.random.default_rng(seed)
     pts = _hemisphere_points(rng, n, n_points)
 
-    # Plain ufuncs on the 50-element angle vector: np.clip, np.sum and
-    # boolean-mask assignment compute the same values with more overhead.
+    # Plain ufuncs on the 50-element angle vector, unmasked: np.clip,
+    # np.sum and a masked np.divide compute the same values with more
+    # overhead (the masked quotient 7.5-10.6 us, the plain one 4.5-7.4 us).
     def _angles(x):
         c = pts @ x
         # Counted, not np.minimum.reduce: a NaN must not hide an antipodal term.
         if np.count_nonzero(c <= -1.0 + 1e-12):
             raise DomainError("center-of-mass term evaluated at an antipodal point")
-        return np.minimum(np.maximum(c, -1.0), 1.0)
+        # Every non-NaN c now exceeds -1, so only the upper clip can bite.
+        return np.minimum(c, 1.0)
 
     def _value(theta):
         return 0.5 * float(np.add.reduce(theta * theta))
 
+    def _coefficients(c, theta):
+        return theta / np.sqrt(1.0 - c * c)  # theta / sin theta; 1 - c * c >= 0
+
     def _grad(c, theta):
-        # Coefficient 1 where 1 - c < 1e-12; written as ~(... < ...) so a
-        # NaN angle gets a NaN coefficient.  1 - c * c >= 0 after the clip.
-        coef = np.divide(theta, np.sqrt(1.0 - c * c), out=np.ones_like(c), where=~(1.0 - c < 1e-12))
+        # Coefficient 1 where 1 - c < 1e-12 (x within about 1e-6 of a data
+        # point), where the quotient may be 0 / 0 or theta / 0; a NaN angle
+        # fails the test and keeps its NaN quotient.
+        near = 1.0 - c < 1e-12
+        if not np.count_nonzero(near):
+            return -(pts.T @ _coefficients(c, theta))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = _coefficients(c, theta)
+        coef[near] = 1.0
         return -(pts.T @ coef)
 
     def value(x):
@@ -185,7 +196,7 @@ def lyapunov_objective(n, seed=0):
 
     def value(x):
         xa = x @ a
-        return float(np.sum(xa * x) - np.sum(x * c))
+        return float(np.add.reduce(xa * x, axis=None) - np.add.reduce(x * c, axis=None))
 
     def euclidean_grad(x):
         xa = x @ a
@@ -228,7 +239,7 @@ def weighted_least_squares(n, seed=0, density=None):
 
     def value(x):
         r = a * x - b
-        return float(np.sum(r * r))
+        return float(np.add.reduce(r * r, axis=None))
 
     def euclidean_grad(x):
         return 2.0 * (a * x - b) * a
@@ -257,7 +268,7 @@ def linear_minus_log(n, seed=0):
     x0 = rng.uniform(0.5, 2.0, size=n)
 
     def value(x):
-        return float(np.sum(x - c * np.log(x)))
+        return float(np.add.reduce(x - c * np.log(x)))
 
     def euclidean_grad(x):
         return 1.0 - c / x
@@ -267,7 +278,7 @@ def linear_minus_log(n, seed=0):
         euclidean_grad=euclidean_grad,
         x0=x0,
         optimum_point=c.copy(),
-        optimum_value=float(np.sum(c - c * np.log(c))),
+        optimum_value=float(np.add.reduce(c - c * np.log(c))),
         extras={"c": c},
     )
 

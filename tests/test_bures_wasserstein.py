@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from adgd import linalg
+from adgd import linalg, problems
 from adgd.cli import main
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent
-from adgd.optimizers import STEP_SAFETY, _clamp_alpha
+from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _clamp_alpha, adgd_run
 
 from conftest import random_spd, random_sym
 
@@ -449,6 +449,81 @@ class TestDistance:
         xs = [random_spd(rng, 5), y.copy(), random_spd(rng, 5)]
         assert bw.distance_from(y)(xs) == [bw.distance(y, x) for x in xs]
         assert bw.distance_from(y)([]) == []
+
+
+def _sqrt_and_inverse_sqrt(m):
+    eig = linalg.sym_eig(m)
+    q, w = eig.basis, eig.eigenvalues
+    return (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+
+
+class TestDistanceColumnFloor:
+    """Where the closed-form column ``tr X + tr Y - 2 sum sqrt(lambda)``
+    stops resolving, on the CLI-default Lyapunov run (n = 20, seed 0),
+    against the cancellation-free ``||Y^{-1/2} M^{1/2} - Y^{1/2}||_F`` with
+    ``M = Y^{1/2} X Y^{1/2}``, each square root through ``sym_eig`` with
+    its basis."""
+
+    def test_cli_default_lyapunov(self, bw):
+        prob = problems.lyapunov_objective(20, 0)
+        config = RunConfig()
+        tr = adgd_run(config, bw, prob)
+        assert tr.status == STATUS_CONVERGED and len(tr.rows) == 39
+        root_y, inv_root_y = _sqrt_and_inverse_sqrt(prob.optimum_point)
+
+        def oracle(x):
+            root_m = _sqrt_and_inverse_sqrt(linalg.symmetrize(root_y @ x @ root_y))[0]
+            return linalg.frobenius_norm(inv_root_y @ root_m - root_y)
+
+        truth = [oracle(x) for x in tr.points]
+        column = tr.column("dist_to_opt")
+        # Down to 1e-4 (k <= 20) the column agrees within 2e-6 relative
+        # (8.2e-7 measured, at k = 20).
+        resolved = [k for k, d in enumerate(truth) if d >= 1e-4]
+        assert resolved == list(range(21))
+        assert max(abs(column[k] - truth[k]) / truth[k] for k in resolved) <= 2e-6
+        # Then d^2 nears the rounding of the traces: 1.5% off at k = 26
+        # (1.1e-6), 20% at k = 27, and from k = 28 on the column reads 0
+        # while the true distance is 9.8e-8 and the gradient norm 4.2e-7.
+        assert 0.01 < abs(column[26] - truth[26]) / truth[26] < 0.02
+        assert 0.1 < abs(column[27] - truth[27]) / truth[27] < 0.3
+        zeros = [k for k, d in enumerate(column) if d == 0.0]
+        assert zeros == list(range(28, 39))
+        assert all(truth[k] > 0.0 for k in zeros)
+        assert all(tr.rows[k].grad_norm > config.tol for k in range(28, 38))
+
+
+class TestStartingPoint:
+    """``_drive`` asks ``BuresWasserstein.check_point`` of ``x0`` before
+    row 0: symmetric, finite and positive definite, else ValueError."""
+
+    def test_negative_definite_start_raises(self, bw):
+        # Unchecked, x0 = -I ends "converged" after one row: inner(g, g) < 0
+        # there, and Manifold.norm's max(., 0) reads it as a zero gradient.
+        prob = problems.lyapunov_objective(5, 0)
+        prob.x0 = -np.eye(5)
+        with pytest.raises(ValueError, match="positive definite"):
+            adgd_run(RunConfig(), bw, prob)
+
+    @pytest.mark.parametrize(
+        "x0, match",
+        [
+            (np.diag([1.0, 1.0, 0.0]), "positive definite"),
+            (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not symmetric"),
+            (np.diag([1.0, np.nan, 1.0]), "NaN or infinite"),
+            (np.diag([1.0, np.inf, 1.0]), "NaN or infinite"),
+        ],
+        ids=["singular", "asymmetric", "nan", "inf"],
+    )
+    def test_off_manifold_points_rejected(self, bw, x0, match):
+        with pytest.raises(ValueError, match=match):
+            bw.check_point(x0)
+
+    def test_spd_points_accepted(self, bw):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 5, 20):
+            bw.check_point(random_spd(rng, n))
+        bw.check_point(1e-300 * np.eye(3))  # the exact Cholesky decides
 
 
 class TestTangentArithmetic:

@@ -425,6 +425,52 @@ class TestStackedEigvals:
         for row, m in zip(w, [first, second]):
             assert row.tobytes() == linalg.sym_eig(m).eigenvalues.tobytes()
 
+    def test_subset_pivots_beside_signed_zeros(self, monkeypatch):
+        # Subset pivots take each row through np.where and then copy it
+        # into its column for every matrix, the skipping ones included:
+        # exact only while each live matrix stays bitwise symmetric, -0.0
+        # entries included.  Here late-sweep pivots skip on +-0.0 couplings
+        # in some matrices and rotate in the others.
+        rng = np.random.default_rng(25)
+        n = 7
+        blocks = np.diag(np.arange(1.0, n + 1.0))
+        blocks[0, 1] = blocks[1, 0] = 0.5
+        blocks[2, 5] = blocks[5, 2] = 1e-3
+        for i, j in ((0, 2), (1, 4), (3, 6)):
+            blocks[i, j] = blocks[j, i] = -0.0
+        blocks[4, 6] = -0.0  # (-0.0 + 0.0) / 2 is +0.0 in both entries
+        negzero = _signed_zero_diagonal(rng, n)
+        negzero[0, 1] = negzero[1, 0] = -0.0
+        mats = [blocks, random_sym(rng, n), negzero, np.diag([-0.0] * n), random_sym(rng, n)]
+        subsets = []
+        sweep = linalg._eigvals_sweep
+
+        def checked(b, n, thresh):
+            rotating = []
+            count = np.count_nonzero
+
+            class CountingNumpy:
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+                def count_nonzero(self, mask):
+                    k = count(mask)
+                    rotating.append(0 < k < mask.size)
+                    return k
+
+            monkeypatch.setattr(linalg, "np", CountingNumpy())
+            sweep(b, n, thresh)
+            monkeypatch.setattr(linalg, "np", np)
+            subsets.append(any(rotating))
+            assert b.tobytes() == np.ascontiguousarray(b.transpose(1, 0, 2)).tobytes()
+
+        monkeypatch.setattr(linalg, "_eigvals_sweep", checked)
+        w = linalg.eigvals(np.array(mats))
+        monkeypatch.undo()
+        assert sum(subsets) >= 3
+        for row, m in zip(w, mats):
+            assert row.tobytes() == linalg.sym_eig(m).eigenvalues.tobytes()
+
 
 class TestJacobiRange:
     # The convergence test squares the entries: at 1e160 ||M||_F^2 overflows
@@ -733,6 +779,37 @@ class TestPlumbing:
     def test_frobenius_zero(self):
         assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1e200, 1.0], [1.0, 1e200]],  # overflows to inf
+            [[1e154, 1e154], [1e154, 1e154]],
+            [[np.nan, 1.0], [1.0, 2.0]],
+            [[np.inf, np.nan], [np.nan, 1.0]],
+            [[-0.0, -0.0], [-0.0, -0.0]],
+            [[-0.0, 0.0, -0.0]],
+            [[5e-324, -5e-324], [2.2e-308, -1e-310]],  # subnormal squares flush to 0
+            [[1e-160, 3e-161]],
+            [],
+        ],
+        ids=["overflow", "overflow-in-sum", "nan", "inf-nan", "negzero", "negzero-row",
+             "subnormal", "tiny", "empty"],
+    )
+    def test_frobenius_matches_its_wrapped_form(self, entries):
+        a = np.array(entries, dtype=float)
+        with np.errstate(over="ignore"):
+            old = float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
+            new = linalg.frobenius_norm(a)
+        assert type(new) is float
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+
+    def test_frobenius_matches_its_wrapped_form_on_random_matrices(self):
+        rng = np.random.default_rng(26)
+        for shape in ((1,), (7,), (5, 5), (20, 20), (3, 129)):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
+            old = float(np.sqrt(np.sum(a ** 2)))
+            assert np.float64(linalg.frobenius_norm(a)).tobytes() == np.float64(old).tobytes()
+
     def test_symmetrize(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         out = linalg.symmetrize(m)
@@ -837,6 +914,28 @@ class TestRequireSpd:
             expected = _spd_outcome(linalg.cholesky, x)
             assert (expected is None) == accepted, (n, scale, value)
             assert _spd_outcome(linalg.require_spd, x) == expected, (n, scale, value)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[-0.0, 0.0, 2.0], [0.0, -0.0, 2.0], [2.0, -0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
+         [-0.0, -0.0, -0.0], [1e-300, -0.0, 0.0]],
+    )
+    def test_shift_matches_its_wrapped_form_on_signed_zeros(self, diagonal, monkeypatch):
+        # The shift reduces the diagonal with np.maximum.reduce, the ufunc
+        # np.max calls; both give LAPACK the same shift, or none.
+        x = np.diag(diagonal)
+        x[-1, 0] = x[0, -1] = 0.5 * diagonal[-1]
+        n = len(diagonal)
+        old = 4.0 * n * n * np.finfo(float).eps * float(np.max(np.diagonal(x)))
+        shifts = []
+        certify = linalg._lapack_certifies_spd
+        monkeypatch.setattr(
+            linalg, "_lapack_certifies_spd", lambda a, shift: shifts.append(shift) or certify(a, shift)
+        )
+        outcome = _spd_outcome(linalg.require_spd, x)
+        assert outcome == _spd_outcome(linalg.cholesky, x)
+        expected = [old] if old >= linalg._MIN_SPD_SHIFT else []
+        assert [np.float64(t).tobytes() for t in shifts] == [np.float64(t).tobytes() for t in expected]
 
     def test_certifies_well_conditioned_matrices_without_fallback(self, monkeypatch):
         def fail(a):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adgd import diagnostics, optimizers, problems
+from adgd import cli, diagnostics, optimizers, problems
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere, bures_wasserstein
 from adgd.optimizers import (
     STATUS_ABORTED,
@@ -540,6 +540,32 @@ def test_near_antipodal_start_aborts_before_the_first_row(method):
     assert tr.status == STATUS_ABORTED
     assert tr.rows == []
     assert "antipodal" in tr.message
+
+
+class TestStartingPoint:
+    """``_drive`` checks ``x0`` once, before row 0 (``Manifold.check_point``);
+    each manifold's own cases are in its test file."""
+
+    def test_base_class_and_flat_space_accept_anything(self):
+        for x in (np.array([-1.0, np.nan, np.inf]), np.zeros((2, 3))):
+            assert optimizers._FlatSpace().check_point(x) is None
+        tr = euclidean_adgd_run(RunConfig(max_iters=3, tol=0.0, alpha0=0.1), *quadratic(), np.array([-2.0, 0.0]))
+        assert tr.status == STATUS_MAX_ITERS and tr.rows[0].phi == 2.0
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+    def test_cli_default_starts_pass(self, experiment):
+        n, manifold_cls, build = cli.EXPERIMENTS[experiment]
+        assert manifold_cls().check_point(build(n, 0).x0) is None
+
+    @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+    def test_checked_before_any_evaluation(self, method):
+        prob = problems.lyapunov_objective(4, 0)
+        prob.x0 = np.diag([1.0, 1.0, 1.0, -1.0])
+        calls = []
+        prob = dataclasses.replace(prob, value=lambda x: calls.append(x))
+        with pytest.raises(ValueError, match="positive definite"):
+            _EDGE_METHODS[method](RunConfig(), BuresWasserstein(), prob)
+        assert calls == []
 
 
 class TestJointEvaluation:

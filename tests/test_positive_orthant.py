@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from adgd import problems
+from adgd.optimizers import RunConfig, adgd_run
+
 
 class TestRiemannianGradient:
     def test_ones_unchanged(self, orthant):
@@ -146,3 +149,23 @@ class TestChangeOfVariables:
             diff_riem = orthant.norm(x_next, grad_next - transported)
             assert abs(diff_riem - diff_flat) <= 1e-10 * (1.0 + diff_flat)
 
+
+
+class TestStartingPoint:
+    """``_drive`` asks ``PositiveOrthant.check_point`` of ``x0`` before
+    row 0: finite, strictly positive entries, else ValueError."""
+
+    def test_negative_entry_start_raises(self, orthant):
+        # Unchecked, it runs until the objective's log turns NaN and aborts.
+        prob = problems.linear_minus_log(4, 0)
+        prob.x0 = prob.x0 * np.array([1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            adgd_run(RunConfig(), orthant, prob)
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, -1.0, np.inf, np.nan])
+    def test_off_orthant_points_rejected(self, orthant, entry):
+        with pytest.raises(ValueError, match="finite positive entries"):
+            orthant.check_point(np.array([1.0, entry]))
+
+    def test_positive_points_accepted(self, orthant):
+        orthant.check_point(np.array([1e-300, 1.0, 1e300]))

@@ -133,15 +133,32 @@ def _com_oracle(pts):
     return value, euclidean_grad
 
 
+def _com_masked_grad(pts):
+    """The center-of-mass gradient in its two-sided clip and masked
+    np.divide form, which the unmasked quotient replaced."""
+
+    def euclidean_grad(x):
+        c = pts @ x
+        if np.count_nonzero(c <= -1.0 + 1e-12):
+            raise DomainError("center-of-mass term evaluated at an antipodal point")
+        c = np.minimum(np.maximum(c, -1.0), 1.0)
+        theta = np.arccos(c)
+        coef = np.divide(theta, np.sqrt(1.0 - c * c), out=np.ones_like(c), where=~(1.0 - c < 1e-12))
+        return -(pts.T @ coef)
+
+    return euclidean_grad
+
+
 class TestCenterOfMassOracle:
-    """Value and gradient are byte-equal to the oracle, NaNs and edge
-    coefficients included."""
+    """Value and gradient are byte-equal to the oracle and the gradient to
+    its masked form, NaNs and edge coefficients included."""
 
     @staticmethod
     def assert_same_bytes(prob, x):
         value, grad = _com_oracle(prob.extras["points"])
+        masked = _com_masked_grad(prob.extras["points"])
         assert np.float64(prob.value(x)).tobytes() == np.float64(value(x)).tobytes()
-        assert prob.euclidean_grad(x).tobytes() == grad(x).tobytes()
+        assert prob.euclidean_grad(x).tobytes() == grad(x).tobytes() == masked(x).tobytes()
 
     @staticmethod
     def crafted(cs):
@@ -174,6 +191,22 @@ class TestCenterOfMassOracle:
         p = single.extras["points"][0]
         assert np.array_equal(single.euclidean_grad(p), -p)
 
+    def test_one_ulp_from_a_data_point_without_warnings(self):
+        # c one ulp below 1, where 1 - c * c rounds to 0, and x one ulp off
+        # a data point in each coordinate: the near branch, whose quotient
+        # is theta / 0, sets the coefficient without a warning.
+        prob, x = self.crafted(np.array([np.nextafter(1.0, 0.0), 0.5]))
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            self.assert_same_bytes(prob, x)
+            prob = problems.center_of_mass(10, n_points=50, seed=4)
+            p = prob.extras["points"][7]
+            for i in range(10):
+                for toward in (-np.inf, np.inf):
+                    x = p.copy()
+                    x[i] = np.nextafter(x[i], toward)
+                    self.assert_same_bytes(prob, x)
+
     def test_threshold_straddle(self):
         c0 = 1.0 - 1e-12
         cs = [c0]
@@ -193,6 +226,13 @@ class TestCenterOfMassOracle:
         assert math.isnan(prob.value(x))
         assert np.isnan(prob.euclidean_grad(x)).all()
         self.assert_same_bytes(prob, x)
+
+    def test_nan_angle_beside_a_data_point(self):
+        # The rare branch sets the near coefficient and keeps the NaN one.
+        prob, x = self.crafted(np.array([1.0, np.nan, 0.25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_same_bytes(prob, x)
 
     def test_nan_beside_an_antipodal_term_raises(self):
         # np.minimum.reduce would return NaN here and lose the antipodal term.

@@ -206,3 +206,39 @@ class TestDistanceColumnFloor:
         assert zeros == list(range(16, 24))
         assert all(oracle[k] > 0.0 for k in zeros)
         assert all(tr.rows[k].grad_norm > config.tol for k in range(16, 23))
+
+
+class TestStartingPoint:
+    """``_drive`` asks ``Sphere.check_point`` of ``x0`` before row 0: a
+    finite vector with unit norm within 1e-10, else ValueError."""
+
+    def test_scaled_start_raises(self, sphere):
+        # Unchecked, a start of norm 3 runs to max-iters, its row 0
+        # writing phi 14.49 where the unit start's value is 38.0.
+        prob = problems.center_of_mass(10, 50, 0)
+        prob.x0 = 3.0 * prob.x0
+        with pytest.raises(ValueError, match="unit norm"):
+            adgd_run(RunConfig(), sphere, prob)
+
+    @pytest.mark.parametrize(
+        "x0, match",
+        [
+            ([1.0 + 2e-10, 0.0, 0.0], "unit norm"),
+            ([1.0 - 2e-10, 0.0, 0.0], "unit norm"),
+            ([0.0, 0.0, 0.0], "unit norm"),
+            ([1e200, 0.0, 0.0], "unit norm"),
+            ([1.0, 0.0, np.nan], "finite"),
+            ([1.0, -np.inf, 0.0], "finite"),
+            ([[1.0, 0.0], [0.0, 1.0]], "finite vector"),
+        ],
+        ids=["long", "short", "zero", "overflow", "nan", "inf", "matrix"],
+    )
+    def test_off_sphere_points_rejected(self, sphere, x0, match):
+        with pytest.raises(ValueError, match=match):
+            sphere.check_point(np.array(x0))
+
+    def test_unit_points_accepted(self, sphere):
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 10, 100):
+            sphere.check_point(random_unit(rng, n))
+        sphere.check_point(np.array([1.0 + 5e-11, 0.0]))
