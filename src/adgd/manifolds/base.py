@@ -5,7 +5,10 @@ nothing else: the Riemannian gradient from the Euclidean one, the
 exponential map, transport along the step (the derivative of the
 exponential), and the metric; plus the supremum of admissible step
 lengths on incomplete manifolds with a cheap yes/no certificate that a
-step lies below it, and distances for diagnostics.
+step lies below it, and distances for diagnostics.  The exponential and
+the transport along its step also come as one call,
+:meth:`Manifold.exp_transport`, which hands the transport the work the
+exponential already did; the adaptive step rule uses that form.
 Implementations are stateless and all operations are pure, so one
 instance can serve any number of concurrent runs.
 
@@ -18,6 +21,7 @@ optimizers only scale tangents by a scalar, and only the default
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 
@@ -54,6 +58,19 @@ class Manifold(ABC):
     def exp_flagged(self, x, v):
         """exp plus a flag telling whether a numerical guard was applied."""
         return self.exp(x, v), False
+
+    def exp_transport(self, x, v):
+        """``exp_flagged(x, v)`` plus the transport along that step.
+
+        Returns ``(y, clamped, transport)``, where ``transport(w)`` equals
+        ``transport_along_step(x, v, w)`` bit for bit and raises what it
+        raises.  The adaptive step rule takes every step through this
+        method and calls ``transport`` at the next iterate.  The base class
+        composes the two methods; a manifold whose transport can reuse the
+        exponential's work (``L X L`` on Bures-Wasserstein) overrides it.
+        """
+        y, clamped = self.exp_flagged(x, v)
+        return y, clamped, functools.partial(self.transport_along_step, x, v)
 
     @abstractmethod
     def transport_along_step(self, x, v, w):

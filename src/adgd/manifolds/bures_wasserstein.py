@@ -42,7 +42,7 @@ from .. import linalg
 from ..errors import DomainError
 from .base import Manifold
 
-# Relative tolerance for the collinearity check in transport_along_step.
+# Relative tolerance for the collinearity check of the transport.
 _COLLINEAR_TOL = 1e-8
 
 # Margin of the max_step_lower_bound certificate, relative to ||L||_F;
@@ -51,6 +51,24 @@ _SCREEN_MARGIN = 1e-10
 
 # Points per stacked eigensolve in distance_from's callable.
 _DISTANCE_CHUNK = 128
+
+
+def _step_ratio(vmat, w):
+    """The ratio ``c`` of a step ``vmat = c w.mat``, or None when either
+    matrix is zero (the transport is then the identity); raises
+    DomainError unless ``w`` is collinear with the step."""
+    wmat = w.mat
+    ww = float(np.add.reduce(wmat * wmat, axis=None))
+    nv = linalg.frobenius_norm(vmat)
+    if ww == 0.0 or nv == 0.0:
+        return None
+    c = float(np.add.reduce(vmat * wmat, axis=None)) / ww
+    if linalg.frobenius_norm(vmat - c * wmat) > _COLLINEAR_TOL * nv or c == 0.0:
+        raise DomainError(
+            "Bures-Wasserstein transport is only available along the step "
+            "direction (w must be collinear with v)"
+        )
+    return c
 
 
 class BWTangent:
@@ -128,33 +146,42 @@ class BuresWasserstein(Manifold):
         the congruence (I + L) X (I + L) stays SPD even for indefinite
         I + L, where the formula no longer describes a geodesic.
         """
+        return self._exp_and_lxl(x, v)[0]
+
+    def exp_transport(self, x, v):
+        """``(exp(x, v), False, transport)``: ``transport(w)`` forms
+        ``W + (2 / c) L X L`` from the exponential's own ``L X L``, so it
+        costs no matrix product.  It holds ``v``'s matrix and ``L X L``."""
+        y, lxl = self._exp_and_lxl(x, v)
+        vmat = v.mat
+
+        def transport(w):
+            c = _step_ratio(vmat, w)
+            return BWTangent(w.mat.copy() if c is None else w.mat + (2.0 / c) * lxl)
+
+        return y, False, transport
+
+    def _exp_and_lxl(self, x, v):
         fac = v.factor_at(x)
         try:
             linalg.require_spd(np.eye(x.shape[0]) + fac)
         except DomainError:
             raise DomainError("step leaves the SPD cone") from None
-        y = x + v.mat + fac @ x @ fac
+        lxl = fac @ x @ fac
+        y = x + v.mat + lxl
         y = 0.5 * (y + y.T)
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).
         linalg.require_spd(y)
-        return y
+        return y, lxl
 
     def transport_along_step(self, x, v, w):
         """Transport w along t -> exp(x, t v); defined here only for w
         collinear with v, the single case the descent loops need."""
-        nw = linalg.frobenius_norm(w.mat)
-        nv = linalg.frobenius_norm(v.mat)
-        if nw == 0.0 or nv == 0.0:
+        c = _step_ratio(v.mat, w)
+        if c is None:
             return BWTangent(w.mat.copy())
-        c = (float(np.add.reduce(v.mat * w.mat, axis=None))
-             / float(np.add.reduce(w.mat * w.mat, axis=None)))
-        if linalg.frobenius_norm(v.mat - c * w.mat) > _COLLINEAR_TOL * nv or c == 0.0:
-            raise DomainError(
-                "Bures-Wasserstein transport is only available along the step "
-                "direction (w must be collinear with v)"
-            )
         fac = v.factor_at(x)
         return BWTangent(w.mat + (2.0 / c) * (fac @ x @ fac))
 

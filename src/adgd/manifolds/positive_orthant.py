@@ -42,10 +42,15 @@ class PositiveOrthant(Manifold):
             z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
         return x * np.exp(z), clamped
 
+    def exp_transport(self, x, v):
+        """``exp_flagged`` plus the transport along the step, the
+        coordinate-wise rescaling ``w_i y_i / x_i`` by the reached point
+        ``y`` (an exact isometry)."""
+        y, clamped = self.exp_flagged(x, v)
+        return y, clamped, lambda w: w * y / x
+
     def transport_along_step(self, x, v, w):
-        # Coordinate-wise rescaling w_i * y_i / x_i, y = exp(x, v); exact isometry.
-        y = self.exp(x, v)
-        return w * y / x
+        return self.exp_transport(x, v)[2](w)
 
     def inner(self, x, u, v):
         return float(np.add.reduce(u * v / (x * x)))

@@ -9,6 +9,7 @@ written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,35 @@ _TINY = 1e-12
 # Largest |1 - ||x0||| a starting point may have; a vector divided by its
 # norm is within a few eps of unit norm.
 _UNIT_TOL = 1e-10
+
+
+def _cos_sin(nv):
+    """cos and sin of a step norm; DomainError when the norm overflowed."""
+    if nv == math.inf:
+        raise DomainError(f"sphere step norm overflowed (||v|| = {nv})")
+    return math.cos(nv), math.sin(nv)
+
+
+def _exp(x, v, nv):
+    """``(exp(x, v), cos nv, sin nv)`` for ``nv = ||v||``; below ``_TINY``
+    the point is x and both trigonometric values are None."""
+    if nv < _TINY:
+        return x, None, None
+    cos, sin = _cos_sin(nv)
+    y = cos * x + (sin / nv) * v
+    return y / math.sqrt(y.dot(y)), cos, sin
+
+
+def _rotate(x, v, nv, cos, sin, w):
+    """The transport of w along a step v of norm ``nv >= _TINY``."""
+    u = v / nv
+    a = float(w.dot(u))
+    w_perp = w - a * u
+    return a * (-sin * x + cos * u) + w_perp
+
+
+def _unchanged(w):
+    return w
 
 
 class Sphere(Manifold):
@@ -45,30 +75,40 @@ class Sphere(Manifold):
         return g - x.dot(g) * x
 
     def exp(self, x, v):
-        """Raises ``DomainError`` when ``||v||`` overflows; a NaN norm gives a
-        NaN point, which the descent loop's finiteness check reports."""
+        """Raises ``DomainError`` when ``||v||`` overflows, without a numpy
+        warning; a NaN norm gives a NaN point, which the descent loop's
+        finiteness check reports."""
+        with np.errstate(over="ignore"):  # an overflowing norm raises below
+            nv = math.sqrt(v.dot(v))
+        return _exp(x, v, nv)[0]
+
+    def exp_flagged(self, x, v):
+        """``(exp(x, v), False)``, taking ``||v||`` without ``exp``'s
+        ``np.errstate``: the descent loop runs under its own."""
+        return _exp(x, v, math.sqrt(v.dot(v)))[0], False
+
+    def exp_transport(self, x, v):
+        """``exp_flagged`` plus the transport along the step, which reuses
+        ``||v||`` and its sine and cosine."""
         nv = math.sqrt(v.dot(v))
-        if nv < _TINY:
-            return x
-        if nv == math.inf:
-            raise DomainError(f"sphere step norm overflowed (||v|| = {nv})")
-        y = math.cos(nv) * x + (math.sin(nv) / nv) * v
-        return y / math.sqrt(y.dot(y))
+        y, cos, sin = _exp(x, v, nv)
+        if cos is None:
+            return y, False, _unchanged
+        return y, False, functools.partial(_rotate, x, v, nv, cos, sin)
 
     def transport_along_step(self, x, v, w):
         """Transport w along the great circle t -> exp(x, t v).
 
         The component of w along the geodesic direction u = v/||v|| rotates
         with the circle (u -> -sin(||v||) x + cos(||v||) u); the component
-        orthogonal to the plane span(x, u) is unchanged.
+        orthogonal to the plane span(x, u) is unchanged.  An overflowing
+        ``||v||`` raises ``DomainError`` as in ``exp``.
         """
-        nv = math.sqrt(v.dot(v))
+        with np.errstate(over="ignore"):  # an overflowing norm raises below
+            nv = math.sqrt(v.dot(v))
         if nv < _TINY:
             return w
-        u = v / nv
-        a = float(w.dot(u))
-        w_perp = w - a * u
-        return a * (-math.sin(nv) * x + math.cos(nv) * u) + w_perp
+        return _rotate(x, v, nv, *_cos_sin(nv), w)
 
     def inner(self, x, u, v):
         return float(u.dot(v))

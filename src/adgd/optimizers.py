@@ -23,9 +23,12 @@ The step rules:
 * :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`).  Each of
   the paper's three operations per iteration is one metered call: the
   gradient (:meth:`_Meter.value_and_grad` or :meth:`_Meter.grad`, in
-  :func:`_drive`), the exponential map (:meth:`_Meter.exp`) and, from ``k = 1``,
-  the comparison of ``g_k`` with the previous gradient
+  :func:`_drive`), the exponential map (:meth:`_Meter.exp_transport`) and,
+  from ``k = 1``, the comparison of ``g_k`` with the previous gradient
   parallel-transported along the last step (:meth:`_Meter.grad_change`).
+  The transport is the one the exponential returned with that step
+  (``Manifold.exp_transport``), so it reuses the exponential's work, and
+  the rule keeps it in place of the step itself.
   The step combines a growth cap ``sqrt(1 + theta) * alpha_prev`` with a
   local inverse-smoothness estimate; there is no line search, except the
   optional first-LS warm start that doubles ``alpha0`` at ``k = 0``.  It
@@ -36,6 +39,8 @@ The step rules:
   positive-orthant equivalence.
 * :func:`_armijo_rule`, the backtracking line-search baseline
   (:func:`armijo_run`) whose first trial grows as ``lambda * eta_prev``.
+  It transports nothing, so its trials take the plain exponential
+  (:meth:`_Meter.exp`).
 
 Each row holds the objective value, gradient norm, step size, step ratio,
 the local inverse-smoothness estimate, cumulative work counters, optional
@@ -190,12 +195,19 @@ class _Meter:
         self.expensive += self.manifold.exp_ops
         return self.manifold.exp_flagged(x, v)
 
-    def grad_change(self, x_prev, step, grad_prev, norm_prev, x, grad):
-        """``||grad - T grad_prev||`` at ``x = exp(x_prev, step)``, with ``T``
-        the transport along the step and ``norm_prev = ||grad_prev||``; one
+    def exp_transport(self, x, v):
+        """``exp`` plus the transport along the step
+        (``Manifold.exp_transport``), charged as ``exp``."""
+        self.exp_evals += 1
+        self.expensive += self.manifold.exp_ops
+        return self.manifold.exp_transport(x, v)
+
+    def grad_change(self, transport, grad_prev, norm_prev, x, grad):
+        """``||grad - transport(grad_prev)||`` at ``x``, the end of the step
+        ``transport`` came with, and ``norm_prev = ||grad_prev||``; one
         adaptive charge."""
         self.expensive += self.manifold.adapt_extra_ops
-        transported = self.manifold.transport_along_step(x_prev, step, grad_prev)
+        transported = transport(grad_prev)
         return math.sqrt(self.manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
 
 
@@ -325,8 +337,9 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     """The adaptive step size, or the constant ``pinned`` in its place.
 
     At ``x_k``, ``k >= 1``, with ``T g_{k-1}`` the previous gradient
-    transported along the last step (:meth:`_Meter.grad_change`, one
-    ``adapt_extra_ops`` charge)::
+    transported along the last step by the transport its exponential
+    returned (:meth:`_Meter.grad_change`, one ``adapt_extra_ops``
+    charge)::
 
         ell_k   = alpha_{k-1} ||g_{k-1}|| / ||g_k - T g_{k-1}||
         alpha_k = min(sqrt(1 + theta_{k-1}) alpha_{k-1}, ell_k / sqrt(2))
@@ -354,7 +367,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     ``ell`` is still the estimate), and the run aborts once the objective
     has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
     """
-    # At x_{k-1}: x, g, step, alpha, theta, ||g||, phi.
+    # At x_{k-1}: the transport along its step, g, alpha, theta, ||g||, phi.
     prev = None
     streak = 0
 
@@ -366,8 +379,8 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                 return _Step(alpha)
             ell = 0.0
         else:
-            x_prev, grad_prev, step_prev, alpha_prev, theta_prev, norm_prev, phi_prev = prev
-            denom = meter.grad_change(x_prev, step_prev, grad_prev, norm_prev, x, grad)
+            transport, grad_prev, alpha_prev, theta_prev, norm_prev, phi_prev = prev
+            denom = meter.grad_change(transport, grad_prev, norm_prev, x, grad)
             numer = alpha_prev * norm_prev
             ell = numer / denom if denom > 0.0 else 0.0
             if pinned is None:
@@ -382,20 +395,18 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
         if stop == STATUS_CONVERGED:
             return _Step(alpha, theta, ell, clamped)
 
-        step = alpha * neg_grad
-        x_next, exp_clamped = meter.exp(x, step)
+        x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
         grad_next = None
         if prev is None and config.first_ls and pinned is None:
             # First-LS: each pass compares the last trial, then doubles.
             grad_next = meter.grad(x_next)
             for _ in range(_MAX_FIRST_LS_DOUBLINGS):
-                denom = meter.grad_change(x, step, grad, grad_norm, x_next, grad_next)
+                denom = meter.grad_change(transport, grad, grad_norm, x_next, grad_next)
                 ratio = grad_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
                 if ratio <= 1.0 or clamped:
                     break
                 alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x, neg_grad)
-                step = alpha * neg_grad
-                x_next, exp_clamped = meter.exp(x, step)
+                x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
                 grad_next = meter.grad(x_next)
 
         abort = ""
@@ -406,7 +417,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                     f"objective increased for {_DIVERGENCE_STREAK} consecutive "
                     f"iterations (diverging fixed step)"
                 )
-        prev = (x, grad, step, alpha, theta, grad_norm, phi)
+        prev = (transport, grad, alpha, theta, grad_norm, phi)
         return _Step(
             alpha, theta, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort
         )

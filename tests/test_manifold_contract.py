@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from adgd import linalg
+from adgd import linalg, optimizers
+from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 
 from conftest import random_sphere_tangent, random_spd, random_sym, random_unit
@@ -192,3 +193,102 @@ class TestCurvatureClasses:
         g = bw.egrad_to_rgrad(xs, random_sym(rng, 3, scale=2.0))
         caps = [bw.max_step(xs, s * g) for s in (1.0, -1.0)]
         assert min(caps) < math.inf
+
+
+def _bits(value):
+    """An array's (or a Bures-Wasserstein tangent matrix's) bit pattern."""
+    arr = np.asarray(getattr(value, "mat", value), dtype=float)
+    return arr.shape, arr.tobytes()
+
+
+def _exp_transport_cases(case, rng):
+    """``(manifold, x, v, ws)`` with each ``w`` collinear with the step ``v``,
+    plus a zero step and, per manifold, the step at its limit."""
+    if case == "bw":
+        m = BuresWasserstein()
+        out = []
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            x = random_spd(rng, n)
+            grad = m.egrad_to_rgrad(x, random_sym(rng, n, scale=2.0))
+            if m.max_step(x, (-1.0) * grad) == math.inf:
+                grad = (-1.0) * grad
+            cap = m.max_step(x, (-1.0) * grad)
+            alpha = float(rng.uniform(0.05, 0.95)) * min(cap, 1.0)
+            out.append((m, x, (-alpha) * grad, [grad, BWTangent(2.5 * grad.mat)]))
+            if cap < math.inf:
+                out.append((m, x, (-0.99 * cap) * grad, [grad]))
+        x = random_spd(rng, 3)
+        grad = m.egrad_to_rgrad(x, random_sym(rng, 3))
+        out.append((m, x, BWTangent(np.zeros((3, 3))), [grad, BWTangent(np.zeros((3, 3)))]))
+        out.append((m, x, 0.3 * grad, [BWTangent(np.zeros((3, 3)))]))
+        return out
+    if case == "sphere":
+        m = Sphere()
+        samples = [sphere_sample(rng, scale) for scale in (1e-13, 0.1, 1.0, 3.0) for _ in range(5)]
+        x = random_unit(rng, 5)
+        samples.append((x, np.zeros(5), random_sphere_tangent(rng, x)))
+    elif case == "orthant":
+        m = PositiveOrthant()
+        samples = [orthant_sample(rng) for _ in range(20)]
+        x = rng.uniform(0.2, 3.0, size=5)
+        samples.append((x, np.zeros(5), rng.standard_normal(5)))
+        samples.append((x, np.array([1e6, -1e6, 1.0, 0.0, 701.0]) * x, rng.standard_normal(5)))
+    else:
+        m = optimizers._FlatSpace()
+        samples = [orthant_sample(rng) for _ in range(20)]
+        samples.append((np.ones(5), np.zeros(5), rng.standard_normal(5)))
+    return [(m, x, v, [w, float(rng.uniform(-2.0, 2.0)) * v]) for x, v, w in samples]
+
+
+class TestExpTransport:
+    """``exp_transport`` is ``exp_flagged`` and ``transport_along_step`` in
+    one call, bit for bit; the adaptive rule steps through it."""
+
+    @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])
+    def test_equals_exp_and_transport_bit_for_bit(self, case):
+        rng = np.random.default_rng(109)
+        clamped_seen = False
+        for m, x, v, ws in _exp_transport_cases(case, rng):
+            y, clamped, transport = m.exp_transport(x, v)
+            y_ref, clamped_ref = m.exp_flagged(x, v)
+            assert _bits(y) == _bits(y_ref) == _bits(m.exp(x, v))
+            assert clamped == clamped_ref
+            clamped_seen |= clamped
+            # Past the orthant's clamp a transported entry overflows to inf,
+            # in both forms alike; the descent loop ignores the warning too.
+            with np.errstate(over="ignore"):
+                for w in ws:
+                    assert _bits(transport(w)) == _bits(m.transport_along_step(x, v, w))
+        assert clamped_seen == (case == "orthant")
+
+    def test_bw_non_collinear_raises_the_same_domain_error(self):
+        rng = np.random.default_rng(110)
+        bw = BuresWasserstein()
+        x = random_spd(rng, 4)
+        v = BWTangent(random_sym(rng, 4, scale=0.1))
+        w = BWTangent(random_sym(rng, 4, scale=0.1))
+        transport = bw.exp_transport(x, v)[2]
+        messages = []
+        for call in (lambda: transport(w), lambda: bw.transport_along_step(x, v, w)):
+            with pytest.raises(DomainError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "collinear" in messages[0]
+
+    def test_sphere_overflowing_step_raises_the_same_domain_error(self):
+        sphere = Sphere()
+        x, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e300, 0.0])
+        messages = []
+        # exp_transport takes the norm under its caller's np.errstate, as in
+        # the descent loop; exp takes it under its own.
+        with np.errstate(over="ignore"):
+            calls = (lambda: sphere.exp_transport(x, v), lambda: sphere.exp_flagged(x, v))
+            for call in calls:
+                with pytest.raises(DomainError) as err:
+                    call()
+                messages.append(str(err.value))
+        with pytest.raises(DomainError) as err:
+            sphere.exp(x, v)
+        assert messages == [str(err.value)] * 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestExp:
             sphere.exp(e(0), 1e200 * e(1))
         # A NaN norm is not an overflow: the NaN point reaches the caller.
         assert np.isnan(sphere.exp(e(0), np.array([0.0, math.nan, 0.0]))).all()
+
+    def test_overflowing_step_norm_raises_without_a_warning(self, sphere):
+        # No caller-side np.errstate: the public exp and transport take the
+        # norm under their own, so numpy's overflow warning never escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflowed"):
+                sphere.exp(e(0), 1e300 * e(1))
+            with pytest.raises(DomainError, match="overflowed"):
+                sphere.transport_along_step(e(0), 1e300 * e(1), e(2))
 
 
 class TestTransport:
