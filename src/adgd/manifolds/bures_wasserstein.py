@@ -21,7 +21,10 @@ Closed forms used throughout (L below is the Lyapunov factor of V at X):
   without the two (a convention floating around with the unhalved metric)
   fails every directional-derivative check by exactly that factor.
 * transport of W along its own step direction V = c W:
-  ``P(W) = W + (2 / c) L X L``
+  ``P(W) = W + (2 / c) L X L``.  ``L X L`` is the exponential's own
+  term, so ``exp_transport``, the form the adaptive step rule uses,
+  hands it from the exponential to the transport, and an adaptive
+  iteration computes it once.
 
 Riemannian gradients carry their Lyapunov factor together with ``base``,
 the point it was computed at, and scaling keeps both, so the descent

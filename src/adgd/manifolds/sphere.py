@@ -4,7 +4,12 @@ Points are unit-norm vectors, tangents at x are vectors orthogonal to x,
 and the metric is the ambient Euclidean inner product.  The manifold is
 geodesically complete with constant positive curvature.  Norms are
 written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
-``np.linalg.norm`` computes, without its dispatch overhead.
+``np.linalg.norm`` computes, without its dispatch overhead.  Step norms
+``||v||`` are ``math.sqrt(np.vdot(v, v))``: for a contiguous 1-D float
+vector ``np.vdot`` calls the same BLAS ``ddot`` and gives the same bits,
+but unlike ``ndarray.dot`` it raises no floating-point warning, so an
+overflowing step reaches ``exp``'s ``DomainError`` without a numpy warning
+and without an ``np.errstate`` on every step (1-3 us each).
 """
 
 from __future__ import annotations
@@ -78,19 +83,12 @@ class Sphere(Manifold):
         """Raises ``DomainError`` when ``||v||`` overflows, without a numpy
         warning; a NaN norm gives a NaN point, which the descent loop's
         finiteness check reports."""
-        with np.errstate(over="ignore"):  # an overflowing norm raises below
-            nv = math.sqrt(v.dot(v))
-        return _exp(x, v, nv)[0]
-
-    def exp_flagged(self, x, v):
-        """``(exp(x, v), False)``, taking ``||v||`` without ``exp``'s
-        ``np.errstate``: the descent loop runs under its own."""
-        return _exp(x, v, math.sqrt(v.dot(v)))[0], False
+        return _exp(x, v, math.sqrt(np.vdot(v, v)))[0]
 
     def exp_transport(self, x, v):
         """``exp_flagged`` plus the transport along the step, which reuses
         ``||v||`` and its sine and cosine."""
-        nv = math.sqrt(v.dot(v))
+        nv = math.sqrt(np.vdot(v, v))
         y, cos, sin = _exp(x, v, nv)
         if cos is None:
             return y, False, _unchanged
@@ -104,8 +102,7 @@ class Sphere(Manifold):
         orthogonal to the plane span(x, u) is unchanged.  An overflowing
         ``||v||`` raises ``DomainError`` as in ``exp``.
         """
-        with np.errstate(over="ignore"):  # an overflowing norm raises below
-            nv = math.sqrt(v.dot(v))
+        nv = math.sqrt(np.vdot(v, v))
         if nv < _TINY:
             return w
         return _rotate(x, v, nv, *_cos_sin(nv), w)

@@ -367,20 +367,25 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     ``ell`` is still the estimate), and the run aborts once the objective
     has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
     """
-    # At x_{k-1}: the transport along its step, g, alpha, theta, ||g||, phi.
+    # At x_{k-1}: alpha, theta, ||g||, phi; and, until compared at x_k, the
+    # transport along its step and g.  Dropping those two right after the
+    # comparison frees their arrays (on Bures-Wasserstein four n x n
+    # matrices) before the next exponential forms its own.
     prev = None
+    last = None
     streak = 0
 
     def rule(k, x, phi, grad, grad_norm, stop):
-        nonlocal prev, streak
+        nonlocal prev, last, streak
         if prev is None:
             alpha = config.alpha0 if pinned is None else pinned
             if stop is not None:
                 return _Step(alpha)
             ell = 0.0
         else:
-            transport, grad_prev, alpha_prev, theta_prev, norm_prev, phi_prev = prev
-            denom = meter.grad_change(transport, grad_prev, norm_prev, x, grad)
+            alpha_prev, theta_prev, norm_prev, phi_prev = prev
+            denom = meter.grad_change(*last, norm_prev, x, grad)
+            last = None
             numer = alpha_prev * norm_prev
             ell = numer / denom if denom > 0.0 else 0.0
             if pinned is None:
@@ -417,7 +422,8 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                     f"objective increased for {_DIVERGENCE_STREAK} consecutive "
                     f"iterations (diverging fixed step)"
                 )
-        prev = (transport, grad, alpha, theta, grad_norm, phi)
+        prev = (alpha, theta, grad_norm, phi)
+        last = (transport, grad)
         return _Step(
             alpha, theta, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort
         )

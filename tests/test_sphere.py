@@ -75,14 +75,21 @@ class TestExp:
         assert np.isnan(sphere.exp(e(0), np.array([0.0, math.nan, 0.0]))).all()
 
     def test_overflowing_step_norm_raises_without_a_warning(self, sphere):
-        # No caller-side np.errstate: the public exp and transport take the
-        # norm under their own, so numpy's overflow warning never escapes.
+        # No caller-side np.errstate: the step norm's np.vdot raises no
+        # floating-point warning, so numpy's overflow warning never escapes,
+        # on any of the four paths that take a step norm.
+        x, v = e(0), 1e300 * e(1)
+        calls = (
+            lambda: sphere.exp(x, v),
+            lambda: sphere.exp_flagged(x, v),
+            lambda: sphere.exp_transport(x, v),
+            lambda: sphere.transport_along_step(x, v, e(2)),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="overflowed"):
-                sphere.exp(e(0), 1e300 * e(1))
-            with pytest.raises(DomainError, match="overflowed"):
-                sphere.transport_along_step(e(0), 1e300 * e(1), e(2))
+            for call in calls:
+                with pytest.raises(DomainError, match=r"^sphere step norm overflowed \(\|\|v\|\| = inf\)$"):
+                    call()
 
 
 class TestTransport:
@@ -132,7 +139,7 @@ class TestSqrtDotOracle:
 
     def test_kernels_match_norm_and_dot_forms(self, sphere):
         rng = np.random.default_rng(16)
-        for n in (2, 10, 50):
+        for n in (2, 10, 50, 1000):
             for scale in (1e-13, 1e-3, 1.0, 3.0):
                 x = random_unit(rng, n)
                 v = random_sphere_tangent(rng, x, scale)
