@@ -4,12 +4,15 @@ Points are unit-norm vectors, tangents at x are vectors orthogonal to x,
 and the metric is the ambient Euclidean inner product.  The manifold is
 geodesically complete with constant positive curvature.  Norms are
 written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
-``np.linalg.norm`` computes, without its dispatch overhead.  Step norms
-``||v||`` are ``math.sqrt(np.vdot(v, v))``: for a contiguous 1-D float
-vector ``np.vdot`` calls the same BLAS ``ddot`` and gives the same bits,
-but unlike ``ndarray.dot`` it raises no floating-point warning, so an
-overflowing step reaches ``exp``'s ``DomainError`` without a numpy warning
-and without an ``np.errstate`` on every step (1-3 us each).
+``np.linalg.norm`` computes, without its dispatch overhead.  The public
+``exp`` and ``transport_along_step`` take the step norm ``||v||`` as
+``math.sqrt(np.vdot(v, v))``: for a contiguous 1-D float vector
+``np.vdot`` calls the same BLAS ``ddot`` and gives the same bits, but
+unlike ``ndarray.dot`` it raises no floating-point warning, so an
+overflowing step reaches the ``DomainError`` without a numpy warning and
+without an ``np.errstate`` per call (1-3 us each).  ``exp_flagged`` and
+``exp_transport``, the descent loop's entry points, keep ``v.dot(v)``
+(about 0.2 us faster) under the loop's own ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -85,10 +88,15 @@ class Sphere(Manifold):
         finiteness check reports."""
         return _exp(x, v, math.sqrt(np.vdot(v, v)))[0]
 
+    def exp_flagged(self, x, v):
+        """``(exp(x, v), False)``; an overflowing norm warns unless the
+        caller ignores it, as the descent loop does."""
+        return _exp(x, v, math.sqrt(v.dot(v)))[0], False
+
     def exp_transport(self, x, v):
         """``exp_flagged`` plus the transport along the step, which reuses
         ``||v||`` and its sine and cosine."""
-        nv = math.sqrt(np.vdot(v, v))
+        nv = math.sqrt(v.dot(v))
         y, cos, sin = _exp(x, v, nv)
         if cos is None:
             return y, False, _unchanged
