@@ -110,8 +110,9 @@ class Manifold(ABC):
     def grad_diff_norm_sq(self, x, g_new, transported, prev_norm_sq):
         """Squared norm at x of ``g_new - transported``.
 
-        ``transported`` is the previous gradient carried to x by
-        ``transport_along_step`` and ``prev_norm_sq`` its squared norm at
+        ``transported`` is the previous gradient carried to x by the
+        transport along the step (``exp_transport``'s, equal to
+        ``transport_along_step``) and ``prev_norm_sq`` its squared norm at
         the previous base point (equal to the squared norm of
         ``transported`` at x, transport being an isometry).  The default
         forms the difference directly; metrics whose inner product is
