@@ -2,13 +2,14 @@
 
 A manifold object holds what one iteration of the methods asks for and
 nothing else: the Riemannian gradient from the Euclidean one, the
-exponential map, transport along the step (the derivative of the
-exponential), and the metric; plus the supremum of admissible step
-lengths on incomplete manifolds with a cheap yes/no certificate that a
-step lies below it, and distances for diagnostics.  The exponential and
-the transport along its step also come as one call,
-:meth:`Manifold.exp_transport`, which hands the transport the work the
-exponential already did; the adaptive step rule uses that form.
+exponential map together with the transport along its step (the
+derivative of the exponential), and the metric; plus the supremum of
+admissible step lengths on incomplete manifolds with a cheap yes/no
+certificate that a step lies below it, and distances for diagnostics.
+The exponential has one implementation per manifold,
+:meth:`Manifold.exp_transport`, which returns the reached point and the
+transport along that step, so the transport reuses the exponential's
+work; ``exp`` and ``transport_along_step`` are its two parts.
 Implementations are stateless and all operations are pure, so one
 instance can serve any number of concurrent runs.
 
@@ -21,7 +22,6 @@ optimizers only scale tangents by a scalar, and only the default
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 
@@ -52,29 +52,24 @@ class Manifold(ABC):
         """Riemannian gradient at x from the ambient (Euclidean) gradient g."""
 
     @abstractmethod
+    def exp_transport(self, x, v):
+        """The exponential at x along v and the transport along that step.
+
+        Returns ``(y, clamped, transport)``: ``y = exp(x, v)``, whether a
+        numerical guard fired on the way, and ``transport(w)``, the parallel
+        transport of w from x to y along t -> exp(x, t v).  This is the one
+        exponential a manifold implements; the transport may reuse the
+        exponential's work.  The descent loops take every step through it.
+        """
+
     def exp(self, x, v):
         """Point reached after unit time along the geodesic from x with velocity v."""
+        return self.exp_transport(x, v)[0]
 
-    def exp_flagged(self, x, v):
-        """exp plus a flag telling whether a numerical guard was applied."""
-        return self.exp(x, v), False
-
-    def exp_transport(self, x, v):
-        """``exp_flagged(x, v)`` plus the transport along that step.
-
-        Returns ``(y, clamped, transport)``, where ``transport(w)`` equals
-        ``transport_along_step(x, v, w)`` bit for bit and raises what it
-        raises.  The adaptive step rule takes every step through this
-        method and calls ``transport`` at the next iterate.  The base class
-        composes the two methods; a manifold whose transport can reuse the
-        exponential's work (``L X L`` on Bures-Wasserstein) overrides it.
-        """
-        y, clamped = self.exp_flagged(x, v)
-        return y, clamped, functools.partial(self.transport_along_step, x, v)
-
-    @abstractmethod
     def transport_along_step(self, x, v, w):
-        """Parallel transport of w from x to exp(x, v) along t -> exp(x, t v)."""
+        """Parallel transport of w from x to exp(x, v) along t -> exp(x, t v);
+        raises what ``exp(x, v)`` raises."""
+        return self.exp_transport(x, v)[2](w)
 
     @abstractmethod
     def inner(self, x, u, v):
@@ -111,10 +106,9 @@ class Manifold(ABC):
         """Squared norm at x of ``g_new - transported``.
 
         ``transported`` is the previous gradient carried to x by the
-        transport along the step (``exp_transport``'s, equal to
-        ``transport_along_step``) and ``prev_norm_sq`` its squared norm at
-        the previous base point (equal to the squared norm of
-        ``transported`` at x, transport being an isometry).  The default
+        transport along the step (``exp_transport``'s) and ``prev_norm_sq``
+        its squared norm at the previous base point (equal to the squared
+        norm of ``transported`` at x, transport being an isometry).  The default
         forms the difference directly; metrics whose inner product is
         expensive override this with the isometry-based expansion.
         """

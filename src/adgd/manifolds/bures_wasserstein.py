@@ -22,9 +22,8 @@ Closed forms used throughout (L below is the Lyapunov factor of V at X):
   fails every directional-derivative check by exactly that factor.
 * transport of W along its own step direction V = c W:
   ``P(W) = W + (2 / c) L X L``.  ``L X L`` is the exponential's own
-  term, so ``exp_transport``, the form the adaptive step rule uses,
-  hands it from the exponential to the transport, and an adaptive
-  iteration computes it once.
+  term, so ``exp_transport`` hands it from the exponential to the
+  transport, and an iteration computes it once.
 
 Riemannian gradients carry their Lyapunov factor together with ``base``,
 the point it was computed at, and scaling keeps both, so the descent
@@ -142,29 +141,18 @@ class BuresWasserstein(Manifold):
         xg = x @ g
         return BWTangent(2.0 * (xg + xg.T), 2.0 * g, x)
 
-    def exp(self, x, v):
-        """(I + L) X (I + L) for L = L_X(v); raises outside the step domain.
+    def exp_transport(self, x, v):
+        """``(exp(x, v), False, transport)``: ``exp(x, v) = (I + L) X (I + L)``
+        for ``L = L_X(v)``, raising outside the step domain, and
+        ``transport(w)`` forms ``W + (2 / c) L X L`` from the exponential's
+        own ``L X L``, so it costs no matrix product.  The transport is
+        defined only for w collinear with v, the single case the descent
+        loops need, and holds ``v``'s matrix and ``L X L``.
 
         The domain check certifies positive definiteness of I + L itself:
         the congruence (I + L) X (I + L) stays SPD even for indefinite
         I + L, where the formula no longer describes a geodesic.
         """
-        return self._exp_and_lxl(x, v)[0]
-
-    def exp_transport(self, x, v):
-        """``(exp(x, v), False, transport)``: ``transport(w)`` forms
-        ``W + (2 / c) L X L`` from the exponential's own ``L X L``, so it
-        costs no matrix product.  It holds ``v``'s matrix and ``L X L``."""
-        y, lxl = self._exp_and_lxl(x, v)
-        vmat = v.mat
-
-        def transport(w):
-            c = _step_ratio(vmat, w)
-            return BWTangent(w.mat.copy() if c is None else w.mat + (2.0 / c) * lxl)
-
-        return y, False, transport
-
-    def _exp_and_lxl(self, x, v):
         fac = v.factor_at(x)
         try:
             linalg.require_spd(np.eye(x.shape[0]) + fac)
@@ -177,16 +165,13 @@ class BuresWasserstein(Manifold):
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).
         linalg.require_spd(y)
-        return y, lxl
+        vmat = v.mat
 
-    def transport_along_step(self, x, v, w):
-        """Transport w along t -> exp(x, t v); defined here only for w
-        collinear with v, the single case the descent loops need."""
-        c = _step_ratio(v.mat, w)
-        if c is None:
-            return BWTangent(w.mat.copy())
-        fac = v.factor_at(x)
-        return BWTangent(w.mat + (2.0 / c) * (fac @ x @ fac))
+        def transport(w):
+            c = _step_ratio(vmat, w)
+            return BWTangent(w.mat.copy() if c is None else w.mat + (2.0 / c) * lxl)
+
+        return y, False, transport
 
     def inner(self, x, u, v):
         # Callers pass a factor-carrying tangent (a gradient) first.

@@ -27,11 +27,10 @@ class PositiveOrthant(Manifold):
     def egrad_to_rgrad(self, x, g):
         return x * x * g
 
-    def exp(self, x, v):
-        return self.exp_flagged(x, v)[0]
-
-    def exp_flagged(self, x, v):
-        """x_i e^{v_i / x_i}, with the exponent clamped to +-700.
+    def exp_transport(self, x, v):
+        """``(y, clamped, transport)`` with ``y_i = x_i e^{v_i / x_i}``, the
+        exponent clamped to +-700, and the transport along the step, the
+        coordinate-wise rescaling ``w_i y_i / x_i`` (an exact isometry).
 
         The flag reports whether clamping fired so that runs record the
         event instead of silently producing infinities.
@@ -40,17 +39,8 @@ class PositiveOrthant(Manifold):
         clamped = bool(np.any(np.abs(z) > _EXP_CLAMP))
         if clamped:
             z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
-        return x * np.exp(z), clamped
-
-    def exp_transport(self, x, v):
-        """``exp_flagged`` plus the transport along the step, the
-        coordinate-wise rescaling ``w_i y_i / x_i`` by the reached point
-        ``y`` (an exact isometry)."""
-        y, clamped = self.exp_flagged(x, v)
+        y = x * np.exp(z)
         return y, clamped, lambda w: w * y / x
-
-    def transport_along_step(self, x, v, w):
-        return self.exp_transport(x, v)[2](w)
 
     def inner(self, x, u, v):
         return float(np.add.reduce(u * v / (x * x)))

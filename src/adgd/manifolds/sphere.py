@@ -4,15 +4,8 @@ Points are unit-norm vectors, tangents at x are vectors orthogonal to x,
 and the metric is the ambient Euclidean inner product.  The manifold is
 geodesically complete with constant positive curvature.  Norms are
 written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
-``np.linalg.norm`` computes, without its dispatch overhead.  The public
-``exp`` and ``transport_along_step`` take the step norm ``||v||`` as
-``math.sqrt(np.vdot(v, v))``: for a contiguous 1-D float vector
-``np.vdot`` calls the same BLAS ``ddot`` and gives the same bits, but
-unlike ``ndarray.dot`` it raises no floating-point warning, so an
-overflowing step reaches the ``DomainError`` without a numpy warning and
-without an ``np.errstate`` per call (1-3 us each).  ``exp_flagged`` and
-``exp_transport``, the descent loop's entry points, keep ``v.dot(v)``
-(about 0.2 us faster) under the loop's own ``np.errstate``.
+``np.linalg.norm`` computes, without its dispatch overhead.  The step norm
+in ``exp_transport`` takes ``np.vdot`` instead, for the same bits.
 """
 
 from __future__ import annotations
@@ -34,29 +27,16 @@ _TINY = 1e-12
 _UNIT_TOL = 1e-10
 
 
-def _cos_sin(nv):
-    """cos and sin of a step norm; DomainError when the norm overflowed."""
-    if nv == math.inf:
-        raise DomainError(f"sphere step norm overflowed (||v|| = {nv})")
-    return math.cos(nv), math.sin(nv)
-
-
-def _exp(x, v, nv):
-    """``(exp(x, v), cos nv, sin nv)`` for ``nv = ||v||``; below ``_TINY``
-    the point is x and both trigonometric values are None."""
-    if nv < _TINY:
-        return x, None, None
-    cos, sin = _cos_sin(nv)
-    y = cos * x + (sin / nv) * v
-    return y / math.sqrt(y.dot(y)), cos, sin
-
-
 def _rotate(x, v, nv, cos, sin, w):
     """The transport of w along a step v of norm ``nv >= _TINY``."""
     u = v / nv
     a = float(w.dot(u))
-    w_perp = w - a * u
-    return a * (-sin * x + cos * u) + w_perp
+    # a (-sin x + cos u) + (w - a u), written in place: the same operations.
+    out = -sin * x
+    out += cos * u
+    out *= a
+    out += w - a * u
+    return out
 
 
 def _unchanged(w):
@@ -82,38 +62,31 @@ class Sphere(Manifold):
         """Project g onto the tangent space: g - <x, g> x."""
         return g - x.dot(g) * x
 
-    def exp(self, x, v):
-        """Raises ``DomainError`` when ``||v||`` overflows, without a numpy
-        warning; a NaN norm gives a NaN point, which the descent loop's
-        finiteness check reports."""
-        return _exp(x, v, math.sqrt(np.vdot(v, v)))[0]
-
-    def exp_flagged(self, x, v):
-        """``(exp(x, v), False)``; an overflowing norm warns unless the
-        caller ignores it, as the descent loop does."""
-        return _exp(x, v, math.sqrt(v.dot(v)))[0], False
-
     def exp_transport(self, x, v):
-        """``exp_flagged`` plus the transport along the step, which reuses
-        ``||v||`` and its sine and cosine."""
-        nv = math.sqrt(v.dot(v))
-        y, cos, sin = _exp(x, v, nv)
-        if cos is None:
-            return y, False, _unchanged
-        return y, False, functools.partial(_rotate, x, v, nv, cos, sin)
+        """``(exp(x, v), False, transport)``; the transport reuses ``||v||``
+        and its sine and cosine.
 
-    def transport_along_step(self, x, v, w):
-        """Transport w along the great circle t -> exp(x, t v).
-
-        The component of w along the geodesic direction u = v/||v|| rotates
-        with the circle (u -> -sin(||v||) x + cos(||v||) u); the component
-        orthogonal to the plane span(x, u) is unchanged.  An overflowing
-        ``||v||`` raises ``DomainError`` as in ``exp``.
+        Along the great circle the component of w along the geodesic
+        direction u = v/||v|| rotates with the circle
+        (u -> -sin(||v||) x + cos(||v||) u); the component orthogonal to
+        the plane span(x, u) is unchanged.  ``||v||`` is taken with
+        ``np.vdot``: for a contiguous 1-D float vector that is the BLAS
+        ``ddot`` of ``v.dot(v)``, with the same bits, but it raises no
+        floating-point warning, so an overflowing norm raises
+        ``DomainError`` without a numpy warning and without an
+        ``np.errstate``.  A NaN norm gives a NaN point, which the descent
+        loop's finiteness check reports.
         """
         nv = math.sqrt(np.vdot(v, v))
         if nv < _TINY:
-            return w
-        return _rotate(x, v, nv, *_cos_sin(nv), w)
+            return x, False, _unchanged
+        if nv == math.inf:
+            raise DomainError(f"sphere step norm overflowed (||v|| = {nv})")
+        cos, sin = math.cos(nv), math.sin(nv)
+        y = cos * x
+        y += (sin / nv) * v
+        y /= math.sqrt(y.dot(y))
+        return y, False, functools.partial(_rotate, x, v, nv, cos, sin)
 
     def inner(self, x, u, v):
         return float(u.dot(v))

@@ -39,8 +39,8 @@ The step rules:
   positive-orthant equivalence.
 * :func:`_armijo_rule`, the backtracking line-search baseline
   (:func:`armijo_run`) whose first trial grows as ``lambda * eta_prev``.
-  It transports nothing, so its trials take the plain exponential
-  (:meth:`_Meter.exp`).
+  Its trials take the same exponential and drop the transport, which
+  costs nothing beyond the exponential's own work.
 
 Each row holds the objective value, gradient norm, step size, step ratio,
 the local inverse-smoothness estimate, cumulative work counters, optional
@@ -190,14 +190,9 @@ class _Meter:
         phi, egrad = self.problem.value_and_grad(x)
         return float(phi), self.manifold.egrad_to_rgrad(x, egrad)
 
-    def exp(self, x, v):
-        self.exp_evals += 1
-        self.expensive += self.manifold.exp_ops
-        return self.manifold.exp_flagged(x, v)
-
     def exp_transport(self, x, v):
-        """``exp`` plus the transport along the step
-        (``Manifold.exp_transport``), charged as ``exp``."""
+        """``Manifold.exp_transport(x, v)``: the next point, the clamp flag
+        and the transport along the step; one exponential charge."""
         self.exp_evals += 1
         self.expensive += self.manifold.exp_ops
         return self.manifold.exp_transport(x, v)
@@ -355,7 +350,8 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     at most ``_MAX_FIRST_LS_DOUBLINGS`` times, so that the step sequence
     starts at the local inverse-smoothness scale.  Each trial charges an
     exponential and a gradient, and a comparison unless it follows the
-    last allowed doubling: that trial is taken as it stands.  The taken
+    last allowed doubling or doubling its step would overflow to inf:
+    that trial is taken as it stands, so every step is finite.  The taken
     trial's gradient serves ``k = 1``.
 
     A converged row reports the step it would take and takes no
@@ -406,6 +402,8 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
             # First-LS: each pass compares the last trial, then doubles.
             grad_next = meter.grad(x_next)
             for _ in range(_MAX_FIRST_LS_DOUBLINGS):
+                if 2.0 * alpha == math.inf:
+                    break
                 denom = meter.grad_change(transport, grad, grad_norm, x_next, grad_next)
                 ratio = grad_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
                 if ratio <= 1.0 or clamped:
@@ -455,7 +453,7 @@ def _armijo_rule(config, manifold, meter):
         eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad)
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
-            x_trial, exp_clamped = meter.exp(x, eta * neg_grad)
+            x_trial, exp_clamped, _ = meter.exp_transport(x, eta * neg_grad)
             phi_trial = meter.value(x_trial)
             if not math.isfinite(phi_trial):
                 raise _AbortRun(
@@ -504,11 +502,8 @@ class _FlatSpace(Manifold):
     def egrad_to_rgrad(self, x, g):
         return g
 
-    def exp(self, x, v):
-        return x + v
-
-    def transport_along_step(self, x, v, w):
-        return w
+    def exp_transport(self, x, v):
+        return x + v, False, lambda w: w
 
     def inner(self, x, u, v):
         return float(np.dot(u, v))

@@ -142,6 +142,19 @@ class TestTransport:
         with pytest.raises(DomainError):
             bw.transport_along_step(x, v, w)
 
+    def test_step_outside_the_cone_raises(self, bw):
+        # The transport comes with its step's exponential, which certifies
+        # the step first.
+        rng = np.random.default_rng(5)
+        x = random_spd(rng, 4)
+        grad = bw.egrad_to_rgrad(x, random_sym(rng, 4))
+        cap = bw.max_step(x, grad)
+        if math.isinf(cap):
+            grad = -1.0 * grad
+            cap = bw.max_step(x, grad)
+        with pytest.raises(DomainError, match="step leaves the SPD cone"):
+            bw.transport_along_step(x, (1.01 * cap) * grad, grad)
+
     def test_transported_gradient_isometry(self, bw):
         rng = np.random.default_rng(9)
         for _ in range(50):

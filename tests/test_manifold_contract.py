@@ -221,7 +221,8 @@ def _exp_transport_cases(case, rng):
         x = random_spd(rng, 3)
         grad = m.egrad_to_rgrad(x, random_sym(rng, 3))
         out.append((m, x, BWTangent(np.zeros((3, 3))), [grad, BWTangent(np.zeros((3, 3)))]))
-        out.append((m, x, 0.3 * grad, [BWTangent(np.zeros((3, 3)))]))
+        step = min(1.0, 0.5 * m.max_step(x, 0.3 * grad)) * (0.3 * grad)
+        out.append((m, x, step, [BWTangent(np.zeros((3, 3)))]))
         return out
     if case == "sphere":
         m = Sphere()
@@ -241,9 +242,36 @@ def _exp_transport_cases(case, rng):
     return [(m, x, v, [w, float(rng.uniform(-2.0, 2.0)) * v]) for x, v, w in samples]
 
 
+def _closed_form(case, x, v, w):
+    """``(exp(x, v), clamped, transport of w)`` written out per manifold."""
+    if case == "sphere":
+        nv = float(np.linalg.norm(v))
+        if nv < 1e-12:
+            return x, False, w
+        u = v / nv
+        y = math.cos(nv) * x + math.sin(nv) * u
+        a = float(np.dot(w, u))
+        return y, False, w + a * (-math.sin(nv) * x + (math.cos(nv) - 1.0) * u)
+    if case == "orthant":
+        z = v / x
+        y = x * np.exp(np.clip(z, -700.0, 700.0))
+        return y, bool(np.any(np.abs(z) > 700.0)), w * (y / x)
+    if case == "flat":
+        return x + v, False, w
+    fac = linalg.solve_lyapunov(x, v.mat)
+    lxl = fac @ x @ fac
+    y = x + v.mat + lxl
+    ww = float(np.sum(w.mat * w.mat))
+    if ww == 0.0 or not v.mat.any():
+        return y, False, w.mat
+    c = float(np.sum(v.mat * w.mat)) / ww
+    return y, False, w.mat + (2.0 / c) * lxl
+
+
 class TestExpTransport:
-    """``exp_transport`` is ``exp_flagged`` and ``transport_along_step`` in
-    one call, bit for bit; the adaptive rule steps through it."""
+    """``exp_transport`` is each manifold's one exponential: its triple
+    matches the closed forms, and ``exp`` and ``transport_along_step`` are
+    its parts, bit for bit."""
 
     @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])
     def test_equals_exp_and_transport_bit_for_bit(self, case):
@@ -251,9 +279,7 @@ class TestExpTransport:
         clamped_seen = False
         for m, x, v, ws in _exp_transport_cases(case, rng):
             y, clamped, transport = m.exp_transport(x, v)
-            y_ref, clamped_ref = m.exp_flagged(x, v)
-            assert _bits(y) == _bits(y_ref) == _bits(m.exp(x, v))
-            assert clamped == clamped_ref
+            assert _bits(y) == _bits(m.exp(x, v))
             clamped_seen |= clamped
             # Past the orthant's clamp a transported entry overflows to inf,
             # in both forms alike; the descent loop ignores the warning too.
@@ -261,6 +287,22 @@ class TestExpTransport:
                 for w in ws:
                     assert _bits(transport(w)) == _bits(m.transport_along_step(x, v, w))
         assert clamped_seen == (case == "orthant")
+
+    @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])
+    def test_matches_closed_form(self, case):
+        rng = np.random.default_rng(111)
+        for m, x, v, ws in _exp_transport_cases(case, rng):
+            y, clamped, transport = m.exp_transport(x, v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for w in ws:
+                    y_ref, clamped_ref, pw_ref = _closed_form(case, x, v, w)
+                    assert clamped == clamped_ref
+                    scale = 1.0 + float(np.max(np.abs(y_ref)))
+                    np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * scale)
+                    pw = transport(w)
+                    pw = getattr(pw, "mat", pw)
+                    scale = 1.0 + float(np.max(np.abs(np.nan_to_num(pw_ref, posinf=0.0))))
+                    np.testing.assert_allclose(pw, pw_ref, rtol=1e-12, atol=1e-12 * scale)
 
     def test_bw_non_collinear_raises_the_same_domain_error(self):
         rng = np.random.default_rng(110)

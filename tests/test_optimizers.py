@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adgd import cli, diagnostics, optimizers, problems
+from adgd import cli, diagnostics, optimizers, problems, trace_io
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere, bures_wasserstein
 from adgd.optimizers import (
     STATUS_ABORTED,
@@ -162,6 +162,33 @@ class TestFirstIterationLineSearch:
         )
         assert tr.rows[0].alpha == 0.001 * 2**60
         assert tr.rows[0].exp_evals == 61
+
+    def test_doubling_stops_before_the_step_overflows(self):
+        # From 1e300 the 27th doubling reaches 1.34e308 and a 28th would
+        # overflow to inf: that trial is taken as it stands, uncompared.
+        c = np.array([1.0, -2.0])
+        tr = euclidean_adgd_run(
+            RunConfig(max_iters=1, tol=0.0, alpha0=1e300, first_ls=True),
+            lambda y: float(c @ y),
+            lambda y: c.copy(),
+            np.zeros(2),
+        )
+        assert tr.rows[0].alpha == 1e300 * 2**27
+        assert tr.rows[0].exp_evals == 28
+
+    def test_orthant_rows_stay_finite_from_a_huge_alpha0(self, tmp_path):
+        # The orthant's exponent clamp keeps every trial point finite, so
+        # only the step itself could overflow.
+        out = tmp_path / "o.csv"
+        argv = ["run", "--experiment", "orthant-equivalence", "--n", "2", "--seed", "3",
+                "--alpha0", "1e300", "--first-ls", "--max-iters", "5", "--out", str(out)]
+        cli.main(argv)
+        _, trace, deviations = trace_io.read_trace(out)
+        assert trace.rows[0].alpha == 1e300 * 2**27
+        assert trace.rows[0].exp_evals == 28
+        for row, deviation in zip(trace.rows, deviations):
+            values = [getattr(row, f.name) for f in dataclasses.fields(row)] + [deviation]
+            assert all(math.isfinite(value) for value in values if value is not None)
 
     @pytest.mark.parametrize(
         "objective,y0,max_iters,exp_evals,expensive_ops",

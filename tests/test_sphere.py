@@ -75,21 +75,18 @@ class TestExp:
         assert np.isnan(sphere.exp(e(0), np.array([0.0, math.nan, 0.0]))).all()
 
     def test_overflowing_step_norm_raises_without_a_warning(self, sphere):
-        # No caller-side np.errstate: the public exp and transport take the
-        # step norm with np.vdot, which raises no floating-point warning.
+        # No caller-side np.errstate: exp_transport, and so exp and
+        # transport_along_step, take the step norm with np.vdot, which
+        # raises no floating-point warning.
         x, v = e(0), 1e300 * e(1)
         message = r"^sphere step norm overflowed \(\|\|v\|\| = inf\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=message):
-                sphere.exp(x, v)
-            with pytest.raises(DomainError, match=message):
-                sphere.transport_along_step(x, v, e(2))
-        # The descent loop's entry points raise the same under its errstate.
-        with np.errstate(over="ignore"):
-            for call in (sphere.exp_flagged, sphere.exp_transport):
+            for call in (sphere.exp_transport, sphere.exp):
                 with pytest.raises(DomainError, match=message):
                     call(x, v)
+            with pytest.raises(DomainError, match=message):
+                sphere.transport_along_step(x, v, e(2))
 
 
 class TestTransport:
