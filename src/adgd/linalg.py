@@ -139,9 +139,10 @@ def sym_eig(m):
     two-sided loop as the oracle this kernel matches byte for byte.  More
     than ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call time) raise
     ConvergenceError rather than return a silently inaccurate
-    factorization, and a non-diagonal matrix whose squared Frobenius norm
-    overflows or underflows (the convergence test squares the entries)
-    raises DomainError naming its largest entry.
+    factorization.  A non-diagonal matrix whose squared Frobenius norm
+    overflows or underflows (the convergence test squares the entries) is
+    solved scaled by a power of two (:func:`_jacobi_target`), and its
+    eigenvalues scaled back exactly; the basis is the scaled matrix's.
 
     Parameters
     ----------
@@ -156,7 +157,7 @@ def sym_eig(m):
     a = check_symmetric(m, "sym_eig input")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-    target = _jacobi_target(a, "sym_eig input")
+    target, e = _jacobi_target(a)
     w = np.empty((n, 2 * n))
     w[:, :n] = a
     w[:, n:] = np.eye(n)
@@ -173,7 +174,7 @@ def sym_eig(m):
         if off <= target:
             ev = np.diag(a)
             order = np.argsort(ev, kind="stable")
-            return EigenDecomposition(ev[order], w[:, n:].T[:, order])
+            return EigenDecomposition(np.ldexp(ev[order], e), w[:, n:].T[:, order])
         if sweep == max_sweeps:
             raise ConvergenceError(
                 f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
@@ -221,26 +222,30 @@ def sym_eig(m):
                 cols[qq][...] = heads[qq]
 
 
-def _jacobi_target(a, name):
-    """Convergence target ``1e-14 ||A||_F`` of one matrix.
+def _jacobi_target(a):
+    """``(target, e)``: the convergence target ``1e-14 ||A||_F`` of one
+    matrix ``a``, which it may scale in place by ``2**-e``; the input's
+    eigenvalues are then the solved ones times ``2**e``.
 
     The convergence test squares the entries, so it only means something
     while ``||A||_F^2`` is a finite normal number.  Beyond that the target
     and the off-diagonal mass both read ``inf`` (or both ``0``) and the
     solver would return the diagonal after no sweep.  That answer is exact
     for a diagonal matrix (the zero matrix included), which therefore
-    solves at any scale; any other matrix raises DomainError naming its
-    largest entry.
+    solves at any scale with ``e = 0``.  Any other such matrix is scaled by
+    the power of two that brings its largest entry into [0.5, 1), where the
+    test holds.  Every rotation's arithmetic is invariant under that
+    scaling, so the basis is the one an in-range multiple of the matrix
+    gets.  An in-range matrix keeps ``e = 0`` and its bytes.
     """
     with np.errstate(over="ignore"):
         sq = float(np.sum(a * a))
+    e = 0
     if (sq == math.inf or sq < _TINY) and np.count_nonzero(a) > np.count_nonzero(a.diagonal()):
-        raise DomainError(
-            f"{name} is out of the Jacobi solver's range: its squared Frobenius "
-            f"norm {'overflows' if sq == math.inf else 'underflows'} "
-            f"(largest entry magnitude {float(np.max(np.abs(a))):.3e})"
-        )
-    return _JACOBI_TOL * math.sqrt(sq)
+        e = math.frexp(float(np.max(np.abs(a))))[1]
+        np.ldexp(a, -e, out=a)
+        sq = float(np.sum(a * a))
+    return _JACOBI_TOL * math.sqrt(sq), e
 
 
 def _off_mass(stack):
@@ -277,7 +282,7 @@ def eigvals(stack):
     than per matrix, so a stack is much faster than a loop of
     ``sym_eig`` calls, while a single matrix is about 4-5x slower (n =
     20 and n = 100).  A non-diagonal matrix whose squared Frobenius norm
-    overflows or underflows raises DomainError, as in ``sym_eig``.  If
+    overflows or underflows is solved scaled, as in ``sym_eig``.  If
     any matrix still exceeds its target after ``_JACOBI_MAX_SWEEPS``
     sweeps the whole call raises ConvergenceError.
 
@@ -301,8 +306,10 @@ def eigvals(stack):
     m, n = a.shape[:2]
     out = np.empty((m, n))
     live = np.arange(m)  # stack index of each row of ``a``
-    target = np.array([_jacobi_target(mat, f"eigvals input (matrix {i} of the stack)")
-                       for i, mat in enumerate(a)])
+    target = np.empty(m)
+    e = np.zeros(m, dtype=np.intc)  # each matrix's eigenvalues scale back by 2**e
+    for i, mat in enumerate(a):
+        target[i], e[i] = _jacobi_target(mat)
     max_sweeps = _JACOBI_MAX_SWEEPS
     for sweep in range(max_sweeps + 1):
         off = _off_mass(a)
@@ -314,7 +321,7 @@ def eigvals(stack):
             keep = ~done
             a, live, off, target = a[keep], live[keep], off[keep], target[keep]
         if not len(live):
-            return out
+            return np.ldexp(out, e[:, None])
         if sweep == max_sweeps:
             raise ConvergenceError(
                 f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "

@@ -10,8 +10,12 @@ Every method runs through one driver, :func:`_drive`.  At each iterate
 2. notes whether the run stops here: ``converged`` once
    ``||g_k|| <= tol``, else ``max-iters`` at ``k = max_iters``;
 3. asks a step rule for the step size and the next iterate
-   ``x_{k+1} = exp(x_k, -alpha_k g_k)``;
-4. records one :class:`TraceRow` and stops, or moves to ``x_{k+1}``.
+   ``x_{k+1} = exp(x_k, -alpha_k g_k)``; the rule sees ``x_k``'s
+   evaluations and the previous row, which holds ``alpha_{k-1}``,
+   ``theta_{k-1}``, ``||g_{k-1}||`` and ``phi(x_{k-1})``;
+4. records one :class:`TraceRow`, with the step ratio
+   ``theta_k = alpha_k / alpha_{k-1}`` (0 at ``k = 0`` and after a zero
+   step), and stops, or moves to ``x_{k+1}``.
 
 After the loop, however the run ended, :func:`_drive` fills the rows'
 distance to the optimum (when known and tracked) with one
@@ -29,16 +33,17 @@ The step rules:
   The transport is the one the exponential returned with that step
   (``Manifold.exp_transport``), so it reuses the exponential's work, and
   the rule keeps it in place of the step itself.
-  The step combines a growth cap ``sqrt(1 + theta) * alpha_prev`` with a
-  local inverse-smoothness estimate; there is no line search, except the
-  optional first-LS warm start that doubles ``alpha0`` at ``k = 0``.  It
-  is the Riemannian form of the rule of Malitsky & Mishchenko, *Adaptive
-  Gradient Descent without Descent* (arXiv:1910.09529).  With the step
-  pinned it is the constant-step baseline (:func:`fixed_run`); on flat
-  R^n it is :func:`euclidean_adgd_run`, the oracle for the
-  positive-orthant equivalence.
+  The step combines a growth cap ``sqrt(1 + theta_{k-1}) alpha_{k-1}``
+  with a local inverse-smoothness estimate; there is no line search,
+  except the optional first-LS warm start that doubles ``alpha0`` at
+  ``k = 0``.  It is the Riemannian form of the rule of Malitsky &
+  Mishchenko, *Adaptive Gradient Descent without Descent*
+  (arXiv:1910.09529).  With the step pinned it is the constant-step
+  baseline (:func:`fixed_run`); on flat R^n it is
+  :func:`euclidean_adgd_run`, the oracle for the positive-orthant
+  equivalence.
 * :func:`_armijo_rule`, the backtracking line-search baseline
-  (:func:`armijo_run`) whose first trial grows as ``lambda * eta_prev``.
+  (:func:`armijo_run`) whose first trial grows as ``lambda * alpha_{k-1}``.
   Its trials take the same exponential and drop the transport, which
   costs nothing beyond the exponential's own work.
 
@@ -213,7 +218,7 @@ class _AbortRun(Exception):
 class _Step(NamedTuple):
     """A step rule's answer at ``x_k``.
 
-    ``alpha, theta, ell, clamped`` fill the row.  ``x_next`` is the next
+    ``alpha, ell, clamped`` fill the row.  ``x_next`` is the next
     iterate, dropped when the driver stops at ``x_k``; ``phi_next`` and
     ``grad_next`` are the objective and gradient at ``x_next`` when the
     rule has already evaluated them.  A non-empty ``abort`` ends the run
@@ -221,7 +226,6 @@ class _Step(NamedTuple):
     """
 
     alpha: float
-    theta: float = 0.0
     ell: float = 0.0
     clamped: bool = False
     x_next: Any = None
@@ -253,12 +257,15 @@ def _drive(config, manifold, problem, make_rule):
     """Run ``make_rule(config, manifold, meter)`` from ``problem.x0``.
 
     The rule is called once per iterate as
-    ``rule(k, x, phi, grad, grad_norm, stop)`` and returns a
-    :class:`_Step`; ``stop`` is the status the run ends with at this row,
-    or None.  The driver owns the work meter, the evaluations at each
-    iterate, the finiteness check, the rows, the stopping rules and the
-    mapping of numerical failures (non-finite values, domain errors, rule
-    aborts) to status ``aborted``, which keeps the rows recorded so far.
+    ``rule(k, x, phi, grad, grad_norm, stop, prev)`` and returns a
+    :class:`_Step`: it sees ``x_k``'s evaluations, the status ``stop`` the
+    run ends with at this row (or None), and ``prev``, the row of
+    ``x_{k-1}`` (None at ``k = 0``).  ``_drive`` itself defines the step
+    ratio ``theta_k = alpha_k / alpha_{k-1}``, 0 at ``k = 0`` and after a
+    zero step.  It owns the work meter, the evaluations at each iterate, the
+    finiteness check, the rows, the stopping rules and the mapping of
+    numerical failures (non-finite values, domain errors, rule aborts) to
+    status ``aborted``, which keeps the rows recorded so far.
     Once the run has stopped, however it stopped, it fills the rows'
     ``dist_to_opt`` in one ``manifold.distance_from`` call when the
     optimum is known and ``config.track_distance`` is set; the column
@@ -297,14 +304,16 @@ def _drive(config, manifold, problem, make_rule):
                     stop = STATUS_MAX_ITERS
                 else:
                     stop = None
-                step = rule(k, x, phi, grad, grad_norm, stop)
+                prev = rows[-1] if rows else None
+                step = rule(k, x, phi, grad, grad_norm, stop, prev)
+                theta = step.alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
                 rows.append(
                     TraceRow(
                         k=k,
                         phi=phi,
                         grad_norm=grad_norm,
                         alpha=step.alpha,
-                        theta=step.theta,
+                        theta=theta,
                         ell=step.ell,
                         fn_evals=meter.fn_evals,
                         exp_evals=meter.exp_evals,
@@ -331,18 +340,18 @@ def _drive(config, manifold, problem, make_rule):
 def _adaptive_rule(config, manifold, meter, pinned=None):
     """The adaptive step size, or the constant ``pinned`` in its place.
 
-    At ``x_k``, ``k >= 1``, with ``T g_{k-1}`` the previous gradient
-    transported along the last step by the transport its exponential
-    returned (:meth:`_Meter.grad_change`, one ``adapt_extra_ops``
-    charge)::
+    At ``x_k``, ``k >= 1``, with ``alpha_{k-1}``, ``theta_{k-1}`` and
+    ``||g_{k-1}||`` read from the previous row and ``T g_{k-1}`` the
+    previous gradient transported along the last step by the transport its
+    exponential returned (:meth:`_Meter.grad_change`, one
+    ``adapt_extra_ops`` charge)::
 
         ell_k   = alpha_{k-1} ||g_{k-1}|| / ||g_k - T g_{k-1}||
         alpha_k = min(sqrt(1 + theta_{k-1}) alpha_{k-1}, ell_k / sqrt(2))
-        theta_k = alpha_k / alpha_{k-1}
 
     ``ell_k`` is 0 in the row when the denominator vanishes, and
-    ``alpha_k`` is then the growth cap.  ``alpha_0 = config.alpha0`` and
-    ``theta_0 = 0``.  Every step is clamped to the step domain.
+    ``alpha_k`` is then the growth cap.  ``alpha_0 = config.alpha0``.
+    Every step is clamped to the step domain.
 
     With ``config.first_ls`` the first step is a warm start: while the
     trial's ratio ``||g_0|| / (sqrt(2) ||g_1 - T g_0||)`` exceeds 1 and
@@ -363,38 +372,34 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     ``ell`` is still the estimate), and the run aborts once the objective
     has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
     """
-    # At x_{k-1}: alpha, theta, ||g||, phi; and, until compared at x_k, the
-    # transport along its step and g.  Dropping those two right after the
-    # comparison frees their arrays (on Bures-Wasserstein four n x n
-    # matrices) before the next exponential forms its own.
-    prev = None
+    # Until compared at x_k: the transport along the step from x_{k-1}, and
+    # g_{k-1}.  Dropping both right after the comparison frees their arrays
+    # (on Bures-Wasserstein four n x n matrices) before the next
+    # exponential forms its own.
     last = None
     streak = 0
 
-    def rule(k, x, phi, grad, grad_norm, stop):
-        nonlocal prev, last, streak
+    def rule(k, x, phi, grad, grad_norm, stop, prev):
+        nonlocal last, streak
         if prev is None:
             alpha = config.alpha0 if pinned is None else pinned
             if stop is not None:
                 return _Step(alpha)
             ell = 0.0
         else:
-            alpha_prev, theta_prev, norm_prev, phi_prev = prev
-            denom = meter.grad_change(*last, norm_prev, x, grad)
+            denom = meter.grad_change(*last, prev.grad_norm, x, grad)
             last = None
-            numer = alpha_prev * norm_prev
+            numer = prev.alpha * prev.grad_norm
             ell = numer / denom if denom > 0.0 else 0.0
             if pinned is None:
                 local = numer / (_SQRT2 * denom) if denom > 0.0 else math.inf
-                alpha = min(math.sqrt(1.0 + theta_prev) * alpha_prev, local)
+                alpha = min(math.sqrt(1.0 + prev.theta) * prev.alpha, local)
             else:
                 alpha = pinned
         neg_grad = -1.0 * grad
         alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
-        # alpha_prev is zero only under a pinned zero step; the ratio is moot then.
-        theta = alpha / alpha_prev if prev is not None and alpha_prev > 0.0 else 0.0
         if stop == STATUS_CONVERGED:
-            return _Step(alpha, theta, ell, clamped)
+            return _Step(alpha, ell, clamped)
 
         x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
         grad_next = None
@@ -414,17 +419,14 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
 
         abort = ""
         if pinned is not None and prev is not None:
-            streak = streak + 1 if phi > phi_prev else 0
+            streak = streak + 1 if phi > prev.phi else 0
             if streak >= _DIVERGENCE_STREAK:
                 abort = (
                     f"objective increased for {_DIVERGENCE_STREAK} consecutive "
                     f"iterations (diverging fixed step)"
                 )
-        prev = (alpha, theta, grad_norm, phi)
         last = (transport, grad)
-        return _Step(
-            alpha, theta, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort
-        )
+        return _Step(alpha, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort)
 
     return rule
 
@@ -433,23 +435,23 @@ def _armijo_rule(config, manifold, meter):
     """Backtracking line search with per-iteration growth.
 
     At ``x_k`` the first trial is ``eta = alpha0`` for ``k = 0`` and
-    ``armijo_lambda * eta_{k-1}`` after, clamped to the step domain.
+    ``armijo_lambda * alpha_{k-1}``, the previous row's accepted step,
+    after; it is clamped to the step domain.
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial's objective and exponential evaluation is metered, and the
     accepted trial's objective is carried to the next iterate.  A
     non-finite trial objective, or more than 60 rejections, aborts the run
     before the row is recorded, with that trial's objective in the
-    message.  Rows where the run stops report ``alpha = theta = 0``.
+    message.  Rows where the run stops report ``alpha = 0``, hence
+    ``theta = 0``.  The rule keeps no state between iterates.
     """
-    eta_prev = None
 
-    def rule(k, x, phi, grad, grad_norm, stop):
-        nonlocal eta_prev
+    def rule(k, x, phi, grad, grad_norm, stop, prev):
         if stop is not None:
             return _Step(0.0)
         neg_grad = -1.0 * grad
-        eta = config.alpha0 if eta_prev is None else config.armijo_lambda * eta_prev
+        eta = config.alpha0 if prev is None else config.armijo_lambda * prev.alpha
         eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad)
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
@@ -461,9 +463,7 @@ def _armijo_rule(config, manifold, meter):
                     f"at iteration {k}"
                 )
             if phi_trial <= phi - eta * target_slope:
-                theta = 0.0 if not eta_prev else eta / eta_prev
-                eta_prev = eta
-                return _Step(eta, theta, 0.0, clamped or exp_clamped, x_trial, phi_trial)
+                return _Step(eta, 0.0, clamped or exp_clamped, x_trial, phi_trial)
             eta *= config.armijo_beta
         raise _AbortRun(
             f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}; "

@@ -475,24 +475,60 @@ class TestStackedEigvals:
 class TestJacobiRange:
     # The convergence test squares the entries: at 1e160 ||M||_F^2 overflows
     # and at 1e-200 every square flushes to 0, so target and off-diagonal
-    # mass compare inf <= inf or 0 <= 0 and the diagonal [1, 2] * scale came
-    # back for the eigenvalues (1.5 -+ sqrt(9.25)) * scale.
+    # mass would compare inf <= inf or 0 <= 0 and the diagonal [1, 2] * scale
+    # would come back for the eigenvalues (1.5 -+ sqrt(9.25)) * scale.  The
+    # kernels solve such a matrix scaled by the power of two 2**-e that
+    # brings its largest entry into [0.5, 1) and scale the eigenvalues back
+    # by 2**e, so they are the in-range matrix's, bit for bit.  The first
+    # and third tests keep the names of the DomainError these inputs raised
+    # before the kernels scaled.
+    @staticmethod
+    def _in_range(m):
+        e = math.frexp(float(np.max(np.abs(m))))[1]
+        return linalg.sym_eig(np.ldexp(m, -e)), e
+
     @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-200, "underflows")])
     @pytest.mark.parametrize(
         "kernel",
-        [linalg.sym_eig, lambda m: linalg.eigvals([np.eye(2), m]), linalg.spd_sqrt],
+        [
+            lambda m: linalg.sym_eig(m).eigenvalues,
+            lambda m: linalg.eigvals([np.eye(2), m])[1],
+            linalg.spd_sqrt,
+        ],
         ids=["sym_eig", "eigvals", "spd_sqrt"],
     )
     def test_raises_naming_the_scale(self, kernel, scale, word):
         m = scale * np.array([[1.0, 3.0], [3.0, 2.0]])
+        with np.errstate(over="ignore"):
+            sq = float(np.sum(m * m))
+        assert sq == math.inf if word == "overflows" else sq < np.finfo(float).tiny
+        in_range, e = self._in_range(m)
+        expected = np.ldexp(in_range.eigenvalues, e)
+        assert np.allclose(expected, scale * np.array([1.5 - math.sqrt(9.25), 1.5 + math.sqrt(9.25)]),
+                           rtol=1e-14, atol=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning escapes either
-            with pytest.raises(DomainError, match=re.escape(f"norm {word} (largest entry magnitude {3.0 * scale:.3e})")):
-                kernel(m)
+            if kernel is linalg.spd_sqrt:
+                # M is indefinite: the SPD check now names its true smallest eigenvalue.
+                with pytest.raises(DomainError, match=re.escape(f"min eigenvalue {expected[0]:.3e}")):
+                    kernel(m)
+            else:
+                assert kernel(m).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    def test_scaled_basis_is_the_in_range_one(self, scale):
+        m = scale * np.array([[1.0, 3.0], [3.0, 2.0]])
+        in_range, _ = self._in_range(m)
+        assert linalg.sym_eig(m).basis.tobytes() == in_range.basis.tobytes()
 
     def test_eigvals_names_the_matrix(self):
-        with pytest.raises(DomainError, match=r"eigvals input \(matrix 1 of the stack\)"):
-            linalg.eigvals([np.eye(2), np.full((2, 2), 1e-170)])
+        # Each matrix of the stack is scaled alone: the in-range one keeps its bytes.
+        tiny = np.full((2, 2), 1e-170)
+        in_range, e = self._in_range(tiny)
+        got = linalg.eigvals([np.eye(2), tiny])
+        assert got[0].tobytes() == linalg.sym_eig(np.eye(2)).eigenvalues.tobytes()
+        assert got[1].tobytes() == np.ldexp(in_range.eigenvalues, e).tobytes()
+        assert got[1].tobytes() == np.array([0.0, 2e-170]).tobytes()
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
     def test_diagonal_matrix_solves_at_any_scale(self, scale):

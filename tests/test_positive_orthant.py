@@ -28,6 +28,23 @@ class TestRiemannianGradient:
                 1.0 + abs(np.dot(g, v))
             )
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="x * x underflows near 1.7e-304, so x * x * g is -0 and inner takes 0/0; "
+        "mending it moves golden adgd-orthant-abort (ROADMAP item 6)",
+    )
+    def test_norm_is_finite_where_x_squared_underflows(self, orthant):
+        # Row 1 of golden adgd-orthant-abort: the run aborts on this NaN.
+        problem = problems.linear_minus_log(4, 0)
+        x = adgd_run(RunConfig(alpha0=1e9, max_iters=50), orthant, problem).points[1]
+        assert 1e-304 < np.max(x) < 1e-303
+        g = problem.euclidean_grad(x)
+        with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
+            norm = orthant.norm(x, orthant.egrad_to_rgrad(x, g))
+        # ||grad||_x = ||x * g||, 1.878 here.
+        assert norm == pytest.approx(float(np.linalg.norm(x * g)), rel=1e-12)
+
 
 class TestExp:
     def test_zero(self, orthant):

@@ -2,10 +2,15 @@
 
 Every CLI experiment runs under each method (adaptive, first-LS, Armijo,
 fixed step) for n in {1, 2}, step sizes from 1e-300 to 1e300, max_iters in
-{0, 1, 5} and tol in {0, 1e-10}: 1440 library runs.  Whatever the inputs,
-a run either raises ValueError or ConvergenceError, or returns a trace
-that tells the truth about how it ended, holds only finite numbers in its
-rows, keeps every Bures-Wasserstein iterate positive definite, and
+{0, 1, 5} and tol in {0, 1e-10}, Armijo also with armijo_lambda in
+{1, 1e8, 1e300}: 2160 library runs.  Each experiment and method also
+starts from ``3 x0``, ``-x0``, ``x0 + 1``, ``1e-200 x0`` and ``1e200 x0``.
+A start off the manifold is refused with ValueError before row 0.  Once
+``RunConfig``, ``fixed_run`` and ``Manifold.check_point`` have accepted
+the inputs, a run either raises ConvergenceError or returns a trace that
+tells the truth about how it ended, holds only finite numbers in its rows,
+writes ``theta_k = alpha_k / alpha_{k-1}`` (0 at k = 0 and after a zero
+step), keeps every Bures-Wasserstein iterate positive definite, and
 round-trips through the CSV format bit for bit.  The instance seeds come
 from numpy's generator with a fixed seed.
 """
@@ -34,6 +39,14 @@ METHODS = ("adgd", "first-ls", "armijo", "fixed")
 STEPS = (1e-300, 1e-8, 1.0, 1e8, 1e300)
 MAX_ITERS = (0, 1, 5)
 TOLS = (0.0, 1e-10)
+ARMIJO_LAMBDAS = (1.0, 1e8, 1e300)
+STARTS = {
+    "3 x0": lambda x0: 3.0 * x0,
+    "-x0": lambda x0: -x0,
+    "x0 + 1": lambda x0: x0 + 1.0,
+    "1e-200 x0": lambda x0: 1e-200 * x0,
+    "1e200 x0": lambda x0: 1e200 * x0,
+}
 
 
 def _seeds():
@@ -45,12 +58,23 @@ def _seeds():
 SEEDS = _seeds()
 
 
-def _run(method, step, max_iters, tol, manifold, problem):
+def _problems(experiment):
+    """``(n, problem)`` for n in {1, 2}, skipping an instance ``build`` refuses."""
+    build = cli.EXPERIMENTS[experiment][2]
+    for n in (1, 2):
+        try:
+            yield n, build(n, SEEDS[experiment, n])
+        except (ValueError, ConvergenceError):
+            continue
+
+
+def _run(method, step, max_iters, tol, manifold, problem, armijo_lambda=1.0):
     config = RunConfig(
         max_iters=max_iters,
         tol=tol,
         alpha0=1.0 if method == "fixed" else step,
         first_ls=method == "first-ls",
+        armijo_lambda=armijo_lambda,
     )
     if method == "armijo":
         return armijo_run(config, manifold, problem)
@@ -76,9 +100,11 @@ def _check(trace, max_iters, tol, manifold, path):
             assert last.grad_norm <= tol
         else:
             assert last.k == max_iters
-    for row in trace.rows:
+    for prev, row in zip([None, *trace.rows], trace.rows):
         values = (row.phi, row.grad_norm, row.alpha, row.theta, row.ell, row.dist_to_opt)
         assert all(math.isfinite(v) for v in values if v is not None), row
+        ratio = row.alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
+        assert row.theta.hex() == ratio.hex(), row
     if isinstance(manifold, BuresWasserstein):
         for x in trace.points:
             linalg.require_spd(x)
@@ -88,28 +114,57 @@ def _check(trace, max_iters, tol, manifold, path):
     assert [_row_bits(r) for r in back.rows] == [_row_bits(r) for r in trace.rows]
 
 
+def _run_and_check(case, failures, path, method, step, max_iters, tol, manifold, problem,
+                   armijo_lambda=1.0):
+    """One run of accepted inputs; a broken contract goes into ``failures``."""
+    try:
+        trace = _run(method, step, max_iters, tol, manifold, problem, armijo_lambda)
+    except ConvergenceError:
+        return
+    except ValueError as exc:
+        failures.append(f"{case}: {type(exc).__name__} after the inputs were accepted: {exc}")
+        return
+    try:
+        _check(trace, max_iters, tol, manifold, path)
+    except AssertionError as exc:
+        failures.append(f"{case}: {str(exc).splitlines()[0]}")
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
 def test_grid(experiment, method, tmp_path):
-    _, manifold_cls, build = cli.EXPERIMENTS[experiment]
-    path = tmp_path / "trace.csv"
+    manifold_cls = cli.EXPERIMENTS[experiment][1]
+    lambdas = ARMIJO_LAMBDAS if method == "armijo" else (1.0,)
     failures = []
-    for n in (1, 2):
-        try:
-            problem = build(n, SEEDS[experiment, n])
-        except (ValueError, ConvergenceError):
-            continue
+    for n, problem in _problems(experiment):
         manifold = manifold_cls()
-        for step, max_iters, tol in itertools.product(STEPS, MAX_ITERS, TOLS):
-            case = (experiment, method, n, step, max_iters, tol)
+        manifold.check_point(problem.x0)
+        for step, max_iters, tol, lam in itertools.product(STEPS, MAX_ITERS, TOLS, lambdas):
+            case = (experiment, method, n, step, max_iters, tol, lam)
+            _run_and_check(case, failures, tmp_path / "trace.csv", method, step, max_iters, tol,
+                           manifold, problem, lam)
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+def test_starts(experiment, method, tmp_path):
+    manifold_cls = cli.EXPERIMENTS[experiment][1]
+    failures = []
+    for n, problem in _problems(experiment):
+        manifold = manifold_cls()
+        for name, start in STARTS.items():
+            moved = dataclasses.replace(problem, x0=start(problem.x0))
             try:
-                trace = _run(method, step, max_iters, tol, manifold, problem)
-            except (ValueError, ConvergenceError):
+                manifold.check_point(moved.x0)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _run(method, 1.0, 5, 0.0, manifold, moved)
                 continue
-            try:
-                _check(trace, max_iters, tol, manifold, path)
-            except AssertionError as exc:
-                failures.append(f"{case}: {str(exc).splitlines()[0]}")
+            for tol in TOLS:
+                case = (experiment, method, n, name, tol)
+                _run_and_check(case, failures, tmp_path / "trace.csv", method, 1.0, 5, tol,
+                               manifold, moved)
     assert not failures, "\n".join(failures)
 
 
