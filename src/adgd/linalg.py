@@ -16,7 +16,8 @@ while a 0-d array takes the array path at the same IEEE value (one
 product on a 200-entry row: 0.58 against 0.97 us, best of 5 x 200,000
 calls, numpy 2.4 on a 2-vCPU Xeon VM).  One helper,
 ``_off_mass``, gives the off-diagonal masses of a whole stack in one
-sum; ``sym_eig`` calls it on a stack of one.
+sum; ``sym_eig`` calls it on a stack of one.  Every matrix a kernel
+eigen-solves or returns goes through :func:`symmetrize`.
 They are the workhorses of the Bures-Wasserstein geometry and double as
 test oracles, so they favour robustness and explicit failure over raw
 speed.  LAPACK (through ``numpy.linalg``) only decides yes/no questions
@@ -89,7 +90,10 @@ class EigenDecomposition(NamedTuple):
 
 
 def symmetrize(m):
-    """Exact symmetrization (M + M^T) / 2."""
+    """Exact symmetrization (M + M^T) / 2 of one square matrix, formed
+    nowhere else.  The output is exactly symmetric (IEEE addition
+    commutes), and an exactly symmetric input comes back bit for bit
+    (doubling and halving are exact while M + M does not overflow)."""
     m = np.asarray(m, dtype=float)
     return 0.5 * (m + m.T)
 
@@ -118,10 +122,10 @@ def sym_eig(m):
 
     Sweeps Givens rotations over all off-diagonal positions until the
     off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.  The input
-    is symmetrized exactly and every rotation keeps the working matrix
-    bitwise symmetric, so a rotation's column update equals its row update
-    transposed.  The working matrix A and the transposed basis Q^T share
-    one ``(n, 2n)`` buffer ``[A | Q^T]``: row p holds row p of A followed
+    goes through :func:`symmetrize` and every rotation keeps the working
+    matrix bitwise symmetric, so a rotation's column update equals its row
+    update transposed.  The working matrix A and the transposed basis Q^T
+    share one ``(n, 2n)`` buffer ``[A | Q^T]``: row p holds row p of A followed
     by column p of Q.  Each rotation therefore computes the new rows p and
     q once over the full width, in place: the four products go into
     scratch rows allocated once per call and the two sums back into the
@@ -154,8 +158,7 @@ def sym_eig(m):
     EigenDecomposition
         Eigenvalues ascending, orthonormal basis columns.
     """
-    a = check_symmetric(m, "sym_eig input")
-    a = 0.5 * (a + a.T)
+    a = symmetrize(check_symmetric(m, "sym_eig input"))
     n = a.shape[0]
     target, e = _jacobi_target(a)
     w = np.empty((n, 2 * n))
@@ -268,11 +271,12 @@ def eigvals(stack):
 
     Each matrix receives exactly the arithmetic :func:`sym_eig` applies to
     it, in the same order, so ``eigvals(stack)[i]`` equals
-    ``sym_eig(stack[i]).eigenvalues`` byte for byte: the same exact
-    symmetrization, per-matrix convergence target, off-diagonal mass and
-    threshold, the same pivots skipped, the same ``tau`` branch and the
-    same row, column and analytic pivot writes.  No basis is kept.  A
-    matrix retires once it converges; the sweeps go on for the rest.
+    ``sym_eig(stack[i]).eigenvalues`` byte for byte: the same
+    :func:`symmetrize` (in place, on a copy of the stack), per-matrix
+    convergence target, off-diagonal mass and threshold, the same pivots
+    skipped, the same ``tau`` branch and the same row, column and analytic
+    pivot writes.  No basis is kept.  A matrix retires once it converges;
+    the sweeps go on for the rest.
     Between sweeps the live stack is a contiguous ``(m, n, n)`` array
     (convergence test, retirement, sorted diagonal), and one stacked
     ``_off_mass`` call gives every matrix's off-diagonal mass, each the
@@ -296,19 +300,16 @@ def eigvals(stack):
     ndarray, shape (m, n)
         Row ``i`` holds the eigenvalues of ``stack[i]``, ascending.
     """
-    a = np.asarray(stack, dtype=float)
+    a = np.array(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"eigvals input must be a stack of square matrices, got shape {a.shape}")
-    for mat in a:
-        check_symmetric(mat, "eigvals input")
-    a = a + np.swapaxes(a, 1, 2)
-    a *= 0.5
     m, n = a.shape[:2]
     out = np.empty((m, n))
     live = np.arange(m)  # stack index of each row of ``a``
     target = np.empty(m)
     e = np.zeros(m, dtype=np.intc)  # each matrix's eigenvalues scale back by 2**e
     for i, mat in enumerate(a):
+        mat[...] = symmetrize(check_symmetric(mat, "eigvals input"))
         target[i], e[i] = _jacobi_target(mat)
     max_sweeps = _JACOBI_MAX_SWEEPS
     for sweep in range(max_sweeps + 1):
@@ -363,8 +364,8 @@ def _eigvals_sweep(b, n, thresh):
     copies: no gather, fancy-index write or masked ``np.copyto`` (four
     of those cost more than two ``np.where`` and two copies).  A skipping
     matrix keeps its bytes because every live matrix stays bitwise
-    symmetric (symmetrized exactly, then each rotation's columns copied
-    from its rows), so its column p already equals its row p.
+    symmetric (through :func:`symmetrize`, then each rotation's columns
+    copied from its rows), so its column p already equals its row p.
     """
     m = b.shape[2]
     rows = list(b)
@@ -461,8 +462,7 @@ def solve_lyapunov(x, u):
     w = eig.eigenvalues
     qt_u_q = eig.basis.T @ u @ eig.basis
     denom = w[:, None] + w[None, :]
-    sol = eig.basis @ (qt_u_q / denom) @ eig.basis.T
-    return 0.5 * (sol + sol.T)
+    return symmetrize(eig.basis @ (qt_u_q / denom) @ eig.basis.T)
 
 
 def spd_sqrt(x):
@@ -471,8 +471,7 @@ def spd_sqrt(x):
     Raises DomainError when X fails the SPD tolerance test.
     """
     eig = _spd_eig(check_symmetric(x, "spd_sqrt input"), "spd_sqrt")
-    s = (eig.basis * np.sqrt(eig.eigenvalues)) @ eig.basis.T
-    return 0.5 * (s + s.T)
+    return symmetrize((eig.basis * np.sqrt(eig.eigenvalues)) @ eig.basis.T)
 
 
 def frobenius_norm(a):

@@ -159,8 +159,7 @@ class BuresWasserstein(Manifold):
         except DomainError:
             raise DomainError("step leaves the SPD cone") from None
         lxl = fac @ x @ fac
-        y = x + v.mat + lxl
-        y = 0.5 * (y + y.T)
+        y = linalg.symmetrize(x + v.mat + lxl)
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).

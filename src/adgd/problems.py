@@ -152,8 +152,7 @@ def rayleigh(n, seed=0):
     """Rayleigh quotient x^T A x on the unit sphere; minimum is the smallest
     eigenvalue of A.  Nonconvex, but a standard stress test."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    a = 0.5 * (a + a.T)
+    a = linalg.symmetrize(rng.standard_normal((n, n)))
     lam_min = float(linalg.sym_eig(a).eigenvalues[0])
 
     def value(x):
@@ -176,8 +175,7 @@ def rayleigh(n, seed=0):
 
 
 def _random_spd(rng, n, lo, hi):
-    m = rng.standard_normal((n, n))
-    q = linalg.sym_eig(0.5 * (m + m.T)).basis
+    q = linalg.sym_eig(linalg.symmetrize(rng.standard_normal((n, n)))).basis
     w = rng.uniform(lo, hi, size=n)
     return linalg.symmetrize((q * w) @ q.T)
 
@@ -228,8 +226,7 @@ def weighted_least_squares(n, seed=0, density=None):
     so both price tags are zero.
     """
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    a = 0.5 * (a + a.T)
+    a = linalg.symmetrize(rng.standard_normal((n, n)))
     if density is not None:
         mask = rng.random((n, n)) < density
         mask = np.triu(mask) | np.triu(mask).T

@@ -850,6 +850,17 @@ class TestPlumbing:
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         out = linalg.symmetrize(m)
         assert np.allclose(out, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # The kernels, the BW exponential and the problem builders all take
+        # their (M + M^T) / 2 from here: bitwise symmetric, the inline
+        # expression's bytes, and a fixed point on symmetric input.
+        rng = np.random.default_rng(26)
+        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            for n in (1, 2, 5, 20):
+                m = rng.standard_normal((n, n)) * scale
+                out = linalg.symmetrize(m)
+                assert out.tobytes() == (0.5 * (m + m.T)).tobytes()
+                assert out.tobytes() == out.T.copy().tobytes()
+                assert linalg.symmetrize(out).tobytes() == out.tobytes()
 
     def test_cholesky_agrees_with_numpy(self):
         rng = np.random.default_rng(8)

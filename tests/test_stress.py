@@ -3,7 +3,8 @@
 Every CLI experiment runs under each method (adaptive, first-LS, Armijo,
 fixed step) for n in {1, 2}, step sizes from 1e-300 to 1e300, max_iters in
 {0, 1, 5} and tol in {0, 1e-10}, Armijo also with armijo_lambda in
-{1, 1e8, 1e300}: 2160 library runs.  Each experiment and method also
+{1, 1e8, 1e300}, plus one sparse weighted-least-squares instance with a
+nonzero weight: 2340 library runs.  Each experiment and method also
 starts from ``3 x0``, ``-x0``, ``x0 + 1``, ``1e-200 x0`` and ``1e200 x0``.
 A start off the manifold is refused with ValueError before row 0.  Once
 ``RunConfig``, ``fixed_run`` and ``Manifold.check_point`` have accepted
@@ -57,13 +58,21 @@ def _seeds():
 
 SEEDS = _seeds()
 
+# (n, instance seed) of instances run next to the drawn ones.  At the drawn
+# seeds both wls-sparse weight matrices are all zero (density 0.1 keeps none
+# of the 1 or 3 upper-triangle entries), so every such run converges at
+# row 0; this one keeps one weight.
+EXTRA_INSTANCES = {"wls-sparse": ((2, 2),)}
+
 
 def _problems(experiment):
-    """``(n, problem)`` for n in {1, 2}, skipping an instance ``build`` refuses."""
+    """``(n, problem)`` for n in {1, 2} and the experiment's extra
+    instances, skipping an instance ``build`` refuses."""
     build = cli.EXPERIMENTS[experiment][2]
-    for n in (1, 2):
+    instances = [(n, SEEDS[experiment, n]) for n in (1, 2)]
+    for n, seed in instances + list(EXTRA_INSTANCES.get(experiment, ())):
         try:
-            yield n, build(n, SEEDS[experiment, n])
+            yield n, build(n, seed)
         except (ValueError, ConvergenceError):
             continue
 
@@ -166,6 +175,17 @@ def test_starts(experiment, method, tmp_path):
                 _run_and_check(case, failures, tmp_path / "trace.csv", method, 1.0, 5, tol,
                                manifold, moved)
     assert not failures, "\n".join(failures)
+
+
+def test_sparse_weights_instance_takes_steps():
+    """The extra wls-sparse instance keeps a weight, so the grid's sparse
+    runs leave row 0."""
+    [(n, seed)] = EXTRA_INSTANCES["wls-sparse"]
+    problem = cli.EXPERIMENTS["wls-sparse"][2](n, seed)
+    assert np.count_nonzero(problem.extras["A"]) > 0
+    trace = _run("adgd", 1.0, 5, 0.0, BuresWasserstein(), problem)
+    assert trace.status == STATUS_MAX_ITERS
+    assert len(trace.rows) == 6
 
 
 @pytest.mark.parametrize(
