@@ -14,17 +14,16 @@ and constants to numpy's ufuncs as 0-d float64 arrays rather than Python
 floats: numpy gives a Python-float operand its slower weak-scalar path,
 while a 0-d array takes the array path at the same IEEE value (one
 product on a 200-entry row: 0.58 against 0.97 us, best of 5 x 200,000
-calls, numpy 2.4 on a 2-vCPU Xeon VM).  One helper,
-``_off_mass``, gives the off-diagonal masses of a whole stack in one
-sum; ``sym_eig`` calls it on a stack of one.  Every matrix a kernel
-eigen-solves or returns goes through :func:`symmetrize`.
-They are the workhorses of the Bures-Wasserstein geometry and double as
-test oracles, so they favour robustness and explicit failure over raw
-speed.  LAPACK (through ``numpy.linalg``) only decides yes/no questions
-with a certified rounding margin: one shifted Cholesky, shared by
-:func:`require_spd` and the Bures-Wasserstein step-domain screen; its
-output never reaches a value that gets written.  All functions are pure;
-inputs are never mutated.
+calls, numpy 2.4 on a 2-vCPU Xeon VM).  Both prepare each input in
+``_jacobi_input`` and take its off-diagonal mass from ``_off_mass``
+(``sym_eig`` on a stack of one); every matrix a kernel returns goes
+through :func:`symmetrize`.  They are the workhorses of the
+Bures-Wasserstein geometry and double as test oracles, so they favour
+robustness and explicit failure over raw speed.  LAPACK
+(``numpy.linalg``) only decides yes/no questions with a certified
+rounding margin: one shifted Cholesky, shared by :func:`require_spd` and
+the Bures-Wasserstein step-domain screen; its output never reaches a
+written value.  All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -109,7 +108,8 @@ def check_symmetric(m, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has a NaN or infinite entry")
-    gap = np.abs(m - m.T)
+    with np.errstate(over="ignore"):  # an infinite gap is rejected below
+        gap = np.abs(m - m.T)
     scale = np.maximum(1.0, np.abs(m))
     if np.any(gap > _SYM_TOL * scale):
         worst = float(np.max(gap / scale))
@@ -122,14 +122,14 @@ def sym_eig(m):
 
     Sweeps Givens rotations over all off-diagonal positions until the
     off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.  The input
-    goes through :func:`symmetrize` and every rotation keeps the working
+    comes from :func:`_jacobi_input`, and every rotation keeps the working
     matrix bitwise symmetric, so a rotation's column update equals its row
     update transposed.  The working matrix A and the transposed basis Q^T
-    share one ``(n, 2n)`` buffer ``[A | Q^T]``: row p holds row p of A followed
-    by column p of Q.  Each rotation therefore computes the new rows p and
-    q once over the full width, in place: the four products go into
-    scratch rows allocated once per call and the two sums back into the
-    buffer, the same IEEE operations as ``c * row_p - s * row_q`` and
+    share one ``(n, 2n)`` buffer ``[A | Q^T]``: row p holds row p of A
+    followed by column p of Q.  Each rotation therefore computes the new
+    rows p and q once over the full width, in place: the four products go
+    into scratch rows allocated once per call and the two sums back into
+    the buffer, the same IEEE operations as ``c * row_p - s * row_q`` and
     ``s * row_p + c * row_q``; ``c`` and ``s`` reach the products through
     two 0-d float64 arrays allocated once per call, which keeps them off
     numpy's slower Python-float operand path.  It then sets the four
@@ -139,14 +139,11 @@ def sym_eig(m):
     mirrors A's diagonal, which only those pivot writes change, so
     ``app`` and ``aqq`` are read from it without a numpy call.  The
     convergence test takes ``_off_mass`` of a stack of one, the helper
-    :func:`eigvals` uses for a whole stack.  ``tests/test_linalg.py`` keeps the
-    two-sided loop as the oracle this kernel matches byte for byte.  More
-    than ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call time) raise
-    ConvergenceError rather than return a silently inaccurate
-    factorization.  A non-diagonal matrix whose squared Frobenius norm
-    overflows or underflows (the convergence test squares the entries) is
-    solved scaled by a power of two (:func:`_jacobi_target`), and its
-    eigenvalues scaled back exactly; the basis is the scaled matrix's.
+    :func:`eigvals` uses for a whole stack.  ``tests/test_linalg.py``
+    keeps the two-sided loop as the oracle this kernel matches byte for
+    byte.  More than ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call
+    time) raise ConvergenceError rather than return a silently inaccurate
+    factorization.
 
     Parameters
     ----------
@@ -158,9 +155,8 @@ def sym_eig(m):
     EigenDecomposition
         Eigenvalues ascending, orthonormal basis columns.
     """
-    a = symmetrize(check_symmetric(m, "sym_eig input"))
+    a, target, e = _jacobi_input(m, "sym_eig input")
     n = a.shape[0]
-    target, e = _jacobi_target(a)
     w = np.empty((n, 2 * n))
     w[:, :n] = a
     w[:, n:] = np.eye(n)
@@ -225,30 +221,33 @@ def sym_eig(m):
                 cols[qq][...] = heads[qq]
 
 
-def _jacobi_target(a):
-    """``(target, e)``: the convergence target ``1e-14 ||A||_F`` of one
-    matrix ``a``, which it may scale in place by ``2**-e``; the input's
-    eigenvalues are then the solved ones times ``2**e``.
+def _jacobi_input(m, name):
+    """``(a, target, e)``: the one place :func:`sym_eig` and :func:`eigvals`
+    prepare an input.  It checks ``m`` and returns ``a``, the symmetrized
+    ``2**-e m``, with its target ``1e-14 ||a||_F``; the solved eigenvalues
+    times ``2**e`` are m's.
 
     The convergence test squares the entries, so it only means something
-    while ``||A||_F^2`` is a finite normal number.  Beyond that the target
-    and the off-diagonal mass both read ``inf`` (or both ``0``) and the
-    solver would return the diagonal after no sweep.  That answer is exact
-    for a diagonal matrix (the zero matrix included), which therefore
-    solves at any scale with ``e = 0``.  Any other such matrix is scaled by
-    the power of two that brings its largest entry into [0.5, 1), where the
-    test holds.  Every rotation's arithmetic is invariant under that
-    scaling, so the basis is the one an in-range multiple of the matrix
-    gets.  An in-range matrix keeps ``e = 0`` and its bytes.
+    while ``||a||_F^2`` is a finite normal number; beyond that target and
+    off-diagonal mass both read ``inf`` (or ``0``) and the diagonal comes
+    back after no sweep.  That is exact for a diagonal matrix, which is
+    returned as checked.  Any other such matrix is scaled by the power of
+    two that brings its largest entry into [0.5, 1) and symmetrized again,
+    so no finite entry overflows; rotations are invariant under that
+    scaling, so the basis is an in-range multiple's.
     """
+    m = check_symmetric(m, name)
     with np.errstate(over="ignore"):
+        a = symmetrize(m)
         sq = float(np.sum(a * a))
     e = 0
-    if (sq == math.inf or sq < _TINY) and np.count_nonzero(a) > np.count_nonzero(a.diagonal()):
-        e = math.frexp(float(np.max(np.abs(a))))[1]
-        np.ldexp(a, -e, out=a)
+    if not _TINY <= sq < math.inf:
+        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+            return m, _JACOBI_TOL * math.sqrt(sq), 0
+        e = math.frexp(float(np.max(np.abs(m))))[1]
+        a = symmetrize(np.ldexp(m, -e))
         sq = float(np.sum(a * a))
-    return _JACOBI_TOL * math.sqrt(sq), e
+    return a, _JACOBI_TOL * math.sqrt(sq), e
 
 
 def _off_mass(stack):
@@ -272,23 +271,20 @@ def eigvals(stack):
     Each matrix receives exactly the arithmetic :func:`sym_eig` applies to
     it, in the same order, so ``eigvals(stack)[i]`` equals
     ``sym_eig(stack[i]).eigenvalues`` byte for byte: the same
-    :func:`symmetrize` (in place, on a copy of the stack), per-matrix
-    convergence target, off-diagonal mass and threshold, the same pivots
-    skipped, the same ``tau`` branch and the same row, column and analytic
-    pivot writes.  No basis is kept.  A matrix retires once it converges;
-    the sweeps go on for the rest.
-    Between sweeps the live stack is a contiguous ``(m, n, n)`` array
-    (convergence test, retirement, sorted diagonal), and one stacked
-    ``_off_mass`` call gives every matrix's off-diagonal mass, each the
-    same pairwise sum ``sym_eig`` takes; each sweep runs on a stack-last
-    ``(n, n, m)`` copy of it, where every pivot entry is a contiguous
-    vector over the matrices.  Python overhead is paid per pivot rather
-    than per matrix, so a stack is much faster than a loop of
-    ``sym_eig`` calls, while a single matrix is about 4-5x slower (n =
-    20 and n = 100).  A non-diagonal matrix whose squared Frobenius norm
-    overflows or underflows is solved scaled, as in ``sym_eig``.  If
-    any matrix still exceeds its target after ``_JACOBI_MAX_SWEEPS``
-    sweeps the whole call raises ConvergenceError.
+    :func:`_jacobi_input` per matrix, off-diagonal mass and threshold, the
+    same pivots skipped, the same ``tau`` branch and the same row, column
+    and analytic pivot writes.  No basis is kept.  A matrix retires once
+    it converges; the sweeps go on for the rest.  Between sweeps the live
+    stack is a contiguous ``(m, n, n)`` array (convergence test,
+    retirement, sorted diagonal), and one stacked ``_off_mass`` call gives
+    every matrix's off-diagonal mass, each the same pairwise sum
+    ``sym_eig`` takes; each sweep runs on a stack-last ``(n, n, m)`` copy
+    of it, where every pivot entry is a contiguous vector over the
+    matrices.  Python overhead is paid per pivot rather than per matrix,
+    so a stack is much faster than a loop of ``sym_eig`` calls, while a
+    single matrix is about 4-5x slower (n = 20 and n = 100).  If any
+    matrix still exceeds its target after ``_JACOBI_MAX_SWEEPS`` sweeps
+    the whole call raises ConvergenceError.
 
     Parameters
     ----------
@@ -300,17 +296,17 @@ def eigvals(stack):
     ndarray, shape (m, n)
         Row ``i`` holds the eigenvalues of ``stack[i]``, ascending.
     """
-    a = np.array(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"eigvals input must be a stack of square matrices, got shape {a.shape}")
-    m, n = a.shape[:2]
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"eigvals input must be a stack of square matrices, got shape {stack.shape}")
+    m, n = stack.shape[:2]
+    a = np.empty((m, n, n))
     out = np.empty((m, n))
     live = np.arange(m)  # stack index of each row of ``a``
     target = np.empty(m)
     e = np.zeros(m, dtype=np.intc)  # each matrix's eigenvalues scale back by 2**e
-    for i, mat in enumerate(a):
-        mat[...] = symmetrize(check_symmetric(mat, "eigvals input"))
-        target[i], e[i] = _jacobi_target(mat)
+    for i, mat in enumerate(stack):
+        a[i], target[i], e[i] = _jacobi_input(mat, "eigvals input")
     max_sweeps = _JACOBI_MAX_SWEEPS
     for sweep in range(max_sweeps + 1):
         off = _off_mass(a)
@@ -364,7 +360,7 @@ def _eigvals_sweep(b, n, thresh):
     copies: no gather, fancy-index write or masked ``np.copyto`` (four
     of those cost more than two ``np.where`` and two copies).  A skipping
     matrix keeps its bytes because every live matrix stays bitwise
-    symmetric (through :func:`symmetrize`, then each rotation's columns
+    symmetric (through :func:`_jacobi_input`, then each rotation's columns
     copied from its rows), so its column p already equals its row p.
     """
     m = b.shape[2]
@@ -442,9 +438,10 @@ def is_spd_spectrum(eigenvalues):
 def _spd_eig(x, name):
     eig = sym_eig(x)
     if not is_spd_spectrum(eig.eigenvalues):
+        lo, hi = eig.eigenvalues[[0, -1]]
         raise DomainError(
-            f"{name} requires a positive definite matrix "
-            f"(min eigenvalue {float(np.min(eig.eigenvalues)):.3e})"
+            f"{name} requires a positive definite matrix (min eigenvalue {lo:.3e} "
+            f"not above 1e-12 times max eigenvalue {hi:.3e})"
         )
     return eig
 

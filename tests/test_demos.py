@@ -15,8 +15,9 @@ DEMOS = ROOT / "demos"
 def test_demo_runs_clean(script):
     # The subprocess imports adgd from this checkout's src/, installed or not.
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    # A numpy overflow or invalid-value warning fails the demo outright.
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / script)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True,
         text=True,
@@ -24,3 +25,4 @@ def test_demo_runs_clean(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert proc.stderr == ""

@@ -164,7 +164,10 @@ def two_sided_jacobi(m, max_sweeps=100):
     return w[order], q[:, order], info
 
 
-def _with_spectrum(rng, w):
+def _nearly_symmetric_with_spectrum(rng, w):
+    """Eigenvalues w in a random orthonormal basis, not symmetrized: the
+    product's rounding mostly leaves it slightly asymmetric, so the
+    kernels and the oracle each symmetrize it."""
     q = np.linalg.qr(rng.standard_normal((len(w), len(w))))[0]
     return (q * w) @ q.T
 
@@ -193,8 +196,8 @@ _ORACLE_KINDS = {
     "random": lambda rng, n: random_sym(rng, n),
     "scale1e+150": lambda rng, n: random_sym(rng, n, 1e150),
     "scale1e-150": lambda rng, n: random_sym(rng, n, 1e-150),
-    "cond1e10": lambda rng, n: _with_spectrum(rng, np.logspace(-5.0, 5.0, n)),
-    "repeated": lambda rng, n: _with_spectrum(rng, (np.arange(n) // 3).astype(float) - 1.0),
+    "cond1e10": lambda rng, n: _nearly_symmetric_with_spectrum(rng, np.logspace(-5.0, 5.0, n)),
+    "repeated": lambda rng, n: _nearly_symmetric_with_spectrum(rng, (np.arange(n) // 3).astype(float) - 1.0),
     "zero": lambda rng, n: np.zeros((n, n)),
     "diagonal": lambda rng, n: np.diag(rng.standard_normal(n)),
     "negzero": _signed_zero_diagonal,
@@ -530,24 +533,47 @@ class TestJacobiRange:
         assert got[1].tobytes() == np.ldexp(in_range.eigenvalues, e).tobytes()
         assert got[1].tobytes() == np.array([0.0, 2e-170]).tobytes()
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300, 8e307])
     def test_diagonal_matrix_solves_at_any_scale(self, scale):
         # With no off-diagonal entry the diagonal is the exact answer, so
         # a square that overflows or underflows must not reject it.
         m = scale * np.diag([2.0, 0.0, -1.0])
+        m[0, 1] = -0.0  # off-diagonal signed zeros are no asymmetry to mend
         exact = scale * np.array([-1.0, 0.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert linalg.sym_eig(m).eigenvalues.tobytes() == exact.tobytes()
             assert linalg.eigvals([np.eye(3), m])[1].tobytes() == exact.tobytes()
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e308])
     def test_huge_diagonal_spd_matrix_has_a_root(self, scale):
         # (TestSpdSqrt has the tiny ones.)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             root = linalg.spd_sqrt(scale * np.eye(3))
         assert np.array_equal(root, math.sqrt(scale) * np.eye(3))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [lambda m: linalg.sym_eig(m).eigenvalues, lambda m: linalg.eigvals([np.eye(2), m])[1]],
+        ids=["sym_eig", "eigvals"],
+    )
+    def test_entry_near_the_float_maximum_solves(self, kernel):
+        # M + M^T would overflow at 1e308: the kernels symmetrize the
+        # scaled matrix instead.
+        m = np.array([[1e308, 1.0], [1.0, 1.0]])
+        in_range, e = self._in_range(m)
+        expected = np.ldexp(in_range.eigenvalues, e)
+        assert np.allclose(expected, [1.0, 1e308], rtol=1e-14, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel(m).tobytes() == expected.tobytes()
+
+    def test_overflowing_asymmetry_is_rejected_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # m - m^T overflows to inf
+            with pytest.raises(ValueError, match="not symmetric"):
+                linalg.check_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     @pytest.mark.parametrize("scale", [1e-154, 1e153])
     def test_edges_of_the_range_still_solve(self, scale):
