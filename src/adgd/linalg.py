@@ -452,14 +452,20 @@ def solve_lyapunov(x, u):
     Works in the eigenbasis of X: if X = Q diag(w) Q^T then
     L = Q [ (Q^T U Q)_ij / (w_i + w_j) ] Q^T.
 
+    When ``2 w_max`` overflows, numerator and denominator are both halved
+    first, so ``w_i / 2 + w_j / 2`` stays finite up to the float maximum;
+    every other pencil takes the plain quotient.
+
     Raises DomainError when X fails the SPD tolerance test.
     """
     u = check_symmetric(u, "solve_lyapunov right-hand side")
     eig = _spd_eig(check_symmetric(x, "solve_lyapunov pencil"), "solve_lyapunov")
     w = eig.eigenvalues
     qt_u_q = eig.basis.T @ u @ eig.basis
-    denom = w[:, None] + w[None, :]
-    return symmetrize(eig.basis @ (qt_u_q / denom) @ eig.basis.T)
+    if 2.0 * float(w[-1]) == math.inf:
+        w = 0.5 * w
+        qt_u_q = 0.5 * qt_u_q
+    return symmetrize(eig.basis @ (qt_u_q / (w[:, None] + w[None, :])) @ eig.basis.T)
 
 
 def spd_sqrt(x):

@@ -6,9 +6,10 @@ Lyapunov equation ``X L + L X = U``.  The manifold has nonnegative
 sectional curvature but is **not** geodesically complete: the geodesic
 ``t -> Exp_X(t V)`` leaves the SPD cone once ``I + t L_X(V)`` loses
 positive definiteness, so step sizes must respect ``max_step``.  Each
-step is screened by ``max_step_lower_bound``, one shifted LAPACK Cholesky
-of the factor, and the exact ``max_step`` eigensolve runs only for a step
-it cannot certify.
+step is screened by ``max_step_lower_bound``: a step whose factor has
+``||L||_F <= 1/2`` passes on its norm alone, any other takes one shifted
+LAPACK Cholesky of the factor, and the exact ``max_step`` eigensolve runs
+only for a step the screen cannot certify.
 
 Closed forms used throughout (L below is the Lyapunov factor of V at X):
 
@@ -50,6 +51,11 @@ _COLLINEAR_TOL = 1e-8
 # Margin of the max_step_lower_bound certificate, relative to ||L||_F;
 # from n = 270 on, 6.2 n (n + 1) eps is larger and takes its place.
 _SCREEN_MARGIN = 1e-10
+
+# A step whose factor has ||L||_F <= 1/2 keeps every eigenvalue of I + L
+# at least 1/2 (Weyl), so the screen and the I + L domain check decide it
+# from the norm, without LAPACK.
+_SMALL_FACTOR_NORM = 0.5
 
 # Points per stacked eigensolve in distance_from's callable.
 _DISTANCE_CHUNK = 128
@@ -151,13 +157,26 @@ class BuresWasserstein(Manifold):
 
         The domain check certifies positive definiteness of I + L itself:
         the congruence (I + L) X (I + L) stays SPD even for indefinite
-        I + L, where the formula no longer describes a geodesic.
+        I + L, where the formula no longer describes a geodesic.  A factor
+        with ``||L||_F <= 1/2`` takes no certificate: every eigenvalue of L
+        lies in ``[-||L||_F, ||L||_F]`` (Weyl), so ``lambda_min(I + L) >=
+        1/2`` and the diagonal lies in [1/2, 3/2].  Scaled to a unit
+        diagonal, I + L then has smallest eigenvalue at least 1/3, far
+        above the ``n (n + 1) eps`` level at which a Cholesky pivot can
+        fail (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        Thm 10.7) for any n below about 10^7.  So ``linalg.cholesky``,
+        which decides exactly when ``require_spd`` raises, cannot fail.
+        The norm is ``math.sqrt(np.vdot(fac, fac))``, BLAS ``ddot``, which
+        raises no floating-point warning: a huge factor reads ``inf`` and a
+        NaN one ``nan``, and both take the certificate as before.  The new
+        point's certificate runs on every step.
         """
         fac = v.factor_at(x)
-        try:
-            linalg.require_spd(np.eye(x.shape[0]) + fac)
-        except DomainError:
-            raise DomainError("step leaves the SPD cone") from None
+        if not math.sqrt(np.vdot(fac, fac)) <= _SMALL_FACTOR_NORM:
+            try:
+                linalg.require_spd(np.eye(x.shape[0]) + fac)
+            except DomainError:
+                raise DomainError("step leaves the SPD cone") from None
         lxl = fac @ x @ fac
         y = linalg.symmetrize(x + v.mat + lxl)
         # Positivity certificate.  The congruence keeps y SPD only in exact
@@ -186,13 +205,15 @@ class BuresWasserstein(Manifold):
         return -1.0 / lam_min
 
     def max_step_lower_bound(self, x, v, t):
-        """Whether ``t <= max_step(x, v)`` is certified, by one shifted
-        LAPACK Cholesky of the factor.
+        """Whether ``t <= max_step(x, v)`` is certified: by the factor's
+        norm when ``t ||L||_F <= 1/2``, else by one shifted LAPACK Cholesky
+        of the factor.
 
         For ``L = L_X(v)`` of size n and the margin
         ``m = max(1e-10, 6.2 n (n + 1) eps) ||L||_F`` the answer is True when
-        LAPACK factors ``L + (1/t - m) I``.  The n-term is below ``1e-10``
-        for n <= 269, so there ``m = 1e-10 ||L||_F``.  In floating point
+        ``t ||L||_F <= 1/2`` or LAPACK factors ``L + (1/t - m) I``.  The
+        n-term is below ``1e-10`` for n <= 269, so there
+        ``m = 1e-10 ||L||_F``.  In floating point
         success means ``lambda_min(L) > -1/t + m - e`` with, to first order,
         ``e = n (n + 1) eps (||L||_2 + 1/t + m)`` (Higham, *Accuracy and
         Stability of Numerical Algorithms*, Thms 10.3/10.7; the rounding of
@@ -200,8 +221,14 @@ class BuresWasserstein(Manifold):
         Soundness against the Jacobi max_step, ``-1 / lambda`` with Jacobi's
         smallest eigenvalue ``lambda``:
 
-        * if ``1/t > 2 ||L||_F``, then ``t < 1 / (2 ||L||_F)``, half of the
-          smallest max_step any eigenvalue can give, whatever LAPACK says;
+        * if ``t ||L||_F <= 1/2`` (the norm path, taken before any
+          factorization), or ``1/t`` exceeds ``2 ||L||_F`` by less than
+          that product's rounding (whatever LAPACK says), then ``t`` is
+          about half of ``1 / ||L||_F`` or less: the smallest max_step any
+          eigenvalue can give, as Jacobi's ``|lambda|`` exceeds
+          ``||L||_F`` by a relative rounding of a few hundred ``eps`` at
+          most.  So ``alpha = 0.99 t`` lies far below ``0.99 * max_step``
+          and ``_clamp_alpha`` keeps it, as the exact path does;
         * otherwise ``e <= n (n + 1) eps (3 ||L||_F + m)``, and that is at
           most ``m / 2`` for every n with ``6.2 n (n + 1) eps <= 0.1``
           (n up to 8.5 million, a dense factor of 580 TB), because
@@ -223,7 +250,8 @@ class BuresWasserstein(Manifold):
         Edge cases: ``t <= 0`` is True without a factorization, a NaN ``t``
         or a non-finite factor or shift is False (the exact path decides),
         ``t = inf`` certifies ``L`` positive definite with the margin, and a
-        zero factor passes, its max_step being infinite.
+        zero factor passes, its max_step being infinite.  A subnormal ``t``
+        passes on the norm path, although ``1/t`` overflows.
         """
         if t <= 0.0:
             return True
@@ -231,7 +259,7 @@ class BuresWasserstein(Manifold):
             return False
         fac = v.factor_at(x)
         norm = linalg.frobenius_norm(fac)
-        if norm == 0.0:
+        if norm == 0.0 or float(t) * norm <= _SMALL_FACTOR_NORM:
             return True
         n = fac.shape[0]
         shift = max(_SCREEN_MARGIN, 6.2 * n * (n + 1) * linalg._EPS) * norm - 1.0 / float(t)

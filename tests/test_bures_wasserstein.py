@@ -94,6 +94,30 @@ class TestExp:
         # 1.01 cap v is admissible only up to 1 / 1.01.
         assert bw.max_step(x, step) == pytest.approx(1.0 / 1.01)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
+    def test_small_factor_skips_the_domain_certificate(self, bw, n, monkeypatch):
+        # ||L||_F <= 1/2 keeps I + L positive definite, so only the new
+        # point takes a LAPACK certificate; just above, I + L takes one too.
+        rng = np.random.default_rng(n)
+        x = random_spd(rng, n)
+        u = rng.standard_normal((n, 1))
+        u /= np.linalg.norm(u)
+        calls = []
+        certify = linalg._lapack_certifies_spd
+        monkeypatch.setattr(linalg, "_lapack_certifies_spd", lambda a, s: calls.append(1) or certify(a, s))
+        for fac in (-np.eye(n) / (2.0 * math.sqrt(n)), -0.5 * (u @ u.T), random_sym(rng, n)):
+            at, above = _factors_either_side_of_half(fac)
+            for f, certificates in ((at, 1), (above, 2)):
+                calls.clear()
+                bw.exp_transport(x, _tangent_with_factor(bw, x, f))
+                assert len(calls) == certificates, (n, certificates)
+            linalg.cholesky(np.eye(n) + at)
+        # Outside the domain, and where the norm reads inf or NaN, the
+        # certificate runs and raises.
+        for fac in (-1.5 * (u @ u.T), -1e200 * (u @ u.T), np.full((n, n), np.nan)):
+            with pytest.raises(DomainError, match="step leaves the SPD cone"):
+                bw.exp_transport(x, _tangent_with_factor(bw, x, fac))
+
 
 class TestTransport:
     def test_zero_step_identity(self, bw):
@@ -246,6 +270,24 @@ def _tangent_with_factor(bw, x, fac):
     return bw.egrad_to_rgrad(x, 0.5 * fac)
 
 
+def _factors_either_side_of_half(fac):
+    """``fac`` scaled to the largest multiple whose norm, as
+    ``exp_transport`` takes it, reads at most 1/2, and to the first
+    multiple above it that reads more."""
+
+    def norm(f):
+        return math.sqrt(np.vdot(f, f))
+
+    at = fac * (0.5 / norm(fac))
+    while norm(at) > 0.5:
+        at = at * (1.0 - np.finfo(float).eps)
+    above = at
+    while norm(above) <= 0.5:
+        at, above = above, above * (1.0 + np.finfo(float).eps)
+    assert norm(at) >= 0.5 * (1.0 - 8.0 * np.finfo(float).eps)
+    return at, above
+
+
 def _exact_clamp(alpha, bw, x, v):
     """_clamp_alpha without the screen: always the Jacobi max_step."""
     cap = bw.max_step(x, v)
@@ -268,10 +310,14 @@ def _ulps_around(value, k):
 class TestMaxStepScreen:
     """Differential tests: the LAPACK certificate against the Jacobi max_step."""
 
-    def test_never_exceeds_max_step(self, bw):
+    def test_never_exceeds_max_step(self, bw, monkeypatch):
         rng = np.random.default_rng(41)
         eps = np.finfo(float).eps
         finite = useful = 0
+
+        def fail(*_):
+            raise AssertionError("a step with t ||L||_F <= 1/2 ran a factorization")
+
         for n in (1, 2, 3, 5, 8, 13, 20):
             x = random_spd(rng, n)
             u = rng.standard_normal((n, 1))
@@ -288,6 +334,22 @@ class TestMaxStepScreen:
                 for fac, unbounded in factors:
                     v = _tangent_with_factor(bw, x, fac)
                     exact = bw.max_step(x, v)
+                    norm = linalg.frobenius_norm(fac)
+                    if norm > 0.0:
+                        # The largest t with t ||L||_F <= 1/2 as computed,
+                        # and the next float: the norm bound decides the
+                        # first without LAPACK, the screen the second.
+                        half = 0.5 / norm
+                        while half * norm > 0.5:
+                            half = np.nextafter(half, 0.0)
+                        while np.nextafter(half, math.inf) * norm <= 0.5:
+                            half = np.nextafter(half, math.inf)
+                        above = np.nextafter(half, math.inf)
+                        with monkeypatch.context() as patched:
+                            patched.setattr(np.linalg, "cholesky", fail)
+                            for t in (half, 0.5 * half, 1e-300):
+                                assert bw.max_step_lower_bound(x, v, t) and t <= exact, (n, scale, t)
+                        assert not bw.max_step_lower_bound(x, v, above) or above <= exact, (n, scale)
                     if unbounded:
                         assert exact == math.inf
                         assert all(bw.max_step_lower_bound(x, v, t) for t in (1.0, 1e8, math.inf))
@@ -315,7 +377,8 @@ class TestMaxStepScreen:
         assert bw.max_step(x, v) == 0.5
         assert not bw.max_step_lower_bound(x, v, math.nan)
         assert not bw.max_step_lower_bound(x, v, math.inf)
-        assert not bw.max_step_lower_bound(x, v, 5e-324)  # 1/t overflows
+        # Within the norm bound: 5e-324 <= max_step = 0.5, though 1/t overflows.
+        assert bw.max_step_lower_bound(x, v, 5e-324)
         nan_factor = _tangent_with_factor(bw, x, np.diag([np.nan, 1.0, 1.0]))
         assert not bw.max_step_lower_bound(x, nan_factor, 0.25)
         # t = inf certifies exactly a positive definite factor.

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from adgd.cli import main
+from adgd.cli import EXPERIMENTS, main
+from adgd.manifolds import BuresWasserstein, bures_wasserstein
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,6 +75,19 @@ def test_trace_independent_of_blas_threads(name, tmp_path):
     cmd = [sys.executable, "-m", "adgd.cli", "run", *CASES[name][1].split(), "--out", str(out)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == CASES[name][0], proc.stderr
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(name for name, (_, flags) in CASES.items() if EXPERIMENTS[flags.split()[1]][1] is BuresWasserstein),
+)
+def test_trace_without_the_norm_fast_paths(name, tmp_path, monkeypatch):
+    # A step with ||L||_F <= 1/2 skips two LAPACK certificates; with the
+    # bound at -1 every step takes them, and the bytes stay the same.
+    monkeypatch.setattr(bures_wasserstein, "_SMALL_FACTOR_NORM", -1.0)
+    out = tmp_path / f"{name}.csv"
+    assert run_case(name, out) == CASES[name][0]
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 

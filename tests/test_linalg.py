@@ -769,6 +769,14 @@ class TestSolveLyapunov:
         sol = linalg.solve_lyapunov(1e-13 * np.eye(3), u)
         assert np.allclose(sol, u / 2e-13, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("scale", [9e307, 1e308, np.finfo(float).max])
+    def test_pencil_near_the_float_maximum_solves(self, scale):
+        # w_i + w_j overflows here; the solution I / (2 s) does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = linalg.solve_lyapunov(scale * np.eye(3), np.eye(3))
+        assert np.allclose(2.0 * (scale * sol), np.eye(3), rtol=1e-12, atol=0.0)
+
 
 class TestSpdSqrt:
     def test_identity(self):

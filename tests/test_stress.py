@@ -25,7 +25,7 @@ import pytest
 
 from adgd import cli, linalg, trace_io
 from adgd.errors import ConvergenceError
-from adgd.manifolds import BuresWasserstein
+from adgd.manifolds import BuresWasserstein, bures_wasserstein
 from adgd.optimizers import (
     STATUS_ABORTED,
     STATUS_CONVERGED,
@@ -94,9 +94,7 @@ def _run(method, step, max_iters, tol, manifold, problem, armijo_lambda=1.0):
 
 def _row_bits(row):
     """A row's fields, floats by their exact bits (``-0.0`` differs from ``0.0``)."""
-    return tuple(
-        value.hex() if isinstance(value, float) else value for value in dataclasses.astuple(row)
-    )
+    return tuple(value.hex() if isinstance(value, float) else value for value in vars(row).values())
 
 
 def _check(trace, max_iters, tol, manifold, path):
@@ -123,15 +121,43 @@ def _check(trace, max_iters, tol, manifold, path):
     assert [_row_bits(r) for r in back.rows] == [_row_bits(r) for r in trace.rows]
 
 
+def _trace_or_error(run):
+    """The trace of ``_run(*run)``, or the ConvergenceError it raised."""
+    try:
+        return _run(*run)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _bits(outcome):
+    """A trace's status, message, row bits and point bytes, or an error's
+    message."""
+    if isinstance(outcome, ConvergenceError):
+        return str(outcome)
+    return (outcome.status, outcome.message, [_row_bits(r) for r in outcome.rows],
+            [x.tobytes() for x in outcome.points])
+
+
 def _run_and_check(case, failures, path, method, step, max_iters, tol, manifold, problem,
                    armijo_lambda=1.0):
-    """One run of accepted inputs; a broken contract goes into ``failures``."""
+    """One run of accepted inputs; a broken contract goes into ``failures``.
+
+    A Bures-Wasserstein run is repeated with the norm bound of its step
+    screen and domain check at -1, so that every step takes both LAPACK
+    certificates; both runs must end alike, byte for byte."""
+    run = (method, step, max_iters, tol, manifold, problem, armijo_lambda)
     try:
-        trace = _run(method, step, max_iters, tol, manifold, problem, armijo_lambda)
-    except ConvergenceError:
-        return
+        trace = _trace_or_error(run)
     except ValueError as exc:
         failures.append(f"{case}: {type(exc).__name__} after the inputs were accepted: {exc}")
+        return
+    if isinstance(manifold, BuresWasserstein):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(bures_wasserstein, "_SMALL_FACTOR_NORM", -1.0)
+            certified = _trace_or_error(run)
+        if _bits(certified) != _bits(trace):
+            failures.append(f"{case}: the norm fast paths change the run")
+    if isinstance(trace, ConvergenceError):
         return
     try:
         _check(trace, max_iters, tol, manifold, path)
