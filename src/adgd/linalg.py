@@ -17,7 +17,12 @@ product on a 200-entry row: 0.58 against 0.97 us, best of 5 x 200,000
 calls, numpy 2.4 on a 2-vCPU Xeon VM).  Both prepare each input in
 ``_jacobi_input`` and take its off-diagonal mass from ``_off_mass``
 (``sym_eig`` on a stack of one); every matrix a kernel returns goes
-through :func:`symmetrize`.  They are the workhorses of the
+through :func:`symmetrize`.  ``_jacobi_input`` is also the only check
+of the matrix that :func:`solve_lyapunov` and :func:`spd_sqrt`
+decompose, so each input is checked once.  A norm that only decides
+(the Bures-Wasserstein step screen and domain checks, the sphere's
+starting-point check) is the private ``_norm``, one warning-free BLAS
+``ddot``.  The kernels are the workhorses of the
 Bures-Wasserstein geometry and double as test oracles, so they favour
 robustness and explicit failure over raw speed.  LAPACK
 (``numpy.linalg``) only decides yes/no questions with a certified
@@ -43,7 +48,6 @@ __all__ = [
     "eigvals",
     "solve_lyapunov",
     "spd_sqrt",
-    "frobenius_norm",
     "is_spd_spectrum",
     "cholesky",
     "require_spd",
@@ -86,6 +90,18 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: np.ndarray
     basis: np.ndarray
+
+
+def _norm(a):
+    """Frobenius norm of a float array for yes/no decisions:
+    ``math.sqrt(np.vdot(a, a))``, one BLAS ``ddot`` over the flattened
+    entries.  It raises no floating-point warning: an overflowing sum
+    reads ``inf`` and a NaN entry gives ``nan``, so a finite norm means
+    finite entries.  Summed in one pass, its relative error is up to
+    about ``k eps`` for ``k`` entries (``n^2 eps`` for an n x n matrix);
+    the norm feeds only comparisons, each with more slack than that, and
+    never a written value."""
+    return math.sqrt(np.vdot(a, a))
 
 
 def symmetrize(m):
@@ -456,10 +472,12 @@ def solve_lyapunov(x, u):
     first, so ``w_i / 2 + w_j / 2`` stays finite up to the float maximum;
     every other pencil takes the plain quotient.
 
-    Raises DomainError when X fails the SPD tolerance test.
+    U is checked by :func:`check_symmetric`; X only by :func:`sym_eig`,
+    whose :func:`_jacobi_input` raises ValueError naming ``sym_eig
+    input``.  Raises DomainError when X fails the SPD tolerance test.
     """
     u = check_symmetric(u, "solve_lyapunov right-hand side")
-    eig = _spd_eig(check_symmetric(x, "solve_lyapunov pencil"), "solve_lyapunov")
+    eig = _spd_eig(x, "solve_lyapunov")
     w = eig.eigenvalues
     qt_u_q = eig.basis.T @ u @ eig.basis
     if 2.0 * float(w[-1]) == math.inf:
@@ -471,17 +489,12 @@ def solve_lyapunov(x, u):
 def spd_sqrt(x):
     """Principal square root of a positive definite matrix.
 
-    Raises DomainError when X fails the SPD tolerance test.
+    X is checked only by :func:`sym_eig`, whose :func:`_jacobi_input`
+    raises ValueError naming ``sym_eig input``.  Raises DomainError when
+    X fails the SPD tolerance test.
     """
-    eig = _spd_eig(check_symmetric(x, "spd_sqrt input"), "spd_sqrt")
+    eig = _spd_eig(x, "spd_sqrt")
     return symmetrize((eig.basis * np.sqrt(eig.eigenvalues)) @ eig.basis.T)
-
-
-def frobenius_norm(a):
-    """sqrt of the pairwise sum of squares, ``np.sum``'s own reduction;
-    ``math.sqrt`` is the IEEE square root ``np.sqrt`` takes."""
-    a = np.asarray(a, dtype=float)
-    return math.sqrt(np.add.reduce(a * a, axis=None))
 
 
 def cholesky(x):

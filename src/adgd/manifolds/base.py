@@ -9,7 +9,10 @@ certificate that a step lies below it, and distances for diagnostics.
 The exponential has one implementation per manifold,
 :meth:`Manifold.exp_transport`, which returns the reached point and the
 transport along that step, so the transport reuses the exponential's
-work; ``exp`` and ``transport_along_step`` are its two parts.
+work; ``exp`` and ``transport_along_step`` are its two parts.  The
+distance has one too, :meth:`Manifold.distance_from`, which measures a
+sequence of points against one fixed point; ``distance(x, y)`` is its
+one-point case.
 Implementations are stateless and all operations are pure, so one
 instance can serve any number of concurrent runs.
 
@@ -79,13 +82,15 @@ class Manifold(ABC):
         return math.sqrt(max(self.inner(x, v, v), 0.0))
 
     @abstractmethod
-    def distance(self, x, y):
-        """Geodesic distance (diagnostics only)."""
-
     def distance_from(self, y):
-        """Callable mapping a sequence of points ``xs`` to the list of
-        ``distance(x, y)``; metrics that batch the work override this."""
-        return lambda xs: [self.distance(x, y) for x in xs]
+        """Callable mapping a sequence of points ``xs`` to the list of their
+        geodesic distances to ``y`` (diagnostics only).  This is the one
+        distance a manifold implements; the fixed point's own work is done
+        once per call, and the callable may batch the points'."""
+
+    def distance(self, x, y):
+        """Geodesic distance from x to y: ``distance_from(x)([y])[0]``."""
+        return self.distance_from(x)([y])[0]
 
     def max_step(self, x, v):
         """Supremum of t such that exp(x, t v) is defined; inf when complete."""

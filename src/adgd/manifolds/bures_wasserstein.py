@@ -9,7 +9,12 @@ positive definiteness, so step sizes must respect ``max_step``.  Each
 step is screened by ``max_step_lower_bound``: a step whose factor has
 ``||L||_F <= 1/2`` passes on its norm alone, any other takes one shifted
 LAPACK Cholesky of the factor, and the exact ``max_step`` eigensolve runs
-only for a step the screen cannot certify.
+only for a step the screen cannot certify.  Every norm that only decides
+(that screen, the ``I + L`` domain check, ``max_step``'s zero test and
+the transport's collinearity test) is ``linalg._norm``, one
+warning-free BLAS ``ddot``.  The one distance, ``distance_from``, solves
+the eigenvalues of a whole column of points in one stacked call and
+refuses a point that is not positive semidefinite.
 
 Closed forms used throughout (L below is the Lyapunov factor of V at X):
 
@@ -67,11 +72,11 @@ def _step_ratio(vmat, w):
     DomainError unless ``w`` is collinear with the step."""
     wmat = w.mat
     ww = float(np.add.reduce(wmat * wmat, axis=None))
-    nv = linalg.frobenius_norm(vmat)
+    nv = linalg._norm(vmat)
     if ww == 0.0 or nv == 0.0:
         return None
     c = float(np.add.reduce(vmat * wmat, axis=None)) / ww
-    if linalg.frobenius_norm(vmat - c * wmat) > _COLLINEAR_TOL * nv or c == 0.0:
+    if linalg._norm(vmat - c * wmat) > _COLLINEAR_TOL * nv or c == 0.0:
         raise DomainError(
             "Bures-Wasserstein transport is only available along the step "
             "direction (w must be collinear with v)"
@@ -166,13 +171,13 @@ class BuresWasserstein(Manifold):
         fail (Higham, *Accuracy and Stability of Numerical Algorithms*,
         Thm 10.7) for any n below about 10^7.  So ``linalg.cholesky``,
         which decides exactly when ``require_spd`` raises, cannot fail.
-        The norm is ``math.sqrt(np.vdot(fac, fac))``, BLAS ``ddot``, which
-        raises no floating-point warning: a huge factor reads ``inf`` and a
-        NaN one ``nan``, and both take the certificate as before.  The new
-        point's certificate runs on every step.
+        The norm is ``linalg._norm``, one BLAS ``ddot``, which raises no
+        floating-point warning: a huge factor reads ``inf`` and a NaN one
+        ``nan``, and both take the certificate.  The new point's
+        certificate runs on every step.
         """
         fac = v.factor_at(x)
-        if not math.sqrt(np.vdot(fac, fac)) <= _SMALL_FACTOR_NORM:
+        if not linalg._norm(fac) <= _SMALL_FACTOR_NORM:
             try:
                 linalg.require_spd(np.eye(x.shape[0]) + fac)
             except DomainError:
@@ -197,7 +202,7 @@ class BuresWasserstein(Manifold):
 
     def max_step(self, x, v):
         """sup{t > 0 : I + t L_X(v) positive definite} per the step domain."""
-        if linalg.frobenius_norm(v.mat) == 0.0:
+        if linalg._norm(v.mat) == 0.0:
             return math.inf
         lam_min = float(np.min(linalg.sym_eig(v.factor_at(x)).eigenvalues))
         if lam_min >= 0.0:
@@ -218,21 +223,25 @@ class BuresWasserstein(Manifold):
         ``e = n (n + 1) eps (||L||_2 + 1/t + m)`` (Higham, *Accuracy and
         Stability of Numerical Algorithms*, Thms 10.3/10.7; the rounding of
         the shift and of the shifted diagonal adds a few ``eps`` to that).
-        Soundness against the Jacobi max_step, ``-1 / lambda`` with Jacobi's
-        smallest eigenvalue ``lambda``:
+        ``||L||_F`` is ``linalg._norm(L)``, one BLAS ``ddot`` within a
+        relative ``n^2 eps`` of the exact norm (``n^2`` products summed
+        in one pass).  Soundness against the Jacobi max_step,
+        ``-1 / lambda`` with Jacobi's smallest eigenvalue ``lambda``:
 
         * if ``t ||L||_F <= 1/2`` (the norm path, taken before any
           factorization), or ``1/t`` exceeds ``2 ||L||_F`` by less than
           that product's rounding (whatever LAPACK says), then ``t`` is
-          about half of ``1 / ||L||_F`` or less: the smallest max_step any
-          eigenvalue can give, as Jacobi's ``|lambda|`` exceeds
-          ``||L||_F`` by a relative rounding of a few hundred ``eps`` at
-          most.  So ``alpha = 0.99 t`` lies far below ``0.99 * max_step``
-          and ``_clamp_alpha`` keeps it, as the exact path does;
+          at most ``(1 + n^2 eps) / 2`` times ``1 / ||L||_F`` exactly:
+          about half the smallest max_step any eigenvalue can give, as
+          Jacobi's ``|lambda|`` exceeds the exact ``||L||_F`` by a
+          relative rounding of a few hundred ``eps`` at most.  That
+          factor of 2 dwarfs both roundings, so ``alpha = 0.99 t`` lies
+          far below ``0.99 * max_step`` and ``_clamp_alpha`` keeps it,
+          as the exact path does;
         * otherwise ``e <= n (n + 1) eps (3 ||L||_F + m)``, and that is at
-          most ``m / 2`` for every n with ``6.2 n (n + 1) eps <= 0.1``
-          (n up to 8.5 million, a dense factor of 580 TB), because
-          ``m >= 6.2 n (n + 1) eps ||L||_F``.  So
+          most ``m / 2`` for every n with ``6.2 n (n + 1) eps <= 0.05``
+          (n up to 6 million, a dense factor of 290 TB), because
+          ``m >= 6.2 n (n + 1) eps (1 - n^2 eps) ||L||_F``.  So
           ``lambda_min(L) > -1/t + m / 2``.  Jacobi's eigenvalue is within
           its ``1e-14 ||L||_F`` stopping residual plus its rounding, a few
           ``eps ||L||_F`` per sweep for each of the n - 1 rotations that
@@ -258,7 +267,7 @@ class BuresWasserstein(Manifold):
         if math.isnan(t):
             return False
         fac = v.factor_at(x)
-        norm = linalg.frobenius_norm(fac)
+        norm = linalg._norm(fac)
         if norm == 0.0 or float(t) * norm <= _SMALL_FACTOR_NORM:
             return True
         n = fac.shape[0]
@@ -268,14 +277,35 @@ class BuresWasserstein(Manifold):
         return math.isfinite(shift) and linalg._lapack_certifies_spd(fac, shift)
 
     def distance(self, x, y):
-        """Bures distance sqrt(Tr X + Tr Y - 2 Tr (X^1/2 Y X^1/2)^1/2)."""
+        """Bures distance from x to y; y must also pass ``linalg.require_spd``."""
         linalg.require_spd(y)  # cheap positivity certificate for the second argument
-        return self.distance_from(x)([y])[0]
+        return super().distance(x, y)
 
     def distance_from(self, y):
-        # The fixed point's square root is computed once; the points'
-        # products go to the stacked eigensolver _DISTANCE_CHUNK at a time,
-        # which bounds the extra memory and moves no bit.
+        """Bures distances ``sqrt(Tr X + Tr Y - 2 Tr (Y^1/2 X Y^1/2)^1/2)``
+        of points X to the positive definite y.
+
+        The fixed point's square root is computed once; the points'
+        products ``M = Y^1/2 X Y^1/2`` go to the stacked eigensolver
+        ``_DISTANCE_CHUNK`` at a time, which bounds the extra memory and
+        moves no bit.  A point with a negative eigenvalue has an indefinite
+        M (Sylvester's law of inertia), and raises DomainError when M's
+        smallest computed eigenvalue is below ``-1e-8 Tr(Y) ||X||_F``.
+        For a positive semidefinite X, M is positive semidefinite in exact
+        arithmetic for any symmetric computed root, so its computed
+        smallest eigenvalue is off only by the rounding of the two
+        products, about ``2 n eps Tr(Y) ||X||_F`` (``||Y^1/2||_F^2 =
+        Tr Y``), and by Jacobi's ``1e-14 ||M||_F`` target plus its
+        rounding, ``S n eps ||M||_F`` over ``S <= 100`` sweeps, with
+        ``||M||_F <= Tr(Y) ||X||_F``.  Both stay far below ``1e-8 Tr(Y)
+        ||X||_F`` for n up to about 4 * 10^5, so a positive semidefinite
+        point keeps its distance, the rounding's negative eigenvalues read
+        as 0.  The bound scales with ``Tr(Y) ||X||_F``, as the rounding
+        does, rather than with M's largest eigenvalue, which is far
+        smaller when X lies along Y's small eigenvectors: a rank-one X
+        against a Y of condition 1.9e9 gives M a smallest eigenvalue of
+        -1.02e-8 times its largest.
+        """
         sqrt_y = linalg.spd_sqrt(y)
         trace_y = float(np.trace(y))
 
@@ -288,6 +318,8 @@ class BuresWasserstein(Manifold):
                 for row, i in zip(stack, chunk):
                     row[...] = linalg.symmetrize(sqrt_y @ xs[i] @ sqrt_y)
                 for i, lam in zip(chunk, linalg.eigvals(stack)):
+                    if lam[0] < -1e-8 * trace_y * linalg._norm(xs[i]):
+                        raise DomainError(f"distance to an indefinite point (min eig {lam[0]:.3e})")
                     root_sum = float(np.sum(np.sqrt(np.maximum(lam, 0.0))))
                     d2 = trace_y + float(np.trace(xs[i])) - 2.0 * root_sum
                     out[i] = math.sqrt(max(d2, 0.0))

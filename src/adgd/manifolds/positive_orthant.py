@@ -45,5 +45,7 @@ class PositiveOrthant(Manifold):
     def inner(self, x, u, v):
         return float(np.add.reduce(u * v / (x * x)))
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(np.log(x) - np.log(y)))
+    def distance_from(self, y):
+        """``||log x - log y||`` for each point x, with ``log y`` taken once."""
+        log_y = np.log(y)
+        return lambda xs: [float(np.linalg.norm(np.log(x) - log_y)) for x in xs]

@@ -5,7 +5,9 @@ and the metric is the ambient Euclidean inner product.  The manifold is
 geodesically complete with constant positive curvature.  Norms are
 written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
 ``np.linalg.norm`` computes, without its dispatch overhead.  The step norm
-in ``exp_transport`` takes ``np.vdot`` instead, for the same bits.
+in ``exp_transport`` takes ``np.vdot`` instead, for the same bits without
+a floating-point warning, and ``check_point`` decides with
+``linalg._norm``, the same ``ddot``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 
+from .. import linalg
 from ..errors import DomainError
 from .base import Manifold
 
@@ -51,8 +54,7 @@ class Sphere(Manifold):
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or not np.isfinite(x).all():
             raise ValueError("a point of the sphere must be a finite vector")
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = math.sqrt(x.dot(x))
+        norm = linalg._norm(x)  # an overflowing norm reads inf and is rejected below
         if not abs(norm - 1.0) <= _UNIT_TOL:
             raise ValueError(
                 f"a point of the sphere must have unit norm within {_UNIT_TOL:g} (norm {norm!r})"
@@ -90,9 +92,6 @@ class Sphere(Manifold):
 
     def inner(self, x, u, v):
         return float(u.dot(v))
-
-    def distance(self, x, y):
-        return self.distance_from(y)([x])[0]
 
     def distance_from(self, y):
         def distances(xs):

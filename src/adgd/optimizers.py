@@ -508,8 +508,8 @@ class _FlatSpace(Manifold):
     def inner(self, x, u, v):
         return float(np.dot(u, v))
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(x - y))
+    def distance_from(self, y):
+        return lambda xs: [float(np.linalg.norm(x - y)) for x in xs]
 
 
 def euclidean_adgd_run(config, f, grad_f, y0):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,25 @@ class TestMaxStep:
     def test_zero_tangent(self, bw):
         assert bw.max_step(np.eye(3), BWTangent(np.zeros((3, 3)))) == math.inf
 
+    @pytest.mark.parametrize(
+        "call, answer",
+        [
+            (lambda bw, x, v: bw.max_step_lower_bound(x, v, 1.0), False),
+            (lambda bw, x, v: bw.max_step(x, v), 2e-200),
+        ],
+        ids=["max_step_lower_bound", "max_step"],
+    )
+    def test_huge_factor_answers_without_a_warning(self, bw, call, answer):
+        # The squared norm of entries of 1e200 overflows.  The decision norm
+        # reads inf without numpy's overflow warning: the screen cannot
+        # certify the step and the exact path gives -1 / lambda_min.
+        x = np.eye(2)
+        v = BWTangent(np.diag([1e200, -1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call(bw, x, v)
+        assert got == answer
+
 
 def _tangent_with_factor(bw, x, fac):
     # egrad_to_rgrad carries the factor 2 * sym(g), here exactly fac.
@@ -275,9 +295,7 @@ def _factors_either_side_of_half(fac):
     ``exp_transport`` takes it, reads at most 1/2, and to the first
     multiple above it that reads more."""
 
-    def norm(f):
-        return math.sqrt(np.vdot(f, f))
-
+    norm = linalg._norm
     at = fac * (0.5 / norm(fac))
     while norm(at) > 0.5:
         at = at * (1.0 - np.finfo(float).eps)
@@ -334,7 +352,7 @@ class TestMaxStepScreen:
                 for fac, unbounded in factors:
                     v = _tangent_with_factor(bw, x, fac)
                     exact = bw.max_step(x, v)
-                    norm = linalg.frobenius_norm(fac)
+                    norm = linalg._norm(fac)  # the screen's own norm
                     if norm > 0.0:
                         # The largest t with t ||L||_F <= 1/2 as computed,
                         # and the next float: the norm bound decides the
@@ -365,7 +383,7 @@ class TestMaxStepScreen:
                     # Sound but not uselessly conservative, wherever the
                     # boundary lies outside the margin: a PSD factor can get
                     # a rounding-level negative Jacobi eigenvalue instead.
-                    if exact * linalg.frobenius_norm(fac) < 1e9:
+                    if exact * linalg._norm(fac) < 1e9:
                         useful += 1
                         assert bw.max_step_lower_bound(x, v, 0.5 * exact), (n, scale)
         # Only the 21 rank-one PSD factors may skip the usefulness check.
@@ -408,7 +426,7 @@ class TestMaxStepScreen:
         fac = np.diag(d)
         v = _tangent_with_factor(bw, x, fac)
         assert bw.max_step(x, v) == 1.0
-        norm = linalg.frobenius_norm(fac)
+        norm = linalg._norm(fac)
         margin = max(1e-10, 6.2 * n * (n + 1) * np.finfo(float).eps) * norm
         # Up to n = 269 the margin is the fixed 1e-10 ||L||_F.
         assert (margin == 1e-10 * norm) == (n <= 269)
@@ -519,6 +537,28 @@ class TestDistance:
         with pytest.raises(DomainError):
             bw.distance(np.eye(2), np.diag([1.0, 0.0]))
 
+    def test_distance_from_refuses_an_indefinite_point(self, bw):
+        # The clip of M's eigenvalues to 0 would give these distance 0.
+        column = bw.distance_from(np.eye(2))
+        for x in (-np.eye(2), np.diag([1.0, -1.0])):
+            with pytest.raises(DomainError, match="indefinite point"):
+                column([x])
+        with pytest.raises(DomainError, match="indefinite point"):
+            column([np.eye(2), np.diag([1.0, -1.0])])
+
+    def test_positive_semidefinite_point_keeps_its_distance(self, bw):
+        assert bw.distance_from(np.eye(2))([np.diag([1.0, 0.0])]) == [1.0]
+        # A rank-one point along the small eigenvector of a fixed point of
+        # condition 1.9e9: M's rounding gives it an eigenvalue near -1e-8
+        # times its largest, yet far inside the Tr(Y) ||X||_F scale of the
+        # check, so the point keeps its distance.
+        y = np.array([[0.2971418290645748, 0.45699952091225143],
+                      [0.45699952091225143, 0.702858171462852]])
+        u = np.array([-0.8372322801416229, 0.5443673178648474])
+        (d,) = bw.distance_from(y)([np.outer(u, u)])
+        exact = math.sqrt(np.trace(y) + u @ u - 2.0 * math.sqrt(u @ y @ u))
+        assert d == pytest.approx(exact, rel=1e-6)
+
     def test_distance_from_matches(self, bw):
         rng = np.random.default_rng(16)
         y = random_spd(rng, 5)
@@ -549,7 +589,7 @@ class TestDistanceColumnFloor:
 
         def oracle(x):
             root_m = _sqrt_and_inverse_sqrt(linalg.symmetrize(root_y @ x @ root_y))[0]
-            return linalg.frobenius_norm(inv_root_y @ root_m - root_y)
+            return float(np.linalg.norm(inv_root_y @ root_m - root_y))
 
         truth = [oracle(x) for x in tr.points]
         column = tr.column("dist_to_opt")

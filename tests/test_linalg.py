@@ -702,24 +702,48 @@ class TestKernelsArePure:
 
 class TestNonFiniteInput:
     # Without the check, Jacobi returns wrong eigenvalues for inf entries
-    # and spins through every sweep on NaN ones.
+    # and spins through every sweep on NaN ones.  Each matrix is checked
+    # once, where it is decomposed: a pencil and an spd_sqrt input by
+    # sym_eig, which names its own input.
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "kernel",
+        "kernel, name",
         [
-            linalg.sym_eig,
-            lambda m: linalg.solve_lyapunov(m, np.eye(3)),
-            lambda m: linalg.solve_lyapunov(np.eye(3), m),
-            linalg.spd_sqrt,
-            lambda m: linalg.eigvals([np.eye(3), m]),
+            (linalg.sym_eig, "sym_eig input"),
+            (lambda m: linalg.solve_lyapunov(m, np.eye(3)), "sym_eig input"),
+            (lambda m: linalg.solve_lyapunov(np.eye(3), m), "solve_lyapunov right-hand side"),
+            (linalg.spd_sqrt, "sym_eig input"),
+            (lambda m: linalg.eigvals([np.eye(3), m]), "eigvals input"),
         ],
         ids=["sym_eig", "solve_lyapunov-pencil", "solve_lyapunov-rhs", "spd_sqrt", "eigvals"],
     )
-    def test_rejected(self, kernel, bad):
+    def test_rejected(self, kernel, name, bad):
         m = np.eye(3)
         m[0, 1] = m[1, 0] = bad
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match=f"^{name} has a NaN or infinite entry$"):
             kernel(m)
+
+    @pytest.mark.parametrize(
+        "kernel, names",
+        [
+            (lambda x, u: linalg.spd_sqrt(x), ["sym_eig input"]),
+            (linalg.solve_lyapunov, ["solve_lyapunov right-hand side", "sym_eig input"]),
+        ],
+        ids=["spd_sqrt", "solve_lyapunov"],
+    )
+    def test_each_input_checked_once(self, kernel, names, monkeypatch):
+        seen = []
+        check = linalg.check_symmetric
+
+        def spy(m, name="matrix"):
+            seen.append(name)
+            return check(m, name)
+
+        rng = np.random.default_rng(51)
+        x, u = random_spd(rng, 4), random_sym(rng, 4)
+        monkeypatch.setattr(linalg, "check_symmetric", spy)
+        kernel(x, u)
+        assert seen == names
 
 
 class TestSolveLyapunov:
@@ -846,39 +870,49 @@ class TestSpdSqrt:
 
 
 class TestPlumbing:
+    # linalg._norm is the one norm that only decides (the Bures-Wasserstein
+    # step screen, domain and collinearity checks, the sphere's point
+    # check): the bits of math.sqrt(np.vdot(a, a)), 0.0 for a zero or empty
+    # array, inf on overflow, nan for a NaN entry, and never a RuntimeWarning.
     def test_frobenius_zero(self):
-        assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
+        assert linalg._norm(np.zeros((4, 4))) == 0.0
 
     @pytest.mark.parametrize(
-        "entries",
+        "entries, expected",
         [
-            [[1e200, 1.0], [1.0, 1e200]],  # overflows to inf
-            [[1e154, 1e154], [1e154, 1e154]],
-            [[np.nan, 1.0], [1.0, 2.0]],
-            [[np.inf, np.nan], [np.nan, 1.0]],
-            [[-0.0, -0.0], [-0.0, -0.0]],
-            [[-0.0, 0.0, -0.0]],
-            [[5e-324, -5e-324], [2.2e-308, -1e-310]],  # subnormal squares flush to 0
-            [[1e-160, 3e-161]],
-            [],
+            ([[1e200, 1.0], [1.0, 1e200]], math.inf),  # overflows to inf
+            ([[1e154, 1e154], [1e154, 1e154]], math.inf),
+            ([[np.nan, 1.0], [1.0, 2.0]], pytest.approx(math.nan, nan_ok=True)),
+            ([[np.inf, np.nan], [np.nan, 1.0]], pytest.approx(math.nan, nan_ok=True)),
+            ([[-0.0, -0.0], [-0.0, -0.0]], 0.0),
+            ([[-0.0, 0.0, -0.0]], 0.0),
+            ([[5e-324, -5e-324], [2.2e-308, -1e-310]], 0.0),  # subnormal squares flush to 0
+            ([[1e-160, 3e-161]], pytest.approx(math.hypot(1e-160, 3e-161), rel=1e-3)),
+            ([], 0.0),
         ],
         ids=["overflow", "overflow-in-sum", "nan", "inf-nan", "negzero", "negzero-row",
              "subnormal", "tiny", "empty"],
     )
-    def test_frobenius_matches_its_wrapped_form(self, entries):
+    def test_frobenius_matches_its_wrapped_form(self, entries, expected):
         a = np.array(entries, dtype=float)
-        with np.errstate(over="ignore"):
-            old = float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
-            new = linalg.frobenius_norm(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = linalg._norm(a)
         assert type(new) is float
-        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+        assert np.float64(new).tobytes() == np.float64(math.sqrt(np.vdot(a, a))).tobytes()
+        assert new == expected
 
     def test_frobenius_matches_its_wrapped_form_on_random_matrices(self):
+        # Within k eps of the norm for k entries: the slack the step
+        # screen's soundness proof allows the norm it decides with.
         rng = np.random.default_rng(26)
+        eps = np.finfo(float).eps
         for shape in ((1,), (7,), (5, 5), (20, 20), (3, 129)):
             a = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
-            old = float(np.sqrt(np.sum(a ** 2)))
-            assert np.float64(linalg.frobenius_norm(a)).tobytes() == np.float64(old).tobytes()
+            new = linalg._norm(a)
+            assert np.float64(new).tobytes() == np.float64(math.sqrt(np.vdot(a, a))).tobytes()
+            exact = math.sqrt(math.fsum((a * a).ravel()))
+            assert abs(new - exact) <= a.size * eps * exact
 
     def test_symmetrize(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])

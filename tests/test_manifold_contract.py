@@ -153,6 +153,28 @@ class TestDistanceAxioms:
             assert abs(m.distance(p, q) - m.distance(q, p)) <= 1e-10
             assert m.distance(p, q) >= 0.0
 
+    @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])
+    def test_distance_is_the_one_point_column(self, case):
+        # Each manifold implements one distance, distance_from; distance(x, y)
+        # is its one-point case, bit for bit.
+        rng = np.random.default_rng(107)
+        if case == "sphere":
+            m, make = Sphere(), lambda: random_unit(rng, 5)
+        elif case == "orthant":
+            m, make = PositiveOrthant(), lambda: rng.uniform(0.2, 3.0, size=5)
+        elif case == "bw":
+            m, make = BuresWasserstein(), lambda: random_spd(rng, 4)
+        else:
+            m, make = optimizers._FlatSpace(), lambda: rng.standard_normal(5)
+        for _ in range(20):
+            x, y = make(), make()
+            got = m.distance(x, y)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(m.distance_from(x)([y])[0]).tobytes()
+        # Only Bures-Wasserstein keeps a distance of its own, to certify y.
+        assert ("distance" in type(m).__dict__) == (case == "bw")
+        assert "distance_from" in type(m).__dict__
+
 
 class TestMaxStepLowerBound:
     @pytest.mark.parametrize("case", ["sphere", "orthant", "bw"])
