@@ -48,7 +48,6 @@ __all__ = [
     "eigvals",
     "solve_lyapunov",
     "spd_sqrt",
-    "is_spd_spectrum",
     "cholesky",
     "require_spd",
 ]
@@ -443,18 +442,14 @@ def _eigvals_sweep(b, n, thresh):
             cols[qq][...] = b_q
 
 
-def is_spd_spectrum(eigenvalues):
-    """Whether a spectrum passes the SPD tolerance test: its smallest
-    eigenvalue exceeds 1e-12 times its largest.  The test is relative at
-    every scale, and rejects a zero or negative spectrum."""
-    ev = np.asarray(eigenvalues, dtype=float)
-    return float(np.min(ev)) > 1e-12 * float(np.max(ev))
-
-
 def _spd_eig(x, name):
+    """``sym_eig(x)``, raising DomainError unless the spectrum passes the SPD
+    tolerance test: its smallest eigenvalue exceeds 1e-12 times its largest
+    (the ends of the ascending spectrum).  The test is relative at every
+    scale, and rejects a zero or negative spectrum."""
     eig = sym_eig(x)
-    if not is_spd_spectrum(eig.eigenvalues):
-        lo, hi = eig.eigenvalues[[0, -1]]
+    lo, hi = eig.eigenvalues[[0, -1]]
+    if not lo > 1e-12 * hi:
         raise DomainError(
             f"{name} requires a positive definite matrix (min eigenvalue {lo:.3e} "
             f"not above 1e-12 times max eigenvalue {hi:.3e})"

@@ -13,6 +13,12 @@ work; ``exp`` and ``transport_along_step`` are its two parts.  The
 distance has one too, :meth:`Manifold.distance_from`, which measures a
 sequence of points against one fixed point; ``distance(x, y)`` is its
 one-point case.
+One check, :meth:`Manifold.check_point`, guards the points a caller
+hands a run or ``distance``: the descent loop's starting point, its known
+optimum when the distance column is on, and both points of ``distance``.
+The iterates a run produces are not checked, and ``distance_from(y)``
+checks neither ``y`` (its caller in the descent loop has) nor the points
+of its column, which would cost a check per row.
 Implementations are stateless and all operations are pure, so one
 instance can serve any number of concurrent runs.
 
@@ -46,9 +52,13 @@ class Manifold(ABC):
     adapt_extra_ops = 0
 
     def check_point(self, x):
-        """Raise ValueError unless x is a point of the manifold; the
-        descent loop (``optimizers._drive``) asks it once, of the starting
-        point.  The base class accepts anything."""
+        """Raise ValueError unless x is a point of the manifold.
+
+        The one check on a point from outside: the descent loop
+        (``optimizers._drive``) asks it of the starting point and, when
+        it fills the distance column, of the optimum, before the first
+        row; ``distance`` asks it of both its points.  The base class
+        accepts anything."""
 
     @abstractmethod
     def egrad_to_rgrad(self, x, g):
@@ -89,7 +99,12 @@ class Manifold(ABC):
         once per call, and the callable may batch the points'."""
 
     def distance(self, x, y):
-        """Geodesic distance from x to y: ``distance_from(x)([y])[0]``."""
+        """Geodesic distance from x to y: ``distance_from(x)([y])[0]``, once
+        ``check_point`` has accepted both points (it raises ValueError for
+        a point off the manifold, a NaN point included).  No manifold
+        overrides it."""
+        self.check_point(x)
+        self.check_point(y)
         return self.distance_from(x)([y])[0]
 
     def max_step(self, x, v):

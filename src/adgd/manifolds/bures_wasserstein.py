@@ -14,7 +14,9 @@ only for a step the screen cannot certify.  Every norm that only decides
 the transport's collinearity test) is ``linalg._norm``, one
 warning-free BLAS ``ddot``.  The one distance, ``distance_from``, solves
 the eigenvalues of a whole column of points in one stacked call and
-refuses a point that is not positive semidefinite.
+refuses a point that is not positive semidefinite; ``distance(x, y)``,
+inherited, first sends both points through ``check_point`` (symmetric,
+finite, positive definite).
 
 Closed forms used throughout (L below is the Lyapunov factor of V at X):
 
@@ -65,23 +67,40 @@ _SMALL_FACTOR_NORM = 0.5
 # Points per stacked eigensolve in distance_from's callable.
 _DISTANCE_CHUNK = 128
 
+# With both norms in [2^-510, 2^510], no product, sum or ratio that
+# _step_ratio forms leaves the normal float range.
+_RATIO_NORM = 2.0**510
 
-def _step_ratio(vmat, w):
-    """The ratio ``c`` of a step ``vmat = c w.mat``, or None when either
-    matrix is zero (the transport is then the identity); raises
-    DomainError unless ``w`` is collinear with the step."""
-    wmat = w.mat
-    ww = float(np.add.reduce(wmat * wmat, axis=None))
-    nv = linalg._norm(vmat)
-    if ww == 0.0 or nv == 0.0:
-        return None
-    c = float(np.add.reduce(vmat * wmat, axis=None)) / ww
-    if linalg._norm(vmat - c * wmat) > _COLLINEAR_TOL * nv or c == 0.0:
-        raise DomainError(
-            "Bures-Wasserstein transport is only available along the step "
-            "direction (w must be collinear with v)"
-        )
-    return c
+
+def _step_ratio(vmat, wmat):
+    """The ratio ``c = <v, w> / <w, w>`` (Frobenius) of a step
+    ``vmat = c wmat``, or None when either matrix is zero (the transport
+    is then the identity); raises DomainError unless ``wmat`` is collinear
+    with the step.
+
+    A pair with a norm outside ``[2^-510, 2^510]`` is first scaled, each
+    matrix by the power of two that brings its largest entry into
+    [1/2, 1), as ``linalg._jacobi_input`` scales an input, and ``c`` is
+    scaled back by the difference ``shift`` of the two exponents.  Scaling
+    by a power of two is exact, so ``c`` keeps the bits of the unscaled
+    formula wherever that formula's sums are normal floats, and no product
+    overflows: finite matrices raise no floating-point warning.  A
+    ``|shift| > 1020``, where ``c`` or the transport's ``2 / c`` would
+    leave the float range, raises DomainError.
+    """
+    nv, nw = linalg._norm(vmat), linalg._norm(wmat)
+    shift = 0
+    if not (1.0 / _RATIO_NORM <= min(nv, nw) and max(nv, nw) <= _RATIO_NORM):
+        if not (vmat.any() and wmat.any()):
+            return None
+        a, b = (math.frexp(float(np.max(np.abs(m))))[1] for m in (vmat, wmat))
+        vmat, wmat, shift = np.ldexp(vmat, -a), np.ldexp(wmat, -b), a - b
+    c = float(np.add.reduce(vmat * wmat, None)) / float(np.add.reduce(wmat * wmat, None))
+    if linalg._norm(vmat - c * wmat) > _COLLINEAR_TOL * linalg._norm(vmat) or c == 0.0:
+        raise DomainError("Bures-Wasserstein transport needs w collinear with the step v")
+    if not -1020 <= shift <= 1020:
+        raise DomainError(f"Bures-Wasserstein transport: the step ratio 2^{shift} overflows")
+    return math.ldexp(c, shift)
 
 
 class BWTangent:
@@ -191,7 +210,7 @@ class BuresWasserstein(Manifold):
         vmat = v.mat
 
         def transport(w):
-            c = _step_ratio(vmat, w)
+            c = _step_ratio(vmat, w.mat)
             return BWTangent(w.mat.copy() if c is None else w.mat + (2.0 / c) * lxl)
 
         return y, False, transport
@@ -275,11 +294,6 @@ class BuresWasserstein(Manifold):
         # A finite norm means finite entries, so this checks the whole
         # shifted matrix.
         return math.isfinite(shift) and linalg._lapack_certifies_spd(fac, shift)
-
-    def distance(self, x, y):
-        """Bures distance from x to y; y must also pass ``linalg.require_spd``."""
-        linalg.require_spd(y)  # cheap positivity certificate for the second argument
-        return super().distance(x, y)
 
     def distance_from(self, y):
         """Bures distances ``sqrt(Tr X + Tr Y - 2 Tr (Y^1/2 X Y^1/2)^1/2)``

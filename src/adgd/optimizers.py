@@ -20,7 +20,8 @@ Every method runs through one driver, :func:`_drive`.  At each iterate
 After the loop, however the run ended, :func:`_drive` fills the rows'
 distance to the optimum (when known and tracked) with one
 ``manifold.distance_from`` call over the recorded iterates; the column is
-a diagnostic and never feeds a step.
+a diagnostic and never feeds a step.  Before row 0, ``manifold.check_point``
+checks ``x0`` and, when that column will be filled, the optimum.
 
 The step rules:
 
@@ -273,9 +274,13 @@ def _drive(config, manifold, problem, make_rule):
     invalid and divide warnings: a non-finite value reaches the
     finiteness check, which aborts the run with a diagnostic.  A
     ``problem.x0`` off the manifold (``manifold.check_point``) raises
-    ValueError before row 0.
+    ValueError before row 0, and so does a known optimum off it when the
+    column will be filled; with the column off the optimum is not read.
     """
     manifold.check_point(problem.x0)
+    track = config.track_distance and problem.optimum_point is not None
+    if track:
+        manifold.check_point(problem.optimum_point)
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         meter = _Meter(manifold, problem)
@@ -330,7 +335,7 @@ def _drive(config, manifold, problem, make_rule):
                 points.append(x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
             stop, message = STATUS_ABORTED, str(exc)
-        if config.track_distance and problem.optimum_point is not None:
+        if track:
             dists = manifold.distance_from(problem.optimum_point)(points[: len(rows)])
             for row, dist in zip(rows, dists):
                 row.dist_to_opt = dist

@@ -27,6 +27,14 @@ def random_sphere_tangent(rng, x, scale=1.0):
     return v
 
 
+def is_spd_spectrum(eigenvalues):
+    """The SPD tolerance test of ``linalg``'s Lyapunov and square-root
+    kernels, on a spectrum: its smallest eigenvalue exceeds 1e-12 times its
+    largest."""
+    ev = np.asarray(eigenvalues, dtype=float)
+    return float(np.min(ev)) > 1e-12 * float(np.max(ev))
+
+
 def cofactor_det(m):
     """Determinant by cofactor expansion; independent oracle for tiny n."""
     n = m.shape[0]

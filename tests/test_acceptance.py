@@ -23,7 +23,7 @@ from adgd.optimizers import (
     euclidean_adgd_run,
 )
 
-from conftest import random_sphere_tangent, random_spd, random_sym, random_unit
+from conftest import is_spd_spectrum, random_sphere_tangent, random_spd, random_sym, random_unit
 
 GCONVEX_SEEDS = list(range(10))
 EQUIVALENCE_SEEDS = list(range(20))
@@ -330,7 +330,7 @@ def test_criterion_8_domain_safety(lyapunov_traces, monkeypatch):
     checked = 0
     for _, trace in lyapunov_traces:
         for point in trace.points[:: max(1, len(trace.points) // 50)]:
-            assert linalg.is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
+            assert is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
             checked += 1
     prob = problems.lyapunov_objective(20, END_TO_END_SEED)
     trace = adgd_run(
@@ -339,7 +339,7 @@ def test_criterion_8_domain_safety(lyapunov_traces, monkeypatch):
     assert trace.status != STATUS_ABORTED
     assert any(r.clamped for r in trace.rows)
     for point in trace.points:
-        assert linalg.is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
+        assert is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
         checked += 1
 
     aborted = 0

@@ -10,7 +10,7 @@ import pytest
 
 from adgd import linalg, optimizers
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, BWTangent, Manifold, PositiveOrthant, Sphere
 
 from conftest import random_sphere_tangent, random_spd, random_sym, random_unit
 
@@ -171,9 +171,45 @@ class TestDistanceAxioms:
             got = m.distance(x, y)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(m.distance_from(x)([y])[0]).tobytes()
-        # Only Bures-Wasserstein keeps a distance of its own, to certify y.
-        assert ("distance" in type(m).__dict__) == (case == "bw")
+        # Each implements distance_from; none keeps a distance of its own
+        # (test_only_the_base_class_defines_distance).
         assert "distance_from" in type(m).__dict__
+
+
+class TestDistanceChecksItsPoints:
+    """``distance`` sends both points through ``check_point``, the check
+    ``_drive`` asks of ``x0``, and raises its ValueError."""
+
+    @pytest.mark.parametrize(
+        "case, bad",
+        [
+            ("sphere", 3.0 * np.eye(3)[0]),
+            ("sphere", np.array([math.nan, 0.0, 0.0])),
+            ("orthant", np.array([-1.0, 1.0, 1.0])),
+            ("bw", -np.eye(3)),
+            ("bw", np.diag([1.0, 0.0, 1.0])),
+            ("bw", np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])),
+        ],
+        ids=["sphere-scaled", "sphere-nan", "orthant-negative", "bw-negative", "bw-singular", "bw-asymmetric"],
+    )
+    def test_off_manifold_point_raises(self, case, bad):
+        m = {"sphere": Sphere, "orthant": PositiveOrthant, "bw": BuresWasserstein}[case]()
+        good = np.eye(3)[0] if case == "sphere" else (np.ones(3) if case == "orthant" else np.eye(3))
+        m.check_point(good)
+        with pytest.raises(ValueError) as raised:
+            m.check_point(bad)
+        message = str(raised.value)
+        for x, y in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError) as got:
+                m.distance(x, y)
+            assert str(got.value) == message
+
+    def test_only_the_base_class_defines_distance(self):
+        classes = [Manifold]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+        assert {Sphere, PositiveOrthant, BuresWasserstein, optimizers._FlatSpace} <= set(classes)
+        assert [cls for cls in classes if "distance" in cls.__dict__] == [Manifold]
 
 
 class TestMaxStepLowerBound:

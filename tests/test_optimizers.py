@@ -17,6 +17,8 @@ from adgd.optimizers import (
     fixed_run,
 )
 
+from conftest import is_spd_spectrum
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -345,7 +347,7 @@ class TestDomainSafety:
         assert tr.status != STATUS_ABORTED
         assert any(r.clamped for r in tr.rows)
         for point in tr.points:
-            assert linalg.is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
+            assert is_spd_spectrum(linalg.sym_eig(point).eigenvalues)
 
     @pytest.mark.parametrize(
         "run",
@@ -593,6 +595,38 @@ class TestStartingPoint:
         with pytest.raises(ValueError, match="positive definite"):
             _EDGE_METHODS[method](RunConfig(), BuresWasserstein(), prob)
         assert calls == []
+
+
+class TestOptimumPoint:
+    """With the distance column on, ``_drive`` checks the known optimum
+    next to ``x0``, before row 0; with the column off it never reads it."""
+
+    CASES = {
+        "sphere": (Sphere, lambda: problems.center_of_mass(6, 20, 0), lambda x: 3.0 * x),
+        "orthant": (PositiveOrthant, lambda: problems.linear_minus_log(5, 0), lambda x: -x),
+        "bw": (BuresWasserstein, lambda: problems.lyapunov_objective(4, 0), lambda x: -x),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_off_manifold_optimum(self, case):
+        manifold_cls, build, move = self.CASES[case]
+        valid = build()
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            return valid.value(x)
+
+        bad = dataclasses.replace(valid, value=value, optimum_point=move(valid.optimum_point))
+        with pytest.raises(ValueError) as raised:
+            manifold_cls().check_point(bad.optimum_point)
+        config = RunConfig(max_iters=20)
+        with pytest.raises(ValueError) as got:
+            adgd_run(config, manifold_cls(), bad)
+        assert str(got.value) == str(raised.value) and calls == []
+        off = dataclasses.replace(config, track_distance=False)
+        tr = adgd_run(off, manifold_cls(), bad)
+        assert calls and tr.rows == adgd_run(off, manifold_cls(), valid).rows
 
 
 class TestJointEvaluation:

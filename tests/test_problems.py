@@ -9,7 +9,7 @@ from adgd import linalg, problems
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
 
-from conftest import random_sym, random_unit
+from conftest import is_spd_spectrum, random_sym, random_unit
 
 
 class TestCenterOfMass:
@@ -333,7 +333,7 @@ class TestWeightedLeastSquares:
             s = prob.extras["S"]
             assert prob.optimum_value == 0.0
             assert prob.value(s) == 0.0
-            assert linalg.is_spd_spectrum(linalg.sym_eig(s).eigenvalues)
+            assert is_spd_spectrum(linalg.sym_eig(s).eigenvalues)
 
 
 class TestLinearMinusLog:
