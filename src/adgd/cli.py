@@ -12,12 +12,9 @@ Subcommands
     Read two or more completed trace files for the same problem instance
     and print a per-optimizer summary table.
 
-Experiments pair a benchmark objective with its manifold: center-of-mass
-and rayleigh on the sphere, lyapunov and weighted least squares (dense or
-sparse weights) on Bures-Wasserstein SPD matrices, and the flat-space
-equivalence check on the positive orthant, whose trace carries an extra
-``deviation`` column with the coordinatewise relative gap between the
-Riemannian iterates and the exponential of the Euclidean twin's iterates.
+``EXPERIMENTS`` pairs each benchmark objective with its manifold; the
+orthant's flat-space equivalence check adds a ``deviation`` column
+(:func:`_orthant_equivalence_deviations`).
 """
 
 from __future__ import annotations

@@ -1,19 +1,11 @@
 """Trace-level diagnostics for the adaptive method's descent guarantees.
 
-All functions consume a :class:`~adgd.optimizers.Trace` whose rows carry
-a distance-to-optimum column (runs on problems with a known optimum) and
-evaluate, purely from recorded quantities:
-
-* the descent energy
-  ``E_k = d(x_k, x*)^2 + ||alpha_{k-1} grad_{k-1}||^2
-  + 2 alpha_k theta_k (phi(x_{k-1}) - phi_*)``,
-  which is non-increasing on geodesically convex runs;
-* the containment radius
-  ``R^2 = d(x_0, x*)^2 + 2 ||alpha_0 grad_0||^2`` bounding every iterate;
-* the certified gap bound ``R^2 / (2 sum_{i<=k} alpha_i)`` on the best
-  objective value seen so far;
-* the step-size floor ``min(alpha_0, 1 / (2 L))`` with L estimated from
-  the recorded local inverse-smoothness values.
+Each function reads a :class:`~adgd.optimizers.Trace`, purely from its
+recorded quantities: the descent energy (:func:`energy_sequence`), the
+containment radius (:func:`radius`), the certified gap bound
+(:func:`rate_gap_bounds`) and the step-size floor
+(:func:`step_floor_bound`).  All but the floor need the rows' distance to
+a known optimum, and raise ValueError without it.
 """
 
 from __future__ import annotations
@@ -31,7 +23,9 @@ def _require_distances(trace):
 
 
 def energy_sequence(trace, phi_star):
-    """Descent energy E_k for k = 1 .. len(rows)-1 (k = 0 has no predecessor)."""
+    """Descent energy ``E_k = d(x_k, x*)^2 + ||alpha_{k-1} grad_{k-1}||^2 +
+    2 alpha_k theta_k (phi(x_{k-1}) - phi_*)`` for k = 1 .. len(rows)-1
+    (k = 0 has no predecessor); non-increasing on geodesically convex runs."""
     _require_distances(trace)
     rows = trace.rows
     out = []
@@ -47,14 +41,15 @@ def energy_sequence(trace, phi_star):
 
 
 def radius(trace):
-    """R from the starting point: sqrt(d_0^2 + 2 (alpha_0 ||grad_0||)^2)."""
+    """R = sqrt(d_0^2 + 2 (alpha_0 ||grad_0||)^2), which bounds every
+    iterate's distance to the optimum."""
     _require_distances(trace)
     r0 = trace.rows[0]
     return math.sqrt(r0.dist_to_opt**2 + 2.0 * (r0.alpha * r0.grad_norm) ** 2)
 
 
 def rate_gap_bounds(trace, phi_star, ks):
-    """Pairs (best gap up to k, certified bound R^2 / (2 sum alpha_i)).
+    """Pairs (best objective gap up to k, certified bound R^2 / (2 sum alpha_i)).
 
     The sum runs over i = 1 .. k; requested indices beyond the trace are
     evaluated at the last recorded iterate.

@@ -1,34 +1,21 @@
-"""Dense symmetric linear algebra kernels.
+"""Dense symmetric linear algebra, computed from scratch on ``numpy`` arrays.
 
-Every value these kernels return is computed from scratch on top of plain
-``numpy`` arrays: a cyclic Jacobi eigensolver with one-sided rotation
-updates written in place into one ``[A | Q^T]`` row buffer and a Python
-mirror of the diagonal (``tests/test_linalg.py`` holds the two-sided loop
-as its bitwise oracle), a Lyapunov solver working in the eigenbasis, an
-SPD matrix square root and a Cholesky factorization.  One kernel per job:
-:func:`sym_eig` decomposes one matrix, and :func:`eigvals` gives the
-eigenvalues of a stack of matrices (the Bures-Wasserstein distance
-column) by running ``sym_eig``'s exact arithmetic on all of them in
-lockstep, byte for byte.  Both pass their per-rotation coefficients
-and constants to numpy's ufuncs as 0-d float64 arrays rather than Python
-floats: numpy gives a Python-float operand its slower weak-scalar path,
-while a 0-d array takes the array path at the same IEEE value (one
-product on a 200-entry row: 0.58 against 0.97 us, best of 5 x 200,000
-calls, numpy 2.4 on a 2-vCPU Xeon VM).  Both prepare each input in
-``_jacobi_input`` and take its off-diagonal mass from ``_off_mass``
-(``sym_eig`` on a stack of one); every matrix a kernel returns goes
-through :func:`symmetrize`.  ``_jacobi_input`` is also the only check
-of the matrix that :func:`solve_lyapunov` and :func:`spd_sqrt`
-decompose, so each input is checked once.  A norm that only decides
-(the Bures-Wasserstein step screen and domain checks, the sphere's
-starting-point check) is the private ``_norm``, one warning-free BLAS
-``ddot``.  The kernels are the workhorses of the
-Bures-Wasserstein geometry and double as test oracles, so they favour
-robustness and explicit failure over raw speed.  LAPACK
-(``numpy.linalg``) only decides yes/no questions with a certified
-rounding margin: one shifted Cholesky, shared by :func:`require_spd` and
-the Bures-Wasserstein step-domain screen; its output never reaches a
-written value.  All functions are pure; inputs are never mutated.
+One kernel per job:
+
+* :func:`sym_eig` decomposes one matrix by cyclic Jacobi, and
+  :func:`eigvals` gives the eigenvalues of a stack with ``sym_eig``'s
+  arithmetic; both prepare every input in :func:`_jacobi_input`;
+* :func:`solve_lyapunov` and :func:`spd_sqrt` work in ``sym_eig``'s
+  eigenbasis, and :func:`cholesky` factors;
+* :func:`symmetrize` forms ``(M + M^T) / 2``, and every symmetric matrix a
+  kernel returns goes through it;
+* :func:`_norm` is every norm that only decides.
+
+LAPACK (``numpy.linalg``) only answers yes/no questions, with a certified
+rounding margin (:func:`_lapack_certifies_spd`); its output never reaches
+a written value.  The kernels double as test oracles, so they favour
+robustness and explicit failure over raw speed.  All functions are pure;
+inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -137,41 +124,22 @@ def sym_eig(m):
 
     Sweeps Givens rotations over all off-diagonal positions until the
     off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.  The input
-    comes from :func:`_jacobi_input`, and every rotation keeps the working
-    matrix bitwise symmetric, so a rotation's column update equals its row
-    update transposed.  The working matrix A and the transposed basis Q^T
-    share one ``(n, 2n)`` buffer ``[A | Q^T]``: row p holds row p of A
-    followed by column p of Q.  Each rotation therefore computes the new
-    rows p and q once over the full width, in place: the four products go
-    into scratch rows allocated once per call and the two sums back into
-    the buffer, the same IEEE operations as ``c * row_p - s * row_q`` and
-    ``s * row_p + c * row_q``; ``c`` and ``s`` reach the products through
-    two 0-d float64 arrays allocated once per call, which keeps them off
-    numpy's slower Python-float operand path.  It then sets the four
-    pivot entries analytically and copies the first n entries of both
-    rows into A's columns p and q, through row and column views taken
-    once per call, so a rotation allocates no array.  A Python list
-    mirrors A's diagonal, which only those pivot writes change, so
-    ``app`` and ``aqq`` are read from it without a numpy call.  The
-    convergence test takes ``_off_mass`` of a stack of one, the helper
-    :func:`eigvals` uses for a whole stack.  ``tests/test_linalg.py``
-    keeps the two-sided loop as the oracle this kernel matches byte for
-    byte.  More than ``_JACOBI_MAX_SWEEPS`` sweeps (100, read at call
-    time) raise ConvergenceError rather than return a silently inaccurate
-    factorization.
+    is checked, and scaled where its squares would leave the normal range,
+    by :func:`_jacobi_input`.  More than ``_JACOBI_MAX_SWEEPS`` sweeps
+    (100, read at call time) raise ConvergenceError rather than return a
+    silently inaccurate factorization.  ``tests/test_linalg.py`` keeps the
+    two-sided loop as the oracle this kernel matches byte for byte.
 
-    Parameters
-    ----------
-    m : array_like, shape (n, n)
-        Symmetric matrix (validated to 1e-12 relative asymmetry).
-
-    Returns
-    -------
-    EigenDecomposition
-        Eigenvalues ascending, orthonormal basis columns.
+    ``m`` is an (n, n) array_like, symmetric to 1e-12 relative asymmetry
+    (:func:`check_symmetric`).
     """
     a, target, e = _jacobi_input(m, "sym_eig input")
     n = a.shape[0]
+    # One (n, 2n) buffer [A | Q^T]: row p holds row p of A and column p of
+    # Q, so a rotation updates rows p and q once, in place, and copies their
+    # A part into A's columns (see _jacobi_input).  Scratch rows, views and
+    # the 0-d c0 and s0 (see _constant) are taken once per call; a Python
+    # list mirrors A's diagonal, which only the pivot writes change.
     w = np.empty((n, 2 * n))
     w[:, :n] = a
     w[:, n:] = np.eye(n)
@@ -240,7 +208,9 @@ def _jacobi_input(m, name):
     """``(a, target, e)``: the one place :func:`sym_eig` and :func:`eigvals`
     prepare an input.  It checks ``m`` and returns ``a``, the symmetrized
     ``2**-e m``, with its target ``1e-14 ||a||_F``; the solved eigenvalues
-    times ``2**e`` are m's.
+    times ``2**e`` are m's.  ``a`` is bitwise symmetric, and every rotation
+    of both kernels keeps it so, because each copies its new rows into
+    the matching columns: a matrix's column p always equals its row p.
 
     The convergence test squares the entries, so it only means something
     while ``||a||_F^2`` is a finite normal number; beyond that target and
@@ -283,33 +253,18 @@ def _off_mass(stack):
 def eigvals(stack):
     """Eigenvalues of every matrix in a stack, by cyclic Jacobi in lockstep.
 
-    Each matrix receives exactly the arithmetic :func:`sym_eig` applies to
-    it, in the same order, so ``eigvals(stack)[i]`` equals
-    ``sym_eig(stack[i]).eigenvalues`` byte for byte: the same
-    :func:`_jacobi_input` per matrix, off-diagonal mass and threshold, the
-    same pivots skipped, the same ``tau`` branch and the same row, column
-    and analytic pivot writes.  No basis is kept.  A matrix retires once
-    it converges; the sweeps go on for the rest.  Between sweeps the live
-    stack is a contiguous ``(m, n, n)`` array (convergence test,
-    retirement, sorted diagonal), and one stacked ``_off_mass`` call gives
-    every matrix's off-diagonal mass, each the same pairwise sum
-    ``sym_eig`` takes; each sweep runs on a stack-last ``(n, n, m)`` copy
-    of it, where every pivot entry is a contiguous vector over the
-    matrices.  Python overhead is paid per pivot rather than per matrix,
-    so a stack is much faster than a loop of ``sym_eig`` calls, while a
-    single matrix is about 4-5x slower (n = 20 and n = 100).  If any
-    matrix still exceeds its target after ``_JACOBI_MAX_SWEEPS`` sweeps
-    the whole call raises ConvergenceError.
+    ``eigvals(stack)[i]`` equals ``sym_eig(stack[i]).eigenvalues`` byte for
+    byte: each matrix receives exactly the arithmetic :func:`sym_eig`
+    applies to it, in the same order, and no basis is kept.  A matrix
+    retires once it converges; the sweeps go on for the rest.  Python
+    overhead is paid per pivot rather than per matrix, so a stack is much
+    faster than a loop of ``sym_eig`` calls, and a single matrix slower
+    than ``sym_eig``.  If any matrix still exceeds its target after
+    ``_JACOBI_MAX_SWEEPS`` sweeps the whole call raises ConvergenceError.
 
-    Parameters
-    ----------
-    stack : array_like, shape (m, n, n)
-        Symmetric matrices (each validated to 1e-12 relative asymmetry).
-
-    Returns
-    -------
-    ndarray, shape (m, n)
-        Row ``i`` holds the eigenvalues of ``stack[i]``, ascending.
+    ``stack`` is an (m, n, n) array_like of matrices, each checked as
+    :func:`sym_eig` checks one; row ``i`` of the (m, n) result holds the
+    eigenvalues of ``stack[i]``, ascending.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -323,6 +278,8 @@ def eigvals(stack):
     for i, mat in enumerate(stack):
         a[i], target[i], e[i] = _jacobi_input(mat, "eigvals input")
     max_sweeps = _JACOBI_MAX_SWEEPS
+    # Between sweeps the live stack is a contiguous (m, n, n) array; each
+    # sweep runs on a stack-last (n, n, m) copy (_eigvals_sweep).
     for sweep in range(max_sweeps + 1):
         off = _off_mass(a)
         done = off <= target
@@ -359,24 +316,20 @@ def _eigvals_sweep(b, n, thresh):
     ``apq != 0``).  ``tau >= 0`` and ``tau < 0`` share
     ``1 / (|tau| + sqrt(1 + tau^2))``, negated for the second: IEEE
     division is sign-symmetric, so that is the scalar branch's value
-    exactly.  Every constant operand is a read-only module-level 0-d
-    array (``_ONE``, ``_TWO``, ...), for numpy's faster array path.
+    exactly.  Every constant operand is a module-level 0-d array
+    (:func:`_constant`).
 
     The rows, the column views and eight ``(n, m)`` scratch blocks are
     taken once per sweep.  Per pivot ``c`` and ``s`` are broadcast into
     two of the blocks once, and the four products go into four more
     with ``out=``, so no product broadcasts.  When every matrix rotates,
-    the two sums go straight into rows p and q, the analytic pivot
-    values (computed before) are written over them, and the rows are
-    copied into columns p and q.  When only some do, the pivot is
-    computed at full width with ``apq = 1`` where a matrix skips, the
-    sums go into the last two blocks, and each row becomes
-    ``np.where(rotate, block, row)`` before the same plain column
-    copies: no gather, fancy-index write or masked ``np.copyto`` (four
-    of those cost more than two ``np.where`` and two copies).  A skipping
-    matrix keeps its bytes because every live matrix stays bitwise
-    symmetric (through :func:`_jacobi_input`, then each rotation's columns
-    copied from its rows), so its column p already equals its row p.
+    the two sums go straight into rows p and q.  When only some do, the
+    pivot is computed at full width with ``apq = 1`` where a matrix
+    skips, the sums go into the last two blocks, and each row becomes
+    ``np.where(rotate, block, row)``, which is cheaper than a gather or
+    masked writes.  Either way the rows are then copied into columns p
+    and q, which a skipping matrix survives bit for bit: its column p
+    already equals its row p (:func:`_jacobi_input`).
     """
     m = b.shape[2]
     rows = list(b)
@@ -518,13 +471,10 @@ def _lapack_certifies_spd(a, shift):
     certificate, read from the lower triangle, for finite ``a`` and
     ``shift`` (callers check; LAPACK can factor an infinite pivot).
 
-    The shift goes onto the diagonal of a C-ordered copy in place, so no
-    identity matrix is built; the entries equal those of
-    ``a - shift * np.eye(n)``.  Success makes ``a - shift I + E`` positive
-    definite with ``||E||_2 <~ n (n + 1) eps (||a||_2 + |shift|)`` (Higham,
-    Thms 10.3/10.7, plus the rounding of the shifted diagonal); each caller
-    chooses its shift to cover that.  Shared by :func:`require_spd` and the
-    Bures-Wasserstein step-domain screen.
+    Success makes ``a - shift I + E`` positive definite with
+    ``||E||_2 <~ n (n + 1) eps (||a||_2 + |shift|)`` (Higham, Thms
+    10.3/10.7, plus the rounding of the shifted diagonal); each caller
+    chooses its shift to cover that.
     """
     b = np.array(a, dtype=float, order="C")
     b.reshape(-1)[:: b.shape[0] + 1] -= shift

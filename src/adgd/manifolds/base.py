@@ -1,32 +1,17 @@
-"""Uniform geometric interface consumed by the descent loops.
+"""The geometric interface the descent loops consume: :class:`Manifold`.
 
-A manifold object holds what one iteration of the methods asks for and
-nothing else: the Riemannian gradient from the Euclidean one, the
-exponential map together with the transport along its step (the
-derivative of the exponential), and the metric; plus the supremum of
-admissible step lengths on incomplete manifolds with a cheap yes/no
-certificate that a step lies below it, and distances for diagnostics.
-The exponential has one implementation per manifold,
-:meth:`Manifold.exp_transport`, which returns the reached point and the
-transport along that step, so the transport reuses the exponential's
-work; ``exp`` and ``transport_along_step`` are its two parts.  The
-distance has one too, :meth:`Manifold.distance_from`, which measures a
-sequence of points against one fixed point; ``distance(x, y)`` is its
-one-point case.
-One check, :meth:`Manifold.check_point`, guards the points a caller
-hands a run or ``distance``: the descent loop's starting point, its known
-optimum when the distance column is on, and both points of ``distance``.
-The iterates a run produces are not checked, and ``distance_from(y)``
-checks neither ``y`` (its caller in the descent loop has) nor the points
-of its column, which would cost a check per row.
-Implementations are stateless and all operations are pure, so one
+A manifold implements what one iteration asks for, and a diagnostic
+distance: :meth:`~Manifold.egrad_to_rgrad`, the exponential with its
+transport (:meth:`~Manifold.exp_transport`), the metric
+(:meth:`~Manifold.inner`) and :meth:`~Manifold.distance_from`; on an
+incomplete manifold also :meth:`~Manifold.max_step` and its screen
+:meth:`~Manifold.max_step_lower_bound`.  The other methods derive from
+these.  Implementations are stateless and all operations are pure, so one
 instance can serve any number of concurrent runs.
 
-Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein,
-where a gradient also carries its Lyapunov factor and the base point it
-was computed at, and using that factor at another point raises.  The
-optimizers only scale tangents by a scalar, and only the default
-:meth:`Manifold.grad_diff_norm_sq` subtracts them.
+Tangent vectors are plain ``numpy`` arrays except on Bures-Wasserstein
+(``BWTangent``).  The optimizers only scale tangents by a scalar, and only
+the default :meth:`Manifold.grad_diff_norm_sq` subtracts them.
 """
 
 from __future__ import annotations
@@ -38,13 +23,11 @@ from abc import ABC, abstractmethod
 class Manifold(ABC):
     """Geometric operations shared by all manifolds in this package.
 
-    Class attributes
-    ----------------
-    rgrad_ops, exp_ops, adapt_extra_ops : int
-        Expensive-operation price tags (matrix-vector products on the
-        sphere, matrix-matrix products on SPD matrices) charged per
-        gradient conversion, per exponential-map call, and per adaptive
-        step-size evaluation.  Used only for benchmark accounting.
+    The class attributes ``rgrad_ops``, ``exp_ops`` and
+    ``adapt_extra_ops`` are price tags (matrix-vector products on the
+    sphere, matrix-matrix products on SPD matrices) that a run's
+    ``expensive_ops`` charges per gradient conversion, per exponential and
+    per adaptive step-size evaluation.
     """
 
     rgrad_ops = 0
@@ -54,11 +37,10 @@ class Manifold(ABC):
     def check_point(self, x):
         """Raise ValueError unless x is a point of the manifold.
 
-        The one check on a point from outside: the descent loop
-        (``optimizers._drive``) asks it of the starting point and, when
-        it fills the distance column, of the optimum, before the first
-        row; ``distance`` asks it of both its points.  The base class
-        accepts anything."""
+        The one check on a point from outside: a run asks it of its
+        starting point and, when it fills the distance column, of the
+        optimum; ``distance`` asks it of both its points.  The iterates a
+        run produces are not checked.  The base class accepts anything."""
 
     @abstractmethod
     def egrad_to_rgrad(self, x, g):
@@ -72,7 +54,7 @@ class Manifold(ABC):
         numerical guard fired on the way, and ``transport(w)``, the parallel
         transport of w from x to y along t -> exp(x, t v).  This is the one
         exponential a manifold implements; the transport may reuse the
-        exponential's work.  The descent loops take every step through it.
+        exponential's work.
         """
 
     def exp(self, x, v):
@@ -89,6 +71,9 @@ class Manifold(ABC):
         """Riemannian inner product of tangents u, v at x."""
 
     def norm(self, x, v):
+        """Riemannian norm of v at x.  A negative ``inner(x, v, v)`` reads 0;
+        only rounding makes one here, as it is a sum of squares, or for a
+        Bures-Wasserstein gradient ``4 tr(G X G) >= 0`` at an SPD X."""
         return math.sqrt(max(self.inner(x, v, v), 0.0))
 
     @abstractmethod
@@ -96,13 +81,14 @@ class Manifold(ABC):
         """Callable mapping a sequence of points ``xs`` to the list of their
         geodesic distances to ``y`` (diagnostics only).  This is the one
         distance a manifold implements; the fixed point's own work is done
-        once per call, and the callable may batch the points'."""
+        once per call, and the callable may batch the points'.  Neither
+        ``y`` nor the points are checked: its caller in a run has checked
+        ``y``, and a check per point would cost one per row."""
 
     def distance(self, x, y):
         """Geodesic distance from x to y: ``distance_from(x)([y])[0]``, once
         ``check_point`` has accepted both points (it raises ValueError for
-        a point off the manifold, a NaN point included).  No manifold
-        overrides it."""
+        a point off the manifold, a NaN point included)."""
         self.check_point(x)
         self.check_point(y)
         return self.distance_from(x)([y])[0]

@@ -1,22 +1,13 @@
 """Symmetric positive definite matrices under the Bures-Wasserstein metric.
 
-Points are SPD matrices X, tangents are symmetric matrices V, and the
-metric is ``<U, V>_X = Tr(L_X(U) V) / 2`` where ``L_X(U)`` solves the
-Lyapunov equation ``X L + L X = U``.  The manifold has nonnegative
-sectional curvature but is **not** geodesically complete: the geodesic
-``t -> Exp_X(t V)`` leaves the SPD cone once ``I + t L_X(V)`` loses
-positive definiteness, so step sizes must respect ``max_step``.  Each
-step is screened by ``max_step_lower_bound``: a step whose factor has
-``||L||_F <= 1/2`` passes on its norm alone, any other takes one shifted
-LAPACK Cholesky of the factor, and the exact ``max_step`` eigensolve runs
-only for a step the screen cannot certify.  Every norm that only decides
-(that screen, the ``I + L`` domain check, ``max_step``'s zero test and
-the transport's collinearity test) is ``linalg._norm``, one
-warning-free BLAS ``ddot``.  The one distance, ``distance_from``, solves
-the eigenvalues of a whole column of points in one stacked call and
-refuses a point that is not positive semidefinite; ``distance(x, y)``,
-inherited, first sends both points through ``check_point`` (symmetric,
-finite, positive definite).
+Points are SPD matrices X, tangents are symmetric matrices V
+(:class:`BWTangent`), and the metric is ``<U, V>_X = Tr(L_X(U) V) / 2``
+where ``L_X(U)`` solves the Lyapunov equation ``X L + L X = U``.  The
+manifold has nonnegative sectional curvature but is **not** geodesically
+complete: the geodesic ``t -> Exp_X(t V)`` leaves the SPD cone once
+``I + t L_X(V)`` loses positive definiteness, so step sizes must respect
+:meth:`BuresWasserstein.max_step`, which
+:meth:`BuresWasserstein.max_step_lower_bound` screens.
 
 Closed forms used throughout (L below is the Lyapunov factor of V at X):
 
@@ -29,16 +20,7 @@ Closed forms used throughout (L below is the Lyapunov factor of V at X):
   without the two (a convention floating around with the unhalved metric)
   fails every directional-derivative check by exactly that factor.
 * transport of W along its own step direction V = c W:
-  ``P(W) = W + (2 / c) L X L``.  ``L X L`` is the exponential's own
-  term, so ``exp_transport`` hands it from the exponential to the
-  transport, and an iteration computes it once.
-
-Riemannian gradients carry their Lyapunov factor together with ``base``,
-the point it was computed at, and scaling keeps both, so the descent
-loops never trigger a Lyapunov solve.  Asking for that factor at any
-other point raises ``ValueError``.  A difference of tangents carries no
-factor; a tangent without one has it solved, and stored nowhere, by each
-operation that needs it.
+  ``P(W) = W + (2 / c) L X L``, with the exponential's own ``L X L``.
 """
 
 from __future__ import annotations
@@ -55,12 +37,13 @@ from .base import Manifold
 # Relative tolerance for the collinearity check of the transport.
 _COLLINEAR_TOL = 1e-8
 
-# Margin of the max_step_lower_bound certificate, relative to ||L||_F;
-# from n = 270 on, 6.2 n (n + 1) eps is larger and takes its place.
+# Margin of the max_step_lower_bound certificate, relative to ||L||_F.
 _SCREEN_MARGIN = 1e-10
 
-# A step whose factor has ||L||_F <= 1/2 keeps every eigenvalue of I + L
-# at least 1/2 (Weyl), so the screen and the I + L domain check decide it
+# Weyl: every eigenvalue of a symmetric L lies in [-||L||_F, ||L||_F].  A
+# factor with ||L||_F <= 1/2 keeps I + L's eigenvalues in [1/2, 3/2]
+# (exp_transport's domain check), and a step t with t ||L||_F <= 1/2 stays
+# below half of max_step (max_step_lower_bound's screen): both are decided
 # from the norm, without LAPACK.
 _SMALL_FACTOR_NORM = 0.5
 
@@ -75,18 +58,16 @@ _RATIO_NORM = 2.0**510
 def _step_ratio(vmat, wmat):
     """The ratio ``c = <v, w> / <w, w>`` (Frobenius) of a step
     ``vmat = c wmat``, or None when either matrix is zero (the transport
-    is then the identity); raises DomainError unless ``wmat`` is collinear
-    with the step.
+    is then the identity).  Raises DomainError unless ``wmat`` is
+    collinear with the step, or when ``c`` or the transport's ``2 / c``
+    would leave the float range (``|shift| > 1020``).
 
     A pair with a norm outside ``[2^-510, 2^510]`` is first scaled, each
     matrix by the power of two that brings its largest entry into
-    [1/2, 1), as ``linalg._jacobi_input`` scales an input, and ``c`` is
-    scaled back by the difference ``shift`` of the two exponents.  Scaling
-    by a power of two is exact, so ``c`` keeps the bits of the unscaled
-    formula wherever that formula's sums are normal floats, and no product
-    overflows: finite matrices raise no floating-point warning.  A
-    ``|shift| > 1020``, where ``c`` or the transport's ``2 / c`` would
-    leave the float range, raises DomainError.
+    [1/2, 1), and ``c`` is scaled back by the difference ``shift`` of the
+    two exponents.  The scaling is exact, so ``c`` keeps the bits of the
+    unscaled formula wherever that formula's sums are normal floats, and
+    finite matrices raise no floating-point warning.
     """
     nv, nw = linalg._norm(vmat), linalg._norm(wmat)
     shift = 0
@@ -104,17 +85,12 @@ def _step_ratio(vmat, wmat):
 
 
 class BWTangent:
-    """Symmetric tangent matrix, optionally with its Lyapunov factor.
+    """Symmetric tangent matrix ``mat`` (V), optionally with its factor.
 
-    Attributes
-    ----------
-    mat : ndarray
-        The tangent matrix V itself.
-    factor : ndarray or None
-        L_X(V), the solution of X L + L X = V at ``base``.  Gradients get
-        it for free; other tangents have None.
-    base : ndarray or None
-        The point X at which ``factor`` solves the Lyapunov equation.
+    ``factor`` is L_X(V), the solution of X L + L X = V at the point
+    ``base``.  Gradients get it for free, and scaling by a number keeps
+    both, so the descent loops never solve a Lyapunov equation; a
+    difference and other tangents have None for both.
     """
 
     __slots__ = ("mat", "factor", "base")
@@ -173,29 +149,20 @@ class BuresWasserstein(Manifold):
 
     def exp_transport(self, x, v):
         """``(exp(x, v), False, transport)``: ``exp(x, v) = (I + L) X (I + L)``
-        for ``L = L_X(v)``, raising outside the step domain, and
-        ``transport(w)`` forms ``W + (2 / c) L X L`` from the exponential's
-        own ``L X L``, so it costs no matrix product.  The transport is
-        defined only for w collinear with v, the single case the descent
+        for ``L = L_X(v)``, raising DomainError outside the step domain
+        (``I + L`` not positive definite) or when the new point fails its
+        SPD certificate.  ``transport(w)`` forms ``W + (2 / c) L X L`` from
+        the exponential's own ``L X L``, so it costs no matrix product.  It
+        is defined only for w collinear with v, the single case the descent
         loops need, and holds ``v``'s matrix and ``L X L``.
-
-        The domain check certifies positive definiteness of I + L itself:
-        the congruence (I + L) X (I + L) stays SPD even for indefinite
-        I + L, where the formula no longer describes a geodesic.  A factor
-        with ``||L||_F <= 1/2`` takes no certificate: every eigenvalue of L
-        lies in ``[-||L||_F, ||L||_F]`` (Weyl), so ``lambda_min(I + L) >=
-        1/2`` and the diagonal lies in [1/2, 3/2].  Scaled to a unit
-        diagonal, I + L then has smallest eigenvalue at least 1/3, far
-        above the ``n (n + 1) eps`` level at which a Cholesky pivot can
-        fail (Higham, *Accuracy and Stability of Numerical Algorithms*,
-        Thm 10.7) for any n below about 10^7.  So ``linalg.cholesky``,
-        which decides exactly when ``require_spd`` raises, cannot fail.
-        The norm is ``linalg._norm``, one BLAS ``ddot``, which raises no
-        floating-point warning: a huge factor reads ``inf`` and a NaN one
-        ``nan``, and both take the certificate.  The new point's
-        certificate runs on every step.
         """
         fac = v.factor_at(x)
+        # The congruence (I + L) X (I + L) stays SPD for an indefinite I + L
+        # too, where it is no geodesic, so I + L itself is certified.  Within
+        # _SMALL_FACTOR_NORM, I + L scaled to a unit diagonal has smallest
+        # eigenvalue >= 1/3, far above the n (n + 1) eps at which a Cholesky
+        # pivot can fail (Higham, Thm 10.7) for any n below about 10^7, so
+        # require_spd cannot raise.  An inf or NaN norm takes the certificate.
         if not linalg._norm(fac) <= _SMALL_FACTOR_NORM:
             try:
                 linalg.require_spd(np.eye(x.shape[0]) + fac)
@@ -229,9 +196,7 @@ class BuresWasserstein(Manifold):
         return -1.0 / lam_min
 
     def max_step_lower_bound(self, x, v, t):
-        """Whether ``t <= max_step(x, v)`` is certified: by the factor's
-        norm when ``t ||L||_F <= 1/2``, else by one shifted LAPACK Cholesky
-        of the factor.
+        """Whether ``t <= max_step(x, v)`` is certified.
 
         For ``L = L_X(v)`` of size n and the margin
         ``m = max(1e-10, 6.2 n (n + 1) eps) ||L||_F`` the answer is True when
@@ -242,16 +207,15 @@ class BuresWasserstein(Manifold):
         ``e = n (n + 1) eps (||L||_2 + 1/t + m)`` (Higham, *Accuracy and
         Stability of Numerical Algorithms*, Thms 10.3/10.7; the rounding of
         the shift and of the shifted diagonal adds a few ``eps`` to that).
-        ``||L||_F`` is ``linalg._norm(L)``, one BLAS ``ddot`` within a
-        relative ``n^2 eps`` of the exact norm (``n^2`` products summed
-        in one pass).  Soundness against the Jacobi max_step,
+        ``||L||_F`` is ``linalg._norm(L)``, within a relative ``n^2 eps`` of
+        the exact norm.  Soundness against the Jacobi max_step,
         ``-1 / lambda`` with Jacobi's smallest eigenvalue ``lambda``:
 
         * if ``t ||L||_F <= 1/2`` (the norm path, taken before any
           factorization), or ``1/t`` exceeds ``2 ||L||_F`` by less than
           that product's rounding (whatever LAPACK says), then ``t`` is
           at most ``(1 + n^2 eps) / 2`` times ``1 / ||L||_F`` exactly:
-          about half the smallest max_step any eigenvalue can give, as
+          about half the smallest max_step any eigenvalue can give (Weyl), as
           Jacobi's ``|lambda|`` exceeds the exact ``||L||_F`` by a
           relative rounding of a few hundred ``eps`` at most.  That
           factor of 2 dwarfs both roundings, so ``alpha = 0.99 t`` lies
@@ -300,9 +264,9 @@ class BuresWasserstein(Manifold):
         of points X to the positive definite y.
 
         The fixed point's square root is computed once; the points'
-        products ``M = Y^1/2 X Y^1/2`` go to the stacked eigensolver
-        ``_DISTANCE_CHUNK`` at a time, which bounds the extra memory and
-        moves no bit.  A point with a negative eigenvalue has an indefinite
+        products ``M = Y^1/2 X Y^1/2`` go to ``linalg.eigvals``
+        ``_DISTANCE_CHUNK`` at a time, which bounds the memory and moves
+        no bit.  A point with a negative eigenvalue has an indefinite
         M (Sylvester's law of inertia), and raises DomainError when M's
         smallest computed eigenvalue is below ``-1e-8 Tr(Y) ||X||_F``.
         For a positive semidefinite X, M is positive semidefinite in exact

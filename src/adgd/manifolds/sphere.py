@@ -4,10 +4,7 @@ Points are unit-norm vectors, tangents at x are vectors orthogonal to x,
 and the metric is the ambient Euclidean inner product.  The manifold is
 geodesically complete with constant positive curvature.  Norms are
 written ``math.sqrt(v.dot(v))``: for a 1-D float vector that is exactly what
-``np.linalg.norm`` computes, without its dispatch overhead.  The step norm
-in ``exp_transport`` takes ``np.vdot`` instead, for the same bits without
-a floating-point warning, and ``check_point`` decides with
-``linalg._norm``, the same ``ddot``.
+``np.linalg.norm`` computes, without its dispatch overhead.
 """
 
 from __future__ import annotations
@@ -31,7 +28,10 @@ _UNIT_TOL = 1e-10
 
 
 def _rotate(x, v, nv, cos, sin, w):
-    """The transport of w along a step v of norm ``nv >= _TINY``."""
+    """The transport of w along a step v of norm ``nv >= _TINY``: along the
+    great circle the component of w along u = v/||v|| rotates with the
+    circle (u -> -sin(||v||) x + cos(||v||) u); the component orthogonal
+    to the plane span(x, u) is unchanged."""
     u = v / nv
     a = float(w.dot(u))
     # a (-sin x + cos u) + (w - a u), written in place: the same operations.
@@ -66,19 +66,12 @@ class Sphere(Manifold):
 
     def exp_transport(self, x, v):
         """``(exp(x, v), False, transport)``; the transport reuses ``||v||``
-        and its sine and cosine.
-
-        Along the great circle the component of w along the geodesic
-        direction u = v/||v|| rotates with the circle
-        (u -> -sin(||v||) x + cos(||v||) u); the component orthogonal to
-        the plane span(x, u) is unchanged.  ``||v||`` is taken with
-        ``np.vdot``: for a contiguous 1-D float vector that is the BLAS
-        ``ddot`` of ``v.dot(v)``, with the same bits, but it raises no
-        floating-point warning, so an overflowing norm raises
-        ``DomainError`` without a numpy warning and without an
-        ``np.errstate``.  A NaN norm gives a NaN point, which the descent
-        loop's finiteness check reports.
+        and its sine and cosine.  A step whose norm overflows raises
+        ``DomainError``, without a numpy warning; a NaN norm gives a NaN
+        point, which the descent loop's finiteness check reports.
         """
+        # np.vdot is the BLAS ddot of v.dot(v), with the same bits, but it
+        # raises no floating-point warning.
         nv = math.sqrt(np.vdot(v, v))
         if nv < _TINY:
             return x, False, _unchanged

@@ -1,66 +1,12 @@
 """Riemannian gradient descent with an adaptive step size, and baselines.
 
-Every method runs through one driver, :func:`_drive`.  At each iterate
-``x_k`` it
-
-1. evaluates the objective ``phi(x_k)`` and the Riemannian gradient
-   ``g_k``, unless the previous step already did (both at once, through
-   ``Problem.value_and_grad``, when it did neither), and aborts the run
-   if either is not finite;
-2. notes whether the run stops here: ``converged`` once
-   ``||g_k|| <= tol``, else ``max-iters`` at ``k = max_iters``;
-3. asks a step rule for the step size and the next iterate
-   ``x_{k+1} = exp(x_k, -alpha_k g_k)``; the rule sees ``x_k``'s
-   evaluations and the previous row, which holds ``alpha_{k-1}``,
-   ``theta_{k-1}``, ``||g_{k-1}||`` and ``phi(x_{k-1})``;
-4. records one :class:`TraceRow`, with the step ratio
-   ``theta_k = alpha_k / alpha_{k-1}`` (0 at ``k = 0`` and after a zero
-   step), and stops, or moves to ``x_{k+1}``.
-
-After the loop, however the run ended, :func:`_drive` fills the rows'
-distance to the optimum (when known and tracked) with one
-``manifold.distance_from`` call over the recorded iterates; the column is
-a diagnostic and never feeds a step.  Before row 0, ``manifold.check_point``
-checks ``x0`` and, when that column will be filled, the optimum.
-
-The step rules:
-
-* :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`).  Each of
-  the paper's three operations per iteration is one metered call: the
-  gradient (:meth:`_Meter.value_and_grad` or :meth:`_Meter.grad`, in
-  :func:`_drive`), the exponential map (:meth:`_Meter.exp_transport`) and,
-  from ``k = 1``, the comparison of ``g_k`` with the previous gradient
-  parallel-transported along the last step (:meth:`_Meter.grad_change`).
-  The transport is the one the exponential returned with that step
-  (``Manifold.exp_transport``), so it reuses the exponential's work, and
-  the rule keeps it in place of the step itself.
-  The step combines a growth cap ``sqrt(1 + theta_{k-1}) alpha_{k-1}``
-  with a local inverse-smoothness estimate; there is no line search,
-  except the optional first-LS warm start that doubles ``alpha0`` at
-  ``k = 0``.  It is the Riemannian form of the rule of Malitsky &
-  Mishchenko, *Adaptive Gradient Descent without Descent*
-  (arXiv:1910.09529).  With the step pinned it is the constant-step
-  baseline (:func:`fixed_run`); on flat R^n it is
-  :func:`euclidean_adgd_run`, the oracle for the positive-orthant
-  equivalence.
-* :func:`_armijo_rule`, the backtracking line-search baseline
-  (:func:`armijo_run`) whose first trial grows as ``lambda * alpha_{k-1}``.
-  Its trials take the same exponential and drop the transport, which
-  costs nothing beyond the exponential's own work.
-
-Each row holds the objective value, gradient norm, step size, step ratio,
-the local inverse-smoothness estimate, cumulative work counters, optional
-distance to the optimum, and a flag recording whether any numerical guard
-fired.
-
-Work counters: ``fn_evals`` and ``exp_evals`` count objective and
-exponential-map evaluations directly (line-search trials included);
-``expensive_ops`` charges the price tags declared by the problem and the
-manifold (matrix-vector products on the sphere, matrix-matrix products
-on SPD matrices) per gradient evaluation, per objective evaluation, per
-exponential call, and per adaptive step-size evaluation, so that all
-optimizers are metered identically.  A row's counters include the work
-of its own step.
+Every method runs through one descent loop, :func:`_drive`, which owns
+the rows, the stopping rules and the distance column, and asks a step rule
+for each step: :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`),
+which pinned is the constant-step baseline (:func:`fixed_run`) and on flat
+R^n the positive-orthant oracle (:func:`euclidean_adgd_run`), or
+:func:`_armijo_rule`, the backtracking baseline (:func:`armijo_run`).
+:class:`_Meter` counts a run's work for the rows (:class:`TraceRow`).
 """
 
 from __future__ import annotations
@@ -136,8 +82,19 @@ class RunConfig:
 
 @dataclass
 class TraceRow:
-    """Per-iterate record; ``ell`` is 0.0 where undefined (k = 0, or a
-    vanishing gradient-difference denominator)."""
+    """The record of iterate ``x_k``.
+
+    ``phi`` and ``grad_norm`` are taken at ``x_k``, ``alpha`` is the step
+    from it and ``theta = alpha_k / alpha_{k-1}`` (0 at k = 0 and after a
+    zero step).  ``ell`` is the local inverse-smoothness estimate, 0.0 where
+    undefined (k = 0, or a vanishing gradient-difference denominator).
+    ``fn_evals`` and ``exp_evals`` count objective and exponential
+    evaluations, line-search trials included, and ``expensive_ops`` charges
+    the problem's and the manifold's price tags for the same calls, so every
+    method is metered alike; all three are cumulative and include the row's
+    own step.  ``dist_to_opt`` is None without a tracked optimum, and
+    ``clamped`` records a guard that capped the step.
+    """
 
     k: int
     phi: float
@@ -154,21 +111,26 @@ class TraceRow:
 
 @dataclass
 class Trace:
+    """A run: its rows, the iterates it reached, its status and, for an
+    aborted run, the diagnostic message."""
+
     rows: list
     points: list
     status: str
     message: str = ""
 
     def column(self, name):
+        """Field ``name`` of every row, as an array in row order."""
         return np.array([getattr(r, name) for r in self.rows])
 
     @property
     def final_point(self):
+        """The last iterate the run reached, ``points[-1]``."""
         return self.points[-1]
 
 
 class _Meter:
-    """Cumulative work counters plus per-run context for one run; its
+    """One run's cumulative work counters (:class:`TraceRow`); its
     evaluations run under :func:`_drive`'s ``np.errstate``."""
 
     __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem")
@@ -261,21 +223,19 @@ def _drive(config, manifold, problem, make_rule):
     ``rule(k, x, phi, grad, grad_norm, stop, prev)`` and returns a
     :class:`_Step`: it sees ``x_k``'s evaluations, the status ``stop`` the
     run ends with at this row (or None), and ``prev``, the row of
-    ``x_{k-1}`` (None at ``k = 0``).  ``_drive`` itself defines the step
-    ratio ``theta_k = alpha_k / alpha_{k-1}``, 0 at ``k = 0`` and after a
-    zero step.  It owns the work meter, the evaluations at each iterate, the
-    finiteness check, the rows, the stopping rules and the mapping of
-    numerical failures (non-finite values, domain errors, rule aborts) to
-    status ``aborted``, which keeps the rows recorded so far.
-    Once the run has stopped, however it stopped, it fills the rows'
-    ``dist_to_opt`` in one ``manifold.distance_from`` call when the
-    optimum is known and ``config.track_distance`` is set; the column
-    never feeds a step.  The whole run ignores floating-point overflow,
-    invalid and divide warnings: a non-finite value reaches the
-    finiteness check, which aborts the run with a diagnostic.  A
-    ``problem.x0`` off the manifold (``manifold.check_point``) raises
-    ValueError before row 0, and so does a known optimum off it when the
-    column will be filled; with the column off the optimum is not read.
+    ``x_{k-1}`` (None at ``k = 0``).  ``_drive`` owns the rest: the meter,
+    the evaluations, the finiteness check, the rows and their ``theta``,
+    the stopping rules, and the mapping of numerical failures (non-finite
+    values, domain errors, rule aborts) to status ``aborted``, which keeps
+    the rows recorded so far.  The whole run ignores floating-point
+    overflow, invalid and divide warnings: a non-finite value reaches the
+    finiteness check instead.
+
+    ``manifold.check_point`` vets ``problem.x0`` before row 0, and the
+    optimum too when the distance column is on (a known optimum and
+    ``config.track_distance``); with the column off the optimum is not
+    read.  However the run stopped, the column is then filled in one
+    ``manifold.distance_from`` call; it never feeds a step.
     """
     manifold.check_point(problem.x0)
     track = config.track_distance and problem.optimum_point is not None
@@ -345,11 +305,14 @@ def _drive(config, manifold, problem, make_rule):
 def _adaptive_rule(config, manifold, meter, pinned=None):
     """The adaptive step size, or the constant ``pinned`` in its place.
 
-    At ``x_k``, ``k >= 1``, with ``alpha_{k-1}``, ``theta_{k-1}`` and
-    ``||g_{k-1}||`` read from the previous row and ``T g_{k-1}`` the
-    previous gradient transported along the last step by the transport its
-    exponential returned (:meth:`_Meter.grad_change`, one
-    ``adapt_extra_ops`` charge)::
+    An iteration makes the paper's three metered calls: the gradient (in
+    :func:`_drive`), the exponential (:meth:`_Meter.exp_transport`) and,
+    from ``k = 1``, the comparison of ``g_k`` with ``T g_{k-1}``, the
+    previous gradient carried by the transport that the last step's
+    exponential returned (:meth:`_Meter.grad_change`).  With
+    ``alpha_{k-1}``, ``theta_{k-1}`` and ``||g_{k-1}||`` read from the
+    previous row, the step is the Riemannian form of Malitsky &
+    Mishchenko's rule (arXiv:1910.09529)::
 
         ell_k   = alpha_{k-1} ||g_{k-1}|| / ||g_k - T g_{k-1}||
         alpha_k = min(sqrt(1 + theta_{k-1}) alpha_{k-1}, ell_k / sqrt(2))
@@ -374,8 +337,8 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     ``alpha0`` before clamping.
 
     With ``pinned`` every step is ``pinned`` (first-LS off; the row's
-    ``ell`` is still the estimate), and the run aborts once the objective
-    has increased for ``_DIVERGENCE_STREAK`` consecutive iterations.
+    ``ell`` is still the estimate), under :func:`fixed_run`'s divergence
+    abort.
     """
     # Until compared at x_k: the transport along the step from x_{k-1}, and
     # g_{k-1}.  Dropping both right after the comparison frees their arrays
@@ -445,7 +408,8 @@ def _armijo_rule(config, manifold, meter):
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial's objective and exponential evaluation is metered, and the
-    accepted trial's objective is carried to the next iterate.  A
+    accepted trial's objective is carried to the next iterate.  Trials
+    take the same exponential and drop its transport.  A
     non-finite trial objective, or more than 60 rejections, aborts the run
     before the row is recorded, with that trial's objective in the
     message.  Rows where the run stops report ``alpha = 0``, hence

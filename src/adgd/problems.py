@@ -91,7 +91,7 @@ def center_of_mass(n, n_points=50, seed=0):
 
     # Plain ufuncs on the 50-element angle vector, unmasked: np.clip,
     # np.sum and a masked np.divide compute the same values with more
-    # overhead (the masked quotient 7.5-10.6 us, the plain one 4.5-7.4 us).
+    # overhead.
     def _angles(x):
         c = pts @ x
         # Counted, not np.minimum.reduce: a NaN must not hide an antipodal term.
@@ -281,18 +281,15 @@ def linear_minus_log(n, seed=0):
 
 
 def fixed_step_reference(problem, manifold, step):
-    """High-accuracy reference optimum via plain fixed-step descent.
+    """High-accuracy reference optimum via plain fixed-step descent,
+    deliberately independent of the adaptive optimizer.
 
-    Deliberately independent of the adaptive optimizer: a small constant
-    step is iterated until the Riemannian gradient norm falls below
-    ``_REFERENCE_TOL``, until a step returns its own starting point (every
-    later iterate would then be that point), or for ``_REFERENCE_MAX_ITERS``
-    steps.
-
-    Returns ``(x, stop, steps, grad_norm)``: the reference point, the stop
-    (``"tol"``, ``"fixed-point"`` or ``"cap"``), the number of exponential
-    steps taken (a fixed-point stop counts the step that returned its own
-    starting point) and the Riemannian gradient norm at ``x``.
+    Returns ``(x, stop, steps, grad_norm)``: the reference point; the stop,
+    ``"tol"`` once the Riemannian gradient norm is at most
+    ``_REFERENCE_TOL``, ``"fixed-point"`` once a step returns its own
+    starting point (every later iterate would be that point; the step
+    counts), or ``"cap"`` after ``_REFERENCE_MAX_ITERS`` steps; the number
+    of exponential steps taken; and the gradient norm at ``x``.
     """
     x = problem.x0
     for steps in range(_REFERENCE_MAX_ITERS + 1):

@@ -95,6 +95,7 @@ def render_trace(trace, meta, deviations=None):
 
 
 def write_trace(path, trace, meta, deviations=None):
+    """Write :func:`render_trace`'s text to ``path``, byte for byte."""
     text = render_trace(trace, meta, deviations)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

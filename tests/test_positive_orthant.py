@@ -32,7 +32,7 @@ class TestRiemannianGradient:
         strict=True,
         raises=AssertionError,
         reason="x * x underflows near 1.7e-304, so x * x * g is -0 and inner takes 0/0; "
-        "mending it moves golden adgd-orthant-abort (ROADMAP item 6)",
+        "mending it moves golden adgd-orthant-abort (ROADMAP item 5 D)",
     )
     def test_norm_is_finite_where_x_squared_underflows(self, orthant):
         # Row 1 of golden adgd-orthant-abort: the run aborts on this NaN.
