@@ -6,10 +6,14 @@ containment radius (:func:`radius`), the certified gap bound
 (:func:`rate_gap_bounds`) and the step-size floor
 (:func:`step_floor_bound`).  All but the floor need the rows' distance to
 a known optimum, and raise ValueError without it.
+
+Squares are products and sums run left to right, so no certificate
+depends on libm's ``pow`` or on the interpreter's ``sum``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -31,12 +35,9 @@ def energy_sequence(trace, phi_star):
     out = []
     for k in range(1, len(rows)):
         prev, cur = rows[k - 1], rows[k]
-        carried = (prev.alpha * prev.grad_norm) ** 2
-        out.append(
-            cur.dist_to_opt**2
-            + carried
-            + 2.0 * cur.alpha * cur.theta * (prev.phi - phi_star)
-        )
+        step = prev.alpha * prev.grad_norm
+        out.append(cur.dist_to_opt * cur.dist_to_opt + step * step
+                   + 2.0 * cur.alpha * cur.theta * (prev.phi - phi_star))
     return np.array(out)
 
 
@@ -45,7 +46,8 @@ def radius(trace):
     iterate's distance to the optimum."""
     _require_distances(trace)
     r0 = trace.rows[0]
-    return math.sqrt(r0.dist_to_opt**2 + 2.0 * (r0.alpha * r0.grad_norm) ** 2)
+    step = r0.alpha * r0.grad_norm
+    return math.sqrt(r0.dist_to_opt * r0.dist_to_opt + 2.0 * (step * step))
 
 
 def rate_gap_bounds(trace, phi_star, ks):
@@ -55,15 +57,16 @@ def rate_gap_bounds(trace, phi_star, ks):
     evaluated at the last recorded iterate.
     """
     rows = trace.rows
-    r_sq = radius(trace) ** 2
+    r = radius(trace)
+    # Entry k - 1 covers rows 1 .. k: one left-to-right pass each.
+    best_phi = list(itertools.accumulate((row.phi for row in rows[1:]), min))
+    alpha_sum = list(itertools.accumulate(row.alpha for row in rows[1:]))
     out = []
     for k in ks:
         k_eff = min(k, len(rows) - 1)
         if k_eff < 1:
             raise ValueError("rate bound needs at least one adaptive iteration")
-        best_gap = min(r.phi for r in rows[1 : k_eff + 1]) - phi_star
-        alpha_sum = sum(r.alpha for r in rows[1 : k_eff + 1])
-        out.append((best_gap, r_sq / (2.0 * alpha_sum)))
+        out.append((best_phi[k_eff - 1] - phi_star, r * r / (2.0 * alpha_sum[k_eff - 1])))
     return out
 
 

@@ -395,21 +395,6 @@ def _eigvals_sweep(b, n, thresh):
             cols[qq][...] = b_q
 
 
-def _spd_eig(x, name):
-    """``sym_eig(x)``, raising DomainError unless the spectrum passes the SPD
-    tolerance test: its smallest eigenvalue exceeds 1e-12 times its largest
-    (the ends of the ascending spectrum).  The test is relative at every
-    scale, and rejects a zero or negative spectrum."""
-    eig = sym_eig(x)
-    lo, hi = eig.eigenvalues[[0, -1]]
-    if not lo > 1e-12 * hi:
-        raise DomainError(
-            f"{name} requires a positive definite matrix (min eigenvalue {lo:.3e} "
-            f"not above 1e-12 times max eigenvalue {hi:.3e})"
-        )
-    return eig
-
-
 def solve_lyapunov(x, u):
     """Solve X L + L X = U for symmetric L, with X positive definite.
 
@@ -422,11 +407,22 @@ def solve_lyapunov(x, u):
 
     U is checked by :func:`check_symmetric`; X only by :func:`sym_eig`,
     whose :func:`_jacobi_input` raises ValueError naming ``sym_eig
-    input``.  Raises DomainError when X fails the SPD tolerance test.
+    input``.  Raises DomainError unless X's smallest eigenvalue exceeds
+    1e-12 times its largest, a test relative at every scale that also
+    rejects a zero or negative spectrum.
     """
     u = check_symmetric(u, "solve_lyapunov right-hand side")
-    eig = _spd_eig(x, "solve_lyapunov")
+    eig = sym_eig(x)
     w = eig.eigenvalues
+    # The package's one eigenvalue-ratio rule: the quotient below divides
+    # by w_i + w_j, so it needs a conditioning cutoff that require_spd's
+    # certificate, which decides every other SPD question, does not give.
+    lo, hi = w[[0, -1]]
+    if not lo > 1e-12 * hi:
+        raise DomainError(
+            f"solve_lyapunov requires a positive definite matrix (min eigenvalue {lo:.3e} "
+            f"not above 1e-12 times max eigenvalue {hi:.3e})"
+        )
     qt_u_q = eig.basis.T @ u @ eig.basis
     if 2.0 * float(w[-1]) == math.inf:
         w = 0.5 * w
@@ -438,11 +434,21 @@ def spd_sqrt(x):
     """Principal square root of a positive definite matrix.
 
     X is checked only by :func:`sym_eig`, whose :func:`_jacobi_input`
-    raises ValueError naming ``sym_eig input``.  Raises DomainError when
-    X fails the SPD tolerance test.
+    raises ValueError naming ``sym_eig input``.  Raises DomainError,
+    naming the smallest computed eigenvalue, exactly when
+    :func:`require_spd` refuses X, the certificate a Bures-Wasserstein
+    point passes.  An eigenvalue rounded below 0 reads as 0.
     """
-    eig = _spd_eig(x, "spd_sqrt")
-    return symmetrize((eig.basis * np.sqrt(eig.eigenvalues)) @ eig.basis.T)
+    eig = sym_eig(x)
+    try:
+        require_spd(x)
+    except DomainError:
+        raise DomainError(
+            f"spd_sqrt requires a positive definite matrix (min eigenvalue {eig.eigenvalues[0]:.3e})"
+        ) from None
+    # No conditioning cutoff: |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), so an
+    # eigenvalue's rounding moves its root by at most the rounding's root.
+    return symmetrize((eig.basis * np.sqrt(np.maximum(eig.eigenvalues, 0.0))) @ eig.basis.T)
 
 
 def cholesky(x):
@@ -450,8 +456,8 @@ def cholesky(x):
 
     Raises DomainError on the first non-positive or non-finite pivot.  It
     decides the cases :func:`require_spd`'s LAPACK screen cannot certify,
-    and is the oracle its tests compare against.  Tolerance-based SPD
-    validation goes through ``sym_eig`` instead.
+    and is the oracle its tests compare against.  The one SPD decision
+    made without them is :func:`solve_lyapunov`'s eigenvalue ratio.
     """
     a = np.asarray(x, dtype=float)
     n = a.shape[0]

@@ -231,18 +231,21 @@ def _drive(config, manifold, problem, make_rule):
     overflow, invalid and divide warnings: a non-finite value reaches the
     finiteness check instead.
 
-    ``manifold.check_point`` vets ``problem.x0`` before row 0, and the
-    optimum too when the distance column is on (a known optimum and
-    ``config.track_distance``); with the column off the optimum is not
-    read.  However the run stopped, the column is then filled in one
-    ``manifold.distance_from`` call; it never feeds a step.
+    ``manifold.check_point`` vets ``problem.x0`` before row 0.  When the
+    distance column is on (a known optimum and ``config.track_distance``)
+    the optimum is vetted too, and ``manifold.distance_from(optimum)``,
+    with the fixed point's work and anything it refuses, is built before
+    row 0 as well; with the column off the optimum is not read.  However
+    the run stopped, the column is then filled in one call of that
+    callable; it never feeds a step.
     """
-    manifold.check_point(problem.x0)
-    track = config.track_distance and problem.optimum_point is not None
-    if track:
-        manifold.check_point(problem.optimum_point)
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        manifold.check_point(problem.x0)
+        distances = None
+        if config.track_distance and problem.optimum_point is not None:
+            manifold.check_point(problem.optimum_point)
+            distances = manifold.distance_from(problem.optimum_point)
         meter = _Meter(manifold, problem)
         rule = make_rule(config, manifold, meter)
         rows = []
@@ -295,9 +298,8 @@ def _drive(config, manifold, problem, make_rule):
                 points.append(x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
             stop, message = STATUS_ABORTED, str(exc)
-        if track:
-            dists = manifold.distance_from(problem.optimum_point)(points[: len(rows)])
-            for row, dist in zip(rows, dists):
+        if distances is not None:
+            for row, dist in zip(rows, distances(points[: len(rows)])):
                 row.dist_to_opt = dist
     return Trace(rows, points, stop, message)
 

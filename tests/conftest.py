@@ -28,9 +28,8 @@ def random_sphere_tangent(rng, x, scale=1.0):
 
 
 def is_spd_spectrum(eigenvalues):
-    """The SPD tolerance test of ``linalg``'s Lyapunov and square-root
-    kernels, on a spectrum: its smallest eigenvalue exceeds 1e-12 times its
-    largest."""
+    """The SPD tolerance test of ``linalg.solve_lyapunov``, on a spectrum:
+    its smallest eigenvalue exceeds 1e-12 times its largest."""
     ev = np.asarray(eigenvalues, dtype=float)
     return float(np.min(ev)) > 1e-12 * float(np.max(ev))
 

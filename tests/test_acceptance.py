@@ -149,6 +149,32 @@ def test_written_traces_read_back_bit_for_bit(com_traces, lyapunov_traces, tmp_p
             assert _bits(np.asarray(got).tolist()) == _bits(np.asarray(want).tolist())
 
 
+def test_certificates_are_products_and_left_to_right_sums(com_traces, lyapunov_traces):
+    # Criteria 2 and 3's numbers, bit for bit, as correctly rounded
+    # products and plain left-to-right sums: neither libm's pow nor a
+    # compensated sum (builtin sum from Python 3.12) may move them.
+    checkpoints = (10, 100, 1000)
+    for prob, trace in com_traces + lyapunov_traces:
+        rows, phi_star = trace.rows, prob.optimum_value
+        energy = []
+        for prev, cur in zip(rows, rows[1:]):
+            step = prev.alpha * prev.grad_norm
+            energy.append(cur.dist_to_opt * cur.dist_to_opt + step * step
+                          + 2.0 * cur.alpha * cur.theta * (prev.phi - phi_star))
+        step = rows[0].alpha * rows[0].grad_norm
+        r = math.sqrt(rows[0].dist_to_opt * rows[0].dist_to_opt + 2.0 * (step * step))
+        bounds = []
+        for k in checkpoints:
+            best, total = rows[1].phi, 0.0
+            for row in rows[1 : k + 1]:
+                best = min(best, row.phi)
+                total = total + row.alpha
+            bounds.append((best - phi_star, r * r / (2.0 * total)))
+        assert _bits(diagnostics.energy_sequence(trace, phi_star).tolist()) == _bits(energy)
+        assert _bits(diagnostics.radius(trace)) == _bits(r)
+        assert _bits(diagnostics.rate_gap_bounds(trace, phi_star, checkpoints)) == _bits(bounds)
+
+
 def test_criterion_4_geometry_suites():
     sphere = Sphere()
     orthant = PositiveOrthant()

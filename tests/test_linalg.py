@@ -793,6 +793,25 @@ class TestSolveLyapunov:
         sol = linalg.solve_lyapunov(1e-13 * np.eye(3), u)
         assert np.allclose(sol, u / 2e-13, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("diag", [[1.0, 1e-13], [1e-20, 1e-33]])
+    def test_rejects_condition_beyond_the_tolerance(self, diag):
+        # Smallest over largest eigenvalue below 1e-12, at any scale.
+        with pytest.raises(DomainError, match="requires a positive definite matrix"):
+            linalg.solve_lyapunov(np.diag(diag), np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-200, 1e200])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_condition_one_ulp_either_side_of_the_tolerance(self, n, scale):
+        # Diagonal X, so the spectrum is exact and no sweep runs: the
+        # smallest entry one ulp above 1e-12 * max passes, at or one ulp
+        # below it fails.
+        u = np.ones((n, n))
+        below, at, above = _one_ulp_diagonals(n, scale)
+        for d in (below, at):
+            with pytest.raises(DomainError, match="requires a positive definite matrix"):
+                linalg.solve_lyapunov(np.diag(d), u)
+        assert np.array_equal(linalg.solve_lyapunov(np.diag(above), u), u / (above[:, None] + above[None, :]))
+
     @pytest.mark.parametrize("scale", [9e307, 1e308, np.finfo(float).max])
     def test_pencil_near_the_float_maximum_solves(self, scale):
         # w_i + w_j overflows here; the solution I / (2 s) does not.
@@ -825,48 +844,44 @@ class TestSpdSqrt:
             twice = linalg.spd_sqrt(linalg.spd_sqrt(x4))
             assert np.linalg.norm(twice - x) <= 1e-8 * np.linalg.norm(x)
 
-    def test_rejects_non_spd(self):
-        with pytest.raises(DomainError):
-            linalg.spd_sqrt(np.diag([1.0, 0.0]))
+    @pytest.mark.parametrize("low", [0.0, -1e-3])
+    def test_rejects_non_spd(self, low):
+        # require_spd's refusal, naming the smallest computed eigenvalue.
+        with pytest.raises(DomainError, match=re.escape(f"(min eigenvalue {low:.3e})")):
+            linalg.spd_sqrt(np.diag([1.0, low]))
 
     @pytest.mark.parametrize("scale", [1e-13, 1e-160])
     def test_tiny_scaled_identity_has_a_root(self, scale):
-        # The SPD tolerance is relative: scale alone never rejects.
+        # The SPD certificate is relative: scale alone never rejects.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             root = linalg.spd_sqrt(scale * np.eye(3))
         assert np.array_equal(root, math.sqrt(scale) * np.eye(3))
 
     @pytest.mark.parametrize("diag", [[1.0, 1e-13], [1e-20, 1e-33]])
-    @pytest.mark.parametrize("kernel", ["spd_sqrt", "solve_lyapunov"])
-    def test_rejects_condition_beyond_the_tolerance(self, kernel, diag):
-        # Smallest over largest eigenvalue below 1e-12, at any scale.
-        x = np.diag(diag)
-        call = linalg.spd_sqrt if kernel == "spd_sqrt" else lambda m: linalg.solve_lyapunov(m, np.eye(2))
-        with pytest.raises(DomainError, match="requires a positive definite matrix"):
-            call(x)
-
+    def test_root_beyond_the_lyapunov_tolerance(self, diag):
+        # Smallest over largest eigenvalue below solve_lyapunov's 1e-12, at
+        # any scale: require_spd certifies X, so it has its exact root.
+        assert np.array_equal(linalg.spd_sqrt(np.diag(diag)), np.diag(np.sqrt(diag)))
 
     @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-200, 1e200])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_condition_one_ulp_either_side_of_the_tolerance(self, n, scale):
-        # Diagonal X, so the spectrum is exact and no sweep runs: the
-        # smallest entry one ulp above 1e-12 * max passes, at or one ulp
-        # below it fails, in both kernels.
-        level = 1e-12 * scale
-        for low, passes in ((np.nextafter(level, 0.0), False), (level, False),
-                            (np.nextafter(level, np.inf), True)):
-            d = np.linspace(0.5, 1.0, n) * scale
-            d[n // 2 - 1] = low
-            x = np.diag(d)
-            u = np.ones((n, n))
-            if not passes:
-                for call in (lambda: linalg.spd_sqrt(x), lambda: linalg.solve_lyapunov(x, u)):
-                    with pytest.raises(DomainError, match="requires a positive definite matrix"):
-                        call()
-                continue
-            assert np.array_equal(linalg.spd_sqrt(x), np.diag(np.sqrt(d)))
-            assert np.array_equal(linalg.solve_lyapunov(x, u), u / (d[:, None] + d[None, :]))
+    def test_root_one_ulp_either_side_of_the_lyapunov_tolerance(self, n, scale):
+        # The diagonal matrices that pin solve_lyapunov's boundary
+        # (TestSolveLyapunov) all get their exact root: the square root
+        # has no conditioning cutoff.
+        for d in _one_ulp_diagonals(n, scale):
+            assert np.array_equal(linalg.spd_sqrt(np.diag(d)), np.diag(np.sqrt(d)))
+
+
+def _one_ulp_diagonals(n, scale):
+    """Spectra ``linspace(0.5, 1, n) * scale`` with one entry one ulp
+    below, at and one ulp above ``1e-12 * scale``, in that order."""
+    level = 1e-12 * scale
+    for low in (np.nextafter(level, 0.0), level, np.nextafter(level, np.inf)):
+        d = np.linspace(0.5, 1.0, n) * scale
+        d[n // 2 - 1] = low
+        yield d
 
 
 class TestPlumbing:

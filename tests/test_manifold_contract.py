@@ -204,6 +204,86 @@ class TestDistanceChecksItsPoints:
                 m.distance(x, y)
             assert str(got.value) == message
 
+    # Points each manifold accepts or refuses, ill-conditioned ones included.
+    POINT_SETS = {
+        "sphere": [
+            np.array([1.0, 0.0, 0.0]),
+            np.array([0.6, 0.8, 0.0]),
+            np.array([-1.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 1e-300]),
+            np.array([1.0 + 1e-11, 0.0, 0.0]),
+            3.0 * np.eye(3)[0],
+            np.array([math.nan, 0.0, 0.0]),
+        ],
+        "orthant": [
+            np.ones(3),
+            np.array([1.0, 2.0, 3.0]),
+            np.array([1e-300, 1.0, 1e300]),
+            np.array([5e-324, 1.0, 1.0]),
+            np.array([0.0, 1.0, 1.0]),
+            np.array([-1.0, 1.0, 1.0]),
+            np.array([math.nan, 1.0, 1.0]),
+            np.array([math.inf, 1.0, 1.0]),
+        ],
+        "bw": [
+            np.eye(2),
+            np.diag([1.0, 1e-13]),
+            np.diag([1e-20, 1e-33]),
+            np.diag([1.0, 1e-300]),
+            np.diag([1.0, 5e-324]),
+            np.array([[2.0, 1.0], [1.0, 2.0]]),
+            np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]),
+            np.array([[4.0, 1.0], [1.0, 0.5]]),
+            np.diag([1.0, 0.0]),
+            np.diag([1.0, -1e-3]),
+            np.array([[math.nan, 0.0], [0.0, 1.0]]),
+            np.array([[2.0, 1.0], [0.0, 2.0]]),
+        ],
+    }
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ValueError:
+            return None
+
+    @pytest.mark.parametrize("case", sorted(POINT_SETS))
+    def test_refuses_symmetrically(self, case):
+        # distance(x, y) raises exactly when distance(y, x) does.  The sphere
+        # and orthant values agree bit for bit; BW's closed form takes a
+        # root of one point or the other, and a root of an eigenvalue known
+        # to eps ||X|| is known to sqrt(eps ||X||), so the two orders agree
+        # to a few sqrt(eps) relative, not to a few eps.
+        m = {"sphere": Sphere, "orthant": PositiveOrthant, "bw": BuresWasserstein}[case]()
+        pts = self.POINT_SETS[case]
+        for x in pts:
+            for y in pts:
+                there = self._outcome(lambda: m.distance(x, y))
+                back = self._outcome(lambda: m.distance(y, x))
+                assert (there is None) == (back is None)
+                if there is None:
+                    continue
+                if case == "bw":
+                    assert abs(there - back) <= 1e-7 * max(there, back)
+                else:
+                    assert np.float64(there).tobytes() == np.float64(back).tobytes()
+
+    def test_ill_conditioned_bw_distance_both_ways(self):
+        # Condition 1e13: both orders take require_spd's word for the point.
+        m = BuresWasserstein()
+        there = m.distance(np.eye(2), np.diag([1.0, 1e-13]))
+        back = m.distance(np.diag([1.0, 1e-13]), np.eye(2))
+        assert abs(there - back) <= 1e-12 * there
+
+    def test_spd_sqrt_refuses_what_check_point_refuses(self):
+        # One positive-definiteness rule for points: a point has a root
+        # exactly when check_point accepts it (DomainError is a ValueError).
+        m = BuresWasserstein()
+        for x in self.POINT_SETS["bw"]:
+            accepted = self._outcome(lambda: m.check_point(x) or True) is not None
+            assert (self._outcome(lambda: linalg.spd_sqrt(x)) is not None) == accepted
+
     def test_only_the_base_class_defines_distance(self):
         classes = [Manifold]
         for cls in classes:

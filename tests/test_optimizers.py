@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adgd import cli, diagnostics, optimizers, problems, trace_io
+from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere, bures_wasserstein
 from adgd.optimizers import (
     STATUS_ABORTED,
@@ -627,6 +628,34 @@ class TestOptimumPoint:
         off = dataclasses.replace(config, track_distance=False)
         tr = adgd_run(off, manifold_cls(), bad)
         assert calls and tr.rows == adgd_run(off, manifold_cls(), valid).rows
+
+    def test_ill_conditioned_optimum_fills_the_column(self):
+        # A point check_point accepts has a square root: the column's fixed
+        # point decides positive definiteness as check_point does, so a
+        # valid optimum of condition 1e13 never costs the run its trace.
+        prob = dataclasses.replace(problems.lyapunov_objective(3, 0), optimum_point=np.diag([1.0, 1.0, 1e-13]))
+        tr = adgd_run(RunConfig(), BuresWasserstein(), prob)
+        assert tr.status == STATUS_CONVERGED
+        assert np.isfinite(tr.column("dist_to_opt")).all()
+
+    @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+    def test_distance_column_built_before_any_evaluation(self, method, monkeypatch):
+        # The fixed point's work, and anything it refuses, comes before row 0.
+        def refuse(self, y):
+            raise DomainError("no distance")
+
+        monkeypatch.setattr(BuresWasserstein, "distance_from", refuse)
+        calls = []
+        valid = problems.lyapunov_objective(4, 0)
+
+        def value(x):
+            calls.append(1)
+            return valid.value(x)
+
+        prob = dataclasses.replace(valid, value=value, joint=None)
+        with pytest.raises(DomainError, match="no distance"):
+            _EDGE_METHODS[method](RunConfig(max_iters=5), BuresWasserstein(), prob)
+        assert calls == []
 
 
 class TestJointEvaluation:
