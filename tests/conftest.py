@@ -27,6 +27,13 @@ def random_sphere_tangent(rng, x, scale=1.0):
     return v
 
 
+def array_bits(value):
+    """``(shape, bytes)`` of a float or an array, or of a Bures-Wasserstein
+    tangent's matrix: equal exactly when the values agree bit for bit."""
+    arr = np.asarray(getattr(value, "mat", value), dtype=float)
+    return arr.shape, arr.tobytes()
+
+
 def is_spd_spectrum(eigenvalues):
     """The SPD tolerance test of ``linalg.solve_lyapunov``, on a spectrum:
     its smallest eigenvalue exceeds 1e-12 times its largest."""

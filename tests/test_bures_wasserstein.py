@@ -662,39 +662,6 @@ class TestDistanceColumnFloor:
         assert any(tr.rows[k].grad_norm > config.tol for k in zeros)
 
 
-class TestStartingPoint:
-    """``_drive`` asks ``BuresWasserstein.check_point`` of ``x0`` before
-    row 0: symmetric, finite and positive definite, else ValueError."""
-
-    def test_negative_definite_start_raises(self, bw):
-        # Unchecked, x0 = -I ends "converged" after one row: inner(g, g) < 0
-        # there, and Manifold.norm's max(., 0) reads it as a zero gradient.
-        prob = problems.lyapunov_objective(5, 0)
-        prob.x0 = -np.eye(5)
-        with pytest.raises(ValueError, match="positive definite"):
-            adgd_run(RunConfig(), bw, prob)
-
-    @pytest.mark.parametrize(
-        "x0, match",
-        [
-            (np.diag([1.0, 1.0, 0.0]), "positive definite"),
-            (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not symmetric"),
-            (np.diag([1.0, np.nan, 1.0]), "NaN or infinite"),
-            (np.diag([1.0, np.inf, 1.0]), "NaN or infinite"),
-        ],
-        ids=["singular", "asymmetric", "nan", "inf"],
-    )
-    def test_off_manifold_points_rejected(self, bw, x0, match):
-        with pytest.raises(ValueError, match=match):
-            bw.check_point(x0)
-
-    def test_spd_points_accepted(self, bw):
-        rng = np.random.default_rng(23)
-        for n in (1, 2, 5, 20):
-            bw.check_point(random_spd(rng, n))
-        bw.check_point(1e-300 * np.eye(3))  # the exact Cholesky decides
-
-
 class TestTangentArithmetic:
     def test_scaling_propagates_caches(self, bw):
         rng = np.random.default_rng(17)

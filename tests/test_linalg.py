@@ -945,6 +945,21 @@ class TestPlumbing:
                 assert out.tobytes() == out.T.copy().tobytes()
                 assert linalg.symmetrize(out).tobytes() == out.tobytes()
 
+    def test_symmetric_outputs_are_exactly_symmetric(self):
+        # Every symmetric matrix a kernel returns goes through symmetrize,
+        # so it equals its transpose bit for bit.  (A transported tangent,
+        # W + (2 / c) L X L, is not symmetrized and is not checked here.)
+        bw = BuresWasserstein()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 13))
+            x = random_spd(rng, n, 0.2, 4.0)
+            u = random_sym(rng, n)
+            grad = bw.egrad_to_rgrad(x, rng.standard_normal((n, n)))
+            step = (-0.5 * min(1.0, bw.max_step(x, (-1.0) * grad))) * grad
+            for out in (linalg.solve_lyapunov(x, u), linalg.spd_sqrt(x), bw.exp(x, step), grad.mat):
+                assert np.array_equal(out, out.T)
+
     def test_cholesky_agrees_with_numpy(self):
         rng = np.random.default_rng(8)
         x = random_spd(rng, 7)

@@ -1,7 +1,8 @@
-"""Properties every manifold implementation must satisfy: transport is a
-linear isometry, transport of the step's own velocity matches the
-derivative of the exponential, the nonnegative-curvature hinge inequality,
-and basic distance axioms."""
+"""Properties every manifold implementation must satisfy beyond criterion 4
+of ``test_acceptance.py``, which owns the transport isometry, the
+exp-velocity check, the hinge inequality and the sphere's unit drift: the
+distance axioms, the one table of ``check_point`` verdicts, the
+``max_step`` certificate and ``exp_transport``'s closed forms."""
 
 import math
 
@@ -12,7 +13,7 @@ from adgd import linalg, optimizers
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, Manifold, PositiveOrthant, Sphere
 
-from conftest import random_sphere_tangent, random_spd, random_sym, random_unit
+from conftest import array_bits, random_sphere_tangent, random_spd, random_sym, random_unit
 
 
 def sphere_sample(rng, scale=1.0):
@@ -38,98 +39,6 @@ def bw_sample(bw, rng, scale=0.3):
         v = (0.5 * cap) * v
     w = float(rng.uniform(0.3, 2.0)) * v
     return x, v, w
-
-
-class TestTransportIsometry:
-    @pytest.mark.parametrize("case", ["sphere", "orthant", "bw"])
-    def test_norm_preserved(self, case):
-        rng = np.random.default_rng(100)
-        count = 500
-        if case == "sphere":
-            m = Sphere()
-            samples = (sphere_sample(rng) for _ in range(count))
-        elif case == "orthant":
-            m = PositiveOrthant()
-            samples = (orthant_sample(rng) for _ in range(count))
-        else:
-            m = BuresWasserstein()
-            samples = (bw_sample(m, rng) for _ in range(count))
-        for x, v, w in samples:
-            y = m.exp(x, v)
-            before = m.norm(x, w)
-            after = m.norm(y, m.transport_along_step(x, v, w))
-            assert abs(after - before) <= 1e-9 * (1.0 + before)
-
-
-class TestTransportEqualsExpVelocity:
-    # P(v) along t -> exp(x, t v) must equal d/dt exp(x, t v) at t = 1,
-    # checked by centered differences.
-
-    def _check(self, m, x, v, to_array=lambda t: t, h=1e-4, tol=1e-5):
-        transported = to_array(m.transport_along_step(x, v, v))
-        plus = m.exp(x, (1.0 + h) * v)
-        minus = m.exp(x, (1.0 - h) * v)
-        fd = (plus - minus) / (2.0 * h)
-        assert np.linalg.norm(np.asarray(transported) - fd) <= tol * (
-            1.0 + np.linalg.norm(fd)
-        )
-
-    def test_sphere(self):
-        m = Sphere()
-        rng = np.random.default_rng(101)
-        for _ in range(50):
-            x = random_unit(rng, 4)
-            v = random_sphere_tangent(rng, x)
-            self._check(m, x, v)
-
-    def test_orthant(self):
-        m = PositiveOrthant()
-        rng = np.random.default_rng(102)
-        for _ in range(50):
-            x = rng.uniform(0.3, 2.0, size=4)
-            v = rng.standard_normal(4)
-            self._check(m, x, v)
-
-    def test_bures_wasserstein(self):
-        m = BuresWasserstein()
-        rng = np.random.default_rng(103)
-        for _ in range(50):
-            x = random_spd(rng, 4)
-            v = BWTangent(random_sym(rng, 4, scale=0.2))
-            if m.max_step(x, v) <= 1.2:
-                v = (0.5 * m.max_step(x, v)) * v
-            self._check(m, x, v, to_array=lambda t: t.mat)
-
-
-class TestHingeInequality:
-    # Nonnegative curvature: endpoints of two geodesics from the same point
-    # are no farther apart than the initial velocities.
-
-    def test_sphere(self):
-        m = Sphere()
-        rng = np.random.default_rng(104)
-        for _ in range(200):
-            x = random_unit(rng, 5)
-            v1 = random_sphere_tangent(rng, x, rng.uniform(0.1, 1.0))
-            v2 = random_sphere_tangent(rng, x, rng.uniform(0.1, 1.0))
-            lhs = m.distance(m.exp(x, v1), m.exp(x, v2))
-            assert lhs <= m.norm(x, v1 - v2) + 1e-8
-
-    def test_bures_wasserstein(self):
-        m = BuresWasserstein()
-        rng = np.random.default_rng(105)
-        done = 0
-        while done < 200:
-            n = int(rng.integers(2, 5))
-            x = random_spd(rng, n)
-            v1 = BWTangent(random_sym(rng, n, scale=0.2))
-            v2 = BWTangent(random_sym(rng, n, scale=0.2))
-            if min(m.max_step(x, v1), m.max_step(x, v2)) <= 1.05:
-                continue
-            lhs = m.distance(m.exp(x, v1), m.exp(x, v2))
-            rhs = m.norm(x, v1 - v2)
-            assert lhs <= rhs + 1e-8
-            done += 1
 
 
 class TestDistanceAxioms:
@@ -176,26 +85,93 @@ class TestDistanceAxioms:
         assert "distance_from" in type(m).__dict__
 
 
+MANIFOLDS = {"sphere": Sphere, "orthant": PositiveOrthant, "bw": BuresWasserstein}
+_UNIT_RNG, _SPD_RNG = np.random.default_rng(24), np.random.default_rng(23)
+
+# Every point whose check_point verdict the suite pins, ill-conditioned
+# ones included: (manifold, id, point, None if accepted or the ValueError's
+# message match).
+POINTS = [
+    ("sphere", "e0", np.array([1.0, 0.0, 0.0]), None),
+    ("sphere", "oblique", np.array([0.6, 0.8, 0.0]), None),
+    ("sphere", "minus-e0", np.array([-1.0, 0.0, 0.0]), None),
+    ("sphere", "tiny-entry", np.array([0.0, 1.0, 1e-300]), None),
+    ("sphere", "long-1e-11", np.array([1.0 + 1e-11, 0.0, 0.0]), None),
+    ("sphere", "long-5e-11", np.array([1.0 + 5e-11, 0.0]), None),
+    *[("sphere", f"random-{n}", random_unit(_UNIT_RNG, n), None) for n in (1, 2, 10, 100)],
+    ("sphere", "scaled", 3.0 * np.eye(3)[0], "unit norm"),
+    ("sphere", "long", np.array([1.0 + 2e-10, 0.0, 0.0]), "unit norm"),
+    ("sphere", "short", np.array([1.0 - 2e-10, 0.0, 0.0]), "unit norm"),
+    ("sphere", "zero", np.array([0.0, 0.0, 0.0]), "unit norm"),
+    ("sphere", "overflow", np.array([1e200, 0.0, 0.0]), "unit norm"),
+    ("sphere", "nan", np.array([math.nan, 0.0, 0.0]), "finite vector"),
+    ("sphere", "nan-last", np.array([1.0, 0.0, math.nan]), "finite"),
+    ("sphere", "minus-inf", np.array([1.0, -math.inf, 0.0]), "finite"),
+    ("sphere", "matrix", np.eye(2), "finite vector"),
+    ("orthant", "ones", np.ones(3), None),
+    ("orthant", "ramp", np.array([1.0, 2.0, 3.0]), None),
+    ("orthant", "extremes", np.array([1e-300, 1.0, 1e300]), None),
+    ("orthant", "subnormal", np.array([5e-324, 1.0, 1.0]), None),
+    *[
+        ("orthant", name, np.array([entry, 1.0, 1.0]), "finite positive entries")
+        for name, entry in [("zero", 0.0), ("negative", -1.0), ("nan", math.nan), ("inf", math.inf)]
+    ],
+    *[
+        ("orthant", f"{name}-last", np.array([1.0, entry]), "finite positive entries")
+        for name, entry in [
+            ("zero", 0.0), ("negzero", -0.0), ("negative", -1.0), ("inf", math.inf), ("nan", math.nan)
+        ]
+    ],
+    ("bw", "identity", np.eye(2), None),
+    ("bw", "cond-1e13", np.diag([1.0, 1e-13]), None),
+    ("bw", "tiny-diagonal", np.diag([1e-20, 1e-33]), None),
+    ("bw", "cond-1e300", np.diag([1.0, 1e-300]), None),
+    ("bw", "subnormal", np.diag([1.0, 5e-324]), None),
+    ("bw", "coupled", np.array([[2.0, 1.0], [1.0, 2.0]]), None),
+    ("bw", "near-singular", np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]), None),
+    ("bw", "skewed", np.array([[4.0, 1.0], [1.0, 0.5]]), None),
+    ("bw", "tiny-identity", 1e-300 * np.eye(3), None),  # the exact Cholesky decides
+    *[("bw", f"random-{n}", random_spd(_SPD_RNG, n), None) for n in (1, 2, 5, 20)],
+    ("bw", "singular-2", np.diag([1.0, 0.0]), "positive definite"),
+    ("bw", "singular-last", np.diag([1.0, 1.0, 0.0]), "positive definite"),
+    ("bw", "singular", np.diag([1.0, 0.0, 1.0]), "positive definite"),
+    ("bw", "indefinite", np.diag([1.0, -1e-3]), "positive definite"),
+    ("bw", "negative", -np.eye(3), "positive definite"),
+    ("bw", "nan", np.array([[math.nan, 0.0], [0.0, 1.0]]), "NaN or infinite"),
+    ("bw", "nan-3", np.diag([1.0, math.nan, 1.0]), "NaN or infinite"),
+    ("bw", "inf-3", np.diag([1.0, math.inf, 1.0]), "NaN or infinite"),
+    ("bw", "asymmetric-2", np.array([[2.0, 1.0], [0.0, 2.0]]), "not symmetric"),
+    ("bw", "asymmetric-half", np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not symmetric"),
+    ("bw", "asymmetric", np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), "not symmetric"),
+]
+
+
+def _params(rows):
+    return [pytest.param(case, x, match, id=f"{case}-{name}") for case, name, x, match in rows]
+
+
+class TestCheckPoint:
+    """``check_point`` is the one check on a point from outside: ``_drive``
+    asks it of ``x0`` and of the optimum, ``distance`` of both its points."""
+
+    @pytest.mark.parametrize("case, x, match", _params(POINTS))
+    def test_verdict(self, case, x, match):
+        m = MANIFOLDS[case]()
+        if match is None:
+            assert m.check_point(x) is None
+        else:
+            with pytest.raises(ValueError, match=match):
+                m.check_point(x)
+
+
 class TestDistanceChecksItsPoints:
     """``distance`` sends both points through ``check_point``, the check
     ``_drive`` asks of ``x0``, and raises its ValueError."""
 
-    @pytest.mark.parametrize(
-        "case, bad",
-        [
-            ("sphere", 3.0 * np.eye(3)[0]),
-            ("sphere", np.array([math.nan, 0.0, 0.0])),
-            ("orthant", np.array([-1.0, 1.0, 1.0])),
-            ("bw", -np.eye(3)),
-            ("bw", np.diag([1.0, 0.0, 1.0])),
-            ("bw", np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])),
-        ],
-        ids=["sphere-scaled", "sphere-nan", "orthant-negative", "bw-negative", "bw-singular", "bw-asymmetric"],
-    )
-    def test_off_manifold_point_raises(self, case, bad):
-        m = {"sphere": Sphere, "orthant": PositiveOrthant, "bw": BuresWasserstein}[case]()
-        good = np.eye(3)[0] if case == "sphere" else (np.ones(3) if case == "orthant" else np.eye(3))
-        m.check_point(good)
+    @pytest.mark.parametrize("case, bad, match", _params(p for p in POINTS if p[3] is not None))
+    def test_off_manifold_point_raises(self, case, bad, match):
+        m = MANIFOLDS[case]()
+        good = next(p[2] for p in POINTS if p[0] == case and p[3] is None)
         with pytest.raises(ValueError) as raised:
             m.check_point(bad)
         message = str(raised.value)
@@ -204,43 +180,6 @@ class TestDistanceChecksItsPoints:
                 m.distance(x, y)
             assert str(got.value) == message
 
-    # Points each manifold accepts or refuses, ill-conditioned ones included.
-    POINT_SETS = {
-        "sphere": [
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.6, 0.8, 0.0]),
-            np.array([-1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 1e-300]),
-            np.array([1.0 + 1e-11, 0.0, 0.0]),
-            3.0 * np.eye(3)[0],
-            np.array([math.nan, 0.0, 0.0]),
-        ],
-        "orthant": [
-            np.ones(3),
-            np.array([1.0, 2.0, 3.0]),
-            np.array([1e-300, 1.0, 1e300]),
-            np.array([5e-324, 1.0, 1.0]),
-            np.array([0.0, 1.0, 1.0]),
-            np.array([-1.0, 1.0, 1.0]),
-            np.array([math.nan, 1.0, 1.0]),
-            np.array([math.inf, 1.0, 1.0]),
-        ],
-        "bw": [
-            np.eye(2),
-            np.diag([1.0, 1e-13]),
-            np.diag([1e-20, 1e-33]),
-            np.diag([1.0, 1e-300]),
-            np.diag([1.0, 5e-324]),
-            np.array([[2.0, 1.0], [1.0, 2.0]]),
-            np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]),
-            np.array([[4.0, 1.0], [1.0, 0.5]]),
-            np.diag([1.0, 0.0]),
-            np.diag([1.0, -1e-3]),
-            np.array([[math.nan, 0.0], [0.0, 1.0]]),
-            np.array([[2.0, 1.0], [0.0, 2.0]]),
-        ],
-    }
-
     @staticmethod
     def _outcome(call):
         try:
@@ -248,17 +187,17 @@ class TestDistanceChecksItsPoints:
         except ValueError:
             return None
 
-    @pytest.mark.parametrize("case", sorted(POINT_SETS))
+    @pytest.mark.parametrize("case", sorted(MANIFOLDS))
     def test_refuses_symmetrically(self, case):
         # distance(x, y) raises exactly when distance(y, x) does.  The sphere
         # and orthant values agree bit for bit; BW's closed form takes a
         # root of one point or the other, and a root of an eigenvalue known
         # to eps ||X|| is known to sqrt(eps ||X||), so the two orders agree
         # to a few sqrt(eps) relative, not to a few eps.
-        m = {"sphere": Sphere, "orthant": PositiveOrthant, "bw": BuresWasserstein}[case]()
-        pts = self.POINT_SETS[case]
+        m = MANIFOLDS[case]()
+        pts = [x for c, _, x, _ in POINTS if c == case]
         for x in pts:
-            for y in pts:
+            for y in (y for y in pts if y.shape == x.shape):
                 there = self._outcome(lambda: m.distance(x, y))
                 back = self._outcome(lambda: m.distance(y, x))
                 assert (there is None) == (back is None)
@@ -279,10 +218,9 @@ class TestDistanceChecksItsPoints:
     def test_spd_sqrt_refuses_what_check_point_refuses(self):
         # One positive-definiteness rule for points: a point has a root
         # exactly when check_point accepts it (DomainError is a ValueError).
-        m = BuresWasserstein()
-        for x in self.POINT_SETS["bw"]:
-            accepted = self._outcome(lambda: m.check_point(x) or True) is not None
-            assert (self._outcome(lambda: linalg.spd_sqrt(x)) is not None) == accepted
+        for case, _, x, match in POINTS:
+            if case == "bw":
+                assert (self._outcome(lambda: linalg.spd_sqrt(x)) is not None) == (match is None)
 
     def test_only_the_base_class_defines_distance(self):
         classes = [Manifold]
@@ -331,12 +269,6 @@ class TestCurvatureClasses:
         g = bw.egrad_to_rgrad(xs, random_sym(rng, 3, scale=2.0))
         caps = [bw.max_step(xs, s * g) for s in (1.0, -1.0)]
         assert min(caps) < math.inf
-
-
-def _bits(value):
-    """An array's (or a Bures-Wasserstein tangent matrix's) bit pattern."""
-    arr = np.asarray(getattr(value, "mat", value), dtype=float)
-    return arr.shape, arr.tobytes()
 
 
 def _exp_transport_cases(case, rng):
@@ -417,13 +349,13 @@ class TestExpTransport:
         clamped_seen = False
         for m, x, v, ws in _exp_transport_cases(case, rng):
             y, clamped, transport = m.exp_transport(x, v)
-            assert _bits(y) == _bits(m.exp(x, v))
+            assert array_bits(y) == array_bits(m.exp(x, v))
             clamped_seen |= clamped
             # Past the orthant's clamp a transported entry overflows to inf,
             # in both forms alike; the descent loop ignores the warning too.
             with np.errstate(over="ignore"):
                 for w in ws:
-                    assert _bits(transport(w)) == _bits(m.transport_along_step(x, v, w))
+                    assert array_bits(transport(w)) == array_bits(m.transport_along_step(x, v, w))
         assert clamped_seen == (case == "orthant")
 
     @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])

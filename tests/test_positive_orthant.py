@@ -122,18 +122,8 @@ class TestMetricAndDistance:
         val = orthant.inner(np.ones(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         assert val == 1.0
 
-    def test_distance_self(self, orthant):
-        x = np.array([0.3, 1.7])
-        assert orthant.distance(x, x) == 0.0
-
     def test_distance_log_coordinates(self, orthant):
         assert abs(orthant.distance(np.array([1.0]), np.array([math.e])) - 1.0) <= 1e-15
-
-    def test_distance_symmetric(self, orthant):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0.1, 3.0, size=5)
-        y = rng.uniform(0.1, 3.0, size=5)
-        assert abs(orthant.distance(x, y) - orthant.distance(y, x)) <= 1e-12
 
 
 class TestChangeOfVariables:
@@ -165,24 +155,3 @@ class TestChangeOfVariables:
             diff_flat = float(np.linalg.norm((np.exp(y_next) - c) - grad_f))
             diff_riem = orthant.norm(x_next, grad_next - transported)
             assert abs(diff_riem - diff_flat) <= 1e-10 * (1.0 + diff_flat)
-
-
-
-class TestStartingPoint:
-    """``_drive`` asks ``PositiveOrthant.check_point`` of ``x0`` before
-    row 0: finite, strictly positive entries, else ValueError."""
-
-    def test_negative_entry_start_raises(self, orthant):
-        # Unchecked, it runs until the objective's log turns NaN and aborts.
-        prob = problems.linear_minus_log(4, 0)
-        prob.x0 = prob.x0 * np.array([1.0, -1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="positive"):
-            adgd_run(RunConfig(), orthant, prob)
-
-    @pytest.mark.parametrize("entry", [0.0, -0.0, -1.0, np.inf, np.nan])
-    def test_off_orthant_points_rejected(self, orthant, entry):
-        with pytest.raises(ValueError, match="finite positive entries"):
-            orthant.check_point(np.array([1.0, entry]))
-
-    def test_positive_points_accepted(self, orthant):
-        orthant.check_point(np.array([1e-300, 1.0, 1e300]))

@@ -7,9 +7,9 @@ import pytest
 
 from adgd import linalg, problems
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein, BWTangent, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
 
-from conftest import is_spd_spectrum, random_sym, random_unit
+from conftest import array_bits, is_spd_spectrum, random_sym, random_unit
 
 
 class TestCenterOfMass:
@@ -355,50 +355,6 @@ class TestLinearMinusLog:
             assert f(0.5 * (y1 + y2)) <= 0.5 * f(y1) + 0.5 * f(y2) + 1e-12
 
 
-def _unit_tangent(manifold, rng, x):
-    if isinstance(manifold, Sphere):
-        v = rng.standard_normal(x.size)
-        v -= np.dot(x, v) * x
-    elif isinstance(manifold, PositiveOrthant):
-        v = rng.standard_normal(x.size)
-    else:
-        v = BWTangent(random_sym(rng, x.shape[0]))
-    n = manifold.norm(x, v)
-    return (1.0 / n) * v
-
-
-def _problem_grid():
-    return [
-        ("center-of-mass", Sphere(), lambda s: problems.center_of_mass(8, 30, s)),
-        ("rayleigh", Sphere(), lambda s: problems.rayleigh(8, s)),
-        ("lyapunov", BuresWasserstein(), lambda s: problems.lyapunov_objective(5, s)),
-        ("wls-dense", BuresWasserstein(), lambda s: problems.weighted_least_squares(5, s)),
-        ("wls-sparse", BuresWasserstein(), lambda s: problems.weighted_least_squares(8, s, density=0.1)),
-        ("linear-minus-log", PositiveOrthant(), lambda s: problems.linear_minus_log(8, s)),
-    ]
-
-
-@pytest.mark.parametrize(
-    "name,manifold,factory", _problem_grid(), ids=[case[0] for case in _problem_grid()]
-)
-def test_gradient_matches_directional_derivative(name, manifold, factory):
-    # Central differences along geodesics validate euclidean_grad and
-    # egrad_to_rgrad together.
-    h = 1e-6
-    for seed in range(3):
-        prob = factory(seed)
-        rng = np.random.default_rng(1000 + seed)
-        x = prob.x0
-        grad = manifold.egrad_to_rgrad(x, prob.euclidean_grad(x))
-        phi = prob.value(x)
-        for _ in range(20):
-            v = _unit_tangent(manifold, rng, x)
-            fd = (prob.value(manifold.exp(x, h * v)) - prob.value(manifold.exp(x, (-h) * v))) / (
-                2.0 * h
-            )
-            assert abs(manifold.inner(x, grad, v) - fd) <= max(1e-5, 1e-5 * abs(phi))
-
-
 @pytest.mark.parametrize("case", ["center-of-mass", "lyapunov", "linear-minus-log"])
 def test_smooth_convexity_gap_inequality(case):
     # g-convex, locally smooth objectives obey the one-dimensional
@@ -458,12 +414,6 @@ def random_sphere_tangent_small(rng, x, scale):
     return scale * v / np.linalg.norm(v)
 
 
-def _bits(value):
-    """A float's or an array's bit pattern, with its dtype and shape."""
-    arr = np.asarray(value, dtype=float)
-    return arr.shape, arr.tobytes()
-
-
 class TestJointEvaluator:
     """``center_of_mass``'s joint evaluator, the only one a generator gives."""
 
@@ -475,9 +425,9 @@ class TestJointEvaluator:
         for x in [prob.x0] + [random_unit(rng, 6) for _ in range(20)]:
             phi, grad = prob.joint.evaluate(x)
             assert isinstance(phi, float)
-            assert _bits(phi) == _bits(prob.value(x))
-            assert _bits(grad) == _bits(prob.euclidean_grad(x))
-            assert [_bits(v) for v in prob.value_and_grad(x)] == [_bits(phi), _bits(grad)]
+            assert array_bits(phi) == array_bits(prob.value(x))
+            assert array_bits(grad) == array_bits(prob.euclidean_grad(x))
+            assert [array_bits(v) for v in prob.value_and_grad(x)] == [array_bits(phi), array_bits(grad)]
 
     def test_used_only_while_both_callables_are_its_own(self):
         prob = problems.center_of_mass(6, 20, 3)
@@ -499,8 +449,8 @@ class TestJointEvaluator:
             dataclasses.replace(spied, euclidean_grad=lambda x: prob.euclidean_grad(x)),
         ):
             phi, grad = replaced.value_and_grad(prob.x0)
-            assert _bits(phi) == _bits(prob.value(prob.x0))
-            assert _bits(grad) == _bits(prob.euclidean_grad(prob.x0))
+            assert array_bits(phi) == array_bits(prob.value(prob.x0))
+            assert array_bits(grad) == array_bits(prob.euclidean_grad(prob.x0))
         assert (len(joint_calls), len(value_calls)) == (1, 1)
 
 
@@ -518,8 +468,8 @@ def test_without_joint_evaluator_value_and_grad_calls_both(build):
     prob = build()
     assert prob.joint is None
     phi, grad = prob.value_and_grad(prob.x0)
-    assert _bits(phi) == _bits(prob.value(prob.x0))
-    assert _bits(grad) == _bits(prob.euclidean_grad(prob.x0))
+    assert array_bits(phi) == array_bits(prob.value(prob.x0))
+    assert array_bits(grad) == array_bits(prob.euclidean_grad(prob.x0))
 
 
 def test_joint_antipodal_point_raises_the_same_domain_error():

@@ -51,14 +51,6 @@ class TestExp:
         out = sphere.exp(e(0), math.pi * e(1))
         assert np.allclose(out, -e(0), atol=1e-15)
 
-    def test_stays_on_sphere(self, sphere):
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            x = random_unit(rng, 5)
-            v = random_sphere_tangent(rng, x, scale=rng.uniform(0.0, 10.0))
-            y = sphere.exp(x, v)
-            assert abs(np.linalg.norm(y) - 1.0) <= 1e-10
-
     def test_geodesic_speed(self, sphere):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -115,10 +107,6 @@ class TestTransport:
 
 
 class TestDistance:
-    def test_self(self, sphere):
-        x = random_unit(np.random.default_rng(4), 7)
-        assert sphere.distance(x, x) == 0.0
-
     def test_orthogonal(self, sphere):
         assert abs(sphere.distance(e(0), e(1)) - math.pi / 2) <= 1e-15
 
@@ -254,39 +242,3 @@ class TestDistanceColumnFloor:
         assert zeros and all(oracle[k] > 0.0 for k in zeros)
         assert all(tr.rows[k].grad_norm > config.tol for k in zeros if k < len(tr.rows) - 1)
         assert any(tr.rows[k].grad_norm > config.tol for k in zeros)
-
-
-class TestStartingPoint:
-    """``_drive`` asks ``Sphere.check_point`` of ``x0`` before row 0: a
-    finite vector with unit norm within 1e-10, else ValueError."""
-
-    def test_scaled_start_raises(self, sphere):
-        # Unchecked, a start of norm 3 runs to max-iters, its row 0
-        # writing phi 14.49 where the unit start's value is 38.0.
-        prob = problems.center_of_mass(10, 50, 0)
-        prob.x0 = 3.0 * prob.x0
-        with pytest.raises(ValueError, match="unit norm"):
-            adgd_run(RunConfig(), sphere, prob)
-
-    @pytest.mark.parametrize(
-        "x0, match",
-        [
-            ([1.0 + 2e-10, 0.0, 0.0], "unit norm"),
-            ([1.0 - 2e-10, 0.0, 0.0], "unit norm"),
-            ([0.0, 0.0, 0.0], "unit norm"),
-            ([1e200, 0.0, 0.0], "unit norm"),
-            ([1.0, 0.0, np.nan], "finite"),
-            ([1.0, -np.inf, 0.0], "finite"),
-            ([[1.0, 0.0], [0.0, 1.0]], "finite vector"),
-        ],
-        ids=["long", "short", "zero", "overflow", "nan", "inf", "matrix"],
-    )
-    def test_off_sphere_points_rejected(self, sphere, x0, match):
-        with pytest.raises(ValueError, match=match):
-            sphere.check_point(np.array(x0))
-
-    def test_unit_points_accepted(self, sphere):
-        rng = np.random.default_rng(24)
-        for n in (1, 2, 10, 100):
-            sphere.check_point(random_unit(rng, n))
-        sphere.check_point(np.array([1.0 + 5e-11, 0.0]))
