@@ -117,7 +117,13 @@ class BWTangent:
     def factor_at(self, x):
         """L_X(V) at base point x: the carried factor when it was computed
         at x, else a fresh Lyapunov solve.  Raises ValueError for a carried
-        factor asked for at another point."""
+        factor asked for at another point.
+
+        The fresh solve is stricter than ``check_point``: it raises
+        DomainError where x's eigenvalue ratio is at most 1e-12 (say
+        ``diag(1, 1e-13)``), a point ``check_point`` accepts and where a
+        gradient's carried factor still serves.
+        """
         if self.factor is None:
             return linalg.solve_lyapunov(x, self.mat)
         if x is self.base or np.array_equal(x, self.base):

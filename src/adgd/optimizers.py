@@ -131,9 +131,13 @@ class Trace:
 
 class _Meter:
     """One run's cumulative work counters (:class:`TraceRow`); its
-    evaluations run under :func:`_drive`'s ``np.errstate``."""
+    evaluations run under :func:`_drive`'s ``np.errstate``.
 
-    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem")
+    ``stage`` is the problem's :attr:`JointEvaluator.stage` when
+    ``problem.own_joint()`` has one at the start of the run, else None.
+    """
+
+    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "stage")
 
     def __init__(self, manifold, problem):
         self.fn_evals = 0
@@ -141,15 +145,32 @@ class _Meter:
         self.expensive = 0
         self.manifold = manifold
         self.problem = problem
+        joint = problem.own_joint()
+        self.stage = None if joint is None else joint.stage
 
     def value(self, x):
+        return self.trial(x)[0]
+
+    def trial(self, x):
+        """``(value(x), None)``, one objective charge."""
         self.fn_evals += 1
         self.expensive += self.problem.value_ops
-        return float(self.problem.value(x))
+        return float(self.problem.value(x)), None
 
-    def grad(self, x):
+    def staged_trial(self, x):
+        """``(value(x), finish)`` from ``stage``, charged as :meth:`trial`."""
+        self.fn_evals += 1
+        self.expensive += self.problem.value_ops
+        phi, finish = self.stage(x)
+        return float(phi), finish
+
+    def grad(self, x, finish=None):
+        """The Riemannian gradient at ``x``, one gradient charge; its
+        Euclidean gradient is ``finish()`` when given, else
+        ``euclidean_grad(x)``."""
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
-        return self.manifold.egrad_to_rgrad(x, self.problem.euclidean_grad(x))
+        egrad = self.problem.euclidean_grad(x) if finish is None else finish()
+        return self.manifold.egrad_to_rgrad(x, egrad)
 
     def value_and_grad(self, x):
         """``(value(x), grad(x))`` from one joint evaluation, charged as both."""
@@ -184,8 +205,9 @@ class _Step(NamedTuple):
     ``alpha, ell, clamped`` fill the row.  ``x_next`` is the next
     iterate, dropped when the driver stops at ``x_k``; ``phi_next`` and
     ``grad_next`` are the objective and gradient at ``x_next`` when the
-    rule has already evaluated them.  A non-empty ``abort`` ends the run
-    once the row is recorded.
+    rule has already evaluated them, and ``finish_next``, when given with
+    ``phi_next`` alone, is the ``finish`` of the stage that gave it.  A
+    non-empty ``abort`` ends the run once the row is recorded.
     """
 
     alpha: float
@@ -194,6 +216,7 @@ class _Step(NamedTuple):
     x_next: Any = None
     phi_next: Optional[float] = None
     grad_next: Any = None
+    finish_next: Any = None
     abort: str = ""
 
 
@@ -250,7 +273,7 @@ def _drive(config, manifold, problem, make_rule):
         rule = make_rule(config, manifold, meter)
         rows = []
         points = [problem.x0]
-        x, phi, grad = problem.x0, None, None
+        x, phi, grad, finish = problem.x0, None, None, None
         message = ""
         try:
             for k in itertools.count():
@@ -259,7 +282,7 @@ def _drive(config, manifold, problem, make_rule):
                 elif phi is None:
                     phi = meter.value(x)
                 elif grad is None:
-                    grad = meter.grad(x)
+                    grad = meter.grad(x, finish)
                 grad_norm = manifold.norm(x, grad)
                 if not (math.isfinite(phi) and math.isfinite(grad_norm)):
                     raise _AbortRun(
@@ -295,6 +318,7 @@ def _drive(config, manifold, problem, make_rule):
                 if stop is not None:
                     break
                 x, phi, grad = step.x_next, step.phi_next, step.grad_next
+                finish = step.finish_next
                 points.append(x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
             stop, message = STATUS_ABORTED, str(exc)
@@ -410,13 +434,17 @@ def _armijo_rule(config, manifold, meter):
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial's objective and exponential evaluation is metered, and the
-    accepted trial's objective is carried to the next iterate.  Trials
-    take the same exponential and drop its transport.  A
+    accepted trial's objective is carried to the next iterate.  When the
+    meter has a ``stage``, every trial is evaluated through it, and the
+    accepted trial's ``finish`` is carried too, so that the next row's
+    gradient finishes that trial's work; rejected trials drop theirs.
+    Trials take the same exponential and drop its transport.  A
     non-finite trial objective, or more than 60 rejections, aborts the run
     before the row is recorded, with that trial's objective in the
     message.  Rows where the run stops report ``alpha = 0``, hence
     ``theta = 0``.  The rule keeps no state between iterates.
     """
+    trial = meter.trial if meter.stage is None else meter.staged_trial
 
     def rule(k, x, phi, grad, grad_norm, stop, prev):
         if stop is not None:
@@ -427,14 +455,14 @@ def _armijo_rule(config, manifold, meter):
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
             x_trial, exp_clamped, _ = meter.exp_transport(x, eta * neg_grad)
-            phi_trial = meter.value(x_trial)
+            phi_trial, finish = trial(x_trial)
             if not math.isfinite(phi_trial):
                 raise _AbortRun(
                     f"non-finite trial objective ({phi_trial}) in Armijo backtracking "
                     f"at iteration {k}"
                 )
             if phi_trial <= phi - eta * target_slope:
-                return _Step(eta, 0.0, clamped or exp_clamped, x_trial, phi_trial)
+                return _Step(eta, 0.0, clamped or exp_clamped, x_trial, phi_trial, finish_next=finish)
             eta *= config.armijo_beta
         raise _AbortRun(
             f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}; "

@@ -2,7 +2,8 @@
 
 Each generator returns a :class:`Problem`: callables for the objective
 value and its Euclidean (ambient) gradient (with a joint evaluator of
-both for the sphere center of mass, whose two share their costly work), a
+both for the sphere center of mass, whose two share their costly work,
+either at once or staged: the value now, the gradient on demand), a
 deterministic starting point, the known optimum when one is available, and
 expensive-operation price tags used by the benchmark accounting
 (matrix-vector products for sphere objectives, matrix-matrix products for
@@ -28,11 +29,18 @@ _REFERENCE_MAX_ITERS = 100_000
 class JointEvaluator(NamedTuple):
     """``evaluate(x)`` returns ``(value(x), euclidean_grad(x))`` bit for bit,
     computing their shared work once; it stands for exactly the ``value``
-    and ``euclidean_grad`` callables named here."""
+    and ``euclidean_grad`` callables named here.
+
+    The optional ``stage(x)`` returns ``(value(x), finish)``, where
+    ``finish()`` returns ``euclidean_grad(x)`` bit for bit from the work
+    the value already did; a ``finish`` that is never called costs
+    nothing more.
+    """
 
     value: Callable[[Any], float]
     euclidean_grad: Callable[[Any], Any]
     evaluate: Callable[[Any], tuple]
+    stage: Optional[Callable[[Any], tuple]] = None
 
 
 @dataclass
@@ -41,8 +49,9 @@ class Problem:
 
     ``joint`` is optional: without it, or once ``value`` or
     ``euclidean_grad`` is no longer the very object ``joint`` was built
-    from (``dataclasses.replace``, a wrapper), :meth:`value_and_grad`
-    calls the two callables instead.
+    from (``dataclasses.replace``, a wrapper), :meth:`own_joint` is None
+    and :meth:`value_and_grad`, like every optimizer, calls the two
+    callables instead.
     """
 
     value: Callable[[Any], float]
@@ -55,15 +64,22 @@ class Problem:
     extras: dict = field(default_factory=dict)
     joint: Optional[JointEvaluator] = None
 
-    def value_and_grad(self, x):
-        """``(value(x), euclidean_grad(x))``, through ``joint`` when it still
-        stands for both callables, else through them, value first."""
+    def own_joint(self):
+        """``joint`` while it still stands for both callables, else None."""
         joint = self.joint
         if (
             joint is not None
             and joint.value is self.value
             and joint.euclidean_grad is self.euclidean_grad
         ):
+            return joint
+        return None
+
+    def value_and_grad(self, x):
+        """``(value(x), euclidean_grad(x))``, through :meth:`own_joint` when
+        there is one, else through the two callables, value first."""
+        joint = self.own_joint()
+        if joint is not None:
             return joint.evaluate(x)
         return self.value(x), self.euclidean_grad(x)
 
@@ -93,12 +109,14 @@ def center_of_mass(n, n_points=50, seed=0):
     # np.sum and a masked np.divide compute the same values with more
     # overhead.
     def _angles(x):
+        # The cosines c and the angles theta to the data points.
         c = pts @ x
         # Counted, not np.minimum.reduce: a NaN must not hide an antipodal term.
         if np.count_nonzero(c <= -1.0 + 1e-12):
             raise DomainError("center-of-mass term evaluated at an antipodal point")
         # Every non-NaN c now exceeds -1, so only the upper clip can bite.
-        return np.minimum(c, 1.0)
+        c = np.minimum(c, 1.0)
+        return c, np.arccos(c)
 
     def _value(theta):
         return 0.5 * float(np.add.reduce(theta * theta))
@@ -119,16 +137,18 @@ def center_of_mass(n, n_points=50, seed=0):
         return -(pts.T @ coef)
 
     def value(x):
-        return _value(np.arccos(_angles(x)))
+        return _value(_angles(x)[1])
 
     def euclidean_grad(x):
-        c = _angles(x)
-        return _grad(c, np.arccos(c))
+        return _grad(*_angles(x))
 
     def value_and_grad(x):
-        c = _angles(x)
-        theta = np.arccos(c)
+        c, theta = _angles(x)
         return _value(theta), _grad(c, theta)
+
+    def stage(x):
+        c, theta = _angles(x)
+        return _value(theta), lambda: _grad(c, theta)
 
     x0 = pts.mean(axis=0)
     x0 /= np.linalg.norm(x0)
@@ -139,7 +159,7 @@ def center_of_mass(n, n_points=50, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"points": pts},
-        joint=JointEvaluator(value, euclidean_grad, value_and_grad),
+        joint=JointEvaluator(value, euclidean_grad, value_and_grad, stage),
     )
     xstar, stop, steps, grad_norm = fixed_step_reference(prob, Sphere(), step=1.0 / n_points)
     prob.optimum_point = xstar

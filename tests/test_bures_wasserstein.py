@@ -716,3 +716,11 @@ class TestBasePoint:
         assert v.factor is None and v.base is None
         assert np.allclose(v.factor_at(y), linalg.solve_lyapunov(y, v.mat))
 
+    def test_fresh_solve_refuses_a_point_that_check_point_accepts(self, bw):
+        # Lyapunov's eigenvalue-ratio cutoff is stricter than require_spd.
+        x = np.diag([1.0, 1e-13])
+        bw.check_point(x)
+        g = bw.egrad_to_rgrad(x, np.eye(2))
+        assert bw.norm(x, g) == 2.0000000000001
+        with pytest.raises(DomainError, match="solve_lyapunov requires a positive definite matrix"):
+            BWTangent(g.mat).factor_at(x)

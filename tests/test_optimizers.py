@@ -18,6 +18,8 @@ from adgd.optimizers import (
     fixed_run,
 )
 
+from conftest import array_bits
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -671,8 +673,9 @@ class TestOptimumPoint:
 
 class TestJointEvaluation:
     """``_drive`` evaluates phi and the gradient of an iterate through one
-    ``Problem.value_and_grad`` call, charged as both, and a replaced
-    callable still sees every evaluation."""
+    ``Problem.value_and_grad`` call, charged as both; Armijo stages its
+    trials and finishes the accepted one's gradient; a replaced callable
+    still sees every evaluation."""
 
     @staticmethod
     def _counting(fn, calls):
@@ -706,3 +709,40 @@ class TestJointEvaluation:
         tr = adgd_run(config, Sphere(), counted)
         assert len(calls) == len(tr.rows) == 11
         assert tr.rows == adgd_run(config, Sphere(), problem).rows
+
+    def test_armijo_stages_every_trial_and_finishes_the_accepted_one(self):
+        problem = problems.center_of_mass(6, 20, 0)
+        evaluate_calls, stage_calls, grad_calls = [], [], []
+        # The counted gradient goes into the joint too, so it stays the problem's own.
+        counted_grad = self._counting(problem.euclidean_grad, grad_calls)
+        spied = dataclasses.replace(
+            problem,
+            euclidean_grad=counted_grad,
+            joint=problem.joint._replace(
+                euclidean_grad=counted_grad,
+                evaluate=self._counting(problem.joint.evaluate, evaluate_calls),
+                stage=self._counting(problem.joint.stage, stage_calls),
+            ),
+        )
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=1.0)
+        tr = armijo_run(config, Sphere(), spied)
+        # Row 0's joint evaluation, then one stage per trial, rejected ones included.
+        assert tr.rows[-1].fn_evals > len(tr.rows)
+        assert len(grad_calls) == 0 and len(evaluate_calls) == 1
+        assert len(evaluate_calls) + len(stage_calls) == tr.rows[-1].fn_evals
+        plain = armijo_run(config, Sphere(), dataclasses.replace(problem, joint=None))
+        assert tr.rows == plain.rows
+        assert [array_bits(x) for x in tr.points] == [array_bits(x) for x in plain.points]
+
+    @pytest.mark.parametrize("replaced", ["value", "euclidean_grad"])
+    def test_armijo_replaced_callable_sees_every_evaluation(self, replaced):
+        problem = problems.center_of_mass(6, 20, 0)
+        calls = []
+        counted = dataclasses.replace(
+            problem, **{replaced: self._counting(getattr(problem, replaced), calls)}
+        )
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=1.0)
+        tr = armijo_run(config, Sphere(), counted)
+        evaluations = tr.rows[-1].fn_evals if replaced == "value" else len(tr.rows)
+        assert len(calls) == evaluations
+        assert tr.rows == armijo_run(config, Sphere(), problem).rows

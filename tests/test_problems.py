@@ -417,6 +417,13 @@ def random_sphere_tangent_small(rng, x, scale):
 class TestJointEvaluator:
     """``center_of_mass``'s joint evaluator, the only one a generator gives."""
 
+    @staticmethod
+    def assert_stage_is_value_then_grad(prob, x):
+        phi, finish = prob.joint.stage(x)
+        assert isinstance(phi, float)
+        assert array_bits(phi) == array_bits(prob.value(x))
+        assert array_bits(finish()) == array_bits(prob.euclidean_grad(x))
+
     def test_equals_separate_evaluations_bit_for_bit(self):
         prob = problems.center_of_mass(6, 20, 3)
         assert prob.joint is not None
@@ -428,6 +435,7 @@ class TestJointEvaluator:
             assert array_bits(phi) == array_bits(prob.value(x))
             assert array_bits(grad) == array_bits(prob.euclidean_grad(x))
             assert [array_bits(v) for v in prob.value_and_grad(x)] == [array_bits(phi), array_bits(grad)]
+            self.assert_stage_is_value_then_grad(prob, x)
 
     def test_used_only_while_both_callables_are_its_own(self):
         prob = problems.center_of_mass(6, 20, 3)
@@ -453,6 +461,26 @@ class TestJointEvaluator:
             assert array_bits(grad) == array_bits(prob.euclidean_grad(prob.x0))
         assert (len(joint_calls), len(value_calls)) == (1, 1)
 
+    def test_stage_at_the_oracle_s_crafted_points(self):
+        crafted = TestCenterOfMassOracle.crafted
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            # The coefficient-1 branch at a data point, then c one ulp below 1.
+            for cs in ([1.0, 0.5], [np.nextafter(1.0, 0.0), 0.5]):
+                self.assert_stage_is_value_then_grad(*crafted(np.array(cs)))
+            # x one ulp off a data point in each coordinate.
+            prob = problems.center_of_mass(10, n_points=50, seed=4)
+            p = prob.extras["points"][7]
+            for i in range(10):
+                for toward in (-np.inf, np.inf):
+                    x = p.copy()
+                    x[i] = np.nextafter(x[i], toward)
+                    self.assert_stage_is_value_then_grad(prob, x)
+        # A NaN angle beside a data point, and every angle NaN.
+        self.assert_stage_is_value_then_grad(*crafted(np.array([1.0, np.nan, 0.25])))
+        prob = problems.center_of_mass(5, n_points=50, seed=1)
+        self.assert_stage_is_value_then_grad(prob, np.full(5, np.nan))
+
 
 @pytest.mark.parametrize(
     "build",
@@ -476,8 +504,11 @@ def test_joint_antipodal_point_raises_the_same_domain_error():
     prob = problems.center_of_mass(3, n_points=4, seed=2)
     antipode = -prob.extras["points"][1]
     messages = []
-    for evaluate in (prob.value, prob.euclidean_grad, prob.joint.evaluate, prob.value_and_grad):
+    entry_points = (
+        prob.value, prob.euclidean_grad, prob.joint.evaluate, prob.joint.stage, prob.value_and_grad
+    )
+    for evaluate in entry_points:
         with pytest.raises(DomainError) as err:
             evaluate(antipode)
         messages.append(str(err.value))
-    assert messages == ["center-of-mass term evaluated at an antipodal point"] * 4
+    assert messages == ["center-of-mass term evaluated at an antipodal point"] * 5
