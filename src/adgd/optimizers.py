@@ -133,11 +133,12 @@ class _Meter:
     """One run's cumulative work counters (:class:`TraceRow`); its
     evaluations run under :func:`_drive`'s ``np.errstate``.
 
-    ``stage`` is the problem's :attr:`JointEvaluator.stage` when
-    ``problem.own_joint()`` has one at the start of the run, else None.
+    Every objective evaluation is one :meth:`stage` through
+    ``problem.stager()``, resolved once at the start of the run, and every
+    gradient is one :meth:`grad`.
     """
 
-    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "stage")
+    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage")
 
     def __init__(self, manifold, problem):
         self.fn_evals = 0
@@ -145,23 +146,14 @@ class _Meter:
         self.expensive = 0
         self.manifold = manifold
         self.problem = problem
-        joint = problem.own_joint()
-        self.stage = None if joint is None else joint.stage
+        self._stage = problem.stager()
 
-    def value(self, x):
-        return self.trial(x)[0]
-
-    def trial(self, x):
-        """``(value(x), None)``, one objective charge."""
+    def stage(self, x):
+        """``(value(x), finish)``, one objective charge; ``finish`` is for
+        :meth:`grad` at the same ``x``."""
         self.fn_evals += 1
         self.expensive += self.problem.value_ops
-        return float(self.problem.value(x)), None
-
-    def staged_trial(self, x):
-        """``(value(x), finish)`` from ``stage``, charged as :meth:`trial`."""
-        self.fn_evals += 1
-        self.expensive += self.problem.value_ops
-        phi, finish = self.stage(x)
+        phi, finish = self._stage(x)
         return float(phi), finish
 
     def grad(self, x, finish=None):
@@ -171,13 +163,6 @@ class _Meter:
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
         egrad = self.problem.euclidean_grad(x) if finish is None else finish()
         return self.manifold.egrad_to_rgrad(x, egrad)
-
-    def value_and_grad(self, x):
-        """``(value(x), grad(x))`` from one joint evaluation, charged as both."""
-        self.fn_evals += 1
-        self.expensive += self.problem.value_ops + self.problem.grad_ops + self.manifold.rgrad_ops
-        phi, egrad = self.problem.value_and_grad(x)
-        return float(phi), self.manifold.egrad_to_rgrad(x, egrad)
 
     def exp_transport(self, x, v):
         """``Manifold.exp_transport(x, v)``: the next point, the clamp flag
@@ -205,9 +190,9 @@ class _Step(NamedTuple):
     ``alpha, ell, clamped`` fill the row.  ``x_next`` is the next
     iterate, dropped when the driver stops at ``x_k``; ``phi_next`` and
     ``grad_next`` are the objective and gradient at ``x_next`` when the
-    rule has already evaluated them, and ``finish_next``, when given with
-    ``phi_next`` alone, is the ``finish`` of the stage that gave it.  A
-    non-empty ``abort`` ends the run once the row is recorded.
+    rule has already evaluated them, and ``finish_next`` is the
+    ``finish`` of the stage that gave ``phi_next``.  A non-empty
+    ``abort`` ends the run once the row is recorded.
     """
 
     alpha: float
@@ -277,11 +262,9 @@ def _drive(config, manifold, problem, make_rule):
         message = ""
         try:
             for k in itertools.count():
-                if phi is None and grad is None:
-                    phi, grad = meter.value_and_grad(x)
-                elif phi is None:
-                    phi = meter.value(x)
-                elif grad is None:
+                if phi is None:
+                    phi, finish = meter.stage(x)
+                if grad is None:
                     grad = meter.grad(x, finish)
                 grad_norm = manifold.norm(x, grad)
                 if not (math.isfinite(phi) and math.isfinite(grad_norm)):
@@ -433,19 +416,15 @@ def _armijo_rule(config, manifold, meter):
     after; it is clamped to the step domain.
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
-    trial's objective and exponential evaluation is metered, and the
-    accepted trial's objective is carried to the next iterate.  When the
-    meter has a ``stage``, every trial is evaluated through it, and the
-    accepted trial's ``finish`` is carried too, so that the next row's
-    gradient finishes that trial's work; rejected trials drop theirs.
-    Trials take the same exponential and drop its transport.  A
+    trial is one :meth:`_Meter.stage` and one exponential, both metered,
+    and drops the exponential's transport.  The accepted trial's objective
+    and ``finish`` are carried to the next iterate, whose gradient
+    finishes that trial's work; rejected trials drop theirs.  A
     non-finite trial objective, or more than 60 rejections, aborts the run
     before the row is recorded, with that trial's objective in the
     message.  Rows where the run stops report ``alpha = 0``, hence
     ``theta = 0``.  The rule keeps no state between iterates.
     """
-    trial = meter.trial if meter.stage is None else meter.staged_trial
-
     def rule(k, x, phi, grad, grad_norm, stop, prev):
         if stop is not None:
             return _Step(0.0)
@@ -455,7 +434,7 @@ def _armijo_rule(config, manifold, meter):
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
             x_trial, exp_clamped, _ = meter.exp_transport(x, eta * neg_grad)
-            phi_trial, finish = trial(x_trial)
+            phi_trial, finish = meter.stage(x_trial)
             if not math.isfinite(phi_trial):
                 raise _AbortRun(
                     f"non-finite trial objective ({phi_trial}) in Armijo backtracking "

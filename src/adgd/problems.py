@@ -2,16 +2,16 @@
 
 Each generator returns a :class:`Problem`: callables for the objective
 value and its Euclidean (ambient) gradient (with a joint evaluator of
-both for the sphere center of mass, whose two share their costly work,
-either at once or staged: the value now, the gradient on demand), a
-deterministic starting point, the known optimum when one is available, and
-expensive-operation price tags used by the benchmark accounting
-(matrix-vector products for sphere objectives, matrix-matrix products for
-SPD objectives).
+both for the sphere center of mass, whose two share their costly work:
+the value now, the gradient on demand), a deterministic starting point,
+the known optimum when one is available, and expensive-operation price
+tags used by the benchmark accounting (matrix-vector products for sphere
+objectives, matrix-matrix products for SPD objectives).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -27,20 +27,16 @@ _REFERENCE_MAX_ITERS = 100_000
 
 
 class JointEvaluator(NamedTuple):
-    """``evaluate(x)`` returns ``(value(x), euclidean_grad(x))`` bit for bit,
-    computing their shared work once; it stands for exactly the ``value``
-    and ``euclidean_grad`` callables named here.
-
-    The optional ``stage(x)`` returns ``(value(x), finish)``, where
-    ``finish()`` returns ``euclidean_grad(x)`` bit for bit from the work
-    the value already did; a ``finish`` that is never called costs
-    nothing more.
+    """``stage(x)`` returns ``(value(x), finish)``, where ``finish()``
+    returns ``euclidean_grad(x)`` bit for bit from the work the value
+    already did; a ``finish`` that is never called costs nothing more.
+    It stands for exactly the ``value`` and ``euclidean_grad`` callables
+    named here.
     """
 
     value: Callable[[Any], float]
     euclidean_grad: Callable[[Any], Any]
-    evaluate: Callable[[Any], tuple]
-    stage: Optional[Callable[[Any], tuple]] = None
+    stage: Callable[[Any], tuple]
 
 
 @dataclass
@@ -49,9 +45,8 @@ class Problem:
 
     ``joint`` is optional: without it, or once ``value`` or
     ``euclidean_grad`` is no longer the very object ``joint`` was built
-    from (``dataclasses.replace``, a wrapper), :meth:`own_joint` is None
-    and :meth:`value_and_grad`, like every optimizer, calls the two
-    callables instead.
+    from (``dataclasses.replace``, a wrapper), :meth:`stager` stages
+    through the two callables instead.
     """
 
     value: Callable[[Any], float]
@@ -64,24 +59,20 @@ class Problem:
     extras: dict = field(default_factory=dict)
     joint: Optional[JointEvaluator] = None
 
-    def own_joint(self):
-        """``joint`` while it still stands for both callables, else None."""
+    def stager(self):
+        """A ``stage(x) -> (value(x), finish)`` with ``finish()`` giving
+        ``euclidean_grad(x)``: ``joint.stage`` while ``joint`` still stands
+        for both callables, else one that calls ``value(x)`` now and
+        ``euclidean_grad(x)`` at ``finish()``."""
         joint = self.joint
         if (
             joint is not None
             and joint.value is self.value
             and joint.euclidean_grad is self.euclidean_grad
         ):
-            return joint
-        return None
-
-    def value_and_grad(self, x):
-        """``(value(x), euclidean_grad(x))``, through :meth:`own_joint` when
-        there is one, else through the two callables, value first."""
-        joint = self.own_joint()
-        if joint is not None:
-            return joint.evaluate(x)
-        return self.value(x), self.euclidean_grad(x)
+            return joint.stage
+        value, euclidean_grad = self.value, self.euclidean_grad
+        return lambda x: (value(x), functools.partial(euclidean_grad, x))
 
 
 def _hemisphere_points(rng, n, count):
@@ -142,10 +133,6 @@ def center_of_mass(n, n_points=50, seed=0):
     def euclidean_grad(x):
         return _grad(*_angles(x))
 
-    def value_and_grad(x):
-        c, theta = _angles(x)
-        return _value(theta), _grad(c, theta)
-
     def stage(x):
         c, theta = _angles(x)
         return _value(theta), lambda: _grad(c, theta)
@@ -159,7 +146,7 @@ def center_of_mass(n, n_points=50, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"points": pts},
-        joint=JointEvaluator(value, euclidean_grad, value_and_grad, stage),
+        joint=JointEvaluator(value, euclidean_grad, stage),
     )
     xstar, stop, steps, grad_norm = fixed_step_reference(prob, Sphere(), step=1.0 / n_points)
     prob.optimum_point = xstar

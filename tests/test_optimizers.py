@@ -672,31 +672,68 @@ class TestOptimumPoint:
 
 
 class TestJointEvaluation:
-    """``_drive`` evaluates phi and the gradient of an iterate through one
-    ``Problem.value_and_grad`` call, charged as both; Armijo stages its
-    trials and finishes the accepted one's gradient; a replaced callable
-    still sees every evaluation."""
+    """Every objective evaluation of a run is one stage of
+    ``Problem.stager()``, through the joint evaluator or its fallback, and
+    only first-LS trials call ``euclidean_grad`` directly; a replaced
+    callable still sees every evaluation."""
 
     @staticmethod
     def _counting(fn, calls):
-        def counted(x):
+        def counted(*args):
             calls.append(1)
-            return fn(x)
+            return fn(*args)
 
         return counted
 
-    def test_one_joint_call_per_adaptive_iterate(self):
-        problem = problems.center_of_mass(6, 20, 0)
-        joint_calls = []
-        spied = dataclasses.replace(
-            problem,
-            joint=problem.joint._replace(evaluate=self._counting(problem.joint.evaluate, joint_calls)),
-        )
-        config = RunConfig(max_iters=10, tol=0.0, alpha0=0.01)
-        tr = adgd_run(config, Sphere(), spied)
-        assert len(joint_calls) == len(tr.rows) == 11
-        assert [r.fn_evals for r in tr.rows] == list(range(1, 12))
-        assert tr.rows == adgd_run(config, Sphere(), dataclasses.replace(problem, joint=None)).rows
+    _PROBLEMS = {
+        "center-of-mass": (lambda: problems.center_of_mass(6, 20, 0), Sphere),
+        "lyapunov": (lambda: problems.lyapunov_objective(5, 0), BuresWasserstein),
+    }
+    _RUNS = {
+        "adgd": lambda m, p: adgd_run(RunConfig(max_iters=10, tol=0.0, alpha0=0.01), m, p),
+        "first-ls": lambda m, p: adgd_run(RunConfig(max_iters=10, tol=0.0, alpha0=0.01, first_ls=True), m, p),
+        # armijo_c = 0.5 rejects trials on both problems; they are staged too.
+        "armijo": lambda m, p: armijo_run(RunConfig(max_iters=10, tol=0.0, armijo_c=0.5), m, p),
+        "fixed": lambda m, p: fixed_run(RunConfig(max_iters=10, tol=0.0), m, p, 0.01),
+    }
+
+    @pytest.mark.parametrize("method", sorted(_RUNS))
+    @pytest.mark.parametrize("name", sorted(_PROBLEMS))
+    def test_every_evaluation_is_one_stage(self, name, method, monkeypatch):
+        build, manifold_cls = self._PROBLEMS[name]
+        problem = build()
+        run = self._RUNS[method]
+        plain = run(manifold_cls(), dataclasses.replace(problem, joint=None))
+        stages, finishes, grads = [], [], []
+        # The counted gradient goes into the joint too, so it stays the problem's own.
+        counted_grad = self._counting(problem.euclidean_grad, grads)
+        joint = problem.joint and problem.joint._replace(euclidean_grad=counted_grad)
+        spied = dataclasses.replace(problem, euclidean_grad=counted_grad, joint=joint)
+        stager = problems.Problem.stager
+
+        def counted_stager(prob):
+            stage = stager(prob)
+            assert joint is None or stage is joint.stage
+
+            def counted(x):
+                phi, finish = self._counting(stage, stages)(x)
+                return phi, self._counting(finish, finishes)
+
+            return counted
+
+        monkeypatch.setattr(problems.Problem, "stager", counted_stager)
+        tr = run(manifold_cls(), spied)
+        assert len(tr.rows) == 11
+        assert len(stages) == tr.rows[-1].fn_evals
+        # First-LS trials take a gradient each, and the taken one serves row 1.
+        trials = tr.rows[0].exp_evals if method == "first-ls" else 0
+        assert len(finishes) == len(tr.rows) - (trials > 0)
+        # The fallback's finish calls euclidean_grad; the joint's reuses the stage's work.
+        assert len(grads) == trials + (len(finishes) if joint is None else 0)
+        assert (trials > 1) == (method == "first-ls")
+        assert (tr.rows[-1].fn_evals > len(tr.rows)) == (method == "armijo")
+        assert tr.rows == plain.rows
+        assert [array_bits(x) for x in tr.points] == [array_bits(x) for x in plain.points]
 
     @pytest.mark.parametrize("replaced", ["value", "euclidean_grad"])
     def test_replaced_callable_sees_every_evaluation(self, replaced):
@@ -709,30 +746,6 @@ class TestJointEvaluation:
         tr = adgd_run(config, Sphere(), counted)
         assert len(calls) == len(tr.rows) == 11
         assert tr.rows == adgd_run(config, Sphere(), problem).rows
-
-    def test_armijo_stages_every_trial_and_finishes_the_accepted_one(self):
-        problem = problems.center_of_mass(6, 20, 0)
-        evaluate_calls, stage_calls, grad_calls = [], [], []
-        # The counted gradient goes into the joint too, so it stays the problem's own.
-        counted_grad = self._counting(problem.euclidean_grad, grad_calls)
-        spied = dataclasses.replace(
-            problem,
-            euclidean_grad=counted_grad,
-            joint=problem.joint._replace(
-                euclidean_grad=counted_grad,
-                evaluate=self._counting(problem.joint.evaluate, evaluate_calls),
-                stage=self._counting(problem.joint.stage, stage_calls),
-            ),
-        )
-        config = RunConfig(max_iters=10, tol=0.0, alpha0=1.0)
-        tr = armijo_run(config, Sphere(), spied)
-        # Row 0's joint evaluation, then one stage per trial, rejected ones included.
-        assert tr.rows[-1].fn_evals > len(tr.rows)
-        assert len(grad_calls) == 0 and len(evaluate_calls) == 1
-        assert len(evaluate_calls) + len(stage_calls) == tr.rows[-1].fn_evals
-        plain = armijo_run(config, Sphere(), dataclasses.replace(problem, joint=None))
-        assert tr.rows == plain.rows
-        assert [array_bits(x) for x in tr.points] == [array_bits(x) for x in plain.points]
 
     @pytest.mark.parametrize("replaced", ["value", "euclidean_grad"])
     def test_armijo_replaced_callable_sees_every_evaluation(self, replaced):

@@ -430,36 +430,27 @@ class TestJointEvaluator:
         assert prob.joint.value is prob.value and prob.joint.euclidean_grad is prob.euclidean_grad
         rng = np.random.default_rng(11)
         for x in [prob.x0] + [random_unit(rng, 6) for _ in range(20)]:
-            phi, grad = prob.joint.evaluate(x)
-            assert isinstance(phi, float)
-            assert array_bits(phi) == array_bits(prob.value(x))
-            assert array_bits(grad) == array_bits(prob.euclidean_grad(x))
-            assert [array_bits(v) for v in prob.value_and_grad(x)] == [array_bits(phi), array_bits(grad)]
             self.assert_stage_is_value_then_grad(prob, x)
 
     def test_used_only_while_both_callables_are_its_own(self):
         prob = problems.center_of_mass(6, 20, 3)
-        joint_calls, value_calls = [], []
-
-        def evaluate(x):
-            joint_calls.append(1)
-            return prob.joint.evaluate(x)
+        assert prob.stager() is prob.joint.stage
+        value_calls = []
 
         def value(x):
             value_calls.append(1)
             return prob.value(x)
 
-        spied = dataclasses.replace(prob, joint=prob.joint._replace(evaluate=evaluate))
-        spied.value_and_grad(prob.x0)
-        assert (len(joint_calls), len(value_calls)) == (1, 0)
         for replaced in (
-            dataclasses.replace(spied, value=value),
-            dataclasses.replace(spied, euclidean_grad=lambda x: prob.euclidean_grad(x)),
+            dataclasses.replace(prob, value=value),
+            dataclasses.replace(prob, euclidean_grad=lambda x: prob.euclidean_grad(x)),
         ):
-            phi, grad = replaced.value_and_grad(prob.x0)
+            stage = replaced.stager()
+            assert stage is not prob.joint.stage
+            phi, finish = stage(prob.x0)
             assert array_bits(phi) == array_bits(prob.value(prob.x0))
-            assert array_bits(grad) == array_bits(prob.euclidean_grad(prob.x0))
-        assert (len(joint_calls), len(value_calls)) == (1, 1)
+            assert array_bits(finish()) == array_bits(prob.euclidean_grad(prob.x0))
+        assert len(value_calls) == 1
 
     def test_stage_at_the_oracle_s_crafted_points(self):
         crafted = TestCenterOfMassOracle.crafted
@@ -492,10 +483,25 @@ class TestJointEvaluator:
     ],
     ids=["rayleigh", "lyapunov", "wls", "linear-minus-log"],
 )
-def test_without_joint_evaluator_value_and_grad_calls_both(build):
+def test_without_joint_evaluator_stager_calls_value_then_grad(build):
     prob = build()
     assert prob.joint is None
-    phi, grad = prob.value_and_grad(prob.x0)
+    calls = []
+
+    def spy(name, fn):
+        def spied(x):
+            calls.append(name)
+            return fn(x)
+
+        return spied
+
+    spied = dataclasses.replace(
+        prob, value=spy("value", prob.value), euclidean_grad=spy("grad", prob.euclidean_grad)
+    )
+    phi, finish = spied.stager()(prob.x0)
+    assert calls == ["value"]
+    grad = finish()
+    assert calls == ["value", "grad"]
     assert array_bits(phi) == array_bits(prob.value(prob.x0))
     assert array_bits(grad) == array_bits(prob.euclidean_grad(prob.x0))
 
@@ -504,11 +510,12 @@ def test_joint_antipodal_point_raises_the_same_domain_error():
     prob = problems.center_of_mass(3, n_points=4, seed=2)
     antipode = -prob.extras["points"][1]
     messages = []
+    # The joint's stage, then the fallback's, which calls value first.
     entry_points = (
-        prob.value, prob.euclidean_grad, prob.joint.evaluate, prob.joint.stage, prob.value_and_grad
+        prob.value, prob.euclidean_grad, prob.joint.stage, dataclasses.replace(prob, joint=None).stager()
     )
     for evaluate in entry_points:
         with pytest.raises(DomainError) as err:
             evaluate(antipode)
         messages.append(str(err.value))
-    assert messages == ["center-of-mass term evaluated at an antipodal point"] * 5
+    assert messages == ["center-of-mass term evaluated at an antipodal point"] * 4
