@@ -1,8 +1,27 @@
+import dataclasses
+
+# Before numpy, so that this process runs BLAS at the one thread ``import
+# adgd`` pins (README, Reproducibility): the in-process runs that
+# tests/test_golden_traces.py compares a two-thread run against.
+import adgd
 import numpy as np
 import pytest
 
 from adgd import linalg
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
+from adgd.optimizers import adgd_run, armijo_run, fixed_run
+
+# method -> run(config, manifold, problem, fixed_step): the four ways a
+# test descends.  Each caller builds its own ``RunConfig``; "first-ls" is
+# the adaptive run with ``first_ls`` set, and only "fixed" takes the step.
+METHODS = {
+    "adgd": lambda config, manifold, problem, step: adgd_run(config, manifold, problem),
+    "first-ls": lambda config, manifold, problem, step: adgd_run(
+        dataclasses.replace(config, first_ls=True), manifold, problem
+    ),
+    "armijo": lambda config, manifold, problem, step: armijo_run(config, manifold, problem),
+    "fixed": lambda config, manifold, problem, step: fixed_run(config, manifold, problem, step),
+}
 
 
 def random_sym(rng, n, scale=1.0):
@@ -27,11 +46,21 @@ def random_sphere_tangent(rng, x, scale=1.0):
     return v
 
 
-def array_bits(value):
-    """``(shape, bytes)`` of a float or an array, or of a Bures-Wasserstein
-    tangent's matrix: equal exactly when the values agree bit for bit."""
-    arr = np.asarray(getattr(value, "mat", value), dtype=float)
-    return arr.shape, arr.tobytes()
+def bits(value):
+    """``value`` with every float in it replaced by its exact bytes, so two
+    values compare equal exactly when they agree bit for bit (``-0.0``
+    differs from ``0.0``).  A float, an array or a Bures-Wasserstein
+    tangent's matrix becomes ``(shape, bytes)``; a list, a tuple or a
+    dataclass such as ``TraceRow`` or ``Trace`` becomes the list of its
+    items' or fields' bits; anything else is kept as it is."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, (float, np.ndarray)) or hasattr(value, "mat"):
+        arr = np.asarray(getattr(value, "mat", value), dtype=float)
+        return arr.shape, arr.tobytes()
+    if dataclasses.is_dataclass(value):
+        return [bits(getattr(value, field.name)) for field in dataclasses.fields(value)]
+    return value
 
 
 def is_spd_spectrum(eigenvalues):

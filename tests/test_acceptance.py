@@ -6,9 +6,7 @@ none is calibrated at runtime.  Seeds are fixed here and documented in
 the README.
 """
 
-import dataclasses
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from adgd.optimizers import (
     euclidean_adgd_run,
 )
 
-from conftest import is_spd_spectrum, random_sphere_tangent, random_spd, random_sym, random_unit
+from conftest import bits, is_spd_spectrum, random_sphere_tangent, random_spd, random_sym, random_unit
 
 GCONVEX_SEEDS = list(range(10))
 EQUIVALENCE_SEEDS = list(range(20))
@@ -115,15 +113,6 @@ def test_criterion_3_certified_rate(com_traces, lyapunov_traces):
     print(f"PASS criterion 3: rate bound slack {worst:.3e} <= 1e-7 at k in {checkpoints}")
 
 
-def _bits(value):
-    """A float's bytes, or a container of values with each float replaced by its bytes."""
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    if isinstance(value, (list, tuple)):
-        return [_bits(v) for v in value]
-    return value
-
-
 def test_written_traces_read_back_bit_for_bit(com_traces, lyapunov_traces, tmp_path):
     # Criteria 2 and 3 evaluated on the CSV traces give the in-memory
     # numbers bit for bit: every row, phi_star and each diagnostic.
@@ -132,12 +121,10 @@ def test_written_traces_read_back_bit_for_bit(com_traces, lyapunov_traces, tmp_p
         trace_io.write_trace(path, trace, {"phi_star": prob.optimum_value, "status": trace.status})
         meta, read, deviations = trace_io.read_trace(path)
         assert (read.status, read.message, read.points, deviations) == (trace.status, "", [], None)
-        assert read.rows == trace.rows
-        for r, t in zip(read.rows, trace.rows):
-            assert _bits(dataclasses.astuple(r)) == _bits(dataclasses.astuple(t))
-            assert type(r.clamped) is bool
+        assert bits(read.rows) == bits(trace.rows)
+        assert all(type(r.clamped) is bool for r in read.rows)
         phi_star = float(meta["phi_star"])
-        assert _bits(phi_star) == _bits(prob.optimum_value)
+        assert bits(phi_star) == bits(prob.optimum_value)
         for got, want in (
             (diagnostics.energy_sequence(read, phi_star),
              diagnostics.energy_sequence(trace, prob.optimum_value)),
@@ -146,7 +133,7 @@ def test_written_traces_read_back_bit_for_bit(com_traces, lyapunov_traces, tmp_p
              diagnostics.rate_gap_bounds(trace, prob.optimum_value, (10, 100, 1000))),
             (diagnostics.step_floor_bound(read), diagnostics.step_floor_bound(trace)),
         ):
-            assert _bits(np.asarray(got).tolist()) == _bits(np.asarray(want).tolist())
+            assert bits(got) == bits(want)
 
 
 def test_certificates_are_products_and_left_to_right_sums(com_traces, lyapunov_traces):
@@ -170,9 +157,9 @@ def test_certificates_are_products_and_left_to_right_sums(com_traces, lyapunov_t
                 best = min(best, row.phi)
                 total = total + row.alpha
             bounds.append((best - phi_star, r * r / (2.0 * total)))
-        assert _bits(diagnostics.energy_sequence(trace, phi_star).tolist()) == _bits(energy)
-        assert _bits(diagnostics.radius(trace)) == _bits(r)
-        assert _bits(diagnostics.rate_gap_bounds(trace, phi_star, checkpoints)) == _bits(bounds)
+        assert bits(diagnostics.energy_sequence(trace, phi_star).tolist()) == bits(energy)
+        assert bits(diagnostics.radius(trace)) == bits(r)
+        assert bits(diagnostics.rate_gap_bounds(trace, phi_star, checkpoints)) == bits(bounds)
 
 
 def test_criterion_4_geometry_suites():

@@ -1,7 +1,6 @@
 import csv
 import io
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,8 @@ import pytest
 from adgd import linalg, trace_io
 from adgd.cli import EXPERIMENTS, main
 from adgd.optimizers import STATUS_ABORTED, Trace, TraceRow
+
+from conftest import bits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,8 +21,24 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def read_bytes(path):
-    return path.read_bytes()
+RAYLEIGH = "experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\n"
+RAYLEIGH_FLAGS = "--experiment rayleigh --n 5 --seed 9 --max-iters 15"
+
+# case -> (config text, flags given next to --config, the flags alone that
+# write the same bytes)
+CONFIG_EQUIVALENCE = {
+    "flags": (RAYLEIGH + "alpha0 = 0.05\n", "", RAYLEIGH_FLAGS + " --alpha0 0.05"),
+    "true-boolean": (RAYLEIGH + "first-ls = yes\n", "", RAYLEIGH_FLAGS + " --first-ls"),
+    # A false boolean adds no flag.
+    **{
+        f"false-boolean-{word}": (RAYLEIGH + f"first-ls = {word}\n", "", RAYLEIGH_FLAGS)
+        for word in ("no", "0", "False")
+    },
+    "blank-and-comment-lines": (
+        "# a comment\n\nexperiment = rayleigh\n   \nn = 4\n", "--max-iters 5", "--experiment rayleigh --n 4 --max-iters 5"
+    ),
+    "explicit-flag-beats-config-file": (RAYLEIGH, "--seed 4", "--experiment rayleigh --n 5 --seed 4 --max-iters 15"),
+}
 
 
 class TestRun:
@@ -45,21 +62,13 @@ class TestRun:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(*args, "--out", str(a)) == 0
         assert run_cli(*args, "--out", str(b)) == 0
-        assert read_bytes(a) == read_bytes(b)
-
-    def test_seed_changes_trace(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("run", "--experiment", "rayleigh", "--n", "6", "--seed", "1",
-                "--max-iters", "20", "--out", str(a))
-        run_cli("run", "--experiment", "rayleigh", "--n", "6", "--seed", "2",
-                "--max-iters", "20", "--out", str(b))
-        assert read_bytes(a) != read_bytes(b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unix_line_endings_and_constant_columns(self, tmp_path):
         out = tmp_path / "t.csv"
         run_cli("run", "--experiment", "center-of-mass", "--n", "6", "--seed", "5",
                 "--max-iters", "30", "--alpha0", "0.05", "--out", str(out))
-        raw = read_bytes(out)
+        raw = out.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode("utf-8").splitlines()
         widths = {len(line.split(",")) for line in lines[1:]}
@@ -104,6 +113,14 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert len(lines[-1].split(",")) == len(lines[1].split(","))
 
+    def test_seed_changes_trace(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_cli("run", "--experiment", "rayleigh", "--n", "6", "--seed", "1",
+                "--max-iters", "20", "--out", str(a))
+        run_cli("run", "--experiment", "rayleigh", "--n", "6", "--seed", "2",
+                "--max-iters", "20", "--out", str(b))
+        assert a.read_bytes() != b.read_bytes()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -117,10 +134,12 @@ class TestRun:
     def test_overflowing_sphere_step_exits_3_with_a_trace(self, tmp_path, capsys, argv):
         out = tmp_path / "overflow.csv"
         assert run_cli("run", *argv, "--out", str(out)) == 3
-        assert "run aborted: sphere step norm overflowed" in capsys.readouterr().err
+        # ||alpha0 g_0||^2 overflows, so the first exponential cannot be taken.
+        message = "sphere step norm overflowed (||v|| = inf)"
+        assert capsys.readouterr().err == f"run aborted: {message}\n"
         meta, trace, _ = trace_io.read_trace(out)
         assert meta["status"] == trace.status == STATUS_ABORTED
-        assert trace.message and trace.rows == []
+        assert trace.message == message and trace.rows == []
 
     def test_eigensolver_cap_exits_4_without_a_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
@@ -132,162 +151,112 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_config_file_equivalent_to_flags(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\nalpha0 = 0.05\n"
+    @pytest.mark.parametrize("case", CONFIG_EQUIVALENCE)
+    def test_config_file_equivalent_to_flags(self, tmp_path, case):
+        text, extra, flags = CONFIG_EQUIVALENCE[case]
+        cfg, a, b = tmp_path / "run.cfg", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(text)
+        assert run_cli("run", "--config", str(cfg), *extra.split(), "--out", str(a)) == 0
+        assert run_cli("run", *flags.split(), "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def _usage_error(capsys, *argv):
+    """``main(argv)``'s stderr, once it has exited 2, by returning 2 or by
+    argparse's ``SystemExit(2)``, and written nothing to ``x.csv``, the one
+    output path the usage tests name."""
+    capsys.readouterr()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not Path("x.csv").exists()
+    return capsys.readouterr().err
+
+
+OUT = ("--out", "x.csv")
+
+# case -> (``adgd-bench`` argv, or the text of a ``run.cfg`` that ``run
+# --config run.cfg --out x.csv`` reads; a fragment of the error on stderr)
+USAGE_ERRORS = {
+    "fixed-requires-alpha": (
+        ("run", "--experiment", "rayleigh", "--optimizer", "fixed", *OUT),
+        "error: --fixed-alpha is required with --optimizer fixed",
+    ),
+    "fixed-alpha-only-with-fixed": (
+        ("run", "--experiment", "rayleigh", "--fixed-alpha", "0.1", *OUT),
+        "error: --fixed-alpha only applies to --optimizer fixed",
+    ),
+    "orthant-equivalence-rejects-armijo": (
+        ("run", "--experiment", "orthant-equivalence", "--optimizer", "armijo", *OUT),
+        "error: orthant-equivalence supports only --optimizer adgd",
+    ),
+    "missing-out": (("run", "--experiment", "rayleigh"), "error: --out is required (flag or config file)"),
+    "missing-experiment": (("run", *OUT), "error: --experiment is required (flag or config file)"),
+    "negative-seed": (
+        ("run", "--experiment", "rayleigh", "--seed", "-1", *OUT),
+        "error: argument --seed: must be at least 0, got -1",
+    ),
+    **{
+        f"n-{word}-{experiment}": (
+            ("run", "--experiment", experiment, "--n", n, "--max-iters", "3", *OUT),
+            f"error: argument --n: must be at least 1, got {n}",
         )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
-        assert run_cli("run", "--experiment", "rayleigh", "--n", "5", "--seed", "9",
-                       "--max-iters", "15", "--alpha0", "0.05", "--out", str(b)) == 0
-        assert read_bytes(a) == read_bytes(b)
-
-    def test_config_file_store_true_flag(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\nfirst-ls = yes\n")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
-        assert run_cli("run", "--experiment", "rayleigh", "--n", "5", "--seed", "9",
-                       "--max-iters", "15", "--first-ls", "--out", str(b)) == 0
-        assert read_bytes(a) == read_bytes(b)
-
-    def test_config_file_skips_blank_and_comment_lines(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# a comment\n\nexperiment = rayleigh\n   \nn = 4\n")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("run", "--config", str(cfg), "--max-iters", "5", "--out", str(a)) == 0
-        assert run_cli("run", "--experiment", "rayleigh", "--n", "4", "--max-iters", "5",
-                       "--out", str(b)) == 0
-        assert read_bytes(a) == read_bytes(b)
-
-    def test_explicit_flag_beats_config_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = rayleigh\nn = 5\nseed = 9\nmax-iters = 15\n")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("run", "--config", str(cfg), "--seed", "4", "--out", str(a)) == 0
-        assert run_cli("run", "--experiment", "rayleigh", "--n", "5", "--seed", "4",
-                       "--max-iters", "15", "--out", str(b)) == 0
-        assert read_bytes(a) == read_bytes(b)
+        for experiment in sorted(EXPERIMENTS)
+        for word, n in (("zero", "0"), ("negative", "-2"))
+    },
+    **{
+        name: (("run", "--experiment", "center-of-mass", *flags, *OUT), message)
+        for name, flags, message in [
+            ("fixed-alpha-nan", ("--optimizer", "fixed", "--fixed-alpha", "nan"),
+             "error: fixed step size must be finite and nonnegative"),
+            ("fixed-alpha-inf", ("--optimizer", "fixed", "--fixed-alpha", "inf"),
+             "error: fixed step size must be finite and nonnegative"),
+            ("alpha0-inf", ("--alpha0", "inf"), "error: alpha0 must be positive and finite"),
+            ("armijo-lambda-inf", ("--optimizer", "armijo", "--armijo-lambda", "inf"),
+             "error: armijo_lambda must be finite and >= 1"),
+        ]
+    },
+    "config-unknown-key": ("experiment = rayleigh\nconfig = other.cfg\n", "error: unknown config key 'config'"),
+    "config-line-without-equals": (
+        "experiment = rayleigh\nfirst-ls\n",
+        "error: run.cfg:2: expected key=value, got 'first-ls'",
+    ),
+    "config-misspelt-boolean": (
+        "experiment = rayleigh\nfirst-ls = ture\n",
+        "error: config key 'first_ls': expected 1/true/yes or 0/false/no, got 'ture'",
+    ),
+    "compare-needs-two-traces": (("compare", "one.csv"), "error: compare needs at least two trace files"),
+    "bad-subcommand": (("frobnicate",), "error: argument command: invalid choice: 'frobnicate'"),
+}
 
 
 class TestUsageErrors:
-    def test_fixed_requires_alpha(self, tmp_path):
-        code = run_cli("run", "--experiment", "rayleigh", "--optimizer", "fixed",
-                       "--out", str(tmp_path / "x.csv"))
-        assert code == 2
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
 
-    def test_fixed_alpha_only_with_fixed(self, tmp_path):
-        code = run_cli("run", "--experiment", "rayleigh", "--fixed-alpha", "0.1",
-                       "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-
-    def test_orthant_equivalence_rejects_armijo(self, tmp_path):
-        code = run_cli("run", "--experiment", "orthant-equivalence",
-                       "--optimizer", "armijo", "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-
-    def test_config_file_invalid_choice(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = rayleigh\noptimizer = bogus\n")
-        with pytest.raises(SystemExit) as err:
-            run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
-        assert err.value.code == 2
-
-    def test_config_file_unknown_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = rayleigh\nconfig = other.cfg\n")
-        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
-
-    def test_missing_out(self):
-        assert run_cli("run", "--experiment", "rayleigh") == 2
-
-    def test_missing_experiment(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        assert run_cli("run", "--out", str(out)) == 2
-        assert "--experiment is required" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_config_file_line_without_equals(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = rayleigh\nfirst-ls\n")
-        out = tmp_path / "x.csv"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
-        assert f"{cfg}:2: expected key=value, got 'first-ls'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_compare_needs_two_traces(self, tmp_path):
-        out = tmp_path / "one.csv"
-        run_cli("run", "--experiment", "rayleigh", "--n", "4", "--seed", "0",
-                "--max-iters", "5", "--out", str(out))
-        assert run_cli("compare", str(out)) == 2
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--optimizer", "fixed", "--fixed-alpha", "nan"),
-            ("--optimizer", "fixed", "--fixed-alpha", "inf"),
-            ("--alpha0", "inf"),
-            ("--optimizer", "armijo", "--armijo-lambda", "inf"),
-        ],
-        ids=["fixed-alpha-nan", "fixed-alpha-inf", "alpha0-inf", "armijo-lambda-inf"],
-    )
-    def test_non_finite_step_size(self, tmp_path, capsys, flags):
-        out = tmp_path / "x.csv"
-        code = run_cli("run", "--experiment", "center-of-mass", *flags, "--out", str(out))
-        assert code == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_config_file_rejects_misspelt_boolean(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = rayleigh\nfirst-ls = ture\n")
-        out = tmp_path / "x.csv"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
-        assert "'ture'" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("n", ["0", "-2"])
-    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-    def test_n_below_one(self, tmp_path, capsys, experiment, n):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as err:
-            run_cli("run", "--experiment", experiment, "--n", n, "--max-iters", "3",
-                    "--out", str(out))
-        assert err.value.code == 2
-        assert f"argument --n: must be at least 1, got {n}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_seed(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as err:
-            run_cli("run", "--experiment", "rayleigh", "--seed", "-1", "--out", str(out))
-        assert err.value.code == 2
-        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("case", USAGE_ERRORS)
+    def test_exits_2_without_a_trace(self, capsys, case):
+        argv, fragment = USAGE_ERRORS[case]
+        if isinstance(argv, str):
+            Path("run.cfg").write_text(argv)
+            argv = ("run", "--config", "run.cfg", *OUT)
+        assert fragment in _usage_error(capsys, *argv)
 
     @pytest.mark.parametrize(
         "key,flag,value",
         [("optimizer", "--optimizer", "bogus"), ("n", "--n", "abc"), ("n", "--n", "0")],
     )
-    def test_config_file_error_is_the_flag_error(self, tmp_path, capsys, key, flag, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"experiment = rayleigh\n{key} = {value}\n")
-        out = tmp_path / "x.csv"
-        errors = []
-        for argv in (("--config", str(cfg)), ("--experiment", "rayleigh", flag, value)):
-            with pytest.raises(SystemExit) as err:
-                run_cli("run", *argv, "--out", str(out))
-            assert err.value.code == 2
-            errors.append(capsys.readouterr().err.splitlines()[-1])
+    def test_config_file_error_is_the_flag_error(self, capsys, key, flag, value):
+        Path("run.cfg").write_text(f"experiment = rayleigh\n{key} = {value}\n")
+        errors = [
+            _usage_error(capsys, "run", *argv, *OUT).splitlines()[-1]
+            for argv in (("--config", "run.cfg"), ("--experiment", "rayleigh", flag, value))
+        ]
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"adgd-bench run: error: argument {flag}: ")
-        assert not out.exists()
-
-    def test_bad_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as err:
-            main(["frobnicate"])
-        assert err.value.code == 2
 
 
 class TestCompare:
@@ -491,12 +460,11 @@ class TestTraceIO:
         for v in values:
             trace_io.write_trace(out, Trace(rows, [], "converged"), {"phi_star": v}, values)
             meta, trace, deviations = trace_io.read_trace(out)
-            assert _bits(float(meta["phi_star"])) == _bits(v)
-        assert deviations == values and list(map(_bits, deviations)) == list(map(_bits, values))
-        assert trace.rows == rows
-        for r, v in zip(trace.rows, values):
-            floats = (r.phi, r.grad_norm, r.alpha, r.theta, r.ell, r.dist_to_opt)
-            assert all(type(x) is float and _bits(x) == _bits(v) for x in floats)
+            assert bits(float(meta["phi_star"])) == bits(v)
+        assert bits(deviations) == bits(values)
+        assert bits(trace.rows) == bits(rows)
+        for r in trace.rows:
+            assert all(type(x) is float for x in (r.phi, r.grad_norm, r.alpha, r.theta, r.ell, r.dist_to_opt))
 
     def test_aborted_trace_reads_back_aborted(self, tmp_path):
         row = TraceRow(k=0, phi=1.0, grad_norm=2.0, alpha=0.5, theta=0.0, ell=0.0, fn_evals=1,
@@ -525,10 +493,6 @@ class TestTraceIO:
         assert len(deviations) == len(trace.rows)
         assert all(isinstance(d, float) for d in deviations)
         assert max(deviations) <= 1e-8
-
-
-def _bits(x):
-    return struct.pack("<d", x)
 
 
 def _csv_writer_reference(trace, meta, deviations=None):

@@ -3,9 +3,12 @@
 Each case runs ``adgd-bench run`` in-process and checks its exit status and
 the CSV it writes against ``tests/golden/<case>.csv``.  The goldens pin the
 descent loops' arithmetic, stopping rules, abort handling and work
-counters, so a refactor of the loops must leave every byte in place.  Only
-a change that deliberately moves the numbers (new problem instances or new
-linear-algebra kernels) re-records them, with::
+counters, so a refactor of the loops must leave every byte in place.
+``test_trace_matches_golden`` is the one test that compares against a
+golden's bytes; the invariance tests below compare two runs of a case made
+under the same BLAS kernel, so that they hold on any kernel.  Only a change
+that deliberately moves the numbers (new problem instances or new
+linear-algebra kernels) re-records the goldens, with::
 
     PYTHONPATH=src python tests/test_golden_traces.py --record
 """
@@ -68,14 +71,16 @@ BW_CASES = ["adgd-lyapunov", "adgd-lyapunov-clamped", "fixed-lyapunov-domain-abo
 
 @pytest.mark.parametrize("name", BW_CASES)
 def test_trace_independent_of_blas_threads(name, tmp_path):
-    # A fresh process, because OpenBLAS reads its thread count at import.
-    out = tmp_path / f"{name}.csv"
+    # A fresh process at two threads, because OpenBLAS reads its thread
+    # count at import, against this one, which ``import adgd`` pinned to one.
+    base, out = tmp_path / "base.csv", tmp_path / "threads.csv"
+    status = run_case(name, base)
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(filter(None, path))}
     cmd = [sys.executable, "-m", "adgd.cli", "run", *CASES[name][1].split(), "--out", str(out)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == CASES[name][0], proc.stderr
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert proc.returncode == status, proc.stderr
+    assert out.read_bytes() == base.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -85,10 +90,11 @@ def test_trace_independent_of_blas_threads(name, tmp_path):
 def test_trace_without_the_norm_fast_paths(name, tmp_path, monkeypatch):
     # A step with ||L||_F <= 1/2 skips two LAPACK certificates; with the
     # bound at -1 every step takes them, and the bytes stay the same.
+    base, out = tmp_path / "base.csv", tmp_path / "certified.csv"
+    status = run_case(name, base)
     monkeypatch.setattr(bures_wasserstein, "_SMALL_FACTOR_NORM", -1.0)
-    out = tmp_path / f"{name}.csv"
-    assert run_case(name, out) == CASES[name][0]
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert run_case(name, out) == status
+    assert out.read_bytes() == base.read_bytes()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")

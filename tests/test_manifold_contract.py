@@ -13,7 +13,7 @@ from adgd import linalg, optimizers
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, Manifold, PositiveOrthant, Sphere
 
-from conftest import array_bits, random_sphere_tangent, random_spd, random_sym, random_unit
+from conftest import bits, random_sphere_tangent, random_spd, random_sym, random_unit
 
 
 def sphere_sample(rng, scale=1.0):
@@ -76,7 +76,7 @@ class TestDistanceAxioms:
             x, y = make(), make()
             got = m.distance(x, y)
             assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(m.distance_from(x)([y])[0]).tobytes()
+            assert bits(got) == bits(m.distance_from(x)([y])[0])
         # Each implements distance_from; none keeps a distance of its own
         # (test_only_the_base_class_defines_distance).
         assert "distance_from" in type(m).__dict__
@@ -203,7 +203,7 @@ class TestDistanceChecksItsPoints:
                 if case == "bw":
                     assert abs(there - back) <= 1e-7 * max(there, back)
                 else:
-                    assert np.float64(there).tobytes() == np.float64(back).tobytes()
+                    assert bits(there) == bits(back)
 
     def test_ill_conditioned_bw_distance_both_ways(self):
         # Condition 1e13: both orders take require_spd's word for the point.
@@ -346,13 +346,13 @@ class TestExpTransport:
         clamped_seen = False
         for m, x, v, ws in _exp_transport_cases(case, rng):
             y, clamped, transport = m.exp_transport(x, v)
-            assert array_bits(y) == array_bits(m.exp(x, v))
+            assert bits(y) == bits(m.exp(x, v))
             clamped_seen |= clamped
             # Past the orthant's clamp a transported entry overflows to inf,
             # in both forms alike; the descent loop ignores the warning too.
             with np.errstate(over="ignore"):
                 for w in ws:
-                    assert array_bits(transport(w)) == array_bits(m.transport_along_step(x, v, w))
+                    assert bits(transport(w)) == bits(m.transport_along_step(x, v, w))
         assert clamped_seen == (case == "orthant")
 
     @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])

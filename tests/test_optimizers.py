@@ -18,7 +18,7 @@ from adgd.optimizers import (
     fixed_run,
 )
 
-from conftest import array_bits
+from conftest import METHODS, bits
 
 SQRT2 = math.sqrt(2.0)
 
@@ -340,19 +340,10 @@ class TestEuclideanTwin:
 
 
 class TestDomainSafety:
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda prob: adgd_run(RunConfig(alpha0=1e300), Sphere(), prob),
-            lambda prob: adgd_run(RunConfig(alpha0=1e300, first_ls=True), Sphere(), prob),
-            lambda prob: fixed_run(RunConfig(), Sphere(), prob, 1e300),
-            lambda prob: armijo_run(RunConfig(alpha0=1e300), Sphere(), prob),
-        ],
-        ids=["adgd", "first-ls", "fixed", "armijo"],
-    )
-    def test_overflowing_sphere_step_aborts(self, run):
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_overflowing_sphere_step_aborts(self, method):
         # ||alpha0 g_0||^2 overflows, so the first exponential cannot be taken.
-        tr = run(problems.rayleigh(5, 0))
+        tr = METHODS[method](RunConfig(alpha0=1e300), Sphere(), problems.rayleigh(5, 0), 1e300)
         assert tr.status == STATUS_ABORTED
         assert tr.message == "sphere step norm overflowed (||v|| = inf)"
         assert tr.rows == []
@@ -422,11 +413,8 @@ _EDGE_PROBLEMS = {
     "lyapunov": (BuresWasserstein, lambda: problems.lyapunov_objective(4, 0)),
     "center-of-mass": (Sphere, lambda: problems.center_of_mass(6, 20, 0)),
 }
-_EDGE_METHODS = {
-    "adgd": adgd_run,
-    "armijo": armijo_run,
-    "fixed": lambda config, manifold, problem: fixed_run(config, manifold, problem, 0.01),
-}
+# The methods the edge tests run, the fixed one at step 0.01.
+_EDGE_METHODS = ("adgd", "armijo", "fixed")
 
 
 def _overflow_at_fourth_grad(problem):
@@ -454,13 +442,13 @@ def _nan_from_fifth_value(problem):
     return dataclasses.replace(problem, value=value), calls
 
 
-@pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+@pytest.mark.parametrize("method", _EDGE_METHODS)
 @pytest.mark.parametrize("name", sorted(_EDGE_PROBLEMS))
 class TestDriverEdges:
     def _run(self, name, method, problem=None, **config):
         manifold_cls, build = _EDGE_PROBLEMS[name]
         problem = build() if problem is None else problem
-        return _EDGE_METHODS[method](RunConfig(**config), manifold_cls(), problem)
+        return METHODS[method](RunConfig(**config), manifold_cls(), problem, 0.01)
 
     def test_max_iters_zero_takes_no_step(self, name, method):
         tr = self._run(name, method, max_iters=0)
@@ -540,7 +528,7 @@ def test_distance_chunk_size_moves_no_bit(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+@pytest.mark.parametrize("method", _EDGE_METHODS)
 def test_near_antipodal_start_aborts_before_the_first_row(method):
     # A one-point center of mass started 1e-7 from the antipode of its point.
     prob = problems.center_of_mass(5, 1, 3)
@@ -549,7 +537,7 @@ def test_near_antipodal_start_aborts_before_the_first_row(method):
     off[np.argmin(np.abs(antipode))] = 1e-7
     x0 = antipode + off - np.dot(antipode, off) * antipode
     prob.x0 = x0 / np.linalg.norm(x0)
-    tr = _EDGE_METHODS[method](RunConfig(max_iters=10, alpha0=0.01), Sphere(), prob)
+    tr = METHODS[method](RunConfig(max_iters=10, alpha0=0.01), Sphere(), prob, 0.01)
     assert tr.status == STATUS_ABORTED
     assert tr.rows == []
     assert "antipodal" in tr.message
@@ -588,7 +576,7 @@ class TestStartingPoint:
         ),
     }
 
-    @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+    @pytest.mark.parametrize("method", _EDGE_METHODS)
     @pytest.mark.parametrize("case", sorted(BAD_STARTS))
     def test_checked_before_any_evaluation(self, case, method):
         manifold_cls, build, move = self.BAD_STARTS[case]
@@ -607,7 +595,7 @@ class TestStartingPoint:
         with pytest.raises(ValueError) as raised:
             manifold_cls().check_point(prob.x0)
         with pytest.raises(ValueError) as got:
-            _EDGE_METHODS[method](RunConfig(), manifold_cls(), prob)
+            METHODS[method](RunConfig(), manifold_cls(), prob, 0.01)
         assert str(got.value) == str(raised.value) and calls == []
 
 
@@ -651,7 +639,7 @@ class TestOptimumPoint:
         assert tr.status == STATUS_CONVERGED
         assert np.isfinite(tr.column("dist_to_opt")).all()
 
-    @pytest.mark.parametrize("method", sorted(_EDGE_METHODS))
+    @pytest.mark.parametrize("method", _EDGE_METHODS)
     def test_distance_column_built_before_any_evaluation(self, method, monkeypatch):
         # The fixed point's work, and anything it refuses, comes before row 0.
         def refuse(self, y):
@@ -667,7 +655,7 @@ class TestOptimumPoint:
 
         prob = dataclasses.replace(valid, value=value, joint=None)
         with pytest.raises(DomainError, match="no distance"):
-            _EDGE_METHODS[method](RunConfig(max_iters=5), BuresWasserstein(), prob)
+            METHODS[method](RunConfig(max_iters=5), BuresWasserstein(), prob, 0.01)
         assert calls == []
 
 
@@ -689,20 +677,18 @@ class TestJointEvaluation:
         "center-of-mass": (lambda: problems.center_of_mass(6, 20, 0), Sphere),
         "lyapunov": (lambda: problems.lyapunov_objective(5, 0), BuresWasserstein),
     }
-    _RUNS = {
-        "adgd": lambda m, p: adgd_run(RunConfig(max_iters=10, tol=0.0, alpha0=0.01), m, p),
-        "first-ls": lambda m, p: adgd_run(RunConfig(max_iters=10, tol=0.0, alpha0=0.01, first_ls=True), m, p),
-        # armijo_c = 0.5 rejects trials on both problems; they are staged too.
-        "armijo": lambda m, p: armijo_run(RunConfig(max_iters=10, tol=0.0, armijo_c=0.5), m, p),
-        "fixed": lambda m, p: fixed_run(RunConfig(max_iters=10, tol=0.0), m, p, 0.01),
-    }
-
-    @pytest.mark.parametrize("method", sorted(_RUNS))
+    @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("name", sorted(_PROBLEMS))
     def test_every_evaluation_is_one_stage(self, name, method, monkeypatch):
         build, manifold_cls = self._PROBLEMS[name]
         problem = build()
-        run = self._RUNS[method]
+        # armijo_c = 0.5 rejects trials on both problems; they are staged too.
+        # Only Armijo reads it, and Armijo starts from the default alpha0.
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=1.0 if method == "armijo" else 0.01, armijo_c=0.5)
+
+        def run(manifold, prob):
+            return METHODS[method](config, manifold, prob, 0.01)
+
         plain = run(manifold_cls(), dataclasses.replace(problem, joint=None))
         stages, finishes, grads = [], [], []
         # The counted gradient goes into the joint too, so it stays the problem's own.
@@ -733,7 +719,7 @@ class TestJointEvaluation:
         assert (trials > 1) == (method == "first-ls")
         assert (tr.rows[-1].fn_evals > len(tr.rows)) == (method == "armijo")
         assert tr.rows == plain.rows
-        assert [array_bits(x) for x in tr.points] == [array_bits(x) for x in plain.points]
+        assert bits(tr.points) == bits(plain.points)
 
     @pytest.mark.parametrize("replaced", ["value", "euclidean_grad"])
     def test_replaced_callable_sees_every_evaluation(self, replaced):

@@ -8,7 +8,7 @@ from adgd import problems
 from adgd.errors import DomainError
 from adgd.optimizers import RunConfig, adgd_run
 
-from conftest import random_sphere_tangent, random_unit
+from conftest import bits, random_sphere_tangent, random_unit
 
 
 def e(i, n=3):
@@ -152,10 +152,6 @@ class TestDistanceFrom:
     """The distance column: one stacked equality test, then a ddot and
     ``math.acos`` per unequal point, bit for bit the single distance."""
 
-    @staticmethod
-    def bits(values):
-        return np.array(values, dtype=float).tobytes()
-
     def test_column_equals_single_distances(self, sphere):
         rng = np.random.default_rng(5)
         y = random_unit(rng, 10)
@@ -169,9 +165,7 @@ class TestDistanceFrom:
         column = sphere.distance_from(y)(xs)
         valid = [i for i, x in enumerate(xs) if not np.isnan(x).any()]
         assert valid == [0, 1, 2, 3] + list(range(5, 25))
-        assert self.bits([column[i] for i in valid]) == self.bits(
-            [sphere.distance(xs[i], y) for i in valid]
-        )
+        assert bits([column[i] for i in valid]) == bits([sphere.distance(xs[i], y) for i in valid])
         # The NaN row: the column, which checks no point, reads NaN, and the
         # single distance, which checks both, raises.
         with pytest.raises(ValueError, match="finite vector"):

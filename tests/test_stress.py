@@ -26,17 +26,10 @@ import pytest
 from adgd import cli, linalg, trace_io
 from adgd.errors import ConvergenceError
 from adgd.manifolds import BuresWasserstein, bures_wasserstein
-from adgd.optimizers import (
-    STATUS_ABORTED,
-    STATUS_CONVERGED,
-    STATUS_MAX_ITERS,
-    RunConfig,
-    adgd_run,
-    armijo_run,
-    fixed_run,
-)
+from adgd.optimizers import STATUS_ABORTED, STATUS_CONVERGED, STATUS_MAX_ITERS, RunConfig
 
-METHODS = ("adgd", "first-ls", "armijo", "fixed")
+from conftest import METHODS, bits
+
 STEPS = (1e-300, 1e-8, 1.0, 1e8, 1e300)
 MAX_ITERS = (0, 1, 5)
 TOLS = (0.0, 1e-10)
@@ -78,23 +71,9 @@ def _problems(experiment):
 
 
 def _run(method, step, max_iters, tol, manifold, problem, armijo_lambda=1.0):
-    config = RunConfig(
-        max_iters=max_iters,
-        tol=tol,
-        alpha0=1.0 if method == "fixed" else step,
-        first_ls=method == "first-ls",
-        armijo_lambda=armijo_lambda,
-    )
-    if method == "armijo":
-        return armijo_run(config, manifold, problem)
-    if method == "fixed":
-        return fixed_run(config, manifold, problem, step)
-    return adgd_run(config, manifold, problem)
-
-
-def _row_bits(row):
-    """A row's fields, floats by their exact bits (``-0.0`` differs from ``0.0``)."""
-    return tuple(value.hex() if isinstance(value, float) else value for value in vars(row).values())
+    alpha0 = 1.0 if method == "fixed" else step
+    config = RunConfig(max_iters=max_iters, tol=tol, alpha0=alpha0, armijo_lambda=armijo_lambda)
+    return METHODS[method](config, manifold, problem, step)
 
 
 def _check(trace, max_iters, tol, manifold, path):
@@ -111,14 +90,14 @@ def _check(trace, max_iters, tol, manifold, path):
         values = (row.phi, row.grad_norm, row.alpha, row.theta, row.ell, row.dist_to_opt)
         assert all(math.isfinite(v) for v in values if v is not None), row
         ratio = row.alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
-        assert row.theta.hex() == ratio.hex(), row
+        assert bits(row.theta) == bits(ratio), row
     if isinstance(manifold, BuresWasserstein):
         for x in trace.points:
             linalg.require_spd(x)
     path.write_text(trace_io.render_trace(trace, {"status": trace.status}), encoding="utf-8")
     _, back, _ = trace_io.read_trace(path)
     assert (back.status, back.message) == (trace.status, trace.message.replace(",", ";"))
-    assert [_row_bits(r) for r in back.rows] == [_row_bits(r) for r in trace.rows]
+    assert bits(back.rows) == bits(trace.rows)
 
 
 def _trace_or_error(run):
@@ -130,12 +109,8 @@ def _trace_or_error(run):
 
 
 def _bits(outcome):
-    """A trace's status, message, row bits and point bytes, or an error's
-    message."""
-    if isinstance(outcome, ConvergenceError):
-        return str(outcome)
-    return (outcome.status, outcome.message, [_row_bits(r) for r in outcome.rows],
-            [x.tobytes() for x in outcome.points])
+    """A trace's bits (``bits``), or an error's message."""
+    return str(outcome) if isinstance(outcome, ConvergenceError) else bits(outcome)
 
 
 def _run_and_check(case, failures, path, method, step, max_iters, tol, manifold, problem,
