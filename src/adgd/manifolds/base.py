@@ -54,7 +54,9 @@ class Manifold(ABC):
         numerical guard fired on the way, and ``transport(w)``, the parallel
         transport of w from x to y along t -> exp(x, t v).  This is the one
         exponential a manifold implements; the transport may reuse the
-        exponential's work.
+        exponential's work.  For a step it treats as zero a manifold may
+        return ``x`` itself as ``y``; a run then answers the evaluations it
+        asks at ``y`` from the iterate's own.
         """
 
     def exp(self, x, v):

@@ -88,11 +88,13 @@ class TraceRow:
     from it and ``theta = alpha_k / alpha_{k-1}`` (0 at k = 0 and after a
     zero step).  ``ell`` is the local inverse-smoothness estimate, 0.0 where
     undefined (k = 0, or a vanishing gradient-difference denominator).
-    ``fn_evals`` and ``exp_evals`` count objective and exponential
-    evaluations, line-search trials included, and ``expensive_ops`` charges
-    the problem's and the manifold's price tags for the same calls, so every
-    method is metered alike; all three are cumulative and include the row's
-    own step.  ``dist_to_opt`` is None without a tracked optimum, and
+    ``fn_evals`` and ``exp_evals`` count the method's requests for objective
+    and exponential evaluations, line-search trials included, and
+    ``expensive_ops`` charges the problem's and the manifold's price tags
+    for the same requests, so every method is metered alike; all three are
+    cumulative and include the row's own step.  A request at the iterate's
+    own point object is answered from its evaluations and still counted
+    (:class:`_Meter`).  ``dist_to_opt`` is None without a tracked optimum, and
     ``clamped`` records a guard that capped the step.
     """
 
@@ -135,10 +137,19 @@ class _Meter:
 
     Every objective evaluation is one :meth:`stage` through
     ``problem.stager()``, resolved once at the start of the run, and every
-    gradient is one :meth:`grad`.
+    gradient is one :meth:`grad`.  The counters count the method's
+    requests.  A request at the very object :meth:`hold` last recorded,
+    the current iterate (a manifold may return its own point for a step it
+    treats as zero), is answered from that iterate's evaluations and
+    charged all the same, so it assumes ``value`` and ``euclidean_grad``
+    are deterministic and leave the point unchanged.  Row 0's stage checks
+    what the objective returns (:meth:`_vet`).
     """
 
-    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage")
+    __slots__ = (
+        "fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage",
+        "_x", "_phi", "_finish", "_grad",
+    )
 
     def __init__(self, manifold, problem):
         self.fn_evals = 0
@@ -146,13 +157,46 @@ class _Meter:
         self.expensive = 0
         self.manifold = manifold
         self.problem = problem
-        self._stage = problem.stager()
+        self._stage = self._vet
+        self._x = self._phi = self._finish = self._grad = None
+
+    def _vet(self, x):
+        """Row 0's stage: ``problem.stager()``'s, which serves every later
+        stage, with a ``ValueError`` unless the value is a real scalar and
+        the Euclidean gradient has ``x``'s shape."""
+        self._stage = stage = self.problem.stager()
+        phi, finish = stage(x)
+        if not (
+            isinstance(phi, numbers.Real)
+            or (isinstance(phi, np.ndarray) and phi.shape == () and phi.dtype.kind in "biuf")
+        ):
+            raise ValueError(
+                f"Problem.value returned {type(phi).__name__} of shape {np.shape(phi)}, "
+                f"not a real scalar (shape ())"
+            )
+
+        def vetted():
+            egrad = finish()
+            if np.shape(egrad) != np.shape(x):
+                raise ValueError(
+                    f"Problem.euclidean_grad returned shape {np.shape(egrad)}, "
+                    f"not x0's shape {np.shape(x)}"
+                )
+            return egrad
+
+        return phi, vetted
+
+    def hold(self, x, phi, finish, grad):
+        """Record iterate ``x``'s evaluations, replacing the last."""
+        self._x, self._phi, self._finish, self._grad = x, phi, finish, grad
 
     def stage(self, x):
         """``(value(x), finish)``, one objective charge; ``finish`` is for
         :meth:`grad` at the same ``x``."""
         self.fn_evals += 1
         self.expensive += self.problem.value_ops
+        if x is self._x:
+            return self._phi, self._finish
         phi, finish = self._stage(x)
         return float(phi), finish
 
@@ -161,6 +205,8 @@ class _Meter:
         Euclidean gradient is ``finish()`` when given, else
         ``euclidean_grad(x)``."""
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
+        if x is self._x:
+            return self._grad
         egrad = self.problem.euclidean_grad(x) if finish is None else finish()
         return self.manifold.egrad_to_rgrad(x, egrad)
 
@@ -232,10 +278,12 @@ def _drive(config, manifold, problem, make_rule):
     :class:`_Step`: it sees ``x_k``'s evaluations, the status ``stop`` the
     run ends with at this row (or None), and ``prev``, the row of
     ``x_{k-1}`` (None at ``k = 0``).  ``_drive`` owns the rest: the meter,
-    the evaluations, the finiteness check, the rows and their ``theta``,
-    the stopping rules, and the mapping of numerical failures (non-finite
-    values, domain errors, rule aborts) to status ``aborted``, which keeps
-    the rows recorded so far.  The whole run ignores floating-point
+    the evaluations (row 0's checked, and each row's held by the meter for
+    requests at the same point), the finiteness check, the rows and their
+    ``theta``, the stopping rules, and the mapping of numerical failures
+    (non-finite values, domain errors, rule aborts) to status ``aborted``,
+    which keeps the rows recorded so far; a wrong-shaped objective output
+    raises ``ValueError`` instead.  The whole run ignores floating-point
     overflow, invalid and divide warnings: a non-finite value reaches the
     finiteness check instead.
 
@@ -266,6 +314,7 @@ def _drive(config, manifold, problem, make_rule):
                     phi, finish = meter.stage(x)
                 if grad is None:
                     grad = meter.grad(x, finish)
+                meter.hold(x, phi, finish, grad)
                 grad_norm = manifold.norm(x, grad)
                 if not (math.isfinite(phi) and math.isfinite(grad_norm)):
                     raise _AbortRun(

@@ -599,6 +599,70 @@ class TestStartingPoint:
         assert str(got.value) == str(raised.value) and calls == []
 
 
+class TestObjectiveOutputs:
+    """Row 0's stage checks what the objective returns: a real scalar
+    value and a Euclidean gradient of ``x0``'s shape, else a ValueError
+    naming the callable and both shapes, before any step."""
+
+    # case -> (manifold, problem, replaced field, its wrong output, message)
+    CASES = {
+        # Unchecked, adgd and Armijo broadcast it and end max-iters.
+        "orthant-grad": (
+            PositiveOrthant, lambda: problems.linear_minus_log(3, 0), "euclidean_grad",
+            lambda g: g[:1], "Problem.euclidean_grad returned shape (1,), not x0's shape (3,)",
+        ),
+        # Unchecked: TypeError, only 0-dimensional arrays convert to scalars.
+        "sphere-grad": (
+            Sphere, lambda: problems.center_of_mass(3, 10, 0), "euclidean_grad",
+            lambda g: g[:, None], "Problem.euclidean_grad returned shape (3, 1), not x0's shape (3,)",
+        ),
+        # Unchecked, this and the next raise numpy's matmul ValueError.
+        "bw-scalar-grad": (
+            BuresWasserstein, lambda: problems.lyapunov_objective(3, 0), "euclidean_grad",
+            lambda g: g[0, 0], "Problem.euclidean_grad returned shape (), not x0's shape (3, 3)",
+        ),
+        "bw-grad": (
+            BuresWasserstein, lambda: problems.lyapunov_objective(3, 0), "euclidean_grad",
+            lambda g: g[:1, :1], "Problem.euclidean_grad returned shape (1, 1), not x0's shape (3, 3)",
+        ),
+        "orthant-value": (
+            PositiveOrthant, lambda: problems.linear_minus_log(3, 0), "value",
+            lambda v: np.array([v]),
+            "Problem.value returned ndarray of shape (1,), not a real scalar (shape ())",
+        ),
+        "sphere-value": (
+            Sphere, lambda: problems.center_of_mass(3, 10, 0), "value",
+            lambda v: complex(v),
+            "Problem.value returned complex of shape (), not a real scalar (shape ())",
+        ),
+        "bw-value": (
+            BuresWasserstein, lambda: problems.lyapunov_objective(3, 0), "value",
+            lambda v: np.full((1, 1), v),
+            "Problem.value returned ndarray of shape (1, 1), not a real scalar (shape ())",
+        ),
+    }
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_wrong_output_raises_at_row_0(self, case, method):
+        manifold_cls, build, field, wrong, message = self.CASES[case]
+        valid = build()
+        right = getattr(valid, field)
+        prob = dataclasses.replace(valid, **{field: lambda x: wrong(right(x))})
+        config = RunConfig(max_iters=5, tol=0.0, alpha0=0.01)
+        with pytest.raises(ValueError) as got:
+            METHODS[method](config, manifold_cls(), prob, 0.01)
+        assert got.type is ValueError and str(got.value) == message
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_zero_dimensional_value_is_a_scalar(self, method):
+        valid = problems.linear_minus_log(3, 0)
+        prob = dataclasses.replace(valid, value=lambda x: np.asarray(valid.value(x)))
+        config = RunConfig(max_iters=5, tol=0.0, alpha0=0.01)
+        runs = [METHODS[method](config, PositiveOrthant(), p, 0.01) for p in (prob, valid)]
+        assert bits(runs[0].rows) == bits(runs[1].rows)
+
+
 class TestOptimumPoint:
     """With the distance column on, ``_drive`` checks the known optimum
     next to ``x0``, before row 0; with the column off it never reads it."""
@@ -659,11 +723,21 @@ class TestOptimumPoint:
         assert calls == []
 
 
+class _CopyingSphere(Sphere):
+    """The sphere with a copy of ``x`` wherever ``Sphere.exp_transport``
+    returns ``x`` itself, so that no run on it repeats a point."""
+
+    def exp_transport(self, x, v):
+        y, clamped, transport = super().exp_transport(x, v)
+        return (y.copy() if y is x else y), clamped, transport
+
+
 class TestJointEvaluation:
     """Every objective evaluation of a run is one stage of
     ``Problem.stager()``, through the joint evaluator or its fallback, and
     only first-LS trials call ``euclidean_grad`` directly; a replaced
-    callable still sees every evaluation."""
+    callable still sees every evaluation, except the requests at the
+    iterate's own point, which the iterate's evaluations answer."""
 
     @staticmethod
     def _counting(fn, calls):
@@ -680,6 +754,8 @@ class TestJointEvaluation:
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("name", sorted(_PROBLEMS))
     def test_every_evaluation_is_one_stage(self, name, method, monkeypatch):
+        """These runs repeat no point, so no request is answered from the
+        iterate's own evaluations and every one reaches the stager."""
         build, manifold_cls = self._PROBLEMS[name]
         problem = build()
         # armijo_c = 0.5 rejects trials on both problems; they are staged too.
@@ -710,6 +786,7 @@ class TestJointEvaluation:
         monkeypatch.setattr(problems.Problem, "stager", counted_stager)
         tr = run(manifold_cls(), spied)
         assert len(tr.rows) == 11
+        assert all(y is not x for x, y in zip(tr.points, tr.points[1:]))
         assert len(stages) == tr.rows[-1].fn_evals
         # First-LS trials take a gradient each, and the taken one serves row 1.
         trials = tr.rows[0].exp_evals if method == "first-ls" else 0
@@ -745,3 +822,28 @@ class TestJointEvaluation:
         evaluations = tr.rows[-1].fn_evals if replaced == "value" else len(tr.rows)
         assert len(calls) == evaluations
         assert tr.rows == armijo_run(config, Sphere(), problem).rows
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_a_run_that_stands_still_equals_one_that_moves(self, method):
+        # Past the floating-point floor a sphere step returns its own point.
+        problem = problems.center_of_mass(10, 50, 0)
+        config = RunConfig(max_iters=300, tol=0.0)
+        runs, values, grads = [], [], []
+        for manifold in (Sphere(), _CopyingSphere()):
+            value_calls, grad_calls = [], []
+            spied = dataclasses.replace(
+                problem,
+                value=self._counting(problem.value, value_calls),
+                euclidean_grad=self._counting(problem.euclidean_grad, grad_calls),
+            )
+            runs.append(METHODS[method](config, manifold, spied, 0.01))
+            values.append(len(value_calls))
+            grads.append(len(grad_calls))
+        plain, copying = runs
+        assert sum(y is x for x, y in zip(plain.points, plain.points[1:])) > 100
+        assert not any(y is x for x, y in zip(copying.points, copying.points[1:]))
+        assert bits(plain.rows) == bits(copying.rows)
+        assert bits(plain.points) == bits(copying.points)
+        assert bits(plain.rows) == bits(METHODS[method](config, Sphere(), problem, 0.01).rows)
+        assert values[1] == copying.rows[-1].fn_evals == plain.rows[-1].fn_evals
+        assert values[0] < values[1] and grads[0] < grads[1]

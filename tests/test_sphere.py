@@ -81,6 +81,21 @@ class TestExp:
                 sphere.transport_along_step(x, v, e(2))
 
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 0.99e-12])
+    def test_step_below_the_floor_returns_the_point_itself(self, sphere, scale):
+        # The point itself, not a copy: a run answers evaluations at a
+        # returned x from the iterate's own.
+        rng = np.random.default_rng(5)
+        x = random_unit(rng, 4)
+        v = random_sphere_tangent(rng, x)
+        y, clamped, transport = sphere.exp_transport(x, scale * v / np.linalg.norm(v))
+        assert y is x and clamped is False
+        w = random_sphere_tangent(rng, x)
+        assert bits(transport(w)) == bits(w)
+        y, _, _ = sphere.exp_transport(x, 1.01e-12 * v / np.linalg.norm(v))
+        assert y is not x
+
+
 class TestTransport:
     def test_zero_step_identity(self, sphere):
         w = np.array([0.0, 1.0, 2.0])
