@@ -225,7 +225,7 @@ class BuresWasserstein(Manifold):
           Jacobi's ``|lambda|`` exceeds the exact ``||L||_F`` by a
           relative rounding of a few hundred ``eps`` at most.  That
           factor of 2 dwarfs both roundings, so ``alpha = 0.99 t`` lies
-          far below ``0.99 * max_step`` and ``_clamp_alpha`` keeps it,
+          far below ``0.99 * max_step`` and ``_Meter.clamp`` keeps it,
           as the exact path does;
         * otherwise ``e <= n (n + 1) eps (3 ||L||_F + m)``, and that is at
           most ``m / 2`` for every n with ``6.2 n (n + 1) eps <= 0.05``
@@ -243,7 +243,7 @@ class BuresWasserstein(Manifold):
           ``t m / 4 >= 1.25e-11``.  That relative gap is many orders above
           the rounding of ``alpha / 0.99``, ``1/t``, ``-1 / lambda`` and
           ``0.99 * max_step``, so a passed screen implies
-          ``alpha <= 0.99 * max_step`` as ``_clamp_alpha`` computes it.
+          ``alpha <= 0.99 * max_step`` as ``_Meter.clamp`` computes it.
 
         Edge cases: ``t <= 0`` is True without a factorization, a NaN ``t``
         or a non-finite factor or shift is False (the exact path decides),

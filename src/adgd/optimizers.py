@@ -6,7 +6,8 @@ for each step: :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`),
 which pinned is the constant-step baseline (:func:`fixed_run`) and on flat
 R^n the positive-orthant oracle (:func:`euclidean_adgd_run`), or
 :func:`_armijo_rule`, the backtracking baseline (:func:`armijo_run`).
-:class:`_Meter` counts a run's work for the rows (:class:`TraceRow`).
+:class:`_Meter` counts a run's work for the rows (:class:`TraceRow`) and
+is a rule's only route to the geometry.
 """
 
 from __future__ import annotations
@@ -131,19 +132,29 @@ class Trace:
         return self.points[-1]
 
 
+# Safety margin keeping clamped steps strictly inside the step domain.
+STEP_SAFETY = 0.99
+
+
 class _Meter:
-    """One run's cumulative work counters (:class:`TraceRow`); its
-    evaluations run under :func:`_drive`'s ``np.errstate``.
+    """One run's cumulative work counters (:class:`TraceRow`) and a step
+    rule's only route to the problem and the geometry; its evaluations
+    run under :func:`_drive`'s ``np.errstate``.
 
     Every objective evaluation is one :meth:`stage` through
-    ``problem.stager()``, resolved once at the start of the run, and every
-    gradient is one :meth:`grad`.  The counters count the method's
-    requests.  A request at the very object :meth:`hold` last recorded,
-    the current iterate (a manifold may return its own point for a step it
-    treats as zero), is answered from that iterate's evaluations and
-    charged all the same, so it assumes ``value`` and ``euclidean_grad``
-    are deterministic and leave the point unchanged.  Row 0's stage checks
-    what the objective returns (:meth:`_vet`).
+    ``problem.stager()``, resolved once at the start of the run, every
+    gradient is one :meth:`grad`, every exponential one
+    :meth:`exp_transport` and every gradient comparison one
+    :meth:`grad_change`.  :meth:`clamp` is the one door that charges
+    nothing: the step-domain guard is not part of a method's price.
+
+    The counters count the method's requests.  A request at the very
+    object :meth:`hold` last recorded, the current iterate (a manifold
+    may return its own point for a step it treats as zero), is answered
+    from that iterate's evaluations and charged all the same, so it
+    assumes ``value`` and ``euclidean_grad`` are deterministic and leave
+    the point unchanged.  Row 0's stage checks what the objective returns
+    (:meth:`_vet`).
     """
 
     __slots__ = (
@@ -152,9 +163,7 @@ class _Meter:
     )
 
     def __init__(self, manifold, problem):
-        self.fn_evals = 0
-        self.exp_evals = 0
-        self.expensive = 0
+        self.fn_evals = self.exp_evals = self.expensive = 0
         self.manifold = manifold
         self.problem = problem
         self._stage = self._vet
@@ -225,6 +234,19 @@ class _Meter:
         transported = transport(grad_prev)
         return math.sqrt(self.manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
 
+    def clamp(self, x, v, alpha):
+        """The step-domain safety clamp of the step ``alpha v`` from ``x``:
+        ``(alpha, clamped?)``, charged nothing.  A cheap certificate that
+        ``alpha / STEP_SAFETY <= max_step`` screens out the common case
+        (step far from the boundary) before paying for the exact supremum;
+        it passes only where the exact path keeps ``alpha``."""
+        if self.manifold.max_step_lower_bound(x, v, alpha / STEP_SAFETY):
+            return alpha, False
+        limit = STEP_SAFETY * self.manifold.max_step(x, v)
+        if alpha > limit:
+            return limit, True
+        return alpha, False
+
 
 class _AbortRun(Exception):
     """Internal control flow: numerical abort with a diagnostic message."""
@@ -251,29 +273,12 @@ class _Step(NamedTuple):
     abort: str = ""
 
 
-# Safety margin keeping clamped steps strictly inside the step domain.
-STEP_SAFETY = 0.99
-
-
-def _clamp_alpha(alpha, manifold, x, neg_grad):
-    """Apply the step-domain safety clamp; returns (alpha, clamped?).
-
-    A cheap certificate that ``alpha / STEP_SAFETY <= max_step`` screens
-    out the common case (step far from the boundary) before paying for the
-    exact supremum; it passes only where the exact path keeps ``alpha``.
-    """
-    if manifold.max_step_lower_bound(x, neg_grad, alpha / STEP_SAFETY):
-        return alpha, False
-    limit = STEP_SAFETY * manifold.max_step(x, neg_grad)
-    if alpha > limit:
-        return limit, True
-    return alpha, False
-
-
 def _drive(config, manifold, problem, make_rule):
-    """Run ``make_rule(config, manifold, meter)`` from ``problem.x0``.
+    """Run ``make_rule(config, meter)`` from ``problem.x0``.
 
-    The rule is called once per iterate as
+    A step rule is built from the config and the run's :class:`_Meter`
+    alone, so every evaluation, exponential, comparison and clamp of a
+    step goes through the meter.  The rule is called once per iterate as
     ``rule(k, x, phi, grad, grad_norm, stop, prev)`` and returns a
     :class:`_Step`: it sees ``x_k``'s evaluations, the status ``stop`` the
     run ends with at this row (or None), and ``prev``, the row of
@@ -303,7 +308,7 @@ def _drive(config, manifold, problem, make_rule):
             manifold.check_point(problem.optimum_point)
             distances = manifold.distance_from(problem.optimum_point)
         meter = _Meter(manifold, problem)
-        rule = make_rule(config, manifold, meter)
+        rule = make_rule(config, meter)
         rows = []
         points = [problem.x0]
         x, phi, grad, finish = problem.x0, None, None, None
@@ -360,8 +365,9 @@ def _drive(config, manifold, problem, make_rule):
     return Trace(rows, points, stop, message)
 
 
-def _adaptive_rule(config, manifold, meter, pinned=None):
-    """The adaptive step size, or the constant ``pinned`` in its place.
+def _adaptive_rule(config, meter, pinned=None):
+    """The adaptive step size, or the constant ``pinned`` in its place,
+    built from the config and the meter.
 
     An iteration makes the paper's three metered calls: the gradient (in
     :func:`_drive`), the exponential (:meth:`_Meter.exp_transport`) and,
@@ -377,7 +383,8 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
 
     ``ell_k`` is 0 in the row when the denominator vanishes, and
     ``alpha_k`` is then the growth cap.  ``alpha_0 = config.alpha0``.
-    Every step is clamped to the step domain.
+    Every step is clamped to the step domain (:meth:`_Meter.clamp`, which
+    charges nothing).
 
     With ``config.first_ls`` the first step is a warm start: while the
     trial's ratio ``||g_0|| / (sqrt(2) ||g_1 - T g_0||)`` exceeds 1 and
@@ -423,7 +430,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
             else:
                 alpha = pinned
         neg_grad = -1.0 * grad
-        alpha, clamped = _clamp_alpha(alpha, manifold, x, neg_grad)
+        alpha, clamped = meter.clamp(x, neg_grad, alpha)
         if stop == STATUS_CONVERGED:
             return _Step(alpha, ell, clamped)
 
@@ -439,7 +446,7 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
                 ratio = grad_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
                 if ratio <= 1.0 or clamped:
                     break
-                alpha, clamped = _clamp_alpha(2.0 * alpha, manifold, x, neg_grad)
+                alpha, clamped = meter.clamp(x, neg_grad, 2.0 * alpha)
                 x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
                 grad_next = meter.grad(x_next)
 
@@ -457,12 +464,14 @@ def _adaptive_rule(config, manifold, meter, pinned=None):
     return rule
 
 
-def _armijo_rule(config, manifold, meter):
-    """Backtracking line search with per-iteration growth.
+def _armijo_rule(config, meter):
+    """Backtracking line search with per-iteration growth, built from the
+    config and the meter.
 
     At ``x_k`` the first trial is ``eta = alpha0`` for ``k = 0`` and
     ``armijo_lambda * alpha_{k-1}``, the previous row's accepted step,
-    after; it is clamped to the step domain.
+    after; it is clamped to the step domain (:meth:`_Meter.clamp`, which
+    charges nothing).
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial is one :meth:`_Meter.stage` and one exponential, both metered,
@@ -479,7 +488,7 @@ def _armijo_rule(config, manifold, meter):
             return _Step(0.0)
         neg_grad = -1.0 * grad
         eta = config.alpha0 if prev is None else config.armijo_lambda * prev.alpha
-        eta, clamped = _clamp_alpha(eta, manifold, x, neg_grad)
+        eta, clamped = meter.clamp(x, neg_grad, eta)
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
             x_trial, exp_clamped, _ = meter.exp_transport(x, eta * neg_grad)
@@ -511,8 +520,12 @@ def fixed_run(config, manifold, problem, alpha):
 
     The adaptive rule with its step pinned to ``alpha`` (the trace carries
     the same diagnostics); aborts when the objective increases for 50
-    consecutive iterations.
+    consecutive iterations.  ``alpha`` is a real number as ``RunConfig``'s
+    float fields are (a bool will not do), finite and nonnegative, else
+    ``ValueError``.
     """
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"fixed step size must be a real number, got {alpha!r}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("fixed step size must be finite and nonnegative")
     return _drive(config, manifold, problem, functools.partial(_adaptive_rule, pinned=alpha))

@@ -1,8 +1,8 @@
 import dataclasses
 
 # Before numpy, so that this process runs BLAS at the one thread ``import
-# adgd`` pins (README, Reproducibility): the in-process runs that
-# tests/test_golden_traces.py compares a two-thread run against.
+# adgd`` pins (README, Reproducibility), as every CLI run does: the
+# in-process runs then write what the CLI writes at any size.
 import adgd
 import numpy as np
 import pytest

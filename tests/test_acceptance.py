@@ -356,7 +356,7 @@ def test_criterion_8_domain_safety(lyapunov_traces, monkeypatch):
         checked += 1
 
     aborted = 0
-    monkeypatch.setattr(optimizers, "_clamp_alpha", lambda alpha, *_: (alpha, False))
+    monkeypatch.setattr(optimizers._Meter, "clamp", lambda self, x, v, alpha: (alpha, False))
     for seed in GCONVEX_SEEDS:
         prob = problems.lyapunov_objective(6, seed)
         unclamped = adgd_run(

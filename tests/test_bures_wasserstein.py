@@ -8,7 +8,7 @@ from adgd import linalg, problems
 from adgd.cli import main
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, bures_wasserstein
-from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _clamp_alpha, adgd_run
+from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _Meter, adgd_run
 
 from conftest import is_spd_spectrum, random_spd, random_sym
 
@@ -335,7 +335,7 @@ def _factors_either_side_of_half(fac):
 
 
 def _exact_clamp(alpha, bw, x, v):
-    """_clamp_alpha without the screen: always the Jacobi max_step."""
+    """``_Meter.clamp`` without the screen: always the Jacobi max_step."""
     cap = bw.max_step(x, v)
     if math.isinf(cap) or alpha <= STEP_SAFETY * cap:
         return alpha, False
@@ -441,7 +441,7 @@ class TestMaxStepScreen:
         monkeypatch.setattr(bw, "max_step", fail)
         for t in (0.0, -0.0, -1.0, -math.inf):
             assert bw.max_step_lower_bound(x, v, t)
-        assert _clamp_alpha(0.0, bw, x, v) == (0.0, False)
+        assert _Meter(bw, None).clamp(x, v, 0.0) == (0.0, False)
 
     @pytest.mark.parametrize("n", [1, 2, 269, 270, 300])
     def test_margin_at_every_size(self, bw, n):
@@ -464,8 +464,8 @@ class TestMaxStepScreen:
         # Steps at 0.99 max_step, give or take an ulp, clamp as the exact path does.
         for alpha in (STEP_SAFETY * (1 - 1e-12), np.nextafter(STEP_SAFETY, 0.0), STEP_SAFETY,
                       np.nextafter(STEP_SAFETY, 1.0)):
-            assert _clamp_alpha(alpha, bw, x, v) == _exact_clamp(alpha, bw, x, v)
-        assert _clamp_alpha(np.nextafter(STEP_SAFETY, 1.0), bw, x, v) == (STEP_SAFETY, True)
+            assert _Meter(bw, None).clamp(x, v, alpha) == _exact_clamp(alpha, bw, x, v)
+        assert _Meter(bw, None).clamp(x, v, np.nextafter(STEP_SAFETY, 1.0)) == (STEP_SAFETY, True)
 
     @pytest.mark.parametrize(
         "flags",
@@ -496,7 +496,7 @@ class TestMaxStepScreen:
                 cap = bw.max_step(x, v)
                 for rel in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
                     alpha = STEP_SAFETY * cap * rel
-                    got = _clamp_alpha(alpha, bw, x, v)
+                    got = _Meter(bw, None).clamp(x, v, alpha)
                     assert got == _exact_clamp(alpha, bw, x, v)
                     flags.add(got[1])
         assert flags == {False, True}
@@ -517,7 +517,7 @@ class TestMaxStepScreen:
                 cap = bw.max_step(x, v)
                 assert abs(cap / t - 1.0) <= 8 * np.finfo(float).eps
                 assert not bw.max_step_lower_bound(x, v, t), (n, alpha, lam)
-                got = _clamp_alpha(alpha, bw, x, v)
+                got = _Meter(bw, None).clamp(x, v, alpha)
                 assert got[0] <= STEP_SAFETY * cap, (n, alpha, lam)
                 assert got == _exact_clamp(alpha, bw, x, v)
 

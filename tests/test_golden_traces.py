@@ -5,8 +5,8 @@ the CSV it writes against ``tests/golden/<case>.csv``.  The goldens pin the
 descent loops' arithmetic, stopping rules, abort handling and work
 counters, so a refactor of the loops must leave every byte in place.
 ``test_trace_matches_golden`` is the one test that compares against a
-golden's bytes; the invariance tests below compare two runs of a case made
-under the same BLAS kernel, so that they hold on any kernel.  Only a change
+golden's bytes; the invariance tests below compare two runs made under
+the same BLAS kernel, so that they hold on any kernel.  Only a change
 that deliberately moves the numbers (new problem instances or new
 linear-algebra kernels) re-records the goldens, with::
 
@@ -65,24 +65,6 @@ def test_trace_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-# Bures-Wasserstein cases, where LAPACK decides the clamp and SPD checks.
-BW_CASES = ["adgd-lyapunov", "adgd-lyapunov-clamped", "fixed-lyapunov-domain-abort", "armijo-wls-dense"]
-
-
-@pytest.mark.parametrize("name", BW_CASES)
-def test_trace_independent_of_blas_threads(name, tmp_path):
-    # A fresh process at two threads, because OpenBLAS reads its thread
-    # count at import, against this one, which ``import adgd`` pinned to one.
-    base, out = tmp_path / "base.csv", tmp_path / "threads.csv"
-    status = run_case(name, base)
-    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    cmd = [sys.executable, "-m", "adgd.cli", "run", *CASES[name][1].split(), "--out", str(out)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == status, proc.stderr
-    assert out.read_bytes() == base.read_bytes()
-
-
 @pytest.mark.parametrize(
     "name",
     sorted(name for name, (_, flags) in CASES.items() if EXPERIMENTS[flags.split()[1]][1] is BuresWasserstein),
@@ -108,19 +90,42 @@ PRODUCT = (
 )
 
 
-def fresh_python(code, **blas):
-    """Run code in a new interpreter with only the given BLAS variables set."""
+def fresh_python(code, *argv, **blas):
+    """Run code with ``argv`` in a new interpreter with only the given BLAS
+    variables set; its stdout."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")]))
     env.update(blas)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    cmd = [sys.executable, "-c", code, *argv]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
-def test_import_pins_blas_to_one_thread():
+# The thread variables ``import adgd`` must beat when OpenBLAS's own count
+# is unset: none (OpenBLAS then takes every core), and each one OpenBLAS
+# or another BLAS reads in its place.
+@pytest.mark.parametrize(
+    "blas",
+    [{}, {"OMP_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}, {"MKL_NUM_THREADS": "2"}],
+    ids=["unset", "omp-2", "goto-2", "mkl-2"],
+)
+def test_import_pins_blas_to_one_thread(blas):
     pinned = fresh_python(PRODUCT, OPENBLAS_NUM_THREADS="1")
-    assert fresh_python("import adgd; " + PRODUCT) == pinned
+    assert fresh_python("import adgd; " + PRODUCT, **blas) == pinned
+
+
+def test_trace_independent_of_blas_threads(tmp_path):
+    # A whole CLI run large enough for threaded BLAS to move a written
+    # byte (n = 5 runs write the same bytes at any thread count): two
+    # threads asked through OpenMP's variable, which the pin must win,
+    # against an explicit OpenBLAS count of one.
+    run = "import sys; from adgd.cli import main; sys.exit(main(sys.argv[1:]))"
+    flags = "run --experiment lyapunov --n 100 --max-iters 0 --out".split()
+    omp, pinned = tmp_path / "omp.csv", tmp_path / "pinned.csv"
+    fresh_python(run, *flags, str(omp), OMP_NUM_THREADS="2")
+    fresh_python(run, *flags, str(pinned), OPENBLAS_NUM_THREADS="1")
+    assert omp.read_bytes() == pinned.read_bytes()
 
 
 def test_explicit_blas_thread_count_wins():

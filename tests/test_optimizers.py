@@ -408,6 +408,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fixed_run(RunConfig(max_iters=5), Sphere(), problems.rayleigh(4, 0), alpha)
 
+    @pytest.mark.parametrize(
+        "alpha", [True, np.True_, np.array(0.1), "0.1"], ids=["bool", "numpy-bool", "0-d-array", "str"]
+    )
+    def test_fixed_run_rejects_what_run_config_rejects(self, alpha):
+        # The step is held to RunConfig's rule for its float fields.
+        with pytest.raises(ValueError, match="real number"):
+            RunConfig(alpha0=alpha)
+        with pytest.raises(ValueError, match="real number"):
+            fixed_run(RunConfig(max_iters=5), Sphere(), problems.rayleigh(4, 0), alpha)
+
 
 _EDGE_PROBLEMS = {
     "lyapunov": (BuresWasserstein, lambda: problems.lyapunov_objective(4, 0)),

@@ -11,9 +11,10 @@ A start off the manifold is refused with ValueError before row 0.  Once
 the inputs, a run either raises ConvergenceError or returns a trace that
 tells the truth about how it ended, holds only finite numbers in its rows,
 writes ``theta_k = alpha_k / alpha_{k-1}`` (0 at k = 0 and after a zero
-step), keeps every Bures-Wasserstein iterate positive definite, and
-round-trips through the CSV format bit for bit.  The instance seeds come
-from numpy's generator with a fixed seed.
+step), charges each row after row 0 the method's per-iteration budget
+(``_check_budget``), keeps every Bures-Wasserstein iterate positive
+definite, and round-trips through the CSV format bit for bit.  The
+instance seeds come from numpy's generator with a fixed seed.
 """
 
 import dataclasses
@@ -76,7 +77,30 @@ def _run(method, step, max_iters, tol, manifold, problem, armijo_lambda=1.0):
     return METHODS[method](config, manifold, problem, step)
 
 
-def _check(trace, max_iters, tol, manifold, path):
+def _check_budget(trace, method, manifold, problem):
+    """Each row's counters less the previous row's, against the budget
+    README's *Work accounting* states.  An adaptive or fixed-step row
+    makes one objective request, one gradient, one comparison and, unless
+    the run converges there, one exponential; at first-LS's row 1 the
+    gradient is the taken trial's, charged at row 0.  An Armijo row makes
+    one exponential per objective request (its trials) and one gradient."""
+    grad_ops = problem.grad_ops + manifold.rgrad_ops
+    for prev, row in zip(trace.rows, trace.rows[1:]):
+        fn_evals = row.fn_evals - prev.fn_evals
+        exp_evals = row.exp_evals - prev.exp_evals
+        ops = row.expensive_ops - prev.expensive_ops
+        if method == "armijo":
+            assert exp_evals == fn_evals, row
+            assert ops == fn_evals * (problem.value_ops + manifold.exp_ops) + grad_ops, row
+            continue
+        steps = 0 if row is trace.rows[-1] and trace.status == STATUS_CONVERGED else 1
+        grads = 0 if method == "first-ls" and row.k == 1 else 1
+        assert (fn_evals, exp_evals) == (1, steps), row
+        budget = problem.value_ops + grads * grad_ops + manifold.adapt_extra_ops + steps * manifold.exp_ops
+        assert ops == budget, row
+
+
+def _check(trace, method, max_iters, tol, manifold, problem, path):
     assert trace.status in (STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_ABORTED)
     if trace.status == STATUS_ABORTED:
         assert trace.message
@@ -91,6 +115,7 @@ def _check(trace, max_iters, tol, manifold, path):
         assert all(math.isfinite(v) for v in values if v is not None), row
         ratio = row.alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
         assert bits(row.theta) == bits(ratio), row
+    _check_budget(trace, method, manifold, problem)
     if isinstance(manifold, BuresWasserstein):
         for x in trace.points:
             linalg.require_spd(x)
@@ -135,7 +160,7 @@ def _run_and_check(case, failures, path, method, step, max_iters, tol, manifold,
     if isinstance(trace, ConvergenceError):
         return
     try:
-        _check(trace, max_iters, tol, manifold, path)
+        _check(trace, method, max_iters, tol, manifold, problem, path)
     except AssertionError as exc:
         failures.append(f"{case}: {str(exc).splitlines()[0]}")
 
