@@ -3,10 +3,10 @@
 A numpy library providing: a growth-capped, transport-based adaptive
 step-size rule for Riemannian gradient descent (plus line-search and
 fixed-step baselines); closed-form geometry for the unit sphere, SPD
-matrices under the Bures-Wasserstein metric, and the positive orthant;
-from-scratch dense symmetric linear algebra (Jacobi eigensolver,
-Lyapunov solve, SPD square root); four benchmark objectives; and a CSV
-benchmark harness (``adgd-bench``).
+matrices under the Bures-Wasserstein metric, the positive orthant and
+flat R^n, the orthant's twin; from-scratch dense symmetric linear algebra
+(Jacobi eigensolver, Lyapunov solve, SPD square root); four benchmark
+objectives; and a CSV benchmark harness (``adgd-bench``).
 """
 
 import os
@@ -20,14 +20,13 @@ del _var
 
 from . import diagnostics, linalg, problems, trace_io
 from .errors import ConvergenceError, DomainError
-from .manifolds import BuresWasserstein, BWTangent, Manifold, PositiveOrthant, Sphere
+from .manifolds import BuresWasserstein, BWTangent, Euclidean, Manifold, PositiveOrthant, Sphere
 from .optimizers import (
     RunConfig,
     Trace,
     TraceRow,
     adgd_run,
     armijo_run,
-    euclidean_adgd_run,
     fixed_run,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "adgd_run",
     "armijo_run",
     "fixed_run",
-    "euclidean_adgd_run",
     "RunConfig",
     "Trace",
     "TraceRow",
@@ -46,6 +44,7 @@ __all__ = [
     "BuresWasserstein",
     "BWTangent",
     "PositiveOrthant",
+    "Euclidean",
     "DomainError",
     "ConvergenceError",
     "linalg",

@@ -5,7 +5,8 @@ recorded quantities: the descent energy (:func:`energy_sequence`), the
 containment radius (:func:`radius`), the certified gap bound
 (:func:`rate_gap_bounds`) and the step-size floor
 (:func:`step_floor_bound`).  All but the floor need the rows' distance to
-a known optimum, and raise ValueError without it.
+a known optimum, and raise ValueError without it; all but the energy,
+which is then empty, raise ValueError on a trace with no rows.
 
 Squares are products and sums run left to right, so no certificate
 depends on libm's ``pow`` or on the interpreter's ``sum``.
@@ -24,6 +25,14 @@ __all__ = ["energy_sequence", "radius", "rate_gap_bounds", "step_floor_bound"]
 def _require_distances(trace):
     if any(r.dist_to_opt is None for r in trace.rows):
         raise ValueError("trace lacks distance-to-optimum data (unknown optimum)")
+
+
+def _rows(trace):
+    # A run that aborts before row 0 leaves none, and so does a CSV whose
+    # only row is its error marker.
+    if not trace.rows:
+        raise ValueError("trace has no rows")
+    return trace.rows
 
 
 def energy_sequence(trace, phi_star):
@@ -45,7 +54,7 @@ def radius(trace):
     """R = sqrt(d_0^2 + 2 (alpha_0 ||grad_0||)^2), which bounds every
     iterate's distance to the optimum."""
     _require_distances(trace)
-    r0 = trace.rows[0]
+    r0 = _rows(trace)[0]
     step = r0.alpha * r0.grad_norm
     return math.sqrt(r0.dist_to_opt * r0.dist_to_opt + 2.0 * (step * step))
 
@@ -73,7 +82,7 @@ def rate_gap_bounds(trace, phi_star, ks):
 def step_floor_bound(trace):
     """(observed min alpha, min(alpha_0, 1 / (2 L))) with L = max over the
     trace of the reciprocal local inverse-smoothness estimate."""
-    rows = trace.rows
+    rows = _rows(trace)
     ells = [r.ell for r in rows if r.ell > 0.0]
     if not ells:
         return min(r.alpha for r in rows), rows[0].alpha

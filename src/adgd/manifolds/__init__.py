@@ -1,5 +1,6 @@
 from .base import Manifold
 from .bures_wasserstein import BuresWasserstein, BWTangent
+from .euclidean import Euclidean
 from .positive_orthant import PositiveOrthant
 from .sphere import Sphere
 
@@ -9,4 +10,5 @@ __all__ = [
     "BuresWasserstein",
     "BWTangent",
     "PositiveOrthant",
+    "Euclidean",
 ]

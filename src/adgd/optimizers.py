@@ -3,8 +3,7 @@
 Every method runs through one descent loop, :func:`_drive`, which owns
 the rows, the stopping rules and the distance column, and asks a step rule
 for each step: :func:`_adaptive_rule`, the paper's method (:func:`adgd_run`),
-which pinned is the constant-step baseline (:func:`fixed_run`) and on flat
-R^n the positive-orthant oracle (:func:`euclidean_adgd_run`), or
+which pinned is the constant-step baseline (:func:`fixed_run`), or
 :func:`_armijo_rule`, the backtracking baseline (:func:`armijo_run`).
 :class:`_Meter` counts a run's work for the rows (:class:`TraceRow`) and
 is a rule's only route to the geometry.
@@ -22,7 +21,6 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .manifolds import Manifold
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -535,27 +533,3 @@ def armijo_run(config, manifold, problem):
     """Backtracking line search baseline; see :func:`_armijo_rule`."""
     return _drive(config, manifold, problem, _armijo_rule)
 
-
-class _FlatSpace(Manifold):
-    """R^n with the dot product: identity transport, exp(x, v) = x + v."""
-
-    def egrad_to_rgrad(self, x, g):
-        return g
-
-    def exp_transport(self, x, v):
-        return x + v, False, lambda w: w
-
-    def inner(self, x, u, v):
-        return float(np.dot(u, v))
-
-    def distance_from(self, y):
-        return lambda xs: [float(np.linalg.norm(x - y)) for x in xs]
-
-
-def euclidean_adgd_run(config, f, grad_f, y0):
-    """The adaptive method on flat R^n: ``y_{k+1} = y_k - alpha_k grad f(y_k)``
-    with the identical step-size rule (identity transport, dot metric)."""
-    from .problems import Problem
-
-    prob = Problem(value=f, euclidean_grad=grad_f, x0=np.asarray(y0, dtype=float))
-    return _drive(config, _FlatSpace(), prob, _adaptive_rule)

@@ -266,6 +266,13 @@ def linear_minus_log(n, seed=0):
 
     Geodesically convex there (its pullback under x = exp(y) is convex),
     with optimum exactly x = c.
+
+    ``extras["pullback"]`` is ``(value, euclidean_grad)`` of that pullback
+    on flat R^n, ``f(y) = sum(e^y - c y)`` and ``e^y - c``, from the same
+    ``c``; it is written in y, as ``phi(exp(y))`` would round
+    ``c log(e^y)`` differently.  Under x = exp(y) an orthant run traces the
+    :class:`~adgd.manifolds.Euclidean` run on it from ``np.log(x0)``,
+    which the caller takes from the problem's own ``x0``.
     """
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.5, 2.0, size=n)
@@ -277,13 +284,19 @@ def linear_minus_log(n, seed=0):
     def euclidean_grad(x):
         return 1.0 - c / x
 
+    def pullback_value(y):
+        return float(np.sum(np.exp(y) - c * y))
+
+    def pullback_grad(y):
+        return np.exp(y) - c
+
     return Problem(
         value=value,
         euclidean_grad=euclidean_grad,
         x0=x0,
         optimum_point=c.copy(),
         optimum_value=float(np.add.reduce(c - c * np.log(c))),
-        extras={"c": c},
+        extras={"c": c, "pullback": (pullback_value, pullback_grad)},
     )
 
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from adgd import diagnostics
-from adgd.optimizers import Trace, TraceRow
+from adgd import diagnostics, problems, trace_io
+from adgd.manifolds import Sphere
+from adgd.optimizers import RunConfig, Trace, TraceRow, adgd_run
 
 
 def trace_of(*rows):
@@ -35,3 +37,25 @@ def test_step_floor_without_smoothness_estimate_is_alpha0():
     # floor is alpha_0 itself.
     trace = trace_of((0.3, 0.0, 1.0), (0.2, 0.0, 0.5))
     assert diagnostics.step_floor_bound(trace) == (0.2, 0.3)
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+def test_trace_without_rows(read_back, tmp_path):
+    # A center of mass started next to the antipode of its one point aborts
+    # before row 0; its CSV holds only the error marker.
+    prob = problems.center_of_mass(5, 1, 3)
+    x0 = 1e-9 * np.roll(prob.extras["points"][0], 1) - prob.extras["points"][0]
+    prob.x0 = x0 / np.linalg.norm(x0)
+    trace = adgd_run(RunConfig(max_iters=10, alpha0=0.01), Sphere(), prob)
+    if read_back:
+        trace_io.write_trace(tmp_path / "t.csv", trace, {"status": trace.status})
+        trace = trace_io.read_trace(tmp_path / "t.csv")[1]
+    assert trace.rows == [] and trace.status == "aborted"
+    assert diagnostics.energy_sequence(trace, 0.0).shape == (0,)
+    for call in (
+        diagnostics.radius,
+        lambda t: diagnostics.rate_gap_bounds(t, 0.0, [1]),
+        diagnostics.step_floor_bound,
+    ):
+        with pytest.raises(ValueError, match="trace has no rows"):
+            call(trace)

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from adgd import linalg, optimizers
+from adgd import linalg
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein, BWTangent, Manifold, PositiveOrthant, Sphere
+from adgd.manifolds import BuresWasserstein, BWTangent, Euclidean, Manifold, PositiveOrthant, Sphere
 
 from conftest import bits, random_sphere_tangent, random_spd, random_sym, random_unit
 
@@ -71,7 +71,7 @@ class TestDistanceAxioms:
         elif case == "bw":
             m, make = BuresWasserstein(), lambda: random_spd(rng, 4)
         else:
-            m, make = optimizers._FlatSpace(), lambda: rng.standard_normal(5)
+            m, make = Euclidean(), lambda: rng.standard_normal(5)
         for _ in range(20):
             x, y = make(), make()
             got = m.distance(x, y)
@@ -223,7 +223,7 @@ class TestDistanceChecksItsPoints:
         classes = [Manifold]
         for cls in classes:
             classes.extend(cls.__subclasses__())
-        assert {Sphere, PositiveOrthant, BuresWasserstein, optimizers._FlatSpace} <= set(classes)
+        assert {Sphere, PositiveOrthant, BuresWasserstein, Euclidean} <= set(classes)
         assert [cls for cls in classes if "distance" in cls.__dict__] == [Manifold]
 
 
@@ -303,7 +303,7 @@ def _exp_transport_cases(case, rng):
         samples.append((x, np.zeros(5), rng.standard_normal(5)))
         samples.append((x, np.array([1e6, -1e6, 1.0, 0.0, 701.0]) * x, rng.standard_normal(5)))
     else:
-        m = optimizers._FlatSpace()
+        m = Euclidean()
         samples = [orthant_sample(rng) for _ in range(20)]
         samples.append((np.ones(5), np.zeros(5), rng.standard_normal(5)))
     return [(m, x, v, [w, float(rng.uniform(-2.0, 2.0)) * v]) for x, v, w in samples]

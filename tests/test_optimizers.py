@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from adgd import cli, diagnostics, optimizers, problems, trace_io
+from adgd import cli, diagnostics, problems, trace_io
 from adgd.errors import DomainError
-from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere, bures_wasserstein
+from adgd.manifolds import BuresWasserstein, Euclidean, PositiveOrthant, Sphere, bures_wasserstein
 from adgd.optimizers import (
     STATUS_ABORTED,
     STATUS_CONVERGED,
@@ -14,9 +14,9 @@ from adgd.optimizers import (
     RunConfig,
     adgd_run,
     armijo_run,
-    euclidean_adgd_run,
     fixed_run,
 )
+from adgd.problems import Problem
 
 from conftest import METHODS, bits
 
@@ -32,7 +32,11 @@ class TestStepRule:
         # y0 = (1, 0), alpha0 = 1 on 0.5||y||^2: the first adaptive step is
         # min(sqrt(1 + 0) * 1, 1 / (sqrt(2) * 1)) = 1/sqrt(2), theta likewise.
         f, g = quadratic()
-        tr = euclidean_adgd_run(RunConfig(max_iters=5, tol=0.0, alpha0=1.0), f, g, np.array([1.0, 0.0]))
+        tr = adgd_run(
+            RunConfig(max_iters=5, tol=0.0, alpha0=1.0),
+            Euclidean(),
+            Problem(f, g, np.array([1.0, 0.0])),
+        )
         row1 = tr.rows[1]
         assert row1.alpha == pytest.approx(1.0 / SQRT2, rel=1e-15)
         assert row1.theta == pytest.approx(1.0 / SQRT2, rel=1e-15)
@@ -40,8 +44,10 @@ class TestStepRule:
 
     def test_quadratic_trajectory(self):
         f, g = quadratic()
-        tr = euclidean_adgd_run(
-            RunConfig(max_iters=40, tol=0.0, alpha0=0.1), f, g, np.array([1.0, 0.0])
+        tr = adgd_run(
+            RunConfig(max_iters=40, tol=0.0, alpha0=0.1),
+            Euclidean(),
+            Problem(f, g, np.array([1.0, 0.0])),
         )
         assert np.allclose(tr.points[1], [0.9, 0.0])
         # Gradient differences equal step lengths here, so the local
@@ -59,7 +65,11 @@ class TestStepRule:
         # the local branch is +inf, and steps grow by sqrt(1 + theta).
         f = lambda y: float(y[0])
         g = lambda y: np.array([1.0, 0.0])
-        tr = euclidean_adgd_run(RunConfig(max_iters=6, tol=0.0, alpha0=0.5), f, g, np.array([0.0, 0.0]))
+        tr = adgd_run(
+            RunConfig(max_iters=6, tol=0.0, alpha0=0.5),
+            Euclidean(),
+            Problem(f, g, np.array([0.0, 0.0])),
+        )
         assert tr.status == STATUS_MAX_ITERS
         for k in range(1, len(tr.rows)):
             prev, cur = tr.rows[k - 1], tr.rows[k]
@@ -85,13 +95,21 @@ class TestStepRule:
         # min alpha never falls below min(alpha0, 1 / (2 L)) with L taken
         # from the recorded local estimates.
         f, g = quadratic()
-        tr = euclidean_adgd_run(RunConfig(max_iters=60, tol=0.0, alpha0=0.2), f, g, np.array([2.0, -1.0]))
+        tr = adgd_run(
+            RunConfig(max_iters=60, tol=0.0, alpha0=0.2),
+            Euclidean(),
+            Problem(f, g, np.array([2.0, -1.0])),
+        )
         observed, floor = diagnostics.step_floor_bound(tr)
         assert observed >= floor - 1e-15
 
     def test_flat_ell_matches_definition(self):
         f, g = quadratic()
-        tr = euclidean_adgd_run(RunConfig(max_iters=15, tol=0.0, alpha0=0.3), f, g, np.array([1.5, 0.7]))
+        tr = adgd_run(
+            RunConfig(max_iters=15, tol=0.0, alpha0=0.3),
+            Euclidean(),
+            Problem(f, g, np.array([1.5, 0.7])),
+        )
         for k in range(1, len(tr.rows)):
             g_prev = g(tr.points[k - 1])
             g_cur = g(tr.points[k])
@@ -104,20 +122,22 @@ class TestTermination:
     def test_stationary_start_single_row(self):
         f = lambda y: 1.0
         g = lambda y: np.zeros_like(y)
-        tr = euclidean_adgd_run(RunConfig(max_iters=100), f, g, np.array([3.0]))
+        tr = adgd_run(RunConfig(max_iters=100), Euclidean(), Problem(f, g, np.array([3.0])))
         assert tr.status == STATUS_CONVERGED
         assert len(tr.rows) == 1
         assert tr.rows[0].theta == 0.0
 
     def test_max_iters_one_gives_two_rows(self):
         f, g = quadratic()
-        tr = euclidean_adgd_run(RunConfig(max_iters=1, tol=0.0, alpha0=0.3), f, g, np.array([1.0]))
+        tr = adgd_run(
+            RunConfig(max_iters=1, tol=0.0, alpha0=0.3), Euclidean(), Problem(f, g, np.array([1.0]))
+        )
         assert tr.status == STATUS_MAX_ITERS
         assert [r.k for r in tr.rows] == [0, 1]
 
     def test_max_iters_zero_evaluates_only(self):
         f, g = quadratic()
-        tr = euclidean_adgd_run(RunConfig(max_iters=0, tol=0.0), f, g, np.array([1.0]))
+        tr = adgd_run(RunConfig(max_iters=0, tol=0.0), Euclidean(), Problem(f, g, np.array([1.0])))
         assert tr.status == STATUS_MAX_ITERS
         assert len(tr.rows) == 1
         assert tr.rows[0].exp_evals == 0
@@ -126,7 +146,9 @@ class TestTermination:
         with np.errstate(over="ignore"):
             f = lambda y: float(y[0] ** 4)
             g = lambda y: 4.0 * y**3
-            tr = euclidean_adgd_run(RunConfig(max_iters=50, alpha0=1e200), f, g, np.array([2.0]))
+            tr = adgd_run(
+                RunConfig(max_iters=50, alpha0=1e200), Euclidean(), Problem(f, g, np.array([2.0]))
+            )
         assert tr.status == STATUS_ABORTED
         assert "non-finite" in tr.message
 
@@ -144,11 +166,10 @@ class TestFirstIterationLineSearch:
         # On 0.5||y||^2 (smoothness exactly 1) the ratio is 1/(sqrt(2) a0):
         # from 0.001 it takes ten doublings to pass 1/sqrt(2).
         f, g = quadratic()
-        tr = euclidean_adgd_run(
+        tr = adgd_run(
             RunConfig(max_iters=3, tol=0.0, alpha0=0.001, first_ls=True),
-            f,
-            g,
-            np.array([1.0, 2.0]),
+            Euclidean(),
+            Problem(f, g, np.array([1.0, 2.0])),
         )
         assert tr.rows[0].alpha == pytest.approx(0.001 * 2**10)
         assert tr.rows[0].exp_evals == 11
@@ -157,11 +178,10 @@ class TestFirstIterationLineSearch:
         # A linear objective's gradient never changes, so the ratio stays
         # infinite and the search takes the trial after 60 doublings.
         c = np.array([1.0, -2.0])
-        tr = euclidean_adgd_run(
+        tr = adgd_run(
             RunConfig(max_iters=1, tol=0.0, alpha0=0.001, first_ls=True),
-            lambda y: float(c @ y),
-            lambda y: c.copy(),
-            np.zeros(2),
+            Euclidean(),
+            Problem(lambda y: float(c @ y), lambda y: c.copy(), np.zeros(2)),
         )
         assert tr.rows[0].alpha == 0.001 * 2**60
         assert tr.rows[0].exp_evals == 61
@@ -170,11 +190,10 @@ class TestFirstIterationLineSearch:
         # From 1e300 the 27th doubling reaches 1.34e308 and a 28th would
         # overflow to inf: that trial is taken as it stands, uncompared.
         c = np.array([1.0, -2.0])
-        tr = euclidean_adgd_run(
+        tr = adgd_run(
             RunConfig(max_iters=1, tol=0.0, alpha0=1e300, first_ls=True),
-            lambda y: float(c @ y),
-            lambda y: c.copy(),
-            np.zeros(2),
+            Euclidean(),
+            Problem(lambda y: float(c @ y), lambda y: c.copy(), np.zeros(2)),
         )
         assert tr.rows[0].alpha == 1e300 * 2**27
         assert tr.rows[0].exp_evals == 28
@@ -205,7 +224,7 @@ class TestFirstIterationLineSearch:
     def test_metering_with_price_tags(self, objective, y0, max_iters, exp_evals, expensive_ops):
         # Each trial charges an exponential (2) and a gradient (1 + 1); each
         # comparison charges 1; x_0's value and gradient charge 3.
-        class PricedFlat(optimizers._FlatSpace):
+        class PricedFlat(Euclidean):
             rgrad_ops = 1
             exp_ops = 2
             adapt_extra_ops = 1
@@ -224,7 +243,11 @@ class TestFirstIterationLineSearch:
 
     def test_disabled_by_default(self):
         f, g = quadratic()
-        tr = euclidean_adgd_run(RunConfig(max_iters=3, tol=0.0, alpha0=0.001), f, g, np.array([1.0]))
+        tr = adgd_run(
+            RunConfig(max_iters=3, tol=0.0, alpha0=0.001),
+            Euclidean(),
+            Problem(f, g, np.array([1.0])),
+        )
         assert tr.rows[0].alpha == 0.001
         assert tr.rows[0].exp_evals == 1
 
@@ -277,14 +300,12 @@ class TestArmijo:
     def test_abort_after_sixty_backtracks(self):
         # A kink with a lying gradient: every trial increases the objective,
         # so no amount of backtracking finds sufficient decrease.
-        from adgd.optimizers import _FlatSpace
-
         prob = problems.Problem(
             value=lambda y: abs(float(y[0])),
             euclidean_grad=lambda y: np.array([1.0]),
             x0=np.array([0.0]),
         )
-        tr = armijo_run(RunConfig(max_iters=5, alpha0=1.0), _FlatSpace(), prob)
+        tr = armijo_run(RunConfig(max_iters=5, alpha0=1.0), Euclidean(), prob)
         assert tr.status == STATUS_ABORTED
         assert "backtracking" in tr.message
 
@@ -310,33 +331,37 @@ class TestFixed:
     def test_divergence_abort(self):
         f, g = quadratic()
         prob = problems.Problem(value=f, euclidean_grad=g, x0=np.array([1.0]))
-        from adgd.optimizers import _FlatSpace
-
-        tr = fixed_run(RunConfig(max_iters=400, tol=0.0), _FlatSpace(), prob, 2.5)
+        tr = fixed_run(RunConfig(max_iters=400, tol=0.0), Euclidean(), prob, 2.5)
         assert tr.status == STATUS_ABORTED
         assert "diverging" in tr.message
 
 
 class TestEuclideanTwin:
     def test_constant_function_converges_immediately(self):
-        tr = euclidean_adgd_run(RunConfig(max_iters=10), lambda y: 2.0, lambda y: np.zeros_like(y), np.ones(3))
+        tr = adgd_run(
+            RunConfig(max_iters=10),
+            Euclidean(),
+            Problem(lambda y: 2.0, lambda y: np.zeros_like(y), np.ones(3)),
+        )
         assert tr.status == STATUS_CONVERGED
         assert len(tr.rows) == 1
 
-    def test_orthant_pairing(self, orthant):
-        # The Riemannian run on the orthant and the flat run on the pullback
-        # generate the same sequence through x = exp(y).
-        prob = problems.linear_minus_log(10, 3)
-        config = RunConfig(max_iters=100, tol=0.0, alpha0=0.5)
-        riem = adgd_run(config, orthant, prob)
-        c = prob.extras["c"]
-        f = lambda y: float(np.sum(np.exp(y) - c * y))
-        g = lambda y: np.exp(y) - c
-        flat = euclidean_adgd_run(config, f, g, np.log(prob.x0))
-        assert len(riem.points) == len(flat.points)
-        for xk, yk in zip(riem.points, flat.points):
-            ref = np.exp(yk)
-            assert np.max(np.abs(xk - ref) / np.abs(ref)) <= 1e-8
+    @pytest.mark.parametrize(
+        "alpha0,first_step", [(0.5, (1.0, 2)), (1e-3, (1.024, 11))], ids=["alpha0-0.5", "alpha0-1e-3"]
+    )
+    def test_first_ls_orthant_pairing(self, orthant, alpha0, first_step):
+        # With first-LS the Riemannian run on the orthant and the flat run
+        # on the pullback double to the same first step in as many trials,
+        # then generate the same sequence through x = exp(y).
+        config = RunConfig(max_iters=100, tol=0.0, alpha0=alpha0, first_ls=True)
+        for seed in range(20):
+            prob = problems.linear_minus_log(10, seed)
+            riem = adgd_run(config, orthant, prob)
+            pullback = Problem(*prob.extras["pullback"], x0=np.log(prob.x0))
+            flat = adgd_run(config, Euclidean(), pullback)
+            for trace in (riem, flat):
+                assert (trace.rows[0].alpha, trace.rows[0].exp_evals) == first_step
+            assert max(cli.twin_deviations(riem.points, flat.points, 101)) <= 1e-8
 
 
 class TestDomainSafety:
@@ -560,8 +585,12 @@ class TestStartingPoint:
 
     def test_base_class_and_flat_space_accept_anything(self):
         for x in (np.array([-1.0, np.nan, np.inf]), np.zeros((2, 3))):
-            assert optimizers._FlatSpace().check_point(x) is None
-        tr = euclidean_adgd_run(RunConfig(max_iters=3, tol=0.0, alpha0=0.1), *quadratic(), np.array([-2.0, 0.0]))
+            assert Euclidean().check_point(x) is None
+        tr = adgd_run(
+            RunConfig(max_iters=3, tol=0.0, alpha0=0.1),
+            Euclidean(),
+            Problem(*quadratic(), np.array([-2.0, 0.0])),
+        )
         assert tr.status == STATUS_MAX_ITERS and tr.rows[0].phi == 2.0
 
     @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))

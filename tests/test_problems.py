@@ -354,6 +354,25 @@ class TestLinearMinusLog:
             f = lambda y: prob.value(np.exp(y))
             assert f(0.5 * (y1 + y2)) <= 0.5 * f(y1) + 0.5 * f(y2) + 1e-12
 
+    def test_pullback_is_phi_after_exp(self):
+        # extras["pullback"] at y = log x is phi(x), and its gradient is the
+        # chain rule's x * euclidean_grad(x).  exp(log x) misses x by about
+        # (1 + |log x|) ulps of x; each value term adds c |log x| ulps, the
+        # n-term sum n ulps of its terms, and 1 - c / x scaled by x one ulp
+        # of x + c.
+        n, eps = 8, np.finfo(float).eps
+        prob = problems.linear_minus_log(n, seed=2)
+        value, grad = prob.extras["pullback"]
+        c = prob.extras["c"]
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            x = np.exp(rng.uniform(-5.0, 5.0, size=n))
+            y = np.log(x)
+            size = x * (1.0 + np.abs(y))
+            value_bound = (n + 4) * eps * float(np.sum(size + c * np.abs(y)))
+            assert abs(value(y) - prob.value(x)) <= value_bound
+            assert np.all(np.abs(grad(y) - x * prob.euclidean_grad(x)) <= 4.0 * eps * (size + c))
+
 
 @pytest.mark.parametrize("case", ["center-of-mass", "lyapunov", "linear-minus-log"])
 def test_smooth_convexity_gap_inequality(case):
