@@ -12,8 +12,11 @@ One kernel per job:
 * :func:`_norm` is every norm that only decides.
 
 LAPACK (``numpy.linalg``) only answers yes/no questions, with a certified
-rounding margin (:func:`_lapack_certifies_spd`); its output never reaches
-a written value.  The kernels double as test oracles, so they favour
+rounding margin (:func:`_lapack_certifies_spd`): is ``lambda_min`` above
+``s`` less the rounding, at :func:`require_spd`'s tiny shift, or at the
+larger shifts with which a Bures-Wasserstein step screens its length and
+seeds or carries a point's eigenvalue floor.  Its output never reaches a
+written value.  The kernels double as test oracles, so they favour
 robustness and explicit failure over raw speed.  All functions are pure;
 inputs are never mutated.
 """

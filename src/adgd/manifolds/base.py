@@ -46,17 +46,30 @@ class Manifold(ABC):
     def egrad_to_rgrad(self, x, g):
         """Riemannian gradient at x from the ambient (Euclidean) gradient g."""
 
+    def seed_floor(self, x):
+        """The floor a run's starting point x carries into
+        :meth:`exp_transport`; None in the base class."""
+        return None
+
     @abstractmethod
-    def exp_transport(self, x, v):
+    def exp_transport(self, x, v, floor=None):
         """The exponential at x along v and the transport along that step.
 
-        Returns ``(y, clamped, transport)``: ``y = exp(x, v)``, whether a
-        numerical guard fired on the way, and ``transport(w)``, the parallel
-        transport of w from x to y along t -> exp(x, t v).  This is the one
-        exponential a manifold implements; the transport may reuse the
-        exponential's work.  For a step it treats as zero a manifold may
-        return ``x`` itself as ``y``; a run then answers the evaluations it
-        asks at ``y`` from the iterate's own.
+        Returns ``(y, clamped, transport, floor_y)``: ``y = exp(x, v)``,
+        whether a numerical guard fired on the way, ``transport(w)``, the
+        parallel transport of w from x to y along t -> exp(x, t v), and the
+        new point's floor.  This is the one exponential a manifold
+        implements; the transport may reuse the exponential's work.  For a
+        step it treats as zero a manifold may return ``x`` itself as ``y``;
+        a run then answers the evaluations it asks at ``y`` from the
+        iterate's own.
+
+        A floor is what a point certifies about itself, carried from step
+        to step so that a later step can skip a check it proves would pass
+        (on Bures-Wasserstein, a lower bound on the smallest eigenvalue).
+        ``floor`` is what :meth:`seed_floor` or this method returned for x,
+        or None; it changes no result, only the work.  Manifolds without
+        floors ignore it and return None.
         """
 
     def exp(self, x, v):

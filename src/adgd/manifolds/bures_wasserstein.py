@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,19 @@ _SCREEN_MARGIN = 1e-10
 # below half of max_step (max_step_lower_bound's screen): both are decided
 # from the norm, without LAPACK.
 _SMALL_FACTOR_NORM = 0.5
+
+# Off the norm path, exp_transport certifies I + L at this shift when the
+# point carries a floor: success bounds its smallest eigenvalue below by
+# about 1/4, which the new point's floor carries.
+_DOMAIN_SHIFT = 0.25
+
+# A floor above _FLOOR_LEVEL n^2 eps times a bound on max_i y_ii implies
+# require_spd(y) (_floor_level); inf switches carried floors off.
+_FLOOR_LEVEL = 4.0
+
+# Below this decision norm a point's squared entries may underflow enough
+# that the norm no longer bounds its diagonal (_floor_level).
+_NORM_FLOOR = 2.0**-450
 
 # Points per stacked eigensolve in distance_from's callable.
 _DISTANCE_CHUNK = 128
@@ -82,6 +96,60 @@ def _step_ratio(vmat, wmat):
     if not -1020 <= shift <= 1020:
         raise DomainError(f"Bures-Wasserstein transport: the step ratio 2^{shift} overflows")
     return math.ldexp(c, shift)
+
+
+class _Floor(NamedTuple):
+    """What a point carries into its steps: ``bound``, a certified lower
+    bound on its smallest eigenvalue (-inf certifies nothing), ``seed``, the
+    shift whose quarter the next LAPACK seed of the run takes (``_seed``),
+    and ``norm``, the point's ``linalg._norm``."""
+
+    bound: float
+    seed: float
+    norm: float
+
+
+def _floor_level(n, norm):
+    """``_FLOOR_LEVEL n^2 eps`` times ``2 norm``, for an n x n point y with
+    decision norm ``norm = linalg._norm(y)``: a smallest eigenvalue above
+    it passes ``cholesky`` (``exp_transport``).  ``2 norm`` bounds
+    ``||y||_F >= max_i y_ii`` once ``norm >= _NORM_FLOOR``: then the squares
+    that underflow move the sum by a relative ``n^2 2^-175`` at most, and
+    the norm is within a relative ``n^2 eps`` of ``||y||_F``.  Below that,
+    and for an inf or NaN norm, the level is inf."""
+    if not _NORM_FLOOR <= norm < math.inf:
+        return math.inf
+    return _FLOOR_LEVEL * n * n * linalg._EPS * 2.0 * norm
+
+
+def _seed(y, shift, norm):
+    """``y``'s floor from a LAPACK factorization of ``y - shift I``.
+
+    For the exactly symmetric ``y`` with ``norm = linalg._norm(y)`` (within
+    a relative ``n^2 eps`` of ``||y||_F >= ||y||_2``), success puts
+    ``lambda_min(y)`` above ``shift - n (n + 1) eps (||y||_2 + shift)``,
+    less the rounding of the shifted diagonal (Higham, Thms 10.3/10.7, as
+    ``linalg._lapack_certifies_spd`` states): above ``bound``, which takes
+    twice that term with ``(n + 2)^2`` for ``n (n + 1)``.  The factorization
+    is tried only when ``bound`` clears ``_floor_level``, so that its
+    success also implies ``require_spd(y)``, and at a shift of at least
+    ``linalg._MIN_SPD_SHIFT``, the smallest ``require_spd`` trusts LAPACK
+    with.  The floor's ``seed`` is the shift the next seed takes a quarter
+    of: ``shift`` itself after a success.  Untried or failed, the floor's
+    bound is -inf, which certifies nothing, and its ``seed`` a sixteenth of
+    ``shift``, so that the next seed tries 64 times lower: a point whose
+    smallest eigenvalue keeps falling (a run that ends at the cone's
+    boundary) wastes a few factorizations, not one per step.
+    """
+    n = y.shape[0]
+    bound = shift - 2.0 * (n + 2) ** 2 * linalg._EPS * (norm + shift)
+    if not (
+        shift >= linalg._MIN_SPD_SHIFT
+        and bound > _floor_level(n, norm)
+        and linalg._lapack_certifies_spd(y, shift)
+    ):
+        return _Floor(-math.inf, shift / 16.0, norm)
+    return _Floor(bound, shift, norm)
 
 
 class BWTangent:
@@ -153,40 +221,137 @@ class BuresWasserstein(Manifold):
         xg = x @ g
         return BWTangent(2.0 * (xg + xg.T), 2.0 * g, x)
 
-    def exp_transport(self, x, v):
-        """``(exp(x, v), False, transport)``: ``exp(x, v) = (I + L) X (I + L)``
-        for ``L = L_X(v)``, raising DomainError outside the step domain
-        (``I + L`` not positive definite) or when the new point fails its
-        SPD certificate.  ``transport(w)`` forms ``W + (2 / c) L X L`` from
-        the exponential's own ``L X L``, so it costs no matrix product.  It
-        is defined only for w collinear with v, the single case the descent
-        loops need, and holds ``v``'s matrix and ``L X L``.
+    def seed_floor(self, x):
+        """The floor a run's starting point carries: ``_seed`` at half of x's
+        smallest diagonal entry, or None for an empty or not exactly
+        symmetric x."""
+        x = np.asarray(x, dtype=float)
+        if not (x.shape[0] and np.array_equal(x, x.T)):
+            return None
+        return _seed(x, 0.5 * float(x.diagonal().min()), linalg._norm(x))
+
+    def exp_transport(self, x, v, floor=None):
+        """``(exp(x, v), False, transport, floor_y)``: ``exp(x, v) = (I + L) X
+        (I + L)`` for ``L = L_X(v)``, raising DomainError outside the step
+        domain (``I + L`` not positive definite) or when the new point fails
+        its SPD certificate.  ``transport(w)`` forms ``W + (2 / c) L X L``
+        from the exponential's own ``L X L``, so it costs no matrix product.
+        It is defined only for w collinear with v, the single case the
+        descent loops need, and holds ``v``'s matrix and ``L X L``.
+
+        ``floor`` is what ``seed_floor`` or this method returned for the
+        point ``x``, or None; ``floor_y`` is the new point's, None when
+        ``floor`` is.  A floor (``_Floor``) carries a certified lower bound
+        ``mu(x) <= lambda_min(x)``.  With one, the new point's own
+        certificate, ``linalg.require_spd(y)`` (a LAPACK Cholesky), is
+        skipped exactly where the bound proves that ``linalg.cholesky(y)``
+        succeeds, where ``require_spd`` returns None; everywhere else it
+        runs and decides as it does without a floor, so no decision and no
+        byte depends on the floor.  The argument, for an exactly symmetric
+        ``X`` (every floor is of such a point), the symmetric factor ``L``
+        (every factor is), ``n`` up to about 10^7, ``eps`` the machine
+        epsilon and ``S = (I + L) X (I + L)``:
+
+        * ``sigma_min(I + L) >= c``.  On the norm path ``||L||_F <= 1/2``,
+          so ``c = 1 - (1 + 2 n^2 eps) linalg._norm(L)`` (Weyl).  Off it,
+          when ``mu(x) > 0`` and ``||L||_F`` is finite, LAPACK factors
+          ``I + L - I / 4``: success puts ``lambda_min(I + L)`` above
+          ``c = 1/4 - 2 (n + 2)^2 eps (||L||_F + 2)`` (as in ``_seed``, with
+          the rounding of ``I + L``), and since ``c`` must also clear
+          ``_floor_level(n, 1 + ||L||_F)``, above I + L's diagonal times
+          ``4 n^2 eps``, it implies ``require_spd(I + L)`` as below.  Else
+          ``require_spd(I + L)`` decides as without a floor, and the step
+          has no ``c``.  So ``lambda_min(S) >= mu(x) c^2``.
+        * ``||y - S||_F <= E``: ``y`` is ``symmetrize(X + V + L X L)``
+          computed from ``V = v.mat`` and ``L X L = (L X) L``.  The
+          residual ``||V - (L X) - (L X)^T||_F`` is measured, so ``V`` need
+          not have been formed as ``L X + X L`` (a gradient's is formed as
+          ``2 (X G + G X)``, scaled, while its factor is ``2 G``, scaled, and
+          an underflow in ``X G`` is scaled with it).  The products'
+          rounding (``n eps |L| |X|`` each, entrywise, and
+          ``||abs(A) abs(B)||_F <= ||A||_F ||B||_F``), the two sums, the
+          symmetrization and the residual's own subtractions add at most
+          ``(n + 5) eps ||X||_F (1 + ||L||_F)^2`` to first order, and
+          underflow at most ``n^2 2^-1074 (1 + ||L||_F)`` more.  ``E`` takes
+          twice the measured residual plus ``8 (n + 2) eps (1 +
+          ||L||_F)^2 (||X||_F + n linalg._MIN_SPD_SHIFT)``, with the decision
+          norms of ``X`` and ``L``, which covers all of it with a margin for
+          the norms' own rounding.
+        * Weyl: ``lambda_min(y) >= mu(x) c^2 - E``, and ``mu(y)`` is that
+          value, rounded down by ``8 eps`` of its first term.
+        * ``cholesky`` can meet a non-positive pivot only where
+          ``lambda_min(y)`` is below ``n (n + 1) eps / 2`` times
+          ``max_i y_ii`` (Thm 10.7, as ``require_spd`` states), so it
+          succeeds once ``mu(y)`` exceeds ``_floor_level(n, ||y||)``, which
+          is ``4 n^2 eps`` times an upper bound on ``max_i y_ii``, or inf
+          for a non-finite ``y`` (an overflow anywhere above reaches it).
+          Then ``require_spd(y)`` is skipped and ``y`` carries ``mu(y)``.
+        * Otherwise ``y`` is seeded afresh (``_seed``) at a quarter of
+          ``floor.seed``, the run's last seed shift; success implies
+          ``require_spd(y)`` and gives ``y`` its bound.  When it fails,
+          ``require_spd(y)`` runs and ``y`` carries a floor with no bound,
+          whose next seed tries lower.
         """
         fac = v.factor_at(x)
+        n = fac.shape[0]
+        norm = linalg._norm(fac)
         # The congruence (I + L) X (I + L) stays SPD for an indefinite I + L
         # too, where it is no geodesic, so I + L itself is certified.  Within
         # _SMALL_FACTOR_NORM, I + L scaled to a unit diagonal has smallest
         # eigenvalue >= 1/3, far above the n (n + 1) eps at which a Cholesky
         # pivot can fail (Higham, Thm 10.7) for any n below about 10^7, so
         # require_spd cannot raise.  An inf or NaN norm takes the certificate.
-        if not linalg._norm(fac) <= _SMALL_FACTOR_NORM:
-            try:
-                linalg.require_spd(np.eye(x.shape[0]) + fac)
-            except DomainError:
-                raise DomainError("step leaves the SPD cone") from None
-        lxl = fac @ x @ fac
+        # shrink is the docstring's c, a lower bound on sigma_min(I + L); the
+        # step has none when it is None.
+        carry = floor is not None and floor.bound > 0.0
+        shrink = None
+        if norm <= _SMALL_FACTOR_NORM:
+            shrink = 1.0 - (1.0 + 2.0 * n * n * linalg._EPS) * norm
+        else:
+            eye_l = np.eye(n) + fac
+            if carry and math.isfinite(norm):
+                bound = _DOMAIN_SHIFT - 2.0 * (n + 2) ** 2 * linalg._EPS * (norm + 2.0)
+                # 1 + ||L||_F bounds the diagonal of I + L.
+                if bound > _floor_level(n, 1.0 + norm) and linalg._lapack_certifies_spd(
+                    eye_l, _DOMAIN_SHIFT
+                ):
+                    shrink = bound
+            if shrink is None:
+                try:
+                    linalg.require_spd(eye_l)
+                except DomainError:
+                    raise DomainError("step leaves the SPD cone") from None
+        lx = fac @ x
+        lxl = lx @ fac
         y = linalg.symmetrize(x + v.mat + lxl)
+        vmat = v.mat
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).
-        linalg.require_spd(y)
-        vmat = v.mat
+        floor_y = None
+        if floor is not None:
+            norm_y = linalg._norm(y)
+            level = _floor_level(n, norm_y)
+            bound = -math.inf
+            if carry and shrink is not None:
+                resid = vmat - lx
+                resid -= lx.T
+                err = 2.0 * linalg._norm(resid) + 8.0 * (n + 2) * linalg._EPS * (
+                    1.0 + norm
+                ) ** 2 * (floor.norm + n * linalg._MIN_SPD_SHIFT)
+                bound = floor.bound * shrink * shrink * (1.0 - 8.0 * linalg._EPS) - err
+            if bound > level:
+                floor_y = _Floor(bound, floor.seed, norm_y)
+            else:
+                floor_y = _seed(y, 0.25 * floor.seed, norm_y)
+        if floor_y is None or floor_y.bound == -math.inf:
+            linalg.require_spd(y)
 
         def transport(w):
             c = _step_ratio(vmat, w.mat)
             return BWTangent(w.mat.copy() if c is None else w.mat + (2.0 / c) * lxl)
 
-        return y, False, transport
+        return y, False, transport, floor_y
 
     def inner(self, x, u, v):
         # Callers pass a factor-carrying tangent (a gradient) first.

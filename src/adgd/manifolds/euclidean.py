@@ -20,8 +20,8 @@ class Euclidean(Manifold):
     def egrad_to_rgrad(self, x, g):
         return g
 
-    def exp_transport(self, x, v):
-        return x + v, False, lambda w: w
+    def exp_transport(self, x, v, floor=None):
+        return x + v, False, lambda w: w, None
 
     def inner(self, x, u, v):
         return float(np.dot(u, v))

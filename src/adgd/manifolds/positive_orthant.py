@@ -27,8 +27,8 @@ class PositiveOrthant(Manifold):
     def egrad_to_rgrad(self, x, g):
         return x * x * g
 
-    def exp_transport(self, x, v):
-        """``(y, clamped, transport)`` with ``y_i = x_i e^{v_i / x_i}``, the
+    def exp_transport(self, x, v, floor=None):
+        """``(y, clamped, transport, None)`` with ``y_i = x_i e^{v_i / x_i}``, the
         exponent clamped to +-700, and the transport along the step, the
         coordinate-wise rescaling ``w_i y_i / x_i`` (an exact isometry).
 
@@ -40,7 +40,7 @@ class PositiveOrthant(Manifold):
         if clamped:
             z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
         y = x * np.exp(z)
-        return y, clamped, lambda w: w * y / x
+        return y, clamped, lambda w: w * y / x, None
 
     def inner(self, x, u, v):
         return float(np.add.reduce(u * v / (x * x)))

@@ -64,24 +64,25 @@ class Sphere(Manifold):
         """Project g onto the tangent space: g - <x, g> x."""
         return g - x.dot(g) * x
 
-    def exp_transport(self, x, v):
-        """``(exp(x, v), False, transport)``; the transport reuses ``||v||``
-        and its sine and cosine.  A step whose norm overflows raises
-        ``DomainError``, without a numpy warning; a NaN norm gives a NaN
-        point, which the descent loop's finiteness check reports.
+    def exp_transport(self, x, v, floor=None):
+        """``(exp(x, v), False, transport, None)``; the transport reuses
+        ``||v||`` and its sine and cosine, and ``floor`` is ignored.  A step
+        whose norm overflows raises ``DomainError``, without a numpy
+        warning; a NaN norm gives a NaN point, which the descent loop's
+        finiteness check reports.
         """
         # np.vdot is the BLAS ddot of v.dot(v), with the same bits, but it
         # raises no floating-point warning.
         nv = math.sqrt(np.vdot(v, v))
         if nv < _TINY:
-            return x, False, _unchanged
+            return x, False, _unchanged, None
         if nv == math.inf:
             raise DomainError(f"sphere step norm overflowed (||v|| = {nv})")
         cos, sin = math.cos(nv), math.sin(nv)
         y = cos * x
         y += (sin / nv) * v
         y /= math.sqrt(y.dot(y))
-        return y, False, functools.partial(_rotate, x, v, nv, cos, sin)
+        return y, False, functools.partial(_rotate, x, v, nv, cos, sin), None
 
     def inner(self, x, u, v):
         return float(u.dot(v))

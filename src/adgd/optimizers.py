@@ -133,6 +133,9 @@ class Trace:
 # Safety margin keeping clamped steps strictly inside the step domain.
 STEP_SAFETY = 0.99
 
+# x0's floor before the first exponential from x0 seeds it (_Meter).
+_UNSEEDED = object()
+
 
 class _Meter:
     """One run's cumulative work counters (:class:`TraceRow`) and a step
@@ -153,11 +156,22 @@ class _Meter:
     assumes ``value`` and ``euclidean_grad`` are deterministic and leave
     the point unchanged.  Row 0's stage checks what the objective returns
     (:meth:`_vet`).
+
+    The meter also carries the held iterate's floor
+    (:meth:`Manifold.exp_transport`) into every exponential from it, so
+    Armijo's trials share it.  ``problem.x0``'s comes from
+    :meth:`Manifold.seed_floor` at the first exponential from it, so a run
+    that takes no step seeds none; after that, :meth:`hold`
+    adopts the floor the last exponential returned when that exponential's
+    point is the iterate it records (the accepted Armijo trial and
+    first-LS's taken trial are always the last exponential).  A floor
+    speaks for the point as the exponential returned it, so it too assumes
+    that evaluations leave the point unchanged.
     """
 
     __slots__ = (
         "fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage",
-        "_x", "_phi", "_finish", "_grad",
+        "_x", "_phi", "_finish", "_grad", "_floor", "_next", "_next_floor",
     )
 
     def __init__(self, manifold, problem):
@@ -166,11 +180,14 @@ class _Meter:
         self.problem = problem
         self._stage = self._vet
         self._x = self._phi = self._finish = self._grad = None
+        self._floor = self._next = self._next_floor = None
 
     def _vet(self, x):
         """Row 0's stage: ``problem.stager()``'s, which serves every later
         stage, with a ``ValueError`` unless the value is a real scalar and
-        the Euclidean gradient has ``x``'s shape."""
+        the Euclidean gradient has ``x``'s shape; ``x``'s floor is left
+        to the first exponential from it."""
+        self._next, self._next_floor = x, _UNSEEDED
         self._stage = stage = self.problem.stager()
         phi, finish = stage(x)
         if not (
@@ -194,8 +211,9 @@ class _Meter:
         return phi, vetted
 
     def hold(self, x, phi, finish, grad):
-        """Record iterate ``x``'s evaluations, replacing the last."""
+        """Record iterate ``x``'s evaluations and floor, replacing the last."""
         self._x, self._phi, self._finish, self._grad = x, phi, finish, grad
+        self._floor = self._next_floor if x is self._next else None
 
     def stage(self, x):
         """``(value(x), finish)``, one objective charge; ``finish`` is for
@@ -218,11 +236,19 @@ class _Meter:
         return self.manifold.egrad_to_rgrad(x, egrad)
 
     def exp_transport(self, x, v):
-        """``Manifold.exp_transport(x, v)``: the next point, the clamp flag
-        and the transport along the step; one exponential charge."""
+        """``Manifold.exp_transport`` of the step ``v`` from ``x``, with the
+        floor of ``x`` when it is the held iterate: the next point, the clamp
+        flag and the transport along the step; one exponential charge."""
         self.exp_evals += 1
         self.expensive += self.manifold.exp_ops
-        return self.manifold.exp_transport(x, v)
+        floor = None
+        if x is self._x:
+            floor = self._floor
+            if floor is _UNSEEDED:
+                floor = self._floor = self.manifold.seed_floor(x)
+        y, clamped, transport, self._next_floor = self.manifold.exp_transport(x, v, floor)
+        self._next = y
+        return y, clamped, transport
 
     def grad_change(self, transport, grad_prev, norm_prev, x, grad):
         """``||grad - transport(grad_prev)||`` at ``x``, the end of the step

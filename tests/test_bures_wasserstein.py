@@ -8,9 +8,9 @@ from adgd import linalg, problems
 from adgd.cli import main
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, bures_wasserstein
-from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _Meter, adgd_run
+from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _Meter, adgd_run, armijo_run
 
-from conftest import is_spd_spectrum, random_spd, random_sym
+from conftest import bits, is_spd_spectrum, random_spd, random_sym
 
 
 class TestRiemannianGradient:
@@ -119,6 +119,113 @@ class TestExp:
             with pytest.raises(DomainError, match="step leaves the SPD cone"):
                 bw.exp_transport(x, _tangent_with_factor(bw, x, fac))
 
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_carried_floor_at_the_skip_level(self, bw, n, monkeypatch):
+        # x = diag(m, 2, ..., n) has the exact smallest eigenvalue m, so the
+        # floor bound m is certified.  The factor -(1/2) u u^T along a random
+        # unit u, at and just above ||L||_F = 1/2 (the norm path and the
+        # shifted I + L certificate), shrinks the new point's smallest
+        # eigenvalue by about 4.  Sweeping m from 1e-8 to 1e-19 takes the
+        # carried bound from above the skip level to below it, and the new
+        # point down to where require_spd refuses it.  Each skipped
+        # certificate must be one cholesky gives, and the run with the floor
+        # must raise, or return the point, exactly as the run without it.
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((n, 1))
+        spd_calls = []
+        require_spd = linalg.require_spd
+        monkeypatch.setattr(linalg, "require_spd", lambda a: spd_calls.append(1) or require_spd(a))
+        for fac in _factors_either_side_of_half(-0.5 * (u @ u.T) / float(np.vdot(u, u))):
+            fac = linalg.symmetrize(fac)
+            outcomes = set()
+            for m in np.geomspace(1e-8, 1e-19, 45):
+                x = np.diag(np.r_[m, np.arange(2.0, n + 1.0)])
+                v = _tangent_with_factor(bw, x, fac)
+                floor = bures_wasserstein._Floor(m, m, linalg._norm(x))
+                results = []
+                for args in ((x, v), (x, v, floor)):
+                    spd_calls.clear()
+                    try:
+                        results.append(bw.exp_transport(*args)[0])
+                    except DomainError as exc:
+                        results.append(str(exc))
+                assert bits(results[0]) == bits(results[1]), (n, m)
+                if isinstance(results[1], str):
+                    outcomes.add("refused")
+                elif spd_calls:
+                    outcomes.add("certified")
+                else:
+                    linalg.cholesky(results[1])
+                    outcomes.add("skipped")
+            assert outcomes >= {"skipped", "certified"}, (n, outcomes)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_carried_floor_counts_the_tangent_residual(self, bw, n):
+        # V = L X + X L - D, with D = d w w^T for w the bottom unit
+        # eigenvector of S = (I + L) X (I + L) and d = 2 lambda_min(S), so
+        # the new point X + V + L X L = S - D has the eigenvalue
+        # -lambda_min(S) and cholesky refuses it.  The floor's m c^2 alone
+        # clears the skip level, on the norm path and off it; only the
+        # measured residual ||V - L X - X L||_F = d in the bound's E keeps
+        # the step from skipping the certificate, so the call with the
+        # floor must raise as the call without it does.
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((n, 1))
+        x = np.diag(np.arange(1.0, n + 1.0))
+        floor = bures_wasserstein._Floor(1.0, 1.0, linalg._norm(x))
+        for fac, shrink in zip(
+            _factors_either_side_of_half(-0.5 * (u @ u.T) / float(np.vdot(u, u))), (0.5, 0.25)
+        ):
+            fac = linalg.symmetrize(fac)
+            eye_l = np.eye(n) + fac
+            lam, vecs = np.linalg.eigh(eye_l @ x @ eye_l)
+            d = 2.0 * lam[0]
+            vmat = linalg.symmetrize(fac @ x + x @ fac - d * np.outer(vecs[:, 0], vecs[:, 0]))
+            y = linalg.symmetrize(x + vmat + fac @ x @ fac)
+            assert np.linalg.eigvalsh(y)[0] < -0.5 * lam[0]
+            level = bures_wasserstein._floor_level(n, linalg._norm(y))
+            assert floor.bound * (0.99 * shrink) ** 2 > 1e6 * level and d > floor.bound * shrink**2
+            for args in ((), (floor,)):
+                with pytest.raises(DomainError, match="not positive definite"):
+                    bw.exp_transport(x, BWTangent(vmat, fac, x), *args)
+
+    @pytest.mark.parametrize(
+        "run, config, share",
+        [
+            (armijo_run, dict(max_iters=100, armijo_lambda=2.0), 0.25),
+            (adgd_run, dict(), 2.0 / 3.0),
+        ],
+        ids=["armijo", "adaptive"],
+    )
+    def test_runs_carry_floors(self, run, config, share, monkeypatch):
+        # The benchmark's Lyapunov n = 20 configs: the meter carries each
+        # iterate's floor into its steps, so a run makes at most this share
+        # of the LAPACK factorizations it makes with floors switched off, and
+        # the same trace.
+        factorizations = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(1) or cholesky(a))
+        prob = problems.lyapunov_objective(20, 7)
+        config = RunConfig(alpha0=0.1, track_distance=False, **config)
+        traces, counts = [], []
+        for level in (bures_wasserstein._FLOOR_LEVEL, math.inf):
+            monkeypatch.setattr(bures_wasserstein, "_FLOOR_LEVEL", level)
+            factorizations.clear()
+            traces.append(run(config, BuresWasserstein(), prob))
+            counts.append(len(factorizations))
+        assert bits(traces[0]) == bits(traces[1])
+        assert counts[0] <= share * counts[1], counts
+
+    @pytest.mark.parametrize("max_iters, seeds", [(0, 0), (5, 1)])
+    def test_x0_is_seeded_at_its_first_step(self, max_iters, seeds, monkeypatch):
+        # A run that takes no step pays for no seed; Armijo's trials from
+        # x0 share the one seed of its floor.
+        calls = []
+        monkeypatch.setattr(BuresWasserstein, "seed_floor", lambda self, x: calls.append(1))
+        config = RunConfig(max_iters=max_iters, track_distance=False)
+        armijo_run(config, BuresWasserstein(), problems.lyapunov_objective(5, 7))
+        assert len(calls) == seeds
+
 
 class TestTransport:
     def test_zero_step_identity(self, bw):
@@ -166,6 +273,23 @@ class TestTransport:
         w = BWTangent(random_sym(rng, 4, scale=0.1))
         with pytest.raises(DomainError):
             bw.transport_along_step(x, v, w)
+
+    def test_collinearity_tolerance(self, bw):
+        # The transport exp_transport returns refuses w off the step's line
+        # by a relative 1e-6, well above the 1e-8 tolerance, and carries w
+        # off it by 1e-10.
+        rng = np.random.default_rng(9)
+        x = random_spd(rng, 4)
+        g = bw.egrad_to_rgrad(x, random_sym(rng, 4, scale=0.1))
+        v = -0.1 * g
+        r = random_sym(rng, 4)
+        r -= (np.vdot(r, g.mat) / np.vdot(g.mat, g.mat)) * g.mat
+        r *= np.linalg.norm(g.mat) / np.linalg.norm(r)
+        transport = bw.exp_transport(x, v)[2]
+        with pytest.raises(DomainError, match="collinear"):
+            transport(BWTangent(g.mat + 1e-6 * r))
+        out = transport(BWTangent(g.mat + 1e-10 * r))
+        np.testing.assert_allclose(out.mat, transport(g).mat, rtol=1e-8, atol=1e-8)
 
     def test_extreme_scales_transport_without_warnings(self, bw):
         # <w, w> overflows for w = diag(1e200, -1e200); unscaled, the ratio

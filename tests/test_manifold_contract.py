@@ -336,16 +336,16 @@ def _closed_form(case, x, v, w):
 
 
 class TestExpTransport:
-    """``exp_transport`` is each manifold's one exponential: its triple
-    matches the closed forms, and ``exp`` and ``transport_along_step`` are
-    its parts, bit for bit."""
+    """``exp_transport`` is each manifold's one exponential: its point,
+    flag and transport match the closed forms, and ``exp`` and
+    ``transport_along_step`` are its parts, bit for bit."""
 
     @pytest.mark.parametrize("case", ["sphere", "orthant", "bw", "flat"])
     def test_equals_exp_and_transport_bit_for_bit(self, case):
         rng = np.random.default_rng(109)
         clamped_seen = False
         for m, x, v, ws in _exp_transport_cases(case, rng):
-            y, clamped, transport = m.exp_transport(x, v)
+            y, clamped, transport, _ = m.exp_transport(x, v)
             assert bits(y) == bits(m.exp(x, v))
             clamped_seen |= clamped
             # Past the orthant's clamp a transported entry overflows to inf,
@@ -359,7 +359,7 @@ class TestExpTransport:
     def test_matches_closed_form(self, case):
         rng = np.random.default_rng(111)
         for m, x, v, ws in _exp_transport_cases(case, rng):
-            y, clamped, transport = m.exp_transport(x, v)
+            y, clamped, transport, _ = m.exp_transport(x, v)
             with np.errstate(over="ignore", invalid="ignore"):
                 for w in ws:
                     y_ref, clamped_ref, pw_ref = _closed_form(case, x, v, w)

@@ -300,14 +300,18 @@ class TestArmijo:
     def test_abort_after_sixty_backtracks(self):
         # A kink with a lying gradient: every trial increases the objective,
         # so no amount of backtracking finds sufficient decrease.
+        # The value is asked once at x0 and once per trial: the first trial
+        # and exactly 60 reductions, README's limit.
+        calls = []
         prob = problems.Problem(
-            value=lambda y: abs(float(y[0])),
+            value=lambda y: calls.append(1) or abs(float(y[0])),
             euclidean_grad=lambda y: np.array([1.0]),
             x0=np.array([0.0]),
         )
         tr = armijo_run(RunConfig(max_iters=5, alpha0=1.0), Euclidean(), prob)
         assert tr.status == STATUS_ABORTED
-        assert "backtracking" in tr.message
+        assert "Armijo backtracking exceeded 60 reductions at iteration 0" in tr.message
+        assert len(calls) == 1 + 61
 
 
 class TestFixed:
@@ -333,7 +337,11 @@ class TestFixed:
         prob = problems.Problem(value=f, euclidean_grad=g, x0=np.array([1.0]))
         tr = fixed_run(RunConfig(max_iters=400, tol=0.0), Euclidean(), prob, 2.5)
         assert tr.status == STATUS_ABORTED
-        assert "diverging" in tr.message
+        assert "objective increased for 50 consecutive iterations" in tr.message
+        # Every step increases phi, so row k sees the k-th increase: the run
+        # aborts on row 50, which is recorded (fixed_run's docstring).
+        assert all(b.phi > a.phi for a, b in zip(tr.rows, tr.rows[1:]))
+        assert len(tr.rows) == 51 and tr.rows[-1].k == 50
 
 
 class TestEuclideanTwin:
@@ -766,9 +774,9 @@ class _CopyingSphere(Sphere):
     """The sphere with a copy of ``x`` wherever ``Sphere.exp_transport``
     returns ``x`` itself, so that no run on it repeats a point."""
 
-    def exp_transport(self, x, v):
-        y, clamped, transport = super().exp_transport(x, v)
-        return (y.copy() if y is x else y), clamped, transport
+    def exp_transport(self, x, v, floor=None):
+        y, clamped, transport, floor_y = super().exp_transport(x, v, floor)
+        return (y.copy() if y is x else y), clamped, transport, floor_y
 
 
 class TestJointEvaluation:

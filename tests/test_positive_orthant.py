@@ -67,10 +67,10 @@ class TestExp:
 
     def test_overflow_clamp_flagged(self, orthant):
         x = np.array([1.0])
-        y, clamped, _ = orthant.exp_transport(x, np.array([1e6]))
+        y, clamped, _, _ = orthant.exp_transport(x, np.array([1e6]))
         assert clamped
         assert np.isfinite(y).all()
-        _, unclamped, _ = orthant.exp_transport(x, np.array([1.0]))
+        _, unclamped, _, _ = orthant.exp_transport(x, np.array([1.0]))
         assert not unclamped
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -78,12 +78,12 @@ class TestExp:
         # |v / x| = 700 exactly is left alone; just above it is clamped.
         x = np.array([1.0, 3.0, 1.0, 3.0])
         at = np.array([700.0, 2100.0, -700.0, -2100.0])
-        y, clamped, _ = orthant.exp_transport(x, at)
+        y, clamped, _, _ = orthant.exp_transport(x, at)
         assert not clamped
         assert np.array_equal(y, x * np.exp([700.0, 700.0, -700.0, -700.0]))
         for sign in (1.0, -1.0):
             above = sign * np.nextafter(700.0, np.inf) * np.ones(1)
-            y, clamped, _ = orthant.exp_transport(np.ones(1), above)
+            y, clamped, _, _ = orthant.exp_transport(np.ones(1), above)
             assert clamped and np.isfinite(y).all()
             assert y[0] == np.exp(sign * 700.0)
 

@@ -88,11 +88,11 @@ class TestExp:
         rng = np.random.default_rng(5)
         x = random_unit(rng, 4)
         v = random_sphere_tangent(rng, x)
-        y, clamped, transport = sphere.exp_transport(x, scale * v / np.linalg.norm(v))
+        y, clamped, transport, _ = sphere.exp_transport(x, scale * v / np.linalg.norm(v))
         assert y is x and clamped is False
         w = random_sphere_tangent(rng, x)
         assert bits(transport(w)) == bits(w)
-        y, _, _ = sphere.exp_transport(x, 1.01e-12 * v / np.linalg.norm(v))
+        y, _, _, _ = sphere.exp_transport(x, 1.01e-12 * v / np.linalg.norm(v))
         assert y is not x
 
 

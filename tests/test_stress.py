@@ -143,8 +143,10 @@ def _run_and_check(case, failures, path, method, step, max_iters, tol, manifold,
     """One run of accepted inputs; a broken contract goes into ``failures``.
 
     A Bures-Wasserstein run is repeated with the norm bound of its step
-    screen and domain check at -1, so that every step takes both LAPACK
-    certificates; both runs must end alike, byte for byte."""
+    screen and domain check at -1 and the carried floors switched off
+    (their level at inf), so that every step takes all its LAPACK
+    certificates, each as ``require_spd`` decides it without a floor; both
+    runs must end alike, byte for byte."""
     run = (method, step, max_iters, tol, manifold, problem, armijo_lambda)
     try:
         trace = _trace_or_error(run)
@@ -154,9 +156,10 @@ def _run_and_check(case, failures, path, method, step, max_iters, tol, manifold,
     if isinstance(manifold, BuresWasserstein):
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(bures_wasserstein, "_SMALL_FACTOR_NORM", -1.0)
+            patched.setattr(bures_wasserstein, "_FLOOR_LEVEL", math.inf)
             certified = _trace_or_error(run)
         if _bits(certified) != _bits(trace):
-            failures.append(f"{case}: the norm fast paths change the run")
+            failures.append(f"{case}: the norm fast paths or the carried floors change the run")
     if isinstance(trace, ConvergenceError):
         return
     try:
