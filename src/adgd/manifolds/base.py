@@ -35,21 +35,18 @@ class Manifold(ABC):
     adapt_extra_ops = 0
 
     def check_point(self, x):
-        """Raise ValueError unless x is a point of the manifold.
+        """Raise ValueError unless x is a point of the manifold, else
+        return x's floor (:meth:`exp_transport`), or None.
 
         The one check on a point from outside: a run asks it of its
-        starting point and, when it fills the distance column, of the
-        optimum; ``distance`` asks it of both its points.  The iterates a
-        run produces are not checked.  The base class accepts anything."""
+        starting point, whose floor it carries into the first step, and,
+        when it fills the distance column, of the optimum; ``distance``
+        asks it of both its points.  The iterates a run produces are not
+        checked.  The base class accepts anything and returns None."""
 
     @abstractmethod
     def egrad_to_rgrad(self, x, g):
         """Riemannian gradient at x from the ambient (Euclidean) gradient g."""
-
-    def seed_floor(self, x):
-        """The floor a run's starting point x carries into
-        :meth:`exp_transport`; None in the base class."""
-        return None
 
     @abstractmethod
     def exp_transport(self, x, v, floor=None):
@@ -67,8 +64,8 @@ class Manifold(ABC):
         A floor is what a point certifies about itself, carried from step
         to step so that a later step can skip a check it proves would pass
         (on Bures-Wasserstein, a lower bound on the smallest eigenvalue).
-        ``floor`` is what :meth:`seed_floor` or this method returned for x,
-        or None; it changes no result, only the work.  Manifolds without
+        ``floor`` is what :meth:`check_point` or this method returned for
+        x, or None; it changes no result, only the work.  Manifolds without
         floors ignore it and return None.
         """
 

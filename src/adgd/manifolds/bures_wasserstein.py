@@ -209,26 +209,25 @@ class BuresWasserstein(Manifold):
 
     def check_point(self, x):
         """Symmetric within ``linalg.check_symmetric``'s 1e-12 relative
-        tolerance, finite, and positive definite by ``linalg.require_spd``."""
+        tolerance, finite, and positive definite by ``linalg.require_spd``;
+        returns x's floor.  A seed (``_seed``) at half the smallest diagonal
+        entry of a non-empty, exactly symmetric x implies ``require_spd(x)``,
+        which runs only where it certifies nothing; other points get None."""
         x = linalg.check_symmetric(x, "a point of the SPD cone")
-        try:
-            linalg.require_spd(x)
-        except DomainError:
-            raise ValueError("a point of the SPD cone must be positive definite") from None
+        floor = None
+        if x.shape[0] and np.array_equal(x, x.T):
+            floor = _seed(x, 0.5 * float(x.diagonal().min()), linalg._norm(x))
+        if floor is None or floor.bound == -math.inf:
+            try:
+                linalg.require_spd(x)
+            except DomainError:
+                raise ValueError("a point of the SPD cone must be positive definite") from None
+        return floor
 
     def egrad_to_rgrad(self, x, g):
         g = linalg.symmetrize(g)
         xg = x @ g
         return BWTangent(2.0 * (xg + xg.T), 2.0 * g, x)
-
-    def seed_floor(self, x):
-        """The floor a run's starting point carries: ``_seed`` at half of x's
-        smallest diagonal entry, or None for an empty or not exactly
-        symmetric x."""
-        x = np.asarray(x, dtype=float)
-        if not (x.shape[0] and np.array_equal(x, x.T)):
-            return None
-        return _seed(x, 0.5 * float(x.diagonal().min()), linalg._norm(x))
 
     def exp_transport(self, x, v, floor=None):
         """``(exp(x, v), False, transport, floor_y)``: ``exp(x, v) = (I + L) X
@@ -239,7 +238,7 @@ class BuresWasserstein(Manifold):
         It is defined only for w collinear with v, the single case the
         descent loops need, and holds ``v``'s matrix and ``L X L``.
 
-        ``floor`` is what ``seed_floor`` or this method returned for the
+        ``floor`` is what ``check_point`` or this method returned for the
         point ``x``, or None; ``floor_y`` is the new point's, None when
         ``floor`` is.  A floor (``_Floor``) carries a certified lower bound
         ``mu(x) <= lambda_min(x)``.  With one, the new point's own

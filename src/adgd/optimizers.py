@@ -133,8 +133,16 @@ class Trace:
 # Safety margin keeping clamped steps strictly inside the step domain.
 STEP_SAFETY = 0.99
 
-# x0's floor before the first exponential from x0 seeds it (_Meter).
-_UNSEEDED = object()
+
+class _Point:
+    """What a run knows about the point object ``x``: its floor and, once
+    asked for, its value, the stage's ``finish`` and its Riemannian gradient."""
+
+    __slots__ = ("x", "floor", "phi", "finish", "grad")
+
+    def __init__(self, x, floor=None):
+        self.x, self.floor = x, floor
+        self.phi = self.finish = self.grad = None
 
 
 class _Meter:
@@ -149,45 +157,35 @@ class _Meter:
     :meth:`grad_change`.  :meth:`clamp` is the one door that charges
     nothing: the step-domain guard is not part of a method's price.
 
-    The counters count the method's requests.  A request at the very
-    object :meth:`hold` last recorded, the current iterate (a manifold
-    may return its own point for a step it treats as zero), is answered
-    from that iterate's evaluations and charged all the same, so it
-    assumes ``value`` and ``euclidean_grad`` are deterministic and leave
-    the point unchanged.  Row 0's stage checks what the objective returns
-    (:meth:`_vet`).
-
-    The meter also carries the held iterate's floor
-    (:meth:`Manifold.exp_transport`) into every exponential from it, so
-    Armijo's trials share it.  ``problem.x0``'s comes from
-    :meth:`Manifold.seed_floor` at the first exponential from it, so a run
-    that takes no step seeds none; after that, :meth:`hold`
-    adopts the floor the last exponential returned when that exponential's
-    point is the iterate it records (the accepted Armijo trial and
-    first-LS's taken trial are always the last exponential).  A floor
-    speaks for the point as the exponential returned it, so it too assumes
-    that evaluations leave the point unchanged.
+    The meter keeps two records (``_Point``): the iterate's and the last
+    exponential's point's, which before the first step is ``problem.x0``
+    with the floor its ``check_point`` returned.  The counters count the
+    method's requests.  :meth:`stage` and :meth:`grad` keep what they
+    compute at the last exponential's point, and :meth:`hold` adopts that
+    record when the next iterate is that very object (the accepted Armijo
+    trial and first-LS's taken trial always are), so it charges only what
+    the rule did not ask for.  A request at the iterate's own object (a
+    manifold may return its own point for a step it treats as zero) is
+    answered from the iterate's record and charged all the same.  Matching
+    by identity assumes that ``value`` and ``euclidean_grad`` are
+    deterministic and leave the point unchanged, and so does a floor.  The
+    iterate's floor goes into every exponential from it, so Armijo's
+    trials share it.  Row 0's stage checks what the objective returns.
     """
 
-    __slots__ = (
-        "fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage",
-        "_x", "_phi", "_finish", "_grad", "_floor", "_next", "_next_floor",
-    )
+    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage", "_held", "_last")
 
-    def __init__(self, manifold, problem):
+    def __init__(self, manifold, problem, floor):
         self.fn_evals = self.exp_evals = self.expensive = 0
         self.manifold = manifold
         self.problem = problem
         self._stage = self._vet
-        self._x = self._phi = self._finish = self._grad = None
-        self._floor = self._next = self._next_floor = None
+        self._held, self._last = _Point(None), _Point(problem.x0, floor)
 
     def _vet(self, x):
         """Row 0's stage: ``problem.stager()``'s, which serves every later
         stage, with a ``ValueError`` unless the value is a real scalar and
-        the Euclidean gradient has ``x``'s shape; ``x``'s floor is left
-        to the first exponential from it."""
-        self._next, self._next_floor = x, _UNSEEDED
+        the Euclidean gradient has ``x``'s shape."""
         self._stage = stage = self.problem.stager()
         phi, finish = stage(x)
         if not (
@@ -210,44 +208,58 @@ class _Meter:
 
         return phi, vetted
 
-    def hold(self, x, phi, finish, grad):
-        """Record iterate ``x``'s evaluations and floor, replacing the last."""
-        self._x, self._phi, self._finish, self._grad = x, phi, finish, grad
-        self._floor = self._next_floor if x is self._next else None
+    def hold(self, x):
+        """Make ``x`` the iterate and return ``(phi, grad)`` there, from the
+        last exponential's record when ``x`` is its point, else from a new
+        one; what that record lacks is computed and charged."""
+        if x is not self._last.x:
+            self._last = _Point(x)
+        rec = self._last
+        if rec.phi is None:
+            self.stage(x)
+        if rec.grad is None:
+            self.grad(x)
+        self._held = rec
+        return rec.phi, rec.grad
 
     def stage(self, x):
         """``(value(x), finish)``, one objective charge; ``finish`` is for
-        :meth:`grad` at the same ``x``."""
+        :meth:`grad` at the same ``x``.  The last exponential's record
+        keeps them when ``x`` is its point."""
         self.fn_evals += 1
         self.expensive += self.problem.value_ops
-        if x is self._x:
-            return self._phi, self._finish
-        phi, finish = self._stage(x)
-        return float(phi), finish
+        rec = self._last if x is self._last.x else _Point(x)
+        if rec.phi is None:
+            if x is self._held.x:
+                rec.phi, rec.finish = self._held.phi, self._held.finish
+            else:
+                phi, rec.finish = self._stage(x)
+                rec.phi = float(phi)
+        return rec.phi, rec.finish
 
-    def grad(self, x, finish=None):
-        """The Riemannian gradient at ``x``, one gradient charge; its
-        Euclidean gradient is ``finish()`` when given, else
-        ``euclidean_grad(x)``."""
+    def grad(self, x):
+        """The Riemannian gradient at ``x``, one gradient charge, kept as
+        :meth:`stage` keeps its value; it finishes the stage at ``x`` when
+        there was one, else calls ``euclidean_grad``."""
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
-        if x is self._x:
-            return self._grad
-        egrad = self.problem.euclidean_grad(x) if finish is None else finish()
-        return self.manifold.egrad_to_rgrad(x, egrad)
+        rec = self._last if x is self._last.x else _Point(x)
+        if rec.grad is None:
+            if x is self._held.x:
+                rec.grad = self._held.grad
+            else:
+                egrad = self.problem.euclidean_grad(x) if rec.finish is None else rec.finish()
+                rec.grad = self.manifold.egrad_to_rgrad(x, egrad)
+        return rec.grad
 
     def exp_transport(self, x, v):
         """``Manifold.exp_transport`` of the step ``v`` from ``x``, with the
-        floor of ``x`` when it is the held iterate: the next point, the clamp
+        floor of ``x`` when it is the iterate: the next point, the clamp
         flag and the transport along the step; one exponential charge."""
         self.exp_evals += 1
         self.expensive += self.manifold.exp_ops
-        floor = None
-        if x is self._x:
-            floor = self._floor
-            if floor is _UNSEEDED:
-                floor = self._floor = self.manifold.seed_floor(x)
-        y, clamped, transport, self._next_floor = self.manifold.exp_transport(x, v, floor)
-        self._next = y
+        floor = self._held.floor if x is self._held.x else None
+        y, clamped, transport, floor_y = self.manifold.exp_transport(x, v, floor)
+        self._last = _Point(y, floor_y)
         return y, clamped, transport
 
     def grad_change(self, transport, grad_prev, norm_prev, x, grad):
@@ -280,10 +292,8 @@ class _Step(NamedTuple):
     """A step rule's answer at ``x_k``.
 
     ``alpha, ell, clamped`` fill the row.  ``x_next`` is the next
-    iterate, dropped when the driver stops at ``x_k``; ``phi_next`` and
-    ``grad_next`` are the objective and gradient at ``x_next`` when the
-    rule has already evaluated them, and ``finish_next`` is the
-    ``finish`` of the stage that gave ``phi_next``.  A non-empty
+    iterate, dropped when the driver stops at ``x_k``; what the rule
+    evaluated there the meter keeps (:meth:`_Meter.hold`).  A non-empty
     ``abort`` ends the run once the row is recorded.
     """
 
@@ -291,9 +301,6 @@ class _Step(NamedTuple):
     ell: float = 0.0
     clamped: bool = False
     x_next: Any = None
-    phi_next: Optional[float] = None
-    grad_next: Any = None
-    finish_next: Any = None
     abort: str = ""
 
 
@@ -307,16 +314,17 @@ def _drive(config, manifold, problem, make_rule):
     :class:`_Step`: it sees ``x_k``'s evaluations, the status ``stop`` the
     run ends with at this row (or None), and ``prev``, the row of
     ``x_{k-1}`` (None at ``k = 0``).  ``_drive`` owns the rest: the meter,
-    the evaluations (row 0's checked, and each row's held by the meter for
-    requests at the same point), the finiteness check, the rows and their
-    ``theta``, the stopping rules, and the mapping of numerical failures
+    each iterate's evaluations (:meth:`_Meter.hold`; row 0's checked), the
+    finiteness check, the rows and their ``theta``, the stopping rules,
+    and the mapping of numerical failures
     (non-finite values, domain errors, rule aborts) to status ``aborted``,
     which keeps the rows recorded so far; a wrong-shaped objective output
     raises ``ValueError`` instead.  The whole run ignores floating-point
     overflow, invalid and divide warnings: a non-finite value reaches the
     finiteness check instead.
 
-    ``manifold.check_point`` vets ``problem.x0`` before row 0.  When the
+    ``manifold.check_point`` vets ``problem.x0`` before row 0 and gives
+    its floor to the meter.  When the
     distance column is on (a known optimum and ``config.track_distance``)
     the optimum is vetted too, and ``manifold.distance_from(optimum)``,
     with the fixed point's work and anything it refuses, is built before
@@ -326,24 +334,20 @@ def _drive(config, manifold, problem, make_rule):
     """
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        manifold.check_point(problem.x0)
+        floor = manifold.check_point(problem.x0)
         distances = None
         if config.track_distance and problem.optimum_point is not None:
             manifold.check_point(problem.optimum_point)
             distances = manifold.distance_from(problem.optimum_point)
-        meter = _Meter(manifold, problem)
+        meter = _Meter(manifold, problem, floor)
         rule = make_rule(config, meter)
         rows = []
         points = [problem.x0]
-        x, phi, grad, finish = problem.x0, None, None, None
+        x = problem.x0
         message = ""
         try:
             for k in itertools.count():
-                if phi is None:
-                    phi, finish = meter.stage(x)
-                if grad is None:
-                    grad = meter.grad(x, finish)
-                meter.hold(x, phi, finish, grad)
+                phi, grad = meter.hold(x)
                 grad_norm = manifold.norm(x, grad)
                 if not (math.isfinite(phi) and math.isfinite(grad_norm)):
                     raise _AbortRun(
@@ -378,8 +382,7 @@ def _drive(config, manifold, problem, make_rule):
                     raise _AbortRun(step.abort)
                 if stop is not None:
                     break
-                x, phi, grad = step.x_next, step.phi_next, step.grad_next
-                finish = step.finish_next
+                x = step.x_next
                 points.append(x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
             stop, message = STATUS_ABORTED, str(exc)
@@ -418,7 +421,7 @@ def _adaptive_rule(config, meter, pinned=None):
     exponential and a gradient, and a comparison unless it follows the
     last allowed doubling or doubling its step would overflow to inf:
     that trial is taken as it stands, so every step is finite.  The taken
-    trial's gradient serves ``k = 1``.
+    trial's gradient, kept by the meter, serves ``k = 1``.
 
     A converged row reports the step it would take and takes no
     exponential.  The row at ``k = max_iters >= 1`` still takes it, and
@@ -459,7 +462,6 @@ def _adaptive_rule(config, meter, pinned=None):
             return _Step(alpha, ell, clamped)
 
         x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
-        grad_next = None
         if prev is None and config.first_ls and pinned is None:
             # First-LS: each pass compares the last trial, then doubles.
             grad_next = meter.grad(x_next)
@@ -483,7 +485,7 @@ def _adaptive_rule(config, meter, pinned=None):
                     f"iterations (diverging fixed step)"
                 )
         last = (transport, grad)
-        return _Step(alpha, ell, clamped or exp_clamped, x_next, grad_next=grad_next, abort=abort)
+        return _Step(alpha, ell, clamped or exp_clamped, x_next, abort)
 
     return rule
 
@@ -499,12 +501,12 @@ def _armijo_rule(config, meter):
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial is one :meth:`_Meter.stage` and one exponential, both metered,
-    and drops the exponential's transport.  The accepted trial's objective
-    and ``finish`` are carried to the next iterate, whose gradient
-    finishes that trial's work; rejected trials drop theirs.  A
-    non-finite trial objective, or more than 60 rejections, aborts the run
-    before the row is recorded, with that trial's objective in the
-    message.  Rows where the run stops report ``alpha = 0``, hence
+    and drops the exponential's transport.  The meter keeps the accepted
+    trial's objective and ``finish`` for the next iterate, whose gradient
+    finishes that trial's work; the next exponential drops a rejected
+    trial's.  A non-finite trial objective, or more than 60 rejections,
+    aborts the run before the row is recorded, with that trial's
+    objective in the message.  Rows where the run stops report ``alpha = 0``, hence
     ``theta = 0``.  The rule keeps no state between iterates.
     """
     def rule(k, x, phi, grad, grad_norm, stop, prev):
@@ -516,14 +518,14 @@ def _armijo_rule(config, meter):
         target_slope = config.armijo_c * grad_norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
             x_trial, exp_clamped, _ = meter.exp_transport(x, eta * neg_grad)
-            phi_trial, finish = meter.stage(x_trial)
+            phi_trial, _ = meter.stage(x_trial)
             if not math.isfinite(phi_trial):
                 raise _AbortRun(
                     f"non-finite trial objective ({phi_trial}) in Armijo backtracking "
                     f"at iteration {k}"
                 )
             if phi_trial <= phi - eta * target_slope:
-                return _Step(eta, 0.0, clamped or exp_clamped, x_trial, phi_trial, finish_next=finish)
+                return _Step(eta, 0.0, clamped or exp_clamped, x_trial)
             eta *= config.armijo_beta
         raise _AbortRun(
             f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}; "

@@ -70,6 +70,15 @@ def is_spd_spectrum(eigenvalues):
     return float(np.min(ev)) > 1e-12 * float(np.max(ev))
 
 
+def assert_floor_sound(x, floor):
+    """``BuresWasserstein.check_point``'s floor of ``x`` bounds its
+    smallest eigenvalue: its ``bound`` is at most numpy's ``eigvalsh``
+    minimum less that solver's error bound, ``4 n eps ||x||_2``."""
+    lam = np.linalg.eigvalsh(x)
+    err = 4.0 * x.shape[0] * np.finfo(float).eps * float(np.max(np.abs(lam)))
+    assert floor.bound <= lam[0] - err, (floor, lam[0], err)
+
+
 def cofactor_det(m):
     """Determinant by cofactor expansion; independent oracle for tiny n."""
     n = m.shape[0]

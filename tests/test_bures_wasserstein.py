@@ -216,15 +216,46 @@ class TestExp:
         assert bits(traces[0]) == bits(traces[1])
         assert counts[0] <= share * counts[1], counts
 
-    @pytest.mark.parametrize("max_iters, seeds", [(0, 0), (5, 1)])
-    def test_x0_is_seeded_at_its_first_step(self, max_iters, seeds, monkeypatch):
-        # A run that takes no step pays for no seed; Armijo's trials from
-        # x0 share the one seed of its floor.
-        calls = []
-        monkeypatch.setattr(BuresWasserstein, "seed_floor", lambda self, x: calls.append(1))
-        config = RunConfig(max_iters=max_iters, track_distance=False)
-        armijo_run(config, BuresWasserstein(), problems.lyapunov_objective(5, 7))
-        assert len(calls) == seeds
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_x0_is_factored_once_at_the_door(self, max_iters, monkeypatch):
+        # x0's check_point is its seed: a run that takes no step makes that
+        # one factorization and no other, and a 5-iteration Armijo run
+        # factors x0 no second time, its trials from x0 all taking the floor
+        # check_point returned (armijo_c = 0.5 rejects its first two).
+        factored, door, floors = [], [], []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+        check_point, exp_transport = BuresWasserstein.check_point, BuresWasserstein.exp_transport
+
+        def spied_check_point(self, x):
+            door.append(check_point(self, x))
+            return door[-1]
+
+        def spied_exp_transport(self, x, v, floor=None):
+            if x is prob.x0:
+                floors.append(floor)
+            return exp_transport(self, x, v, floor)
+
+        monkeypatch.setattr(BuresWasserstein, "check_point", spied_check_point)
+        monkeypatch.setattr(BuresWasserstein, "exp_transport", spied_exp_transport)
+        prob = problems.lyapunov_objective(5, 7)
+        config = RunConfig(max_iters=max_iters, track_distance=False, armijo_c=0.5)
+        tr = armijo_run(config, BuresWasserstein(), prob)
+        x0 = prob.x0
+        # x0 shifted by a multiple of I: the same off-diagonal, and one
+        # difference along the diagonal.
+        shifted = [
+            a for a in factored
+            if np.array_equal(a - np.diag(np.diag(a)), x0 - np.diag(np.diag(x0)))
+            and np.ptp(np.diag(x0) - np.diag(a)) == 0.0
+        ]
+        assert len(door) == len(shifted) == 1 and door[0].bound > 0.0
+        assert len(floors) == tr.rows[0].exp_evals
+        assert all(floor is door[0] for floor in floors)
+        if max_iters == 0:
+            assert len(factored) == 1 and floors == []
+        else:
+            assert len(tr.rows) == 6 and len(floors) == 3
 
 
 class TestTransport:
@@ -458,6 +489,12 @@ def _factors_either_side_of_half(fac):
     return at, above
 
 
+def _clamp(bw, x, v, alpha):
+    """``_Meter.clamp`` in a run started at ``x``; it reads nothing else
+    of the run."""
+    return _Meter(bw, problems.Problem(None, None, x), None).clamp(x, v, alpha)
+
+
 def _exact_clamp(alpha, bw, x, v):
     """``_Meter.clamp`` without the screen: always the Jacobi max_step."""
     cap = bw.max_step(x, v)
@@ -565,7 +602,7 @@ class TestMaxStepScreen:
         monkeypatch.setattr(bw, "max_step", fail)
         for t in (0.0, -0.0, -1.0, -math.inf):
             assert bw.max_step_lower_bound(x, v, t)
-        assert _Meter(bw, None).clamp(x, v, 0.0) == (0.0, False)
+        assert _clamp(bw, x, v, 0.0) == (0.0, False)
 
     @pytest.mark.parametrize("n", [1, 2, 269, 270, 300])
     def test_margin_at_every_size(self, bw, n):
@@ -588,8 +625,8 @@ class TestMaxStepScreen:
         # Steps at 0.99 max_step, give or take an ulp, clamp as the exact path does.
         for alpha in (STEP_SAFETY * (1 - 1e-12), np.nextafter(STEP_SAFETY, 0.0), STEP_SAFETY,
                       np.nextafter(STEP_SAFETY, 1.0)):
-            assert _Meter(bw, None).clamp(x, v, alpha) == _exact_clamp(alpha, bw, x, v)
-        assert _Meter(bw, None).clamp(x, v, np.nextafter(STEP_SAFETY, 1.0)) == (STEP_SAFETY, True)
+            assert _clamp(bw, x, v, alpha) == _exact_clamp(alpha, bw, x, v)
+        assert _clamp(bw, x, v, np.nextafter(STEP_SAFETY, 1.0)) == (STEP_SAFETY, True)
 
     @pytest.mark.parametrize(
         "flags",
@@ -620,7 +657,7 @@ class TestMaxStepScreen:
                 cap = bw.max_step(x, v)
                 for rel in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
                     alpha = STEP_SAFETY * cap * rel
-                    got = _Meter(bw, None).clamp(x, v, alpha)
+                    got = _clamp(bw, x, v, alpha)
                     assert got == _exact_clamp(alpha, bw, x, v)
                     flags.add(got[1])
         assert flags == {False, True}
@@ -641,7 +678,7 @@ class TestMaxStepScreen:
                 cap = bw.max_step(x, v)
                 assert abs(cap / t - 1.0) <= 8 * np.finfo(float).eps
                 assert not bw.max_step_lower_bound(x, v, t), (n, alpha, lam)
-                got = _Meter(bw, None).clamp(x, v, alpha)
+                got = _clamp(bw, x, v, alpha)
                 assert got[0] <= STEP_SAFETY * cap, (n, alpha, lam)
                 assert got == _exact_clamp(alpha, bw, x, v)
 

@@ -13,7 +13,7 @@ from adgd import linalg
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, Euclidean, Manifold, PositiveOrthant, Sphere
 
-from conftest import bits, random_sphere_tangent, random_spd, random_sym, random_unit
+from conftest import assert_floor_sound, bits, random_sphere_tangent, random_spd, random_sym, random_unit
 
 
 def sphere_sample(rng, scale=1.0):
@@ -149,13 +149,20 @@ def _params(rows):
 
 class TestCheckPoint:
     """``check_point`` is the one check on a point from outside: ``_drive``
-    asks it of ``x0`` and of the optimum, ``distance`` of both its points."""
+    asks it of ``x0`` and of the optimum, ``distance`` of both its points.
+    An accepted point's return value is its floor: None off
+    Bures-Wasserstein, and there a sound bound on its smallest eigenvalue
+    (-inf where the seed certifies nothing)."""
 
     @pytest.mark.parametrize("case, x, match", _params(POINTS))
     def test_verdict(self, case, x, match):
         m = MANIFOLDS[case]()
         if match is None:
-            assert m.check_point(x) is None
+            floor = m.check_point(x)
+            if case == "bw":
+                assert_floor_sound(x, floor)
+            else:
+                assert floor is None
         else:
             with pytest.raises(ValueError, match=match):
                 m.check_point(x)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adgd import cli, diagnostics, problems, trace_io
+from adgd import cli, diagnostics, optimizers, problems, trace_io
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, Euclidean, PositiveOrthant, Sphere, bures_wasserstein
 from adgd.optimizers import (
@@ -18,7 +18,7 @@ from adgd.optimizers import (
 )
 from adgd.problems import Problem
 
-from conftest import METHODS, bits
+from conftest import METHODS, assert_floor_sound, bits
 
 SQRT2 = math.sqrt(2.0)
 
@@ -604,7 +604,12 @@ class TestStartingPoint:
     @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
     def test_cli_default_starts_pass(self, experiment):
         n, manifold_cls, build = cli.EXPERIMENTS[experiment]
-        assert manifold_cls().check_point(build(n, 0).x0) is None
+        x0 = build(n, 0).x0
+        floor = manifold_cls().check_point(x0)
+        if manifold_cls is BuresWasserstein:
+            assert_floor_sound(x0, floor)
+        else:
+            assert floor is None
 
     # Each x0 off its manifold, and what an unchecked run made of it.
     BAD_STARTS = {
@@ -894,3 +899,91 @@ class TestJointEvaluation:
         assert bits(plain.rows) == bits(METHODS[method](config, Sphere(), problem, 0.01).rows)
         assert values[1] == copying.rows[-1].fn_evals == plain.rows[-1].fn_evals
         assert values[0] < values[1] and grads[0] < grads[1]
+
+
+class TestPointRecords:
+    """The meter keeps one record for the iterate and one for the last
+    exponential's point, and a next iterate takes that record only when
+    it is that very object (``_Meter.hold``)."""
+
+    @staticmethod
+    def _spied(problem, calls):
+        def counted(name):
+            fn = getattr(problem, name)
+            return lambda x: calls.append(name) or fn(x)
+
+        return dataclasses.replace(problem, value=counted("value"), euclidean_grad=counted("euclidean_grad"))
+
+    @pytest.mark.parametrize("method", ["armijo", "first-ls"])
+    def test_real_calls_are_the_charged_requests(self, method, monkeypatch):
+        # No Bures-Wasserstein step returns its own point, so every charged
+        # request is one real call, and the accepted Armijo trial's value
+        # and first-LS's taken gradient are not asked for twice.
+        requests = []
+        grad = optimizers._Meter.grad
+        monkeypatch.setattr(optimizers._Meter, "grad", lambda self, x: requests.append(1) or grad(self, x))
+        calls = []
+        prob = self._spied(problems.lyapunov_objective(5, 0), calls)
+        # armijo_c = 0.5 rejects Armijo trials from alpha0 = 1; first-LS doubles from 0.01.
+        alpha0 = 1.0 if method == "armijo" else 0.01
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=alpha0, armijo_c=0.5, track_distance=False)
+        tr = METHODS[method](config, BuresWasserstein(), prob, 0.01)
+        assert calls.count("value") == tr.rows[-1].fn_evals
+        assert calls.count("euclidean_grad") == len(requests)
+        trials = tr.rows[0].exp_evals
+        if method == "armijo":
+            assert len(requests) == len(tr.rows) == 11 < tr.rows[-1].fn_evals
+        else:
+            assert len(requests) == len(tr.rows) - 1 + trials and trials > 1
+
+    @pytest.mark.parametrize("name", ["adaptive", "armijo"])
+    def test_a_copied_point_carries_nothing(self, name, monkeypatch):
+        # A rule whose next point is a copy of its last exponential's point
+        # gets neither that point's floor nor its evaluations: the copy is
+        # evaluated afresh, to the same bits.
+        make_rule = {"adaptive": optimizers._adaptive_rule, "armijo": optimizers._armijo_rule}[name]
+
+        def copying(config, meter):
+            rule = make_rule(config, meter)
+
+            def copied(*args):
+                step = rule(*args)
+                return step if step.x_next is None else step._replace(x_next=step.x_next.copy())
+
+            return copied
+
+        floors = []
+        exp_transport = BuresWasserstein.exp_transport
+        monkeypatch.setattr(
+            BuresWasserstein,
+            "exp_transport",
+            lambda self, x, v, floor=None: floors.append(floor is not None) or exp_transport(self, x, v, floor),
+        )
+        prob = problems.lyapunov_objective(5, 0)
+        config = RunConfig(max_iters=10, tol=0.0, alpha0=0.1, armijo_c=0.5, track_distance=False)
+        runs, values, carried = [], [], []
+        for make in (make_rule, copying):
+            calls = []
+            floors.clear()
+            runs.append(optimizers._drive(config, BuresWasserstein(), self._spied(prob, calls), make))
+            values.append(calls.count("value"))
+            carried.append(list(floors))
+        plain, copy = runs
+        # Only the steps from x0 take a floor, check_point's, after a copy.
+        from_x0 = plain.rows[0].exp_evals
+        assert carried[0] == [True] * len(carried[0])
+        assert carried[1] == [True] * from_x0 + [False] * (len(carried[1]) - from_x0)
+        assert len(carried[1]) == len(carried[0]) > from_x0
+        assert bits(copy.points) == bits(plain.points)
+        assert values == [plain.rows[-1].fn_evals, copy.rows[-1].fn_evals]
+        if name == "adaptive":
+            assert bits(copy.rows) == bits(plain.rows)
+        else:
+            # Row k's copy was staged once more at each of the k steps before it.
+            value_ops = prob.value_ops
+            restated = [
+                dataclasses.replace(row, fn_evals=row.fn_evals - k, expensive_ops=row.expensive_ops - k * value_ops)
+                for k, row in enumerate(copy.rows)
+            ]
+            assert bits(restated) == bits(plain.rows)
+            assert copy.rows[-1].fn_evals == plain.rows[-1].fn_evals + 10
