@@ -91,10 +91,11 @@ class TraceRow:
     and exponential evaluations, line-search trials included, and
     ``expensive_ops`` charges the problem's and the manifold's price tags
     for the same requests, so every method is metered alike; all three are
-    cumulative and include the row's own step.  A request at the iterate's
-    own point object is answered from its evaluations and still counted
-    (:class:`_Meter`).  ``dist_to_opt`` is None without a tracked optimum, and
-    ``clamped`` records a guard that capped the step.
+    cumulative and include the row's own step.  A request at the point
+    of a step that returned the iterate's own array is answered from the
+    iterate's evaluations and still counted (:class:`_Meter`).
+    ``dist_to_opt`` is None without a tracked optimum, and ``clamped``
+    records a guard that capped the step.
     """
 
     k: int
@@ -136,13 +137,16 @@ STEP_SAFETY = 0.99
 
 class _Point:
     """What a run knows about the point object ``x``: its floor and, once
-    asked for, its value, the stage's ``finish`` and its Riemannian gradient."""
+    asked for, its value, the stage's ``finish``, its Riemannian gradient
+    and that gradient's ``norm``.  ``same`` links the record of a step
+    that returned its iterate's own array to the record that evaluated
+    that array (:meth:`_Meter.exp_transport`)."""
 
-    __slots__ = ("x", "floor", "phi", "finish", "grad")
+    __slots__ = ("x", "floor", "phi", "finish", "grad", "norm", "same")
 
     def __init__(self, x, floor=None):
         self.x, self.floor = x, floor
-        self.phi = self.finish = self.grad = None
+        self.phi = self.finish = self.grad = self.norm = self.same = None
 
 
 class _Meter:
@@ -157,30 +161,28 @@ class _Meter:
     :meth:`grad_change`.  :meth:`clamp` is the one door that charges
     nothing: the step-domain guard is not part of a method's price.
 
-    The meter keeps two records (``_Point``): the iterate's and the last
-    exponential's point's, which before the first step is ``problem.x0``
-    with the floor its ``check_point`` returned.  The counters count the
-    method's requests.  :meth:`stage` and :meth:`grad` keep what they
-    compute at the last exponential's point, and :meth:`hold` adopts that
-    record when the next iterate is that very object (the accepted Armijo
-    trial and first-LS's taken trial always are), so it charges only what
-    the rule did not ask for.  A request at the iterate's own object (a
-    manifold may return its own point for a step it treats as zero) is
-    answered from the iterate's record and charged all the same.  Matching
-    by identity assumes that ``value`` and ``euclidean_grad`` are
-    deterministic and leave the point unchanged, and so does a floor.  The
-    iterate's floor goes into every exponential from it, so Armijo's
-    trials share it.  Row 0's stage checks what the objective returns.
+    The counters count the method's requests.  Every door takes
+    :class:`_Point` records, and :meth:`stage` and :meth:`grad` keep what
+    they compute in the record they are asked about.  So the next
+    iterate, a record the rule had from :meth:`exp_transport` (the
+    accepted Armijo trial, first-LS's taken trial), brings what the rule
+    asked of it, and :meth:`hold` computes and charges only the rest.  A
+    manifold may return its own point for a step it treats as zero; the
+    new record's ``same`` link then answers each request from the
+    evaluations of that array, charged all the same.  That assumes
+    ``value`` and ``euclidean_grad`` are deterministic and leave the
+    point unchanged, and so does a floor.  A record's floor goes into
+    every exponential from it, so Armijo's trials share the iterate's.
+    Row 0's stage checks what the objective returns.
     """
 
-    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage", "_held", "_last")
+    __slots__ = ("fn_evals", "exp_evals", "expensive", "manifold", "problem", "_stage")
 
-    def __init__(self, manifold, problem, floor):
+    def __init__(self, manifold, problem):
         self.fn_evals = self.exp_evals = self.expensive = 0
         self.manifold = manifold
         self.problem = problem
         self._stage = self._vet
-        self._held, self._last = _Point(None), _Point(problem.x0, floor)
 
     def _vet(self, x):
         """Row 0's stage: ``problem.stager()``'s, which serves every later
@@ -208,77 +210,75 @@ class _Meter:
 
         return phi, vetted
 
-    def hold(self, x):
-        """Make ``x`` the iterate and return ``(phi, grad)`` there, from the
-        last exponential's record when ``x`` is its point, else from a new
-        one; what that record lacks is computed and charged."""
-        if x is not self._last.x:
-            self._last = _Point(x)
-        rec = self._last
-        if rec.phi is None:
-            self.stage(x)
-        if rec.grad is None:
-            self.grad(x)
-        self._held = rec
-        return rec.phi, rec.grad
+    def hold(self, p):
+        """Fill what the iterate ``p``'s record lacks, its value and its
+        gradient charged as requests, and return ``(phi, norm)``, its value
+        and its gradient's norm."""
+        if p.phi is None:
+            self.stage(p)
+        if p.grad is None:
+            self.grad(p)
+        if p.norm is None:
+            p.norm = p.same.norm if p.same else self.manifold.norm(p.x, p.grad)
+        return p.phi, p.norm
 
-    def stage(self, x):
-        """``(value(x), finish)``, one objective charge; ``finish`` is for
-        :meth:`grad` at the same ``x``.  The last exponential's record
-        keeps them when ``x`` is its point."""
+    def stage(self, p):
+        """The value at ``p``, one objective charge; the stage's ``finish``
+        stays in ``p`` for :meth:`grad`."""
         self.fn_evals += 1
         self.expensive += self.problem.value_ops
-        rec = self._last if x is self._last.x else _Point(x)
-        if rec.phi is None:
-            if x is self._held.x:
-                rec.phi, rec.finish = self._held.phi, self._held.finish
+        if p.phi is None:
+            if p.same:
+                p.phi, p.finish = p.same.phi, p.same.finish
             else:
-                phi, rec.finish = self._stage(x)
-                rec.phi = float(phi)
-        return rec.phi, rec.finish
+                phi, p.finish = self._stage(p.x)
+                p.phi = float(phi)
+        return p.phi
 
-    def grad(self, x):
-        """The Riemannian gradient at ``x``, one gradient charge, kept as
-        :meth:`stage` keeps its value; it finishes the stage at ``x`` when
-        there was one, else calls ``euclidean_grad``."""
+    def grad(self, p):
+        """The Riemannian gradient at ``p``, one gradient charge; it
+        finishes ``p``'s stage when there was one, else calls
+        ``euclidean_grad``."""
         self.expensive += self.problem.grad_ops + self.manifold.rgrad_ops
-        rec = self._last if x is self._last.x else _Point(x)
-        if rec.grad is None:
-            if x is self._held.x:
-                rec.grad = self._held.grad
+        if p.grad is None:
+            if p.same:
+                p.grad = p.same.grad
             else:
-                egrad = self.problem.euclidean_grad(x) if rec.finish is None else rec.finish()
-                rec.grad = self.manifold.egrad_to_rgrad(x, egrad)
-        return rec.grad
+                egrad = self.problem.euclidean_grad(p.x) if p.finish is None else p.finish()
+                p.grad = self.manifold.egrad_to_rgrad(p.x, egrad)
+        return p.grad
 
-    def exp_transport(self, x, v):
-        """``Manifold.exp_transport`` of the step ``v`` from ``x``, with the
-        floor of ``x`` when it is the iterate: the next point, the clamp
-        flag and the transport along the step; one exponential charge."""
+    def exp_transport(self, p, v):
+        """``Manifold.exp_transport`` of the step ``v`` from ``p``, with its
+        floor: the new point's record, the clamp flag and the transport
+        along the step; one exponential charge."""
         self.exp_evals += 1
         self.expensive += self.manifold.exp_ops
-        floor = self._held.floor if x is self._held.x else None
-        y, clamped, transport, floor_y = self.manifold.exp_transport(x, v, floor)
-        self._last = _Point(y, floor_y)
-        return y, clamped, transport
+        y, clamped, transport, floor_y = self.manifold.exp_transport(p.x, v, p.floor)
+        q = _Point(y, floor_y)
+        if y is p.x:
+            # A streak of such steps links every record to the first one,
+            # not each to the one before.
+            q.same = p.same or p
+        return q, clamped, transport
 
-    def grad_change(self, transport, grad_prev, norm_prev, x, grad):
-        """``||grad - transport(grad_prev)||`` at ``x``, the end of the step
-        ``transport`` came with, and ``norm_prev = ||grad_prev||``; one
-        adaptive charge."""
+    def grad_change(self, transport, p, q):
+        """``||grad(q) - transport(grad(p))||`` at ``q``, the end of the
+        step from ``p`` that ``transport`` came with, from both records'
+        gradients and ``p``'s norm; one adaptive charge."""
         self.expensive += self.manifold.adapt_extra_ops
-        transported = transport(grad_prev)
-        return math.sqrt(self.manifold.grad_diff_norm_sq(x, grad, transported, norm_prev**2))
+        transported = transport(p.grad)
+        return math.sqrt(self.manifold.grad_diff_norm_sq(q.x, q.grad, transported, p.norm**2))
 
-    def clamp(self, x, v, alpha):
-        """The step-domain safety clamp of the step ``alpha v`` from ``x``:
+    def clamp(self, p, v, alpha):
+        """The step-domain safety clamp of the step ``alpha v`` from ``p``:
         ``(alpha, clamped?)``, charged nothing.  A cheap certificate that
         ``alpha / STEP_SAFETY <= max_step`` screens out the common case
         (step far from the boundary) before paying for the exact supremum;
         it passes only where the exact path keeps ``alpha``."""
-        if self.manifold.max_step_lower_bound(x, v, alpha / STEP_SAFETY):
+        if self.manifold.max_step_lower_bound(p.x, v, alpha / STEP_SAFETY):
             return alpha, False
-        limit = STEP_SAFETY * self.manifold.max_step(x, v)
+        limit = STEP_SAFETY * self.manifold.max_step(p.x, v)
         if alpha > limit:
             return limit, True
         return alpha, False
@@ -292,9 +292,10 @@ class _Step(NamedTuple):
     """A step rule's answer at ``x_k``.
 
     ``alpha, ell, clamped`` fill the row.  ``x_next`` is the next
-    iterate, dropped when the driver stops at ``x_k``; what the rule
-    evaluated there the meter keeps (:meth:`_Meter.hold`).  A non-empty
-    ``abort`` ends the run once the row is recorded.
+    iterate's record (:class:`_Point`), dropped when the driver stops at
+    ``x_k``; it brings what the rule evaluated there, and
+    :meth:`_Meter.hold` fills the rest.  A non-empty ``abort`` ends the
+    run once the row is recorded.
     """
 
     alpha: float
@@ -310,12 +311,13 @@ def _drive(config, manifold, problem, make_rule):
     A step rule is built from the config and the run's :class:`_Meter`
     alone, so every evaluation, exponential, comparison and clamp of a
     step goes through the meter.  The rule is called once per iterate as
-    ``rule(k, x, phi, grad, grad_norm, stop, prev)`` and returns a
-    :class:`_Step`: it sees ``x_k``'s evaluations, the status ``stop`` the
-    run ends with at this row (or None), and ``prev``, the row of
-    ``x_{k-1}`` (None at ``k = 0``).  ``_drive`` owns the rest: the meter,
-    each iterate's evaluations (:meth:`_Meter.hold`; row 0's checked), the
-    finiteness check, the rows and their ``theta``, the stopping rules,
+    ``rule(k, p, stop, prev)`` and returns a :class:`_Step`: it sees
+    ``p``, the record (:class:`_Point`) of ``x_k`` with its value,
+    gradient and gradient norm, the status ``stop`` the run ends with at
+    this row (or None), and ``prev``, the row of ``x_{k-1}`` (None at
+    ``k = 0``).  ``_drive`` owns the rest: the meter, each iterate's
+    evaluations (:meth:`_Meter.hold`; row 0's checked), the finiteness
+    check, the rows and their ``theta``, the stopping rules,
     and the mapping of numerical failures
     (non-finite values, domain errors, rule aborts) to status ``aborted``,
     which keeps the rows recorded so far; a wrong-shaped objective output
@@ -324,7 +326,7 @@ def _drive(config, manifold, problem, make_rule):
     finiteness check instead.
 
     ``manifold.check_point`` vets ``problem.x0`` before row 0 and gives
-    its floor to the meter.  When the
+    its floor to x0's record.  When the
     distance column is on (a known optimum and ``config.track_distance``)
     the optimum is vetted too, and ``manifold.distance_from(optimum)``,
     with the fixed point's work and anything it refuses, is built before
@@ -334,21 +336,19 @@ def _drive(config, manifold, problem, make_rule):
     """
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        floor = manifold.check_point(problem.x0)
+        p = _Point(problem.x0, manifold.check_point(problem.x0))
         distances = None
         if config.track_distance and problem.optimum_point is not None:
             manifold.check_point(problem.optimum_point)
             distances = manifold.distance_from(problem.optimum_point)
-        meter = _Meter(manifold, problem, floor)
+        meter = _Meter(manifold, problem)
         rule = make_rule(config, meter)
         rows = []
-        points = [problem.x0]
-        x = problem.x0
+        points = [p.x]
         message = ""
         try:
             for k in itertools.count():
-                phi, grad = meter.hold(x)
-                grad_norm = manifold.norm(x, grad)
+                phi, grad_norm = meter.hold(p)
                 if not (math.isfinite(phi) and math.isfinite(grad_norm)):
                     raise _AbortRun(
                         f"non-finite objective ({phi}) or gradient norm ({grad_norm}) "
@@ -361,7 +361,7 @@ def _drive(config, manifold, problem, make_rule):
                 else:
                     stop = None
                 prev = rows[-1] if rows else None
-                step = rule(k, x, phi, grad, grad_norm, stop, prev)
+                step = rule(k, p, stop, prev)
                 theta = step.alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
                 rows.append(
                     TraceRow(
@@ -382,8 +382,8 @@ def _drive(config, manifold, problem, make_rule):
                     raise _AbortRun(step.abort)
                 if stop is not None:
                     break
-                x = step.x_next
-                points.append(x)
+                p = step.x_next
+                points.append(p.x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
             stop, message = STATUS_ABORTED, str(exc)
         if distances is not None:
@@ -396,8 +396,9 @@ def _adaptive_rule(config, meter, pinned=None):
     """The adaptive step size, or the constant ``pinned`` in its place,
     built from the config and the meter.
 
-    An iteration makes the paper's three metered calls: the gradient (in
-    :func:`_drive`), the exponential (:meth:`_Meter.exp_transport`) and,
+    An iteration makes the paper's three metered calls: the gradient
+    (:meth:`_Meter.hold`, or the rule's own request at first-LS's taken
+    trial), the exponential (:meth:`_Meter.exp_transport`) and,
     from ``k = 1``, the comparison of ``g_k`` with ``T g_{k-1}``, the
     previous gradient carried by the transport that the last step's
     exponential returned (:meth:`_Meter.grad_change`).  With
@@ -421,7 +422,7 @@ def _adaptive_rule(config, meter, pinned=None):
     exponential and a gradient, and a comparison unless it follows the
     last allowed doubling or doubling its step would overflow to inf:
     that trial is taken as it stands, so every step is finite.  The taken
-    trial's gradient, kept by the meter, serves ``k = 1``.
+    trial's gradient, kept in its record, serves ``k = 1``.
 
     A converged row reports the step it would take and takes no
     exponential.  The row at ``k = max_iters >= 1`` still takes it, and
@@ -433,13 +434,13 @@ def _adaptive_rule(config, meter, pinned=None):
     abort.
     """
     # Until compared at x_k: the transport along the step from x_{k-1}, and
-    # g_{k-1}.  Dropping both right after the comparison frees their arrays
-    # (on Bures-Wasserstein four n x n matrices) before the next
-    # exponential forms its own.
+    # x_{k-1}'s record with g_{k-1}.  Dropping both right after the
+    # comparison frees their arrays (on Bures-Wasserstein four n x n
+    # matrices) before the next exponential forms its own.
     last = None
     streak = 0
 
-    def rule(k, x, phi, grad, grad_norm, stop, prev):
+    def rule(k, p, stop, prev):
         nonlocal last, streak
         if prev is None:
             alpha = config.alpha0 if pinned is None else pinned
@@ -447,7 +448,7 @@ def _adaptive_rule(config, meter, pinned=None):
                 return _Step(alpha)
             ell = 0.0
         else:
-            denom = meter.grad_change(*last, prev.grad_norm, x, grad)
+            denom = meter.grad_change(*last, p)
             last = None
             numer = prev.alpha * prev.grad_norm
             ell = numer / denom if denom > 0.0 else 0.0
@@ -456,36 +457,36 @@ def _adaptive_rule(config, meter, pinned=None):
                 alpha = min(math.sqrt(1.0 + prev.theta) * prev.alpha, local)
             else:
                 alpha = pinned
-        neg_grad = -1.0 * grad
-        alpha, clamped = meter.clamp(x, neg_grad, alpha)
+        neg_grad = -1.0 * p.grad
+        alpha, clamped = meter.clamp(p, neg_grad, alpha)
         if stop == STATUS_CONVERGED:
             return _Step(alpha, ell, clamped)
 
-        x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
+        q, exp_clamped, transport = meter.exp_transport(p, alpha * neg_grad)
         if prev is None and config.first_ls and pinned is None:
             # First-LS: each pass compares the last trial, then doubles.
-            grad_next = meter.grad(x_next)
+            meter.grad(q)
             for _ in range(_MAX_FIRST_LS_DOUBLINGS):
                 if 2.0 * alpha == math.inf:
                     break
-                denom = meter.grad_change(transport, grad, grad_norm, x_next, grad_next)
-                ratio = grad_norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
+                denom = meter.grad_change(transport, p, q)
+                ratio = p.norm / (_SQRT2 * denom) if denom > 0.0 else math.inf
                 if ratio <= 1.0 or clamped:
                     break
-                alpha, clamped = meter.clamp(x, neg_grad, 2.0 * alpha)
-                x_next, exp_clamped, transport = meter.exp_transport(x, alpha * neg_grad)
-                grad_next = meter.grad(x_next)
+                alpha, clamped = meter.clamp(p, neg_grad, 2.0 * alpha)
+                q, exp_clamped, transport = meter.exp_transport(p, alpha * neg_grad)
+                meter.grad(q)
 
         abort = ""
         if pinned is not None and prev is not None:
-            streak = streak + 1 if phi > prev.phi else 0
+            streak = streak + 1 if p.phi > prev.phi else 0
             if streak >= _DIVERGENCE_STREAK:
                 abort = (
                     f"objective increased for {_DIVERGENCE_STREAK} consecutive "
                     f"iterations (diverging fixed step)"
                 )
-        last = (transport, grad)
-        return _Step(alpha, ell, clamped or exp_clamped, x_next, abort)
+        last = (transport, p)
+        return _Step(alpha, ell, clamped or exp_clamped, q, abort)
 
     return rule
 
@@ -501,31 +502,31 @@ def _armijo_rule(config, meter):
     Trials shrink by ``armijo_beta`` until
     ``phi(exp(x, -eta g)) <= phi(x) - armijo_c * eta * ||g||^2``; every
     trial is one :meth:`_Meter.stage` and one exponential, both metered,
-    and drops the exponential's transport.  The meter keeps the accepted
-    trial's objective and ``finish`` for the next iterate, whose gradient
-    finishes that trial's work; the next exponential drops a rejected
-    trial's.  A non-finite trial objective, or more than 60 rejections,
-    aborts the run before the row is recorded, with that trial's
-    objective in the message.  Rows where the run stops report ``alpha = 0``, hence
+    and drops the exponential's transport.  The accepted trial's record,
+    the next iterate, keeps its objective and ``finish``, so its gradient
+    finishes that trial's work; a rejected trial's record is dropped.  A
+    non-finite trial objective, or more than 60 rejections, aborts the run
+    before the row is recorded, with that trial's objective in the
+    message.  Rows where the run stops report ``alpha = 0``, hence
     ``theta = 0``.  The rule keeps no state between iterates.
     """
-    def rule(k, x, phi, grad, grad_norm, stop, prev):
+    def rule(k, p, stop, prev):
         if stop is not None:
             return _Step(0.0)
-        neg_grad = -1.0 * grad
+        neg_grad = -1.0 * p.grad
         eta = config.alpha0 if prev is None else config.armijo_lambda * prev.alpha
-        eta, clamped = meter.clamp(x, neg_grad, eta)
-        target_slope = config.armijo_c * grad_norm**2
+        eta, clamped = meter.clamp(p, neg_grad, eta)
+        target_slope = config.armijo_c * p.norm**2
         for _ in range(_MAX_BACKTRACKS + 1):
-            x_trial, exp_clamped, _ = meter.exp_transport(x, eta * neg_grad)
-            phi_trial, _ = meter.stage(x_trial)
+            trial, exp_clamped, _ = meter.exp_transport(p, eta * neg_grad)
+            phi_trial = meter.stage(trial)
             if not math.isfinite(phi_trial):
                 raise _AbortRun(
                     f"non-finite trial objective ({phi_trial}) in Armijo backtracking "
                     f"at iteration {k}"
                 )
-            if phi_trial <= phi - eta * target_slope:
-                return _Step(eta, 0.0, clamped or exp_clamped, x_trial)
+            if phi_trial <= p.phi - eta * target_slope:
+                return _Step(eta, 0.0, clamped or exp_clamped, trial)
             eta *= config.armijo_beta
         raise _AbortRun(
             f"Armijo backtracking exceeded {_MAX_BACKTRACKS} reductions at iteration {k}; "

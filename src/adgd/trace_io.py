@@ -6,7 +6,8 @@ header row, then one row per iterate.  Floats are rendered with 17
 significant digits so files round-trip 64-bit values losslessly and
 identical runs produce byte-identical files.  A run that aborted
 numerically flushes its partial trace followed by one error-marker row
-(second field ``error``); all other rows contain only finite numbers,
+(second field ``error``, and the message on one line with ``;`` for
+``,``); all other rows contain only finite numbers,
 with an empty ``dist_to_opt`` field when no optimum is known.
 """
 
@@ -87,8 +88,11 @@ def render_trace(trace, meta, deviations=None):
             f"{row.expensive_ops},{dist},{int(row.clamped)}{tail}\n"
         )
     if trace.status == STATUS_ABORTED:
-        # The message is free text, so the marker keeps csv's quoting.
-        marker = [str(len(trace.rows)), "error", trace.message.replace(",", ";")]
+        # The message is free text, so the marker keeps csv's quoting, on
+        # one line: its line breaks become spaces, as read_trace splits the
+        # file's lines with the same str.splitlines.
+        message = " ".join(trace.message.replace(",", ";").splitlines())
+        marker = [str(len(trace.rows)), "error", message]
         marker += [""] * (len(header) - len(marker))
         csv.writer(buf, lineterminator="\n").writerow(marker)
     return buf.getvalue()

@@ -8,7 +8,7 @@ from adgd import linalg, problems
 from adgd.cli import main
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, bures_wasserstein
-from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _Meter, adgd_run, armijo_run
+from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _Meter, _Point, adgd_run, armijo_run
 
 from conftest import bits, is_spd_spectrum, random_spd, random_sym
 
@@ -492,7 +492,7 @@ def _factors_either_side_of_half(fac):
 def _clamp(bw, x, v, alpha):
     """``_Meter.clamp`` in a run started at ``x``; it reads nothing else
     of the run."""
-    return _Meter(bw, problems.Problem(None, None, x), None).clamp(x, v, alpha)
+    return _Meter(bw, problems.Problem(None, None, x)).clamp(_Point(x), v, alpha)
 
 
 def _exact_clamp(alpha, bw, x, v):

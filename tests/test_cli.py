@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgd import linalg, trace_io
+from adgd import linalg, problems, trace_io
 from adgd.cli import EXPERIMENTS, main
-from adgd.optimizers import STATUS_ABORTED, Trace, TraceRow
+from adgd.errors import DomainError
+from adgd.manifolds import Euclidean
+from adgd.optimizers import STATUS_ABORTED, RunConfig, Trace, TraceRow, adgd_run
 
 from conftest import bits
 
@@ -477,6 +479,25 @@ class TestTraceIO:
         assert meta["status"] is None
         assert trace == Trace([row], [], STATUS_ABORTED, message.replace(",", ";"))
         assert deviations is None
+
+    def test_abort_message_with_line_breaks_stays_one_marker_row(self, tmp_path):
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            if len(calls) == 4:
+                raise DomainError('a\nb "q", c\r\nd')
+            return 0.5 * float(x @ x)
+
+        problem = problems.Problem(value, lambda x: x.copy(), np.ones(3))
+        run = adgd_run(RunConfig(max_iters=10, alpha0=0.1), Euclidean(), problem)
+        assert run.status == STATUS_ABORTED and len(run.rows) == 3
+        out = tmp_path / "t.csv"
+        trace_io.write_trace(out, run, {})
+        data = out.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == 2 + len(run.rows) + 1
+        _, trace, _ = trace_io.read_trace(out)
+        assert trace == Trace(run.rows, [], STATUS_ABORTED, 'a b "q"; c d')
 
     def test_golden_abort_reads_back_aborted(self):
         meta, trace, _ = trace_io.read_trace(GOLDEN / "fixed-lyapunov-domain-abort.csv")

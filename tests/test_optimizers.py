@@ -900,11 +900,23 @@ class TestJointEvaluation:
         assert values[1] == copying.rows[-1].fn_evals == plain.rows[-1].fn_evals
         assert values[0] < values[1] and grads[0] < grads[1]
 
+    @pytest.mark.parametrize("method", ["adgd", "armijo", "first-ls"])
+    def test_a_repeated_point_is_normed_once(self, method, monkeypatch):
+        # A row at its iterate's own point object reads that point's
+        # gradient norm instead of norming the same gradient again.
+        problem = problems.center_of_mass(10, 50, 0)
+        norms = []
+        norm = Sphere.norm
+        monkeypatch.setattr(Sphere, "norm", lambda self, x, v: norms.append(1) or norm(self, x, v))
+        tr = METHODS[method](RunConfig(max_iters=300, tol=0.0), Sphere(), problem, 0.01)
+        distinct = {id(x) for x in tr.points[: len(tr.rows)]}
+        assert len(norms) == len(distinct) < len(tr.rows) == 301
+
 
 class TestPointRecords:
-    """The meter keeps one record for the iterate and one for the last
-    exponential's point, and a next iterate takes that record only when
-    it is that very object (``_Meter.hold``)."""
+    """A point's record keeps its evaluations and floor, the next iterate
+    is the record its rule had from the meter, and a copy of a point's
+    array is a new record (``_Meter.hold``)."""
 
     @staticmethod
     def _spied(problem, calls):
@@ -921,7 +933,7 @@ class TestPointRecords:
         # and first-LS's taken gradient are not asked for twice.
         requests = []
         grad = optimizers._Meter.grad
-        monkeypatch.setattr(optimizers._Meter, "grad", lambda self, x: requests.append(1) or grad(self, x))
+        monkeypatch.setattr(optimizers._Meter, "grad", lambda self, p: requests.append(1) or grad(self, p))
         calls = []
         prob = self._spied(problems.lyapunov_objective(5, 0), calls)
         # armijo_c = 0.5 rejects Armijo trials from alpha0 = 1; first-LS doubles from 0.01.
@@ -938,9 +950,9 @@ class TestPointRecords:
 
     @pytest.mark.parametrize("name", ["adaptive", "armijo"])
     def test_a_copied_point_carries_nothing(self, name, monkeypatch):
-        # A rule whose next point is a copy of its last exponential's point
-        # gets neither that point's floor nor its evaluations: the copy is
-        # evaluated afresh, to the same bits.
+        # A rule whose next point is a record of a copy of its last
+        # exponential's point gets neither that point's floor nor its
+        # evaluations: the copy is evaluated afresh, to the same bits.
         make_rule = {"adaptive": optimizers._adaptive_rule, "armijo": optimizers._armijo_rule}[name]
 
         def copying(config, meter):
@@ -948,7 +960,7 @@ class TestPointRecords:
 
             def copied(*args):
                 step = rule(*args)
-                return step if step.x_next is None else step._replace(x_next=step.x_next.copy())
+                return step if step.x_next is None else step._replace(x_next=optimizers._Point(step.x_next.x.copy()))
 
             return copied
 

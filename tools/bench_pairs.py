@@ -30,7 +30,11 @@ gain is resolved: at least 9 of the 10 pairs won, ``vs_parent_iqr``
 ``"better"``, and no more failed ops than the parent's on that workload;
 it exits 1 when it is not.  ``regressions`` lists every workload and
 metric whose ``vs_parent_iqr`` is ``"worse"``; the exit code does not
-depend on it.
+depend on it.  It is a screen for what to look at, not a verdict: two
+runs of the same two trees can drift apart by more than the parent's
+IQR (``BENCH_aa_b02acd0.json`` ran a tree against itself), while
+``BENCHMARK.json``'s bounds are 10-25%.  A metric listed there is a
+regression only when it holds up in a second run or passes its bound.
 
 Byte identity (``tools/fingerprint.py``) and the test suite's timings are
 separate commands.
