@@ -41,13 +41,12 @@ def energy_sequence(trace, phi_star):
     (k = 0 has no predecessor); non-increasing on geodesically convex runs."""
     _require_distances(trace)
     rows = trace.rows
-    out = []
-    for k in range(1, len(rows)):
-        prev, cur = rows[k - 1], rows[k]
-        step = prev.alpha * prev.grad_norm
-        out.append(cur.dist_to_opt * cur.dist_to_opt + step * step
-                   + 2.0 * cur.alpha * cur.theta * (prev.phi - phi_star))
-    return np.array(out)
+    return np.array([
+        cur.dist_to_opt * cur.dist_to_opt + step * step
+        + 2.0 * cur.alpha * cur.theta * (prev.phi - phi_star)
+        for prev, cur in zip(rows, rows[1:])
+        for step in (prev.alpha * prev.grad_norm,)
+    ])
 
 
 def radius(trace):

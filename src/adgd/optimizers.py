@@ -79,7 +79,7 @@ class RunConfig:
             raise ValueError("tol must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     """The record of iterate ``x_k``.
 
@@ -95,7 +95,8 @@ class TraceRow:
     of a step that returned the iterate's own array is answered from the
     iterate's evaluations and still counted (:class:`_Meter`).
     ``dist_to_opt`` is None without a tracked optimum, and ``clamped``
-    records a guard that capped the step.
+    records a guard that capped the step.  Rows are slotted: they have no
+    ``__dict__`` and take no other attribute.
     """
 
     k: int
@@ -295,7 +296,8 @@ class _Step(NamedTuple):
     iterate's record (:class:`_Point`), dropped when the driver stops at
     ``x_k``; it brings what the rule evaluated there, and
     :meth:`_Meter.hold` fills the rest.  A non-empty ``abort`` ends the
-    run once the row is recorded.
+    run once the row is recorded.  :func:`_drive` unpacks it by field
+    order.
     """
 
     alpha: float
@@ -343,47 +345,38 @@ def _drive(config, manifold, problem, make_rule):
             distances = manifold.distance_from(problem.optimum_point)
         meter = _Meter(manifold, problem)
         rule = make_rule(config, meter)
-        rows = []
-        points = [p.x]
+        hold, isfinite, tol, max_iters = meter.hold, math.isfinite, config.tol, config.max_iters
+        rows, points = [], [p.x]
+        add_row, add_point = rows.append, points.append
+        prev = None
         message = ""
         try:
             for k in itertools.count():
-                phi, grad_norm = meter.hold(p)
-                if not (math.isfinite(phi) and math.isfinite(grad_norm)):
+                phi, grad_norm = hold(p)
+                if not (isfinite(phi) and isfinite(grad_norm)):
                     raise _AbortRun(
                         f"non-finite objective ({phi}) or gradient norm ({grad_norm}) "
                         f"at iteration {k}"
                     )
-                if grad_norm <= config.tol:
+                if grad_norm <= tol:
                     stop = STATUS_CONVERGED
-                elif k >= config.max_iters:
+                elif k >= max_iters:
                     stop = STATUS_MAX_ITERS
                 else:
                     stop = None
-                prev = rows[-1] if rows else None
-                step = rule(k, p, stop, prev)
-                theta = step.alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
-                rows.append(
-                    TraceRow(
-                        k=k,
-                        phi=phi,
-                        grad_norm=grad_norm,
-                        alpha=step.alpha,
-                        theta=theta,
-                        ell=step.ell,
-                        fn_evals=meter.fn_evals,
-                        exp_evals=meter.exp_evals,
-                        expensive_ops=meter.expensive,
-                        dist_to_opt=None,
-                        clamped=step.clamped,
-                    )
+                alpha, ell, clamped, x_next, abort = rule(k, p, stop, prev)
+                theta = alpha / prev.alpha if prev is not None and prev.alpha > 0.0 else 0.0
+                prev = TraceRow(
+                    k, phi, grad_norm, alpha, theta, ell,
+                    meter.fn_evals, meter.exp_evals, meter.expensive, None, clamped,
                 )
-                if step.abort:
-                    raise _AbortRun(step.abort)
+                add_row(prev)
+                if abort:
+                    raise _AbortRun(abort)
                 if stop is not None:
                     break
-                p = step.x_next
-                points.append(p.x)
+                p = x_next
+                add_point(p.x)
         except (_AbortRun, DomainError, FloatingPointError) as exc:
             stop, message = STATUS_ABORTED, str(exc)
         if distances is not None:

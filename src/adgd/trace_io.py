@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import typing
 
 from .optimizers import STATUS_ABORTED, Trace, TraceRow
@@ -75,18 +76,21 @@ def render_trace(trace, meta, deviations=None):
         header.append("deviation")
         if len(deviations) != len(trace.rows):
             raise ValueError("one deviation value per trace row required")
-    buf = io.StringIO()
-    buf.write(_meta_line(meta) + "\n")
-    buf.write(",".join(header) + "\n")
-    # Numeric fields need no CSV quoting, so each row is one f-string.
-    for i, row in enumerate(trace.rows):
-        dist = "" if row.dist_to_opt is None else f"{row.dist_to_opt:.17g}"
-        tail = "" if deviations is None else f",{deviations[i]:.17g}"
-        buf.write(
-            f"{row.k},{row.phi:.17g},{row.grad_norm:.17g},{row.alpha:.17g},"
-            f"{row.theta:.17g},{row.ell:.17g},{row.fn_evals},{row.exp_evals},"
-            f"{row.expensive_ops},{dist},{int(row.clamped)}{tail}\n"
+    # Numeric fields need no CSV quoting, so each row is one pattern: ``%s``
+    # writes an integer as ``str`` does, ``%.17g`` a float as ``:.17g``, and
+    # ``%.0s`` takes an absent distance or deviation and writes nothing.
+    tail = "%.0s\n" if deviations is None else ",%.17g\n"
+    head = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,"
+    with_dist, without_dist = head + "%.17g,%d" + tail, head + "%.0s,%d" + tail
+    lines = [_meta_line(meta) + "\n", ",".join(header) + "\n"]
+    lines += [
+        (without_dist if row.dist_to_opt is None else with_dist)
+        % (row.k, row.phi, row.grad_norm, row.alpha, row.theta, row.ell, row.fn_evals,
+           row.exp_evals, row.expensive_ops, row.dist_to_opt, int(row.clamped), deviation)
+        for row, deviation in zip(
+            trace.rows, itertools.repeat(None) if deviations is None else deviations
         )
+    ]
     if trace.status == STATUS_ABORTED:
         # The message is free text, so the marker keeps csv's quoting, on
         # one line: its line breaks become spaces, as read_trace splits the
@@ -94,8 +98,10 @@ def render_trace(trace, meta, deviations=None):
         message = " ".join(trace.message.replace(",", ";").splitlines())
         marker = [str(len(trace.rows)), "error", message]
         marker += [""] * (len(header) - len(marker))
+        buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(marker)
-    return buf.getvalue()
+        lines.append(buf.getvalue())
+    return "".join(lines)
 
 
 def write_trace(path, trace, meta, deviations=None):

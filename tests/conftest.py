@@ -9,7 +9,7 @@ import pytest
 
 from adgd import linalg
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
-from adgd.optimizers import adgd_run, armijo_run, fixed_run
+from adgd.optimizers import Trace, TraceRow, adgd_run, armijo_run, fixed_run
 
 # method -> run(config, manifold, problem, fixed_step): the four ways a
 # test descends.  Each caller builds its own ``RunConfig``; "first-ls" is
@@ -61,6 +61,19 @@ def bits(value):
     if dataclasses.is_dataclass(value):
         return [bits(getattr(value, field.name)) for field in dataclasses.fields(value)]
     return value
+
+
+def trace_of(*rows):
+    """A trace of rows given as (alpha, ell, dist_to_opt) triples."""
+    return Trace(
+        rows=[
+            TraceRow(k=k, phi=1.0 / (k + 1), grad_norm=1.0, alpha=alpha, theta=0.0, ell=ell,
+                     fn_evals=k + 1, exp_evals=k, expensive_ops=0, dist_to_opt=dist, clamped=False)
+            for k, (alpha, ell, dist) in enumerate(rows)
+        ],
+        points=[],
+        status="converged",
+    )
 
 
 def is_spd_spectrum(eigenvalues):

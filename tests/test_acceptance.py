@@ -6,6 +6,7 @@ none is calibrated at runtime.  Seeds are fixed here and documented in
 the README.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,15 @@ from adgd.optimizers import (
     adgd_run,
 )
 
-from conftest import bits, is_spd_spectrum, random_sphere_tangent, random_spd, random_sym, random_unit
+from conftest import (
+    bits,
+    is_spd_spectrum,
+    random_sphere_tangent,
+    random_spd,
+    random_sym,
+    random_unit,
+    trace_of,
+)
 
 GCONVEX_SEEDS = list(range(10))
 EQUIVALENCE_SEEDS = list(range(20))
@@ -131,10 +140,17 @@ def test_written_traces_read_back_bit_for_bit(com_traces, lyapunov_traces, tmp_p
 def test_certificates_are_products_and_left_to_right_sums(com_traces, lyapunov_traces):
     # Criteria 2 and 3's numbers, bit for bit, as correctly rounded
     # products and plain left-to-right sums: neither libm's pow nor a
-    # compensated sum (builtin sum from Python 3.12) may move them.
+    # compensated sum (builtin sum from Python 3.12) may move them.  A
+    # synthetic trace adds signed zero steps and ratios, subnormal
+    # distances and objectives below phi_star.
     checkpoints = (10, 100, 1000)
-    for prob, trace in com_traces + lyapunov_traces:
-        rows, phi_star = trace.rows, prob.optimum_value
+    synthetic = trace_of((0.5, 0.0, 5e-324), (-0.0, 0.0, 1e-310), (0.25, 0.1, -5e-324),
+                         (0.0, 0.0, 2.5e-320), (1e-3, 0.0, 0.3))
+    synthetic.rows = [dataclasses.replace(row, theta=theta)
+                      for row, theta in zip(synthetic.rows, (0.0, -0.0, 2.0, -0.0, 0.5))]
+    cases = [(prob.optimum_value, trace) for prob, trace in com_traces + lyapunov_traces]
+    for phi_star, trace in cases + [(0.4, synthetic)]:
+        rows = trace.rows
         energy = []
         for prev, cur in zip(rows, rows[1:]):
             step = prev.alpha * prev.grad_norm

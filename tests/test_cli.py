@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 from pathlib import Path
 
@@ -553,6 +554,17 @@ class TestRenderAgainstCsvWriter:
                 fn_evals=k + 1, exp_evals=k, expensive_ops=3 * k,
                 dist_to_opt=None if k % 3 == 0 else x, clamped=k % 2 == 1,
             ))
+        # Where a % conversion could part from an f-string's: an infinite
+        # theta and ell (a normal number over a subnormal one overflows),
+        # numpy counters and flag, a count past 2**63 and a float k.
+        for sign in (1.0, -1.0):
+            k = len(out)
+            out.append(TraceRow(
+                k=float(k) if sign < 0 else k, phi=0.5, grad_norm=0.25, alpha=0.125,
+                theta=sign * math.inf, ell=-sign * math.inf,
+                fn_evals=np.int64(k + 1), exp_evals=np.int64(k), expensive_ops=2**64 + k,
+                dist_to_opt=None if sign < 0 else 0.5, clamped=np.bool_(sign > 0),
+            ))
         return out
 
     @pytest.mark.parametrize("with_deviation", [False, True])
@@ -565,11 +577,16 @@ class TestRenderAgainstCsvWriter:
         rows = self.rows()
         trace = Trace(rows=rows, points=[], status=status, message=message)
         meta = {"experiment": "rayleigh", "n": 3, "tol": 1e-8, "phi_star": -0.0, "status": status}
-        deviations = [np.float64(x) for x in self.EDGE[::-1]] if with_deviation else None
+        edge = self.EDGE[::-1] + (math.inf, -math.inf)
+        deviations = [np.float64(x) for x in edge] if with_deviation else None
         text = trace_io.render_trace(trace, meta, deviations)
         assert text == _csv_writer_reference(trace, meta, deviations)
         assert ",-0," in text and "4.9406564584124654e-324" in text
         assert "1.7976931348623157e+308" in text
+        lines = text.splitlines()[2 + len(self.EDGE):][:2]
+        assert lines[0].startswith(f"{len(self.EDGE)},0.5,0.25,0.125,inf,-inf,")
+        assert lines[1].startswith(f"{len(self.EDGE) + 1}.0,0.5,0.25,0.125,-inf,inf,")
+        assert f",{2**64 + len(self.EDGE)},0.5,1" in lines[0] and f",{2**64 + len(self.EDGE) + 1},,0" in lines[1]
         if status == "aborted":
             assert text.splitlines()[-1].startswith(f'{len(rows)},error,"')
 

@@ -3,20 +3,9 @@ import pytest
 
 from adgd import diagnostics, problems, trace_io
 from adgd.manifolds import Sphere
-from adgd.optimizers import RunConfig, Trace, TraceRow, adgd_run
+from adgd.optimizers import RunConfig, adgd_run
 
-
-def trace_of(*rows):
-    """A trace of rows given as (alpha, ell, dist_to_opt) triples."""
-    return Trace(
-        rows=[
-            TraceRow(k=k, phi=1.0 / (k + 1), grad_norm=1.0, alpha=alpha, theta=0.0, ell=ell,
-                     fn_evals=k + 1, exp_evals=k, expensive_ops=0, dist_to_opt=dist, clamped=False)
-            for k, (alpha, ell, dist) in enumerate(rows)
-        ],
-        points=[],
-        status="converged",
-    )
+from conftest import trace_of
 
 
 def test_distances_required():
@@ -24,6 +13,15 @@ def test_distances_required():
     for call in (lambda: diagnostics.energy_sequence(trace, 0.0), lambda: diagnostics.radius(trace)):
         with pytest.raises(ValueError, match="lacks distance-to-optimum data"):
             call()
+
+
+def test_energy_of_fewer_than_two_rows_is_empty():
+    for trace in (trace_of(), trace_of((0.1, 0.0, 1.0))):
+        energy = diagnostics.energy_sequence(trace, 0.0)
+        assert energy.dtype == np.float64 and energy.shape == (0,)
+    # The distance check comes first, whatever the length.
+    with pytest.raises(ValueError, match="lacks distance-to-optimum data"):
+        diagnostics.energy_sequence(trace_of((0.1, 0.0, None)), 0.0)
 
 
 def test_rate_bound_needs_an_adaptive_iteration():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -999,3 +1001,35 @@ class TestPointRecords:
             ]
             assert bits(restated) == bits(plain.rows)
             assert copy.rows[-1].fn_evals == plain.rows[-1].fn_evals + 10
+
+
+class TestSlottedRows:
+    """A run's rows are slotted: no ``__dict__`` and no other attribute,
+    while the dataclass helpers, copies, pickles and the CSV round trip
+    keep every field, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return adgd_run(RunConfig(max_iters=30, alpha0=0.05), Sphere(), problems.center_of_mass(4, 5, 0))
+
+    def test_rows_have_no_dict(self, run):
+        row = run.rows[0]
+        assert not any(hasattr(r, "__dict__") for r in run.rows)
+        with pytest.raises(TypeError):
+            vars(row)
+        with pytest.raises(AttributeError):
+            row.note = "x"
+
+    def test_copies_keep_every_bit(self, run):
+        for row in run.rows:
+            assert bits(list(dataclasses.asdict(row).values())) == bits(row)
+            for copied in (dataclasses.replace(row), copy.copy(row), copy.deepcopy(row),
+                           pickle.loads(pickle.dumps(row))):
+                assert copied is not row and type(copied) is type(row)
+                assert bits(copied) == bits(row)
+
+    def test_read_trace_rebuilds_the_rows(self, run, tmp_path):
+        path = tmp_path / "run.csv"
+        trace_io.write_trace(path, run, {"status": run.status})
+        read = trace_io.read_trace(path)[1].rows
+        assert read == run.rows and bits(read) == bits(run.rows)
