@@ -65,8 +65,11 @@ class Manifold(ABC):
         to step so that a later step can skip a check it proves would pass
         (on Bures-Wasserstein, a lower bound on the smallest eigenvalue).
         ``floor`` is what :meth:`check_point` or this method returned for
-        x, or None; it changes no result, only the work.  Manifolds without
-        floors ignore it and return None.
+        x, or None.  A floor names its point: a manifold with floors raises
+        ValueError for a floor of another point and accepts one of an
+        equal array, so a floor changes no result, only the work, whatever
+        its caller hands in.  Manifolds without floors ignore it and return
+        None.
         """
 
     def exp(self, x, v):

@@ -99,14 +99,15 @@ def _step_ratio(vmat, wmat):
 
 
 class _Floor(NamedTuple):
-    """What a point carries into its steps: ``bound``, a certified lower
-    bound on its smallest eigenvalue (-inf certifies nothing), ``seed``, the
-    shift whose quarter the next LAPACK seed of the run takes (``_seed``),
-    and ``norm``, the point's ``linalg._norm``."""
+    """What the array ``point`` carries into its steps: ``bound``, a
+    certified lower bound on its smallest eigenvalue (-inf certifies
+    nothing), ``seed``, the shift whose quarter the next LAPACK seed of the
+    run takes (``_seed``), and ``norm``, the point's ``linalg._norm``."""
 
     bound: float
     seed: float
     norm: float
+    point: np.ndarray
 
 
 def _floor_level(n, norm):
@@ -125,21 +126,27 @@ def _floor_level(n, norm):
 def _seed(y, shift, norm):
     """``y``'s floor from a LAPACK factorization of ``y - shift I``.
 
-    For the exactly symmetric ``y`` with ``norm = linalg._norm(y)`` (within
-    a relative ``n^2 eps`` of ``||y||_F >= ||y||_2``), success puts
+    ``y`` is exactly symmetric, and ``norm`` bounds ``||y||_2`` and
+    ``max_i y_ii`` up to a relative ``n^2 eps``: ``linalg._norm(y)`` does
+    wherever ``_floor_level`` is finite, being within that of ``||y||_F``,
+    and so does ``1 + linalg._norm(L)`` for ``y = I + L``.  Success puts
     ``lambda_min(y)`` above ``shift - n (n + 1) eps (||y||_2 + shift)``,
     less the rounding of the shifted diagonal (Higham, Thms 10.3/10.7, as
     ``linalg._lapack_certifies_spd`` states): above ``bound``, which takes
-    twice that term with ``(n + 2)^2`` for ``n (n + 1)``.  The factorization
-    is tried only when ``bound`` clears ``_floor_level``, so that its
-    success also implies ``require_spd(y)``, and at a shift of at least
-    ``linalg._MIN_SPD_SHIFT``, the smallest ``require_spd`` trusts LAPACK
-    with.  The floor's ``seed`` is the shift the next seed takes a quarter
-    of: ``shift`` itself after a success.  Untried or failed, the floor's
-    bound is -inf, which certifies nothing, and its ``seed`` a sixteenth of
-    ``shift``, so that the next seed tries 64 times lower: a point whose
-    smallest eigenvalue keeps falling (a run that ends at the cone's
-    boundary) wastes a few factorizations, not one per step.
+    twice that term with ``(n + 2)^2`` for ``n (n + 1)``.  The extra ``(n^2
+    + 7 n + 8) eps (norm + shift)`` covers the shifted diagonal's rounding,
+    ``norm``'s own, and a rounding of ``y``'s diagonal by its caller of up
+    to ``eps norm`` per entry (``exp_transport`` forming ``I + L``), with
+    room to spare.  The factorization is tried only when ``bound`` clears
+    ``_floor_level``, so that its success also implies ``require_spd(y)``,
+    and at a shift of at least ``linalg._MIN_SPD_SHIFT``, the smallest
+    ``require_spd`` trusts LAPACK with; an inf or NaN ``norm`` has an inf
+    level, so it tries none.  The floor's ``seed`` is the shift the next
+    seed takes a quarter of: ``shift`` itself after a success.  Untried or
+    failed, the floor's bound is -inf, which certifies nothing, and its
+    ``seed`` a sixteenth of ``shift``, so that the next seed tries 64 times
+    lower: a point whose smallest eigenvalue keeps falling (a run that ends
+    at the cone's boundary) wastes a few factorizations, not one per step.
     """
     n = y.shape[0]
     bound = shift - 2.0 * (n + 2) ** 2 * linalg._EPS * (norm + shift)
@@ -148,8 +155,8 @@ def _seed(y, shift, norm):
         and bound > _floor_level(n, norm)
         and linalg._lapack_certifies_spd(y, shift)
     ):
-        return _Floor(-math.inf, shift / 16.0, norm)
-    return _Floor(bound, shift, norm)
+        return _Floor(-math.inf, shift / 16.0, norm, y)
+    return _Floor(bound, shift, norm, y)
 
 
 class BWTangent:
@@ -210,14 +217,20 @@ class BuresWasserstein(Manifold):
     def check_point(self, x):
         """Symmetric within ``linalg.check_symmetric``'s 1e-12 relative
         tolerance, finite, and positive definite by ``linalg.require_spd``;
-        returns x's floor.  A seed (``_seed``) at half the smallest diagonal
-        entry of a non-empty, exactly symmetric x implies ``require_spd(x)``,
-        which runs only where it certifies nothing; other points get None."""
+        returns x's floor.  An exactly symmetric x is seeded (``_seed``) at
+        half its smallest diagonal entry, which implies ``require_spd(x)``
+        where it succeeds; ``require_spd`` runs only where the floor
+        certifies nothing.  Any other x (LAPACK would read its lower
+        triangle only) gets a floor that bounds nothing and whose first
+        re-seed takes that same shift, so a run's first step seeds its
+        successor."""
         x = linalg.check_symmetric(x, "a point of the SPD cone")
-        floor = None
-        if x.shape[0] and np.array_equal(x, x.T):
-            floor = _seed(x, 0.5 * float(x.diagonal().min()), linalg._norm(x))
-        if floor is None or floor.bound == -math.inf:
+        shift = 0.5 * float(x.diagonal().min(initial=math.inf))
+        if np.array_equal(x, x.T):
+            floor = _seed(x, shift, linalg._norm(x))
+        else:
+            floor = _Floor(-math.inf, 4.0 * shift, linalg._norm(x), x)
+        if floor.bound == -math.inf:
             try:
                 linalg.require_spd(x)
             except DomainError:
@@ -238,29 +251,28 @@ class BuresWasserstein(Manifold):
         It is defined only for w collinear with v, the single case the
         descent loops need, and holds ``v``'s matrix and ``L X L``.
 
-        ``floor`` is what ``check_point`` or this method returned for the
-        point ``x``, or None; ``floor_y`` is the new point's, None when
-        ``floor`` is.  A floor (``_Floor``) carries a certified lower bound
-        ``mu(x) <= lambda_min(x)``.  With one, the new point's own
-        certificate, ``linalg.require_spd(y)`` (a LAPACK Cholesky), is
-        skipped exactly where the bound proves that ``linalg.cholesky(y)``
-        succeeds, where ``require_spd`` returns None; everywhere else it
-        runs and decides as it does without a floor, so no decision and no
-        byte depends on the floor.  The argument, for an exactly symmetric
-        ``X`` (every floor is of such a point), the symmetric factor ``L``
-        (every factor is), ``n`` up to about 10^7, ``eps`` the machine
-        epsilon and ``S = (I + L) X (I + L)``:
+        ``floor`` is what ``check_point`` or this method returned for
+        ``x``, or None; ``floor_y`` is the new point's, None when ``floor``
+        is.  A floor (``_Floor``) names the array it bounds, its ``point``,
+        and this method raises ValueError unless ``x`` is that array or
+        equal to it, as ``BWTangent.factor_at`` does for a carried factor.
+        A floor carries a certified lower bound ``mu(x) <= lambda_min(x)``.  With one, the
+        new point's own certificate, ``linalg.require_spd(y)`` (a LAPACK
+        Cholesky), is skipped exactly where the bound proves that
+        ``linalg.cholesky(y)`` succeeds, where ``require_spd`` returns
+        None; everywhere else it runs and decides as it does without a
+        floor, so no decision and no byte depends on the floor.  The
+        argument, for an exactly symmetric ``X`` (every floor with a bound
+        is of such a point), the symmetric factor ``L`` (every factor is),
+        ``n`` up to about 10^7, ``eps`` the machine epsilon and ``S = (I +
+        L) X (I + L)``:
 
         * ``sigma_min(I + L) >= c``.  On the norm path ``||L||_F <= 1/2``,
           so ``c = 1 - (1 + 2 n^2 eps) linalg._norm(L)`` (Weyl).  Off it,
-          when ``mu(x) > 0`` and ``||L||_F`` is finite, LAPACK factors
-          ``I + L - I / 4``: success puts ``lambda_min(I + L)`` above
-          ``c = 1/4 - 2 (n + 2)^2 eps (||L||_F + 2)`` (as in ``_seed``, with
-          the rounding of ``I + L``), and since ``c`` must also clear
-          ``_floor_level(n, 1 + ||L||_F)``, above I + L's diagonal times
-          ``4 n^2 eps``, it implies ``require_spd(I + L)`` as below.  Else
-          ``require_spd(I + L)`` decides as without a floor, and the step
-          has no ``c``.  So ``lambda_min(S) >= mu(x) c^2``.
+          when ``mu(x) > 0``, ``c`` is the bound of ``_seed(I + L, 1/4, 1 +
+          ||L||_F)``, whose success implies ``require_spd(I + L)`` as below.
+          Else ``require_spd(I + L)`` decides as without a floor, and the
+          step has no ``c``.  So ``lambda_min(S) >= mu(x) c^2``.
         * ``||y - S||_F <= E``: ``y`` is ``symmetrize(X + V + L X L)``
           computed from ``V = v.mat`` and ``L X L = (L X) L``.  The
           residual ``||V - (L X) - (L X)^T||_F`` is measured, so ``V`` need
@@ -291,6 +303,8 @@ class BuresWasserstein(Manifold):
           ``require_spd(y)`` runs and ``y`` carries a floor with no bound,
           whose next seed tries lower.
         """
+        if floor is not None and not (x is floor.point or np.array_equal(x, floor.point)):
+            raise ValueError("floor belongs to a different point")
         fac = v.factor_at(x)
         n = fac.shape[0]
         norm = linalg._norm(fac)
@@ -301,21 +315,14 @@ class BuresWasserstein(Manifold):
         # pivot can fail (Higham, Thm 10.7) for any n below about 10^7, so
         # require_spd cannot raise.  An inf or NaN norm takes the certificate.
         # shrink is the docstring's c, a lower bound on sigma_min(I + L); the
-        # step has none when it is None.
+        # step has none when it is -inf.
         carry = floor is not None and floor.bound > 0.0
-        shrink = None
         if norm <= _SMALL_FACTOR_NORM:
             shrink = 1.0 - (1.0 + 2.0 * n * n * linalg._EPS) * norm
         else:
             eye_l = np.eye(n) + fac
-            if carry and math.isfinite(norm):
-                bound = _DOMAIN_SHIFT - 2.0 * (n + 2) ** 2 * linalg._EPS * (norm + 2.0)
-                # 1 + ||L||_F bounds the diagonal of I + L.
-                if bound > _floor_level(n, 1.0 + norm) and linalg._lapack_certifies_spd(
-                    eye_l, _DOMAIN_SHIFT
-                ):
-                    shrink = bound
-            if shrink is None:
+            shrink = _seed(eye_l, _DOMAIN_SHIFT, 1.0 + norm).bound if carry else -math.inf
+            if shrink == -math.inf:
                 try:
                     linalg.require_spd(eye_l)
                 except DomainError:
@@ -332,7 +339,7 @@ class BuresWasserstein(Manifold):
             norm_y = linalg._norm(y)
             level = _floor_level(n, norm_y)
             bound = -math.inf
-            if carry and shrink is not None:
+            if carry and shrink > 0.0:
                 resid = vmat - lx
                 resid -= lx.T
                 err = 2.0 * linalg._norm(resid) + 8.0 * (n + 2) * linalg._EPS * (
@@ -340,7 +347,7 @@ class BuresWasserstein(Manifold):
                 ) ** 2 * (floor.norm + n * linalg._MIN_SPD_SHIFT)
                 bound = floor.bound * shrink * shrink * (1.0 - 8.0 * linalg._EPS) - err
             if bound > level:
-                floor_y = _Floor(bound, floor.seed, norm_y)
+                floor_y = _Floor(bound, floor.seed, norm_y, y)
             else:
                 floor_y = _seed(y, 0.25 * floor.seed, norm_y)
         if floor_y is None or floor_y.bound == -math.inf:

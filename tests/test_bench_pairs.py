@@ -1,6 +1,7 @@
 """The pure helpers of ``tools/bench_pairs.py``: pair order, quartiles,
-wins, the position against the parent's IQR and the claim verdict.  No
-subprocess runs and no commit is exported."""
+wins, the position against the parent's IQR, the claim verdict and the
+regressions beyond each metric's bound.  No subprocess runs and no commit
+is exported."""
 
 import importlib.util
 import json
@@ -185,19 +186,25 @@ def test_workload_summary_reports_raw_medians_when_every_run_has_them():
     assert s["metrics"]["wall_s"]["raw_median"] is None
 
 
-def test_regressions_list_every_metric_worse_beyond_the_parent_iqr():
-    parent = [result(1.0, 5.0), result(1.1, 5.0), result(1.2, 5.0)]  # wall_s IQR 0.1
-    slower = [result(1.4, 5.0)] * 3  # wall_s worse by 0.3, iters_per_s equal
+def test_regressions_list_every_metric_worse_beyond_its_bound():
+    # wall_s and iters_per_s have the bound 0.2: a change median worse
+    # than the parent median by more than 20% of it is listed, and one
+    # worse by more than the parent's IQR but inside its bound is not.
+    parent = [result(1.0, 5.0), result(1.1, 5.0), result(1.2, 5.0)]  # medians 1.1 and 5
+    slower = [result(1.4, 5.0)] * 3  # wall_s 27% worse, iters_per_s equal
+    drift = [result(1.3, 4.1)] * 3  # 18% worse each, beyond wall_s's IQR of 0.1
     faster = [result(0.5, 9.0)] * 3
     summary = {
         "a": bp.summarize_workload([LOWER, HIGHER], [1, 2, 3], {"parent": parent, "change": slower}),
         "b": bp.summarize_workload([LOWER, HIGHER], [1, 2, 3], {"parent": parent, "change": faster}),
         "c": bp.summarize_workload([HIGHER, LOWER], [1, 2, 3], {
             "parent": parent, "change": [result(1.5, 1.0)] * 3}),
+        "d": bp.summarize_workload([LOWER, HIGHER], [1, 2, 3], {"parent": parent, "change": drift}),
     }
+    assert summary["d"]["metrics"]["wall_s"]["vs_parent_iqr"] == "worse"
     assert bp.regressions(summary) == [
         {"workload": "a", "metric": "wall_s"},
         {"workload": "c", "metric": "iters_per_s"},
         {"workload": "c", "metric": "wall_s"},
     ]
-    assert bp.regressions({"b": summary["b"]}) == []
+    assert bp.regressions({"b": summary["b"], "d": summary["d"]}) == []

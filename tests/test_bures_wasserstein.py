@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -141,7 +142,7 @@ class TestExp:
             for m in np.geomspace(1e-8, 1e-19, 45):
                 x = np.diag(np.r_[m, np.arange(2.0, n + 1.0)])
                 v = _tangent_with_factor(bw, x, fac)
-                floor = bures_wasserstein._Floor(m, m, linalg._norm(x))
+                floor = bures_wasserstein._Floor(m, m, linalg._norm(x), x)
                 results = []
                 for args in ((x, v), (x, v, floor)):
                     spd_calls.clear()
@@ -172,7 +173,7 @@ class TestExp:
         rng = np.random.default_rng(n)
         u = rng.standard_normal((n, 1))
         x = np.diag(np.arange(1.0, n + 1.0))
-        floor = bures_wasserstein._Floor(1.0, 1.0, linalg._norm(x))
+        floor = bures_wasserstein._Floor(1.0, 1.0, linalg._norm(x), x)
         for fac, shrink in zip(
             _factors_either_side_of_half(-0.5 * (u @ u.T) / float(np.vdot(u, u))), (0.5, 0.25)
         ):
@@ -256,6 +257,59 @@ class TestExp:
             assert len(factored) == 1 and floors == []
         else:
             assert len(tr.rows) == 6 and len(floors) == 3
+
+
+    @pytest.mark.parametrize(
+        "run, config",
+        [(armijo_run, dict(armijo_lambda=2.0)), (adgd_run, dict())],
+        ids=["armijo", "adaptive"],
+    )
+    def test_start_not_exactly_symmetric_carries_floors(self, run, config, monkeypatch):
+        # x0 = Q diag(w) Q^T as computed is symmetric only up to rounding,
+        # which check_symmetric accepts.  LAPACK reads one triangle, so x0's
+        # floor bounds nothing, but its first re-seed takes the shift its
+        # symmetrized twin is seeded at: the run makes at most one
+        # factorization more than the twin's, not one per step.
+        factorizations = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(1) or cholesky(a))
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        x0 = q @ np.diag(rng.uniform(0.5, 2.0, 20)) @ q.T
+        assert not np.array_equal(x0, x0.T)
+        prob = problems.lyapunov_objective(20, 7)
+        config = RunConfig(alpha0=0.1, max_iters=100, track_distance=False, **config)
+        counts = []
+        for start in (x0, linalg.symmetrize(x0)):
+            factorizations.clear()
+            run(config, BuresWasserstein(), dataclasses.replace(prob, x0=start))
+            counts.append(len(factorizations))
+        assert counts[0] <= counts[1] + 1, counts
+
+    def test_floor_of_another_point_raises(self, bw):
+        # x is nearly singular and the step's new point fails its SPD
+        # certificate.  10 I's floor would skip that certificate and return
+        # a point cholesky refuses, so exp_transport refuses the floor.
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        x = linalg.symmetrize(q @ np.diag([1e-16, 1.0, 2.0, 3.0]) @ q.T)
+        assert 1e-17 < np.linalg.eigvalsh(x)[0] < 1e-15
+        v = -1.0 * bw.egrad_to_rgrad(x, 1e-3 * linalg.symmetrize(rng.standard_normal((4, 4))))
+        with pytest.raises(DomainError, match="not positive definite"):
+            bw.exp_transport(x, v)
+        with pytest.raises(ValueError, match="floor belongs to a different point"):
+            bw.exp_transport(x, v, bw.check_point(10.0 * np.eye(4)))
+
+    def test_floor_with_an_equal_copy_of_its_point(self, bw):
+        # A floor names its point by value, as a tangent's factor names its
+        # base: an equal copy takes the floor and gives the same bits.
+        rng = np.random.default_rng(12)
+        x = random_spd(rng, 5)
+        floor = bw.check_point(x)
+        v = -0.1 * bw.egrad_to_rgrad(x, random_sym(rng, 5))
+        here, there = (bw.exp_transport(p, v, floor) for p in (x, x.copy()))
+        assert floor.bound > 0.0 and there[3].point is there[0]
+        assert bits([here[0], here[3]]) == bits([there[0], there[3]])
 
 
 class TestTransport:

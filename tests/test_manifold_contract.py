@@ -129,6 +129,8 @@ POINTS = [
     ("bw", "skewed", np.array([[4.0, 1.0], [1.0, 0.5]]), None),
     ("bw", "tiny-identity", 1e-300 * np.eye(3), None),  # the exact Cholesky decides
     *[("bw", f"random-{n}", random_spd(_SPD_RNG, n), None) for n in (1, 2, 5, 20)],
+    # Symmetric within check_symmetric's tolerance, not bit for bit.
+    ("bw", "near-symmetric", np.array([[3.0, 1.0], [1.0 + 2.0**-52, 3.0]]), None),
     ("bw", "singular-2", np.diag([1.0, 0.0]), "positive definite"),
     ("bw", "singular-last", np.diag([1.0, 1.0, 0.0]), "positive definite"),
     ("bw", "singular", np.diag([1.0, 0.0, 1.0]), "positive definite"),

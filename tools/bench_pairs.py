@@ -29,12 +29,13 @@ With ``--claim WORKLOAD METRIC`` it also reports whether that metric's
 gain is resolved: at least 9 of the 10 pairs won, ``vs_parent_iqr``
 ``"better"``, and no more failed ops than the parent's on that workload;
 it exits 1 when it is not.  ``regressions`` lists every workload and
-metric whose ``vs_parent_iqr`` is ``"worse"``; the exit code does not
-depend on it.  It is a screen for what to look at, not a verdict: two
-runs of the same two trees can drift apart by more than the parent's
-IQR (``BENCH_aa_b02acd0.json`` ran a tree against itself), while
-``BENCHMARK.json``'s bounds are 10-25%.  A metric listed there is a
-regression only when it holds up in a second run or passes its bound.
+metric whose change median is worse than the parent median by more than
+the metric's ``BENCHMARK.json`` ``bound``, relative to the parent median
+and in its ``better`` direction: the rule a no-regression check applies.
+The parent's IQR is no such rule, as two runs of the same two trees can
+drift apart by more than it (``BENCH_aa_b02acd0.json`` ran a tree against
+itself), so ``vs_parent_iqr`` says only where a median lies.  The exit
+code does not depend on ``regressions``.
 
 Byte identity (``tools/fingerprint.py``) and the test suite's timings are
 separate commands.
@@ -136,11 +137,16 @@ def claim_verdict(summary, workload, metric):
 
 def regressions(summary):
     """``[{workload, metric}, ...]`` for every end-to-end metric whose
-    change median is worse than the parent's by more than the parent's
-    interquartile range, in the summary's order."""
+    change median is worse than the parent median by more than its
+    ``bound`` times the parent median, in the summary's order."""
+    def worse(m):
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        loss = sign * (m["change"]["median"] - m["parent"]["median"])
+        return loss > m["bound"] * abs(m["parent"]["median"])
+
     return [{"workload": workload, "metric": name}
             for workload, data in summary.items()
-            for name, m in data["metrics"].items() if m["vs_parent_iqr"] == "worse"]
+            for name, m in data["metrics"].items() if worse(m)]
 
 
 def parse_output(stdout):
@@ -241,7 +247,9 @@ def main(argv=None):
                     "(worse) than the parent median by more than parent q3 - q1, else "
                     "inside. A claim is met with at least 9 wins of 10, vs_parent_iqr "
                     "better and no more failed ops than the parent. regressions lists every "
-                    "workload and metric whose vs_parent_iqr is worse.",
+                    "workload and metric whose change median is worse than the parent "
+                    "median by more than its BENCHMARK.json bound, relative to the "
+                    "parent median.",
         "parent": parent_sha,
         "change": {"head": _git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(_git("status", "--porcelain"))},
