@@ -90,8 +90,9 @@ def _step_ratio(vmat, wmat):
             return None
         a, b = (math.frexp(float(np.max(np.abs(m))))[1] for m in (vmat, wmat))
         vmat, wmat, shift = np.ldexp(vmat, -a), np.ldexp(wmat, -b), a - b
+        nv = linalg._norm(vmat)
     c = float(np.add.reduce(vmat * wmat, None)) / float(np.add.reduce(wmat * wmat, None))
-    if linalg._norm(vmat - c * wmat) > _COLLINEAR_TOL * linalg._norm(vmat) or c == 0.0:
+    if linalg._norm(vmat - c * wmat) > _COLLINEAR_TOL * nv or c == 0.0:
         raise DomainError("Bures-Wasserstein transport needs w collinear with the step v")
     if not -1020 <= shift <= 1020:
         raise DomainError(f"Bures-Wasserstein transport: the step ratio 2^{shift} overflows")
@@ -181,9 +182,11 @@ class BWTangent:
         return BWTangent(self.mat - other.mat)
 
     def __mul__(self, s):
-        if not isinstance(s, Real):
-            return NotImplemented
-        s = float(s)
+        # A float skips the costly Real ABC check; every other real takes it.
+        if type(s) is not float:
+            if not isinstance(s, Real):
+                return NotImplemented
+            s = float(s)
         factor = None if self.factor is None else s * self.factor
         return BWTangent(s * self.mat, factor, self.base)
 
@@ -329,7 +332,9 @@ class BuresWasserstein(Manifold):
                     raise DomainError("step leaves the SPD cone") from None
         lx = fac @ x
         lxl = lx @ fac
-        y = linalg.symmetrize(x + v.mat + lxl)
+        y = x + v.mat
+        y += lxl
+        y = linalg.symmetrize(y)
         vmat = v.mat
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the

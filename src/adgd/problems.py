@@ -2,8 +2,9 @@
 
 Each generator returns a :class:`Problem`: callables for the objective
 value and its Euclidean (ambient) gradient (with a joint evaluator of
-both for the sphere center of mass, whose two share their costly work:
-the value now, the gradient on demand), a deterministic starting point,
+both for the sphere center of mass and the Lyapunov objective, whose two
+share their costly work: the value now, the gradient on demand from the
+same angles or the same ``X A``), a deterministic starting point,
 the known optimum when one is available, and expensive-operation price
 tags used by the benchmark accounting (matrix-vector products for sphere
 objectives, matrix-matrix products for SPD objectives).
@@ -192,20 +193,30 @@ def lyapunov_objective(n, seed=0):
 
     The minimizer solves A X + X A = C; restricting A to be symmetric
     positive definite lets the eigenbasis Lyapunov solver double as the
-    exact reference.
+    exact reference.  The Euclidean gradient is X A + (X A)^T - C, so value
+    and gradient share the product X A: the joint evaluator forms it once
+    per point, and the price tags still count one product for each.
     """
     rng = np.random.default_rng(seed)
     a = _random_spd(rng, n, 1.0, 3.0)
     c = _random_spd(rng, n, 1.0, 3.0)
     xstar = linalg.solve_lyapunov(a, c)
 
-    def value(x):
-        xa = x @ a
+    def _value(x, xa):
         return float(np.add.reduce(xa * x, axis=None) - np.add.reduce(x * c, axis=None))
 
-    def euclidean_grad(x):
-        xa = x @ a
+    def _grad(xa):
         return xa + xa.T - c
+
+    def value(x):
+        return _value(x, x @ a)
+
+    def euclidean_grad(x):
+        return _grad(x @ a)
+
+    def stage(x):
+        xa = x @ a
+        return _value(x, xa), lambda: _grad(xa)
 
     return Problem(
         value=value,
@@ -216,6 +227,7 @@ def lyapunov_objective(n, seed=0):
         value_ops=1,
         grad_ops=1,
         extras={"A": a, "C": c},
+        joint=JointEvaluator(value, euclidean_grad, stage),
     )
 
 

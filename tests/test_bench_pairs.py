@@ -1,10 +1,13 @@
-"""The pure helpers of ``tools/bench_pairs.py``: pair order, quartiles,
-wins, the position against the parent's IQR, the claim verdict and the
-regressions beyond each metric's bound.  No subprocess runs and no commit
-is exported."""
+"""The helpers of ``tools/bench_pairs.py``: pair order, quartiles, wins,
+the position against the parent's IQR, the claim verdict, the regressions
+beyond each metric's bound, and the two trees the sides run from.  No
+benchmark runs and no commit of this repository is exported; one test
+runs git in a scratch repository."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -208,3 +211,47 @@ def test_regressions_list_every_metric_worse_beyond_its_bound():
         {"workload": "c", "metric": "wall_s"},
     ]
     assert bp.regressions({"b": summary["b"], "d": summary["d"]}) == []
+
+
+def test_neither_side_runs_from_the_checkout(monkeypatch):
+    made = []
+    monkeypatch.setattr(bp, "export", lambda sha, dest: made.append(("export", sha, Path(dest))))
+    monkeypatch.setattr(bp, "copy_checkout",
+                        lambda root, dest: made.append(("copy", root, Path(dest))))
+    with bp.side_roots("abc123") as roots:
+        assert made == [("export", "abc123", roots["parent"]), ("copy", bp.ROOT, roots["change"])]
+        for root in roots.values():
+            assert root.is_dir()
+            assert bp.ROOT not in (root, *root.parents)
+        assert roots["parent"] != roots["change"]
+    assert not any(root.exists() for root in roots.values())
+    # Both trees are removed when the runs fail, too.
+    with pytest.raises(RuntimeError), bp.side_roots("abc123") as roots:
+        raise RuntimeError
+    assert not any(root.exists() for root in roots.values())
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_copy_checkout_takes_tracked_files_as_the_working_tree_holds_them(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "pkg").mkdir()
+    for name in ("kept.py", "pkg/edited.py", "deleted.py"):
+        (repo / name).write_text("committed\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "edited.py").write_text("uncommitted\n")
+    (repo / "deleted.py").unlink()
+    (repo / "staged.py").write_text("staged\n")
+    git("add", "staged.py")
+    (repo / "untracked.py").write_text("untracked\n")
+    bp.copy_checkout(repo, dest)
+    copied = {str(p.relative_to(dest)): p.read_text() for p in dest.rglob("*") if p.is_file()}
+    assert copied == {"kept.py": "committed\n", "pkg/edited.py": "uncommitted\n",
+                      "staged.py": "staged\n"}

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 import warnings
 
@@ -290,15 +291,23 @@ class TestExp:
         # x is nearly singular and the step's new point fails its SPD
         # certificate.  10 I's floor would skip that certificate and return
         # a point cholesky refuses, so exp_transport refuses the floor.
-        rng = np.random.default_rng(11)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        x = linalg.symmetrize(q @ np.diag([1e-16, 1.0, 2.0, 3.0]) @ q.T)
-        assert 1e-17 < np.linalg.eigvalsh(x)[0] < 1e-15
-        v = -1.0 * bw.egrad_to_rgrad(x, 1e-3 * linalg.symmetrize(rng.standard_normal((4, 4))))
+        # x's entries are exact, its determinant is u - u^2 > 0 (u = eps)
+        # and its smallest eigenvalue about u / 2.  The step is v = x / 2
+        # with factor L = I / 4, so y = (5/4)^2 x, SPD, and its rounded
+        # entries form an indefinite matrix.  At n = 2 with L a multiple
+        # of I every product is exact and every rounding elementwise, so
+        # no BLAS kernel moves a bit of y or of cholesky's pivots.
+        u = linalg._EPS
+        x = np.array([[1.0, 1.0 + u], [1.0 + u, 1.0 + 3.0 * u]])
+        exact = fractions.Fraction
+        det = exact(x[0, 0]) * exact(x[1, 1]) - exact(x[0, 1]) ** 2
+        assert x[0, 0] > 0.0 and det == exact(u) - exact(u) ** 2
+        v = bw.egrad_to_rgrad(x, 0.125 * np.eye(2))
+        assert bits([v.mat, v.factor]) == bits([0.5 * x, 0.25 * np.eye(2)])
         with pytest.raises(DomainError, match="not positive definite"):
             bw.exp_transport(x, v)
         with pytest.raises(ValueError, match="floor belongs to a different point"):
-            bw.exp_transport(x, v, bw.check_point(10.0 * np.eye(4)))
+            bw.exp_transport(x, v, bw.check_point(10.0 * np.eye(2)))
 
     def test_floor_with_an_equal_copy_of_its_point(self, bw):
         # A floor names its point by value, as a tangent's factor names its
@@ -403,6 +412,27 @@ class TestTransport:
             v = (scale * 0.37) * w
             unscaled = float(np.add.reduce(v * w, axis=None)) / float(np.add.reduce(w * w, axis=None))
             assert bures_wasserstein._step_ratio(v, w) == unscaled
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scaled_ratio_tests_collinearity_against_the_scaled_norm(self, scale):
+        # v = scale (0.37 w + d r) with r orthogonal to w: its residual from
+        # the line through w is d ||r||, set at 0.99 and 1.01 times
+        # _COLLINEAR_TOL ||v||.  v's norm lies outside [2^-510, 2^510], so
+        # both the residual and ||v|| are taken of the scaled pair.
+        rng = np.random.default_rng(31)
+        w = random_sym(rng, 4)
+        r = random_sym(rng, 4)
+        r -= (np.vdot(r, w) / np.vdot(w, w)) * w
+        r /= np.linalg.norm(r)
+        tol = bures_wasserstein._COLLINEAR_TOL
+        for factor, collinear in ((0.99, True), (1.01, False)):
+            d = factor * tol * 0.37 * np.linalg.norm(w)
+            v = scale * (0.37 * w + d * r)
+            if collinear:
+                assert bures_wasserstein._step_ratio(v, w) == pytest.approx(0.37 * scale, rel=1e-12)
+            else:
+                with pytest.raises(DomainError, match="collinear"):
+                    bures_wasserstein._step_ratio(v, w)
 
     def test_step_outside_the_cone_raises(self, bw):
         # The transport comes with its step's exponential, which certifies
@@ -886,6 +916,18 @@ class TestTangentArithmetic:
         assert np.allclose(scaled.mat, -0.5 * g.mat)
         assert np.allclose(scaled.factor, -0.5 * g.factor)
         assert scaled.base is x
+
+    def test_every_real_scales_as_its_float(self, bw):
+        rng = np.random.default_rng(19)
+        x = random_spd(rng, 4)
+        g = bw.egrad_to_rgrad(x, random_sym(rng, 4))
+        for s in (0.5, np.float64(0.5), 2, True, fractions.Fraction(1, 2)):
+            for scaled in (g * s, s * g):
+                expected = g * float(s)
+                assert bits([scaled.mat, scaled.factor]) == bits([expected.mat, expected.factor])
+                assert scaled.base is x
+        with pytest.raises(TypeError):
+            g * "a"
 
     def test_difference_carries_no_factor(self, bw):
         rng = np.random.default_rng(18)

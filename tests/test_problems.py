@@ -9,7 +9,7 @@ from adgd import linalg, problems
 from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, PositiveOrthant, Sphere
 
-from conftest import bits, is_spd_spectrum, random_sym, random_unit
+from conftest import bits, is_spd_spectrum, random_spd, random_sym, random_unit
 
 
 class TestCenterOfMass:
@@ -434,7 +434,8 @@ def random_sphere_tangent_small(rng, x, scale):
 
 
 class TestJointEvaluator:
-    """``center_of_mass``'s joint evaluator, the only one a generator gives."""
+    """The joint evaluators ``center_of_mass`` and ``lyapunov_objective``
+    give."""
 
     @staticmethod
     def assert_stage_is_value_then_grad(prob, x):
@@ -491,12 +492,40 @@ class TestJointEvaluator:
         prob = problems.center_of_mass(5, n_points=50, seed=1)
         self.assert_stage_is_value_then_grad(prob, np.full(5, np.nan))
 
+    def test_lyapunov_equals_separate_evaluations_bit_for_bit(self):
+        prob = problems.lyapunov_objective(6, 2)
+        assert prob.joint.value is prob.value and prob.joint.euclidean_grad is prob.euclidean_grad
+        assert prob.stager() is prob.joint.stage
+        rng = np.random.default_rng(13)
+        points = [prob.x0, prob.optimum_point] + [random_spd(rng, 6) for _ in range(20)]
+        # Not symmetric: X A and (X A)^T differ, so the gradient's transpose matters.
+        points.append(rng.standard_normal((6, 6)))
+        for x in points:
+            self.assert_stage_is_value_then_grad(prob, x)
+
+    def test_lyapunov_at_non_finite_and_overflowing_points(self):
+        prob = problems.lyapunov_objective(5, 1)
+        rng = np.random.default_rng(14)
+        inf_point, nan_point = random_spd(rng, 5), random_spd(rng, 5)
+        inf_point[1, 3] = np.inf
+        nan_point[2, 2] = np.nan
+        # Entries near 1e200 overflow the value's products X A . X; entries
+        # near 1e308 overflow X A itself.
+        big, huge = 1e200 * random_spd(rng, 5), 5e307 * random_spd(rng, 5)
+        a = prob.extras["A"]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert np.isfinite(big @ a).all() and not np.isfinite(prob.value(big))
+            assert not np.isfinite(huge @ a).all()
+            for x in (inf_point, nan_point, big, -big, huge):
+                self.assert_stage_is_value_then_grad(prob, x)
+
 
 @pytest.mark.parametrize(
     "build",
     [
         lambda: problems.rayleigh(7, 0),
-        lambda: problems.lyapunov_objective(5, 0),
+        # The Lyapunov objective's joint evaluator taken off: its fallback.
+        lambda: dataclasses.replace(problems.lyapunov_objective(5, 0), joint=None),
         lambda: problems.weighted_least_squares(5, 0),
         lambda: problems.linear_minus_log(4, 0),
     ],

@@ -6,13 +6,16 @@ Usage (from any directory)::
     python3 tools/bench_pairs.py PARENT --first-seed 1811 \
         --claim sphere-com adgd.op_s.p50 --out BENCH.json
 
-exports the commit PARENT (``git archive``) into a temporary directory,
-which is removed however the tool exits, and runs the command of
-``BENCHMARK.json`` with ``--trace 0`` and its ``run_seconds`` in both
-trees: 10 pairs, pair ``i`` on workload seed ``FIRST_SEED + i``, and per
-pair one run of every workload on each side.  The parent goes first in
-even pairs, this checkout in odd ones.  This checkout runs as its working
-tree stands, uncommitted edits included.
+exports the commit PARENT (``git archive``) into one temporary directory
+and copies the files git tracks in this checkout, as its working tree
+stands (uncommitted edits included), into another, so that neither side
+runs from the checkout itself.  Both directories are removed however the
+tool exits.  A file git does not track yet is not copied: ``git add`` it
+first.  The tool then runs the command of ``BENCHMARK.json`` with
+``--trace 0`` and its ``run_seconds`` in both trees: 10 pairs, pair ``i``
+on workload seed ``FIRST_SEED + i``, and per pair one run of every
+workload on each side.  The parent goes first in even pairs, the change
+in odd ones.
 
 The JSON written to ``--out`` (or printed) holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, both sides' runs, medians and
@@ -44,8 +47,10 @@ separate commands.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -174,6 +179,32 @@ def export(sha, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def copy_checkout(root, dest):
+    """Copy the files git tracks in the checkout at ``root`` into ``dest``
+    as they stand in its working tree; a tracked file deleted from the
+    working tree is left out."""
+    names = subprocess.run(["git", "-C", str(root), "ls-files", "-z"], check=True,
+                           capture_output=True).stdout.split(b"\0")
+    for name in filter(None, map(os.fsdecode, names)):
+        source = Path(root) / name
+        if source.is_file():
+            target = Path(dest) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+@contextlib.contextmanager
+def side_roots(parent_sha):
+    """``{side: root}``: the commit ``parent_sha`` exported and this
+    checkout copied (:func:`copy_checkout`), each into its own temporary
+    directory; both are removed however the block exits."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-pairs-change-") as change:
+        export(parent_sha, parent)
+        copy_checkout(ROOT, change)
+        yield {"parent": Path(parent), "change": Path(change)}
+
+
 def run_benchmark(command, root, workload, seed, seconds):
     result = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -210,13 +241,11 @@ def main(argv=None):
     seeds = [args.first_seed + i for i in range(PAIRS)]
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
 
-    # SIGTERM unwinds like an exception, so the export is removed then too.
+    # SIGTERM unwinds like an exception, so both copies are removed then too.
     signal.signal(signal.SIGTERM, _raise_exit)
     results = {w: {side: [] for side in SIDES} for w in workloads}
     machine = {}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        export(parent_sha, tmp)
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with side_roots(parent_sha) as roots:
         for index, seed in enumerate(seeds):
             for side in pair_order(index):
                 for workload in workloads:
@@ -239,8 +268,11 @@ def main(argv=None):
         "command": " ".join(bench["command"]) + " --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "protocol": f"{len(seeds)} alternating pairs, seeds {seeds[0]}-{seeds[-1]} (one per "
-                    "pair); parent first in even pairs, change first in odd pairs; within a "
-                    "pair each side runs the workloads one after another. Quartiles: "
+                    "pair); each side runs from its own temporary directory, the parent "
+                    "exported with git archive and the change copied from the checkout's "
+                    "tracked files; parent first in even pairs, change first in odd "
+                    "pairs; within a pair each side runs the workloads one after another. "
+                    "Quartiles: "
                     "statistics.quantiles(n=4, method=\"inclusive\") over each side's runs. "
                     "A win is the change being better than the parent in the same pair; "
                     "vs_parent_iqr is better (worse) when the change median is better "
