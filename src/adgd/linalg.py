@@ -11,14 +11,14 @@ One kernel per job:
   kernel returns goes through it;
 * :func:`_norm` is every norm that only decides.
 
-LAPACK (``numpy.linalg``) only answers yes/no questions, with a certified
-rounding margin (:func:`_lapack_certifies_spd`): is ``lambda_min`` above
-``s`` less the rounding, at :func:`require_spd`'s tiny shift, or at the
-larger shifts with which a Bures-Wasserstein step screens its length and
-seeds or carries a point's eigenvalue floor.  Its output never reaches a
-written value.  The kernels double as test oracles, so they favour
-robustness and explicit failure over raw speed.  All functions are pure;
-inputs are never mutated.
+LAPACK (``numpy.linalg``) gives one thing, in one place
+(:func:`_lapack_bound`): a certified lower bound on ``lambda_min`` from a
+Cholesky factorization of ``a - s I``, at :func:`require_spd`'s tiny
+shift or at the larger shifts with which a Bures-Wasserstein step screens
+its length and seeds a point's eigenvalue floor.  Its output never
+reaches a written value.  The kernels double as test oracles, so they
+favour robustness and explicit failure over raw speed.  All functions are
+pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ _TAU_BIG = _constant(1e150)  # above it, t = 1 / (2 tau)
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Smallest shift require_spd trusts LAPACK with: far enough above the
-# underflow threshold that flushed or subnormal products cannot eat the
-# certified margin.
+# The scale below which underflow may matter: eps times it is the largest
+# error of one flushed or subnormal operation (_lapack_bound, _spd_level).
 _MIN_SPD_SHIFT = _TINY / _EPS
 
 
@@ -475,41 +474,55 @@ def cholesky(x):
     return low
 
 
-def _lapack_certifies_spd(a, shift):
-    """Whether LAPACK's Cholesky factors ``a - shift I``: a yes/no
-    certificate, read from the lower triangle, for finite ``a`` and
-    ``shift`` (callers check; LAPACK can factor an infinite pivot).
-
-    Success makes ``a - shift I + E`` positive definite with
-    ``||E||_2 <~ n (n + 1) eps (||a||_2 + |shift|)`` (Higham, Thms
-    10.3/10.7, plus the rounding of the shifted diagonal); each caller
-    chooses its shift to cover that.
-    """
+def _lapack_bound(a, shift, level):
+    """A certified lower bound on ``lambda_min(a)`` above ``level``, or
+    -inf: ``shift - m`` once LAPACK factors ``b``, the rounded ``a - shift
+    I`` read from its lower triangle, with the one Cholesky margin ``m =
+    (n + 3) eps / 2 (Tr b + |shift| + 2 n _MIN_SPD_SHIFT)``.  LAPACK runs
+    only where ``shift - m`` clears ``level``.  Success gives ``R R^T = b +
+    E`` with ``||E||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1} Tr b / (1 -
+    gamma_{n+1})`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3), about ``(n + 1) eps / 2 Tr b``; the
+    shifted diagonal's rounding adds ``eps / 2 Tr b``, and the rest covers
+    the rounding of ``Tr b``, ``m`` and ``shift - m`` for n up to about
+    10^7 and the ``n (n + 1) _TINY`` that underflow can add.  A failure, or
+    a NaN or infinite bound or factor entry (LAPACK factors those), gives
+    -inf."""
+    n = a.shape[0]
     b = np.array(a, dtype=float, order="C")
-    b.reshape(-1)[:: b.shape[0] + 1] -= shift
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is refused
+        b.reshape(-1)[:: n + 1] -= shift
+        trace = float(np.trace(b))
+    bound = shift - 0.5 * (n + 3) * _EPS * (trace + abs(shift) + 2.0 * n * _MIN_SPD_SHIFT)
     try:
-        np.linalg.cholesky(b)
+        if bound > level and np.isfinite(np.linalg.cholesky(b)).all():
+            return bound
     except np.linalg.LinAlgError:
-        return False
-    return True
+        pass
+    return -math.inf
+
+
+def _spd_level(n, top):
+    """The level above which a certified bound on ``lambda_min(x)`` makes
+    :func:`cholesky` succeed for an n x n ``x`` with ``max_i x_ii <= top``:
+    ``n^2 eps`` times ``top``, above Higham's ``n gamma_{n+1} / (1 -
+    gamma_{n+1})`` (Thm 10.7) for n from 2 to 10^7 (a 1 x 1 ``x`` fails
+    only at a non-positive entry), plus ``2 n^2 _TINY`` for underflow."""
+    return n * n * _EPS * (top + 2.0 * _MIN_SPD_SHIFT)
 
 
 def require_spd(x):
     """Raise DomainError exactly when ``cholesky(x)`` would; return None.
 
-    LAPACK factors ``x - s I`` with ``s = 4 n^2 eps max_i x_ii``.  Its
-    success puts ``lambda_min(x)`` above ``3 n^2 eps max_i x_ii`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3),
-    and :func:`cholesky` can meet a non-positive pivot only below the
-    relative level ``n (n + 1) eps / 2`` (Thm 10.7).  Anything else (a
-    LAPACK failure, a NaN or infinite entry, a tiny or non-positive shift)
-    goes to ``cholesky``, which decides and raises its own message.  Like
+    It returns where LAPACK's bound at the shift ``4 n^2 eps max_i x_ii``
+    clears :func:`_spd_level` (:func:`_lapack_bound`); anything else goes to
+    ``cholesky``, which decides and raises its own message.  Like
     ``cholesky``, it reads the lower triangle only.
     """
     a = np.asarray(x, dtype=float)
     n = a.shape[0]
-    if n and np.isfinite(a).all():
-        shift = 4.0 * n * n * _EPS * float(np.maximum.reduce(np.diagonal(a)))
-        if shift >= _MIN_SPD_SHIFT and _lapack_certifies_spd(a, shift):
+    if n:
+        top = float(np.maximum.reduce(np.diagonal(a)))
+        if _lapack_bound(a, 4.0 * n * n * _EPS * top, _spd_level(n, top)) > -math.inf:
             return
     cholesky(a)

@@ -53,8 +53,8 @@ _SMALL_FACTOR_NORM = 0.5
 # about 1/4, which the new point's floor carries.
 _DOMAIN_SHIFT = 0.25
 
-# A floor above _FLOOR_LEVEL n^2 eps times a bound on max_i y_ii implies
-# require_spd(y) (_floor_level); inf switches carried floors off.
+# How many times over a floor clears require_spd's level (_floor_level);
+# inf switches carried floors off.
 _FLOOR_LEVEL = 4.0
 
 # Below this decision norm a point's squared entries may underflow enough
@@ -112,52 +112,32 @@ class _Floor(NamedTuple):
 
 
 def _floor_level(n, norm):
-    """``_FLOOR_LEVEL n^2 eps`` times ``2 norm``, for an n x n point y with
-    decision norm ``norm = linalg._norm(y)``: a smallest eigenvalue above
-    it passes ``cholesky`` (``exp_transport``).  ``2 norm`` bounds
-    ``||y||_F >= max_i y_ii`` once ``norm >= _NORM_FLOOR``: then the squares
-    that underflow move the sum by a relative ``n^2 2^-175`` at most, and
-    the norm is within a relative ``n^2 eps`` of ``||y||_F``.  Below that,
-    and for an inf or NaN norm, the level is inf."""
-    if not _NORM_FLOOR <= norm < math.inf:
-        return math.inf
-    return _FLOOR_LEVEL * n * n * linalg._EPS * 2.0 * norm
+    """``_FLOOR_LEVEL`` times ``linalg._spd_level`` at ``2 norm`` for an n x n
+    point y of decision norm ``norm = linalg._norm(y)``, so a floor above it
+    implies ``require_spd(y)``: ``2 norm`` bounds ``||y||_F >= max_i y_ii``
+    once ``norm >= _NORM_FLOOR``, where the squares that underflow move the
+    sum by a relative ``n^2 2^-175`` at most.  Below that, and for an inf
+    or NaN norm, the level is inf."""
+    finite = _NORM_FLOOR <= norm < math.inf
+    return _FLOOR_LEVEL * linalg._spd_level(n, 2.0 * norm) if finite else math.inf
 
 
 def _seed(y, shift, norm):
-    """``y``'s floor from a LAPACK factorization of ``y - shift I``.
-
-    ``y`` is exactly symmetric, and ``norm`` bounds ``||y||_2`` and
-    ``max_i y_ii`` up to a relative ``n^2 eps``: ``linalg._norm(y)`` does
-    wherever ``_floor_level`` is finite, being within that of ``||y||_F``,
-    and so does ``1 + linalg._norm(L)`` for ``y = I + L``.  Success puts
-    ``lambda_min(y)`` above ``shift - n (n + 1) eps (||y||_2 + shift)``,
-    less the rounding of the shifted diagonal (Higham, Thms 10.3/10.7, as
-    ``linalg._lapack_certifies_spd`` states): above ``bound``, which takes
-    twice that term with ``(n + 2)^2`` for ``n (n + 1)``.  The extra ``(n^2
-    + 7 n + 8) eps (norm + shift)`` covers the shifted diagonal's rounding,
-    ``norm``'s own, and a rounding of ``y``'s diagonal by its caller of up
-    to ``eps norm`` per entry (``exp_transport`` forming ``I + L``), with
-    room to spare.  The factorization is tried only when ``bound`` clears
-    ``_floor_level``, so that its success also implies ``require_spd(y)``,
-    and at a shift of at least ``linalg._MIN_SPD_SHIFT``, the smallest
-    ``require_spd`` trusts LAPACK with; an inf or NaN ``norm`` has an inf
-    level, so it tries none.  The floor's ``seed`` is the shift the next
-    seed takes a quarter of: ``shift`` itself after a success.  Untried or
-    failed, the floor's bound is -inf, which certifies nothing, and its
-    ``seed`` a sixteenth of ``shift``, so that the next seed tries 64 times
+    """The floor of the exactly symmetric ``y`` of decision norm ``norm``:
+    where LAPACK's bound at ``shift`` (``linalg._lapack_bound``) clears
+    ``_floor_level``, that bound less ``8 n eps norm``.  The slack keeps a
+    seeded floor, like a carried one, below ``lambda_min(y)`` by more than
+    an eigensolver's ``4 n eps ||y||_2`` error, so ``eigvalsh`` confirms it,
+    and covers a caller's rounding of ``y``'s diagonal (``exp_transport``'s
+    ``I + L``).  The ``seed`` is the shift the next seed takes a quarter of:
+    ``shift`` itself after a success.  Otherwise the bound is -inf and the
+    ``seed`` a sixteenth of ``shift``, so the next seed tries 64 times
     lower: a point whose smallest eigenvalue keeps falling (a run that ends
-    at the cone's boundary) wastes a few factorizations, not one per step.
-    """
-    n = y.shape[0]
-    bound = shift - 2.0 * (n + 2) ** 2 * linalg._EPS * (norm + shift)
-    if not (
-        shift >= linalg._MIN_SPD_SHIFT
-        and bound > _floor_level(n, norm)
-        and linalg._lapack_certifies_spd(y, shift)
-    ):
-        return _Floor(-math.inf, shift / 16.0, norm, y)
-    return _Floor(bound, shift, norm, y)
+    at the cone's boundary) wastes a few factorizations, not one per step."""
+    bound = linalg._lapack_bound(y, shift, _floor_level(len(y), norm))
+    if bound == -math.inf:
+        return _Floor(bound, shift / 16.0, norm, y)
+    return _Floor(bound - 8.0 * len(y) * linalg._EPS * norm, shift, norm, y)
 
 
 class BWTangent:
@@ -229,10 +209,9 @@ class BuresWasserstein(Manifold):
         successor."""
         x = linalg.check_symmetric(x, "a point of the SPD cone")
         shift = 0.5 * float(x.diagonal().min(initial=math.inf))
+        floor = _Floor(-math.inf, 4.0 * shift, linalg._norm(x), x)
         if np.array_equal(x, x.T):
-            floor = _seed(x, shift, linalg._norm(x))
-        else:
-            floor = _Floor(-math.inf, 4.0 * shift, linalg._norm(x), x)
+            floor = _seed(x, shift, floor.norm)
         if floor.bound == -math.inf:
             try:
                 linalg.require_spd(x)
@@ -259,52 +238,38 @@ class BuresWasserstein(Manifold):
         is.  A floor (``_Floor``) names the array it bounds, its ``point``,
         and this method raises ValueError unless ``x`` is that array or
         equal to it, as ``BWTangent.factor_at`` does for a carried factor.
-        A floor carries a certified lower bound ``mu(x) <= lambda_min(x)``.  With one, the
-        new point's own certificate, ``linalg.require_spd(y)`` (a LAPACK
-        Cholesky), is skipped exactly where the bound proves that
-        ``linalg.cholesky(y)`` succeeds, where ``require_spd`` returns
-        None; everywhere else it runs and decides as it does without a
-        floor, so no decision and no byte depends on the floor.  The
-        argument, for an exactly symmetric ``X`` (every floor with a bound
-        is of such a point), the symmetric factor ``L`` (every factor is),
-        ``n`` up to about 10^7, ``eps`` the machine epsilon and ``S = (I +
-        L) X (I + L)``:
+        With a floor ``mu(x) <= lambda_min(x)``, the new point's own
+        certificate, ``linalg.require_spd(y)``, is skipped exactly where a
+        bound on ``lambda_min(y)`` clears ``_floor_level``; everywhere else it
+        runs and decides as without a floor, so no decision and no byte
+        depends on the floor.  For an exactly symmetric ``X`` (every floor
+        with a bound is of such a point), the symmetric factor ``L`` (every
+        factor is) and ``S = (I + L) X (I + L)``:
 
-        * ``sigma_min(I + L) >= c``.  On the norm path ``||L||_F <= 1/2``,
-          so ``c = 1 - (1 + 2 n^2 eps) linalg._norm(L)`` (Weyl).  Off it,
-          when ``mu(x) > 0``, ``c`` is the bound of ``_seed(I + L, 1/4, 1 +
-          ||L||_F)``, whose success implies ``require_spd(I + L)`` as below.
-          Else ``require_spd(I + L)`` decides as without a floor, and the
-          step has no ``c``.  So ``lambda_min(S) >= mu(x) c^2``.
-        * ``||y - S||_F <= E``: ``y`` is ``symmetrize(X + V + L X L)``
-          computed from ``V = v.mat`` and ``L X L = (L X) L``.  The
-          residual ``||V - (L X) - (L X)^T||_F`` is measured, so ``V`` need
-          not have been formed as ``L X + X L`` (a gradient's is formed as
-          ``2 (X G + G X)``, scaled, while its factor is ``2 G``, scaled, and
-          an underflow in ``X G`` is scaled with it).  The products'
-          rounding (``n eps |L| |X|`` each, entrywise, and
-          ``||abs(A) abs(B)||_F <= ||A||_F ||B||_F``), the two sums, the
-          symmetrization and the residual's own subtractions add at most
-          ``(n + 5) eps ||X||_F (1 + ||L||_F)^2`` to first order, and
-          underflow at most ``n^2 2^-1074 (1 + ||L||_F)`` more.  ``E`` takes
-          twice the measured residual plus ``8 (n + 2) eps (1 +
-          ||L||_F)^2 (||X||_F + n linalg._MIN_SPD_SHIFT)``, with the decision
-          norms of ``X`` and ``L``, which covers all of it with a margin for
-          the norms' own rounding.
+        * ``sigma_min(I + L) >= c``.  On the norm path ``||L||_F <= 1/2`` and
+          ``c = 1 - (1 + 2 n^2 eps) linalg._norm(L)`` (Weyl).  Off it, when
+          ``mu(x) > 0``, ``c`` is the floor of ``_seed(I + L, 1/4, 1 +
+          ||L||_F)``, whose slack covers the rounding of ``I + L``'s
+          diagonal.  Else ``require_spd(I + L)`` decides, and the step has no
+          ``c``.  So ``lambda_min(S) >= mu(x) c^2``.
+        * ``||y - S||_F <= E``: ``y`` is ``symmetrize(X + V + L X L)`` from
+          ``V = v.mat`` and ``L X L = (L X) L``.  The residual ``||V - (L X) -
+          (L X)^T||_F`` is measured, so ``V`` need not have been formed as
+          ``L X + X L`` (a gradient's is ``2 (X G + G X)``, with factor ``2
+          G``, scaled, underflow and all).  The products' rounding (``n eps
+          |L| |X|`` each, entrywise, and ``||abs(A) abs(B)||_F <= ||A||_F
+          ||B||_F``), the two sums, the symmetrization and the residual's own
+          subtractions add at most ``(n + 5) eps ||X||_F (1 + ||L||_F)^2`` to
+          first order, and underflow at most ``n^2 2^-1074 (1 + ||L||_F)``.
+          ``E``, twice the residual plus ``8 (n + 2) eps (1 + ||L||_F)^2
+          (||X||_F + n linalg._MIN_SPD_SHIFT)`` from the decision norms,
+          covers it all.
         * Weyl: ``lambda_min(y) >= mu(x) c^2 - E``, and ``mu(y)`` is that
-          value, rounded down by ``8 eps`` of its first term.
-        * ``cholesky`` can meet a non-positive pivot only where
-          ``lambda_min(y)`` is below ``n (n + 1) eps / 2`` times
-          ``max_i y_ii`` (Thm 10.7, as ``require_spd`` states), so it
-          succeeds once ``mu(y)`` exceeds ``_floor_level(n, ||y||)``, which
-          is ``4 n^2 eps`` times an upper bound on ``max_i y_ii``, or inf
-          for a non-finite ``y`` (an overflow anywhere above reaches it).
-          Then ``require_spd(y)`` is skipped and ``y`` carries ``mu(y)``.
-        * Otherwise ``y`` is seeded afresh (``_seed``) at a quarter of
-          ``floor.seed``, the run's last seed shift; success implies
-          ``require_spd(y)`` and gives ``y`` its bound.  When it fails,
-          ``require_spd(y)`` runs and ``y`` carries a floor with no bound,
-          whose next seed tries lower.
+          value, rounded down by ``8 eps`` of its first term.  Where it
+          clears ``_floor_level(n, ||y||)`` (inf for a non-finite ``y``),
+          ``y`` carries it.  Otherwise ``y`` is seeded afresh (``_seed``) at a
+          quarter of ``floor.seed``; where that fails ``require_spd(y)``
+          decides and ``y`` carries a floor with no bound.
         """
         if floor is not None and not (x is floor.point or np.array_equal(x, floor.point)):
             raise ValueError("floor belongs to a different point")
@@ -313,12 +278,11 @@ class BuresWasserstein(Manifold):
         norm = linalg._norm(fac)
         # The congruence (I + L) X (I + L) stays SPD for an indefinite I + L
         # too, where it is no geodesic, so I + L itself is certified.  Within
-        # _SMALL_FACTOR_NORM, I + L scaled to a unit diagonal has smallest
-        # eigenvalue >= 1/3, far above the n (n + 1) eps at which a Cholesky
-        # pivot can fail (Higham, Thm 10.7) for any n below about 10^7, so
-        # require_spd cannot raise.  An inf or NaN norm takes the certificate.
-        # shrink is the docstring's c, a lower bound on sigma_min(I + L); the
-        # step has none when it is -inf.
+        # _SMALL_FACTOR_NORM, I + L has eigenvalues in [1/2, 3/2], far above
+        # require_spd's level for any n below about 10^7, so require_spd
+        # cannot raise.  An inf or NaN norm takes the certificate.  shrink is
+        # the docstring's c, a lower bound on sigma_min(I + L); the step has
+        # none unless it is positive.
         carry = floor is not None and floor.bound > 0.0
         if norm <= _SMALL_FACTOR_NORM:
             shrink = 1.0 - (1.0 + 2.0 * n * n * linalg._EPS) * norm
@@ -342,7 +306,6 @@ class BuresWasserstein(Manifold):
         floor_y = None
         if floor is not None:
             norm_y = linalg._norm(y)
-            level = _floor_level(n, norm_y)
             bound = -math.inf
             if carry and shrink > 0.0:
                 resid = vmat - lx
@@ -351,7 +314,7 @@ class BuresWasserstein(Manifold):
                     1.0 + norm
                 ) ** 2 * (floor.norm + n * linalg._MIN_SPD_SHIFT)
                 bound = floor.bound * shrink * shrink * (1.0 - 8.0 * linalg._EPS) - err
-            if bound > level:
+            if bound > _floor_level(n, norm_y):
                 floor_y = _Floor(bound, floor.seed, norm_y, y)
             else:
                 floor_y = _seed(y, 0.25 * floor.seed, norm_y)
@@ -380,52 +343,34 @@ class BuresWasserstein(Manifold):
     def max_step_lower_bound(self, x, v, t):
         """Whether ``t <= max_step(x, v)`` is certified.
 
-        For ``L = L_X(v)`` of size n and the margin
-        ``m = max(1e-10, 6.2 n (n + 1) eps) ||L||_F`` the answer is True when
-        ``t ||L||_F <= 1/2`` or LAPACK factors ``L + (1/t - m) I``.  The
-        n-term is below ``1e-10`` for n <= 269, so there
-        ``m = 1e-10 ||L||_F``.  In floating point
-        success means ``lambda_min(L) > -1/t + m - e`` with, to first order,
-        ``e = n (n + 1) eps (||L||_2 + 1/t + m)`` (Higham, *Accuracy and
-        Stability of Numerical Algorithms*, Thms 10.3/10.7; the rounding of
-        the shift and of the shifted diagonal adds a few ``eps`` to that).
-        ``||L||_F`` is ``linalg._norm(L)``, within a relative ``n^2 eps`` of
-        the exact norm.  Soundness against the Jacobi max_step,
-        ``-1 / lambda`` with Jacobi's smallest eigenvalue ``lambda``:
+        For ``L = L_X(v)`` of size n it is True when ``t ||L||_F <= 1/2``,
+        and otherwise when LAPACK certifies ``lambda_min(L) > -1/t + m / 2``
+        (``linalg._lapack_bound`` at the shift ``m - 1/t``) for ``m =
+        max(1e-10, 6.2 n (n + 1) eps) ||L||_F``, at least twice linalg's
+        margin there: above the underflow scale it passes wherever LAPACK
+        factors.  ``||L||_F`` is ``linalg._norm(L)``, within a relative ``n^2
+        eps`` of the exact norm.  Soundness against the Jacobi max_step, ``-1
+        / lambda`` with Jacobi's smallest eigenvalue ``lambda``:
 
-        * if ``t ||L||_F <= 1/2`` (the norm path, taken before any
-          factorization), or ``1/t`` exceeds ``2 ||L||_F`` by less than
-          that product's rounding (whatever LAPACK says), then ``t`` is
-          at most ``(1 + n^2 eps) / 2`` times ``1 / ||L||_F`` exactly:
-          about half the smallest max_step any eigenvalue can give (Weyl), as
-          Jacobi's ``|lambda|`` exceeds the exact ``||L||_F`` by a
-          relative rounding of a few hundred ``eps`` at most.  That
-          factor of 2 dwarfs both roundings, so ``alpha = 0.99 t`` lies
-          far below ``0.99 * max_step`` and ``_Meter.clamp`` keeps it,
-          as the exact path does;
-        * otherwise ``e <= n (n + 1) eps (3 ||L||_F + m)``, and that is at
-          most ``m / 2`` for every n with ``6.2 n (n + 1) eps <= 0.05``
-          (n up to 6 million, a dense factor of 290 TB), because
-          ``m >= 6.2 n (n + 1) eps (1 - n^2 eps) ||L||_F``.  So
-          ``lambda_min(L) > -1/t + m / 2``.  Jacobi's eigenvalue is within
-          its ``1e-14 ||L||_F`` stopping residual plus its rounding, a few
-          ``eps ||L||_F`` per sweep for each of the n - 1 rotations that
-          touch a row: about ``S n eps ||L||_F`` over ``S <= 100`` sweeps
-          (10 or so in practice).  That is below ``m / 4``: under
-          ``2.5e-11 ||L||_F`` for n <= 269 and under
-          ``1.55 n (n + 1) eps ||L||_F`` beyond.  Hence
-          ``lambda > -1/t + m / 4``: either ``lambda >= 0`` and max_step is
-          infinite, or ``max_step > t (1 + t m / 4)`` with
-          ``t m / 4 >= 1.25e-11``.  That relative gap is many orders above
-          the rounding of ``alpha / 0.99``, ``1/t``, ``-1 / lambda`` and
-          ``0.99 * max_step``, so a passed screen implies
-          ``alpha <= 0.99 * max_step`` as ``_Meter.clamp`` computes it.
+        * on the norm path ``t`` is at most ``(1 + n^2 eps) / 2`` times ``1 /
+          ||L||_F``: about half the smallest max_step any eigenvalue can give
+          (Weyl), as Jacobi's ``|lambda|`` exceeds the exact ``||L||_F`` by a
+          relative few hundred ``eps`` at most.  So ``alpha = 0.99 t`` lies
+          far below ``0.99 * max_step`` and ``_Meter.clamp`` keeps it;
+        * otherwise Jacobi's eigenvalue is within its ``1e-14 ||L||_F``
+          stopping residual plus its rounding, about ``S n eps ||L||_F`` over
+          ``S <= 100`` sweeps: below ``m / 4`` (under ``2.5e-11 ||L||_F`` for
+          n <= 269, and ``1.55 n (n + 1) eps ||L||_F`` beyond).  Hence
+          ``lambda > -1/t + m / 4``: either max_step is infinite, or
+          ``max_step > t (1 + t m / 4)`` with ``t m / 4 >= 1.25e-11``, many
+          orders above the rounding of ``alpha / 0.99``, ``1/t``, ``-1 /
+          lambda`` and ``0.99 * max_step``.  So ``alpha <= 0.99 * max_step``
+          as ``_Meter.clamp`` computes it.
 
-        Edge cases: ``t <= 0`` is True without a factorization, a NaN ``t``
-        or a non-finite factor or shift is False (the exact path decides),
-        ``t = inf`` certifies ``L`` positive definite with the margin, and a
-        zero factor passes, its max_step being infinite.  A subnormal ``t``
-        passes on the norm path, although ``1/t`` overflows.
+        ``t <= 0`` is True without a factorization; a NaN ``t``, a
+        non-finite factor or shift is False; ``t = inf`` certifies ``L``
+        positive definite with the margin; a zero factor passes, and so does
+        a subnormal ``t`` on the norm path, although ``1/t`` overflows.
         """
         if t <= 0.0:
             return True
@@ -436,10 +381,9 @@ class BuresWasserstein(Manifold):
         if norm == 0.0 or float(t) * norm <= _SMALL_FACTOR_NORM:
             return True
         n = fac.shape[0]
-        shift = max(_SCREEN_MARGIN, 6.2 * n * (n + 1) * linalg._EPS) * norm - 1.0 / float(t)
-        # A finite norm means finite entries, so this checks the whole
-        # shifted matrix.
-        return math.isfinite(shift) and linalg._lapack_certifies_spd(fac, shift)
+        m = max(_SCREEN_MARGIN, 6.2 * n * (n + 1) * linalg._EPS) * norm
+        shift = m - 1.0 / float(t)
+        return linalg._lapack_bound(fac, shift, shift - 0.5 * m) > -math.inf
 
     def distance_from(self, y):
         """Bures distances ``sqrt(Tr X + Tr Y - 2 Tr (Y^1/2 X Y^1/2)^1/2)``

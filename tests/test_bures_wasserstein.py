@@ -2,6 +2,7 @@ import dataclasses
 import fractions
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from adgd.errors import DomainError
 from adgd.manifolds import BuresWasserstein, BWTangent, bures_wasserstein
 from adgd.optimizers import STATUS_CONVERGED, STEP_SAFETY, RunConfig, _Meter, _Point, adgd_run, armijo_run
 
-from conftest import bits, is_spd_spectrum, random_spd, random_sym
+from conftest import assert_floor_sound, bits, is_spd_spectrum, random_spd, random_sym
 
 
 class TestRiemannianGradient:
@@ -106,8 +107,8 @@ class TestExp:
         u = rng.standard_normal((n, 1))
         u /= np.linalg.norm(u)
         calls = []
-        certify = linalg._lapack_certifies_spd
-        monkeypatch.setattr(linalg, "_lapack_certifies_spd", lambda a, s: calls.append(1) or certify(a, s))
+        certify = linalg._lapack_bound
+        monkeypatch.setattr(linalg, "_lapack_bound", lambda a, s, level: calls.append(1) or certify(a, s, level))
         for fac in (-np.eye(n) / (2.0 * math.sqrt(n)), -0.5 * (u @ u.T), random_sym(rng, n)):
             at, above = _factors_either_side_of_half(fac)
             for f, certificates in ((at, 1), (above, 2)):
@@ -218,6 +219,47 @@ class TestExp:
         assert bits(traces[0]) == bits(traces[1])
         assert counts[0] <= share * counts[1], counts
 
+    @pytest.mark.parametrize(
+        "run, config, counts",
+        [
+            (armijo_run, dict(max_iters=100, armijo_lambda=2.0, alpha0=0.1), (17, 12, 17)),
+            (adgd_run, dict(), (24, 30, 26)),
+            (armijo_run, dict(), (22, 22, 24)),
+            (adgd_run, dict(first_ls=True), (24, 30, 26)),
+        ],
+        ids=["armijo-100", "adaptive", "armijo", "first-ls"],
+    )
+    def test_factorizations_per_run_do_not_rise(self, run, config, counts, monkeypatch):
+        # LAPACK factorizations (np.linalg.cholesky calls) of whole runs on
+        # lyapunov_objective(20, seed) for seeds 7, 8 and 9, with the
+        # distance column off: floors and seeds keep each at most this.
+        factorizations = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(1) or cholesky(a))
+        config = RunConfig(track_distance=False, **config)
+        for seed, most in zip((7, 8, 9), counts):
+            prob = problems.lyapunov_objective(20, seed)
+            factorizations.clear()
+            run(config, BuresWasserstein(), prob)
+            assert len(factorizations) <= most, (seed, len(factorizations))
+
+    def test_domain_abort_factorizations_do_not_rise(self, monkeypatch, tmp_path):
+        # Golden fixed-lyapunov-domain-abort's run: the smallest eigenvalue
+        # falls every step, so re-seeds keep failing; each failed one costs
+        # a factorization, and the run makes at most 60.  The count is the
+        # golden trajectory's: another BLAS kernel takes other steps, and
+        # the golden comparison reports that.
+        factorizations = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(1) or cholesky(a))
+        flags = "--experiment lyapunov --n 5 --seed 1 --max-iters 200 --tol 1e-8 --optimizer fixed --fixed-alpha 5"
+        out = tmp_path / "t.csv"
+        assert main(["run", *flags.split(), "--out", str(out)]) == 3
+        golden = Path(__file__).parent / "golden" / "fixed-lyapunov-domain-abort.csv"
+        if out.read_bytes() != golden.read_bytes():
+            pytest.skip("this BLAS kernel does not take the golden's steps")
+        assert len(factorizations) <= 60
+
     @pytest.mark.parametrize("max_iters", [0, 5])
     def test_x0_is_factored_once_at_the_door(self, max_iters, monkeypatch):
         # x0's check_point is its seed: a run that takes no step makes that
@@ -286,6 +328,62 @@ class TestExp:
             run(config, BuresWasserstein(), dataclasses.replace(prob, x0=start))
             counts.append(len(factorizations))
         assert counts[0] <= counts[1] + 1, counts
+
+    def test_step_chains_match_the_floors_off_twin(self, bw, monkeypatch):
+        # The floors' twin.  Chains of steps at 0.3 to 1.00001 of max_step,
+        # from points whose spectra span up to 1e16, some with one
+        # eigenvalue near 1e-16 of the largest, at scales from 1e-200 to
+        # 1e200: each step with the carried floor gives the bits, or the
+        # exception, of the same step with floors switched off, and every
+        # floor is sound.  Steps near max_step drive the smallest
+        # eigenvalue down to the floor level, where seeds fail.
+        rng = np.random.default_rng(47)
+        kinds = set()
+        rels = [0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 1.0 - 1e-9, 1.00001]
+
+        def step(x, v, floor, level):
+            with monkeypatch.context() as patched:
+                patched.setattr(bures_wasserstein, "_FLOOR_LEVEL", level)
+                try:
+                    return bw.exp_transport(x, v, floor)
+                except DomainError as exc:
+                    return str(exc)
+
+        for chain in range(120):
+            n = int(rng.choice([2, 3, 5, 8, 20]))
+            w = 10.0 ** rng.uniform(0.0, rng.choice([1.0, 2.0, 4.0, 16.0]), n)
+            if chain % 3 == 0:
+                w[0] = 1e-16 * w.max()
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            x = linalg.symmetrize((q * (w * 10.0 ** rng.uniform(-200.0, 200.0))) @ q.T)
+            try:
+                floor = bw.check_point(x)
+            except ValueError:
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(bures_wasserstein, "_FLOOR_LEVEL", math.inf)
+                off = bw.check_point(x)
+            for _ in range(12):
+                v = bw.egrad_to_rgrad(x, random_sym(rng, n))
+                lam = np.linalg.eigvalsh(v.factor)  # max_step is about -1 / lam[0]
+                if lam[0] >= 0.0:
+                    v, lam = -1.0 * v, -lam[::-1]
+                v = (rng.choice(rels, p=[0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05]) / -lam[0]) * v
+                ours, twin = step(x, v, floor, bures_wasserstein._FLOOR_LEVEL), step(x, v, off, math.inf)
+                if isinstance(ours, str) or isinstance(twin, str):
+                    assert ours == twin, chain
+                    kinds.add("refused")
+                    break
+                assert bits(ours[0]) == bits(twin[0]), chain
+                (x, _, _, new), off = ours, twin[3]
+                if new.bound == -math.inf:
+                    kinds.add("no floor")
+                else:
+                    kinds.add("carried" if new.seed == floor.seed else "seeded")
+                    assert_floor_sound(x, new)
+                    linalg.cholesky(x)
+                floor = new
+        assert kinds == {"refused", "no floor", "carried", "seeded"}, kinds
 
     def test_floor_of_another_point_raises(self, bw):
         # x is nearly singular and the step's new point fails its SPD
@@ -745,6 +843,36 @@ class TestMaxStepScreen:
                     assert got == _exact_clamp(alpha, bw, x, v)
                     flags.add(got[1])
         assert flags == {False, True}
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_passed_screen_keeps_the_clamp(self, bw, n):
+        # The screen's twin: wherever max_step_lower_bound passes t = alpha
+        # / 0.99, alpha <= 0.99 * max_step as _Meter.clamp computes it, and
+        # the clamp equals the exact path's, at t from 0.98 to 1.00001 of
+        # max_step and around t ||L||_F = 1/2.  Both verdicts occur.
+        rng = np.random.default_rng(200 + n)
+        verdicts = set()
+        for _ in range(4):
+            x = random_spd(rng, n)
+            u = rng.standard_normal((n, 1))
+            u /= np.linalg.norm(u)
+            for fac in (random_sym(rng, n), 1e-3 * random_sym(rng, n) - u @ u.T,
+                        random_spd(rng, n) - 1.5 * np.eye(n)):
+                v = _tangent_with_factor(bw, x, fac)
+                cap = bw.max_step(x, v)
+                half = 0.5 / linalg._norm(fac)
+                ts = [half * rel for rel in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.001)]
+                if not math.isinf(cap):
+                    ts += [cap * rel for rel in np.linspace(0.98, 1.00001, 12)]
+                for t in ts:
+                    alpha = STEP_SAFETY * t
+                    passed = bw.max_step_lower_bound(x, v, alpha / STEP_SAFETY)
+                    verdicts.add(passed)
+                    assert not passed or alpha <= STEP_SAFETY * cap, (n, t / cap)
+                    # _exact_clamp's answer, from the cap computed once.
+                    exact = (alpha, False) if alpha <= STEP_SAFETY * cap else (STEP_SAFETY * cap, True)
+                    assert _clamp(bw, x, v, alpha) == exact, (n, t / cap)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", [1, 3, 40])
     def test_clamp_with_the_smallest_eigenvalue_ulps_from_the_step(self, bw, n):

@@ -1,3 +1,4 @@
+import fractions
 import math
 import re
 import warnings
@@ -988,30 +989,40 @@ def _spd_outcome(check, x):
 class TestRequireSpd:
     """Differential tests: the LAPACK certificate against the Python oracle."""
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("scale", [2.0**-900, 1e-6, 1e-3, 1.0, 1e3, 1e6, 2.0**900])
     def test_agrees_with_cholesky_near_singular(self, scale, monkeypatch):
         # lambda_min at k eps ||x||_2 straddles the level where the Python
-        # factorization starts to fail, for every n from 1 to 30.
+        # factorization starts to fail, for every n from 1 to 30: at fixed
+        # k, and at 0.5 to 2 times Higham's failure level n (n + 1) eps / 2
+        # and require_spd's shift 4 n^2 eps (relative to ||x||_2).  At those
+        # levels a copy symmetric only within 1e-13 decides as well.
         oracle = linalg.cholesky
         fallbacks = []
         monkeypatch.setattr(linalg, "cholesky", lambda a: fallbacks.append(1) or oracle(a))
-        rng = np.random.default_rng(int(np.log10(scale)) + 100)
+        rng = np.random.default_rng((int(np.log10(scale)) + 100) % 1000)
+        twin = np.random.default_rng(int(np.log10(scale)) + 1000)
         eps = np.finfo(float).eps
         seen = {"accepted": 0, "rejected": 0, "certified": 0, "oracle accepted": 0}
         for n in range(1, 31):
-            for k in (-100, -10, -1, 0, 1, 10, 100, 1e3, 1e4):
-                w = scale * rng.uniform(1.0, 2.0, size=n)
+            levels = [f * level for f in (0.5, 1.0, 2.0) for level in (n * (n + 1) / 2, 4 * n * n)]
+            for k in [-100, -10, -1, 0, 1, 10, 100, 1e3, 1e4] + levels:
+                gen = twin if k in levels else rng
+                w = scale * gen.uniform(1.0, 2.0, size=n)
                 w[-1] = 2.0 * scale
                 w[0] = k * eps * 2.0 * scale
-                x = _with_spectrum(rng, w)
-                expected = _spd_outcome(oracle, x)
-                before = len(fallbacks)
-                assert _spd_outcome(linalg.require_spd, x) == expected, (n, k)
-                seen["rejected" if expected else "accepted"] += 1
-                if len(fallbacks) == before:
-                    seen["certified"] += 1
-                elif expected is None:
-                    seen["oracle accepted"] += 1
+                x = _with_spectrum(gen, w)
+                points = [x]
+                if gen is twin:
+                    points.append(x * (1.0 + 1e-13 * twin.uniform(-1.0, 1.0, x.shape)))
+                for x in points:
+                    expected = _spd_outcome(oracle, x)
+                    before = len(fallbacks)
+                    assert _spd_outcome(linalg.require_spd, x) == expected, (n, k)
+                    seen["rejected" if expected else "accepted"] += 1
+                    if len(fallbacks) == before:
+                        seen["certified"] += 1
+                    elif expected is None:
+                        seen["oracle accepted"] += 1
         # Every branch ran: LAPACK certified, and the oracle both accepted
         # and rejected inside the margin.
         assert all(seen.values()), seen
@@ -1067,20 +1078,47 @@ class TestRequireSpd:
     )
     def test_shift_matches_its_wrapped_form_on_signed_zeros(self, diagonal, monkeypatch):
         # The shift reduces the diagonal with np.maximum.reduce, the ufunc
-        # np.max calls; both give LAPACK the same shift, or none.
+        # np.max calls; both give the certificate the same shift, and LAPACK
+        # factors only at a shift above the underflow scale.
         x = np.diag(diagonal)
         x[-1, 0] = x[0, -1] = 0.5 * diagonal[-1]
         n = len(diagonal)
         old = 4.0 * n * n * np.finfo(float).eps * float(np.max(np.diagonal(x)))
-        shifts = []
-        certify = linalg._lapack_certifies_spd
+        shifts, factored = [], []
+        certify = linalg._lapack_bound
         monkeypatch.setattr(
-            linalg, "_lapack_certifies_spd", lambda a, shift: shifts.append(shift) or certify(a, shift)
+            linalg, "_lapack_bound", lambda a, shift, level: shifts.append(shift) or certify(a, shift, level)
         )
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
         outcome = _spd_outcome(linalg.require_spd, x)
         assert outcome == _spd_outcome(linalg.cholesky, x)
-        expected = [old] if old >= linalg._MIN_SPD_SHIFT else []
-        assert bits(shifts) == bits(expected)
+        assert bits(shifts) == bits([old])
+        assert len(factored) == (old >= linalg._MIN_SPD_SHIFT)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
+    def test_lapack_bound_covers_highams_error(self, n):
+        # Where LAPACK factors b = a - shift I (as rounded), the bound sits
+        # below shift by at least Higham's backward error, gamma_{n+1} / (1 -
+        # gamma_{n+1}) Tr b, plus the rounding of b's diagonal, u / (1 - u)
+        # Tr b, in exact arithmetic: at require_spd's shift, at half the
+        # smallest eigenvalue (a seed's kind of shift), and at a negative
+        # shift just below a factor's negative eigenvalue (the screen's).
+        rng = np.random.default_rng(n)
+        u = fractions.Fraction(1, 2**53)
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        x = _with_spectrum(rng, rng.uniform(0.5, 2.0, size=n))
+        fac = random_sym(rng, n) - np.eye(n)
+        lam = np.linalg.eigvalsh(fac)[0]
+        cases = [(x, 4.0 * n * n * np.finfo(float).eps * float(np.max(np.diagonal(x)))),
+                 (x, 0.5 * np.linalg.eigvalsh(x)[0]), (fac, 1.001 * lam)]
+        for a, shift in cases:
+            bound = linalg._lapack_bound(a, shift, -math.inf)
+            assert bound > -math.inf, (n, shift)
+            diagonal = np.diagonal(a) - shift
+            trace = sum(fractions.Fraction(float(d)) for d in diagonal)
+            need = (gamma / (1 - gamma) + u / (1 - u)) * trace
+            assert fractions.Fraction(shift) - fractions.Fraction(bound) >= need, (n, shift)
 
     def test_certifies_well_conditioned_matrices_without_fallback(self, monkeypatch):
         def fail(a):
