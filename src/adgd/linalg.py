@@ -180,10 +180,8 @@ def sym_eig(m):
                     t = 0.0  # negligible pivot; the explicit zeroing removes it
                 elif abs(tau) > 1e150:
                     t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    t = math.copysign(1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau)), tau + 0.0)
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
 
@@ -315,10 +313,9 @@ def _eigvals_sweep(b, n, thresh):
     scalar steps as :func:`sym_eig`, elementwise over the matrices whose
     pivot passes its skip test (``thresh`` holds the per-matrix
     thresholds of an early sweep, None for a late one, where the test is
-    ``apq != 0``).  ``tau >= 0`` and ``tau < 0`` share
-    ``1 / (|tau| + sqrt(1 + tau^2))``, negated for the second: IEEE
-    division is sign-symmetric, so that is the scalar branch's value
-    exactly.  Every constant operand is a module-level 0-d array
+    ``apq != 0``).  Both kernels write the rotation for finite ``|tau| <=
+    1e150`` as ``copysign(1 / (|tau| + sqrt(1 + tau^2)), tau + 0)``.
+    Every constant operand is a module-level 0-d array
     (:func:`_constant`).
 
     The rows, the column views and eight ``(n, m)`` scratch blocks are
@@ -360,7 +357,7 @@ def _eigvals_sweep(b, n, thresh):
             abs_tau = np.abs(tau)
             t = _ONE / (abs_tau + np.sqrt(_ONE + tau * tau))
             # For finite tau, t > 0 takes tau's sign; + 0.0 turns a -0.0
-            # tau into +0.0, which the scalar branch counts as tau >= 0.
+            # tau into +0.0, as in sym_eig.
             t = np.copysign(t, tau + _ZERO)
             if np.count_nonzero(abs_tau <= _TAU_BIG) != m:
                 t = np.where(

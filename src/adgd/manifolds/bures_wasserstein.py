@@ -102,12 +102,11 @@ def _step_ratio(vmat, wmat):
 class _Floor(NamedTuple):
     """What the array ``point`` carries into its steps: ``bound``, a
     certified lower bound on its smallest eigenvalue (-inf certifies
-    nothing), ``seed``, the shift whose quarter the next LAPACK seed of the
-    run takes (``_seed``), and ``norm``, the point's ``linalg._norm``."""
+    nothing), and ``seed``, the shift its successor's LAPACK seed takes
+    (``_certify``), which a carried floor keeps."""
 
     bound: float
     seed: float
-    norm: float
     point: np.ndarray
 
 
@@ -122,22 +121,25 @@ def _floor_level(n, norm):
     return _FLOOR_LEVEL * linalg._spd_level(n, 2.0 * norm) if finite else math.inf
 
 
-def _seed(y, shift, norm):
-    """The floor of the exactly symmetric ``y`` of decision norm ``norm``:
-    where LAPACK's bound at ``shift`` (``linalg._lapack_bound``) clears
-    ``_floor_level``, that bound less ``8 n eps norm``.  The slack keeps a
-    seeded floor, like a carried one, below ``lambda_min(y)`` by more than
-    an eigensolver's ``4 n eps ||y||_2`` error, so ``eigvalsh`` confirms it,
-    and covers a caller's rounding of ``y``'s diagonal (``exp_transport``'s
-    ``I + L``).  The ``seed`` is the shift the next seed takes a quarter of:
-    ``shift`` itself after a success.  Otherwise the bound is -inf and the
-    ``seed`` a sixteenth of ``shift``, so the next seed tries 64 times
-    lower: a point whose smallest eigenvalue keeps falling (a run that ends
-    at the cone's boundary) wastes a few factorizations, not one per step."""
-    bound = linalg._lapack_bound(y, shift, _floor_level(len(y), norm))
-    if bound == -math.inf:
-        return _Floor(bound, shift / 16.0, norm, y)
-    return _Floor(bound - 8.0 * len(y) * linalg._EPS * norm, shift, norm, y)
+def _certify(y, shift, norm, seeded=True):
+    """The floor of ``y``, of decision norm ``norm``: the module's one door
+    to ``linalg.require_spd``.  A ``seeded`` y (exactly symmetric) whose
+    LAPACK bound at ``shift`` (``linalg._lapack_bound``) clears
+    ``_floor_level`` gets that bound less ``8 n eps norm``.  The slack
+    keeps a seeded floor, like a carried one, below ``lambda_min(y)`` by
+    more than an eigensolver's ``4 n eps ||y||_2`` error, so ``eigvalsh``
+    confirms it, and covers a caller's rounding of ``y``'s diagonal (``I +
+    L``).  Any other y goes to ``require_spd``, which raises DomainError or
+    gives a floor that bounds nothing.  ``seed`` is ``shift / 4`` after a
+    success, ``shift / 64`` after a failure (a falling smallest eigenvalue
+    costs a few factorizations, not one per step) and ``shift`` unseeded."""
+    if seeded:
+        bound = linalg._lapack_bound(y, shift, _floor_level(len(y), norm))
+        if bound > -math.inf:
+            return _Floor(bound - 8.0 * len(y) * linalg._EPS * norm, shift / 4.0, y)
+        shift /= 64.0
+    linalg.require_spd(y)
+    return _Floor(-math.inf, shift, y)
 
 
 class BWTangent:
@@ -200,24 +202,19 @@ class BuresWasserstein(Manifold):
     def check_point(self, x):
         """Symmetric within ``linalg.check_symmetric``'s 1e-12 relative
         tolerance, finite, and positive definite by ``linalg.require_spd``;
-        returns x's floor.  An exactly symmetric x is seeded (``_seed``) at
-        half its smallest diagonal entry, which implies ``require_spd(x)``
-        where it succeeds; ``require_spd`` runs only where the floor
+        returns x's floor (``_certify``).  An exactly symmetric x is seeded
+        at half its smallest diagonal entry, which implies ``require_spd(x)``
+        where it succeeds; ``require_spd`` runs only where the seed
         certifies nothing.  Any other x (LAPACK would read its lower
-        triangle only) gets a floor that bounds nothing and whose first
-        re-seed takes that same shift, so a run's first step seeds its
-        successor."""
+        triangle only) goes straight to ``require_spd`` and gets a floor
+        that bounds nothing and whose seed is that same shift, so a run's
+        first step seeds its successor."""
         x = linalg.check_symmetric(x, "a point of the SPD cone")
         shift = 0.5 * float(x.diagonal().min(initial=math.inf))
-        floor = _Floor(-math.inf, 4.0 * shift, linalg._norm(x), x)
-        if np.array_equal(x, x.T):
-            floor = _seed(x, shift, floor.norm)
-        if floor.bound == -math.inf:
-            try:
-                linalg.require_spd(x)
-            except DomainError:
-                raise ValueError("a point of the SPD cone must be positive definite") from None
-        return floor
+        try:
+            return _certify(x, shift, linalg._norm(x), np.array_equal(x, x.T))
+        except DomainError:
+            raise ValueError("a point of the SPD cone must be positive definite") from None
 
     def egrad_to_rgrad(self, x, g):
         g = linalg.symmetrize(g)
@@ -248,7 +245,7 @@ class BuresWasserstein(Manifold):
 
         * ``sigma_min(I + L) >= c``.  On the norm path ``||L||_F <= 1/2`` and
           ``c = 1 - (1 + 2 n^2 eps) linalg._norm(L)`` (Weyl).  Off it, when
-          ``mu(x) > 0``, ``c`` is the floor of ``_seed(I + L, 1/4, 1 +
+          ``mu(x) > 0``, ``c`` is the floor of ``_certify(I + L, 1/4, 1 +
           ||L||_F)``, whose slack covers the rounding of ``I + L``'s
           diagonal.  Else ``require_spd(I + L)`` decides, and the step has no
           ``c``.  So ``lambda_min(S) >= mu(x) c^2``.
@@ -267,9 +264,9 @@ class BuresWasserstein(Manifold):
         * Weyl: ``lambda_min(y) >= mu(x) c^2 - E``, and ``mu(y)`` is that
           value, rounded down by ``8 eps`` of its first term.  Where it
           clears ``_floor_level(n, ||y||)`` (inf for a non-finite ``y``),
-          ``y`` carries it.  Otherwise ``y`` is seeded afresh (``_seed``) at a
-          quarter of ``floor.seed``; where that fails ``require_spd(y)``
-          decides and ``y`` carries a floor with no bound.
+          ``y`` carries it with ``floor.seed``.  Otherwise ``y`` is seeded
+          afresh at ``floor.seed`` (``_certify``), where a failure leaves
+          ``require_spd(y)`` to decide and ``y`` a floor with no bound.
         """
         if floor is not None and not (x is floor.point or np.array_equal(x, floor.point)):
             raise ValueError("floor belongs to a different point")
@@ -287,13 +284,10 @@ class BuresWasserstein(Manifold):
         if norm <= _SMALL_FACTOR_NORM:
             shrink = 1.0 - (1.0 + 2.0 * n * n * linalg._EPS) * norm
         else:
-            eye_l = np.eye(n) + fac
-            shrink = _seed(eye_l, _DOMAIN_SHIFT, 1.0 + norm).bound if carry else -math.inf
-            if shrink == -math.inf:
-                try:
-                    linalg.require_spd(eye_l)
-                except DomainError:
-                    raise DomainError("step leaves the SPD cone") from None
+            try:
+                shrink = _certify(np.eye(n) + fac, _DOMAIN_SHIFT, 1.0 + norm, carry).bound
+            except DomainError:
+                raise DomainError("step leaves the SPD cone") from None
         lx = fac @ x
         lxl = lx @ fac
         y = x + v.mat
@@ -303,8 +297,10 @@ class BuresWasserstein(Manifold):
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).
-        floor_y = None
-        if floor is not None:
+        if floor is None:
+            linalg.require_spd(y)
+            floor_y = None
+        else:
             norm_y = linalg._norm(y)
             bound = -math.inf
             if carry and shrink > 0.0:
@@ -312,14 +308,12 @@ class BuresWasserstein(Manifold):
                 resid -= lx.T
                 err = 2.0 * linalg._norm(resid) + 8.0 * (n + 2) * linalg._EPS * (
                     1.0 + norm
-                ) ** 2 * (floor.norm + n * linalg._MIN_SPD_SHIFT)
+                ) ** 2 * (linalg._norm(x) + n * linalg._MIN_SPD_SHIFT)
                 bound = floor.bound * shrink * shrink * (1.0 - 8.0 * linalg._EPS) - err
             if bound > _floor_level(n, norm_y):
-                floor_y = _Floor(bound, floor.seed, norm_y, y)
+                floor_y = _Floor(bound, floor.seed, y)
             else:
-                floor_y = _seed(y, 0.25 * floor.seed, norm_y)
-        if floor_y is None or floor_y.bound == -math.inf:
-            linalg.require_spd(y)
+                floor_y = _certify(y, floor.seed, norm_y)
 
         def transport(w):
             c = _step_ratio(vmat, w.mat)

@@ -144,7 +144,7 @@ class TestExp:
             for m in np.geomspace(1e-8, 1e-19, 45):
                 x = np.diag(np.r_[m, np.arange(2.0, n + 1.0)])
                 v = _tangent_with_factor(bw, x, fac)
-                floor = bures_wasserstein._Floor(m, m, linalg._norm(x), x)
+                floor = bures_wasserstein._Floor(m, m, x)
                 results = []
                 for args in ((x, v), (x, v, floor)):
                     spd_calls.clear()
@@ -175,7 +175,7 @@ class TestExp:
         rng = np.random.default_rng(n)
         u = rng.standard_normal((n, 1))
         x = np.diag(np.arange(1.0, n + 1.0))
-        floor = bures_wasserstein._Floor(1.0, 1.0, linalg._norm(x), x)
+        floor = bures_wasserstein._Floor(1.0, 1.0, x)
         for fac, shrink in zip(
             _factors_either_side_of_half(-0.5 * (u @ u.T) / float(np.vdot(u, u))), (0.5, 0.25)
         ):
