@@ -58,6 +58,17 @@ EXPERIMENTS = {
 }
 
 
+# run flag -> the optimizers that read it; any other optimizer refuses it
+_OPTIMIZER_FLAGS = {
+    "alpha0": ("adgd", "armijo"),
+    "first_ls": ("adgd",),
+    "armijo_c": ("armijo",),
+    "armijo_beta": ("armijo",),
+    "armijo_lambda": ("armijo",),
+    "fixed_alpha": ("fixed",),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -129,8 +140,12 @@ def twin_deviations(points, twin_points, count):
 def _cmd_run(args):
     if args.optimizer == "fixed" and args.fixed_alpha is None:
         raise UsageError("--fixed-alpha is required with --optimizer fixed")
-    if args.optimizer != "fixed" and args.fixed_alpha is not None:
-        raise UsageError("--fixed-alpha only applies to --optimizer fixed")
+    for flag, optimizers in _OPTIMIZER_FLAGS.items():
+        value = getattr(args, flag)
+        if args.optimizer not in optimizers and value is not None and value is not False:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} only applies to --optimizer {' or '.join(optimizers)}"
+            )
     if args.experiment == "orthant-equivalence" and args.optimizer != "adgd":
         raise UsageError("orthant-equivalence supports only --optimizer adgd")
     default_n, manifold_cls, build = EXPERIMENTS[args.experiment]

@@ -122,18 +122,17 @@ def _floor_level(n, norm):
 
 
 def _certify(y, shift, norm, seeded=True):
-    """The floor of ``y``, of decision norm ``norm``: the module's one door
-    to ``linalg.require_spd``.  A ``seeded`` y (exactly symmetric) whose
-    LAPACK bound at ``shift`` (``linalg._lapack_bound``) clears
-    ``_floor_level`` gets that bound less ``8 n eps norm``.  The slack
-    keeps a seeded floor, like a carried one, below ``lambda_min(y)`` by
-    more than an eigensolver's ``4 n eps ||y||_2`` error, so ``eigvalsh``
-    confirms it, and covers a caller's rounding of ``y``'s diagonal (``I +
-    L``).  Any other y goes to ``require_spd``, which raises DomainError or
-    gives a floor that bounds nothing.  ``seed`` is ``shift / 4`` after a
+    """The floor of ``y``, of decision norm ``norm``: the module's one door to
+    ``linalg.require_spd``.  A ``seeded`` y (exactly symmetric) whose LAPACK
+    bound at ``shift > 0`` (``linalg._lapack_bound``) clears ``_floor_level``
+    gets that bound less ``8 n eps norm``, a slack that keeps it below
+    ``lambda_min(y)`` by more than ``eigvalsh``'s ``4 n eps ||y||_2`` error and
+    covers a caller's rounding of ``y``'s diagonal (``I + L``).  Any other y (a
+    zero shift seeds nothing) goes to ``require_spd``, which raises DomainError
+    or gives a floor that bounds nothing.  ``seed`` is ``shift / 4`` after a
     success, ``shift / 64`` after a failure (a falling smallest eigenvalue
     costs a few factorizations, not one per step) and ``shift`` unseeded."""
-    if seeded:
+    if seeded and shift > 0.0:
         bound = linalg._lapack_bound(y, shift, _floor_level(len(y), norm))
         if bound > -math.inf:
             return _Floor(bound - 8.0 * len(y) * linalg._EPS * norm, shift / 4.0, y)
@@ -231,14 +230,14 @@ class BuresWasserstein(Manifold):
         descent loops need, and holds ``v``'s matrix and ``L X L``.
 
         ``floor`` is what ``check_point`` or this method returned for
-        ``x``, or None; ``floor_y`` is the new point's, None when ``floor``
-        is.  A floor (``_Floor``) names the array it bounds, its ``point``,
-        and this method raises ValueError unless ``x`` is that array or
-        equal to it, as ``BWTangent.factor_at`` does for a carried factor.
+        ``x``; a missing one is ``_Floor(-inf, 0.0, x)``, which bounds and
+        seeds nothing.  ``floor_y`` is the new point's.  A floor names the
+        array it bounds, its ``point``, and this method raises ValueError
+        unless ``x`` is that array or equal to it, as ``factor_at`` does.
         With a floor ``mu(x) <= lambda_min(x)``, the new point's own
         certificate, ``linalg.require_spd(y)``, is skipped exactly where a
         bound on ``lambda_min(y)`` clears ``_floor_level``; everywhere else it
-        runs and decides as without a floor, so no decision and no byte
+        runs and decides as for a missing floor, so no decision and no byte
         depends on the floor.  For an exactly symmetric ``X`` (every floor
         with a bound is of such a point), the symmetric factor ``L`` (every
         factor is) and ``S = (I + L) X (I + L)``:
@@ -268,7 +267,8 @@ class BuresWasserstein(Manifold):
           afresh at ``floor.seed`` (``_certify``), where a failure leaves
           ``require_spd(y)`` to decide and ``y`` a floor with no bound.
         """
-        if floor is not None and not (x is floor.point or np.array_equal(x, floor.point)):
+        floor = _Floor(-math.inf, 0.0, x) if floor is None else floor
+        if not (x is floor.point or np.array_equal(x, floor.point)):
             raise ValueError("floor belongs to a different point")
         fac = v.factor_at(x)
         n = fac.shape[0]
@@ -280,7 +280,7 @@ class BuresWasserstein(Manifold):
         # cannot raise.  An inf or NaN norm takes the certificate.  shrink is
         # the docstring's c, a lower bound on sigma_min(I + L); the step has
         # none unless it is positive.
-        carry = floor is not None and floor.bound > 0.0
+        carry = floor.bound > 0.0
         if norm <= _SMALL_FACTOR_NORM:
             shrink = 1.0 - (1.0 + 2.0 * n * n * linalg._EPS) * norm
         else:
@@ -297,23 +297,19 @@ class BuresWasserstein(Manifold):
         # Positivity certificate.  The congruence keeps y SPD only in exact
         # arithmetic; in floating point X + V + L X L can fail it after the
         # domain check passed (golden fixed-lyapunov-domain-abort stops here).
-        if floor is None:
-            linalg.require_spd(y)
-            floor_y = None
+        norm_y = linalg._norm(y)
+        bound = -math.inf
+        if carry and shrink > 0.0:
+            resid = vmat - lx
+            resid -= lx.T
+            err = 2.0 * linalg._norm(resid) + 8.0 * (n + 2) * linalg._EPS * (
+                1.0 + norm
+            ) ** 2 * (linalg._norm(x) + n * linalg._MIN_SPD_SHIFT)
+            bound = floor.bound * shrink * shrink * (1.0 - 8.0 * linalg._EPS) - err
+        if bound > _floor_level(n, norm_y):
+            floor_y = _Floor(bound, floor.seed, y)
         else:
-            norm_y = linalg._norm(y)
-            bound = -math.inf
-            if carry and shrink > 0.0:
-                resid = vmat - lx
-                resid -= lx.T
-                err = 2.0 * linalg._norm(resid) + 8.0 * (n + 2) * linalg._EPS * (
-                    1.0 + norm
-                ) ** 2 * (linalg._norm(x) + n * linalg._MIN_SPD_SHIFT)
-                bound = floor.bound * shrink * shrink * (1.0 - 8.0 * linalg._EPS) - err
-            if bound > _floor_level(n, norm_y):
-                floor_y = _Floor(bound, floor.seed, y)
-            else:
-                floor_y = _certify(y, floor.seed, norm_y)
+            floor_y = _certify(y, floor.seed, norm_y)
 
         def transport(w):
             c = _step_ratio(vmat, w.mat)

@@ -38,9 +38,10 @@ class RunConfig:
     """Knobs shared by all runs; Armijo fields are ignored elsewhere.
 
     ``max_iters`` is an integer and the float fields are real numbers
-    (numpy scalars will do, a bool will not); ``first_ls`` and
-    ``track_distance`` are bools.  A wrong-typed field or a value out of
-    range raises ``ValueError``.
+    (numpy scalars will do, a bool will not), stored as ``int`` and
+    ``float``, so a run's step sizes are Python floats whatever the caller
+    passed; ``first_ls`` and ``track_distance`` are bools.  A wrong-typed
+    field or a value out of range raises ``ValueError``.
     The step-domain clamp is not a knob: every run clamps.
     """
 
@@ -58,10 +59,12 @@ class RunConfig:
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        self.max_iters = int(self.max_iters)
         for name in ("tol", "alpha0", "armijo_c", "armijo_beta", "armijo_lambda"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            setattr(self, name, float(value))
         for name in ("first_ls", "track_distance"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -327,18 +330,19 @@ def _drive(config, manifold, problem, make_rule):
     overflow, invalid and divide warnings: a non-finite value reaches the
     finiteness check instead.
 
-    ``manifold.check_point`` vets ``problem.x0`` before row 0 and gives
-    its floor to x0's record.  When the
-    distance column is on (a known optimum and ``config.track_distance``)
-    the optimum is vetted too, and ``manifold.distance_from(optimum)``,
-    with the fixed point's work and anything it refuses, is built before
-    row 0 as well; with the column off the optimum is not read.  However
+    ``manifold.check_point`` vets ``problem.x0`` as a float64 array before
+    row 0, and the run starts from that array with the floor it returned.
+    When the distance column is on (a known optimum and
+    ``config.track_distance``) the optimum is vetted too, and
+    ``manifold.distance_from(optimum)``, with the fixed point's work and
+    anything it refuses, is built before row 0 as well; with the column off the optimum is not read.  However
     the run stopped, the column is then filled in one call of that
     callable; it never feeds a step.
     """
     # The context-manager form: the decorator form is not thread-safe on numpy 1.x.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p = _Point(problem.x0, manifold.check_point(problem.x0))
+        x0 = np.asarray(problem.x0, dtype=float)
+        p = _Point(x0, manifold.check_point(x0))
         distances = None
         if config.track_distance and problem.optimum_point is not None:
             manifold.check_point(problem.optimum_point)
@@ -542,13 +546,13 @@ def fixed_run(config, manifold, problem, alpha):
     the same diagnostics); aborts when the objective increases for 50
     consecutive iterations.  ``alpha`` is a real number as ``RunConfig``'s
     float fields are (a bool will not do), finite and nonnegative, else
-    ``ValueError``.
+    ``ValueError``; the run steps with ``float(alpha)``.
     """
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
         raise ValueError(f"fixed step size must be a real number, got {alpha!r}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("fixed step size must be finite and nonnegative")
-    return _drive(config, manifold, problem, functools.partial(_adaptive_rule, pinned=alpha))
+    return _drive(config, manifold, problem, functools.partial(_adaptive_rule, pinned=float(alpha)))
 
 
 def armijo_run(config, manifold, problem):

@@ -418,6 +418,50 @@ class TestExp:
         assert floor.bound > 0.0 and there[3].point is there[0]
         assert bits([here[0], here[3]]) == bits([there[0], there[3]])
 
+    @staticmethod
+    def _spy_lapack_bound(monkeypatch):
+        calls = []
+        lapack_bound = linalg._lapack_bound
+
+        def spied(a, shift, level):
+            calls.append(bits([a, shift, level]))
+            return lapack_bound(a, shift, level)
+
+        monkeypatch.setattr(linalg, "_lapack_bound", spied)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_floorless_step_returns_a_floor_of_its_point(self, bw, n, monkeypatch):
+        # A missing floor is _Floor(-inf, 0.0, x): it bounds and seeds
+        # nothing, so on the norm path the new point's one LAPACK bound is
+        # require_spd's own, and its floor names it and bounds nothing.
+        rng = np.random.default_rng(n)
+        x = random_spd(rng, n)
+        v = bw.egrad_to_rgrad(x, random_sym(rng, n))
+        v = (-0.25 / linalg._norm(v.factor)) * v
+        calls = self._spy_lapack_bound(monkeypatch)
+        y, _, _, floor_y = bw.exp_transport(x, v)
+        assert type(floor_y) is bures_wasserstein._Floor and floor_y.point is y
+        assert floor_y.bound == -math.inf and bits(floor_y.seed) == bits(0.0)
+        stepped = calls[:]
+        calls.clear()
+        linalg.require_spd(y)
+        assert len(stepped) == 1 and stepped == calls
+
+    @pytest.mark.parametrize("shift", [0.0, -0.0])
+    def test_zero_shift_seeds_nothing(self, shift, monkeypatch):
+        # A zero shift's bound lies below zero and cannot clear
+        # _floor_level, so _certify asks LAPACK for no seed: its one bound
+        # is require_spd's.
+        x = random_spd(np.random.default_rng(3), 5)
+        calls = self._spy_lapack_bound(monkeypatch)
+        floor = bures_wasserstein._certify(x, shift, linalg._norm(x))
+        assert floor.point is x and floor.bound == -math.inf and bits(floor.seed) == bits(shift)
+        certified = calls[:]
+        calls.clear()
+        linalg.require_spd(x)
+        assert len(certified) == 1 and certified == calls
+
 
 class TestTransport:
     def test_zero_step_identity(self, bw):

@@ -191,6 +191,23 @@ USAGE_ERRORS = {
         ("run", "--experiment", "rayleigh", "--fixed-alpha", "0.1", *OUT),
         "error: --fixed-alpha only applies to --optimizer fixed",
     ),
+    **{
+        f"{flag[2:]}-not-with-{optimizer}": (
+            ("run", "--experiment", "rayleigh", "--optimizer", optimizer, *flags, *OUT),
+            f"error: {flag} only applies to --optimizer {applies}",
+        )
+        for optimizer, flags, flag, applies in [
+            ("armijo", ("--first-ls",), "--first-ls", "adgd"),
+            ("adgd", ("--armijo-c", "0.1"), "--armijo-c", "armijo"),
+            ("fixed", ("--fixed-alpha", "0.05", "--armijo-beta", "0.5"), "--armijo-beta", "armijo"),
+            ("adgd", ("--armijo-lambda", "3"), "--armijo-lambda", "armijo"),
+            ("fixed", ("--fixed-alpha", "0.05", "--alpha0", "7"), "--alpha0", "adgd or armijo"),
+        ]
+    },
+    "config-first-ls-not-with-armijo": (
+        "experiment = rayleigh\noptimizer = armijo\nfirst-ls = yes\n",
+        "error: --first-ls only applies to --optimizer adgd",
+    ),
     "orthant-equivalence-rejects-armijo": (
         ("run", "--experiment", "orthant-equivalence", "--optimizer", "armijo", *OUT),
         "error: orthant-equivalence supports only --optimizer adgd",

@@ -419,7 +419,8 @@ class TestConfigValidation:
             RunConfig(**kwargs)
 
     def test_accepts_numpy_integer_max_iters(self):
-        assert RunConfig(max_iters=np.int64(5)).max_iters == 5
+        max_iters = RunConfig(max_iters=np.int64(5)).max_iters
+        assert max_iters == 5 and type(max_iters) is int
 
     def test_accepts_numpy_floats(self):
         fields = {
@@ -431,6 +432,26 @@ class TestConfigValidation:
         }
         config = RunConfig(**fields)
         assert {name: getattr(config, name) for name in fields} == fields
+        assert all(type(getattr(config, name)) is float for name in fields)
+
+    @pytest.mark.parametrize(
+        "method, field, value",
+        [("adgd", "alpha0", 0.1), ("armijo", "armijo_beta", 0.5), ("armijo", "armijo_c", 1e-4), ("fixed", None, 0.1)],
+        ids=["alpha0", "armijo-beta", "armijo-c", "fixed-step"],
+    )
+    def test_float32_settings_run_as_their_python_floats(self, method, field, value):
+        # RunConfig stores a real field as a float, and fixed_run its step,
+        # so a float32 setting runs in double precision: its trace is the
+        # one of the same value given as a Python float, bit for bit.  The
+        # Armijo runs backtrack (lambda = 2), so beta and c take part.
+        prob = problems.lyapunov_objective(5, 1)
+        base = dict(armijo_lambda=2.0, alpha0=0.1) if method == "armijo" else {}
+        traces = []
+        for setting in (np.float32(value), float(np.float32(value))):
+            config = RunConfig(max_iters=30, **(base | ({} if field is None else {field: setting})))
+            traces.append(METHODS[method](config, BuresWasserstein(), prob, setting))
+        assert len(traces[0].rows) > 1 and bits(traces[0].rows) == bits(traces[1].rows)
+        assert all(type(getattr(row, name)) is float for row in traces[0].rows for name in ("alpha", "theta", "ell"))
 
     @pytest.mark.parametrize("field", ["alpha0", "armijo_lambda"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -612,6 +633,28 @@ class TestStartingPoint:
             assert_floor_sound(x0, floor)
         else:
             assert floor is None
+
+    @pytest.mark.parametrize("method", _EDGE_METHODS)
+    @pytest.mark.parametrize(
+        "manifold_cls, build, start",
+        [
+            (Sphere, lambda: problems.center_of_mass(10, 50, 0), list),
+            (PositiveOrthant, lambda: problems.linear_minus_log(4, 0), list),
+            (PositiveOrthant, lambda: problems.linear_minus_log(4, 0), lambda x: x.astype(np.float32)),
+        ],
+        ids=["sphere-list", "orthant-list", "orthant-float32"],
+    )
+    def test_runs_from_the_array_check_point_accepted(self, manifold_cls, build, start, method):
+        # check_point vets x0 as a float64 array and the run starts from
+        # that array, so a list or float32 start runs as its float64 value.
+        prob = build()
+        x0 = start(prob.x0)
+        twin = np.asarray(x0, dtype=float)
+        config = RunConfig(max_iters=20, tol=0.0, alpha0=0.1)
+        traces = [
+            METHODS[method](config, manifold_cls(), dataclasses.replace(prob, x0=x), 0.01) for x in (x0, twin)
+        ]
+        assert len(traces[0].rows) > 1 and bits(traces[0]) == bits(traces[1])
 
     # Each x0 off its manifold, and what an unchecked run made of it.
     BAD_STARTS = {
